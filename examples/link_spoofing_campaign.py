@@ -30,7 +30,7 @@ from repro.logs.records import LogCategory
 def print_olsr_state(scenario, title: str) -> None:
     rows = []
     for node_id in sorted(scenario.nodes):
-        node = scenario.nodes[node_id].olsr
+        node = scenario.nodes[node_id].router
         rows.append({
             "node": node_id,
             "symmetric_neighbors": ",".join(sorted(node.symmetric_neighbors())),
@@ -54,7 +54,7 @@ def main() -> int:
     scenario.network.run(until=60.0)
     print_olsr_state(scenario, "Protocol state at t=60s (note the victim's MPR change)")
 
-    mpr_records = victim.olsr.log.by_event("MPR_SET_CHANGED")[-1]
+    mpr_records = victim.log.by_event("MPR_SET_CHANGED")[-1]
     print(f"Victim audit log: MPR set changed from "
           f"{mpr_records.get_list('previous')} to {mpr_records.get_list('mprs')}\n")
 
@@ -81,9 +81,12 @@ def main() -> int:
     print(format_table(trust_rows))
     print()
 
-    hello_logs = len(victim.olsr.log.by_category(LogCategory.MESSAGE_RX))
-    print(f"The victim parsed {len(victim.olsr.log)} audit-log records "
-          f"({hello_logs} received-message records) without touching a single packet payload.")
+    # The victim's log holds only the categories its analyzer subscribed to.
+    subscribed = ", ".join(sorted(str(c) for c in victim.analyzer.categories))
+    received = len(victim.log.by_category(LogCategory.MESSAGE_RX))
+    print(f"The victim parsed {len(victim.log)} audit-log records of the categories "
+          f"its analyzer subscribes to ({subscribed}; {received} received-message "
+          f"records) without touching a single packet payload.")
     verdicts = [c["outcome"] for c in cycles]
     print(f"Final verdict on {attacker.node_id!r}: {verdicts[-1]}")
     return 0

@@ -5,7 +5,9 @@ A :class:`DetectorNode` bundles, for one network node:
 * a routing substrate producing audit logs — any registered
   :class:`repro.routing.base.RoutingProtocol` backend (OLSR by default,
   selected with the ``protocol`` argument),
-* the log analyzer and :class:`repro.core.detector.LocalDetector`,
+* the log analyzer and :class:`repro.core.detector.LocalDetector` (the node's
+  log records only what a reader subscribed to, so an analyzer finds
+  nothing until :meth:`repro.logs.analyzer.LogAnalyzer.subscribe` is called),
 * the :class:`repro.trust.manager.TrustManager` and recommendation store, and
 * a :class:`repro.core.investigation.CooperativeInvestigator`.
 
@@ -30,6 +32,7 @@ from repro.core.investigation import (
     common_two_hop_neighbors,
 )
 from repro.logs.analyzer import LogAnalyzer
+from repro.logs.store import LogStore
 from repro.olsr.node import OlsrConfig
 from repro.routing.registry import create_protocol
 from repro.trust.manager import TrustManager, TrustParameters
@@ -71,7 +74,10 @@ class DetectorNode:
         self.rng = random.Random(seed if seed is not None else stable_digest(node_id) & 0xFFFF)
 
         config = routing_config if routing_config is not None else olsr_config
+        # The audit log records only what a reader subscribes to: the
+        # analyzer (see LogAnalyzer.subscribe) or an invariant auditor.
         self.router = create_protocol(protocol, node_id, network, config=config,
+                                      log_store=LogStore(node_id, categories=()),
                                       seed=self.rng.randint(0, 2 ** 31))
         #: Backwards-compatible alias: the routing substrate, whatever the
         #: protocol (historical name from the OLSR-only days).

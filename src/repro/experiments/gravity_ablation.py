@@ -94,9 +94,12 @@ def gravity_row(run: ExperimentResult, alpha_harmful: float,
             detection_round = record.round_index
             break
 
-    liar_finals = [run.trust_trajectory(l)[-1] for l in run.liars]
-    honest_finals = [run.trust_trajectory(h)[-1] for h in run.honest_responders]
-    honest_initials = [run.initial_trust.get(h, 0.0) for h in run.honest_responders]
+    # Sorted: float sums in set order would vary with PYTHONHASHSEED.
+    liars = sorted(run.liars)
+    honest = sorted(run.honest_responders)
+    liar_finals = [run.trust_trajectory(l)[-1] for l in liars]
+    honest_finals = [run.trust_trajectory(h)[-1] for h in honest]
+    honest_initials = [run.initial_trust.get(h, 0.0) for h in honest]
     collateral = sum(
         max(0.0, initial - final)
         for initial, final in zip(honest_initials, honest_finals)

@@ -86,7 +86,14 @@ class SimulationScenario:
         return self.nodes[self.attacker_id]
 
     def start_all(self) -> None:
-        """Start the routing process on every node."""
+        """Start the routing process on every node.
+
+        The victim's analyzer subscribes to its categories first.  It is the
+        scenario's only log reader, so the other nodes' logs record nothing
+        unless a :class:`~repro.validation.invariants.ScenarioAuditor`
+        subscribes them too.
+        """
+        self.victim.analyzer.subscribe()
         for node in self.nodes.values():
             node.start()
 

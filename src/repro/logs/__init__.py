@@ -5,7 +5,10 @@ audit logs that the routing daemon already produces.  This package models that
 pipeline:
 
 * :mod:`repro.logs.records` — structured log records and their categories.
-* :mod:`repro.logs.store` — per-node append-only log store with querying.
+* :mod:`repro.logs.store` — per-node log store with querying.  What it records
+  follows from who reads it: a bare store keeps the full trail, while a
+  detector node's store records only the categories a reader subscribed to
+  (the investigating victim's analyzer, an invariant auditor).
 * :mod:`repro.logs.parser` — olsrd-like text serialisation and parsing, so the
   detector genuinely works from a textual log and not from in-memory state.
 * :mod:`repro.logs.analyzer` — extraction of detection-relevant events

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.logs.records import LogCategory, LogRecord
 from repro.logs.store import LogStore
@@ -79,6 +79,29 @@ class LogAnalyzer:
         self.instability_threshold = instability_threshold
         self.instability_window = instability_window
         self._link_flaps: Dict[str, List[float]] = {}
+        self._handlers: Dict[LogCategory, Callable[[LogRecord], List[DetectionEvent]]] = {
+            LogCategory.MESSAGE_RX: self._on_message_rx,
+            LogCategory.MPR: self._on_mpr,
+            LogCategory.NEIGHBOR: self._on_neighbor,
+            LogCategory.LINK: self._on_link,
+            LogCategory.DROP: self._on_drop,
+            LogCategory.FORWARD: self._on_forward,
+        }
+        #: The categories the analyzer reads; every other record is ignored.
+        self.categories: FrozenSet[LogCategory] = frozenset(self._handlers)
+        # Registered as a reader (mark 0) so a bounded store keeps what this
+        # analyzer has not consumed yet; recording is left to subscribe().
+        store.subscribe(self.MARK)
+
+    def subscribe(self) -> None:
+        """Ask the store to record :attr:`categories` from now on.
+
+        A store built with ``categories=()`` (a
+        :class:`~repro.core.detector_node.DetectorNode`'s) records nothing
+        for the analyzer until this is called; a bare store already records
+        everything.
+        """
+        self.store.subscribe(self.MARK, self.categories)
 
     # ----------------------------------------------------------------- API
     def analyze(self) -> List[DetectionEvent]:
@@ -109,15 +132,7 @@ class LogAnalyzer:
 
     # ------------------------------------------------------------ internals
     def _process(self, record: LogRecord) -> List[DetectionEvent]:
-        handlers = {
-            LogCategory.MESSAGE_RX: self._on_message_rx,
-            LogCategory.MPR: self._on_mpr,
-            LogCategory.NEIGHBOR: self._on_neighbor,
-            LogCategory.LINK: self._on_link,
-            LogCategory.DROP: self._on_drop,
-            LogCategory.FORWARD: self._on_forward,
-        }
-        handler = handlers.get(record.category)
+        handler = self._handlers.get(record.category)
         if handler is None:
             return []
         return handler(record)

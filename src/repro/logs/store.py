@@ -1,40 +1,85 @@
 """Per-node audit-log store.
 
-The store is append-only, as a real log file would be.  It supports the
-queries the detector needs: by category, by time window, by event, and
-"records since the last analysis mark".
+What a store records follows from who reads it.  A bare ``LogStore`` keeps
+the full olsrd-style trail, as a real log file would.  A store built with
+``categories=()`` (every :class:`~repro.core.detector_node.DetectorNode`
+store) records only the categories its readers subscribed to with
+:meth:`LogStore.subscribe`, and nothing while nobody reads it.
+:meth:`LogStore.log` is the one write path that applies this filter.
+
+The store supports the queries the detector needs: by category, by time
+window, by event, and "records since the last analysis mark".  With
+``max_records`` it is a bounded ring that never drops a record a reader
+has not consumed yet.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.logs.parser import dump_records, load_records
 from repro.logs.records import LogCategory, LogRecord, make_record
 
+#: Every category: what a bare store records.
+ALL_CATEGORIES: FrozenSet[LogCategory] = frozenset(LogCategory)
+
 
 class LogStore:
-    """Append-only audit log of a single node."""
+    """Audit log of a single node.
 
-    def __init__(self, node_id: str, max_records: Optional[int] = None) -> None:
+    ``categories`` are recorded whether or not anyone subscribes (default:
+    all of them); :meth:`subscribe` adds a reader's categories to those.
+    Records of any other category are never built.
+    """
+
+    def __init__(self, node_id: str, max_records: Optional[int] = None,
+                 categories: Iterable[LogCategory] = ALL_CATEGORIES) -> None:
         self.node_id = node_id
         self._records: List[LogRecord] = []
         self._max_records = max_records
-        self._marks: dict = {}
+        self._marks: Dict[str, int] = {}
+        self._recorded: FrozenSet[LogCategory] = frozenset(categories)
+
+    # ------------------------------------------------------- subscriptions
+    def subscribe(self, reader: str,
+                  categories: Iterable[LogCategory] = ()) -> None:
+        """Register ``reader`` and record ``categories`` from now on.
+
+        ``reader`` names the reader's analysis mark (see :meth:`since_mark`;
+        :meth:`advance_mark` registers its mark name too).  A registered
+        reader that has not consumed anything yet holds mark 0, so a bounded
+        store keeps every record it has not read.
+        """
+        self._marks.setdefault(reader, 0)
+        self._recorded |= frozenset(categories)
+
+    def enabled_for(self, category: LogCategory) -> bool:
+        """Whether records of ``category`` are kept; callers may skip
+        building the fields of a record nobody keeps."""
+        return category in self._recorded
 
     # ------------------------------------------------------------- writing
     def append(self, record: LogRecord) -> LogRecord:
-        """Append an already-built record."""
+        """Append an already-built record, whatever its category (replay).
+
+        A bounded store then trims its oldest records, but only those every
+        reader's mark has passed.
+        """
         self._records.append(record)
         if self._max_records is not None and len(self._records) > self._max_records:
-            overflow = len(self._records) - self._max_records
-            del self._records[:overflow]
-            # shift analysis marks so they keep pointing at the same records
-            self._marks = {k: max(0, v - overflow) for k, v in self._marks.items()}
+            overflow = min([len(self._records) - self._max_records, *self._marks.values()])
+            if overflow:
+                del self._records[:overflow]
+                # shift analysis marks so they keep pointing at the same records
+                self._marks = {k: v - overflow for k, v in self._marks.items()}
         return record
 
-    def log(self, time: float, category: LogCategory, event: str, **fields) -> LogRecord:
-        """Build (via :func:`make_record`) and append a record."""
+    def log(self, time: float, category: LogCategory, event: str,
+            **fields) -> Optional[LogRecord]:
+        """Build (via :func:`make_record`) and append a record; ``None``
+        when ``category`` is not recorded."""
+        if category not in self._recorded:
+            return None
         return self.append(make_record(time, self.node_id, category, event, **fields))
 
     def extend(self, records: Iterable[LogRecord]) -> None:

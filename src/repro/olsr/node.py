@@ -4,7 +4,9 @@
 detection, MPR selection and signalling, TC flooding through MPRs, topology
 discovery and routing-table calculation.  Every state transition of interest
 is written to the node's :class:`repro.logs.store.LogStore`, because the
-paper's detector works from those audit logs rather than from packets.
+paper's detector works from those audit logs rather than from packets.  The
+per-message sites ask the store first (``enabled_for``) and build no record
+for a category nobody subscribed to.
 
 :class:`OlsrNode` is the OLSR backend of the protocol-agnostic routing
 layer: the network attachment, audit log, data plane and the generic attack
@@ -251,16 +253,17 @@ class OlsrNode(RoutingProtocol):
         packet = OlsrPacket.bundle(self.node_id, [message])
         self.interface.broadcast(packet, size_bytes=packet.size_bytes())
         self.stats.record_sent("HELLO")
-        self.log.log(
-            self.now,
-            LogCategory.MESSAGE_TX,
-            "HELLO",
-            seq=message.message_seq_number,
-            sym_neighbors=sorted(hello.symmetric_neighbors()),
-            asym_neighbors=sorted(hello.asymmetric_neighbors()),
-            mprs=sorted(hello.mpr_neighbors()),
-            willingness=int(hello.willingness),
-        )
+        if self.log.enabled_for(LogCategory.MESSAGE_TX):
+            self.log.log(
+                self.now,
+                LogCategory.MESSAGE_TX,
+                "HELLO",
+                seq=message.message_seq_number,
+                sym_neighbors=hello.symmetric_neighbors(),
+                asym_neighbors=hello.asymmetric_neighbors(),
+                mprs=hello.mpr_neighbors(),
+                willingness=int(hello.willingness),
+            )
 
     def build_hello(self) -> HelloMessage:
         """Build the HELLO describing the current local link state."""
@@ -299,14 +302,15 @@ class OlsrNode(RoutingProtocol):
         packet = OlsrPacket.bundle(self.node_id, [message])
         self.interface.broadcast(packet, size_bytes=packet.size_bytes())
         self.stats.record_sent("TC")
-        self.log.log(
-            self.now,
-            LogCategory.MESSAGE_TX,
-            "TC",
-            seq=message.message_seq_number,
-            ansn=tc.ansn,
-            advertised=sorted(tc.advertised_neighbors),
-        )
+        if self.log.enabled_for(LogCategory.MESSAGE_TX):
+            self.log.log(
+                self.now,
+                LogCategory.MESSAGE_TX,
+                "TC",
+                seq=message.message_seq_number,
+                ansn=tc.ansn,
+                advertised=tc.advertised_neighbors,
+            )
 
     def _emit_mid(self) -> None:
         if not self._started:
@@ -319,7 +323,7 @@ class OlsrNode(RoutingProtocol):
         self.stats.record_sent("MID")
         self.log.log(self.now, LogCategory.MESSAGE_TX, "MID",
                      seq=message.message_seq_number,
-                     interfaces=sorted(mid.interface_addresses))
+                     interfaces=mid.interface_addresses)
 
     def _emit_hna(self) -> None:
         if not self._started:
@@ -350,13 +354,18 @@ class OlsrNode(RoutingProtocol):
         self.stats.record_received(message_type)
 
         duplicate = self.duplicate_set.seen(message.originator, message.message_seq_number)
+        # Checked before the record's fields are built: on a node whose log
+        # nobody reads, the RX trail costs one set lookup per message.
+        log_rx = self.log.enabled_for(LogCategory.MESSAGE_RX)
         if message.message_type == MessageType.HELLO:
-            self._log_hello_rx(message, last_hop)
+            if log_rx:
+                self._log_hello_rx(message, last_hop)
             self.process_hello(message, last_hop)
             return
 
         # Flooded message types (TC / MID / HNA).
-        self._log_flooded_rx(message, last_hop)
+        if log_rx:
+            self._log_flooded_rx(message, last_hop)
         if not duplicate:
             if message.message_type == MessageType.TC:
                 self.process_tc(message, last_hop)
@@ -366,8 +375,9 @@ class OlsrNode(RoutingProtocol):
                 self.process_hna(message, last_hop)
         else:
             self.stats.duplicates_suppressed += 1
-            self.log.log(self.now, LogCategory.DUPLICATE, "DUPLICATE_DETECTED",
-                         origin=message.originator, seq=message.message_seq_number)
+            if self.log.enabled_for(LogCategory.DUPLICATE):
+                self.log.log(self.now, LogCategory.DUPLICATE, "DUPLICATE_DETECTED",
+                             origin=message.originator, seq=message.message_seq_number)
         self.duplicate_set.record(
             message.originator, message.message_seq_number, self.now, last_hop
         )
@@ -382,9 +392,9 @@ class OlsrNode(RoutingProtocol):
             origin=message.originator,
             last_hop=last_hop,
             seq=message.message_seq_number,
-            sym_neighbors=sorted(hello.symmetric_neighbors()),
-            asym_neighbors=sorted(hello.asymmetric_neighbors()),
-            mprs=sorted(hello.mpr_neighbors()),
+            sym_neighbors=hello.symmetric_neighbors(),
+            asym_neighbors=hello.asymmetric_neighbors(),
+            mprs=hello.mpr_neighbors(),
             willingness=int(hello.willingness),
         )
 
@@ -399,7 +409,7 @@ class OlsrNode(RoutingProtocol):
         if message.message_type == MessageType.TC:
             tc: TcMessage = message.body
             fields["ansn"] = tc.ansn
-            fields["advertised"] = sorted(tc.advertised_neighbors)
+            fields["advertised"] = tc.advertised_neighbors
         self.log.log(self.now, LogCategory.MESSAGE_RX, str(message.message_type), **fields)
 
     # ------------------------------------------------------ HELLO processing
@@ -503,10 +513,10 @@ class OlsrNode(RoutingProtocol):
             now=self.now,
             hold_time=hold,
         )
-        if changed:
+        if changed and self.log.enabled_for(LogCategory.TOPOLOGY):
             self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
                          origin=message.originator, ansn=tc.ansn,
-                         advertised=sorted(tc.advertised_neighbors))
+                         advertised=tc.advertised_neighbors)
 
     def process_mid(self, message: OlsrMessage, last_hop: str) -> None:
         """Interface-association maintenance from a MID message (RFC §5.4)."""
@@ -526,7 +536,7 @@ class OlsrNode(RoutingProtocol):
         if changed:
             self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
                          origin=message.originator, kind="mid",
-                         interfaces=sorted(mid.interface_addresses))
+                         interfaces=mid.interface_addresses)
 
     def process_hna(self, message: OlsrMessage, last_hop: str) -> None:
         """External-route maintenance from an HNA message (RFC §12.5)."""
@@ -564,8 +574,9 @@ class OlsrNode(RoutingProtocol):
     def _consider_forwarding(self, message: OlsrMessage, last_hop: str) -> None:
         """RFC §3.4 default forwarding algorithm (MPR flooding)."""
         if message.ttl <= 1:
-            self.log.log(self.now, LogCategory.DROP, "TTL_EXPIRED",
-                         origin=message.originator, seq=message.message_seq_number)
+            if self.log.enabled_for(LogCategory.DROP):
+                self.log.log(self.now, LogCategory.DROP, "TTL_EXPIRED",
+                             origin=message.originator, seq=message.message_seq_number)
             return
         if not self.link_set.is_symmetric_with(last_hop, self.now):
             return
@@ -573,9 +584,10 @@ class OlsrNode(RoutingProtocol):
             return
         if not self.mpr_selector_set.contains(last_hop):
             # We are not an MPR of the last hop: do not retransmit.
-            self.log.log(self.now, LogCategory.FORWARD, "NOT_RELAYED",
-                         origin=message.originator, seq=message.message_seq_number,
-                         reason="not_mpr_of_last_hop", last_hop=last_hop)
+            if self.log.enabled_for(LogCategory.FORWARD):
+                self.log.log(self.now, LogCategory.FORWARD, "NOT_RELAYED",
+                             origin=message.originator, seq=message.message_seq_number,
+                             reason="not_mpr_of_last_hop", last_hop=last_hop)
             return
         for forward_filter in self.forward_filters:
             if not forward_filter(message, last_hop, self):
@@ -589,9 +601,10 @@ class OlsrNode(RoutingProtocol):
         delay = self.rng.uniform(0.0, self.config.forward_jitter)
         self.simulator.post(delay, self._transmit_forward, forwarded)
         self.stats.messages_forwarded += 1
-        self.log.log(self.now, LogCategory.FORWARD, "RELAYED",
-                     origin=message.originator, seq=message.message_seq_number,
-                     ttl=forwarded.ttl, last_hop=last_hop)
+        if self.log.enabled_for(LogCategory.FORWARD):
+            self.log.log(self.now, LogCategory.FORWARD, "RELAYED",
+                         origin=message.originator, seq=message.message_seq_number,
+                         ttl=forwarded.ttl, last_hop=last_hop)
 
     def _transmit_forward(self, message: OlsrMessage) -> None:
         packet = OlsrPacket.bundle(self.node_id, [message])
@@ -665,11 +678,11 @@ class OlsrNode(RoutingProtocol):
             removed = self.mpr_set - new_set
             for address in sorted(added):
                 self.log.log(now, LogCategory.MPR, "MPR_SELECTED", mpr=address,
-                             covered=sorted(result.coverage.get(address, set())))
+                             covered=result.coverage.get(address, set()))
             for address in sorted(removed):
                 self.log.log(now, LogCategory.MPR, "MPR_REMOVED", mpr=address)
             self.log.log(now, LogCategory.MPR, "MPR_SET_CHANGED",
-                         mprs=sorted(new_set), previous=sorted(self.mpr_set))
+                         mprs=new_set, previous=self.mpr_set)
             self.mpr_set = new_set
         self._mpr_inputs_key = inputs_key
 
@@ -689,8 +702,8 @@ class OlsrNode(RoutingProtocol):
         diff = self._routing_table.replace_all(entries)
         if not diff.is_empty:
             self.log.log(self.now, LogCategory.ROUTE, "TABLE_RECOMPUTED",
-                         added=sorted(diff.added), removed=sorted(diff.removed),
-                         changed=sorted(diff.changed), size=len(entries))
+                         added=diff.added, removed=diff.removed,
+                         changed=diff.changed, size=len(entries))
         self._route_inputs_key = inputs_key
 
     # ---------------------------------------------------------------- helpers

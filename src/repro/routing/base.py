@@ -91,7 +91,7 @@ class RoutingProtocol(abc.ABC):
         self.node_id = node_id
         self.network = network
         self.simulator = network.simulator
-        self.log = log_store or LogStore(node_id)
+        self.log = log_store if log_store is not None else LogStore(node_id)
         self.rng = random.Random(seed if seed is not None else stable_digest(node_id) & 0xFFFF)
         self.stats = NodeStatistics()
 

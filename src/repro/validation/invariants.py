@@ -16,9 +16,11 @@ Usage::
     violations = auditor.check_all()
 
 :class:`ScenarioAuditor` installs the medium's delivery-trace recorder (the
-range invariant audits the positions each delivery decision actually used)
-and bundles every registered checker; the individual ``check_*`` functions
-are importable on their own and shared with the golden protocol tests.
+range invariant audits the positions each delivery decision actually used),
+subscribes every node's log to the ``FORWARD`` records the duplicate check
+reads, and bundles every registered checker; the individual ``check_*``
+functions are importable on their own and shared with the golden protocol
+tests.
 """
 
 from __future__ import annotations
@@ -178,13 +180,13 @@ def check_duplicate_suppression(scenario) -> List[InvariantViolation]:
     forwarded from being retransmitted when another copy arrives over a
     different path.  The audit log records every relay with the message's
     (originator, sequence number) pair, which must therefore be unique per
-    node.
+    node.  The logs hold ``FORWARD`` records only when a reader subscribed
+    to them before the run, as :class:`ScenarioAuditor` does.
     """
     violations: List[InvariantViolation] = []
     for node_id, node in sorted(scenario.nodes.items()):
-        olsr = getattr(node, "olsr", node)
         seen: Set[Tuple[str, str]] = set()
-        for record in olsr.log.by_category(LogCategory.FORWARD):
+        for record in node.log.by_category(LogCategory.FORWARD):
             if record.event != "RELAYED":
                 continue
             seq = record.get("seq")
@@ -217,14 +219,21 @@ class ScenarioAuditor:
 
     Construct the auditor *before* running the simulation: it installs the
     medium's delivery-trace recorder so the range invariant can audit every
-    delivery.  ``max_trace_events`` bounds the recorder's memory; when the
-    bound trims the trace only the retained deliveries are checked.
+    delivery, and subscribes every node's audit log to the ``FORWARD``
+    records the duplicate-suppression invariant reads.
+    ``max_trace_events`` bounds the recorder's memory; when the bound trims
+    the trace only the retained deliveries are checked.
     """
+
+    #: Reader name of the auditor's log subscription.
+    READER = "invariants"
 
     def __init__(self, scenario, max_trace_events: int = 200_000) -> None:
         self.scenario = scenario
         self.recorder = TraceRecorder(max_events=max_trace_events)
         scenario.network.medium.trace_recorder = self.recorder
+        for node in scenario.nodes.values():
+            node.log.subscribe(self.READER, (LogCategory.FORWARD,))
 
     def check_all(self) -> List[InvariantViolation]:
         """Run every invariant; violations sorted for stable reports."""

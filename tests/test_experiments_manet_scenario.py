@@ -8,6 +8,7 @@ import pytest
 
 from repro.attacks.liar import LiarBehavior
 from repro.experiments.scenario import build_manet_scenario
+from repro.logs.records import LogCategory
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,17 @@ def test_scenario_population(manet):
     assert scenario.victim_id != scenario.attacker_id
     assert scenario.attack_scenario.link_spoofers() == {scenario.attacker_id}
     assert scenario.attack_scenario.liars() == scenario.liar_ids
+
+
+def test_only_the_victims_analyzer_subscription_is_logged(manet):
+    scenario, _ = manet
+    for node_id, node in scenario.nodes.items():
+        if node_id != scenario.victim_id:
+            assert len(node.log) == 0, node_id
+    victim = scenario.victim
+    logged = {record.category for record in victim.log}
+    core = {LogCategory.MESSAGE_RX, LogCategory.NEIGHBOR, LogCategory.LINK, LogCategory.MPR}
+    assert core <= logged <= victim.analyzer.categories
 
 
 def test_victim_is_attacker_neighbor(manet):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.logs.analyzer import LogAnalyzer
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
 
@@ -69,6 +70,34 @@ def test_max_records_discards_oldest_and_shifts_marks():
     # Only the records appended after the mark should be reported as new.
     new = store.since_mark()
     assert [r.get("neighbor") for r in new] == ["n3", "n4"]
+
+
+def test_max_records_keeps_what_a_registered_reader_has_not_consumed():
+    store = LogStore("n1", max_records=3)
+    analyzer = LogAnalyzer(store)
+    for i in range(5):
+        store.log(float(i), LogCategory.NEIGHBOR, "NEIGHBOR_ADDED", neighbor=f"n{i}")
+    assert [e.subject for e in analyzer.analyze()] == ["n0", "n1", "n2", "n3", "n4"]
+    # Consumed records go again: the next append trims back to the bound.
+    store.log(5.0, LogCategory.NEIGHBOR, "NEIGHBOR_ADDED", neighbor="n5")
+    assert len(store) == 3
+    assert [e.subject for e in analyzer.analyze()] == ["n5"]
+
+
+def test_store_without_categories_records_only_subscriptions():
+    store = LogStore("n1", categories=())
+    assert store.log(0.0, LogCategory.LINK, "LINK_SYM", neighbor="a") is None
+    store.subscribe("reader", (LogCategory.MPR,))
+    store.log(1.0, LogCategory.LINK, "LINK_SYM", neighbor="a")
+    store.log(2.0, LogCategory.MPR, "MPR_SELECTED", mpr="a")
+    assert [r.event for r in store] == ["MPR_SELECTED"]
+    assert store.enabled_for(LogCategory.MPR)
+    assert not store.enabled_for(LogCategory.LINK)
+    # A bare store keeps the full trail whoever subscribes.
+    bare = make_store_with_records(2)
+    bare.subscribe("reader", (LogCategory.MPR,))
+    bare.log(3.0, LogCategory.LINK, "LINK_SYM", neighbor="b")
+    assert len(bare) == 3
 
 
 def test_dump_and_reload_text():

@@ -97,6 +97,24 @@ def test_seeds_are_identical_across_processes():
     assert results[0] == expected
 
 
+def test_gravity_ablation_rows_are_identical_across_processes():
+    """Row floats do not depend on the interpreter's set iteration order."""
+    script = (
+        "import json\n"
+        "from repro.experiments import run_experiment\n"
+        "print(json.dumps(run_experiment('gravity_ablation').rows()))\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "13"):
+        process = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PYTHONHASHSEED": hash_seed},
+        )
+        assert process.returncode == 0, process.stderr
+        outputs.append(process.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # ------------------------------------------------------- stream independence
 def test_derived_streams_are_independent():
     """Streams derived under distinct labels are decorrelated, not shifted.

@@ -100,6 +100,7 @@ def test_trust_bounds_checker_flags_escaped_values():
 # ------------------------------------------------------- duplicate suppression
 def test_duplicate_suppression_checker_flags_double_relay():
     scenario = build_canonical_scenario(seed=11)
+    ScenarioAuditor(scenario)  # subscribes the FORWARD records the checker reads
     scenario.warm_up(30.0)
     assert check_duplicate_suppression(scenario) == []
     from repro.logs.records import LogCategory
@@ -115,6 +116,23 @@ def test_duplicate_suppression_checker_flags_double_relay():
 
 
 # ------------------------------------------------------------------- auditor
+def test_auditor_subscribes_every_node_to_its_relay_records():
+    from repro.logs.records import LogCategory
+
+    scenario = build_manet_scenario(node_count=12, liar_count=2, seed=3)
+    ScenarioAuditor(scenario)
+    scenario.warm_up(30.0)
+    forwarded = {node_id: node.router.stats.messages_forwarded
+                 for node_id, node in scenario.nodes.items()
+                 if node.router.stats.messages_forwarded}
+    assert forwarded  # some nodes relayed, so the check below has teeth
+    for node_id, count in forwarded.items():
+        relayed = [r for r in scenario.nodes[node_id].log.by_category(LogCategory.FORWARD)
+                   if r.event == "RELAYED"]
+        assert len(relayed) == count, node_id
+    assert check_duplicate_suppression(scenario) == []
+
+
 def test_auditor_end_to_end_on_clean_scenario():
     scenario = build_canonical_scenario(seed=11)
     auditor = ScenarioAuditor(scenario)
