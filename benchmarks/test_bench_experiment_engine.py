@@ -1,7 +1,7 @@
 """Engine throughput — a multi-cell figure sweep, parallel vs the legacy loop.
 
-The unified engine's pitch is that every figure/sweep driver gets the
-campaign's process-pool fan-out for free.  This bench quantifies it on a
+The unified engine's pitch is that every figure/sweep experiment gets
+process-pool fan-out for free.  This bench quantifies it on a
 scaled-up confidence/γ sweep (9 cells, each a 120-node 150-round scenario):
 the engine with ``workers=4`` must beat the serial legacy driver wall-clock
 while producing the exact same rows.

@@ -61,15 +61,15 @@ def _run_groups(tmp: pathlib.Path, groups: int):
         assert fabric.counts()["done"] == _CELLS
     shards = [str(run_dir / "shards" / f"shard-g{i}.sqlite")
               for i in range(groups)]
-    return elapsed, [s for s in shards if os.path.exists(s)], queue
+    return elapsed, [s for s in shards if os.path.exists(s)]
 
 
 def test_bench_fabric_worker_group_scaling(benchmark, emit, tmp_path):
     golden = run_experiment(_EXPERIMENT, axes=_AXES,
                             params=_PARAMS).format_report()
 
-    one_second, _, _ = _run_groups(tmp_path, 1)
-    two_seconds, _, _ = _run_groups(tmp_path, 2)
+    one_second, _ = _run_groups(tmp_path, 1)
+    two_seconds, _ = _run_groups(tmp_path, 2)
 
     state = {}
 
@@ -77,12 +77,12 @@ def test_bench_fabric_worker_group_scaling(benchmark, emit, tmp_path):
         state["result"] = _run_groups(tmp_path / "bench", 4)
 
     benchmark.pedantic(_four_groups, rounds=1, iterations=1)
-    four_seconds, shards, queue = state["result"]
+    four_seconds, shards = state["result"]
 
     # Distribution must not change the science: merge the 4-group shards and
     # re-render — byte-identical to the single-process report.
     merged = str(tmp_path / "merged.sqlite")
-    merge_shards(shards, merged, queue_path=queue)
+    merge_shards(shards, merged)
     with ResultsStore(merged) as store:
         result = run_experiment(_EXPERIMENT, axes=_AXES, params=_PARAMS,
                                 store=store, resume=True, max_new_runs=0)

@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.experiments import format_table
-from repro.experiments.campaign import CampaignSpec, execute_spec
+from repro.experiments.engine import execute_cell, get_experiment
 from repro.experiments.scenario import build_manet_scenario
 from repro.netsim.engine import HeapSimulator, Simulator
 from repro.netsim.medium import (
@@ -53,8 +53,8 @@ def test_bench_olsr_simulation_scale(benchmark, emit, node_count):
 
     simulator = scenario.network.simulator
     stats = scenario.network.medium.stats
-    total_rx = sum(node.olsr.stats.messages_received for node in scenario.nodes.values())
-    total_tx = sum(node.olsr.stats.messages_sent for node in scenario.nodes.values())
+    total_rx = sum(node.router.stats.messages_received for node in scenario.nodes.values())
+    total_tx = sum(node.router.stats.messages_sent for node in scenario.nodes.values())
     rows = [{
         "nodes": node_count,
         "simulated_seconds": 60.0,
@@ -64,7 +64,7 @@ def test_bench_olsr_simulation_scale(benchmark, emit, node_count):
         "olsr_messages_sent": total_tx,
         "olsr_messages_received": total_rx,
         "mean_routes_per_node": round(
-            sum(len(n.olsr.routing_table) for n in scenario.nodes.values())
+            sum(len(n.router.routing_table) for n in scenario.nodes.values())
             / len(scenario.nodes), 1),
     }]
     emit(f"TABLE C (Simulator scale, {node_count} nodes)",
@@ -300,14 +300,13 @@ def test_bench_engine_throughput_vs_heap(benchmark, emit, node_count):
 
 
 def _campaign_cell(node_count: int, area_size: float):
-    """One reduced campaign cell (2 detection cycles) at the given scale."""
-    spec = CampaignSpec(
-        run_id="scale-bench", seed=1, node_count=node_count,
-        liar_fraction=0.1, loss_model="bernoulli", loss_probability=0.1,
-        max_speed=2.0, attack_variant="false_existing_link",
-        area_size=area_size, warmup=12.0, cycles=2,
-    )
-    return execute_spec(spec).as_row()
+    """One reduced campaign cell (2 detection cycles) at the given scale;
+    returns its detector row."""
+    (spec,) = get_experiment("campaign").expand(
+        axes={"total_nodes": (node_count,), "liar_fraction": (0.1,),
+              "loss_probability": (0.1,), "max_speed": (2.0,)},
+        params={"area_size": area_size, "warmup": 12.0, "cycles": 2})
+    return execute_cell(spec)[0]
 
 
 @pytest.mark.parametrize("node_count,area_size", [(256, 2800.0),

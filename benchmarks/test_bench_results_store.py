@@ -1,6 +1,6 @@
 """Table E (extension) — resumable results store vs cold campaign re-runs.
 
-Runs a detector-vs-baselines campaign grid once into an SQLite
+Runs a detector-vs-baselines ``campaign`` grid once into an SQLite
 :class:`~repro.experiments.results.ResultsStore`, then times a *resumed*
 invocation of the identical grid: every cell's content hash is already
 stored, so the resume executes zero simulations and only streams the stored
@@ -18,42 +18,36 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.campaign import CampaignGrid, run_campaign
+from repro.experiments.engine import run_experiment
 from repro.experiments.results import ResultsStore
 
+_AXES = {"total_nodes": (8, 12), "liar_fraction": (0.0, 0.25),
+         "repetition": (0, 1)}
+_PARAMS = {"warmup": 25.0, "cycles": 2}
+_CELLS = 8
 
-def _grid() -> CampaignGrid:
-    return CampaignGrid(
-        node_counts=(8, 12),
-        liar_fractions=(0.0, 0.25),
-        loss_models=("bernoulli:0.0",),
-        max_speeds=(0.0,),
-        systems=("detector", "averaging"),
-        base_seed=7,
-        warmup=25.0,
-        cycles=2,
-    )
+
+def _campaign(store=None):
+    return run_experiment("campaign", axes=_AXES, params=_PARAMS, store=store)
 
 
 def test_bench_resume_from_store_beats_cold_rerun(benchmark, emit, tmp_path):
-    grid = _grid()
-    assert grid.size() == 8
-
     started = time.perf_counter()
-    cold = run_campaign(grid)
+    cold = _campaign()
     cold_seconds = time.perf_counter() - started
     cold_report = cold.format_report()
+    assert cold.cells() == _CELLS
 
     db_path = str(tmp_path / "campaign.sqlite")
     with ResultsStore(db_path) as store:
-        populated = run_campaign(grid, store=store)
-        assert len(populated.executed_run_ids) == grid.size()
+        populated = _campaign(store=store)
+        assert len(populated.executed_run_ids) == _CELLS
 
     def resumed_run() -> str:
         with ResultsStore(db_path) as store:
-            result = run_campaign(grid, store=store)
+            result = _campaign(store=store)
             assert result.executed_run_ids == []
-            assert len(result.skipped_run_ids) == grid.size()
+            assert len(result.skipped_run_ids) == _CELLS
             return result.format_report()
 
     resumed_report = benchmark.pedantic(resumed_run, rounds=3, iterations=1)
@@ -71,6 +65,6 @@ def test_bench_resume_from_store_beats_cold_rerun(benchmark, emit, tmp_path):
     assert resumed_seconds < cold_seconds / 5.0
 
     benchmark.extra_info.update({
-        "cells": grid.size(),
+        "cells": _CELLS,
         "cold_seconds": round(cold_seconds, 3),
     })

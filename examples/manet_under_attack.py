@@ -74,7 +74,7 @@ def main() -> int:
     print()
 
     stats = scenario.network.medium.stats
-    olsr_rx = sum(n.olsr.stats.messages_received for n in scenario.nodes.values())
+    olsr_rx = sum(n.router.stats.messages_received for n in scenario.nodes.values())
     print(f"Substrate: {scenario.network.simulator.processed_events} simulated events, "
           f"{stats.frames_sent} frames sent, {olsr_rx} OLSR messages processed, "
           f"{blackhole.dropped_count} messages black-holed by the attacker.")

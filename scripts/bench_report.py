@@ -69,25 +69,25 @@ def bench_engine_throughput(node_count: int = 256, repeats: int = 3) -> dict:
 
 
 def bench_campaign_cell(node_count: int = 256, area_size: float = 2800.0) -> dict:
-    """Wall-clock of one reduced campaign cell on the current engine."""
-    from repro.experiments.campaign import CampaignSpec, execute_spec
+    """Wall-clock of one reduced ``campaign`` cell on the current engine."""
+    from repro.experiments.backends import run_netsim_cell, scenario_config_from_params
+    from repro.experiments.engine import get_experiment
 
-    spec = CampaignSpec(
-        run_id="bench-report", seed=1, node_count=node_count,
-        liar_fraction=0.1, loss_model="bernoulli", loss_probability=0.1,
-        max_speed=2.0, attack_variant="false_existing_link",
-        area_size=area_size, warmup=12.0, cycles=2,
-    )
+    (spec,) = get_experiment("campaign").expand(
+        axes={"total_nodes": (node_count,), "liar_fraction": (0.1,),
+              "loss_probability": (0.1,), "max_speed": (2.0,)},
+        params={"area_size": area_size, "warmup": 12.0, "cycles": 2})
+    params = spec.params_dict()
     started = time.perf_counter()
-    result = execute_spec(spec)
+    result = run_netsim_cell(scenario_config_from_params(params, spec.seed), params)
     elapsed = time.perf_counter() - started
-    row = result.as_row()
+    events = result.stats["events_processed"]
     return {
         "nodes": node_count,
         "area_m": area_size,
         "wall_clock_s": round(elapsed, 2),
-        "events": row["events"],
-        "events_per_s": round(row["events"] / elapsed),
+        "events": events,
+        "events_per_s": round(events / elapsed),
         "engine_counters": result.stats.get("engine", {}),
     }
 

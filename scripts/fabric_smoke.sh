@@ -6,21 +6,15 @@
 #   2. Dispatch the same campaign to a work-stealing queue.
 #   3. Start worker A, SIGKILL it mid-run (its leases are left dangling).
 #   4. Worker B drains the queue, stealing A's lapsed leases after the TTL.
-#   5. Merge both shards (plus the queue's run context) into one store.
-#   6. Serve the store and fetch the report twice: the second fetch must be
-#      an LRU cache hit and an ETag revalidation must return 304.
-#   7. diff the served report against the golden run - byte identity.
+#   5. Merge both shards into one store.
+#   6. Render the merged store's report with the golden run's flags and
+#      diff it against the golden run - byte identity.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 workdir=$(mktemp -d)
-serve_pid=""
-cleanup() {
-    [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null || true
-    rm -rf "$workdir"
-}
-trap cleanup EXIT
+trap 'rm -rf "$workdir"' EXIT
 
 # Cells sized so worker A cannot finish the campaign before it is killed
 # (~0.4s per cell, 9 cells), but the whole smoke stays under a minute.
@@ -58,47 +52,12 @@ echo "== merge"
 merge_args=()
 for shard in "$shards"/shard-*.sqlite; do merge_args+=("$shard"); done
 python -m repro.experiments fabric merge "${merge_args[@]}" \
-    --into "$workdir/merged.sqlite" --queue "$queue"
+    --into "$workdir/merged.sqlite"
 
-echo "== serve"
-python -m repro.experiments fabric serve --db "$workdir/merged.sqlite" \
-    --port 0 > "$workdir/serve.log" 2>&1 &
-serve_pid=$!
-url=""
-for _ in $(seq 1 100); do
-    url=$(sed -n 's|^fabric: serving .* at \(http://[^ ]*\)$|\1|p' \
-        "$workdir/serve.log" | head -1)
-    [[ -n "$url" ]] && break
-    sleep 0.1
-done
-[[ -n "$url" ]] || {
-    echo "smoke: service never announced its URL" >&2
-    cat "$workdir/serve.log" >&2
-    exit 1
-}
-echo "   serving at $url"
+echo "== report from the merged store"
+python -m repro.experiments report --db "$workdir/merged.sqlite" \
+    --experiment "${spec[@]}" --output "$workdir/merged.txt"
 
-echo "== fetch the report twice: MISS then HIT, then a 304 revalidation"
-python - "$url" <<'PY'
-import sys
-
-from repro.fabric import client
-
-url = sys.argv[1]
-first = client.fetch_report(url, "confidence_sweep")
-assert first.status == 200, first.status
-assert first.cache == "MISS", first.cache
-second = client.fetch_report(url, "confidence_sweep")
-assert second.cache == "HIT", second.cache
-assert second.body == first.body
-revalidated = client.fetch_report(url, "confidence_sweep", etag=first.etag)
-assert revalidated.not_modified and revalidated.body == b""
-print(f"   cache: MISS -> HIT -> 304 (etag {first.etag})")
-PY
-
-python -m repro.experiments report --url "$url" \
-    --experiment confidence_sweep --output "$workdir/served.txt"
-
-echo "== diff served report vs golden"
-diff "$workdir/served.txt" "$workdir/golden.txt"
-echo "fabric smoke: OK (served report byte-identical to the golden run)"
+echo "== diff merged report vs golden"
+diff "$workdir/merged.txt" "$workdir/golden.txt"
+echo "fabric smoke: OK (merged report byte-identical to the golden run)"

@@ -35,6 +35,7 @@ from repro.core import (
     evaluate_investigation,
 )
 from repro.experiments import (
+    ResultsStore,
     RoundBasedExperiment,
     ScenarioConfig,
     build_canonical_scenario,
@@ -49,26 +50,7 @@ from repro.trust import TrustManager, TrustParameters, confidence_interval
 
 __version__ = "1.0.0"
 
-# Lazy campaign/results exports (PEP 562); see repro.experiments.__getattr__.
-_CAMPAIGN_EXPORTS = ("CampaignGrid", "CampaignResult", "run_campaign")
-_RESULTS_EXPORTS = ("ResultsStore",)
-
-
-def __getattr__(name):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.experiments import campaign
-
-        return getattr(campaign, name)
-    if name in _RESULTS_EXPORTS:
-        from repro.experiments import results
-
-        return getattr(results, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "CampaignGrid",
-    "CampaignResult",
     "DecisionOutcome",
     "DetectionConfig",
     "DetectorNode",
@@ -86,7 +68,6 @@ __all__ = [
     "decide",
     "evaluate_investigation",
     "run_ablation",
-    "run_campaign",
     "run_confidence_sweep",
     "run_figure1",
     "run_figure2",

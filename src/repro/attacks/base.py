@@ -137,8 +137,6 @@ def _underlying_router(node):
     """Return the routing protocol behind either a router or a DetectorNode."""
     if hasattr(node, "router"):
         return node.router
-    if hasattr(node, "olsr"):
-        return node.olsr
     return node
 
 
@@ -158,6 +156,3 @@ def require_protocol_hook(router, hook_name: str, attack_name: str):
         )
     return hook
 
-
-#: Backwards-compatible name from the OLSR-only days.
-_underlying_olsr = _underlying_router

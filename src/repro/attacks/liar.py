@@ -103,9 +103,9 @@ class LiarBehavior(Attack):
         node = self._node
         if node is None:
             return 0.0
-        olsr = getattr(node, "olsr", None)
-        if olsr is not None:
-            return olsr.now
+        router = getattr(node, "router", None)
+        if router is not None:
+            return router.now
         return getattr(node, "now", 0.0)
 
     def _lie(self, honest: Optional[bool]) -> Optional[bool]:

@@ -7,9 +7,10 @@
 * :mod:`repro.baselines.averaging` — plain report averaging (Liu et al. 2004).
 
 Each baseline exposes a ``process_round(suspect, answers)`` adapter
-(``WatchdogPathrater`` included) so the comparison benches and the scenario
-campaign's ``system`` axis (:mod:`repro.experiments.campaign`) can feed all
-of them the exact same investigation answers the paper's detector receives.
+(``WatchdogPathrater`` included) so the comparison benches and the
+``campaign`` experiment's per-system rows (:mod:`repro.experiments.campaign`)
+can feed all of them the exact same investigation answers the paper's
+detector receives.
 """
 
 from repro.baselines.averaging import AveragingTrustSystem, TrustReport

@@ -79,9 +79,6 @@ class DetectorNode:
         self.router = create_protocol(protocol, node_id, network, config=config,
                                       log_store=LogStore(node_id, categories=()),
                                       seed=self.rng.randint(0, 2 ** 31))
-        #: Backwards-compatible alias: the routing substrate, whatever the
-        #: protocol (historical name from the OLSR-only days).
-        self.olsr = self.router
         self.log = self.router.log
         self.analyzer = LogAnalyzer(self.log)
         self.detector = LocalDetector(

@@ -39,8 +39,8 @@ def _transport_rng(kind: str, owner: str) -> random.Random:
     ``random.Random(0)`` default) made all nodes draw the *identical* loss
     sequence, correlating query losses across the whole network; deriving the
     seed from the owning node's id keeps the default deterministic while
-    decorrelating the instances (same scheme as the campaign's stable
-    per-cell seeds).
+    decorrelating the instances (same scheme as the experiment engine's
+    stable per-cell seeds).
     """
     return random.Random(stable_seed(0, f"{kind}:{owner}"))
 

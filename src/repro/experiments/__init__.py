@@ -27,8 +27,7 @@ Every experiment is three declarative layers deep, all served by one runtime:
 The shared runtime (:func:`~repro.experiments.engine.run_experiment`) gives
 all of them process-pool fan-out, SQLite content-hash resume
 (:mod:`repro.experiments.results`) and deterministic streaming reports
-(:mod:`repro.experiments.report`); the scenario campaign
-(:mod:`repro.experiments.campaign`) runs on the same executor.
+(:mod:`repro.experiments.report`).
 
 Modules
 -------
@@ -48,10 +47,11 @@ Modules
   (extension Table B).
 * :mod:`repro.experiments.gravity_ablation` — evidence-gravity sweep.
 * :mod:`repro.experiments.mobility` — mobility impact (netsim backend).
+* :mod:`repro.experiments.adaptivity` — static vs adaptive adversaries.
+* :mod:`repro.experiments.campaign` — the detector against the related-work
+  baselines over node count × loss × mobility × attack variant × liar
+  fraction grids (netsim backend, one row per system).
 * :mod:`repro.experiments.scenario` — full-stack simulated MANET scenarios.
-* :mod:`repro.experiments.campaign` — declarative multi-process scenario
-  campaigns over system under test × node count × loss × mobility × attack
-  variant × liar fraction grids.
 * :mod:`repro.experiments.results` — SQLite-backed, resumable results store
   (content-hash keyed, WAL journal, streaming aggregation).
 * :mod:`repro.experiments.report` — plain-text tables and sparklines.
@@ -63,7 +63,8 @@ through the ``profile`` parameter — plus the seeded scenario fuzzer) and
 oracle↔netsim differential harness).
 
 Command line: ``python -m repro.experiments`` with the subcommands ``list``,
-``run <experiment>``, ``campaign``, ``report`` and ``validate``.
+``run <experiment>``, ``report``, ``validate``, ``attack-search`` and
+``fabric``.
 """
 
 from repro.experiments.ablation import AblationResult, MethodTrajectory, run_ablation
@@ -108,6 +109,7 @@ from repro.experiments.report import (
     render_report,
     sparkline,
 )
+from repro.experiments.results import ResultsStore, spec_content_hash
 from repro.experiments.rounds import (
     ExperimentResult,
     RoundBasedExperiment,
@@ -120,50 +122,11 @@ from repro.experiments.scenario import (
     build_manet_scenario,
 )
 
-# Campaign exports are resolved lazily (PEP 562): importing them eagerly
-# would put repro.experiments.campaign in sys.modules before ``python -m
-# repro.experiments.campaign`` executes it, triggering a runpy warning on
-# every CLI invocation.
-_CAMPAIGN_EXPORTS = (
-    "CampaignGrid",
-    "CampaignResult",
-    "CampaignRunResult",
-    "CampaignSpec",
-    "SYSTEMS",
-    "execute_spec",
-    "run_campaign",
-)
-
-_RESULTS_EXPORTS = (
-    "ResultsStore",
-    "spec_content_hash",
-)
-
-
-def __getattr__(name):
-    if name in _CAMPAIGN_EXPORTS:
-        from repro.experiments import campaign
-
-        return getattr(campaign, name)
-    if name in _RESULTS_EXPORTS:
-        from repro.experiments import results
-
-        return getattr(results, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AblationResult",
     "CANONICAL_POSITIONS",
-    "CampaignGrid",
-    "CampaignResult",
-    "CampaignRunResult",
-    "CampaignSpec",
     "ResultsStore",
-    "SYSTEMS",
     "aggregate_rows",
-    "execute_spec",
-    "run_campaign",
     "spec_content_hash",
     "ConfidenceSweepResult",
     "ConfidenceSweepRow",

@@ -1,8 +1,6 @@
 """Unified experiment CLI: ``python -m repro.experiments``.
 
-One entry point for the whole evaluation harness, replacing the campaign-only
-``python -m repro.experiments.campaign`` (which keeps working for
-compatibility)::
+One entry point for the whole evaluation harness::
 
     python -m repro.experiments list
     python -m repro.experiments run figure3 --workers 4
@@ -10,25 +8,23 @@ compatibility)::
     python -m repro.experiments run figure1 --backend netsim --param cycles=6
     python -m repro.experiments run figure3 --axis "liar_ratio=6.7%,50%"
     python -m repro.experiments run figure1 --backend netsim --axis profile=paper-static,rpgm
-    python -m repro.experiments campaign --node-counts 8,16 --workers 4
+    python -m repro.experiments run campaign --axis total_nodes=8,16 --workers 4
     python -m repro.experiments report --db sweep.sqlite --experiment confidence_sweep
     python -m repro.experiments validate --seeds 25
     python -m repro.experiments fabric dispatch figure3 --queue fabric.sqlite
     python -m repro.experiments fabric work --queue fabric.sqlite --group a --shard-dir shards/
-    python -m repro.experiments fabric merge --into merged.sqlite --queue fabric.sqlite shards/shard-*.sqlite
-    python -m repro.experiments fabric serve --db merged.sqlite --port 8080
-    python -m repro.experiments report --url http://127.0.0.1:8080 --experiment figure3
+    python -m repro.experiments fabric merge --into merged.sqlite shards/shard-*.sqlite
+    python -m repro.experiments report --db merged.sqlite --experiment figure3
 
 ``run`` executes any registered experiment through the shared engine
 (:mod:`repro.experiments.engine`): parallel fan-out (``--workers``), durable
 resume (``--db``/``--resume``), backend selection (``--backend
 oracle|netsim``) and arbitrary axis/parameter overrides (``--axis
 name=v1,v2``, ``--param name=value`` — including the scenario-profile axis
-``profile``, see :mod:`repro.scenarios`).  ``campaign`` forwards to the
-scenario-campaign CLI unchanged; ``report`` re-aggregates a stored run
-without executing anything; ``validate`` fuzzes seeded scenario profiles
-through the invariant checkers and the oracle↔netsim differential harness
-(:mod:`repro.validation`).
+``profile``, see :mod:`repro.scenarios`).  ``report`` re-aggregates a
+stored run without executing anything; ``validate`` fuzzes seeded
+scenario profiles through the invariant checkers and the oracle↔netsim
+differential harness (:mod:`repro.validation`).
 """
 
 from __future__ import annotations
@@ -105,15 +101,11 @@ def build_report_parser() -> argparse.ArgumentParser:
         description="Re-aggregate a stored run from its SQLite results store "
                     "without executing anything.  With --experiment the "
                     "experiment's own report is rendered (byte-identical to "
-                    "the live run); without it every stored row is tabulated. "
-                    "With --url the report is fetched from a running fabric "
-                    "results service instead of a local store.",
+                    "the live run); without it every stored row is tabulated.",
     )
-    parser.add_argument("--db", type=str, default=None, metavar="FILE",
-                        help="SQLite results store written by a --db run")
-    parser.add_argument("--url", type=str, default=None, metavar="URL",
-                        help="base URL of a fabric results service "
-                             "(python -m repro.experiments fabric serve)")
+    parser.add_argument("--db", type=str, required=True, metavar="FILE",
+                        help="SQLite results store written by a --db run "
+                             "or a fabric merge")
     parser.add_argument("--experiment", type=str, default=None,
                         help="render this experiment's report from the store")
     parser.add_argument("--backend", choices=BACKENDS, default=None,
@@ -233,7 +225,7 @@ def run_main(argv: Sequence[str]) -> int:
         # completed one (see execute_pending_cells), so the store is clean.
         if args.db:
             print(f"\ninterrupted: completed cells are committed to {args.db}; "
-                  f"re-run with --resume to finish the campaign", file=sys.stderr)
+                  f"re-run with --resume to finish the run", file=sys.stderr)
         else:
             print("\ninterrupted: no --db store, completed cells were "
                   "discarded", file=sys.stderr)
@@ -260,36 +252,10 @@ def _emit_profile(profiler, destination: str) -> None:
               f"(inspect with python -m pstats)", file=sys.stderr)
 
 
-def _report_from_url(args, parser) -> int:
-    """The ``report --url`` path: fetch from a fabric results service."""
-    from repro.fabric import client
-    from urllib.error import URLError
-
-    try:
-        if args.experiment:
-            fetched = client.fetch_report(args.url, args.experiment)
-            if fetched.status != 200:
-                client._raise_for_status(fetched)
-            report = fetched.text()
-        else:
-            experiments = client.fetch_experiments(args.url)
-            report = format_table(experiments,
-                                  title=f"Served experiments — {args.url}")
-    except (URLError, OSError, RuntimeError) as error:
-        print(f"error: cannot fetch report from {args.url}: {error}",
-              file=sys.stderr)
-        return 1
-    return emit_report(report, args.output)
-
-
 def report_main(argv: Sequence[str]) -> int:
     """Entry point of the ``report`` subcommand."""
     parser = build_report_parser()
     args = parser.parse_args(argv)
-    if bool(args.db) == bool(args.url):
-        parser.error("exactly one of --db and --url is required")
-    if args.url:
-        return _report_from_url(args, parser)
     if not require_store_file(args.db):
         return 1
     store = open_store(args.db)
@@ -300,7 +266,7 @@ def report_main(argv: Sequence[str]) -> int:
             # An empty table would render and exit 0 — indistinguishable
             # from a successful report of a completed run.
             print(f"error: results store {args.db} holds no completed cells "
-                  f"— nothing to report (was the campaign run with --db, "
+                  f"— nothing to report (was the experiment run with --db, "
                   f"or the shards merged?)", file=sys.stderr)
             return 1
         if args.experiment:
@@ -481,13 +447,11 @@ _USAGE = f"""usage: {_PROG} <command> ...
 commands:
   list        list the registered experiments and scenario profiles
   run         run one experiment (parallel fan-out, resume, backend swap)
-  campaign    run a declarative scenario campaign (full MANET grid)
-  report      re-aggregate a stored run/campaign (--db) or fetch it from a
-              fabric results service (--url)
+  report      re-aggregate a stored run (--db) without executing anything
   validate    fuzz scenario profiles through invariant + differential checks
   attack-search
               evolutionary search for the least-detectable attack config
-  fabric      distributed campaigns: dispatch | work | merge | serve | status
+  fabric      distributed campaigns: dispatch | work | merge | status
 
 run '{_PROG} <command> --help' for the command's options."""
 
@@ -503,10 +467,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return list_main(rest)
     if command == "run":
         return run_main(rest)
-    if command == "campaign":
-        from repro.experiments import campaign
-
-        return campaign.main(rest)
     if command == "report":
         return report_main(rest)
     if command == "validate":

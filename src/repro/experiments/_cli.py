@@ -1,9 +1,8 @@
-"""Helpers shared by the experiment CLIs.
+"""Helpers shared by the experiment CLI and its ``fabric`` subcommands.
 
-Both ``python -m repro.experiments`` and the standalone campaign CLI
-(``python -m repro.experiments.campaign``) open results stores and emit
-reports the same way; keeping the logic here stops the two front ends from
-drifting apart.
+``python -m repro.experiments`` and ``python -m repro.experiments fabric``
+parse overrides, open results stores and emit reports the same way;
+keeping the logic here stops the two front ends from drifting apart.
 """
 
 from __future__ import annotations

@@ -63,7 +63,8 @@ class AblationResult:
         return [self.methods[name].as_dict() for name in sorted(self.methods)]
 
 
-def _answers_to_bools(answers: Dict[str, float]) -> Dict[str, Optional[bool]]:
+def answers_to_bools(answers: Dict[str, float]) -> Dict[str, Optional[bool]]:
+    """Convert ±1/0 investigation answers to the baselines' bool interface."""
     converted: Dict[str, Optional[bool]] = {}
     for responder, value in answers.items():
         if value > 0:
@@ -106,7 +107,7 @@ def replay_methods(run: ExperimentResult) -> AblationResult:
         if record.detect_value is None:
             continue
         round_index = record.round_index
-        bool_answers = _answers_to_bools(record.answers)
+        bool_answers = answers_to_bools(record.answers)
 
         # Paper's method: already evaluated by the round driver.
         ours.scores.append(record.detect_value)

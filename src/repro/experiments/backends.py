@@ -260,8 +260,8 @@ def drive_netsim_scenario(scenario, config: ScenarioConfig,
         "events_processed": (network.simulator.processed_events
                              + network.medium.batched_deliveries_saved),
         # Scheduler counters (pushes/pops/cancelled_skipped/wheel_hits/
-        # compactions).  ``stats`` is never serialised into campaign rows,
-        # so surfacing them here cannot perturb report byte-identity.
+        # compactions).  No experiment puts them in a row, so surfacing
+        # them here cannot perturb report byte-identity.
         "engine": network.engine_counters(),
     }
     return result

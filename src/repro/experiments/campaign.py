@@ -1,57 +1,34 @@
-"""Scenario-campaign runner: declarative grids of full-stack MANET runs.
+"""Detector vs related-work baselines over full-stack MANET scenario grids.
 
-The paper's evaluation sweeps detection behaviour across many network
-configurations *and compares it against related-work baselines*.  This module
-makes such sweeps first-class: a :class:`CampaignGrid` declares the axes to
-explore (system under test × node count × loss model × mobility × attack
-variant × liar fraction × repetitions), :meth:`CampaignGrid.expand` turns the
-cross product into frozen, picklable :class:`CampaignSpec` cells with per-run
-seeds derived stably via :func:`repro.seeding.stable_seed` (never the
-process-salted ``hash``), and :func:`run_campaign` executes the cells —
-serially or across worker processes with
-:class:`concurrent.futures.ProcessPoolExecutor` — before aggregating the rows
-through :mod:`repro.experiments.report`.
+The paper's claims rest on its trust-weighted cooperative investigation
+judging a link-spoofing attacker better than related-work schemes that see
+the same evidence.  This experiment sweeps that comparison across network
+configurations on the engine's ``netsim`` backend.  One cell is one
+scenario — node count × liar fraction × loss model × mobility × attack
+variant × repetition, each with its own stable seed — and it emits one row
+per system (:data:`SYSTEMS`):
 
-The ``system`` axis puts the paper's trust-based cooperative detector and the
-related-work baselines (:mod:`repro.baselines`) into the same grid: every
-cell runs the *full* simulator stack (OLSR over the spatial-indexed wireless
-medium, the link-spoofing attack, colluding liars, the cooperative
-investigation), and for a baseline system the investigation's answer stream
-is replayed through the baseline's ``process_round`` adapter — every system
-judges the attacker from the identical evidence, which is exactly the
-comparison the paper's claims rest on.
+* ``detector`` — the paper's aggregate (Eq. 8) and decision rule, read from
+  the round records and the investigator's last trust snapshot;
+* the baselines of :mod:`repro.baselines` — the answers of the attacker's
+  investigation rounds are replayed through each baseline's
+  ``process_round`` adapter, so every system judges the identical evidence
+  of one simulation.
 
-Results are deterministic: the same grid and base seed produce byte-identical
-reports regardless of worker count or invocation.  With a
-:class:`repro.experiments.results.ResultsStore` attached, every completed
-cell is durably committed as soon as it finishes, already-stored cells are
-skipped on re-invocation (resume), and reporting streams from the database.
+Run it like any other experiment::
 
-Command line
-------------
-``python -m repro.experiments.campaign`` exposes the runner::
+    python -m repro.experiments run campaign \
+        --axis total_nodes=8,16 --axis liar_fraction=0.0,0.25 \
+        --axis loss_probability=0.0,0.2 --axis max_speed=0,5 \
+        --workers 4 --db campaign.sqlite --resume
 
-    python -m repro.experiments.campaign \
-        --node-counts 8,16 --liar-fractions 0.0,0.25 \
-        --loss bernoulli:0.0,bernoulli:0.2 --speeds 0,5 \
-        --systems detector,watchdog,beta,cap-olsr,averaging \
-        --variants false_existing_link --workers 4 \
-        --db campaign.sqlite --resume --output report.txt
-
-and a ``report`` subcommand that re-aggregates a stored campaign without
-re-running anything::
-
-    python -m repro.experiments.campaign report --db campaign.sqlite
-
-See ``--help`` for the full set of knobs (warm-up, cycles, seed, ...).
+:func:`repro.experiments.report.aggregate_rows` gives per-system means over
+the rows (see ``examples/campaign_sweep.py``).
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.averaging import AveragingTrustSystem
 from repro.baselines.beta_reputation import BetaReputationSystem
@@ -59,20 +36,17 @@ from repro.baselines.cap_olsr import CapOlsrDetector
 from repro.baselines.watchdog import WatchdogPathrater
 from repro.core.decision import DecisionOutcome
 from repro.core.signatures import LinkSpoofingVariant
-from repro.experiments._cli import emit_report, open_store, require_store_file
-from repro.experiments.engine import execute_pending_cells
-from repro.experiments.report import aggregate_rows, format_table, render_report
-from repro.experiments.results import ResultsStore, spec_content_hash
-from repro.experiments.scenario import build_manet_scenario
-from repro.seeding import stable_seed
+from repro.experiments.ablation import answers_to_bools
+from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
+from repro.experiments.rounds import ExperimentResult
 
-#: Systems the campaign can put in one grid: the paper's detector plus the
-#: related-work baselines re-implemented in :mod:`repro.baselines`.
+#: Systems judged in every cell: the paper's detector plus the related-work
+#: baselines re-implemented in :mod:`repro.baselines`.
 SYSTEMS = ("detector", "watchdog", "beta", "cap-olsr", "averaging")
 
-#: Factories building the per-run baseline adapter for one investigating node.
-#: Every adapter exposes ``process_round(suspect, answers) -> score`` and
-#: ``classify(suspect) -> "intruder" | "well-behaving"``.
+#: Factories building the per-cell baseline adapter for one investigating
+#: node.  Every adapter exposes ``process_round(suspect, answers) -> score``
+#: and ``classify(suspect) -> "intruder" | "well-behaving"``.
 _BASELINE_FACTORIES = {
     "watchdog": lambda owner: WatchdogPathrater(owner=owner),
     "beta": lambda owner: BetaReputationSystem(owner=owner),
@@ -81,550 +55,93 @@ _BASELINE_FACTORIES = {
 }
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One fully-resolved grid cell (picklable; safe to ship to a worker)."""
-
-    run_id: str
-    seed: int
-    node_count: int
-    liar_fraction: float
-    loss_model: str
-    loss_probability: float
-    max_speed: float
-    attack_variant: str
-    system: str = "detector"
-    repetition: int = 0
-    area_size: float = 800.0
-    radio_range: float = 250.0
-    warmup: float = 35.0
-    attack_start: float = 40.0
-    cycles: int = 5
-    cycle_length: float = 10.0
-
-    def liar_count(self) -> int:
-        """Liar head-count implied by ``liar_fraction`` (responders only)."""
-        responders = max(self.node_count - 2, 0)
-        return min(responders, int(round(self.liar_fraction * responders)))
-
-    def content_hash(self) -> str:
-        """Content hash keying this cell in a :class:`ResultsStore`."""
-        return spec_content_hash(self)
+def _mean(values: Sequence[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
 
 
-@dataclass
-class CampaignGrid:
-    """Declarative parameter grid, expanded into seeded :class:`CampaignSpec` cells.
+def _campaign_rows(spec: ExperimentSpec,
+                   result: ExperimentResult) -> List[Dict[str, object]]:
+    """One row per system; values are raw (the report formatter rounds)."""
+    attacker_rounds = [r for r in result.rounds if r.detect_value is not None]
+    last = attacker_rounds[-1] if attacker_rounds else None
+    snapshot = result.rounds[-1].trust_snapshot if result.rounds else {}
+    default_trust = result.config.trust.default_trust
 
-    ``loss_models`` entries are ``"kind:probability"`` strings (for example
-    ``"bernoulli:0.2"`` or ``"distance:0.8"``); ``attack_variants`` use the
-    :class:`~repro.core.signatures.LinkSpoofingVariant` values; ``systems``
-    names the detectors under test (:data:`SYSTEMS`).
-    """
+    def trust_of(node: str) -> float:
+        return snapshot.get(node, default_trust)
 
-    node_counts: Sequence[int] = (16,)
-    liar_fractions: Sequence[float] = (0.25,)
-    loss_models: Sequence[str] = ("bernoulli:0.0",)
-    max_speeds: Sequence[float] = (0.0,)
-    attack_variants: Sequence[str] = (str(LinkSpoofingVariant.FALSE_EXISTING_LINK),)
-    systems: Sequence[str] = ("detector",)
-    repetitions: int = 1
-    base_seed: int = 7
-    area_size: float = 800.0
-    radio_range: float = 250.0
-    warmup: float = 35.0
-    attack_start: float = 40.0
-    cycles: int = 5
-    cycle_length: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        for fraction in self.liar_fractions:
-            if not 0.0 <= fraction < 1.0:
-                raise ValueError("liar fractions must be in [0, 1)")
-        for entry in self.loss_models:
-            _parse_loss(entry)
-        for variant in self.attack_variants:
-            LinkSpoofingVariant(variant)
-        for system in self.systems:
-            if system not in SYSTEMS:
-                raise ValueError(
-                    f"unknown system {system!r} (expected one of {', '.join(SYSTEMS)})"
-                )
-
-    def size(self) -> int:
-        """Number of grid cells (runs) the campaign will execute."""
-        return (len(self.node_counts) * len(self.liar_fractions)
-                * len(self.loss_models) * len(self.max_speeds)
-                * len(self.attack_variants) * len(self.systems)
-                * self.repetitions)
-
-    def expand(self) -> List[CampaignSpec]:
-        """The full cross product as seeded, stably-identified specs.
-
-        The per-cell seed is derived from the *scenario* axes only (not the
-        ``system``): the same scenario cell swept under different systems
-        replays the identical simulation, so system columns in the report
-        differ exactly by how each system judges the same evidence.
-        """
-        specs: List[CampaignSpec] = []
-        for node_count in self.node_counts:
-            for variant in self.attack_variants:
-                for loss_entry in self.loss_models:
-                    loss_kind, loss_probability = _parse_loss(loss_entry)
-                    for max_speed in self.max_speeds:
-                        for liar_fraction in self.liar_fractions:
-                            for repetition in range(self.repetitions):
-                                scenario_id = (
-                                    f"n{node_count:03d}-{variant}"
-                                    f"-{loss_kind}{loss_probability:g}"
-                                    f"-v{max_speed:g}-l{liar_fraction:g}"
-                                    f"-r{repetition}"
-                                )
-                                seed = stable_seed(self.base_seed, scenario_id)
-                                for system in self.systems:
-                                    specs.append(CampaignSpec(
-                                        run_id=f"{scenario_id}-{system}",
-                                        seed=seed,
-                                        node_count=node_count,
-                                        liar_fraction=liar_fraction,
-                                        loss_model=loss_kind,
-                                        loss_probability=loss_probability,
-                                        max_speed=max_speed,
-                                        attack_variant=variant,
-                                        system=system,
-                                        repetition=repetition,
-                                        area_size=self.area_size,
-                                        radio_range=self.radio_range,
-                                        warmup=self.warmup,
-                                        attack_start=self.attack_start,
-                                        cycles=self.cycles,
-                                        cycle_length=self.cycle_length,
-                                    ))
-        specs.sort(key=lambda spec: spec.run_id)
-        return specs
-
-
-def _parse_loss(entry: str) -> Tuple[str, float]:
-    """Parse a ``"kind:probability"`` loss-model axis entry."""
-    kind, _, raw = entry.partition(":")
-    kind = kind.strip() or "bernoulli"
-    if kind not in ("bernoulli", "distance"):
-        raise ValueError(f"unknown loss model {kind!r}")
-    probability = float(raw) if raw else 0.0
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"loss probability {probability} outside [0, 1]")
-    return kind, probability
-
-
-@dataclass
-class CampaignRunResult:
-    """Aggregatable outcome of one campaign cell."""
-
-    spec: CampaignSpec
-    attacker_investigated: bool
-    detection_cycles: int
-    final_detect: Optional[float]
-    attacker_trust: Optional[float]
-    mean_liar_trust: Optional[float]
-    mean_honest_trust: Optional[float]
-    frames_sent: int
-    frames_delivered: int
-    events_processed: int
-    flagged: bool = False
-
-    def as_row(self) -> Dict[str, object]:
-        """Flat row for tabular output (stable column order).
-
-        Values are *raw* — rounding happens only at formatting time
-        (:func:`repro.experiments.report.format_table`), so aggregate means
-        are computed from unbiased per-run metrics and stored rows keep full
-        precision.
-        """
-        spec = self.spec
-        return {
-            "run_id": spec.run_id,
-            "system": spec.system,
-            "nodes": spec.node_count,
-            "variant": spec.attack_variant,
-            "loss": f"{spec.loss_model}:{spec.loss_probability:g}",
-            "speed": spec.max_speed,
-            "liar_fraction": spec.liar_fraction,
-            "seed": spec.seed,
-            "investigated": self.attacker_investigated,
-            "cycles": self.detection_cycles,
-            # Stored as 0/1 so aggregates read as detection rates.
-            "flagged": int(self.flagged),
-            "final_detect": self.final_detect,
-            "attacker_trust": self.attacker_trust,
-            "liar_trust": self.mean_liar_trust,
-            "honest_trust": self.mean_honest_trust,
-            "frames_sent": self.frames_sent,
-            "frames_delivered": self.frames_delivered,
-            "events": self.events_processed,
-        }
-
-
-#: Columns averaged by :meth:`CampaignResult.aggregate`.
-_VALUE_COLUMNS = ("final_detect", "attacker_trust", "liar_trust",
-                  "honest_trust", "cycles", "flagged")
-
-
-@dataclass
-class CampaignResult:
-    """All rows of a campaign, with reporting helpers.
-
-    Either in-memory (``runs``) or backed by a :class:`ResultsStore`
-    (``store`` plus the campaign's ``spec_hashes``); in the stored case the
-    row stream comes straight off the database cursor, so aggregation over an
-    arbitrarily large campaign holds only per-group accumulators in memory.
-    Both representations format byte-identical reports: stored rows
-    round-trip through JSON, which is ``repr``-exact for every value a row
-    contains.
-    """
-
-    grid: Optional[CampaignGrid]
-    runs: List[CampaignRunResult] = field(default_factory=list)
-    store: Optional[ResultsStore] = None
-    spec_hashes: Optional[List[str]] = None
-    #: Cells actually executed by this invocation (run ids).
-    executed_run_ids: List[str] = field(default_factory=list)
-    #: Cells found already completed in the store and skipped (run ids).
-    skipped_run_ids: List[str] = field(default_factory=list)
-
-    def iter_rows(self) -> Iterator[Dict[str, object]]:
-        """Stream one row per run, ordered by run id."""
-        if self.store is not None:
-            yield from self.store.iter_rows(self.spec_hashes)
-        else:
-            for run in sorted(self.runs, key=lambda r: r.spec.run_id):
-                yield run.as_row()
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """One row per run, sorted by run id."""
-        return list(self.iter_rows())
-
-    def aggregate(self, group_by: Sequence[str] = ("system", "variant", "liar_fraction")) -> List[Dict[str, object]]:
-        """Mean detection/trust metrics per group, streamed from the rows.
-
-        The default grouping includes ``system``: score and flag columns are
-        only comparable within one system.
-        """
-        return aggregate_rows(self.iter_rows(), group_by, _VALUE_COLUMNS)
-
-    def format_report(self) -> str:
-        """Deterministic plain-text report (no timestamps, no wall-clock)."""
-        # The per-run table needs every row in memory anyway, so materialise
-        # once and feed the same list to the aggregates instead of re-scanning
-        # (and re-JSON-decoding) the store three more times.
-        rows = self.as_rows()
-        # Every aggregate groups by system first: the score/flag columns mean
-        # something different per system (detector trust vs. beta expectation
-        # vs. watchdog miss ratio, five distinct decision rules), so a mean
-        # across systems would average incomparable quantities.
-        sections = [
-            format_table(rows, title=f"Campaign — {len(rows)} runs"),
-            format_table(aggregate_rows(rows, ("system", "liar_fraction"), _VALUE_COLUMNS),
-                         title="Detector vs baselines — aggregate by system × liar fraction"),
-            format_table(aggregate_rows(rows, ("system", "variant", "liar_fraction"), _VALUE_COLUMNS),
-                         title="Aggregate by system × attack variant × liar fraction"),
-            format_table(aggregate_rows(rows, ("system", "nodes", "loss"), _VALUE_COLUMNS),
-                         title="Aggregate by system × node count × loss model"),
-        ]
-        return render_report(sections)
-
-
-def _answers_to_bools(answers: Dict[str, float]) -> Dict[str, Optional[bool]]:
-    """Convert ±1/0 investigation answers to the baselines' bool interface."""
-    converted: Dict[str, Optional[bool]] = {}
-    for responder, value in answers.items():
-        if value > 0:
-            converted[responder] = True
-        elif value < 0:
-            converted[responder] = False
-        else:
-            converted[responder] = None
-    return converted
-
-
-def execute_spec(spec: CampaignSpec) -> CampaignRunResult:
-    """Run one grid cell end to end (the process-pool worker entry point).
-
-    The simulation itself — scenario build, warm-up, detection cycles — is
-    identical for every ``system``: the victim always runs the paper's
-    cooperative investigation, which produces the per-round answer stream.
-    For ``system="detector"`` the metrics come from the paper's trust-weighted
-    aggregate and decision rule; for a baseline system the same answers are
-    replayed through the baseline's ``process_round`` adapter (the
-    :mod:`repro.experiments.ablation` methodology), so the comparison isolates
-    the aggregation/decision layer on identical evidence.
-    """
-    scenario = build_manet_scenario(
-        node_count=spec.node_count,
-        liar_count=spec.liar_count(),
-        seed=spec.seed,
-        area_size=spec.area_size,
-        radio_range=spec.radio_range,
-        loss_probability=spec.loss_probability,
-        attack_start=spec.attack_start,
-        attack_variant=LinkSpoofingVariant(spec.attack_variant),
-        loss_model=spec.loss_model,
-        max_speed=spec.max_speed,
-    )
-    network = scenario.network
-    victim = scenario.victim
-    scenario.warm_up(spec.warmup)
-    victim.detection_round()
-
-    attacker_rounds = []
-    for _ in range(spec.cycles):
-        network.run(until=network.now + spec.cycle_length)
-        for round_result in victim.detection_round():
-            if round_result.suspect == scenario.attacker_id:
-                attacker_rounds.append(round_result)
-
-    common = dict(
-        spec=spec,
-        attacker_investigated=bool(attacker_rounds),
-        detection_cycles=len(attacker_rounds),
-        frames_sent=network.medium.stats.frames_sent,
-        frames_delivered=network.medium.stats.frames_delivered,
-        # Scalar-equivalent count: batching elides per-receiver events.
-        events_processed=(network.simulator.processed_events
-                          + network.medium.batched_deliveries_saved),
-    )
-
-    if spec.system != "detector":
-        adapter = _BASELINE_FACTORIES[spec.system](scenario.victim_id)
+    scenario = {
+        "nodes": result.config.total_nodes,
+        "variant": spec.param("attack_variant"),
+        "loss": f"{spec.param('loss_model')}:{spec.param('loss_probability'):g}",
+        "speed": spec.param("max_speed"),
+        "liar_fraction": spec.param("liar_fraction"),
+        "seed": spec.seed,
+        "investigated": last is not None,
+        "cycles": len(attacker_rounds),
+    }
+    substrate = {
+        "frames_sent": result.stats.get("frames_sent"),
+        "frames_delivered": result.stats.get("frames_delivered"),
+        "events": result.stats.get("events_processed"),
+    }
+    rows = [{
+        "system": "detector",
+        **scenario,
+        # Stored as 0/1 so aggregates read as detection rates.
+        "flagged": int(last is not None and last.outcome == DecisionOutcome.INTRUDER),
+        "final_detect": last.detect_value if last is not None else None,
+        "attacker_trust": trust_of(result.attacker),
+        "liar_trust": _mean([trust_of(n) for n in sorted(result.liars)]),
+        "honest_trust": _mean([trust_of(n) for n in sorted(result.honest_responders)]),
+        **substrate,
+    }]
+    for system, factory in _BASELINE_FACTORIES.items():
+        adapter = factory(result.investigator)
         score: Optional[float] = None
-        for round_result in attacker_rounds:
-            score = adapter.process_round(
-                scenario.attacker_id, _answers_to_bools(round_result.answers)
-            )
-        flagged = bool(attacker_rounds) and adapter.classify(scenario.attacker_id) == "intruder"
+        for record in attacker_rounds:
+            score = adapter.process_round(result.attacker,
+                                          answers_to_bools(record.answers))
         # Baselines keep no per-responder trust — that is the paper's
         # differentiator — so the liar/honest trust columns stay empty.
-        return CampaignRunResult(
-            final_detect=None,
-            attacker_trust=score,
-            mean_liar_trust=None,
-            mean_honest_trust=None,
-            flagged=flagged,
-            **common,
-        )
-
-    trust = victim.trust
-    liar_trusts = [trust.trust_of(nid) for nid in sorted(scenario.liar_ids)]
-    honest_ids = sorted(
-        nid for nid in scenario.nodes
-        if nid not in scenario.liar_ids
-        and nid not in (scenario.victim_id, scenario.attacker_id)
-    )
-    honest_trusts = [trust.trust_of(nid) for nid in honest_ids]
-    return CampaignRunResult(
-        final_detect=(attacker_rounds[-1].decision.detect_value
-                      if attacker_rounds else None),
-        attacker_trust=trust.trust_of(scenario.attacker_id),
-        mean_liar_trust=(sum(liar_trusts) / len(liar_trusts)) if liar_trusts else None,
-        mean_honest_trust=(sum(honest_trusts) / len(honest_trusts)) if honest_trusts else None,
-        flagged=(bool(attacker_rounds)
-                 and attacker_rounds[-1].decision.outcome == DecisionOutcome.INTRUDER),
-        **common,
-    )
+        rows.append({
+            "system": system,
+            **scenario,
+            "flagged": int(last is not None
+                           and adapter.classify(result.attacker) == "intruder"),
+            "final_detect": None,
+            "attacker_trust": score,
+            "liar_trust": None,
+            "honest_trust": None,
+            **substrate,
+        })
+    return rows
 
 
-def run_campaign(
-    grid: CampaignGrid,
-    workers: Optional[int] = None,
-    store: Optional[ResultsStore] = None,
-    resume: bool = True,
-    max_new_runs: Optional[int] = None,
-) -> CampaignResult:
-    """Execute every cell of ``grid`` and collect the results.
-
-    ``workers`` > 1 fans the cells out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; anything else runs
-    serially in-process.  Because each cell derives all randomness from its
-    own stable seed, the result — and the formatted report — is identical
-    whichever execution mode is used.
-
-    With a ``store``, every completed cell is committed as soon as its worker
-    returns; when ``resume`` is true (the default) cells whose content hash
-    is already stored are skipped entirely, which is what lets a killed
-    campaign pick up where it stopped.  ``max_new_runs`` bounds how many
-    *missing* cells this invocation executes (budgeted/chunked execution; the
-    returned report then covers only the cells completed so far).
-
-    The fan-out itself is the experiment engine's shared executor
-    (:func:`repro.experiments.engine.execute_pending_cells`): cells commit
-    in completion order, so a kill mid-campaign loses only in-flight cells.
-    """
-    specs = grid.expand()
-    hashes = [spec.content_hash() for spec in specs]
-
-    completed = set()
-    if store is not None and resume:
-        completed = store.completed_hashes(hashes)
-    pending = [(spec, digest) for spec, digest in zip(specs, hashes)
-               if digest not in completed]
-    skipped = [spec.run_id for spec, digest in zip(specs, hashes)
-               if digest in completed]
-    if max_new_runs is not None:
-        pending = pending[:max_new_runs]
-
-    runs: List[CampaignRunResult] = []
-
-    def _finish(spec: CampaignSpec, digest: str, result: CampaignRunResult) -> None:
-        if store is not None:
-            store.record(spec, result.as_row(), spec_hash=digest)
-        runs.append(result)
-
-    execute_pending_cells(pending, execute_spec, _finish, workers=workers)
-
-    return CampaignResult(
-        grid=grid,
-        runs=runs,
-        store=store,
-        spec_hashes=hashes if store is not None else None,
-        executed_run_ids=sorted(spec.run_id for spec, _ in pending),
-        skipped_run_ids=sorted(skipped),
-    )
-
-
-# ----------------------------------------------------------------- CLI
-def _csv_ints(raw: str) -> List[int]:
-    return [int(part) for part in raw.split(",") if part.strip()]
-
-
-def _csv_floats(raw: str) -> List[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
-
-
-def _csv_strs(raw: str) -> List[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro.experiments.campaign`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.campaign",
-        description="Run a declarative scenario campaign over the full MANET stack. "
-                    "Use the 'report' subcommand (python -m repro.experiments.campaign "
-                    "report --db FILE) to re-aggregate a stored campaign without "
-                    "re-running anything.",
-    )
-    parser.add_argument("--node-counts", type=_csv_ints, default=[16],
-                        metavar="N,N", help="comma-separated node counts (default: 16)")
-    parser.add_argument("--liar-fractions", type=_csv_floats, default=[0.25],
-                        metavar="F,F", help="liar fractions of the responders (default: 0.25)")
-    parser.add_argument("--loss", type=_csv_strs, default=["bernoulli:0.0"],
-                        metavar="KIND:P,...",
-                        help="loss models, e.g. bernoulli:0.2,distance:0.8 (default: bernoulli:0.0)")
-    parser.add_argument("--speeds", type=_csv_floats, default=[0.0],
-                        metavar="V,V", help="random-waypoint max speeds; 0 = static (default: 0)")
-    parser.add_argument("--variants", type=_csv_strs,
-                        default=[str(LinkSpoofingVariant.FALSE_EXISTING_LINK)],
-                        metavar="V,V",
-                        help="link-spoofing variants: " + ", ".join(v.value for v in LinkSpoofingVariant))
-    parser.add_argument("--systems", type=_csv_strs, default=["detector"],
-                        metavar="S,S",
-                        help="systems under test: " + ", ".join(SYSTEMS)
-                             + " (default: detector)")
-    parser.add_argument("--repetitions", type=int, default=1,
-                        help="repetitions per cell with distinct stable seeds (default: 1)")
-    parser.add_argument("--seed", type=int, default=7, help="campaign base seed (default: 7)")
-    parser.add_argument("--warmup", type=float, default=35.0,
-                        help="OLSR convergence warm-up in simulated seconds (default: 35)")
-    parser.add_argument("--cycles", type=int, default=5,
-                        help="detection cycles per run (default: 5)")
-    parser.add_argument("--cycle-length", type=float, default=10.0,
-                        help="simulated seconds per detection cycle (default: 10)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes; 1 = serial (default: 1)")
-    parser.add_argument("--db", type=str, default=None, metavar="FILE",
-                        help="persist every completed cell to this SQLite results store")
-    parser.add_argument("--resume", action="store_true",
-                        help="skip cells already completed in --db (resume a "
-                             "killed campaign); without it stored cells are re-run")
-    parser.add_argument("--max-new-runs", type=int, default=None, metavar="K",
-                        help="execute at most K missing cells this invocation "
-                             "(budgeted/chunked campaigns)")
-    parser.add_argument("--output", type=str, default=None,
-                        help="also write the report to this file")
-    return parser
-
-
-def build_report_parser() -> argparse.ArgumentParser:
-    """Parser of the ``report`` subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.campaign report",
-        description="Re-aggregate a stored campaign from its SQLite results "
-                    "store without re-running any simulation.",
-    )
-    parser.add_argument("--db", type=str, required=True, metavar="FILE",
-                        help="SQLite results store written by a --db campaign run")
-    parser.add_argument("--output", type=str, default=None,
-                        help="also write the report to this file")
-    return parser
-
-
-def report_main(argv: Sequence[str]) -> int:
-    """Entry point of the ``report`` subcommand."""
-    args = build_report_parser().parse_args(argv)
-    if not require_store_file(args.db):
-        return 1
-    store = open_store(args.db)
-    if store is None:
-        return 1
-    with store:
-        result = CampaignResult(grid=None, store=store)
-        report = result.format_report()
-    return emit_report(report, args.output)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "report":
-        return report_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.resume and not args.db:
-        parser.error("--resume requires --db")
-    try:
-        grid = CampaignGrid(
-            node_counts=args.node_counts,
-            liar_fractions=args.liar_fractions,
-            loss_models=args.loss,
-            max_speeds=args.speeds,
-            attack_variants=args.variants,
-            systems=args.systems,
-            repetitions=args.repetitions,
-            base_seed=args.seed,
-            warmup=args.warmup,
-            cycles=args.cycles,
-            cycle_length=args.cycle_length,
-        )
-    except ValueError as error:
-        parser.error(str(error))
-    store = None
-    if args.db:
-        store = open_store(args.db)
-        if store is None:
-            return 1
-    try:
-        result = run_campaign(grid, workers=args.workers, store=store,
-                              resume=args.resume, max_new_runs=args.max_new_runs)
-        if result.skipped_run_ids:
-            print(f"[resume] skipped {len(result.skipped_run_ids)} stored cells, "
-                  f"executed {len(result.executed_run_ids)}", file=sys.stderr)
-        report = result.format_report()
-    finally:
-        if store is not None:
-            store.close()
-    return emit_report(report, args.output)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+#: Engine registration.  The fixed trust parameters are the library
+#: defaults (``TrustParameters()``: no trust floor, no slow recovery) and
+#: every node starts at the default trust; ``tests/golden/campaign_parity.json``
+#: pins the metrics these settings give.
+CAMPAIGN_EXPERIMENT = register(ExperimentDefinition(
+    name="campaign",
+    description="detector vs related-work baselines over full-stack scenario grids",
+    rows_from_result=_campaign_rows,
+    axes={
+        "total_nodes": (16,),
+        "liar_fraction": (0.25,),
+        "loss_model": ("bernoulli",),
+        "loss_probability": (0.0,),
+        "max_speed": (0.0,),
+        "attack_variant": (str(LinkSpoofingVariant.FALSE_EXISTING_LINK),),
+        "repetition": (0,),
+    },
+    fixed={
+        "cycles": 5,
+        "random_initial_trust": False,
+        "trust_minimum": 0.0,
+        "trust_beta_recovery": None,
+    },
+    default_backend="netsim",
+    seed_mode="per-cell",
+    report_title="Campaign — detector vs baselines, one row per system and scenario",
+))

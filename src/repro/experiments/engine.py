@@ -1,10 +1,9 @@
 """Unified experiment engine: declarative specs, a registry, one runtime.
 
-Before this module every evaluation driver (``figure1``–``figure3``, the
-ablation, the confidence/γ sweep, the gravity ablation, the mobility study)
-hand-rolled its own run loop, result dataclass and output path, and only the
-scenario campaign enjoyed parallel fan-out, durable resume and streaming
-aggregation.  The engine gives *every* experiment that infrastructure:
+Every evaluation (``figure1``–``figure3``, the ablation, the confidence/γ
+sweep, the gravity ablation, the mobility study, the adaptivity study and
+the detector-vs-baselines ``campaign``) is a registered definition served
+by this one runtime:
 
 * :class:`ExperimentSpec` — one fully-resolved, picklable grid cell: the
   experiment name, its cell id, the stable per-cell seed, the execution
@@ -22,11 +21,11 @@ aggregation.  The engine gives *every* experiment that infrastructure:
 * :func:`run_experiment` — the shared runtime: expands the axes into seeded
   cells, skips cells already present in a
   :class:`~repro.experiments.results.ResultsStore` (resume), fans the rest
-  out over a :class:`~concurrent.futures.ProcessPoolExecutor`, commits every
-  cell as soon as it completes and aggregates the rows into a deterministic
-  report.  The exact same executor
-  (:func:`execute_pending_cells`) powers the scenario campaign
-  (:mod:`repro.experiments.campaign`).
+  out over a :class:`~concurrent.futures.ProcessPoolExecutor`
+  (:func:`execute_pending_cells`), commits every cell as soon as it
+  completes and aggregates the rows into a deterministic report.  The
+  distributed fabric (:mod:`repro.fabric`) expands and executes cells
+  through the same functions.
 
 Backends (:mod:`repro.experiments.backends`) are pluggable per run: the same
 spec can execute on the fast ``"oracle"`` round loop
@@ -72,6 +71,7 @@ _BUILTIN_MODULES = (
     "repro.experiments.gravity_ablation",
     "repro.experiments.mobility",
     "repro.experiments.adaptivity",
+    "repro.experiments.campaign",
 )
 
 
@@ -149,7 +149,7 @@ class ExperimentDefinition:
     product, in declaration order); ``fixed`` holds the non-swept parameters.
     Any fixed parameter can be promoted to an axis — and any axis overridden —
     at run time (``axes=...`` of :func:`run_experiment`, ``--axis`` on the
-    CLI), which is how the campaign's scenario axes (loss, mobility, liar
+    CLI), which is how the netsim scenario axes (loss, mobility, liar
     fraction) apply to every experiment.
 
     ``rows_from_result`` turns the backend's
@@ -356,7 +356,7 @@ def execute_pending_cells(
     finish: Callable[[object, str, object], None],
     workers: Optional[int] = None,
 ) -> None:
-    """The shared fan-out loop of the engine *and* the scenario campaign.
+    """The engine's fan-out loop.
 
     ``pending`` is a list of ``(payload, digest)`` cells; ``execute`` runs in
     the worker (must be a picklable module-level callable when ``workers`` >
@@ -364,12 +364,12 @@ def execute_pending_cells(
     completes — in completion order, not submission order, so a store-backed
     caller that commits from ``finish`` loses only in-flight cells on a kill.
 
-    A ``KeyboardInterrupt`` (Ctrl-C, or one raised out of a worker) exits
-    *gracefully*: queued cells are cancelled, cells that already completed
-    are still committed through ``finish``, and the interrupt is re-raised —
-    so an interrupted ``--db`` campaign resumes cleanly with exactly the
-    finished cells stored.  Only cells in flight at the moment of the
-    interrupt are lost.
+    Any exception — a ``KeyboardInterrupt`` (Ctrl-C, or one raised out of a
+    worker) or a cell that raises — exits *gracefully*: queued cells are
+    cancelled, cells that already completed are still committed through
+    ``finish``, and the exception is re-raised — so an interrupted or failed
+    ``--db`` run resumes cleanly with exactly the finished cells stored.
+    Only cells in flight at that moment are lost.
     """
     if workers is not None and workers > 1 and len(pending) > 1:
         max_workers = min(workers, len(pending))
@@ -386,7 +386,7 @@ def execute_pending_cells(
                         result = future.result()
                         finish(payload, digest, result)
                         finished.add(future)
-            except KeyboardInterrupt:
+            except BaseException:
                 for future in futures:
                     if future not in finished:
                         future.cancel()
@@ -436,11 +436,8 @@ class ExperimentRunResult:
             rows = self.rows_by_hash.get(digest)
             if rows is None and self.store is not None:
                 rows = self.store.get_row(digest)
-            if rows is None:
-                continue
-            if isinstance(rows, dict):  # single-row cell stored flat
-                rows = [rows]
-            yield from rows
+            if rows is not None:
+                yield from rows
 
     def rows(self) -> List[Dict[str, object]]:
         """Every completed cell's rows as one flat list."""
@@ -496,7 +493,7 @@ def run_experiment(
     axes: Optional[Mapping[str, Sequence]] = None,
     params: Optional[Mapping[str, object]] = None,
 ) -> ExperimentRunResult:
-    """Run a registered experiment through the shared campaign runtime.
+    """Run a registered experiment through the shared runtime.
 
     Expands the definition's axes into seeded cells, skips cells whose
     content hash is already in ``store`` (``resume``), executes the rest —

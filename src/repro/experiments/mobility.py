@@ -10,9 +10,9 @@ aggregate and the attacker's trust respond.
 The sweep executes on the engine's ``netsim`` backend
 (:func:`repro.experiments.backends.run_netsim_cell` over
 :func:`repro.experiments.scenario.build_manet_scenario`) — the same substrate
-the scenario campaign uses — rather than a private scenario builder, so loss
-models, attack variants and every other campaign axis compose with the speed
-sweep for free.
+the ``campaign`` experiment uses — rather than scenario code of its own, so
+loss models, attack variants and every other netsim axis compose with the
+speed sweep for free.
 """
 
 from __future__ import annotations

@@ -122,12 +122,11 @@ def aggregate_rows(rows: Iterable[Mapping[str, object]],
     Non-numeric (or missing) values are skipped in the mean; each output row
     carries the group key columns, the per-column means and a ``count_column``
     with the group size.  Groups are emitted in sorted key order so repeated
-    aggregations of the same data are byte-identical — a property the
-    campaign runner's determinism check relies on.
+    aggregations of the same data are byte-identical.
 
     ``rows`` may be any iterable (including a database cursor): aggregation
     is streaming — only per-group running sums and counts are held in
-    memory, never the rows themselves, so a stored campaign of any size can
+    memory, never the rows themselves, so a stored run of any size can
     be re-aggregated in constant memory (see
     :meth:`repro.experiments.results.ResultsStore.iter_rows`).
     """

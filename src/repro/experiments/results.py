@@ -1,22 +1,20 @@
-"""SQLite-backed, resumable campaign results store.
+"""SQLite-backed, resumable experiment results store.
 
-A scenario campaign (:mod:`repro.experiments.campaign`) can take minutes to
-hours; before this module every :class:`~repro.experiments.campaign.CampaignRunResult`
-lived only in process memory, so a killed campaign lost all completed cells
-and re-aggregation meant re-running the whole grid.  :class:`ResultsStore`
-makes the results durable and the campaign *resumable*:
+An experiment run (:func:`~repro.experiments.engine.run_experiment`) can
+take minutes to hours; :class:`ResultsStore` makes its results durable and
+the run *resumable*:
 
 * every completed cell is committed to SQLite as soon as its worker returns,
   keyed by a **content hash** of the fully-resolved
-  :class:`~repro.experiments.campaign.CampaignSpec`;
-* :func:`~repro.experiments.campaign.run_campaign` skips cells whose hash is
-  already present, so a killed campaign restarted with the same grid executes
-  only the missing cells and still produces a report byte-identical to an
-  uninterrupted run;
-* reporting streams rows straight from the database cursor, so aggregating a
-  huge stored campaign never materialises every result row in memory.
+  :class:`~repro.experiments.engine.ExperimentSpec`;
+* the engine skips cells whose hash is already present, so a killed run
+  restarted with the same grid executes only the missing cells and still
+  produces a report byte-identical to an uninterrupted run;
+* reporting streams rows straight from the database cursor, one cell at a
+  time, so aggregating a huge stored run never materialises every result
+  row in memory.
 
-Schema (version 1)
+Schema (version 5)
 ------------------
 Two tables, created on first open::
 
@@ -26,9 +24,8 @@ Two tables, created on first open::
     runs(
         spec_hash TEXT PRIMARY KEY,   -- content hash, see spec_content_hash()
         run_id    TEXT NOT NULL,      -- human-readable cell id (indexed)
-        system    TEXT NOT NULL,      -- detector | watchdog | beta | ...
-        spec_json TEXT NOT NULL,      -- canonical JSON of the CampaignSpec
-        row_json  TEXT NOT NULL       -- the flat result row (as_row())
+        spec_json TEXT NOT NULL,      -- canonical JSON of the ExperimentSpec
+        row_json  TEXT NOT NULL       -- the cell's rows, a JSON list
     )
 
 The database is opened in WAL journal mode so a reader (``report``
@@ -38,23 +35,22 @@ cells.
 Content-hash key
 ----------------
 :func:`spec_content_hash` is the SHA-256 of the canonical JSON encoding
-(sorted keys, no whitespace) of *every* field of the spec dataclass — all
-grid axes, the derived per-cell seed, the ``system`` under test and the
-code-relevant scenario configuration (area, radio range, warm-up, cycle
-structure) — prefixed with a schema label.  Two specs collide only if they
-would execute the identical simulation; changing any knob (or the row schema
-version) yields a fresh key, so stale rows from older configurations are
-never silently reused.
+(sorted keys, no whitespace) of *every* field of the spec dataclass — the
+experiment, cell id, derived per-cell seed, backend and every parameter —
+prefixed with a schema label.  Two specs collide only if they would execute
+the identical simulation; changing any knob (or the schema version) yields
+a fresh key, so stale rows from older configurations are never silently
+reused.
 
 Resume guarantees
 -----------------
-Rows are committed one by one (autocommit), so after a crash the store holds
-exactly the cells whose workers finished.  Because every cell derives all of
-its randomness from its own stable seed, re-running the missing cells in any
-order — or from any number of worker processes — reproduces the
-uninterrupted campaign's report byte for byte.  Stored rows round-trip
-through JSON (``repr``-exact floats), which keeps stored-row reports
-bit-identical to freshly-computed ones.
+Rows are committed one cell at a time (autocommit), so after a crash the
+store holds exactly the cells whose workers finished.  Because every cell
+derives all of its randomness from its own stable seed, re-running the
+missing cells in any order — or from any number of worker processes —
+reproduces the uninterrupted run's report byte for byte.  Stored rows
+round-trip through JSON (``repr``-exact floats), which keeps stored-row
+reports bit-identical to freshly-computed ones.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ import hashlib
 import json
 import sqlite3
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 #: Bump when the row/spec encoding changes *or* when the simulation an
 #: identical spec produces changes (e.g. RNG-derivation fixes); part of every
@@ -76,15 +72,18 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 #: 4: routing-layer PR — ``protocol`` became a netsim parameter (part of the
 #: hashed parameter tuple) and the node stack moved onto the shared
 #: ``RoutingProtocol`` base, so version-3 rows must not be reused.
-SCHEMA_VERSION = 4
+#: 5: one experiment runtime — the campaign-only ``runs.system`` column is
+#: gone and every cell stores its rows as a JSON list; rows and reports are
+#: unchanged, but a version-4 store has the old table layout.
+SCHEMA_VERSION = 5
 
 
 def spec_content_hash(spec) -> str:
-    """Content hash identifying one fully-resolved campaign cell.
+    """Content hash identifying one fully-resolved experiment cell.
 
-    ``spec`` is a :class:`~repro.experiments.campaign.CampaignSpec` (or any
-    dataclass with the same role): the hash covers every field — axes, seed,
-    system and scenario config — plus the store schema version.
+    ``spec`` is an :class:`~repro.experiments.engine.ExperimentSpec` (or any
+    dataclass with the same role): the hash covers every field — experiment,
+    cell id, seed, backend and parameters — plus the store schema version.
     """
     payload = {"schema": SCHEMA_VERSION}
     payload.update(asdict(spec))
@@ -105,13 +104,12 @@ class StoreRecord:
 
     spec_hash: str
     run_id: str
-    system: str
     spec_json: str
     row_json: str
 
 
 class ResultsStore:
-    """Durable store of completed campaign cells (see module docstring).
+    """Durable store of completed experiment cells (see module docstring).
 
     Usable as a context manager; safe to reopen over an existing database
     (the schema is created only when missing).  One instance wraps one
@@ -122,7 +120,7 @@ class ResultsStore:
     def __init__(self, path: str) -> None:
         self.path = path
         # isolation_level=None → autocommit: every finished cell is durable
-        # immediately, which is what makes a killed campaign resumable.
+        # immediately, which is what makes a killed run resumable.
         self._connection = sqlite3.connect(path, isolation_level=None)
         self._connection.execute("PRAGMA journal_mode=WAL")
         self._connection.execute("PRAGMA synchronous=NORMAL")
@@ -138,7 +136,6 @@ class ResultsStore:
             CREATE TABLE IF NOT EXISTS runs (
                 spec_hash TEXT PRIMARY KEY,
                 run_id    TEXT NOT NULL,
-                system    TEXT NOT NULL,
                 spec_json TEXT NOT NULL,
                 row_json  TEXT NOT NULL
             )
@@ -172,27 +169,22 @@ class ResultsStore:
         self.close()
 
     # -------------------------------------------------------------- writing
-    def record(self, spec, row: Union[Dict[str, object], List[Dict[str, object]]],
+    def record(self, spec, rows: List[Dict[str, object]],
                spec_hash: Optional[str] = None) -> str:
-        """Persist one completed cell; returns its content hash.
+        """Persist one completed cell's rows; returns its content hash.
 
-        ``row`` is either one flat dict (a campaign cell) or a list of dicts
-        (an engine cell whose experiment emits several rows — e.g. one per
-        node); :meth:`iter_rows` flattens both transparently.  Overwrites any
-        previous row under the same hash (identical spec → identical
-        simulation, so a replace is always an idempotent refresh).
+        Overwrites any previous rows under the same hash (identical spec →
+        identical simulation, so a replace is always an idempotent refresh).
         """
         digest = spec_hash or spec_content_hash(spec)
         self._connection.execute(
-            "INSERT OR REPLACE INTO runs "
-            "(spec_hash, run_id, system, spec_json, row_json) "
-            "VALUES (?, ?, ?, ?, ?)",
+            "INSERT OR REPLACE INTO runs (spec_hash, run_id, spec_json, row_json) "
+            "VALUES (?, ?, ?, ?)",
             (
                 digest,
                 spec.run_id,
-                getattr(spec, "system", "detector"),
                 json.dumps(asdict(spec), sort_keys=True),
-                json.dumps(row),
+                json.dumps(rows),
             ),
         )
         return digest
@@ -213,40 +205,11 @@ class ResultsStore:
         """
         verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
         cursor = self._connection.execute(
-            f"{verb} INTO runs (spec_hash, run_id, system, spec_json, row_json) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (record.spec_hash, record.run_id, record.system,
-             record.spec_json, record.row_json),
+            f"{verb} INTO runs (spec_hash, run_id, spec_json, row_json) "
+            "VALUES (?, ?, ?, ?)",
+            (record.spec_hash, record.run_id, record.spec_json, record.row_json),
         )
         return cursor.rowcount > 0
-
-    # ------------------------------------------------------------- metadata
-    def set_meta(self, key: str, value: str) -> None:
-        """Attach one auxiliary metadata string (e.g. a fabric run context).
-
-        ``schema_version`` is reserved — the store manages it itself.
-        """
-        if key == "schema_version":
-            raise ValueError("'schema_version' is managed by the store itself")
-        self._connection.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)", (key, value)
-        )
-
-    def get_meta(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """One metadata value, or ``default`` when absent."""
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return default if row is None else row[0]
-
-    def iter_meta(self, prefix: str = "") -> Iterator[Tuple[str, str]]:
-        """Stream ``(key, value)`` metadata pairs with ``prefix``, sorted."""
-        cursor = self._connection.execute(
-            "SELECT key, value FROM meta WHERE key LIKE ? AND key != "
-            "'schema_version' ORDER BY key",
-            (prefix + "%",),
-        )
-        yield from cursor
 
     # -------------------------------------------------------------- reading
     def __contains__(self, spec_hash: str) -> bool:
@@ -263,18 +226,14 @@ class ResultsStore:
         return spec_hash in self
 
     def count_rows(self) -> int:
-        """Total number of *flattened* result rows across every stored cell.
+        """Total number of result rows across every stored cell.
 
-        Multi-row engine cells count each of their rows; ``0`` means the
-        store holds no results at all — ``report`` treats that as an error
-        instead of printing an empty table that looks like success.
+        ``0`` means the store holds no results at all — ``report`` treats
+        that as an error instead of printing an empty table that looks like
+        success.
         """
-        total = 0
         cursor = self._connection.execute("SELECT row_json FROM runs")
-        for (row_json,) in cursor:
-            decoded = json.loads(row_json)
-            total += len(decoded) if isinstance(decoded, list) else 1
-        return total
+        return sum(len(json.loads(row_json)) for (row_json,) in cursor)
 
     def raw_row_json(self, spec_hash: str) -> Optional[str]:
         """The stored ``row_json`` text of one cell, byte-exact, or ``None``."""
@@ -291,11 +250,11 @@ class ResultsStore:
         shard holds one record in memory at a time.
         """
         cursor = self._connection.execute(
-            "SELECT spec_hash, run_id, system, spec_json, row_json "
+            "SELECT spec_hash, run_id, spec_json, row_json "
             "FROM runs ORDER BY run_id, spec_hash"
         )
-        for spec_hash, run_id, system, spec_json, row_json in cursor:
-            yield StoreRecord(spec_hash=spec_hash, run_id=run_id, system=system,
+        for spec_hash, run_id, spec_json, row_json in cursor:
+            yield StoreRecord(spec_hash=spec_hash, run_id=run_id,
                               spec_json=spec_json, row_json=row_json)
 
     def completed_hashes(self, hashes: Optional[Iterable[str]] = None) -> Set[str]:
@@ -322,9 +281,8 @@ class ResultsStore:
         )
         return {row[0] for row in cursor}
 
-    def get_row(self, spec_hash: str) -> Optional[
-            Union[Dict[str, object], List[Dict[str, object]]]]:
-        """The stored result row(s) of one cell, or ``None`` when absent."""
+    def get_row(self, spec_hash: str) -> Optional[List[Dict[str, object]]]:
+        """The stored rows of one cell, or ``None`` when absent."""
         record = self._connection.execute(
             "SELECT row_json FROM runs WHERE spec_hash = ?", (spec_hash,)
         ).fetchone()
@@ -335,12 +293,11 @@ class ResultsStore:
     def iter_rows(self, hashes: Optional[Iterable[str]] = None) -> Iterator[Dict[str, object]]:
         """Stream result rows ordered by ``run_id`` (then hash, for stability).
 
-        ``hashes`` restricts the stream to one campaign's cells — a store may
-        hold several campaigns side by side.  Multi-row cells (engine
-        experiments) are flattened into the stream.  The rows come straight
-        off the SQLite cursor, so memory stays constant regardless of
-        campaign size (apart from the hash filter set itself and one cell's
-        rows at a time).
+        ``hashes`` restricts the stream to one run's cells — a store may hold
+        several experiments side by side.  The rows come straight off the
+        SQLite cursor, so memory stays constant regardless of run size
+        (apart from the hash filter set itself and one cell's rows at a
+        time).
         """
         wanted = set(hashes) if hashes is not None else None
         cursor = self._connection.execute(
@@ -348,8 +305,4 @@ class ResultsStore:
         )
         for spec_hash, row_json in cursor:
             if wanted is None or spec_hash in wanted:
-                decoded = json.loads(row_json)
-                if isinstance(decoded, list):
-                    yield from decoded
-                else:
-                    yield decoded
+                yield from json.loads(row_json)

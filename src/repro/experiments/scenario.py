@@ -314,8 +314,8 @@ def build_manet_scenario(
       per-recommender disagreement bookkeeping
       (:class:`repro.attacks.adaptive.RotatingLiarClique`).
 
-    These (with ``loss_model``/``max_speed``) are the axes the scenario
-    campaign and the unified experiment CLI sweep.
+    These (with ``loss_model``/``max_speed``) are the axes the ``campaign``
+    experiment and the unified experiment CLI sweep.
 
     ``protocol`` selects the routing backend (any name registered with
     :mod:`repro.routing`).  With OLSR the attacker runs the paper's link

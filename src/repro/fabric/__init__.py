@@ -1,4 +1,4 @@
-"""Distributed campaign fabric: dispatch, work-steal, merge, serve.
+"""Distributed campaign fabric: dispatch, work-steal, merge.
 
 Architecture
 ------------
@@ -15,8 +15,8 @@ the fabric idempotent and crash-tolerant.
   :func:`~repro.experiments.engine.expand_experiment` path as a local run
   and enqueues the missing cells into a :class:`FabricQueue` (one WAL-mode
   SQLite file on a shared filesystem).  The run context (backend, seed,
-  axis overrides) is recorded alongside, so downstream stages can
-  reconstruct the exact report.
+  axis overrides) is recorded alongside; ``fabric status`` lists the
+  dispatched experiments from it.
 
 * **Work** (:mod:`repro.fabric.worker`) — each worker group claims batches
   under a **TTL lease**, heartbeats while executing, writes completed rows
@@ -30,21 +30,16 @@ the fabric idempotent and crash-tolerant.
   canonical store, deduplicating by content hash (a stolen-then-reexecuted
   cell merges to one row), refusing schema-version mismatches, and copying
   raw stored text so NaN/±inf rows — and therefore reports — stay
-  byte-identical to a single-process run.
-
-* **Serve** (:mod:`repro.fabric.service`) — a read-only stdlib HTTP API
-  (``/experiments``, ``/experiments/<name>/rows``,
-  ``/experiments/<name>/report``) over the canonical store, fronted by an
-  in-process LRU keyed on the store generation and content-hash ETags for
-  client revalidation; :mod:`repro.fabric.client` is the thin consumer the
-  ``report --url`` CLI path uses.
+  byte-identical to a single-process run: ``python -m repro.experiments
+  report --db MERGED --experiment NAME`` (with the dispatch's flags) prints
+  the same bytes as ``run NAME``.
 
 Because every stage communicates only through content-hash-keyed SQLite
 files, the fabric needs no daemon, broker or third-party dependency, and
 any stage can be re-run at any time: re-dispatching adds nothing, workers
 re-executing a cell produce identical rows, and re-merging is a no-op.
 
-CLI: ``python -m repro.experiments fabric dispatch|work|merge|serve|status``
+CLI: ``python -m repro.experiments fabric dispatch|work|merge|status``
 (see :mod:`repro.fabric.cli`).
 """
 

@@ -1,17 +1,17 @@
 """CLI of the distributed campaign fabric.
 
-Reached as ``python -m repro.experiments fabric <command>``; the four
-commands mirror the lifecycle of a distributed campaign::
+Reached as ``python -m repro.experiments fabric <command>``; the commands
+mirror the lifecycle of a distributed campaign::
 
     fabric dispatch EXPERIMENT --queue Q [--axis ... --param ... --resume-from DB]
     fabric work     --queue Q --group NAME --shard-dir DIR [--lease-ttl S]
-    fabric merge    --into DB [--queue Q] SHARD [SHARD ...]
-    fabric serve    --db DB [--host H --port P]
+    fabric merge    --into DB SHARD [SHARD ...]
     fabric status   --queue Q
 
 ``dispatch`` runs once, anywhere; ``work`` runs on every machine (or in
-every process group) sharing the queue's filesystem; ``merge`` and
-``serve`` run wherever the canonical store should live.
+every process group) sharing the queue's filesystem; ``merge`` runs
+wherever the canonical store should live, and ``python -m repro.experiments
+report --db`` renders the merged store.
 """
 
 from __future__ import annotations
@@ -152,10 +152,6 @@ def build_merge_parser() -> argparse.ArgumentParser:
                         help="shard store files written by 'work'")
     parser.add_argument("--into", required=True, metavar="FILE",
                         help="canonical results store (created if missing)")
-    parser.add_argument("--queue", default=None, metavar="FILE",
-                        help="fabric queue whose run contexts are stamped "
-                             "into the canonical store (lets 'serve' render "
-                             "exact experiment reports)")
     return parser
 
 
@@ -168,42 +164,12 @@ def merge_main(argv: Sequence[str]) -> int:
         if not require_store_file(shard):
             return 1
     try:
-        report = merge_shards(args.shards, args.into, queue_path=args.queue)
+        report = merge_shards(args.shards, args.into)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(report.format_line())
     return 0
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=f"{_PROG} serve",
-        description="Serve a read-only results API over a canonical store: "
-                    "GET /experiments, /experiments/<name>/rows, "
-                    "/experiments/<name>/report — with ETag revalidation "
-                    "and an in-process LRU over rendered responses.",
-    )
-    parser.add_argument("--db", required=True, metavar="FILE",
-                        help="canonical results store written by 'merge'")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=0,
-                        help="bind port; 0 picks a free one (default: 0)")
-    parser.add_argument("--cache-size", type=int, default=64, metavar="N",
-                        help="LRU entries over rendered responses (default: 64)")
-    return parser
-
-
-def serve_main(argv: Sequence[str]) -> int:
-    from repro.fabric.service import serve_forever
-
-    parser = build_serve_parser()
-    args = parser.parse_args(argv)
-    if not require_store_file(args.db):
-        return 1
-    return serve_forever(args.db, host=args.host, port=args.port,
-                         cache_size=args.cache_size)
 
 
 def status_main(argv: Sequence[str]) -> int:
@@ -234,7 +200,6 @@ commands:
   dispatch  expand an experiment grid into a work-stealing fabric queue
   work      run one worker group (lease, execute, shard-store, heartbeat)
   merge     fold shard stores into the canonical store (hash-deduplicated)
-  serve     read-only results API over a canonical store (ETag + LRU cache)
   status    per-state cell counts of a queue
 
 run '{_PROG} <command> --help' for the command's options."""
@@ -251,7 +216,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "dispatch": dispatch_main,
         "work": work_main,
         "merge": merge_main,
-        "serve": serve_main,
         "status": status_main,
     }
     handler = handlers.get(command)

@@ -16,9 +16,8 @@ same spec always produces the same rows, so a cell that was executed twice
 canonical row (:mod:`repro.fabric.merge` deduplicates by hash).
 
 The queue also records, per experiment, the *run context* (backend, base
-seed, axis/parameter overrides) the dispatcher expanded the grid with, so
-the merge can stamp it into the canonical store and the results service can
-re-render the experiment's exact report.
+seed, axis/parameter overrides) the dispatcher expanded the grid with;
+``fabric status`` lists the dispatched experiments from it.
 """
 
 from __future__ import annotations
@@ -327,8 +326,7 @@ def dispatch_experiment(
     ``resume_store`` (typically the canonical merged store of a previous
     run) filters out cells whose content hash is already completed, exactly
     like the engine's own resume path.  The run context is recorded in the
-    queue so ``merge`` can stamp it into the canonical store for the
-    results service.
+    queue alongside the cells.
     """
     _, specs, hashes = expand_experiment(
         experiment, backend=backend, base_seed=base_seed, axes=axes, params=params)

@@ -2,7 +2,7 @@
 
 Each worker group writes its own shard (no cross-process SQLite
 contention); this module folds any number of shards into the canonical
-store the ``report`` CLI and the results service read.  Three guarantees:
+store the ``report --db`` CLI reads.  Three guarantees:
 
 * **Schema agreement** — every shard (and the destination) must carry the
   current :data:`~repro.experiments.results.SCHEMA_VERSION`; opening a
@@ -24,11 +24,9 @@ store the ``report`` CLI and the results service read.  Three guarantees:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.experiments.results import ResultsStore
-
-from repro.fabric.dispatcher import FabricQueue
 
 
 class MergeConflictError(ValueError):
@@ -43,28 +41,18 @@ class MergeReport:
     shards: List[str] = field(default_factory=list)
     merged: int = 0
     duplicates: int = 0
-    contexts: int = 0
 
     def format_line(self) -> str:
         return (f"fabric: merged {self.merged} cells from {len(self.shards)} "
                 f"shards into {self.destination} "
-                f"({self.duplicates} duplicates skipped, "
-                f"{self.contexts} run contexts carried)")
+                f"({self.duplicates} duplicates skipped)")
 
 
-def merge_shards(
-    shard_paths: List[str],
-    dest_path: str,
-    queue_path: Optional[str] = None,
-) -> MergeReport:
+def merge_shards(shard_paths: List[str], dest_path: str) -> MergeReport:
     """Fold shard stores into ``dest_path`` (streaming, hash-deduplicated).
 
-    ``queue_path`` optionally names the fabric queue the campaign was
-    dispatched through; its per-experiment run contexts are stamped into
-    the canonical store's metadata so the results service can render each
-    experiment's exact report without being told the axes on its command
-    line.  Raises :class:`ValueError` on a shard with a mismatched schema
-    version and :class:`MergeConflictError` on row disagreement.
+    Raises :class:`ValueError` on a shard with a mismatched schema version
+    and :class:`MergeConflictError` on row disagreement.
     """
     report = MergeReport(destination=dest_path)
     with ResultsStore(dest_path) as dest:
@@ -85,9 +73,4 @@ def merge_shards(
                             f"than already merged — identical specs must "
                             f"produce identical rows; refusing to merge")
                     report.duplicates += 1
-        if queue_path is not None:
-            with FabricQueue(queue_path) as queue:
-                for experiment, context_json in queue.iter_contexts():
-                    dest.set_meta(f"context:{experiment}", context_json)
-                    report.contexts += 1
     return report

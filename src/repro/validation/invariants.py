@@ -106,7 +106,7 @@ def check_mpr_coverage(scenario) -> List[InvariantViolation]:
 
     violations: List[InvariantViolation] = []
     for node_id, node in sorted(scenario.nodes.items()):
-        olsr = getattr(node, "olsr", node)
+        olsr = getattr(node, "router", node)
         if not hasattr(olsr, "two_hop_set"):
             continue  # MPR coverage is an OLSR property; other backends skip
         symmetric = olsr.symmetric_neighbors()

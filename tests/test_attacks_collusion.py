@@ -122,7 +122,7 @@ def test_threat_stack_installs_and_mirrors_controls():
         node_id = "evil"
         answer_mutators = []
 
-        class olsr:
+        class router:
             node_id = "evil"
             forward_filters = []
 

@@ -41,6 +41,20 @@ def test_cli_usage_and_unknown_command(capsys):
     assert main([]) == 2
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 2
+    assert main(["campaign"]) == 2  # the campaign runs as `run campaign`
+    capsys.readouterr()
+
+
+def test_cli_campaign_subcommand_forwards(tmp_path, capsys):
+    # The campaign is reached through `run campaign`, like every experiment.
+    out = tmp_path / "campaign.txt"
+    assert main(["run", "campaign", "--axis", "total_nodes=8",
+                 "--param", "cycles=1", "--param", "warmup=20",
+                 "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "Campaign" in text
+    for system in ("detector", "watchdog", "beta", "cap-olsr", "averaging"):
+        assert system in text
     capsys.readouterr()
 
 
@@ -117,14 +131,6 @@ def test_cli_report_missing_db_is_an_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_campaign_subcommand_forwards(tmp_path, capsys):
-    out = tmp_path / "campaign.txt"
-    assert main(["campaign", "--node-counts", "8", "--cycles", "1",
-                 "--warmup", "20", "--output", str(out)]) == 0
-    assert b"Campaign" in out.read_bytes()
-    capsys.readouterr()
-
-
 # ---------------------------------------------------------------- fabric CLI
 def test_cli_fabric_pipeline_matches_single_process_report(tmp_path, capsys):
     queue = str(tmp_path / "q.sqlite")
@@ -142,7 +148,7 @@ def test_cli_fabric_pipeline_matches_single_process_report(tmp_path, capsys):
                  "--shard-dir", shards]) == 0
     assert main(["fabric", "status", "--queue", queue]) == 0
     assert "done=9" in capsys.readouterr().out
-    assert main(["fabric", "merge", "--into", merged, "--queue", queue,
+    assert main(["fabric", "merge", "--into", merged,
                  f"{shards}/shard-a.sqlite", f"{shards}/shard-b.sqlite"]) == 0
     assert main(["report", "--db", merged, "--experiment", "confidence_sweep",
                  *base, "--output", str(fabric_out)]) == 0

@@ -310,6 +310,49 @@ def test_serial_interrupt_keeps_earlier_commits():
     assert committed == ["h1"]
 
 
+def _marking_execute(payload):
+    """Module-level (picklable) worker: mark the cell as run, then sleep and
+    succeed or raise."""
+    import pathlib
+    import time as _time
+
+    marker_dir, name, duration = payload
+    pathlib.Path(marker_dir, name).touch()
+    _time.sleep(duration)
+    if name == "fail":
+        raise ValueError("cell failed")
+    return name
+
+
+def test_failing_cell_commits_completed_and_cancels_pending(tmp_path):
+    """A cell that raises must not leave the queued cells to run unseen.
+
+    Twelve cells on two workers: ``fast`` completes, ``fail`` raises.  The
+    exception propagates, the finished cell is committed, and the cells
+    still queued are cancelled instead of running to completion with their
+    results discarded (which is what a store-backed resume would then have
+    to execute again).
+    """
+    from repro.experiments.engine import execute_pending_cells
+
+    committed = []
+    pending = [((str(tmp_path), "fast", 0.0), "h-fast"),
+               ((str(tmp_path), "fail", 0.3), "h-fail")]
+    pending += [((str(tmp_path), f"slow{i}", 0.5), f"h-slow{i}")
+                for i in range(10)]
+    with pytest.raises(ValueError):
+        execute_pending_cells(pending, _marking_execute,
+                              lambda payload, digest, result: committed.append(digest),
+                              workers=2)
+    assert committed[0] == "h-fast"
+    assert "h-fail" not in committed
+    ran = {path.name for path in tmp_path.iterdir()}
+    # At most the cells already handed to the two workers ran; the rest
+    # were cancelled.
+    assert len(ran) <= 6
+    assert len(ran) < len(pending)
+
+
 # -------------------------------------------------------- fabric-facing API
 def test_expand_experiment_matches_run_expansion():
     from repro.experiments.engine import expand_experiment

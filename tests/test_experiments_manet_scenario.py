@@ -45,7 +45,7 @@ def test_only_the_victims_analyzer_subscription_is_logged(manet):
 
 def test_victim_is_attacker_neighbor(manet):
     scenario, _ = manet
-    assert scenario.attacker_id in scenario.victim.olsr.symmetric_neighbors()
+    assert scenario.attacker_id in scenario.victim.router.symmetric_neighbors()
 
 
 def test_olsr_converged_before_attack(manet):
@@ -53,9 +53,9 @@ def test_olsr_converged_before_attack(manet):
     # The victim and attacker sit in the connected core and must know routes
     # to most of the network (random placement can leave a few stragglers on
     # the fringe, so we do not require full convergence of every node).
-    assert len(scenario.victim.olsr.routing_table) >= 8
-    assert len(scenario.attacker.olsr.routing_table) >= 5
-    reachable_counts = [len(n.olsr.routing_table) for n in scenario.nodes.values()]
+    assert len(scenario.victim.router.routing_table) >= 8
+    assert len(scenario.attacker.router.routing_table) >= 5
+    reachable_counts = [len(n.router.routing_table) for n in scenario.nodes.values()]
     assert sum(reachable_counts) / len(reachable_counts) >= 5
 
 

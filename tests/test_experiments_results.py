@@ -1,4 +1,4 @@
-"""Tests for the SQLite-backed campaign results store and resume semantics."""
+"""Tests for the SQLite-backed experiment results store and resume semantics."""
 
 from __future__ import annotations
 
@@ -6,39 +6,33 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.campaign import (
-    SYSTEMS,
-    CampaignGrid,
-    CampaignSpec,
-    main,
-    run_campaign,
-)
+from repro.experiments.__main__ import main
+from repro.experiments.campaign import SYSTEMS
+from repro.experiments.engine import ExperimentSpec, run_experiment
+from repro.experiments.report import aggregate_rows
 from repro.experiments.results import ResultsStore, spec_content_hash
 
 
-def _spec(**overrides) -> CampaignSpec:
+def _spec(**overrides) -> ExperimentSpec:
     settings = dict(
-        run_id="n008-x-r0-detector", seed=1, node_count=8, liar_fraction=0.0,
-        loss_model="bernoulli", loss_probability=0.0, max_speed=0.0,
-        attack_variant="false_existing_link",
+        experiment="campaign", cell_id="total_nodes=8",
+        run_id="campaign/total_nodes=8", seed=1, backend="netsim",
+        params=(("liar_fraction", 0.0), ("total_nodes", 8)),
     )
     settings.update(overrides)
-    return CampaignSpec(**settings)
+    return ExperimentSpec(**settings)
 
 
-def _grid(**overrides) -> CampaignGrid:
-    settings = dict(
-        node_counts=(8,),
-        liar_fractions=(0.0, 0.25),
-        loss_models=("bernoulli:0.0",),
-        max_speeds=(0.0,),
-        systems=("detector", "averaging"),
-        base_seed=7,
-        warmup=20.0,
-        cycles=1,
-    )
-    settings.update(overrides)
-    return CampaignGrid(**settings)
+#: A 2-cell campaign (liar fraction 0 and 0.25 at 8 nodes, one short
+#: detection cycle); every cell stores one row per system.
+_AXES = {"total_nodes": (8,), "liar_fraction": (0.0, 0.25)}
+_PARAMS = {"warmup": 20.0, "cycles": 1}
+
+
+def _campaign(**kwargs):
+    kwargs.setdefault("axes", _AXES)
+    kwargs.setdefault("params", _PARAMS)
+    return run_experiment("campaign", **kwargs)
 
 
 # ------------------------------------------------------------- content hash
@@ -46,8 +40,10 @@ def test_spec_content_hash_is_stable_and_field_sensitive():
     spec = _spec()
     assert spec_content_hash(spec) == spec_content_hash(_spec())
     assert spec.content_hash() == spec_content_hash(spec)
-    for change in (dict(seed=2), dict(node_count=16), dict(system="beta"),
-                   dict(warmup=30.0), dict(cycles=6)):
+    for change in (dict(seed=2), dict(params=(("total_nodes", 16),)),
+                   dict(backend="oracle"), dict(experiment="figure1"),
+                   dict(params=(("liar_fraction", 0.0), ("total_nodes", 8),
+                                ("warmup", 30.0)))):
         assert spec_content_hash(_spec(**change)) != spec_content_hash(spec)
 
 
@@ -57,15 +53,15 @@ def test_store_roundtrip_and_streaming_order(tmp_path):
     spec_b = _spec(run_id="b-cell")
     spec_a = _spec(run_id="a-cell", seed=2)
     with ResultsStore(path) as store:
-        digest_b = store.record(spec_b, {"run_id": "b-cell", "x": 1.5, "ok": True})
-        store.record(spec_a, {"run_id": "a-cell", "x": None, "ok": False})
+        digest_b = store.record(spec_b, [{"run_id": "b-cell", "x": 1.5, "ok": True}])
+        store.record(spec_a, [{"run_id": "a-cell", "x": None, "ok": False}])
         assert digest_b == spec_content_hash(spec_b)
         assert digest_b in store
         assert "missing" not in store
         assert len(store) == 2
-        assert store.get_row(digest_b) == {"run_id": "b-cell", "x": 1.5, "ok": True}
+        assert store.get_row(digest_b) == [{"run_id": "b-cell", "x": 1.5, "ok": True}]
         assert store.get_row("missing") is None
-        # Streaming is ordered by run_id and filterable per campaign.
+        # Streaming is ordered by run_id and filterable per run.
         assert [r["run_id"] for r in store.iter_rows()] == ["a-cell", "b-cell"]
         assert [r["run_id"] for r in store.iter_rows([digest_b])] == ["b-cell"]
 
@@ -89,95 +85,89 @@ def test_store_rejects_unknown_schema_version(tmp_path):
 def test_record_replaces_existing_row(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
         spec = _spec()
-        digest = store.record(spec, {"run_id": spec.run_id, "v": 1})
-        store.record(spec, {"run_id": spec.run_id, "v": 2})
+        digest = store.record(spec, [{"run_id": spec.run_id, "v": 1}])
+        store.record(spec, [{"run_id": spec.run_id, "v": 2}])
         assert len(store) == 1
-        assert store.get_row(digest) == {"run_id": spec.run_id, "v": 2}
+        assert store.get_row(digest) == [{"run_id": spec.run_id, "v": 2}]
 
 
 def test_completed_hashes_chunks_large_sets(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
         specs = [_spec(run_id=f"cell-{i:04d}", seed=i) for i in range(7)]
-        digests = [store.record(s, {"run_id": s.run_id}) for s in specs]
+        digests = [store.record(s, [{"run_id": s.run_id}]) for s in specs]
         probe = digests + [f"absent-{i}" for i in range(600)]
         assert store.completed_hashes(probe) == set(digests)
 
 
 # ------------------------------------------------------------------- resume
 def test_interrupted_campaign_resumes_and_report_is_byte_identical(tmp_path):
-    grid = _grid()
-    total = grid.size()
-    assert total == 4
-    reference = run_campaign(grid).format_report()  # uninterrupted, in-memory
+    total = 2
+    reference = _campaign().format_report()  # uninterrupted, in-memory
 
     path = str(tmp_path / "campaign.sqlite")
     with ResultsStore(path) as store:
-        # "Kill" the campaign after 2 of 4 cells.
-        partial = run_campaign(grid, store=store, max_new_runs=2)
-        assert len(partial.executed_run_ids) == 2
+        # "Kill" the campaign after 1 of 2 cells.
+        partial = _campaign(store=store, max_new_runs=1)
+        assert len(partial.executed_run_ids) == 1
         assert partial.skipped_run_ids == []
-        assert len(store) == 2
+        assert len(store) == 1
 
-    # Reopen the store: only the remaining cells are executed.
+    # Reopen the store: only the remaining cell is executed.
     with ResultsStore(path) as store:
-        resumed = run_campaign(grid, store=store)
-        assert len(resumed.skipped_run_ids) == 2
-        assert len(resumed.executed_run_ids) == total - 2
+        resumed = _campaign(store=store)
+        assert len(resumed.skipped_run_ids) == 1
+        assert len(resumed.executed_run_ids) == total - 1
         assert set(resumed.skipped_run_ids) | set(resumed.executed_run_ids) == {
-            spec.run_id for spec in grid.expand()
+            spec.run_id for spec in resumed.specs
         }
         assert resumed.format_report() == reference
 
     # A third invocation is a pure replay: nothing executes, same report.
     with ResultsStore(path) as store:
-        replay = run_campaign(grid, store=store)
+        replay = _campaign(store=store)
         assert replay.executed_run_ids == []
         assert len(replay.skipped_run_ids) == total
         assert replay.format_report() == reference
 
 
 def test_resume_false_re_executes_stored_cells(tmp_path):
-    grid = _grid(liar_fractions=(0.0,), systems=("detector",))
+    axes = {"total_nodes": (8,), "liar_fraction": (0.0,)}
     with ResultsStore(str(tmp_path / "campaign.sqlite")) as store:
-        first = run_campaign(grid, store=store)
+        first = _campaign(axes=axes, store=store)
         assert len(first.executed_run_ids) == 1
-        again = run_campaign(grid, store=store, resume=False)
+        again = _campaign(axes=axes, store=store, resume=False)
         assert len(again.executed_run_ids) == 1
         assert again.skipped_run_ids == []
 
 
 def test_store_backed_campaign_matches_parallel_and_serial(tmp_path):
-    grid = _grid(systems=("detector",))
-    serial = run_campaign(grid).format_report()
+    serial = _campaign().format_report()
     with ResultsStore(str(tmp_path / "campaign.sqlite")) as store:
-        parallel = run_campaign(grid, workers=2, store=store)
+        parallel = _campaign(workers=2, store=store)
         assert parallel.format_report() == serial
 
 
-# ------------------------------------------------------------- systems axis
+# ------------------------------------------------------------------ systems
 def test_one_grid_compares_detector_against_all_baselines():
-    grid = _grid(liar_fractions=(0.25,), systems=SYSTEMS, cycles=2, warmup=25.0)
-    result = run_campaign(grid, workers=2)
-    rows = result.as_rows()
+    result = _campaign(axes={"total_nodes": (8,), "liar_fraction": (0.25,)},
+                       params={"warmup": 25.0, "cycles": 2})
+    rows = result.rows()
     assert len(rows) == len(SYSTEMS)
-    assert sorted(row["system"] for row in rows) == sorted(SYSTEMS)
+    assert [row["system"] for row in rows] == list(SYSTEMS)
     # Every system judged the identical simulation.
     assert len({row["seed"] for row in rows}) == 1
     assert len({row["frames_sent"] for row in rows}) == 1
-    comparison = result.aggregate(("system",))
+    comparison = aggregate_rows(rows, ("system",), ("flagged", "attacker_trust"))
     assert [row["system"] for row in comparison] == sorted(SYSTEMS)
     report = result.format_report()
-    assert "Detector vs baselines" in report
     for system in SYSTEMS:
         assert system in report
 
 
 # ---------------------------------------------------------------------- CLI
 def _cli_args(db_path: str) -> list:
-    return ["--node-counts", "8", "--liar-fractions", "0.0",
-            "--loss", "bernoulli:0.0", "--speeds", "0",
-            "--systems", "detector,averaging",
-            "--warmup", "20", "--cycles", "1", "--db", db_path]
+    return ["--axis", "total_nodes=8", "--axis", "liar_fraction=0.0",
+            "--param", "warmup=20", "--param", "cycles=1", "--db", db_path]
 
 
 def test_cli_db_resume_and_report_subcommand(tmp_path, capsys):
@@ -186,19 +176,21 @@ def test_cli_db_resume_and_report_subcommand(tmp_path, capsys):
     out_b = tmp_path / "b.txt"
     out_c = tmp_path / "c.txt"
 
-    assert main(_cli_args(db_path) + ["--output", str(out_a)]) == 0
+    assert main(["run", "campaign", *_cli_args(db_path), "--output", str(out_a)]) == 0
     # Resumed invocation executes nothing but reports identically.
-    assert main(_cli_args(db_path) + ["--resume", "--output", str(out_b)]) == 0
+    assert main(["run", "campaign", *_cli_args(db_path), "--resume",
+                 "--output", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     # The report subcommand re-aggregates the store without re-running.
-    assert main(["report", "--db", db_path, "--output", str(out_c)]) == 0
+    assert main(["report", "--experiment", "campaign", *_cli_args(db_path),
+                 "--output", str(out_c)]) == 0
     assert out_c.read_bytes() == out_a.read_bytes()
     capsys.readouterr()  # swallow the printed reports
 
 
 def test_cli_resume_requires_db(capsys):
     with pytest.raises(SystemExit):
-        main(["--resume"])
+        main(["run", "campaign", "--resume"])
     capsys.readouterr()
 
 
@@ -214,7 +206,7 @@ def test_cli_report_subcommand_missing_db(tmp_path, capsys):
 
 def test_cli_run_with_unopenable_db_errors_cleanly(tmp_path, capsys):
     bad = str(tmp_path / "no_such_dir" / "c.sqlite")
-    assert main(["--node-counts", "8", "--cycles", "1", "--db", bad]) == 1
+    assert main(["run", "campaign", "--param", "cycles=1", "--db", bad]) == 1
     assert "cannot open results store" in capsys.readouterr().err
 
 
@@ -235,7 +227,7 @@ def test_nan_and_infinite_metrics_round_trip(tmp_path):
            "pos": float("inf"), "neg": float("-inf"), "finite": 0.1 + 0.2}
     with ResultsStore(path) as store:
         spec = _spec(run_id="hostile-nan")
-        digest = store.record(spec, row)
+        digest = store.record(spec, [row])
         raw_before = store._connection.execute(
             "SELECT row_json FROM runs WHERE spec_hash = ?", (digest,)
         ).fetchone()[0]
@@ -245,7 +237,7 @@ def test_nan_and_infinite_metrics_round_trip(tmp_path):
             "SELECT row_json FROM runs WHERE spec_hash = ?", (digest,)
         ).fetchone()[0]
         assert raw_after == raw_before  # byte-identical across resume
-        loaded = store.get_row(digest)
+        (loaded,) = store.get_row(digest)
         assert math.isnan(loaded["nan"])
         assert loaded["pos"] == float("inf")
         assert loaded["neg"] == float("-inf")
@@ -277,11 +269,11 @@ def test_unicode_and_param_heavy_specs_round_trip(tmp_path):
 
     path = str(tmp_path / "runs.sqlite")
     with ResultsStore(path) as store:
-        digest = store.record(spec, row)
+        digest = store.record(spec, [row])
         assert digest == spec.content_hash()
 
     with ResultsStore(path) as store:
-        assert store.get_row(digest) == row
+        assert store.get_row(digest) == [row]
         assert list(store.iter_rows([digest])) == [row]
         import json
 
@@ -293,13 +285,13 @@ def test_unicode_and_param_heavy_specs_round_trip(tmp_path):
 
 
 def test_multi_row_cells_flatten_identically_after_resume(tmp_path):
-    """A multi-row engine cell streams the same flat rows before and after
-    reopening, interleaved correctly with single-row campaign cells."""
+    """A multi-row cell streams the same flat rows before and after
+    reopening, interleaved correctly with single-row cells."""
     import json
 
     multi = [{"run_id": "multi", "node": f"n{i:02d}", "trust": i / 7.0}
              for i in range(7)]
-    single = {"run_id": "single", "x": 1}
+    single = [{"run_id": "single", "x": 1}]
     path = str(tmp_path / "runs.sqlite")
     with ResultsStore(path) as store:
         digest_multi = store.record(_spec(run_id="multi", seed=3), multi)
@@ -309,29 +301,28 @@ def test_multi_row_cells_flatten_identically_after_resume(tmp_path):
     with ResultsStore(path) as store:
         resumed = list(store.iter_rows([digest_multi, digest_single]))
         assert json.dumps(resumed) == json.dumps(live)
-        assert resumed == multi + [single]
+        assert resumed == multi + single
         assert store.get_row(digest_multi) == multi
 
 
 # ------------------------------------------------------------ stored fields
 def test_stored_spec_json_round_trips(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        spec = _spec(system="beta")
-        digest = store.record(spec, {"run_id": spec.run_id})
+        spec = _spec(backend="oracle")
+        digest = store.record(spec, [{"run_id": spec.run_id}])
         import json
 
         stored = store._connection.execute(
-            "SELECT system, spec_json FROM runs WHERE spec_hash = ?", (digest,)
+            "SELECT spec_json FROM runs WHERE spec_hash = ?", (digest,)
         ).fetchone()
-        assert stored[0] == "beta"
-        assert json.loads(stored[1]) == dataclasses.asdict(spec)
+        assert json.loads(stored[0]) == json.loads(json.dumps(dataclasses.asdict(spec)))
 
 
 # ------------------------------------------------- fabric-facing store APIs
 def test_count_rows_flattens_multi_row_cells(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
         assert store.count_rows() == 0
-        store.record(_spec(run_id="single"), {"run_id": "single"})
+        store.record(_spec(run_id="single"), [{"run_id": "single"}])
         multi = [{"run_id": "multi", "node": i} for i in range(5)]
         store.record(_spec(run_id="multi", seed=2), multi)
         assert store.count_rows() == 6
@@ -340,26 +331,9 @@ def test_count_rows_flattens_multi_row_cells(tmp_path):
 
 def test_has_cell_mirrors_containment(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        digest = store.record(_spec(), {"run_id": "x"})
+        digest = store.record(_spec(), [{"run_id": "x"}])
         assert store.has_cell(digest)
         assert not store.has_cell("absent")
-
-
-def test_meta_round_trip_and_prefix_iteration(tmp_path):
-    with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        store.set_meta("context:figure1", '{"params":{}}')
-        store.set_meta("context:figure2", '{"params":{"rounds":3}}')
-        store.set_meta("note", "hello")
-        assert store.get_meta("context:figure1") == '{"params":{}}'
-        assert store.get_meta("absent", "fallback") == "fallback"
-        assert list(store.iter_meta("context:")) == [
-            ("context:figure1", '{"params":{}}'),
-            ("context:figure2", '{"params":{"rounds":3}}'),
-        ]
-        # schema_version is managed by the store and never exposed/overwritten.
-        assert all(key != "schema_version" for key, _ in store.iter_meta())
-        with pytest.raises(ValueError):
-            store.set_meta("schema_version", "999")
 
 
 def test_iter_records_streams_raw_stored_text(tmp_path):
@@ -367,12 +341,11 @@ def test_iter_records_streams_raw_stored_text(tmp_path):
 
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
         spec = _spec(run_id="raw")
-        digest = store.record(spec, {"run_id": "raw", "x": float("inf")})
+        digest = store.record(spec, [{"run_id": "raw", "x": float("inf")}])
         records = list(store.iter_records())
         assert len(records) == 1
         record = records[0]
         assert record.spec_hash == digest
         assert record.run_id == "raw"
-        assert record.system == "detector"
         assert record.row_json == store.raw_row_json(digest)
         assert json.loads(record.spec_json)["run_id"] == "raw"

@@ -87,7 +87,6 @@ def test_nan_and_inf_rows_survive_merge_byte_identically(tmp_path):
 def test_merge_copies_raw_records_not_reencoded_json(tmp_path):
     """record_raw must not normalise stored text (key order, spacing)."""
     record = StoreRecord(spec_hash="cafe" * 16, run_id="edge/raw",
-                         system="detector",
                          spec_json='{"b": 1, "a": 2}',
                          row_json='[{"z": 1.0,   "a": NaN}]')
     shard = str(tmp_path / "shard-raw.sqlite")

@@ -36,9 +36,9 @@ def _dispatch(tmp_path) -> str:
     return queue_path
 
 
-def _merged_report(shard_paths, tmp_path, queue_path=None) -> str:
+def _merged_report(shard_paths, tmp_path) -> str:
     merged_path = str(tmp_path / "merged.sqlite")
-    merge_shards(list(shard_paths), merged_path, queue_path=queue_path)
+    merge_shards(list(shard_paths), merged_path)
     with ResultsStore(merged_path) as store:
         result = run_experiment(_EXPERIMENT, params=_PARAMS, store=store,
                                 resume=True, max_new_runs=0)
@@ -58,8 +58,7 @@ def test_two_worker_groups_merge_to_byte_identical_report(tmp_path, golden_repor
     # Each group wrote only its own shard; together they cover the grid.
     with ResultsStore(a.shard_path) as shard:
         assert len(shard) == 4
-    report = _merged_report([a.shard_path, b.shard_path], tmp_path,
-                            queue_path=queue_path)
+    report = _merged_report([a.shard_path, b.shard_path], tmp_path)
     assert report == golden_report
 
 
@@ -81,7 +80,7 @@ def test_killed_worker_lease_is_redispatched_and_report_identical(
                       batch_size=2, lease_ttl=2.0, poll=0.05)
     assert live.executed == 9
     assert live.stolen == 3  # the ghost's whole in-flight batch, nothing more
-    report = _merged_report([live.shard_path], tmp_path, queue_path=queue_path)
+    report = _merged_report([live.shard_path], tmp_path)
     assert report == golden_report
 
 
@@ -104,7 +103,7 @@ def test_duplicate_execution_after_steal_merges_once(tmp_path, golden_report):
     assert live.executed == 9  # re-executed the 2 doomed cells too
     merged_path = str(tmp_path / "merged.sqlite")
     merge_report = merge_shards([doomed.shard_path, live.shard_path],
-                                merged_path, queue_path=queue_path)
+                                merged_path)
     assert merge_report.merged == 9
     assert merge_report.duplicates == 2
     with ResultsStore(merged_path) as store:
@@ -130,6 +129,28 @@ def test_worker_resumes_a_partially_done_queue(tmp_path, golden_report):
     first = run_worker(queue_path, "a", shard_dir, max_cells=6)
     second = run_worker(queue_path, "a", shard_dir)  # same group, same shard
     assert first.executed + second.executed == 9
-    report = _merged_report([shard_store_path(shard_dir, "a")], tmp_path,
-                            queue_path=queue_path)
+    report = _merged_report([shard_store_path(shard_dir, "a")], tmp_path)
     assert report == golden_report
+
+
+def test_campaign_dispatched_to_two_groups_merges_to_run_report(tmp_path):
+    """The campaign experiment distributes like any other: two worker
+    groups each execute one cell, and the merged store reports the same
+    bytes as the single-process run."""
+    axes = {"total_nodes": (8,), "liar_fraction": (0.0, 0.25)}
+    params = {"warmup": 20.0, "cycles": 1}
+    golden = run_experiment("campaign", axes=axes, params=params).format_report()
+    queue_path = str(tmp_path / "fabric.sqlite")
+    assert dispatch_experiment(queue_path, "campaign", axes=axes,
+                               params=params).enqueued == 2
+    shard_dir = str(tmp_path / "shards")
+    a = run_worker(queue_path, "a", shard_dir, batch_size=1, max_cells=1)
+    b = run_worker(queue_path, "b", shard_dir, batch_size=1)
+    assert (a.executed, b.executed) == (1, 1)
+    merged_path = str(tmp_path / "merged.sqlite")
+    assert merge_shards([a.shard_path, b.shard_path], merged_path).merged == 2
+    with ResultsStore(merged_path) as store:
+        merged = run_experiment("campaign", axes=axes, params=params,
+                                store=store, max_new_runs=0)
+        assert merged.executed_run_ids == []
+        assert merged.format_report() == golden

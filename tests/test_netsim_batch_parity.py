@@ -22,7 +22,7 @@ from repro.experiments.backends import (
     drive_netsim_scenario,
     scenario_config_from_params,
 )
-from repro.experiments.campaign import CampaignSpec, execute_spec
+from repro.experiments.engine import execute_cell, get_experiment
 from repro.netsim.medium import DistanceLossModel
 from repro.netsim.trace import TraceRecorder
 from repro.numerics import numpy_or_none
@@ -90,29 +90,20 @@ def test_batch_and_scalar_runs_are_identical(node_count, loss_model,
         assert got.trust_snapshot == want.trust_snapshot
 
 
-def test_campaign_row_json_identical_between_paths(monkeypatch):
+def test_campaign_row_json_identical_between_paths():
     """The JSON text a ResultsStore would persist is byte-identical.
 
     ``json.dumps`` serialises NaN/±inf as ``NaN``/``Infinity`` tokens, so
     comparing the dumped text covers non-finite metric values too.
     """
-    import repro.experiments.campaign as campaign_module
-    from repro.experiments.scenario import build_manet_scenario
-
-    spec = CampaignSpec(
-        run_id="parity", seed=11, node_count=16, liar_fraction=0.25,
-        loss_model="distance", loss_probability=0.8, max_speed=6.0,
-        attack_variant="false_existing_link", warmup=15.0, cycles=2,
-    )
-
     rows = {}
     for batch in (True, False):
-        def _build(*args, _batch=batch, **kwargs):
-            kwargs["batch_delivery"] = _batch
-            return build_manet_scenario(*args, **kwargs)
-
-        monkeypatch.setattr(campaign_module, "build_manet_scenario", _build)
-        rows[batch] = json.dumps(execute_spec(spec).as_row(), sort_keys=True)
+        (spec,) = get_experiment("campaign").expand(
+            axes={"total_nodes": (16,), "liar_fraction": (0.25,),
+                  "loss_model": ("distance",), "loss_probability": (0.8,),
+                  "max_speed": (6.0,)},
+            params={"warmup": 15.0, "cycles": 2, "batch_delivery": batch})
+        rows[batch] = json.dumps(execute_cell(spec), sort_keys=True)
     assert rows[True] == rows[False]
 
 

@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.experiments.engine import execute_cell, get_experiment
 from repro.netsim.engine import HeapSimulator, Simulator
 
 #: Wheel geometries cycled by seed: coarse/fine quanta, tiny wheels that
@@ -101,23 +102,26 @@ def test_random_schedules_trace_identical_to_heap_engine(seed):
     assert _trace(wheel, ops) == _trace(heap, ops)
 
 
+def _campaign_cell(warmup, **axes):
+    (spec,) = get_experiment("campaign").expand(
+        axes={name: (value,) for name, value in axes.items()},
+        params={"warmup": warmup, "cycles": 2})
+    return spec
+
+
 def test_campaign_row_json_identical_between_engines(monkeypatch):
     """A full campaign cell run under the heap engine and the timer-wheel
     engine persists byte-identical row JSON."""
     import repro.netsim.network as network_module
-    from repro.experiments.campaign import CampaignSpec, execute_spec
 
-    spec = CampaignSpec(
-        run_id="engine-parity", seed=11, node_count=16, liar_fraction=0.25,
-        loss_model="distance", loss_probability=0.8, max_speed=6.0,
-        attack_variant="false_existing_link", warmup=15.0, cycles=2,
-    )
+    spec = _campaign_cell(total_nodes=16, liar_fraction=0.25,
+                          loss_model="distance", loss_probability=0.8,
+                          max_speed=6.0, warmup=15.0)
 
     rows = {}
     for engine_cls in (Simulator, HeapSimulator):
         monkeypatch.setattr(network_module, "Simulator", engine_cls)
-        rows[engine_cls] = json.dumps(execute_spec(spec).as_row(),
-                                      sort_keys=True)
+        rows[engine_cls] = json.dumps(execute_cell(spec), sort_keys=True)
     assert rows[Simulator] == rows[HeapSimulator]
 
 
@@ -125,18 +129,13 @@ def test_mobile_lossy_cell_rows_identical_between_engines(monkeypatch):
     """Same check on a mobile + lossy cell, where mobility ticks, collision
     windows and AODV-style cancellations stress the wheel harder."""
     import repro.netsim.network as network_module
-    from repro.experiments.campaign import CampaignSpec, execute_spec
 
-    spec = CampaignSpec(
-        run_id="engine-parity-mobile", seed=23, node_count=20,
-        liar_fraction=0.2, loss_model="bernoulli", loss_probability=0.2,
-        max_speed=8.0, attack_variant="false_existing_link",
-        warmup=12.0, cycles=2,
-    )
+    spec = _campaign_cell(total_nodes=20, liar_fraction=0.2,
+                          loss_model="bernoulli", loss_probability=0.2,
+                          max_speed=8.0, warmup=12.0)
 
     rows = {}
     for engine_cls in (Simulator, HeapSimulator):
         monkeypatch.setattr(network_module, "Simulator", engine_cls)
-        rows[engine_cls] = json.dumps(execute_spec(spec).as_row(),
-                                      sort_keys=True)
+        rows[engine_cls] = json.dumps(execute_cell(spec), sort_keys=True)
     assert rows[Simulator] == rows[HeapSimulator]

@@ -113,7 +113,7 @@ def test_canonical_scenario_satisfies_mpr_invariant():
     scenario.warm_up(30.0)
     assert check_mpr_coverage(scenario) == []
     # The canonical topology is engineered so the victim needs an MPR.
-    assert scenario.victim.olsr.mpr_set
+    assert scenario.victim.router.mpr_set
 
 
 def test_random_manet_satisfies_mpr_invariant_across_seeds():

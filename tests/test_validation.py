@@ -105,7 +105,7 @@ def test_duplicate_suppression_checker_flags_double_relay():
     assert check_duplicate_suppression(scenario) == []
     from repro.logs.records import LogCategory
 
-    olsr = scenario.nodes["relay"].olsr
+    olsr = scenario.nodes["relay"].router
     for _ in range(2):
         olsr.log.log(99.0, LogCategory.FORWARD, "RELAYED",
                      origin="victim", seq=1234, ttl=3, last_hop="victim")
