@@ -12,7 +12,8 @@ workloads (broadcast floods plus connectivity queries at constant node
 density) and asserts the fast path wins from 64 nodes up.
 
 ``test_bench_batch_delivery_speedup`` compares the medium's batched broadcast
-resolution against the per-receiver scalar path, and
+resolution against the per-receiver reference medium in ``tests/reference/``,
+and
 ``test_bench_campaign_cell_scale`` records a full campaign cell at 256 and
 1,024 nodes (the latter behind ``REPRO_SCALE_BENCH=1``: it runs for several
 minutes by design).
@@ -29,7 +30,7 @@ import pytest
 from repro.experiments import format_table
 from repro.experiments.engine import execute_cell, get_experiment
 from repro.experiments.scenario import build_manet_scenario
-from repro.netsim.engine import HeapSimulator, Simulator
+from repro.netsim.engine import Simulator
 from repro.netsim.medium import (
     DistanceLossModel,
     UnitDiskPropagation,
@@ -38,6 +39,7 @@ from repro.netsim.medium import (
 from repro.netsim.mobility import GridPlacement
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from tests.reference import HeapSimulator, PerReceiverMedium
 
 
 def _run_network(node_count: int, duration: float = 60.0):
@@ -142,8 +144,7 @@ def test_bench_medium_fast_path(benchmark, emit, node_count):
     )
 
 
-def _delivery_workload(node_count: int, batch_delivery: bool,
-                       rounds: int = 10) -> float:
+def _delivery_workload(node_count: int, medium_cls, rounds: int = 10) -> float:
     """Broadcast floods through a lossy dense channel; returns wall-clock.
 
     Node density (grid spacing 60 m at 250 m range, ~50 receivers per
@@ -151,11 +152,10 @@ def _delivery_workload(node_count: int, batch_delivery: bool,
     no connectivity queries, so the measurement isolates delivery resolution.
     """
     simulator = Simulator()
-    medium = WirelessMedium(
+    medium = medium_cls(
         simulator,
         propagation=UnitDiskPropagation(radio_range=250.0),
         loss_model=DistanceLossModel(radio_range=250.0, rng=random.Random(9)),
-        batch_delivery=batch_delivery,
     )
     network = Network(simulator=simulator, medium=medium,
                       mobility=GridPlacement(spacing=60.0))
@@ -180,16 +180,16 @@ def _delivery_workload(node_count: int, batch_delivery: bool,
 
 @pytest.mark.parametrize("node_count", [256, 512])
 def test_bench_batch_delivery_speedup(benchmark, emit, node_count):
-    """Batched broadcast resolution must clearly beat the scalar path.
+    """Batched broadcast resolution must clearly beat per-receiver delivery.
 
     Best-of-3 on both sides so one scheduler hiccup cannot flip the
     comparison; the assertion is relaxed on starved single-core runners.
     """
     batch = benchmark.pedantic(
-        _delivery_workload, args=(node_count, True), rounds=1, iterations=1)
-    batch = min([batch] + [_delivery_workload(node_count, True)
+        _delivery_workload, args=(node_count, WirelessMedium), rounds=1, iterations=1)
+    batch = min([batch] + [_delivery_workload(node_count, WirelessMedium)
                            for _ in range(2)])
-    scalar = min(_delivery_workload(node_count, False) for _ in range(3))
+    scalar = min(_delivery_workload(node_count, PerReceiverMedium) for _ in range(3))
     speedup = scalar / batch if batch else float("inf")
     rows = [{
         "nodes": node_count,
@@ -257,8 +257,8 @@ def _engine_workload(simulator, node_count: int = 256,
 
 @pytest.mark.parametrize("node_count", [256])
 def test_bench_engine_throughput_vs_heap(benchmark, emit, node_count):
-    """The timer-wheel engine must push >= 1.5x the events/sec of the PR 8
-    heap engine on the 256-node campaign cell's scheduler workload.
+    """The timer-wheel engine must push >= 1.5x the events/sec of the
+    reference heap engine on the 256-node campaign cell's scheduler workload.
 
     Best-of-3 on both engines so one scheduler hiccup cannot flip the
     comparison; both process the exact same event stream (the parity suite

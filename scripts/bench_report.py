@@ -6,10 +6,10 @@ future PRs can diff performance machine-readably instead of eyeballing
 pytest-benchmark tables:
 
 * engine events/sec on the 256-node campaign-shaped scheduler workload,
-  timer-wheel vs the retained PR 8 heap engine;
+  timer-wheel vs the reference heap engine in ``tests/reference/``;
 * wall-clock of one reduced 256-node campaign cell (2 detection cycles),
   with the engine counters of the run;
-* mobility tick throughput (vectorised vs scalar) at 1,024 nodes.
+* mobility tick throughput at 1,024 nodes.
 
 Usage::
 
@@ -34,12 +34,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
-from repro.netsim.engine import HeapSimulator, Simulator  # noqa: E402
+from repro.netsim.engine import Simulator  # noqa: E402
 from repro.netsim.mobility import RandomWalkMobility  # noqa: E402
 
 from benchmarks.test_bench_olsr_scale import _engine_workload  # noqa: E402
+from tests.reference import HeapSimulator  # noqa: E402
 
-SCHEMA = "repro.bench_engine/1"
+SCHEMA = "repro.bench_engine/2"
 
 
 def bench_engine_throughput(node_count: int = 256, repeats: int = 3) -> dict:
@@ -93,12 +94,7 @@ def bench_campaign_cell(node_count: int = 256, area_size: float = 2800.0) -> dic
 
 
 def bench_mobility_ticks(node_count: int = 1024, ticks: int = 300) -> dict:
-    """Mobility tick throughput, vectorised vs forced-scalar.
-
-    Uses the random-walk model: its tick is draw-bound and dispatches to
-    the numpy path in production (waypoint's gather-bound tick stays
-    scalar by measured choice, so benchmarking it would compare scalar
-    against scalar)."""
+    """Mobility tick throughput of the random-walk model (a draw-bound tick)."""
 
     class _Clock:
         now = 0.0
@@ -108,26 +104,18 @@ def bench_mobility_ticks(node_count: int = 1024, ticks: int = 300) -> dict:
             self.positions = dict(positions)
             self.simulator = _Clock()
 
-    def measure(scalar: bool) -> float:
-        model = RandomWalkMobility(width=5600.0, height=5600.0,
-                                   rng=random.Random(7))
-        net = _Net(model.place([f"n{i:04d}" for i in range(node_count)]))
-        advance = model._advance_scalar if scalar else model._advance
-        started = time.perf_counter()
-        for tick in range(ticks):
-            net.simulator.now = (tick + 1) * model.update_interval
-            advance(net)
-        return time.perf_counter() - started
-
-    vector_s = measure(scalar=False)
-    scalar_s = measure(scalar=True)
+    model = RandomWalkMobility(width=5600.0, height=5600.0, rng=random.Random(7))
+    net = _Net(model.place([f"n{i:04d}" for i in range(node_count)]))
+    started = time.perf_counter()
+    for tick in range(ticks):
+        net.simulator.now = (tick + 1) * model.update_interval
+        model._advance(net)
+    elapsed = time.perf_counter() - started
     return {
         "nodes": node_count,
         "ticks": ticks,
         "model": "random_walk",
-        "vector_ticks_per_s": round(ticks / vector_s, 1),
-        "scalar_ticks_per_s": round(ticks / scalar_s, 1),
-        "speedup": round(scalar_s / vector_s, 2),
+        "ticks_per_s": round(ticks / elapsed, 1),
     }
 
 
@@ -150,8 +138,8 @@ def main(argv=None) -> int:
     }
     print(f"engine throughput: {report['engine_throughput']['speedup']}x "
           "wheel over heap", flush=True)
-    print(f"mobility ticks: {report['mobility_ticks']['speedup']}x "
-          "vector over scalar", flush=True)
+    print(f"mobility ticks: {report['mobility_ticks']['ticks_per_s']}/s "
+          f"at {report['mobility_ticks']['nodes']} nodes", flush=True)
     if not args.skip_cell:
         report["campaign_cell"] = bench_campaign_cell(args.cell_nodes)
         print(f"campaign cell ({args.cell_nodes} nodes): "

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Scale smoke test: a reduced 256-node, 2-cycle cell on the full netsim
-# backend, run once through the batched delivery path and once through the
-# per-receiver scalar path.  Batching is a pure performance optimisation,
-# so the two reports must be byte-identical.
+# backend, whose report must equal the committed golden byte for byte.
+# The golden pins the simulation's outputs at scale; regenerate it only for
+# a change meant to alter what a spec simulates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -17,20 +17,15 @@ cell=(figure1 --backend netsim
       --param total_nodes=256 --param liar_count=25
       --param area_size=2800 --param warmup=12 --param cycles=2)
 
-echo "== batch-mode cell (256 nodes, 2 cycles)"
-python -m repro.experiments run "${cell[@]}" \
-    --param batch_delivery=true --output "$workdir/batch.txt"
+echo "== 256-node cell, 2 cycles"
+python -m repro.experiments run "${cell[@]}" --output "$workdir/report.txt"
 
-echo "== scalar-mode cell (identical inputs)"
-python -m repro.experiments run "${cell[@]}" \
-    --param batch_delivery=false --output "$workdir/scalar.txt"
-
-echo "== diff batch vs scalar report"
-diff "$workdir/batch.txt" "$workdir/scalar.txt"
-echo "scale smoke: OK (batch report byte-identical to the scalar path)"
+echo "== diff report vs tests/golden/scale_smoke_figure1.txt"
+diff tests/golden/scale_smoke_figure1.txt "$workdir/report.txt"
+echo "scale smoke: OK (report byte-identical to the golden)"
 
 # Machine-readable perf trajectory: engine events/sec (timer wheel vs the
-# retained heap reference), mobility tick throughput, and — unless
+# reference heap engine), mobility tick throughput, and — unless
 # REPRO_SMOKE_SKIP_CELL=1 — one 256-node campaign cell wall-clock.  CI
 # uploads the JSON so PRs can be diffed against each other numerically.
 echo "== engine perf snapshot (BENCH_engine.json)"

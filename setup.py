@@ -18,10 +18,9 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=[
-        # The netsim batch-delivery path, vectorised MPR selection and the
-        # vectorised trust updates use numpy; every import site keeps a
-        # pure-Python fallback (repro.numerics.numpy_or_none), so the
-        # simulator still runs — scalar and slower — without it.
+        # The trust manager's Eq. 5 update evaluates slots of 16 or more
+        # subjects with numpy, imported lazily inside that path; every
+        # other kernel is pure Python.
         "numpy",
     ],
 )

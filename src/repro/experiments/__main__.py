@@ -322,11 +322,6 @@ def build_validate_parser() -> argparse.ArgumentParser:
                         help="fuzz the routing backend as an extra axis "
                              "(e.g. olsr,aodv,geo); non-OLSR samples are "
                              "invariant-checked only")
-    parser.add_argument("--medium", choices=("batch", "scalar", "both"),
-                        default="batch",
-                        help="wireless-medium delivery path to audit: the "
-                             "batched broadcast fast path (default), the "
-                             "per-receiver scalar path, or both per sample")
     parser.add_argument("--no-minimize", action="store_true",
                         help="report raw failing scenarios without shrinking them")
     parser.add_argument("--output", type=str, default=None,
@@ -370,7 +365,6 @@ def validate_main(argv: Sequence[str]) -> int:
         profiles=profiles,
         minimize=not args.no_minimize,
         protocols=protocols,
-        medium=args.medium,
     )
     emit_report(report.format_report(), args.output)
     return 0 if report.ok else 1

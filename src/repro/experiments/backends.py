@@ -60,7 +60,7 @@ NETSIM_PARAMS = frozenset((
     "area_size", "radio_range", "warmup", "attack_start", "cycles",
     "cycle_length", "loss_model", "loss_probability", "max_speed",
     "attack_variant", "mobility_model", "threat", "drop_probability",
-    "protocol", "batch_delivery",
+    "protocol",
 ))
 
 #: Parameters consumed by the engine itself rather than a backend.
@@ -155,7 +155,6 @@ def build_netsim_scenario(config: ScenarioConfig,
         drop_probability=float(param("drop_probability", 0.7)),
         trust_parameters=config.trust,
         protocol=str(param("protocol", "olsr")),
-        batch_delivery=bool(param("batch_delivery", True)),
     )
     if config.random_initial_trust:
         # Mirror the oracle loop's "randomly set initial trust" step on the
@@ -254,9 +253,9 @@ def drive_netsim_scenario(scenario, config: ScenarioConfig,
     result.stats = {
         "frames_sent": network.medium.stats.frames_sent,
         "frames_delivered": network.medium.stats.frames_delivered,
-        # Batched broadcasts run one event for many deliveries; add the
-        # elided per-receiver events back so the metric means the same
-        # logical work on both medium paths (rows stay byte-identical).
+        # Batched deliveries run one event for many receivers; add the
+        # elided per-receiver events back so the metric counts one event
+        # per delivery.
         "events_processed": (network.simulator.processed_events
                              + network.medium.batched_deliveries_saved),
         # Scheduler counters (pushes/pops/cancelled_skipped/wheel_hits/

@@ -277,7 +277,6 @@ def build_manet_scenario(
     drop_probability: float = 0.7,
     trust_parameters: Optional["TrustParameters"] = None,
     protocol: str = "olsr",
-    batch_delivery: bool = True,
 ) -> SimulationScenario:
     """Build an ``node_count``-node random MANET with one attacker and liars.
 
@@ -324,10 +323,6 @@ def build_manet_scenario(
     ``attack_start`` with ``drop_probability``), so drop-evidence detection
     is exercised on every backend.  Liars attach to the investigation
     responder path and are protocol-agnostic.
-
-    ``batch_delivery`` toggles the medium's batched broadcast path (on by
-    default; results are identical either way — it is purely a performance
-    knob, exposed so campaigns can A/B the two paths).
     """
     if node_count < 4:
         raise ValueError("a MANET scenario needs at least 4 nodes")
@@ -343,7 +338,6 @@ def build_manet_scenario(
         simulator,
         propagation=UnitDiskPropagation(radio_range=radio_range),
         loss_model=_build_loss_model(loss_model, loss_probability, radio_range, seed),
-        batch_delivery=batch_delivery,
     )
     mobility_rng = random.Random(stable_seed(seed, "mobility"))
     mobility = _build_mobility(mobility_model, area_size, max_speed, mobility_rng)

@@ -20,25 +20,24 @@ documented in DESIGN.md: a unit-disk radio with Bernoulli loss and an
 optional collision window reproduces the properties the detection system
 depends on (broadcast neighbourhoods, lost answers, asymmetric links).
 
-Batched tick pipeline
----------------------
-At 1,024-node scale the dominant cost is per-event Python overhead, so the
-hot path is organised as a batch pipeline rather than per-receiver
-callbacks:
+Batched delivery
+----------------
+At 1,024-node scale the dominant cost is per-event Python overhead, so a
+transmission is resolved once for all of its receivers:
 
-1. **Candidate selection** — a broadcast asks the spatial grid for the
-   cell ring around the sender: a conservative superset of reachable
-   receivers in O(neighbours).
-2. **Batch resolution** — range checks and loss probabilities are
-   evaluated over numpy position/distance arrays for the whole candidate
-   set; loss draws are consumed in the receivers' scalar iteration order,
-   which keeps every RNG stream — and therefore every trace and stored
-   row — byte-identical to the per-receiver path
-   (``batch_delivery=False``).
+1. **Receiver resolution** — a broadcast asks the spatial grid for the
+   cell ring around the sender (a conservative superset of reachable
+   receivers in O(neighbours)) and range-checks it once per position
+   epoch; the result is cached per sender until a node moves.
+2. **Loss draws** — consumed in receiver order, one per receiver.
 3. **Single delivery event** — one simulator event fans the frame out to
    the surviving receivers; the per-receiver events it replaces are
    tallied in ``WirelessMedium.batched_deliveries_saved`` so reported
-   event counts stay comparable across both paths.
+   event counts mean one event per delivery.  Collision models and jitter
+   keep one event per receiver.
+
+``tests/test_netsim_batch_parity.py`` pins this, trace for trace, against
+a per-receiver medium kept in ``tests/reference/``.
 
 Downstream, the OLSR node amortises its RFC recomputations the same way:
 MPR selection and the routing table are version-gated on the link-state
@@ -47,26 +46,24 @@ per received message.
 
 Scheduler core
 --------------
-Under the pipeline sits a two-tier event scheduler
+Under the medium sits a two-tier event scheduler
 (:class:`~repro.netsim.engine.Simulator`): a timer wheel of per-slot
 min-heaps absorbs the near-future events that dominate protocol traffic
 (HELLO/TC jitter, delivery delays, retry timers land O(1) in their slot),
 while an overflow heap holds everything beyond the wheel horizon and
 migrates forward as the wheel turns.  Execution order is exactly the
-``(time, sequence)`` FIFO of the PR 8 heap engine — kept as
-:class:`~repro.netsim.engine.HeapSimulator` and pinned trace-identical by
-``tests/test_netsim_engine_parity.py`` — so the swap changes wall-clock,
-never results.  Event records are ``__slots__``-pooled, cancellations are
-skipped lazily and compacted when the dead backlog grows, and the
-engine's ``counters()`` (pushes, pops, cancelled skips, wheel hits,
-compactions) surface through ``Network.engine_counters()`` into
-experiment run stats.  Mobility ticks ride the same event spine: one
-periodic engine event advances the whole population, vectorised over
-numpy arrays for the draw-bound models (see
-:mod:`repro.netsim.mobility`).
+``(time, sequence)`` FIFO of a single global heap, pinned trace-identical
+to the heap engine kept in ``tests/reference/`` by
+``tests/test_netsim_engine_parity.py``.  Event records are
+``__slots__``-pooled, cancellations are skipped lazily and compacted when
+the dead backlog grows, and the engine's ``counters()`` (pushes, pops,
+cancelled skips, wheel hits, compactions) surface through
+``Network.engine_counters()`` into experiment run stats.  Mobility ticks
+ride the same event spine: one periodic engine event advances the whole
+population (see :mod:`repro.netsim.mobility`).
 """
 
-from repro.netsim.engine import Event, EventHandle, HeapSimulator, Simulator
+from repro.netsim.engine import Event, EventHandle, Simulator
 from repro.netsim.medium import (
     AsymmetricRangePropagation,
     BernoulliLossModel,
@@ -102,7 +99,6 @@ __all__ = [
     "EventHandle",
     "Frame",
     "GridPlacement",
-    "HeapSimulator",
     "MediumStatistics",
     "MobilityModel",
     "Network",

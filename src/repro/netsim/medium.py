@@ -25,25 +25,21 @@ position callables, as used by some unit tests) or the propagation model has
 no finite radio range, the medium transparently falls back to the brute-force
 scan, so correctness never depends on the index.
 
-Batched delivery
-----------------
-With ``batch_delivery=True`` (the default) each broadcast is resolved as one
-batch instead of N independent receiver decisions: candidate receivers come
-from the spatial grid, the in-range mask and the distance-loss probabilities
-are evaluated over numpy position arrays, and — when no collision model and
-no jitter are active — all surviving receivers are served by a *single*
-scheduled event instead of one event per receiver.  The batch unit is one
-transmission, not a whole tick: the scalar path schedules its per-receiver
-deliveries back to back at the same timestamp inside one ``transmit()`` call,
-so they pop consecutively off the event heap anyway, and a single batched
-event replays exactly that callback order.  That is what keeps batch mode
-byte-identical to ``batch_delivery=False`` — same RNG draw order for loss and
-jitter, same delivery order, same statistics, same trace records — while
-removing the per-receiver interpreter and heap overhead that dominates
-1,000-node campaigns.  Collision-model and jitter configurations keep
-per-receiver events (their busy-window bookkeeping and per-receiver delay
-draws are interleaved with delivery), but still reuse the vectorised
-candidate/range/loss resolution.
+Delivery
+--------
+:meth:`WirelessMedium.transmit` resolves the receivers of a frame first:
+the cached grid lookup for a broadcast (recomputed once per position
+epoch), a brute-force scan over every interface when no epoch oracle is
+bound, or the unicast destination.  Without a collision model or jitter,
+loss is then drawn in receiver order and one scheduled event delivers the
+frame to every survivor, in that order.  Per-receiver events scheduled back
+to back inside one ``transmit`` call would pop consecutively off the
+``(time, sequence)`` queue anyway, so the single event replays exactly
+their callback order; the events it saves are tallied in
+``batched_deliveries_saved`` so the reported event count keeps meaning one
+event per delivery.  With a collision model or jitter, loss, the
+collision window and the jitter draw are interleaved per receiver, each
+survivor getting its own event.
 """
 
 from __future__ import annotations
@@ -52,11 +48,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.netsim.packet import Frame
 from repro.netsim.stats import MediumStatistics
-from repro.numerics import numpy_or_none
 
 Position = Tuple[float, float]
 
@@ -186,22 +181,6 @@ class DistanceLossModel:
         ratio = min(d / self.radio_range, 1.0)
         return min(self.max_loss, (ratio ** self.exponent) * self.max_loss)
 
-    def loss_probabilities(self, distances: Sequence[float]):
-        """Vectorised :meth:`loss_probability` over a sequence of distances.
-
-        Elementwise identical to the scalar formula (``min``/``**`` map to
-        ``np.minimum``/``np.power`` over float64, which round the same way),
-        so the medium's batch path draws against bit-equal probabilities.
-        Falls back to a per-element loop when numpy is unavailable.
-        """
-        np = numpy_or_none()
-        if np is None:
-            return [self.loss_probability(d) for d in distances]
-        d = np.asarray(distances, dtype=float)
-        ratio = np.minimum(d / self.radio_range, 1.0)
-        probs = np.minimum(self.max_loss, (ratio ** self.exponent) * self.max_loss)
-        return np.where(d <= self.radio_range * self.reliable_fraction, 0.0, probs)
-
     def is_lost(self, frame: Frame, sender: Position, receiver: Position) -> bool:
         return self.rng.random() < self.loss_probability(distance(sender, receiver))
 
@@ -318,7 +297,6 @@ class WirelessMedium:
         jitter: float = 0.0,
         rng: Optional[random.Random] = None,
         use_spatial_index: bool = True,
-        batch_delivery: bool = True,
     ) -> None:
         self._simulator = simulator
         self.propagation = propagation or UnitDiskPropagation()
@@ -327,19 +305,14 @@ class WirelessMedium:
         self.propagation_delay = propagation_delay
         self.jitter = jitter
         self._rng = rng or random.Random(0)
-        #: Resolve each broadcast as one batch (see module docstring).  The
-        #: scalar per-receiver path stays available as ``batch_delivery=False``
-        #: and both produce byte-identical outputs.
-        self.batch_delivery = batch_delivery
         #: Per-medium frame-id pool: two networks in one process (the
         #: differential validator runs oracle and netsim side by side) must
         #: not interleave their id streams.
         self._frame_ids = itertools.count(1)
-        #: Per-receiver delivery events elided by batching (each batched
-        #: broadcast runs one event instead of one per receiver).  Reporting
-        #: code adds this to ``Simulator.processed_events`` so the "events"
-        #: metric means the same logical work in batch and scalar mode —
-        #: keeping stored rows byte-identical across the two paths.
+        #: Per-receiver delivery events elided by batching (one event serves
+        #: every receiver of a frame).  Reporting code adds this to
+        #: ``Simulator.processed_events`` so the "events" metric counts one
+        #: event per delivery.
         self.batched_deliveries_saved = 0
         self._interfaces: Dict[str, object] = {}
         self._position_of = None  # set by Network
@@ -485,156 +458,89 @@ class WirelessMedium:
 
     # ---------------------------------------------------------- transmission
     def transmit(self, frame: Frame) -> None:
-        """Transmit ``frame`` from its source; delivery is scheduled per receiver."""
+        """Transmit ``frame`` from its source (see "Delivery" in the module doc)."""
         if self._position_of is None:
             raise RuntimeError("medium has no position oracle bound")
-        if frame.source not in self._interfaces:
-            raise ValueError(f"unknown transmitter {frame.source!r}")
+        source = frame.source
+        if source not in self._interfaces:
+            raise ValueError(f"unknown transmitter {source!r}")
         now = self._simulator.now
         frame.created_at = now
         if frame._frame_id is None:
             frame._frame_id = next(self._frame_ids)
-        sender_pos = self._position_of(frame.source)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += frame.size_bytes
+        sender_pos = self._position_of(source)
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += frame.size_bytes
 
         if frame.is_broadcast:
             grid = self._current_grid()
-            if grid is not None and self.batch_delivery and self._loss_rng_independent():
-                self._transmit_broadcast_batch(frame, sender_pos, grid, now)
-                return
             if grid is not None:
-                candidates = grid.candidates_near(sender_pos, self._range_of_sender(frame.source))
-                receivers = [nid for nid in candidates if nid != frame.source]
-                receivers.sort(key=self._order.__getitem__)
-                # Anything outside the candidate cells is provably out of range.
-                self.stats.frames_out_of_range += len(self._interfaces) - 1 - len(receivers)
+                resolved = self._broadcast_cache.get(source)
+                if resolved is None:
+                    resolved = self._resolve_broadcast(source, sender_pos, grid)
+                    self._broadcast_cache[source] = resolved
             else:
-                receivers = [nid for nid in self._interfaces if nid != frame.source]
+                others = [nid for nid in self._interfaces if nid != source]
+                resolved = self._resolve(source, sender_pos, others, self._position_of)
+        elif frame.destination in self._interfaces:
+            resolved = self._resolve(source, sender_pos, [frame.destination],
+                                     self._position_of)
         else:
-            receivers = [frame.destination] if frame.destination in self._interfaces else []
-            if not receivers:
-                self.stats.frames_unroutable += 1
-                return
+            stats.frames_unroutable += 1
+            return
+        receivers, receiver_positions, distances, out_of_range = resolved
+        stats.frames_out_of_range += out_of_range
+        if not receivers:
+            return
+        if self.collision_model is None and not self.jitter:
+            self._post_batch(frame, sender_pos, receivers, receiver_positions, distances)
+        else:
+            self._schedule_each(frame, sender_pos, receivers, receiver_positions, now)
 
-        for receiver_id in receivers:
-            receiver_pos = self._position_of(receiver_id)
-            if not self._reaches(frame.source, sender_pos, receiver_pos):
-                self.stats.frames_out_of_range += 1
-                continue
-            if self.loss_model.is_lost(frame, sender_pos, receiver_pos):
-                self.stats.frames_lost += 1
-                continue
-            entry: Optional[_BusyEntry] = None
-            if self.collision_model is not None:
-                entry, collided = self._check_collision(receiver_id, frame, now)
-                if collided:
-                    self.stats.frames_collided += 1
-                    continue
-            delay = self.propagation_delay
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
-            tx_info = None
-            if self.trace_recorder is not None:
-                # Capture the positions (and the sender range) the in-range
-                # decision was made with — mobility may move either endpoint
-                # before the delivery event fires.
-                tx_info = (sender_pos, receiver_pos, self._safe_range_of(frame.source))
-            if entry is not None:
-                entry.handle = self._simulator.schedule(
-                    delay, self._deliver, receiver_id, frame, entry, tx_info)
-            else:
-                # No collision entry to cancel later: skip handle creation.
-                self._simulator.post(delay, self._deliver, receiver_id,
-                                     frame, None, tx_info)
+    def _resolve(
+        self, source: str, sender_pos: Position, candidates: List[str],
+        position_of: Callable[[str], Position],
+    ) -> Tuple[List[str], List[Position], Optional[List[float]], int]:
+        """The ``candidates`` in range of ``source``, in candidate order.
 
-    # ------------------------------------------------------- batched delivery
-    def _loss_rng_independent(self) -> bool:
-        """Whether the jitter rng and the loss rng are distinct streams.
-
-        The batch path evaluates every loss draw before any jitter draw
-        (the scalar path interleaves them per receiver); with separate
-        ``random.Random`` objects each stream still sees exactly the scalar
-        draw sequence.  Sharing one rng between loss model and jitter would
-        reorder draws, so that corner falls back to the scalar path.
+        Returns ``(receivers, positions, distances, out_of_range)`` where
+        ``distances`` is only materialised when the loss model needs it.
         """
-        if not self.jitter:
-            return True
-        return getattr(self.loss_model, "rng", None) is not self._rng
+        receivers: List[str] = []
+        receiver_positions: List[Position] = []
+        for nid in candidates:
+            receiver_pos = position_of(nid)
+            if self._reaches(source, sender_pos, receiver_pos):
+                receivers.append(nid)
+                receiver_positions.append(receiver_pos)
+        distances: Optional[List[float]] = None
+        if type(self.loss_model) is DistanceLossModel:
+            distances = [distance(sender_pos, rp) for rp in receiver_positions]
+        return (receivers, receiver_positions, distances,
+                len(candidates) - len(receivers))
 
     def _resolve_broadcast(
         self, source: str, sender_pos: Position, grid: _SpatialGrid
     ) -> Tuple[List[str], List[Position], Optional[List[float]], int]:
-        """Receivers in range of one broadcast, in registration order.
+        """:meth:`_resolve` over the grid's candidates, in registration order.
 
-        Returns ``(receivers, positions, distances, out_of_range)`` where
-        ``distances`` is only materialised when the loss model needs it.
-        The in-range mask runs on squared distances over numpy arrays; a thin
-        shell around the range boundary (where 1-ulp differences between
-        ``dx*dx + dy*dy`` and ``math.hypot`` could flip the comparison) is
-        re-checked with the exact scalar predicate, so membership is
-        bit-identical to the per-receiver path.
+        Anything outside the candidate cells is provably out of range, so
+        it counts as out of range without a check.
         """
-        tx_range = self._range_of_sender(source)
-        candidates = grid.candidates_near(sender_pos, tx_range)
+        candidates = grid.candidates_near(sender_pos, self._range_of_sender(source))
         candidates.sort(key=self._order.__getitem__)
-        positions = grid.positions
-        total_others = len(self._interfaces) - 1
-        prop = self.propagation
-        # Exact types only: a subclass may override the range predicate.
-        vector_prop = type(prop) is UnitDiskPropagation or type(prop) is AsymmetricRangePropagation
-        np = numpy_or_none()
-        receivers: List[str]
-        receiver_positions: List[Position]
-        if vector_prop and np is not None and len(candidates) > 8:
-            ids = [nid for nid in candidates if nid != source]
-            if ids:
-                pts = np.array([positions[nid] for nid in ids], dtype=float)
-                dx = pts[:, 0] - sender_pos[0]
-                dy = pts[:, 1] - sender_pos[1]
-                d2 = dx * dx + dy * dy
-                r2 = tx_range * tx_range
-                inside = d2 <= r2 * (1.0 - 1e-9)
-                shell = ~inside & (d2 <= r2 * (1.0 + 1e-9))
-                if shell.any():
-                    for i in np.flatnonzero(shell):
-                        if distance(sender_pos, positions[ids[i]]) <= tx_range:
-                            inside[i] = True
-                receivers = [ids[i] for i in np.flatnonzero(inside)]
-            else:
-                receivers = []
-            receiver_positions = [positions[nid] for nid in receivers]
-        else:
-            receivers = []
-            receiver_positions = []
-            for nid in candidates:
-                if nid == source:
-                    continue
-                receiver_pos = positions[nid]
-                if self._reaches(source, sender_pos, receiver_pos):
-                    receivers.append(nid)
-                    receiver_positions.append(receiver_pos)
-        distances: Optional[List[float]] = None
-        if type(self.loss_model) is DistanceLossModel:
-            distances = [distance(sender_pos, rp) for rp in receiver_positions]
-        return receivers, receiver_positions, distances, total_others - len(receivers)
+        candidates = [nid for nid in candidates if nid != source]
+        receivers, receiver_positions, distances, _ = self._resolve(
+            source, sender_pos, candidates, grid.positions.__getitem__)
+        out_of_range = len(self._interfaces) - 1 - len(receivers)
+        return receivers, receiver_positions, distances, out_of_range
 
-    def _transmit_broadcast_batch(
-        self, frame: Frame, sender_pos: Position, grid: _SpatialGrid, now: float
+    def _post_batch(
+        self, frame: Frame, sender_pos: Position, receivers: List[str],
+        receiver_positions: List[Position], distances: Optional[List[float]],
     ) -> None:
-        """Resolve and schedule one broadcast as a batch (see module docstring)."""
-        source = frame.source
-        resolved = self._broadcast_cache.get(source)
-        if resolved is None:
-            resolved = self._resolve_broadcast(source, sender_pos, grid)
-            self._broadcast_cache[source] = resolved
-        receivers, receiver_positions, distances, out_of_range = resolved
-        self.stats.frames_out_of_range += out_of_range
-        if not receivers:
-            return
-
-        # Loss draws, in receiver order — the same rng consumption sequence
-        # as the scalar path's per-receiver is_lost calls.
+        """Draw losses in receiver order; one event delivers to the rest."""
         loss = self.loss_model
         loss_type = type(loss)
         keep: Optional[List[int]] = None
@@ -649,10 +555,10 @@ class WirelessMedium:
         elif loss_type is DistanceLossModel:
             if distances is None:  # loss model swapped after the cache filled
                 distances = [distance(sender_pos, rp) for rp in receiver_positions]
-            probabilities = loss.loss_probabilities(distances)
+            probability_at = loss.loss_probability
             rng_random = loss.rng.random
-            keep = [i for i, probability in enumerate(probabilities)
-                    if not rng_random() < probability]
+            keep = [i for i, d in enumerate(distances)
+                    if not rng_random() < probability_at(d)]
         else:
             keep = [i for i, receiver_pos in enumerate(receiver_positions)
                     if not loss.is_lost(frame, sender_pos, receiver_pos)]
@@ -663,50 +569,58 @@ class WirelessMedium:
                 receiver_positions = [receiver_positions[i] for i in keep]
             if not receivers:
                 return
+        tx_infos = None
+        if self.trace_recorder is not None:
+            # Capture the positions (and the sender range) the in-range
+            # decision was made with — mobility may move either endpoint
+            # before the delivery event fires.
+            tx_range = self._safe_range_of(frame.source)
+            tx_infos = [(sender_pos, receiver_pos, tx_range)
+                        for receiver_pos in receiver_positions]
+        self.batched_deliveries_saved += len(receivers) - 1
+        self._simulator.post(self.propagation_delay, self._deliver_batch,
+                             receivers, frame, tx_infos)
 
-        recorder = self.trace_recorder
-        tx_range = self._safe_range_of(source) if recorder is not None else None
-        if self.collision_model is None and not self.jitter:
-            tx_infos = None
-            if recorder is not None:
-                tx_infos = [(sender_pos, receiver_pos, tx_range)
-                            for receiver_pos in receiver_positions]
-            self.batched_deliveries_saved += len(receivers) - 1
-            self._simulator.post(self.propagation_delay, self._deliver_batch,
-                                 receivers, frame, tx_infos)
-            return
-        # Collision windows and jitter draws are inherently per receiver;
-        # keep those events individual but reuse the batched resolution.
+    def _schedule_each(
+        self, frame: Frame, sender_pos: Position, receivers: List[str],
+        receiver_positions: List[Position], now: float,
+    ) -> None:
+        """Loss, collision window and jitter per receiver, one event each."""
+        loss = self.loss_model
+        stats = self.stats
+        tx_range = None
+        if self.trace_recorder is not None:
+            tx_range = self._safe_range_of(frame.source)
         for receiver_id, receiver_pos in zip(receivers, receiver_positions):
+            if loss.is_lost(frame, sender_pos, receiver_pos):
+                stats.frames_lost += 1
+                continue
             entry: Optional[_BusyEntry] = None
             if self.collision_model is not None:
                 entry, collided = self._check_collision(receiver_id, frame, now)
                 if collided:
-                    self.stats.frames_collided += 1
+                    stats.frames_collided += 1
                     continue
             delay = self.propagation_delay
             if self.jitter:
                 delay += self._rng.uniform(0.0, self.jitter)
             tx_info = None
-            if recorder is not None:
+            if self.trace_recorder is not None:
                 tx_info = (sender_pos, receiver_pos, tx_range)
             if entry is not None:
                 entry.handle = self._simulator.schedule(
                     delay, self._deliver, receiver_id, frame, entry, tx_info)
             else:
+                # No collision entry to cancel later: skip handle creation.
                 self._simulator.post(delay, self._deliver, receiver_id,
                                      frame, None, tx_info)
 
     def _deliver_batch(self, receiver_ids: List[str], frame: Frame,
                        tx_infos: Optional[List[Tuple[Position, Position, Optional[float]]]]) -> None:
-        """Deliver one broadcast to all surviving receivers, in order.
+        """Deliver one frame to all surviving receivers, in order.
 
-        Equivalent to the scalar path's per-receiver events: those are
-        scheduled back to back at the same timestamp inside one ``transmit``
-        call, so the (time, sequence) heap pops them consecutively — this
-        loop replays exactly that callback order, including the unroutable
-        accounting for receivers that unregistered while the frame was on
-        the air.
+        Receivers that unregistered while the frame was on the air count as
+        unroutable, as a per-receiver delivery event would count them.
         """
         interfaces = self._interfaces
         stats = self.stats

@@ -5,34 +5,13 @@ update coordinates over simulated time.  Models operate on a mutable mapping
 ``positions: dict[node_id, (x, y)]`` owned by the network, so the medium
 always sees the current coordinates.
 
-Vectorised ticks
-----------------
-Each mobility model advances *all* nodes inside one periodic engine event.
-With numpy available (``repro.numerics.numpy_or_none``) and enough nodes to
-amortise array setup, the per-tick ``_advance`` runs over position arrays
-instead of a per-node Python loop, and the surviving writes land in the
-position table through a single bulk ``update`` (one position-epoch bump
-instead of N).  The vector paths are **bit-identical** to the scalar
-reference loops, which stay in place as the numpy-less fallback:
-
-* random draws are consumed from the model's ``random.Random`` in exactly
-  the scalar per-node order (numpy never draws; draws are taken flat and
-  split back with strided views);
-* elementwise float64 arithmetic mirrors the scalar expressions operation
-  for operation (`numpy` rounds identically for ``+ - * /``, ``minimum``/
-  ``maximum`` and — on every platform we test — ``cos``/``sin``);
-* Euclidean norms keep calling ``math.hypot`` per node: ``np.hypot`` is
-  *not* bit-identical to ``math.hypot`` (~0.6 % of draws differ in the last
-  ulp on glibc), and one flipped arrival decision would diverge a whole
-  campaign.  ``tests/test_netsim_mobility.py`` pins vector-vs-scalar
-  trajectory equality per model.
-
-Which models actually dispatch to the array path is a measured decision:
-random walk, Gauss–Markov and RPGM ticks are draw/trig-bound and win
-(~1.3–1.8× at 1,024 nodes); random waypoint's mover tick is gather-bound
-(three dict lookups plus one exact hypot per node, no draws), measured
-slower vectorised at every population, so its production tick stays on the
-scalar loop while the vector implementation remains parity-tested.
+Ticks
+-----
+Each mobility model advances *all* nodes inside one periodic engine event,
+in one pure-Python loop over the position table.  A numpy tick measured no
+faster at the benchmark's 64 Gauss–Markov nodes; a future one must keep
+calling ``math.hypot``, since ``np.hypot`` differs from it in the last ulp
+on some inputs and one flipped arrival decision diverges a whole run.
 """
 
 from __future__ import annotations
@@ -40,14 +19,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
-
-from repro.numerics import numpy_or_none
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 Position = Tuple[float, float]
-
-#: Below this many nodes the array setup outweighs the vector win.
-_VECTOR_MIN_NODES = 8
 
 
 class MobilityModel(Protocol):
@@ -169,16 +143,6 @@ class RandomWaypointMobility:
         self._speeds[node_id] = self.rng.uniform(self.min_speed, self.max_speed)
 
     def _advance(self, network) -> None:
-        # Measured choice: the waypoint mover tick is gather-bound — three
-        # dict lookups and one exact ``math.hypot`` per node, *zero* RNG
-        # draws — and the array path's marshalling costs more than the
-        # handful of flops it vectorises at every population we bench.
-        # Production ticks therefore stay scalar; ``_advance_vector`` is
-        # kept bit-identical and parity-tested so the dispatch remains a
-        # pure performance decision (see tests/test_netsim_mobility.py).
-        self._advance_scalar(network)
-
-    def _advance_scalar(self, network) -> None:
         now = network.simulator.now
         for node_id, position in list(network.positions.items()):
             if self._pause_until.get(node_id, 0.0) > now:
@@ -200,52 +164,6 @@ class RandomWaypointMobility:
                     position[0] + dx / dist * step,
                     position[1] + dy / dist * step,
                 )
-
-    def _advance_vector(self, network, np) -> None:
-        now = network.simulator.now
-        positions = network.positions
-        pause_until = self._pause_until
-        targets = self._targets
-        active = [nid for nid in positions if not pause_until.get(nid, 0.0) > now]
-        if not active:
-            return
-        if any(nid not in targets for nid in active):
-            # Lazily-targeted nodes interleave target draws with arrival
-            # draws mid-tick; the reference loop keeps that order exact.
-            self._advance_scalar(network)
-            return
-        pts = [positions[nid] for nid in active]
-        tgt = [targets[nid] for nid in active]
-        speeds_map = self._speeds
-        min_speed = self.min_speed
-        steps = np.array([speeds_map.get(nid, min_speed) for nid in active])
-        steps *= self.update_interval
-        px = np.array([p[0] for p in pts])
-        py = np.array([p[1] for p in pts])
-        dxs = np.array([t[0] for t in tgt]) - px
-        dys = np.array([t[1] for t in tgt]) - py
-        # math.hypot, not np.hypot: the latter differs in the last ulp on
-        # ~0.6 % of inputs, enough to flip an arrival comparison.
-        dists = np.array(list(map(math.hypot, dxs.tolist(), dys.tolist())))
-        arrived = dists <= steps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # dist == 0 only on arrivals, which never read these lanes.
-            nxs = (px + dxs / dists * steps).tolist()
-            nys = (py + dys / dists * steps).tolist()
-        if not arrived.any():
-            # Common tick shape: everyone still in transit, no draws due.
-            positions.update(zip(active, zip(nxs, nys)))
-            return
-        arrived = arrived.tolist()
-        updates = {}
-        for i, nid in enumerate(active):
-            if arrived[i]:
-                updates[nid] = tgt[i]
-                pause_until[nid] = now + self.pause_time
-                self._pick_new_target(nid)
-            else:
-                updates[nid] = (nxs[i], nys[i])
-        positions.update(updates)
 
 
 @dataclass
@@ -273,13 +191,6 @@ class RandomWalkMobility:
         )
 
     def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
-            self._advance_scalar(network)
-        else:
-            self._advance_vector(network, np)
-
-    def _advance_scalar(self, network) -> None:
         for node_id, (x, y) in list(network.positions.items()):
             nx = x + self.rng.uniform(-self.max_step, self.max_step)
             ny = y + self.rng.uniform(-self.max_step, self.max_step)
@@ -287,23 +198,6 @@ class RandomWalkMobility:
                 min(max(nx, 0.0), self.width),
                 min(max(ny, 0.0), self.height),
             )
-
-    def _advance_vector(self, network, np) -> None:
-        positions = network.positions
-        ids = list(positions)
-        pts = [positions[nid] for nid in ids]
-        m = self.max_step
-        u = self.rng.uniform
-        # Flat (dx, dy, dx, dy, …) draws in scalar per-node order; strided
-        # views split them back without a list-of-tuples array build.
-        delta = np.array([u(-m, m) for _ in range(2 * len(ids))])
-        nxs = np.array([p[0] for p in pts])
-        nxs += delta[0::2]
-        nys = np.array([p[1] for p in pts])
-        nys += delta[1::2]
-        nxs = np.minimum(np.maximum(nxs, 0.0), self.width)
-        nys = np.minimum(np.maximum(nys, 0.0), self.height)
-        positions.update(zip(ids, zip(nxs.tolist(), nys.tolist())))
 
 
 @dataclass
@@ -357,13 +251,6 @@ class GaussMarkovMobility:
         )
 
     def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
-            self._advance_scalar(network)
-        else:
-            self._advance_vector(network, np)
-
-    def _advance_scalar(self, network) -> None:
         a = min(max(self.alpha, 0.0), 1.0)
         noise = math.sqrt(max(0.0, 1.0 - a * a))
         for node_id, (x, y) in list(network.positions.items()):
@@ -392,47 +279,6 @@ class GaussMarkovMobility:
             self._directions[node_id] = direction
             self._mean_directions[node_id] = mean_direction
             network.positions[node_id] = (nx, ny)
-
-    def _advance_vector(self, network, np) -> None:
-        positions = network.positions
-        ids = list(positions)
-        a = min(max(self.alpha, 0.0), 1.0)
-        noise = math.sqrt(max(0.0, 1.0 - a * a))
-        pts = [positions[nid] for nid in ids]
-        speeds_map = self._speeds
-        dirs_map = self._directions
-        means_map = self._mean_directions
-        mean_speed = self.mean_speed
-        speed = np.array([speeds_map.get(nid, mean_speed) for nid in ids])
-        dir_list = [dirs_map.get(nid, 0.0) for nid in ids]
-        direction = np.array(dir_list)
-        mean_direction = np.array(
-            [means_map.get(nid, d) for nid, d in zip(ids, dir_list)]
-        )
-        g = self.rng.gauss
-        # Per node: speed noise then direction noise, exactly as the scalar
-        # loop draws them (gauss caches a spare deviate, so order matters);
-        # drawn flat and split by strided views.
-        stddevs = (self.speed_stddev, self.direction_stddev)
-        draws = np.array([g(0.0, stddevs[k & 1]) for k in range(2 * len(ids))])
-        speed = a * speed + (1.0 - a) * mean_speed + noise * draws[0::2]
-        direction = a * direction + (1.0 - a) * mean_direction + noise * draws[1::2]
-        speed = np.maximum(speed, 0.0)
-        step = speed * self.update_interval
-        nx = np.array([p[0] for p in pts]) + step * np.cos(direction)
-        ny = np.array([p[1] for p in pts]) + step * np.sin(direction)
-        out_x = (nx < 0.0) | (nx > self.width)
-        nx = np.where(out_x, np.minimum(np.maximum(nx, 0.0), self.width), nx)
-        direction = np.where(out_x, math.pi - direction, direction)
-        mean_direction = np.where(out_x, math.pi - mean_direction, mean_direction)
-        out_y = (ny < 0.0) | (ny > self.height)
-        ny = np.where(out_y, np.minimum(np.maximum(ny, 0.0), self.height), ny)
-        direction = np.where(out_y, -direction, direction)
-        mean_direction = np.where(out_y, -mean_direction, mean_direction)
-        speeds_map.update(zip(ids, speed.tolist()))
-        dirs_map.update(zip(ids, direction.tolist()))
-        means_map.update(zip(ids, mean_direction.tolist()))
-        positions.update(zip(ids, zip(nx.tolist(), ny.tolist())))
 
 
 @dataclass
@@ -507,13 +353,6 @@ class ReferencePointGroupMobility:
             min(max(ry + oy, 0.0), self.height),
         )
 
-    def _advance(self, network) -> None:
-        np = numpy_or_none()
-        if np is None or len(network.positions) < _VECTOR_MIN_NODES:
-            self._advance_scalar(network)
-        else:
-            self._advance_vector(network, np)
-
     def _advance_references(self) -> None:
         for group, reference in list(self._references.items()):
             target = self._targets[group]
@@ -530,7 +369,7 @@ class ReferencePointGroupMobility:
                     reference[1] + dy / dist * step,
                 )
 
-    def _advance_scalar(self, network) -> None:
+    def _advance(self, network) -> None:
         self._advance_references()
         for node_id in list(network.positions):
             group = self._group_of.get(node_id)
@@ -547,37 +386,6 @@ class ReferencePointGroupMobility:
                 ox, oy = ox * scale, oy * scale
             self._offsets[node_id] = (ox, oy)
             network.positions[node_id] = self._member_position(group, node_id)
-
-    def _advance_vector(self, network, np) -> None:
-        # Reference points stay scalar: a handful of groups, and the loop
-        # keeps the group-order target draws obvious.
-        self._advance_references()
-        positions = network.positions
-        group_of = self._group_of
-        ids = [nid for nid in positions if nid in group_of]
-        if not ids:
-            return
-        u = self.rng.uniform
-        offs = [self._offsets[nid] for nid in ids]
-        delta = np.array([u(-2.0, 2.0) for _ in range(2 * len(ids))])
-        ox = np.array([o[0] for o in offs]) + delta[0::2]
-        oy = np.array([o[1] for o in offs]) + delta[1::2]
-        radius = self.member_radius
-        norms = np.array(list(map(math.hypot, ox.tolist(), oy.tolist())))
-        over = norms > radius
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Lanes inside the disc never read the (possibly inf) scale.
-            scale = radius / norms
-            ox = np.where(over, ox * scale, ox)
-            oy = np.where(over, oy * scale, oy)
-        references = self._references
-        ref_pts = [references[group_of[nid]] for nid in ids]
-        px = np.minimum(np.maximum(np.array([r[0] for r in ref_pts]) + ox,
-                                   0.0), self.width)
-        py = np.minimum(np.maximum(np.array([r[1] for r in ref_pts]) + oy,
-                                   0.0), self.height)
-        self._offsets.update(zip(ids, zip(ox.tolist(), oy.tolist())))
-        positions.update(zip(ids, zip(px.tolist(), py.tolist())))
 
 
 def ring_positions(node_ids: Sequence[str], radius: float, center: Position = (0.0, 0.0)) -> Dict[str, Position]:

@@ -252,8 +252,8 @@ class Network:
 
         The timer-wheel :class:`~repro.netsim.engine.Simulator` reports
         ``pushes``/``pops``/``cancelled_skipped``/``wheel_hits``/
-        ``compactions``; the reference :class:`~repro.netsim.engine.
-        HeapSimulator` (and any injected stand-in) reports ``{}``.
+        ``compactions``; an injected stand-in engine without ``counters()``
+        reports ``{}``.
         """
         counters = getattr(self.simulator, "counters", None)
         return counters() if callable(counters) else {}

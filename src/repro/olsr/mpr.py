@@ -13,6 +13,10 @@ The heuristic is the one of the RFC:
    of them, breaking ties by higher willingness, then higher reachability,
    then higher degree, then lexicographic address (for determinism).
 5. Optionally prune redundant MPRs (nodes whose removal keeps full coverage).
+
+The greedy loop runs on Python sets.  A numpy coverage-matrix twin measured
+slower at every neighbourhood size the shipped workloads reach (6–24 median
+neighbours), so there is none.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
-from repro.numerics import numpy_or_none
 from repro.olsr.constants import Willingness
 
 
@@ -43,7 +46,6 @@ def select_mprs(
     local_address: Optional[str] = None,
     prune_redundant: bool = True,
     redundancy: int = 0,
-    use_numpy: Optional[bool] = None,
 ) -> MprComputationResult:
     """Compute the MPR set.
 
@@ -66,13 +68,6 @@ def select_mprs(
     redundancy:
         MPR_COVERAGE-like parameter: keep an MPR if it is needed for any 2-hop
         node covered by fewer than ``redundancy + 1`` selected MPRs.
-    use_numpy:
-        Force (``True``) or forbid (``False``) the vectorised selection of
-        steps 1–4 over numpy coverage masks.  ``None`` (the default) engages
-        it automatically on dense neighbourhoods when numpy is importable.
-        Both paths produce identical results — including the *insertion
-        order* into the MPR set, which the stable sort of the pruning step
-        observes — so the choice is purely a performance knob.
     """
     willingness = willingness or {}
     neighbor_degree = neighbor_degree or {}
@@ -106,19 +101,8 @@ def select_mprs(
         result.mprs = {n for n in candidates if will(n) == Willingness.WILL_ALWAYS}
         return result
 
-    np = numpy_or_none() if use_numpy is not False else None
-    if use_numpy is None:
-        vectorise = (np is not None and len(candidates) >= 16
-                     and len(two_hop_set) >= 16)
-    else:
-        vectorise = bool(use_numpy) and np is not None
-
-    if vectorise:
-        mprs = _select_greedy_numpy(np, candidates, effective_coverage,
-                                    two_hop_set, will, neighbor_degree, result)
-    else:
-        mprs = _select_greedy_scalar(candidates, effective_coverage,
-                                     two_hop_set, will, neighbor_degree, result)
+    mprs = _select_greedy(candidates, effective_coverage, two_hop_set, will,
+                          neighbor_degree, result)
 
     # Optional MPR_COVERAGE-style redundancy: ensure each 2-hop node is
     # covered by up to ``redundancy + 1`` MPRs when enough providers exist.
@@ -160,7 +144,7 @@ def select_mprs(
     return result
 
 
-def _select_greedy_scalar(
+def _select_greedy(
     candidates: Set[str],
     effective_coverage: Dict[str, Set[str]],
     two_hop_set: Set[str],
@@ -168,7 +152,7 @@ def _select_greedy_scalar(
     neighbor_degree: Mapping[str, int],
     result: MprComputationResult,
 ) -> Set[str]:
-    """Steps 1, 3 and 4 of the RFC heuristic, one Python set op at a time."""
+    """Steps 1, 3 and 4 of the RFC heuristic."""
     uncovered = set(two_hop_set)
     mprs: Set[str] = set()
 
@@ -215,79 +199,6 @@ def _select_greedy_scalar(
             break
         mprs.add(best)
         uncovered -= effective_coverage[best]
-    return mprs
-
-
-def _select_greedy_numpy(
-    np,
-    candidates: Set[str],
-    effective_coverage: Dict[str, Set[str]],
-    two_hop_set: Set[str],
-    will: Callable[[str], Willingness],
-    neighbor_degree: Mapping[str, int],
-    result: MprComputationResult,
-) -> Set[str]:
-    """Steps 1, 3 and 4 over a boolean coverage matrix.
-
-    Mirrors :func:`_select_greedy_scalar` decision for decision — same
-    selections *and the same insertion sequence into the returned set*
-    (sorted-address order within each step), because the pruning step's
-    stable sort iterates the set and must observe an identical layout.
-    The greedy argmax uses ``lexsort`` with the ascending candidate index as
-    the final key, which is exactly the scalar loop's smallest-address tie
-    break.
-    """
-    neighbors = sorted(candidates)
-    addresses = sorted(two_hop_set)
-    address_index = {address: j for j, address in enumerate(addresses)}
-    cover = np.zeros((len(neighbors), len(addresses)), dtype=bool)
-    for i, neighbor in enumerate(neighbors):
-        row = cover[i]
-        for address in effective_coverage[neighbor]:
-            row[address_index[address]] = True
-    will_array = np.array([int(will(n)) for n in neighbors], dtype=np.int64)
-    degree_array = np.array(
-        [neighbor_degree.get(n, len(effective_coverage[n])) for n in neighbors],
-        dtype=np.int64)
-    uncovered = np.ones(len(addresses), dtype=bool)
-    selected = np.zeros(len(neighbors), dtype=bool)
-    mprs: Set[str] = set()
-
-    # Step 1: WILL_ALWAYS neighbours, in sorted-address order.
-    always = int(Willingness.WILL_ALWAYS)
-    for i, neighbor in enumerate(neighbors):
-        if will_array[i] == always:
-            mprs.add(neighbor)
-            selected[i] = True
-            uncovered &= ~cover[i]
-
-    # Step 3: sole providers, in sorted 2-hop address order.
-    provider_counts = cover.sum(axis=0)
-    first_provider = cover.argmax(axis=0)
-    for j, address in enumerate(addresses):
-        if provider_counts[j] != 1:
-            continue
-        i = int(first_provider[j])
-        result.isolated_two_hops[address] = neighbors[i]
-        if uncovered[j]:
-            mprs.add(neighbors[i])
-            selected[i] = True
-            uncovered &= ~cover[i]
-
-    # Step 4: greedy argmax of (willingness, reach, degree, -address).
-    while uncovered.any():
-        reach = (cover & uncovered).sum(axis=1)
-        reach[selected] = 0
-        eligible = np.flatnonzero(reach > 0)
-        if eligible.size == 0:
-            result.uncovered = {addresses[j] for j in np.flatnonzero(uncovered)}
-            break
-        order = np.lexsort((eligible, -degree_array[eligible],
-                            -reach[eligible], -will_array[eligible]))
-        i = int(eligible[order[0]])
-        mprs.add(neighbors[i])
-        selected[i] = True
-        uncovered &= ~cover[i]
     return mprs
 
 

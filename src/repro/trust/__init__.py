@@ -20,7 +20,6 @@ from repro.trust.entropy import (
 )
 from repro.trust.manager import TrustManager, TrustParameters, TrustRecord
 from repro.trust.propagation import (
-    batch_multipath_trust,
     concatenated_trust,
     multipath_trust,
     normalised_weights,
@@ -38,7 +37,6 @@ __all__ = [
     "ConfidenceInterval",
     "EvidenceBatch",
     "EvidenceKind",
-    "batch_multipath_trust",
     "RecommendationManager",
     "TrustEvidence",
     "TrustManager",

@@ -15,9 +15,7 @@ built from other nodes' recommendations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
-
-from repro.numerics import numpy_or_none
+from typing import List, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -82,51 +80,6 @@ def combine_recommendations(
         for rec in recommendations
     ]
     return multipath_trust(pairs)
-
-
-def batch_multipath_trust(
-    pairs_by_subject: Mapping[str, Sequence[Tuple[float, float]]],
-) -> Dict[str, float]:
-    """Equation 7 for many subjects at once.
-
-    Equivalent to ``{s: multipath_trust(pairs) for s, pairs in ...}`` but
-    evaluated column-wise over numpy arrays: pass one accumulates the
-    recommendation-trust totals Σ_j R^{A,S_j} position by position, pass two
-    accumulates the weighted products ``(w·R)·T`` in the same order.  Because
-    both accumulations visit each subject's pairs in their original sequence
-    with the scalar grouping, the results are bit-identical to the per-subject
-    scalar calls; without numpy (or for narrow batches) it simply delegates.
-    """
-    np = numpy_or_none()
-    subjects = list(pairs_by_subject)
-    if np is None or len(subjects) < 16:
-        return {s: multipath_trust(pairs_by_subject[s]) for s in subjects}
-
-    lengths = [len(pairs_by_subject[s]) for s in subjects]
-    max_len = max(lengths, default=0)
-    if max_len == 0:
-        return {s: 0.0 for s in subjects}
-    rec = np.zeros((len(subjects), max_len), dtype=np.float64)
-    rtv = np.zeros((len(subjects), max_len), dtype=np.float64)
-    for i, subject in enumerate(subjects):
-        for k, (r, t) in enumerate(pairs_by_subject[subject]):
-            rec[i, k] = r
-            rtv[i, k] = t
-    counts = np.array(lengths, dtype=np.int64)
-
-    # Pass 1: totals, accumulated pair by pair (same grouping as sum()).
-    totals = np.zeros(len(subjects), dtype=np.float64)
-    for k in range(max_len):
-        mask = counts > k
-        totals[mask] = totals[mask] + rec[mask, k]
-    weights = np.where(totals > 1e-12, 1.0 / np.where(totals > 1e-12, totals, 1.0), 0.0)
-
-    # Pass 2: Σ (w·R)·T with the scalar's left-to-right association.
-    acc = np.zeros(len(subjects), dtype=np.float64)
-    for k in range(max_len):
-        mask = counts > k
-        acc[mask] = acc[mask] + (weights[mask] * rec[mask, k]) * rtv[mask, k]
-    return {s: float(acc[i]) if lengths[i] else 0.0 for i, s in enumerate(subjects)}
 
 
 def blended_trust(

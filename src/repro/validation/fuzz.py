@@ -133,7 +133,6 @@ def validate_corpus(
     tolerances: Optional[Mapping[str, float]] = None,
     minimize: bool = True,
     protocols: Optional[Sequence[str]] = None,
-    medium: str = "batch",
 ) -> ValidationReport:
     """Fuzz ``count`` scenarios and validate every one of them.
 
@@ -146,16 +145,7 @@ def validate_corpus(
     the oracle models the OLSR link-spoofing process.  Failures are
     minimized (when ``minimize``) and reported with explicit CLI
     reproducers.
-
-    ``medium`` selects the wireless-medium delivery path audited:
-    ``"batch"`` (the default batched broadcast fast path), ``"scalar"``
-    (per-receiver events), or ``"both"``, which runs the invariant auditor
-    once per path on every sample.  The oracle differential runs once per
-    sample regardless, against the first audited path.
     """
-    if medium not in ("batch", "scalar", "both"):
-        raise ValueError(f"medium must be batch, scalar or both, got {medium!r}")
-    batch_modes = {"batch": (True,), "scalar": (False,), "both": (True, False)}[medium]
     tolerances = tolerances or DEFAULT_TOLERANCES
     fuzzer = ScenarioFuzzer(base_seed, profiles, protocols=protocols)
     report = ValidationReport(samples=count)
@@ -163,18 +153,11 @@ def validate_corpus(
     for sample in fuzzer.corpus(count):
         params = apply_profile(sample.params_dict())
         config = scenario_config_from_params(params, sample.seed)
-        netsim_result = None
-        violations = []
-        for batch_mode in batch_modes:
-            mode_params = dict(params)
-            mode_params["batch_delivery"] = batch_mode
-            scenario = build_netsim_scenario(config, mode_params)
-            auditor = ScenarioAuditor(scenario)
-            result = drive_netsim_scenario(scenario, config, mode_params)
-            violations += auditor.check_all()
-            report.invariant_runs += 1
-            if netsim_result is None:
-                netsim_result = result
+        scenario = build_netsim_scenario(config, params)
+        auditor = ScenarioAuditor(scenario)
+        netsim_result = drive_netsim_scenario(scenario, config, params)
+        violations = auditor.check_all()
+        report.invariant_runs += 1
 
         if violations:
             failing = dict(params)

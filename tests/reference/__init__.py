@@ -1,0 +1,15 @@
+"""Reference implementations the parity suites compare the program against.
+
+* :class:`HeapSimulator` — the single-heap event engine the timer-wheel
+  :class:`repro.netsim.engine.Simulator` replaced.
+* :class:`PerReceiverMedium` — a :class:`repro.netsim.medium.WirelessMedium`
+  that schedules one delivery event per receiver and checks range, loss,
+  collision and jitter receiver by receiver.
+
+Neither is used by the program; they are oracles for its single paths.
+"""
+
+from tests.reference.engine import HeapSimulator
+from tests.reference.medium import PerReceiverMedium
+
+__all__ = ["HeapSimulator", "PerReceiverMedium"]

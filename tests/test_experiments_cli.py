@@ -207,7 +207,10 @@ def test_cli_run_profile_without_file_prints_summary(capsys, tmp_path):
     assert "cumulative" in err  # pstats table header on stderr
 
 
-def test_cli_validate_medium_both_audits_each_path(capsys):
-    assert main(["validate", "--seeds", "1", "--medium", "both"]) == 0
+def test_cli_validate_audits_each_sample_once(capsys):
+    """One medium, one audit per sample: ``--medium`` is gone."""
+    assert main(["validate", "--seeds", "1"]) == 0
     output = capsys.readouterr().out
-    assert "invariant-checked:     2" in output
+    assert "invariant-checked:     1" in output
+    with pytest.raises(SystemExit):
+        main(["validate", "--seeds", "1", "--medium", "both"])

@@ -1,13 +1,18 @@
-"""Batch vs. scalar medium parity: the batched broadcast path is a pure
-performance optimisation.
+"""Medium parity: batched delivery is a pure performance optimisation.
 
-The batched delivery path of :class:`repro.netsim.medium.WirelessMedium`
-must be observably indistinguishable from the per-receiver scalar path:
-identical delivery traces, identical experiment results, identical stored
-row JSON.  These tests sweep node count × loss model × mobility and compare
-the two paths event for event, plus the supporting numeric kernels
-(vectorised MPR selection, distance-loss probabilities, vectorised trust
-updates) against their scalar references.
+:meth:`repro.netsim.medium.WirelessMedium.transmit` resolves each frame's
+receivers once and, without a collision model or jitter, serves them all
+with one scheduled event.  It must be observably indistinguishable from
+:class:`tests.reference.PerReceiverMedium`, which decides and schedules
+every receiver alone: identical delivery traces, statistics, experiment
+results and stored row JSON, and ``processed_events +
+batched_deliveries_saved`` equal to the reference's event count.
+
+The full-scenario sweep covers node count × loss model × mobility; the
+bare-medium cases cover the configurations served by the shared
+per-receiver loop or the brute-force scan (a collision model, jitter on the
+loss model's own rng, a medium without an epoch oracle, unicast).  The
+vector Eq. 5 trust update is pinned against per-subject updates.
 """
 
 from __future__ import annotations
@@ -17,17 +22,23 @@ import random
 
 import pytest
 
+import repro.experiments.scenario as scenario_module
 from repro.experiments.backends import (
     build_netsim_scenario,
     drive_netsim_scenario,
     scenario_config_from_params,
 )
 from repro.experiments.engine import execute_cell, get_experiment
-from repro.netsim.medium import DistanceLossModel
+from repro.netsim.engine import Simulator
+from repro.netsim.medium import (
+    BernoulliLossModel,
+    CollisionModel,
+    UnitDiskPropagation,
+    WirelessMedium,
+)
+from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from repro.netsim.trace import TraceRecorder
-from repro.numerics import numpy_or_none
-from repro.olsr.constants import Willingness
-from repro.olsr.mpr import select_mprs
+from tests.reference import PerReceiverMedium
 
 #: (node_count, loss_model, loss_probability, max_speed) sweep: static
 #: perfect channel, lossy static, mobile lossy, mobile distance-loss.
@@ -39,22 +50,32 @@ SWEEP = [
 ]
 
 
-def _run(node_count, loss_model, loss_probability, max_speed, batch):
+def _run(node_count, loss_model, loss_probability, max_speed, medium_cls):
     params = {
         "loss_model": loss_model,
         "loss_probability": loss_probability,
         "max_speed": max_speed,
         "warmup": 15.0,
         "cycles": 2,
-        "batch_delivery": batch,
     }
     config = scenario_config_from_params(
         {"total_nodes": node_count, "liar_count": 2, "rounds": 2}, seed=7)
-    scenario = build_netsim_scenario(config, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "WirelessMedium", medium_cls)
+        scenario = build_netsim_scenario(config, params)
+    assert type(scenario.network.medium) is medium_cls
     recorder = TraceRecorder()
     scenario.network.medium.trace_recorder = recorder
     result = drive_netsim_scenario(scenario, config, params)
     return result, recorder
+
+
+def _assert_same_trace(got_trace, want_trace):
+    # TraceEvent.__eq__ skips ``data``, so compare the payload explicitly.
+    assert len(got_trace.events) == len(want_trace.events)
+    for got, want in zip(got_trace.events, want_trace.events):
+        assert got == want
+        assert got.data == want.data
 
 
 @pytest.mark.parametrize("node_count,loss_model,loss_probability,max_speed",
@@ -62,20 +83,15 @@ def _run(node_count, loss_model, loss_probability, max_speed, batch):
 def test_batch_and_scalar_runs_are_identical(node_count, loss_model,
                                              loss_probability, max_speed):
     batch_result, batch_trace = _run(
-        node_count, loss_model, loss_probability, max_speed, batch=True)
+        node_count, loss_model, loss_probability, max_speed, WirelessMedium)
     scalar_result, scalar_trace = _run(
-        node_count, loss_model, loss_probability, max_speed, batch=False)
+        node_count, loss_model, loss_probability, max_speed, PerReceiverMedium)
+    _assert_same_trace(batch_trace, scalar_trace)
 
-    # Delivery traces: same events in the same order, payload included
-    # (TraceEvent.__eq__ skips ``data``, so compare it explicitly).
-    assert len(batch_trace.events) == len(scalar_trace.events)
-    for got, want in zip(batch_trace.events, scalar_trace.events):
-        assert got == want
-        assert got.data == want.data
-
-    # Experiment outcome: every observable field matches.  Raw scheduler
-    # counters (``engine``) are the one legitimately path-dependent entry:
-    # batching exists precisely to push fewer delivery events.
+    # Experiment outcome: every observable field matches, including
+    # ``events_processed`` (processed events plus the deliveries batching
+    # saved).  Raw scheduler counters (``engine``) are the one legitimately
+    # path-dependent entry: batching exists precisely to push fewer events.
     batch_stats = dict(batch_result.stats)
     scalar_stats = dict(scalar_result.stats)
     assert batch_stats.pop("engine")["pushes"] <= scalar_stats.pop("engine")["pushes"]
@@ -90,77 +106,107 @@ def test_batch_and_scalar_runs_are_identical(node_count, loss_model,
         assert got.trust_snapshot == want.trust_snapshot
 
 
-def test_campaign_row_json_identical_between_paths():
+def test_campaign_row_json_identical_between_paths(monkeypatch):
     """The JSON text a ResultsStore would persist is byte-identical.
 
     ``json.dumps`` serialises NaN/±inf as ``NaN``/``Infinity`` tokens, so
     comparing the dumped text covers non-finite metric values too.
     """
+    (spec,) = get_experiment("campaign").expand(
+        axes={"total_nodes": (16,), "liar_fraction": (0.25,),
+              "loss_model": ("distance",), "loss_probability": (0.8,),
+              "max_speed": (6.0,)},
+        params={"warmup": 15.0, "cycles": 2})
     rows = {}
-    for batch in (True, False):
-        (spec,) = get_experiment("campaign").expand(
-            axes={"total_nodes": (16,), "liar_fraction": (0.25,),
-                  "loss_model": ("distance",), "loss_probability": (0.8,),
-                  "max_speed": (6.0,)},
-            params={"warmup": 15.0, "cycles": 2, "batch_delivery": batch})
-        rows[batch] = json.dumps(execute_cell(spec), sort_keys=True)
-    assert rows[True] == rows[False]
+    for medium_cls in (WirelessMedium, PerReceiverMedium):
+        monkeypatch.setattr(scenario_module, "WirelessMedium", medium_cls)
+        rows[medium_cls] = json.dumps(execute_cell(spec), sort_keys=True)
+    assert rows[WirelessMedium] == rows[PerReceiverMedium]
 
 
-def test_mpr_numpy_matches_scalar_on_random_topologies():
-    np = numpy_or_none()
-    if np is None:
-        pytest.skip("numpy unavailable")
-    rng = random.Random(42)
-    wills = [Willingness.WILL_NEVER, Willingness.WILL_LOW,
-             Willingness.WILL_DEFAULT, Willingness.WILL_HIGH,
-             Willingness.WILL_ALWAYS]
-    for _ in range(150):
-        n = rng.randint(1, 40)
-        t = rng.randint(0, 50)
-        neighbors = [f"n{i:02d}" for i in range(n)]
-        two_hops = [f"t{j:02d}" for j in range(t)]
-        coverage = {
-            nb: {th for th in two_hops if rng.random() < 0.2}
-            for nb in neighbors
-        }
-        willingness = {nb: rng.choice(wills) for nb in neighbors
-                       if rng.random() < 0.7}
-        degree = {nb: rng.randint(0, 10) for nb in neighbors
-                  if rng.random() < 0.7}
-        kwargs = dict(
-            symmetric_neighbors=set(neighbors),
-            coverage=coverage,
-            willingness=willingness,
-            neighbor_degree=degree,
-            local_address="self",
-            prune_redundant=rng.random() < 0.7,
-            redundancy=rng.choice([0, 0, 1, 2]),
-        )
-        scalar = select_mprs(use_numpy=False, **kwargs)
-        vector = select_mprs(use_numpy=True, **kwargs)
-        assert scalar.mprs == vector.mprs
-        # The pruning step's stable sort observes set iteration order, so
-        # even the insertion sequence must match.
-        assert list(scalar.mprs) == list(vector.mprs)
-        assert scalar.uncovered == vector.uncovered
-        assert scalar.isolated_two_hops == vector.isolated_two_hops
-        assert scalar.coverage == vector.coverage
+# ------------------------------------------------------------ bare medium
+def _bare_run(medium_cls, *, collision=False, jitter=0.0, shared_rng=False,
+              epoch_oracle=True, unicast=False):
+    """24 drifting nodes exchanging 150 frames.
+
+    Returns everything observable, and the deliveries batching saved.
+    """
+    simulator = Simulator()
+    medium_rng = random.Random(11)
+    loss_rng = medium_rng if shared_rng else random.Random(12)
+    medium = medium_cls(
+        simulator,
+        propagation=UnitDiskPropagation(radio_range=250.0),
+        loss_model=BernoulliLossModel(loss_probability=0.3, rng=loss_rng),
+        collision_model=CollisionModel(bitrate_bps=100_000) if collision else None,
+        jitter=jitter,
+        rng=medium_rng,
+    )
+    layout = random.Random(3)
+    ids = [f"n{i:02d}" for i in range(24)]
+    positions = {nid: (layout.uniform(0, 600), layout.uniform(0, 600)) for nid in ids}
+    epoch = [0]
+    medium.bind_position_oracle(positions.__getitem__,
+                                (lambda: epoch[0]) if epoch_oracle else None)
+    deliveries = []
+
+    class Sink:
+        def __init__(self, node_id):
+            self.node_id = node_id
+
+        def receive(self, frame, now):
+            deliveries.append((now, self.node_id, frame.payload))
+
+    for nid in ids:
+        medium.register(nid, Sink(nid))
+    recorder = TraceRecorder()
+    medium.trace_recorder = recorder
+
+    def drift():
+        for nid in ids:
+            x, y = positions[nid]
+            positions[nid] = (x + layout.uniform(-40, 40), y + layout.uniform(-40, 40))
+        epoch[0] += 1
+
+    traffic = random.Random(5)
+    for k in range(150):
+        source = traffic.choice(ids)
+        destination = traffic.choice(ids) if unicast else BROADCAST_ADDRESS
+        frame = Frame(source=source, destination=destination, payload=k)
+        simulator.schedule_at(traffic.uniform(0.0, 3.0), medium.transmit, frame)
+    for tick in (1.0, 2.0):
+        simulator.schedule_at(tick, drift)
+    simulator.run()
+    observed = {
+        "deliveries": deliveries,
+        "trace": [(e.time, e.node, e.description, e.data) for e in recorder.events],
+        "stats": medium.stats,
+        "events": simulator.processed_events + medium.batched_deliveries_saved,
+        "rng": (medium_rng.getstate(), loss_rng.getstate()),
+    }
+    return observed, medium.batched_deliveries_saved
 
 
-def test_distance_loss_probabilities_elementwise_exact():
-    model = DistanceLossModel(radio_range=250.0, max_loss=0.8, exponent=2.0,
-                              reliable_fraction=0.5)
-    rng = random.Random(3)
-    distances = [rng.uniform(0.0, 300.0) for _ in range(200)]
-    distances += [0.0, 125.0, 125.0000001, 250.0, 300.0]
-    vectorised = model.loss_probabilities(distances)
-    for d, p in zip(distances, vectorised):
-        assert float(p) == model.loss_probability(d)
+@pytest.mark.parametrize("config,batched", [
+    ({"collision": True}, False),
+    ({"jitter": 0.002, "shared_rng": True}, False),
+    ({"epoch_oracle": False}, True),
+    ({"unicast": True}, False),
+], ids=["collision", "jitter_shared_rng", "no_epoch_oracle", "unicast"])
+def test_bare_medium_matches_per_receiver_reference(config, batched):
+    got, saved = _bare_run(WirelessMedium, **config)
+    want, _ = _bare_run(PerReceiverMedium, **config)
+    assert got["deliveries"] and got["stats"].frames_lost
+    assert got == want
+    # Without a collision model or jitter a broadcast is one event, whether
+    # its receivers came from the grid or from the brute-force scan.
+    assert (saved > 0) == batched
 
 
+# ------------------------------------------------------------------ trust
 def test_trust_update_all_vector_matches_scalar():
-    import repro.trust.manager as manager_module
+    """``update_all`` on a wide slot (the numpy Eq. 5 path) equals one
+    ``update`` call per subject, in sorted order."""
     from repro.trust.evidence import EvidenceKind, TrustEvidence
     from repro.trust.manager import TrustManager, TrustParameters
 
@@ -188,12 +234,13 @@ def test_trust_update_all_vector_matches_scalar():
     scalar_manager, scalar_evidences = build()
     vector_manager, vector_evidences = build()
 
-    original = manager_module.numpy_or_none
-    manager_module.numpy_or_none = lambda: None
-    try:
-        scalar_results = scalar_manager.update_all(scalar_evidences, now=2.0)
-    finally:
-        manager_module.numpy_or_none = original
+    subjects = sorted(set(scalar_evidences) | set(scalar_manager.known_subjects()))
+    assert len(subjects) >= 16  # wide enough for the vector path
+    scalar_results = {
+        subject: scalar_manager.update(subject, scalar_evidences.get(subject, []),
+                                       now=2.0)
+        for subject in subjects
+    }
     vector_results = vector_manager.update_all(vector_evidences, now=2.0)
 
     assert scalar_results == vector_results
@@ -202,16 +249,3 @@ def test_trust_update_all_vector_matches_scalar():
     for subject in scalar_results:
         assert (scalar_manager.history_of(subject)
                 == vector_manager.history_of(subject))
-
-
-def test_batch_multipath_trust_matches_scalar():
-    from repro.trust.propagation import batch_multipath_trust, multipath_trust
-
-    rng = random.Random(5)
-    pairs_by_subject = {
-        f"s{i}": [(rng.choice([0.0, 1e-13, rng.random()]), rng.uniform(-1, 1))
-                  for _ in range(rng.randint(0, 6))]
-        for i in range(40)
-    }
-    batch = batch_multipath_trust(pairs_by_subject)
-    assert batch == {s: multipath_trust(p) for s, p in pairs_by_subject.items()}

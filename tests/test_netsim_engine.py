@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.netsim.engine import HeapSimulator, SimulationError, Simulator
+from repro.netsim.engine import SimulationError, Simulator
+from tests.reference import HeapSimulator
 
 
 def test_events_run_in_time_order():
@@ -266,7 +267,6 @@ def test_pending_events_excludes_cancelled():
     for handle in handles[:7]:
         handle.cancel()
     assert sim.pending_events == 3
-    assert sim.live_events == 3
     assert sim.queued_entries == 10  # cancelled records await compaction
 
 
@@ -279,7 +279,7 @@ def test_compaction_bounds_cancelled_backlog():
     assert sim.counters()["compactions"] >= 1
     # The cancelled backlog was dropped from the queue, not just flagged.
     assert sim.queued_entries < 200
-    assert sim.live_events == 1
+    assert sim.pending_events == 1
 
 
 def test_counters_track_wheel_hits_and_cancelled_skips():
@@ -373,7 +373,7 @@ def test_periodic_cancel_after_n_firings_leaves_no_ghost_event():
     sim.run(until=10.0)
     assert ticks == [1.0, 2.0, 3.0]
     assert handles["chain"].cancelled
-    assert sim.live_events == 0
+    assert sim.pending_events == 0
     assert sim.peek_next_time() is None
 
 

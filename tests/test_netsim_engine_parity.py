@@ -1,10 +1,10 @@
 """Scheduler-swap parity: the timer-wheel engine is a pure optimisation.
 
 The timer-wheel :class:`repro.netsim.engine.Simulator` must execute events
-in exactly the order the PR 8 heap engine (kept as
-:class:`repro.netsim.engine.HeapSimulator`) would — same ``(time,
-sequence)`` FIFO, same clock positions, same periodic-chain behaviour —
-because the whole campaign/figure pipeline's byte-identity rests on it.
+in exactly the order a single global heap (the reference
+:class:`tests.reference.HeapSimulator`) would — same ``(time, sequence)``
+FIFO, same clock positions, same periodic-chain behaviour — because the
+whole campaign/figure pipeline's byte-identity rests on it.
 
 Two layers of evidence:
 
@@ -23,7 +23,8 @@ import random
 import pytest
 
 from repro.experiments.engine import execute_cell, get_experiment
-from repro.netsim.engine import HeapSimulator, Simulator
+from repro.netsim.engine import Simulator
+from tests.reference import HeapSimulator
 
 #: Wheel geometries cycled by seed: coarse/fine quanta, tiny wheels that
 #: force frequent rollover and overflow migration, and the default.
@@ -109,33 +110,42 @@ def _campaign_cell(warmup, **axes):
     return spec
 
 
+def _cell_rows_under(engine_cls, spec, monkeypatch):
+    """Row JSON of ``spec`` with every scenario built on ``engine_cls``."""
+    import repro.experiments.scenario as scenario_module
+    import repro.netsim.network as network_module
+
+    built = []
+
+    class Engine(engine_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(network_module, "Simulator", Engine)
+    monkeypatch.setattr(scenario_module, "Simulator", Engine)
+    rows = json.dumps(execute_cell(spec), sort_keys=True)
+    assert built, "the cell did not run on the patched engine"
+    return rows
+
+
 def test_campaign_row_json_identical_between_engines(monkeypatch):
     """A full campaign cell run under the heap engine and the timer-wheel
     engine persists byte-identical row JSON."""
-    import repro.netsim.network as network_module
-
     spec = _campaign_cell(total_nodes=16, liar_fraction=0.25,
                           loss_model="distance", loss_probability=0.8,
                           max_speed=6.0, warmup=15.0)
 
-    rows = {}
-    for engine_cls in (Simulator, HeapSimulator):
-        monkeypatch.setattr(network_module, "Simulator", engine_cls)
-        rows[engine_cls] = json.dumps(execute_cell(spec), sort_keys=True)
-    assert rows[Simulator] == rows[HeapSimulator]
+    assert (_cell_rows_under(Simulator, spec, monkeypatch)
+            == _cell_rows_under(HeapSimulator, spec, monkeypatch))
 
 
 def test_mobile_lossy_cell_rows_identical_between_engines(monkeypatch):
     """Same check on a mobile + lossy cell, where mobility ticks, collision
     windows and AODV-style cancellations stress the wheel harder."""
-    import repro.netsim.network as network_module
-
     spec = _campaign_cell(total_nodes=20, liar_fraction=0.2,
                           loss_model="bernoulli", loss_probability=0.2,
                           max_speed=8.0, warmup=12.0)
 
-    rows = {}
-    for engine_cls in (Simulator, HeapSimulator):
-        monkeypatch.setattr(network_module, "Simulator", engine_cls)
-        rows[engine_cls] = json.dumps(execute_cell(spec), sort_keys=True)
-    assert rows[Simulator] == rows[HeapSimulator]
+    assert (_cell_rows_under(Simulator, spec, monkeypatch)
+            == _cell_rows_under(HeapSimulator, spec, monkeypatch))

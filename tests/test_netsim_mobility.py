@@ -207,117 +207,3 @@ def test_static_install_is_noop():
     network.add_nodes(["a"])
     network.run(until=10.0)
     assert network.positions["a"] == (0.0, 0.0)
-
-
-# ----------------------------------------------- vector vs. scalar bit parity
-
-class _TickNetwork:
-    """Minimal network stand-in for driving ``_advance`` directly."""
-
-    class _Clock:
-        now = 0.0
-
-    def __init__(self, positions):
-        self.positions = dict(positions)
-        self.simulator = self._Clock()
-
-
-_MODEL_FACTORIES = [
-    lambda rng: RandomWaypointMobility(width=300.0, height=300.0,
-                                       min_speed=1.0, max_speed=8.0,
-                                       pause_time=1.5, rng=rng),
-    lambda rng: RandomWalkMobility(width=300.0, height=300.0,
-                                   max_step=12.0, rng=rng),
-    lambda rng: GaussMarkovMobility(width=300.0, height=300.0,
-                                    mean_speed=4.0, alpha=0.6, rng=rng),
-    lambda rng: ReferencePointGroupMobility(width=300.0, height=300.0,
-                                            group_count=3, rng=rng),
-]
-
-
-@pytest.mark.parametrize("factory", _MODEL_FACTORIES,
-                         ids=["waypoint", "walk", "gauss_markov", "rpgm"])
-@pytest.mark.parametrize("node_count", [8, 40])
-def test_vector_advance_bit_identical_to_scalar(factory, node_count):
-    """The numpy tick path must be indistinguishable from the scalar loop:
-    bit-identical trajectories AND an identical RNG stream afterwards (one
-    extra or reordered draw would diverge every later tick of a run).
-
-    ``_advance_vector`` is invoked directly rather than through the
-    ``_advance`` dispatcher so the parity contract holds even for models
-    (waypoint) whose production tick stays scalar by measured choice."""
-    np = pytest.importorskip("numpy")
-
-    def run(mode):
-        model = factory(random.Random(97))
-        ids = [f"v{i}" for i in range(node_count)]
-        network = _TickNetwork(model.place(ids))
-        for tick in range(120):
-            network.simulator.now = (tick + 1) * model.update_interval
-            if mode == "scalar":
-                model._advance_scalar(network)
-            else:
-                model._advance_vector(network, np)
-        return network.positions, model.rng.getstate()
-
-    scalar_positions, scalar_rng = run("scalar")
-    vector_positions, vector_rng = run("vector")
-    assert list(scalar_positions) == list(vector_positions)
-    for node_id in scalar_positions:
-        sx, sy = scalar_positions[node_id]
-        vx, vy = vector_positions[node_id]
-        assert (sx, sy) == (vx, vy)
-        assert isinstance(vx, float) and isinstance(vy, float)
-    assert scalar_rng == vector_rng
-
-
-def test_small_networks_fall_back_to_scalar(monkeypatch):
-    """Below the vector threshold the models must not pay array overhead."""
-    import repro.netsim.mobility as mobility_module
-
-    calls = []
-    model = RandomWalkMobility(rng=random.Random(1))
-    original = model._advance_vector
-
-    def spy(network, np):
-        calls.append(len(network.positions))
-        return original(network, np)
-
-    monkeypatch.setattr(model, "_advance_vector", spy)
-    network = _TickNetwork(model.place([f"s{i}" for i in range(4)]))
-    model._advance(network)
-    assert calls == []  # 4 nodes < _VECTOR_MIN_NODES: scalar path taken
-    assert mobility_module._VECTOR_MIN_NODES > 4
-
-
-def test_vector_paths_disabled_without_numpy(monkeypatch):
-    import repro.netsim.mobility as mobility_module
-
-    monkeypatch.setattr(mobility_module, "numpy_or_none", lambda: None)
-    model = GaussMarkovMobility(rng=random.Random(2))
-    network = _TickNetwork(model.place([f"g{i}" for i in range(16)]))
-    before = dict(network.positions)
-    network.simulator.now = model.update_interval
-    model._advance(network)  # must not touch numpy
-    assert network.positions != before
-
-
-def test_waypoint_vector_tick_matches_scalar_through_network_run():
-    """End-to-end: a Network driven by the periodic mobility event produces
-    the same trajectories whether ticks run vectorised or scalar (waypoint
-    dispatches scalar in production, so the vector path is forced here)."""
-    np = pytest.importorskip("numpy")
-
-    def run(force_vector):
-        mobility = RandomWaypointMobility(width=200.0, height=200.0,
-                                          min_speed=2.0, max_speed=6.0,
-                                          rng=random.Random(31))
-        if force_vector:
-            mobility._advance = (  # type: ignore[method-assign]
-                lambda network: mobility._advance_vector(network, np))
-        network = Network(simulator=Simulator(), mobility=mobility, seed=31)
-        network.add_nodes([f"w{i}" for i in range(24)])
-        network.run(until=40.0)
-        return dict(network.positions)
-
-    assert run(force_vector=False) == run(force_vector=True)

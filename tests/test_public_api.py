@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +52,29 @@ def test_public_docstrings_on_key_classes():
     for obj in (repro.DetectorNode, repro.TrustManager, repro.RoundBasedExperiment,
                 repro.ScenarioConfig, repro.aggregate_detection, repro.decide):
         assert obj.__doc__, f"{obj!r} lacks a docstring"
+
+
+def test_setup_path_leaves_numpy_unimported(tmp_path):
+    """``import repro``, a scenario build, grid expansion and a results
+    store open must not import numpy: its 100–135 ms import would land in
+    every run's set-up time.  Only the wide-slot Eq. 5 trust update uses it."""
+    script = textwrap.dedent(f"""
+        import sys
+
+        import repro
+        from repro.experiments import backends, engine, results
+
+        params = {{"total_nodes": 8}}
+        config = backends.scenario_config_from_params(params, 1)
+        backends.build_netsim_scenario(config, params)
+        engine.expand_experiment("figure1", base_seed=1,
+                                 params={{"total_nodes": 12}})
+        results.ResultsStore({str(tmp_path / "store.sqlite")!r}).close()
+        assert "numpy" not in sys.modules, sorted(sys.modules)
+    """)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True)
+    assert completed.returncode == 0, completed.stderr
