@@ -7,34 +7,39 @@ which each method classifies the attacker as an intruder and its final score.
 
 from __future__ import annotations
 
-from repro.experiments import format_series, format_table, run_ablation
-from repro.experiments.config import paper_default_config
-
-
-def _run():
-    return run_ablation(paper_default_config())
+from repro.experiments import (
+    RoundBasedExperiment,
+    ScenarioConfig,
+    format_series,
+    format_table,
+    run_experiment,
+)
+from repro.experiments.ablation import replay_methods
 
 
 def test_bench_ablation_trust_weighting_vs_baselines(benchmark, emit):
-    result = benchmark(_run)
+    result = benchmark(run_experiment, "ablation")
+    rows = {row["method"]: row for row in result.rows()}
 
-    table = format_table(result.as_rows(),
+    # The rows carry no per-round scores; replay the same scenario for them.
+    methods = replay_methods(RoundBasedExperiment(ScenarioConfig()).run())
+    table = format_table(result.rows(),
                          title="Table B — detection round and final score per method")
     series = format_series(
-        {name: t.scores for name, t in result.methods.items()},
+        {name: t.scores for name, t in methods.items()},
         title="Score trajectory per method (same answer stream)",
     )
     emit("TABLE B (Ablation / baseline comparison)", table + "\n\n" + series)
 
-    ours = result.methods["trust-weighted"]
-    vote = result.methods["unweighted-vote"]
-    assert ours.final_score < vote.final_score
-    assert ours.final_score < -0.8
-    assert ours.detection_round is not None
+    ours = rows["trust-weighted"]
+    vote = rows["unweighted-vote"]
+    assert ours["final_score"] < vote["final_score"]
+    assert ours["final_score"] < -0.8
+    assert ours["detection_round"] is not None
 
     benchmark.extra_info["final_scores"] = {
-        name: round(t.final_score, 3) for name, t in result.methods.items()
+        name: round(row["final_score"], 3) for name, row in rows.items()
     }
     benchmark.extra_info["detection_rounds"] = {
-        name: t.detection_round for name, t in result.methods.items()
+        name: row["detection_round"] for name, row in rows.items()
     }

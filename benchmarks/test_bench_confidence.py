@@ -7,30 +7,22 @@ until a conclusive verdict and final correctness for each configuration.
 
 from __future__ import annotations
 
-from repro.experiments import format_table, run_confidence_sweep
-from repro.experiments.config import paper_default_config
-
-
-def _run():
-    return run_confidence_sweep(
-        confidence_levels=(0.90, 0.95, 0.99),
-        gammas=(0.4, 0.6, 0.8),
-        base_config=paper_default_config(),
-    )
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_confidence_gamma_sweep(benchmark, emit):
-    result = benchmark(_run)
+    result = benchmark(run_experiment, "confidence_sweep")
+    rows = result.rows()
 
-    table = format_table(result.as_rows(),
-                         title="Table A — decision rule vs confidence level and γ")
+    table = format_table(rows, title="Table A — decision rule vs confidence level and γ")
     emit("TABLE A (Confidence interval sweep)", table)
 
     # Every configuration with γ ≤ 0.6 must identify the intruder.
-    for row in result.rows:
-        if row.gamma <= 0.6:
-            assert row.verdict_correct
-    assert result.correct_fraction() >= 0.5
+    for row in rows:
+        if row["gamma"] <= 0.6:
+            assert row["verdict_correct"]
+    correct_fraction = sum(1 for row in rows if row["verdict_correct"]) / len(rows)
+    assert correct_fraction >= 0.5
 
-    benchmark.extra_info["correct_fraction"] = round(result.correct_fraction(), 3)
-    benchmark.extra_info["configurations"] = len(result.rows)
+    benchmark.extra_info["correct_fraction"] = round(correct_fraction, 3)
+    benchmark.extra_info["configurations"] = len(rows)

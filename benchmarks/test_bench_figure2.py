@@ -7,32 +7,35 @@ slowly and may not reach it.
 
 from __future__ import annotations
 
-from repro.experiments import format_table, format_trajectories, run_figure2
-from repro.experiments.config import figure2_config
-
-
-
-
-def _run():
-    return run_figure2(figure2_config())
+from repro.experiments import (
+    RoundBasedExperiment,
+    ScenarioConfig,
+    format_table,
+    format_trajectories,
+    run_experiment,
+)
 
 
 def test_bench_figure2_forgetting_factor(benchmark, emit):
-    result = benchmark(_run)
+    result = benchmark(run_experiment, "figure2")
+    rows = result.rows()
 
-    roles = {node: result.experiment.role_of(node) for node in result.trajectories}
+    # The rows carry no per-round trust; replay the same scenario for it.
+    run = RoundBasedExperiment(ScenarioConfig(rounds=75, attack_stop_round=25)).run()
+    trajectories = run.trust_trajectories()
+    roles = {node: run.role_of(node) for node in trajectories}
+    attack_stop_round = run.config.attack_stop_round
     series = format_trajectories(
-        result.trajectories, roles=roles,
-        title=f"Figure 2 — trust with attack stopping at round {result.attack_stop_round}")
-    table = format_table(result.rows(), title="Figure 2 — recovery toward the default trust")
+        trajectories, roles=roles,
+        title=f"Figure 2 — trust with attack stopping at round {attack_stop_round}")
+    table = format_table(rows, title="Figure 2 — recovery toward the default trust")
     emit("FIGURE 2 (Forgetting factor)", series + "\n\n" + table)
 
-    gaps = result.recovery_gaps()
-    honest_gaps = [abs(gaps[n]) for n in result.experiment.honest_responders]
-    liar_gaps = [gaps[n] for n in result.experiment.liars]
+    honest_gaps = [abs(row["gap_to_default"]) for row in rows if row["role"] == "honest"]
+    liar_gaps = [row["gap_to_default"] for row in rows if row["role"] == "liar"]
     assert max(honest_gaps) < 0.1
     assert min(liar_gaps) > 0.05
 
-    benchmark.extra_info["attack_stop_round"] = result.attack_stop_round
+    benchmark.extra_info["attack_stop_round"] = attack_stop_round
     benchmark.extra_info["max_honest_gap"] = round(max(honest_gaps), 4)
     benchmark.extra_info["min_liar_gap"] = round(min(liar_gaps), 4)

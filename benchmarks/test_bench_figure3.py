@@ -7,32 +7,36 @@ liar ratio in the last rounds.
 
 from __future__ import annotations
 
-from repro.experiments import format_series, format_table, run_figure3
-from repro.experiments.config import figure3_configs
-
-
-
-
-def _run():
-    return run_figure3(figure3_configs())
+from repro.experiments import (
+    RoundBasedExperiment,
+    ScenarioConfig,
+    format_series,
+    format_table,
+    run_experiment,
+)
+from repro.experiments.figure3 import FIGURE3_LIAR_COUNTS
 
 
 def test_bench_figure3_liar_impact(benchmark, emit):
-    result = benchmark(_run)
+    result = benchmark(run_experiment, "figure3")
 
-    series = format_series(result.detect_series(),
+    # The rows carry no per-round aggregate; replay the same cells for it.
+    detect = {
+        label: RoundBasedExperiment(ScenarioConfig(liar_count=count)).run().detect_values()
+        for label, count in FIGURE3_LIAR_COUNTS.items()
+    }
+    series = format_series(detect,
                            title="Figure 3 — Detect^{A,I} per round, by liar ratio")
     table = format_table(result.rows(), title="Figure 3 — convergence summary")
     emit("FIGURE 3 (Impact of liars)", series + "\n\n" + table)
 
-    detect = result.detect_series()
     for label, values in detect.items():
         assert values[10] <= -0.4, f"{label} not below -0.4 by round 10"
         assert values[-1] <= -0.75, f"{label} did not converge"
-    convergence = result.convergence_rounds(-0.4)
+    convergence = {row["liar_ratio"]: row["round_below_-0.4"] for row in result.rows()}
     assert convergence["6.7%"] <= convergence["26.3%"] <= convergence["43.2%"]
 
     benchmark.extra_info["final_detect"] = {
-        label: round(value, 3) for label, value in result.final_values().items()
+        label: round(values[-1], 3) for label, values in detect.items()
     }
     benchmark.extra_info["rounds_to_minus_0.4"] = convergence

@@ -9,21 +9,20 @@ converges.
 
 from __future__ import annotations
 
-from repro.experiments import format_table, run_mobility_study
-
-
-def _run():
-    return run_mobility_study(speeds=(0.0, 2.0, 5.0, 10.0), cycles=6, seed=23)
+from repro.experiments import format_table, run_experiment
 
 
 def test_bench_mobility_impact(benchmark, emit):
-    result = benchmark.pedantic(_run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("mobility",),
+                                kwargs={"params": {"cycles": 6}},
+                                rounds=1, iterations=1)
+    rows = result.rows()
 
     emit("EXTENSION (Mobility impact)",
-         format_table(result.as_rows(),
+         format_table(rows,
                       title="Detection quality vs maximum node speed (random waypoint)"))
 
-    static = result.runs[0]
-    assert static.attacker_investigated
-    assert static.final_detect is not None and static.final_detect < 0.0
-    benchmark.extra_info["rows"] = result.as_rows()
+    static = rows[0]
+    assert static["attacker_investigated"]
+    assert static["final_detect"] is not None and static["final_detect"] < 0.0
+    benchmark.extra_info["rows"] = rows

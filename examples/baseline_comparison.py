@@ -25,13 +25,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import ScenarioConfig
-from repro.experiments import (
-    format_series,
-    format_table,
-    run_ablation,
-    run_experiment,
-)
+from repro import RoundBasedExperiment, ScenarioConfig
+from repro.experiments import format_series, format_table, run_experiment
+from repro.experiments.ablation import replay_methods
 
 
 def main() -> int:
@@ -43,18 +39,17 @@ def main() -> int:
     # The summary table comes from the engine (the registered "ablation"
     # spec); the per-round trajectories below use the library API directly.
     engine_run = run_experiment("ablation", params={"liar_count": liar_count})
-    result = run_ablation(config)
-    assert engine_run.rows() == result.as_rows()  # one runtime, same rows
+    methods = replay_methods(RoundBasedExperiment(config).run())
 
     print(format_table(engine_run.rows(),
                        title="Detection round and final score per method"))
     print()
-    print(format_series({name: t.scores for name, t in result.methods.items()},
+    print(format_series({name: t.scores for name, t in methods.items()},
                         title="Score trajectory per method (lower = attacker flagged)"))
     print()
 
-    ours = result.methods["trust-weighted"]
-    vote = result.methods["unweighted-vote"]
+    ours = methods["trust-weighted"]
+    vote = methods["unweighted-vote"]
     print("Reading:")
     print(f"  * the trust-weighted aggregate ends at {ours.final_score:+.3f}; the liars'")
     print("    weight shrinks every round, so their influence fades (paper Figure 3).")

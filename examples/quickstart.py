@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import ScenarioConfig, run_figure1
-from repro.experiments import format_table, format_trajectories, sparkline
+from repro import RoundBasedExperiment, ScenarioConfig
+from repro.experiments import format_table, format_trajectories, run_experiment, sparkline
+from repro.metrics import TrustTrajectoryReport
 
 
 def main() -> int:
@@ -31,14 +32,17 @@ def main() -> int:
           f"{config.effective_liar_count()} liars "
           f"({config.liar_percentage():.1f}% of responders), {config.rounds} rounds\n")
 
-    result = run_figure1(config)
-    experiment = result.experiment
+    # The per-round trajectories come from the library API directly; the
+    # summary table is the registered "figure1" experiment's report rows.
+    experiment = RoundBasedExperiment(config).run()
+    trajectories = experiment.trust_trajectories()
 
-    roles = {node: experiment.role_of(node) for node in result.trajectories}
-    print(format_trajectories(result.trajectories, roles=roles,
+    roles = {node: experiment.role_of(node) for node in trajectories}
+    print(format_trajectories(trajectories, roles=roles,
                               title="Trust assigned by the attacked node (per round)"))
     print()
-    print(format_table(result.rows(), title="Initial vs final trust"))
+    print(format_table(run_experiment("figure1", base_seed=seed).rows(),
+                       title="Initial vs final trust"))
     print()
 
     detect = experiment.detect_values()
@@ -49,7 +53,13 @@ def main() -> int:
           % (detect[0], detect[min(10, len(detect) - 1)], detect[-1]))
     print(f"  final verdict on the attacker: {experiment.final_outcome()}")
 
-    report = result.trajectory_report()
+    report = TrustTrajectoryReport(
+        observer=experiment.investigator,
+        trajectories=trajectories,
+        liars=experiment.liars,
+        honest=experiment.honest_responders,
+        attacker=experiment.attacker,
+    )
     print()
     print("Paper-shape checks:")
     print(f"  liars monotonically losing trust ........ {report.liars_all_decreasing()}")

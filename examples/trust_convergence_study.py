@@ -22,14 +22,10 @@ Usage::
 
 from __future__ import annotations
 
-from repro import ScenarioConfig
-from repro.experiments import (
-    format_series,
-    format_table,
-    run_figure2,
-    run_figure3,
-)
-from repro.experiments.config import figure2_config
+from repro import RoundBasedExperiment, ScenarioConfig
+from repro.experiments import format_series, format_table
+from repro.experiments.figure3 import _figure3_row
+from repro.metrics.trust_metrics import recovery_gap
 from repro.trust.manager import TrustParameters
 
 
@@ -39,10 +35,12 @@ def liar_ratio_sweep() -> None:
         f"{count} liars": ScenarioConfig(seed=7, liar_count=count)
         for count in (0, 2, 4, 6)
     }
-    result = run_figure3(configs)
-    print(format_series(result.detect_series(), title="Detect^{A,I} per round"))
+    runs = {label: RoundBasedExperiment(config).run() for label, config in configs.items()}
+    print(format_series({label: run.detect_values() for label, run in runs.items()},
+                        title="Detect^{A,I} per round"))
     print()
-    print(format_table(result.rows(), title="Convergence summary"))
+    print(format_table([_figure3_row(label, run) for label, run in runs.items()],
+                       title="Convergence summary"))
     print()
 
 
@@ -50,7 +48,8 @@ def forgetting_factor_sweep() -> None:
     print("Part 2 — forgetting factor after the attack ceases (Figure 2)")
     rows = []
     for beta in (0.90, 0.95, 0.98):
-        config = figure2_config(seed=7)
+        # The figure2 experiment: 25 attack rounds, then 50 without misconduct.
+        config = ScenarioConfig(seed=7, rounds=75, attack_stop_round=25)
         config = config.with_overrides(
             trust=TrustParameters(
                 alpha_beneficial=config.trust.alpha_beneficial,
@@ -60,13 +59,14 @@ def forgetting_factor_sweep() -> None:
                 beta_recovery=config.trust.beta_recovery,
             )
         )
-        result = run_figure2(config)
-        gaps = result.recovery_gaps()
-        honest_gap = max(abs(gaps[n]) for n in result.experiment.honest_responders)
-        liar_gap = min(gaps[n] for n in result.experiment.liars)
+        run = RoundBasedExperiment(config).run()
+        gaps = {node: recovery_gap(trajectory, config.trust.default_trust)
+                for node, trajectory in run.trust_trajectories().items()}
+        honest_gap = max(abs(gaps[n]) for n in run.honest_responders)
+        liar_gap = min(gaps[n] for n in run.liars)
         rows.append({
             "beta": beta,
-            "rounds_after_stop": config.rounds - result.attack_stop_round,
+            "rounds_after_stop": config.rounds - config.attack_stop_round,
             "max_honest_gap_to_default": round(honest_gap, 3),
             "min_former_liar_gap": round(liar_gap, 3),
         })

@@ -23,14 +23,3 @@ python -m repro.experiments run "${cell[@]}" --output "$workdir/report.txt"
 echo "== diff report vs tests/golden/scale_smoke_figure1.txt"
 diff tests/golden/scale_smoke_figure1.txt "$workdir/report.txt"
 echo "scale smoke: OK (report byte-identical to the golden)"
-
-# Machine-readable perf trajectory: engine events/sec (timer wheel vs the
-# reference heap engine), mobility tick throughput, and — unless
-# REPRO_SMOKE_SKIP_CELL=1 — one 256-node campaign cell wall-clock.  CI
-# uploads the JSON so PRs can be diffed against each other numerically.
-echo "== engine perf snapshot (BENCH_engine.json)"
-if [[ "${REPRO_SMOKE_SKIP_CELL:-0}" == "1" ]]; then
-    python scripts/bench_report.py --skip-cell --output BENCH_engine.json
-else
-    python scripts/bench_report.py --output BENCH_engine.json
-fi

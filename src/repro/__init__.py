@@ -7,8 +7,8 @@ Reproduction of *"Trust-enabled Link Spoofing Detection in MANET"*
 * ``repro.olsr`` — a pure-Python OLSR (RFC 3626) implementation emitting
   audit logs,
 * ``repro.logs`` — the audit-log records, parser and analyzer,
-* ``repro.attacks`` — link spoofing and the other attacks of the paper's
-  taxonomy, plus colluding liars,
+* ``repro.attacks`` — link spoofing, the attack the paper evaluates, with
+  its colluding liars, plus drop attacks and adaptive adversaries,
 * ``repro.core`` — the log/signature-based detector, the cooperative
   investigation (Algorithm 1) and the decision rule,
 * ``repro.trust`` — the entropy-based trust system with the confidence
@@ -20,9 +20,9 @@ Reproduction of *"Trust-enabled Link Spoofing Detection in MANET"*
 
 Quick start::
 
-    from repro.experiments import run_figure1
-    result = run_figure1()
-    print(result.rows())
+    from repro.experiments import run_experiment
+    result = run_experiment("figure1")
+    print(result.format_report())
 """
 
 from repro.core import (
@@ -40,11 +40,6 @@ from repro.experiments import (
     ScenarioConfig,
     build_canonical_scenario,
     build_manet_scenario,
-    run_ablation,
-    run_confidence_sweep,
-    run_figure1,
-    run_figure2,
-    run_figure3,
 )
 from repro.trust import TrustManager, TrustParameters, confidence_interval
 
@@ -67,9 +62,4 @@ __all__ = [
     "confidence_interval",
     "decide",
     "evaluate_investigation",
-    "run_ablation",
-    "run_confidence_sweep",
-    "run_figure1",
-    "run_figure2",
-    "run_figure3",
 ]

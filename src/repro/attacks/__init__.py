@@ -1,10 +1,11 @@
 """Attack implementations against the OLSR substrate.
 
 The paper's taxonomy (Section II-B) distinguishes drop attacks, active-forge
-attacks and modify-and-forward attacks; the paper's own developed attack is
-the *link spoofing* active forge.  Every class installs hooks on the victim
-node (HELLO/TC mutators, forward filters, message taps, answer mutators)
-rather than patching the protocol implementation.
+attacks and modify-and-forward attacks.  The one it evaluates is the *link
+spoofing* active forge, against colluding liars; this package implements
+that attack, the liars and the drop attacks (blackhole, grayhole).  Every
+class installs hooks on the victim node (HELLO mutators, forward filters,
+answer mutators) rather than patching the protocol implementation.
 
 Adaptive tier (:mod:`repro.attacks.adaptive`)
 ---------------------------------------------
@@ -56,13 +57,6 @@ from repro.attacks.dropping import (
     OnOffDroppingAttack,
     SelectiveDropFilter,
 )
-from repro.attacks.forge import (
-    BroadcastStormAttack,
-    HnaSpoofingAttack,
-    IdentitySpoofingAttack,
-    TcTamperingAttack,
-    WillingnessManipulationAttack,
-)
 from repro.attacks.liar import LiarBehavior, LieMode
 from repro.attacks.link_spoofing import (
     LinkSpoofingAttack,
@@ -70,7 +64,6 @@ from repro.attacks.link_spoofing import (
     spoof_non_existent,
     spoof_omit_neighbor,
 )
-from repro.attacks.replay import ReplayAttack, SequenceNumberHijackAttack, WormholeAttack
 from repro.attacks.scenario import AttackScenario
 
 __all__ = [
@@ -79,20 +72,16 @@ __all__ = [
     "AttackSchedule",
     "AttackScenario",
     "BlackholeAttack",
-    "BroadcastStormAttack",
     "CliqueMember",
     "DropCycleRecord",
     "DropLoopResult",
     "GrayholeAttack",
-    "HnaSpoofingAttack",
-    "IdentitySpoofingAttack",
     "LiarBehavior",
     "LiarClique",
     "LieMode",
     "LinkSpoofingAttack",
     "OnOffDroppingAttack",
     "PeriodicSchedule",
-    "ReplayAttack",
     "RotatingLiarClique",
     "SelectiveDropFilter",
     "ThresholdRidingGrayhole",
@@ -100,10 +89,6 @@ __all__ = [
     "TrustProbe",
     "grayhole_liar_stack",
     "run_drop_feedback_loop",
-    "SequenceNumberHijackAttack",
-    "TcTamperingAttack",
-    "WillingnessManipulationAttack",
-    "WormholeAttack",
     "spoof_false_link",
     "spoof_non_existent",
     "spoof_omit_neighbor",

@@ -5,11 +5,11 @@ An :class:`Attack` installs hooks into a victim-controlled router — any
 wrapped in a :class:`repro.core.detector_node.DetectorNode` — without
 modifying the protocol implementation itself, mirroring how a compromised
 router behaves from the outside.  Attacks that use only the base-class
-hooks (``forward_filters``, ``message_taps``, ``data_handlers``) work on
-every protocol; attacks that forge protocol messages (link spoofing, TC
-forgery, replay) require the matching backend and say so when installed
-elsewhere.  Attacks are activated and deactivated on a schedule, so
-experiments can model attacks that cease mid-run (Figure 2 of the paper).
+hooks (``forward_filters``, ``data_handlers``) work on every protocol;
+attacks that forge protocol messages (link spoofing) require the matching
+backend and say so when installed elsewhere.  Attacks are activated and
+deactivated on a schedule, so experiments can model attacks that cease
+mid-run (Figure 2 of the paper).
 """
 
 from __future__ import annotations

@@ -37,11 +37,6 @@ from repro.core.evidence import (
     e4,
     e5,
 )
-from repro.core.offline import (
-    OfflineAnalysisReport,
-    analyze_log_store,
-    analyze_log_text,
-)
 from repro.core.investigation import (
     CallableTransport,
     CooperativeInvestigator,
@@ -84,7 +79,6 @@ __all__ = [
     "LinkSpoofingVariant",
     "LocalDetector",
     "NetworkPathTransport",
-    "OfflineAnalysisReport",
     "OracleTransport",
     "RoundResult",
     "Signature",
@@ -93,8 +87,6 @@ __all__ = [
     "SpoofingIndicator",
     "SuspicionLevel",
     "aggregate_detection",
-    "analyze_log_store",
-    "analyze_log_text",
     "common_two_hop_neighbors",
     "decide",
     "detection_weights",

@@ -10,11 +10,12 @@ Every experiment is three declarative layers deep, all served by one runtime:
    :class:`~repro.experiments.engine.ExperimentSpec` cells with stable
    per-cell seeds.  The spec is the unit of execution, persistence and
    resume.
-2. **Registry** — drivers register their definition at import
-   (:func:`~repro.experiments.engine.register`); the CLI
+2. **Registry** — each experiment module registers its definition at
+   import (:func:`~repro.experiments.engine.register`); the CLI
    (``python -m repro.experiments``), the worker processes and callers
    resolve names through :func:`~repro.experiments.engine.get_experiment` /
-   :func:`~repro.experiments.engine.list_experiments`.
+   :func:`~repro.experiments.engine.list_experiments`, which import the
+   built-in experiment modules on first lookup.
 3. **Backend** — each cell executes on a pluggable substrate
    (:mod:`repro.experiments.backends`): ``"oracle"`` runs the paper's
    round-based loop (:class:`~repro.experiments.rounds.RoundBasedExperiment`),
@@ -67,28 +68,7 @@ Command line: ``python -m repro.experiments`` with the subcommands ``list``,
 ``fabric``.
 """
 
-from repro.experiments.ablation import AblationResult, MethodTrajectory, run_ablation
-from repro.experiments.gravity_ablation import (
-    GravityAblationResult,
-    GravityRow,
-    run_gravity_ablation,
-)
-from repro.experiments.mobility import (
-    MobilityRunResult,
-    MobilityStudyResult,
-    run_mobility_study,
-)
-from repro.experiments.config import (
-    ScenarioConfig,
-    figure2_config,
-    figure3_configs,
-    paper_default_config,
-)
-from repro.experiments.confidence_sweep import (
-    ConfidenceSweepResult,
-    ConfidenceSweepRow,
-    run_confidence_sweep,
-)
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.engine import (
     ExperimentDefinition,
     ExperimentRunResult,
@@ -98,9 +78,6 @@ from repro.experiments.engine import (
     register,
     run_experiment,
 )
-from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.report import (
     aggregate_rows,
     format_series,
@@ -123,48 +100,27 @@ from repro.experiments.scenario import (
 )
 
 __all__ = [
-    "AblationResult",
     "CANONICAL_POSITIONS",
     "ResultsStore",
     "aggregate_rows",
     "spec_content_hash",
-    "ConfidenceSweepResult",
-    "ConfidenceSweepRow",
     "ExperimentDefinition",
     "ExperimentResult",
     "ExperimentRunResult",
     "ExperimentSpec",
-    "Figure1Result",
-    "Figure2Result",
-    "Figure3Result",
-    "GravityAblationResult",
-    "GravityRow",
-    "MethodTrajectory",
-    "MobilityRunResult",
-    "MobilityStudyResult",
     "RoundBasedExperiment",
     "RoundRecord",
     "ScenarioConfig",
     "SimulationScenario",
     "build_canonical_scenario",
     "build_manet_scenario",
-    "figure2_config",
-    "figure3_configs",
     "format_series",
     "format_table",
     "format_trajectories",
     "get_experiment",
     "list_experiments",
-    "paper_default_config",
     "register",
     "render_report",
-    "run_ablation",
-    "run_confidence_sweep",
     "run_experiment",
-    "run_figure1",
-    "run_figure2",
-    "run_figure3",
-    "run_gravity_ablation",
-    "run_mobility_study",
     "sparkline",
 ]

@@ -38,7 +38,6 @@ from repro.experiments._cli import (
     open_store,
     parse_axis,
     parse_param,
-    parse_value,
     require_store_file,
 )
 from repro.experiments.engine import (
@@ -50,11 +49,6 @@ from repro.experiments.engine import (
 from repro.experiments.report import format_table
 
 _PROG = "python -m repro.experiments"
-
-# Historic aliases (tests and external scripts import these names from here).
-_parse_value = parse_value
-_parse_axis = parse_axis
-_parse_param = parse_param
 
 
 def build_run_parser() -> argparse.ArgumentParser:
@@ -70,10 +64,10 @@ def build_run_parser() -> argparse.ArgumentParser:
                         help="worker processes; 1 = serial (default: 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the experiment's base seed")
-    parser.add_argument("--axis", type=_parse_axis, action="append", default=[],
+    parser.add_argument("--axis", type=parse_axis, action="append", default=[],
                         metavar="NAME=V1,V2",
                         help="override (or add) a swept axis; repeatable")
-    parser.add_argument("--param", type=_parse_param, action="append", default=[],
+    parser.add_argument("--param", type=parse_param, action="append", default=[],
                         metavar="NAME=VALUE",
                         help="override a fixed parameter; repeatable")
     parser.add_argument("--db", type=str, default=None, metavar="FILE",
@@ -112,10 +106,10 @@ def build_report_parser() -> argparse.ArgumentParser:
                         help="backend the stored run used (with --experiment)")
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed the stored run used (with --experiment)")
-    parser.add_argument("--axis", type=_parse_axis, action="append", default=[],
+    parser.add_argument("--axis", type=parse_axis, action="append", default=[],
                         metavar="NAME=V1,V2",
                         help="axis overrides the stored run used (with --experiment)")
-    parser.add_argument("--param", type=_parse_param, action="append", default=[],
+    parser.add_argument("--param", type=parse_param, action="append", default=[],
                         metavar="NAME=VALUE",
                         help="parameter overrides the stored run used (with --experiment)")
     parser.add_argument("--output", type=str, default=None,

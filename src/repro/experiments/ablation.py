@@ -25,9 +25,8 @@ from repro.baselines.averaging import AveragingTrustSystem
 from repro.baselines.beta_reputation import BetaReputationSystem
 from repro.baselines.cap_olsr import CapOlsrDetector
 from repro.core.decision import DecisionOutcome, decide, unweighted_vote
-from repro.experiments.config import ScenarioConfig, paper_default_config
 from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
-from repro.experiments.rounds import ExperimentResult, RoundBasedExperiment
+from repro.experiments.rounds import ExperimentResult
 from repro.trust.confidence import margin_of_error
 
 
@@ -51,18 +50,6 @@ class MethodTrajectory:
         }
 
 
-@dataclass
-class AblationResult:
-    """Trajectories of every compared method on the same answer stream."""
-
-    experiment: ExperimentResult
-    methods: Dict[str, MethodTrajectory] = field(default_factory=dict)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """One row per method."""
-        return [self.methods[name].as_dict() for name in sorted(self.methods)]
-
-
 def answers_to_bools(answers: Dict[str, float]) -> Dict[str, Optional[bool]]:
     """Convert ±1/0 investigation answers to the baselines' bool interface."""
     converted: Dict[str, Optional[bool]] = {}
@@ -76,14 +63,7 @@ def answers_to_bools(answers: Dict[str, float]) -> Dict[str, Optional[bool]]:
     return converted
 
 
-def run_ablation(config: Optional[ScenarioConfig] = None) -> AblationResult:
-    """Run the paper's scenario once and replay its answers through every method."""
-    config = config or paper_default_config()
-    experiment = RoundBasedExperiment(config)
-    return replay_methods(experiment.run())
-
-
-def replay_methods(run: ExperimentResult) -> AblationResult:
+def replay_methods(run: ExperimentResult) -> Dict[str, MethodTrajectory]:
     """Replay one experiment's answer stream through every compared method.
 
     The run may come from either backend — the oracle round loop or the full
@@ -148,17 +128,13 @@ def replay_methods(run: ExperimentResult) -> AblationResult:
     for trajectory in (ours, unweighted, cap, beta, averaging):
         trajectory.final_score = trajectory.scores[-1] if trajectory.scores else None
 
-    return AblationResult(
-        experiment=run,
-        methods={
-            t.method: t for t in (ours, unweighted, cap, beta, averaging)
-        },
-    )
+    return {t.method: t for t in (ours, unweighted, cap, beta, averaging)}
 
 
 def _ablation_rows(spec: ExperimentSpec,
                    result: ExperimentResult) -> List[Dict[str, object]]:
-    return replay_methods(result).as_rows()
+    methods = replay_methods(result)
+    return [methods[name].as_dict() for name in sorted(methods)]
 
 
 #: Engine registration: one scenario run, every method replayed on its

@@ -9,78 +9,21 @@ whether the final verdict is correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.decision import DecisionOutcome
-from repro.experiments.config import ScenarioConfig, paper_default_config
 from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
-from repro.experiments.rounds import ExperimentResult, RoundBasedExperiment
-
-
-@dataclass
-class ConfidenceSweepRow:
-    """Outcome of one (confidence level, γ) configuration."""
-
-    confidence_level: float
-    gamma: float
-    rounds_to_decision: Optional[int]
-    final_outcome: Optional[DecisionOutcome]
-    final_detect: Optional[float]
-    final_margin: Optional[float]
-    verdict_correct: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary for tabular output (raw values; the report
-        formatter owns rounding)."""
-        return {
-            "confidence_level": self.confidence_level,
-            "gamma": self.gamma,
-            "rounds_to_decision": self.rounds_to_decision,
-            "final_outcome": str(self.final_outcome) if self.final_outcome else None,
-            "final_detect": self.final_detect,
-            "final_margin": self.final_margin,
-            "verdict_correct": self.verdict_correct,
-        }
-
-
-@dataclass
-class ConfidenceSweepResult:
-    """All rows of the sweep."""
-
-    rows: List[ConfidenceSweepRow] = field(default_factory=list)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Flat rows for the report generator."""
-        return [row.as_dict() for row in self.rows]
-
-    def correct_fraction(self) -> float:
-        """Fraction of configurations whose final verdict was correct."""
-        if not self.rows:
-            return 0.0
-        return sum(1 for row in self.rows if row.verdict_correct) / len(self.rows)
-
-
-def run_confidence_sweep(
-    confidence_levels: Sequence[float] = (0.90, 0.95, 0.99),
-    gammas: Sequence[float] = (0.4, 0.6, 0.8),
-    base_config: Optional[ScenarioConfig] = None,
-) -> ConfidenceSweepResult:
-    """Run the sweep; the suspect is always a genuine attacker, so the correct
-    verdict is :data:`DecisionOutcome.INTRUDER`."""
-    base = base_config or paper_default_config()
-    result = ConfidenceSweepResult()
-    for confidence_level in confidence_levels:
-        for gamma in gammas:
-            config = base.with_overrides(confidence_level=confidence_level, gamma=gamma)
-            run = RoundBasedExperiment(config).run()
-            result.rows.append(sweep_row(confidence_level, gamma, run))
-    return result
+from repro.experiments.rounds import ExperimentResult
 
 
 def sweep_row(confidence_level: float, gamma: float,
-              run: ExperimentResult) -> ConfidenceSweepRow:
-    """Summarise one (confidence level, γ) run into its sweep row."""
+              run: ExperimentResult) -> Dict[str, object]:
+    """Summarise one (confidence level, γ) run into its sweep row.
+
+    The suspect is always a genuine attacker, so the correct verdict is
+    :data:`DecisionOutcome.INTRUDER`.  Values are *raw* — the report
+    formatter owns rounding.
+    """
     rounds_to_decision: Optional[int] = None
     final_outcome: Optional[DecisionOutcome] = None
     final_detect: Optional[float] = None
@@ -93,22 +36,21 @@ def sweep_row(confidence_level: float, gamma: float,
         final_margin = record.margin
         if rounds_to_decision is None and record.outcome != DecisionOutcome.UNRECOGNIZED:
             rounds_to_decision = record.round_index
-    return ConfidenceSweepRow(
-        confidence_level=confidence_level,
-        gamma=gamma,
-        rounds_to_decision=rounds_to_decision,
-        final_outcome=final_outcome,
-        final_detect=final_detect,
-        final_margin=final_margin,
-        verdict_correct=final_outcome == DecisionOutcome.INTRUDER,
-    )
+    return {
+        "confidence_level": confidence_level,
+        "gamma": gamma,
+        "rounds_to_decision": rounds_to_decision,
+        "final_outcome": str(final_outcome) if final_outcome else None,
+        "final_detect": final_detect,
+        "final_margin": final_margin,
+        "verdict_correct": final_outcome == DecisionOutcome.INTRUDER,
+    }
 
 
 def _confidence_rows(spec: ExperimentSpec,
                      result: ExperimentResult) -> List[Dict[str, object]]:
-    row = sweep_row(float(spec.param("confidence_level")),
-                    float(spec.param("gamma")), result)
-    return [row.as_dict()]
+    return [sweep_row(float(spec.param("confidence_level")),
+                      float(spec.param("gamma")), result)]
 
 
 #: Engine registration: the (confidence level × γ) grid, one cell per pair.

@@ -113,36 +113,3 @@ class ScenarioConfig:
     def with_overrides(self, **changes) -> "ScenarioConfig":
         """Copy of the configuration with the given fields replaced."""
         return replace(self, **changes)
-
-
-def paper_default_config(seed: int = 7) -> ScenarioConfig:
-    """The configuration of the paper's main experiment (Figures 1 and 2)."""
-    return ScenarioConfig(seed=seed)
-
-
-def figure2_config(seed: int = 7, attack_stop_round: int = 25,
-                   rounds: int = 75) -> ScenarioConfig:
-    """Figure 2: the Figure 1 attack phase followed by misconduct-free rounds.
-
-    The attack (and the lying) lasts for the first ``attack_stop_round``
-    rounds; the remaining rounds show the forgetting factor pulling every
-    trust value back toward the default.
-    """
-    return ScenarioConfig(seed=seed, rounds=rounds, attack_stop_round=attack_stop_round)
-
-
-#: Figure 3 liar-ratio labels (as quoted by the paper) → liar head-counts.
-#: Shared by the legacy sweep helper and the engine's ``figure3`` definition.
-FIGURE3_LIAR_COUNTS = {"6.7%": 1, "26.3%": 4, "43.2%": 6}
-
-
-def figure3_configs(seed: int = 7) -> dict:
-    """Figure 3: liar-ratio sweep.
-
-    The paper quotes 26.3 % and 43.2 % liars; the sweep below brackets those
-    values with a low-liar point for reference.
-    """
-    return {
-        label: ScenarioConfig(seed=seed, liar_count=count)
-        for label, count in FIGURE3_LIAR_COUNTS.items()
-    }

@@ -155,9 +155,9 @@ class ExperimentDefinition:
     ``rows_from_result`` turns the backend's
     :class:`~repro.experiments.rounds.ExperimentResult` into the flat,
     JSON-serialisable report rows of one cell.  ``seed_mode`` selects how the
-    per-cell seed derives from the base seed: ``"shared"`` reproduces the
-    legacy drivers (every cell runs the same scenario seed, so cells differ
-    only by their axis values), ``"per-cell"`` derives a distinct
+    per-cell seed derives from the base seed: ``"shared"`` runs every cell
+    on the same scenario seed, so cells differ only by their axis values
+    (what the paper's sweeps compare), ``"per-cell"`` derives a distinct
     :func:`~repro.seeding.stable_seed` per cell id (what replications want).
     """
 

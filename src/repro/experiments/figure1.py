@@ -14,88 +14,37 @@ spoofing attack (and the lying) persists.  The expected shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.config import ScenarioConfig, paper_default_config
 from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
-from repro.experiments.rounds import ExperimentResult, RoundBasedExperiment
-from repro.metrics.trust_metrics import TrustTrajectoryReport, total_change
-
-
-@dataclass
-class Figure1Result:
-    """Data behind Figure 1."""
-
-    experiment: ExperimentResult
-    trajectories: Dict[str, List[float]] = field(default_factory=dict)
-
-    @property
-    def liars(self) -> set:
-        """Liar node ids."""
-        return self.experiment.liars
-
-    @property
-    def honest(self) -> set:
-        """Honest responder node ids."""
-        return self.experiment.honest_responders
-
-    @property
-    def attacker(self) -> str:
-        """The link-spoofing attacker id."""
-        return self.experiment.attacker
-
-    def trajectory_report(self) -> TrustTrajectoryReport:
-        """Wrap the trajectories in the metrics report object."""
-        return TrustTrajectoryReport(
-            observer=self.experiment.investigator,
-            trajectories={k: list(v) for k, v in self.trajectories.items()},
-            liars=set(self.liars),
-            honest=set(self.honest),
-            attacker=self.attacker,
-        )
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Tabular form: one row per node with initial/final trust and change.
-
-        Values are *raw* — rounding happens only in the report formatter, so
-        aggregations over these rows average unbiased per-node metrics.
-        """
-        rows = []
-        for node in sorted(self.trajectories):
-            trajectory = self.trajectories[node]
-            rows.append(
-                {
-                    "node": node,
-                    "role": self.experiment.role_of(node),
-                    "initial_trust": self.experiment.initial_trust.get(node, 0.0),
-                    "final_trust": trajectory[-1] if trajectory else None,
-                    "change": total_change(trajectory),
-                }
-            )
-        return rows
-
-
-def run_figure1(config: Optional[ScenarioConfig] = None) -> Figure1Result:
-    """Run the Figure 1 experiment (attack persists for the whole run)."""
-    config = config or paper_default_config()
-    if config.attack_stop_round is not None:
-        config = config.with_overrides(attack_stop_round=None)
-    experiment = RoundBasedExperiment(config)
-    result = experiment.run()
-    return Figure1Result(experiment=result, trajectories=result.trust_trajectories())
+from repro.experiments.rounds import ExperimentResult
+from repro.metrics.trust_metrics import total_change
 
 
 def _figure1_rows(spec: ExperimentSpec,
                   result: ExperimentResult) -> List[Dict[str, object]]:
-    figure = Figure1Result(experiment=result,
-                           trajectories=result.trust_trajectories())
-    return figure.rows()
+    """One row per node with initial/final trust and change.
+
+    Values are *raw* — rounding happens only in the report formatter, so
+    aggregations over these rows average unbiased per-node metrics.
+    """
+    rows = []
+    for node, trajectory in result.trust_trajectories().items():
+        rows.append(
+            {
+                "node": node,
+                "role": result.role_of(node),
+                "initial_trust": result.initial_trust.get(node, 0.0),
+                "final_trust": trajectory[-1] if trajectory else None,
+                "change": total_change(trajectory),
+            }
+        )
+    return rows
 
 
-#: Engine registration: the same scenario the legacy driver runs, expressed
-#: as a declarative spec (single cell; promote any fixed parameter — e.g.
-#: ``liar_count`` — to an axis at run time to sweep it).
+#: Engine registration: the paper's default scenario with the attack
+#: persisting for the whole run (single cell; promote any fixed parameter —
+#: e.g. ``liar_count`` — to an axis at run time to sweep it).
 FIGURE1_EXPERIMENT = register(ExperimentDefinition(
     name="figure1",
     description="trust trajectories under a persistent attack (paper Fig. 1)",

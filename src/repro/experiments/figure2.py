@@ -13,92 +13,46 @@ default (initial) trust, 0.4 in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.config import ScenarioConfig, figure2_config
 from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
-from repro.experiments.rounds import ExperimentResult, RoundBasedExperiment
+from repro.experiments.rounds import ExperimentResult
 from repro.metrics.trust_metrics import recovery_gap
-
-
-@dataclass
-class Figure2Result:
-    """Data behind Figure 2."""
-
-    experiment: ExperimentResult
-    trajectories: Dict[str, List[float]] = field(default_factory=dict)
-    attack_stop_round: int = 0
-    default_trust: float = 0.4
-
-    def recovery_gaps(self) -> Dict[str, float]:
-        """Distance of each node's final trust from the default trust."""
-        return {
-            node: recovery_gap(trajectory, self.default_trust)
-            for node, trajectory in self.trajectories.items()
-        }
-
-    def post_attack_trajectory(self, node: str) -> List[float]:
-        """Trust of ``node`` restricted to the rounds after the attack stopped."""
-        return self.trajectories.get(node, [])[self.attack_stop_round:]
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Tabular form: per node, trust at the cut-over and at the end.
-
-        Values are *raw* — rounding happens only in the report formatter.
-        """
-        rows = []
-        for node in sorted(self.trajectories):
-            trajectory = self.trajectories[node]
-            at_stop = (
-                trajectory[self.attack_stop_round - 1]
-                if len(trajectory) >= self.attack_stop_round and self.attack_stop_round > 0
-                else (trajectory[0] if trajectory else None)
-            )
-            rows.append(
-                {
-                    "node": node,
-                    "role": self.experiment.role_of(node),
-                    "trust_at_attack_stop": at_stop,
-                    "final_trust": trajectory[-1] if trajectory else None,
-                    "gap_to_default": recovery_gap(trajectory, self.default_trust),
-                }
-            )
-        return rows
-
-
-def run_figure2(config: Optional[ScenarioConfig] = None) -> Figure2Result:
-    """Run the Figure 2 experiment (attack ceases mid-run, forgetting takes over)."""
-    config = config or figure2_config()
-    if config.attack_stop_round is None:
-        config = config.with_overrides(attack_stop_round=max(2, config.rounds // 4))
-    experiment = RoundBasedExperiment(config)
-    result = experiment.run()
-    return Figure2Result(
-        experiment=result,
-        trajectories=result.trust_trajectories(),
-        attack_stop_round=config.attack_stop_round,
-        default_trust=config.trust.default_trust,
-    )
 
 
 def _figure2_rows(spec: ExperimentSpec,
                   result: ExperimentResult) -> List[Dict[str, object]]:
+    """Per node, trust at the cut-over and at the end, and the final gap to
+    the default trust.
+
+    Values are *raw* — rounding happens only in the report formatter.
+    """
     config = result.config
     attack_stop = config.attack_stop_round
     if attack_stop is None:
         attack_stop = max(2, config.rounds // 4)
-    figure = Figure2Result(
-        experiment=result,
-        trajectories=result.trust_trajectories(),
-        attack_stop_round=attack_stop,
-        default_trust=config.trust.default_trust,
-    )
-    return figure.rows()
+    rows = []
+    for node, trajectory in result.trust_trajectories().items():
+        at_stop = (
+            trajectory[attack_stop - 1]
+            if len(trajectory) >= attack_stop and attack_stop > 0
+            else (trajectory[0] if trajectory else None)
+        )
+        rows.append(
+            {
+                "node": node,
+                "role": result.role_of(node),
+                "trust_at_attack_stop": at_stop,
+                "final_trust": trajectory[-1] if trajectory else None,
+                "gap_to_default": recovery_gap(trajectory, config.trust.default_trust),
+            }
+        )
+    return rows
 
 
-#: Engine registration: the Figure 1 attack phase followed by misconduct-free
-#: rounds (single cell; the stop round and horizon are overridable params).
+#: Engine registration: the Figure 1 attack phase (25 rounds) followed by 50
+#: misconduct-free rounds (single cell; the stop round and horizon are
+#: overridable params).
 FIGURE2_EXPERIMENT = register(ExperimentDefinition(
     name="figure2",
     description="forgetting-factor recovery after the attack stops (paper Fig. 2)",

@@ -14,67 +14,24 @@ shape:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.experiments.config import (
-    FIGURE3_LIAR_COUNTS,
-    ScenarioConfig,
-    figure3_configs,
-)
 from repro.experiments.engine import ExperimentDefinition, ExperimentSpec, register
-from repro.experiments.rounds import ExperimentResult, RoundBasedExperiment
+from repro.experiments.rounds import ExperimentResult
 from repro.metrics.detection import convergence_round
 
-
-@dataclass
-class Figure3Result:
-    """Data behind Figure 3: one detection trajectory per liar ratio."""
-
-    experiments: Dict[str, ExperimentResult] = field(default_factory=dict)
-
-    def detect_series(self) -> Dict[str, List[float]]:
-        """Detect^{A,I} trajectory per liar-ratio label."""
-        return {
-            label: [v for v in result.detect_trajectory() if v is not None]
-            for label, result in self.experiments.items()
-        }
-
-    def convergence_rounds(self, threshold: float = -0.4) -> Dict[str, Optional[int]]:
-        """First round at which each series falls below ``threshold``."""
-        return {
-            label: convergence_round(series, threshold, below=True)
-            for label, series in self.detect_series().items()
-        }
-
-    def final_values(self) -> Dict[str, float]:
-        """Last Detect value of each series."""
-        return {
-            label: (series[-1] if series else 0.0)
-            for label, series in self.detect_series().items()
-        }
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Tabular form: per liar ratio, convergence round and final value.
-
-        Values are *raw* — rounding happens only in the report formatter.
-        """
-        rows = []
-        for label in sorted(self.experiments, key=_ratio_sort_key):
-            rows.append(_figure3_row(label, self.experiments[label]))
-        return rows
-
-
-def _ratio_sort_key(label: str) -> float:
-    try:
-        return float(label.rstrip("%"))
-    except ValueError:
-        return 0.0
+#: Liar-ratio labels (as quoted by the paper) → liar head-counts.  The paper
+#: quotes 26.3 % and 43.2 % liars; the 6.7 % point brackets them with a
+#: low-liar reference.
+FIGURE3_LIAR_COUNTS = {"6.7%": 1, "26.3%": 4, "43.2%": 6}
 
 
 def _figure3_row(label: str, result: ExperimentResult) -> Dict[str, object]:
-    """One summary row of Figure 3 (computed per liar-ratio cell)."""
-    series = [v for v in result.detect_trajectory() if v is not None]
+    """One summary row of Figure 3 (computed per liar-ratio cell).
+
+    Values are *raw* — rounding happens only in the report formatter.
+    """
+    series = result.detect_values()
     return {
         "liar_ratio": label,
         "liar_count": len(result.liars),
@@ -82,16 +39,6 @@ def _figure3_row(label: str, result: ExperimentResult) -> Dict[str, object]:
         "round_below_-0.4": convergence_round(series, -0.4, below=True),
         "final_detect": series[-1] if series else 0.0,
     }
-
-
-def run_figure3(configs: Optional[Dict[str, ScenarioConfig]] = None) -> Figure3Result:
-    """Run the liar-ratio sweep (paper Figure 3)."""
-    configs = configs or figure3_configs()
-    experiments: Dict[str, ExperimentResult] = {}
-    for label, config in configs.items():
-        experiment = RoundBasedExperiment(config)
-        experiments[label] = experiment.run()
-    return Figure3Result(experiments=experiments)
 
 
 def _resolve_figure3_params(params: Dict[str, object]) -> Dict[str, object]:

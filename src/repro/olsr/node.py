@@ -10,12 +10,10 @@ for a category nobody subscribed to.
 
 :class:`OlsrNode` is the OLSR backend of the protocol-agnostic routing
 layer: the network attachment, audit log, data plane and the generic attack
-hooks (``forward_filters``, ``message_taps``, ``data_handlers``) live on
+hooks (``forward_filters``, ``data_handlers``) live on
 :class:`repro.routing.base.RoutingProtocol`; this module adds the
-OLSR-specific hooks:
-
-* ``hello_mutators`` / ``tc_mutators`` — transform control messages right
-  before emission (link spoofing, willingness manipulation…).
+OLSR-specific ``hello_mutators``, which transform each HELLO right before
+emission (link spoofing).
 """
 
 from __future__ import annotations
@@ -64,9 +62,6 @@ from repro.routing.base import DataPacket, RoutingProtocol
 from repro.routing.registry import register_protocol
 
 HelloMutator = Callable[[HelloMessage, "OlsrNode"], HelloMessage]
-TcMutator = Callable[[TcMessage, "OlsrNode"], TcMessage]
-ForwardFilter = Callable[[OlsrMessage, str, "OlsrNode"], bool]
-MessageTap = Callable[[OlsrMessage, str, "OlsrNode"], None]
 
 
 @dataclass
@@ -131,9 +126,8 @@ class OlsrNode(RoutingProtocol):
         self._mpr_inputs_key: Optional[tuple] = None
         self._route_inputs_key: Optional[tuple] = None
 
-        # OLSR-specific attack hooks (generic ones live on the base class).
+        # OLSR-specific attack hook (generic ones live on the base class).
         self.hello_mutators: List[HelloMutator] = []
-        self.tc_mutators: List[TcMutator] = []
 
     # ------------------------------------------------------------------ life
     def start(self) -> None:
@@ -292,8 +286,6 @@ class OlsrNode(RoutingProtocol):
         if not selectors and not self.config.tc_when_no_selectors:
             return
         tc = TcMessage(ansn=self.ansn, advertised_neighbors=set(selectors))
-        for mutator in self.tc_mutators:
-            tc = mutator(tc, self)
         message = OlsrMessage(
             originator=self.node_id,
             body=tc,
@@ -348,8 +340,6 @@ class OlsrNode(RoutingProtocol):
     def _on_message(self, message: OlsrMessage, last_hop: str) -> None:
         if message.originator == self.node_id:
             return  # our own flooded message came back
-        for tap in self.message_taps:
-            tap(message, last_hop, self)
         message_type = str(message.message_type)
         self.stats.record_received(message_type)
 

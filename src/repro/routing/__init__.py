@@ -11,7 +11,7 @@ produced the routes.  This package is the seam that keeps it that way:
   attachment and frame dispatch, the per-node audit
   :class:`~repro.logs.store.LogStore`, deterministic per-node randomness,
   transmission statistics, the attack hooks (``forward_filters``,
-  ``message_taps``, ``data_handlers``) and the hop-by-hop data plane —
+  ``data_handlers``) and the hop-by-hop data plane —
   and requires four protocol-specific pieces:
 
   ====================================  =======================================

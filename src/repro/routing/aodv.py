@@ -211,8 +211,6 @@ class AodvNode(RoutingProtocol):
                 and getattr(payload, "originator", None) == self.node_id):
             return
         if isinstance(payload, (AodvHello, RouteRequest, RouteReply, RouteError)):
-            for tap in self.message_taps:
-                tap(payload, last_hop, self)
             self.stats.record_received(payload.message_type)
         if isinstance(payload, AodvHello):
             self._on_hello(payload, last_hop)

@@ -15,12 +15,10 @@ Attack modules never patch protocol classes; they register *hooks*:
   Filters receive an object exposing at least ``originator`` and
   ``message_type``; on the data path that object comes from
   :meth:`RoutingProtocol._data_filter_probe`.
-* ``message_taps`` — observe every received control message (wormhole
-  recording, watchdog-style monitoring).
 * ``data_handlers`` — deliver data packets addressed to this node.
 
-Protocol-specific hooks (e.g. OLSR's ``hello_mutators``/``tc_mutators``)
-live on the backends that define the corresponding messages.
+Protocol-specific hooks (e.g. OLSR's ``hello_mutators``) live on the
+backends that define the corresponding messages.
 """
 
 from __future__ import annotations
@@ -97,7 +95,6 @@ class RoutingProtocol(abc.ABC):
 
         # Attack / monitoring hooks (protocol-agnostic).
         self.forward_filters: List[Callable] = []
-        self.message_taps: List[Callable] = []
         self.data_handlers: List[Callable[[DataPacket, str], None]] = []
 
         self._started = False

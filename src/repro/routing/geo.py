@@ -114,8 +114,6 @@ class GreedyGeoNode(RoutingProtocol):
             return
         if payload.originator == self.node_id:
             return
-        for tap in self.message_taps:
-            tap(payload, last_hop, self)
         self.stats.record_received("GEO_BEACON")
         now = self.now
         origin = payload.originator

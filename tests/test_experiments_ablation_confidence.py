@@ -5,29 +5,35 @@ from __future__ import annotations
 import pytest
 
 from repro.core.decision import DecisionOutcome
-from repro.experiments.ablation import run_ablation
-from repro.experiments.config import ScenarioConfig, paper_default_config
-from repro.experiments.confidence_sweep import run_confidence_sweep
+from repro.experiments.ablation import _ablation_rows, replay_methods
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.engine import run_experiment
+from repro.experiments.rounds import RoundBasedExperiment
 
 
 @pytest.fixture(scope="module")
-def ablation():
-    return run_ablation(paper_default_config())
+def ablation_run():
+    return RoundBasedExperiment(ScenarioConfig()).run()
+
+
+@pytest.fixture(scope="module")
+def ablation(ablation_run):
+    return replay_methods(ablation_run)
 
 
 def test_ablation_covers_all_methods(ablation):
-    assert set(ablation.methods) == {
+    assert set(ablation) == {
         "trust-weighted", "unweighted-vote", "cap-olsr", "beta-reputation",
         "report-averaging",
     }
-    for trajectory in ablation.methods.values():
+    for trajectory in ablation.values():
         assert len(trajectory.scores) == 25
         assert trajectory.final_score is not None
 
 
 def test_ablation_trust_weighting_beats_unweighted_vote(ablation):
-    ours = ablation.methods["trust-weighted"]
-    vote = ablation.methods["unweighted-vote"]
+    ours = ablation["trust-weighted"]
+    vote = ablation["unweighted-vote"]
     assert ours.final_score < vote.final_score
     assert ours.detection_round is not None
     # The plain vote cannot push past the liar bias (stays at the fixed ratio).
@@ -35,53 +41,55 @@ def test_ablation_trust_weighting_beats_unweighted_vote(ablation):
 
 
 def test_ablation_final_scores_separate_ours_from_baselines(ablation):
-    ours = ablation.methods["trust-weighted"].final_score
+    ours = ablation["trust-weighted"].final_score
     for name in ("cap-olsr", "report-averaging", "beta-reputation"):
-        assert ours < ablation.methods[name].final_score
+        assert ours < ablation[name].final_score
 
 
-def test_ablation_rows_structure(ablation):
-    rows = ablation.as_rows()
+def test_ablation_rows_structure(ablation_run, ablation):
+    rows = _ablation_rows(None, ablation_run)
     assert len(rows) == 5
-    assert {row["method"] for row in rows} == set(ablation.methods)
+    assert {row["method"] for row in rows} == set(ablation)
 
 
 def test_ablation_same_answer_stream_for_all_methods(ablation):
     # Every method consumed the same number of rounds from the same experiment.
-    rounds = {len(t.scores) for t in ablation.methods.values()}
+    rounds = {len(t.scores) for t in ablation.values()}
     assert len(rounds) == 1
 
 
 def test_ablation_with_small_config_runs():
-    result = run_ablation(ScenarioConfig(seed=3, rounds=5))
-    assert all(len(t.scores) == 5 for t in result.methods.values())
+    methods = replay_methods(RoundBasedExperiment(ScenarioConfig(seed=3, rounds=5)).run())
+    assert all(len(t.scores) == 5 for t in methods.values())
 
 
 # ------------------------------------------------------------ confidence sweep
 @pytest.fixture(scope="module")
 def sweep():
-    return run_confidence_sweep(confidence_levels=(0.90, 0.95, 0.99),
-                                gammas=(0.4, 0.6, 0.8))
+    return run_experiment("confidence_sweep",
+                          axes={"confidence_level": (0.90, 0.95, 0.99),
+                                "gamma": (0.4, 0.6, 0.8)}).rows()
 
 
 def test_sweep_has_one_row_per_configuration(sweep):
-    assert len(sweep.rows) == 9
-    pairs = {(row.confidence_level, row.gamma) for row in sweep.rows}
+    assert len(sweep) == 9
+    pairs = {(row["confidence_level"], row["gamma"]) for row in sweep}
     assert len(pairs) == 9
 
 
 def test_sweep_low_gamma_configurations_detect_the_intruder(sweep):
-    for row in sweep.rows:
-        if row.gamma <= 0.6:
-            assert row.final_outcome == DecisionOutcome.INTRUDER
-            assert row.rounds_to_decision is not None
+    for row in sweep:
+        if row["gamma"] <= 0.6:
+            assert row["final_outcome"] == DecisionOutcome.INTRUDER
+            assert row["rounds_to_decision"] is not None
 
 
 def test_sweep_higher_confidence_never_speeds_up_detection(sweep):
     by_gamma = {}
-    for row in sweep.rows:
-        if row.rounds_to_decision is not None:
-            by_gamma.setdefault(row.gamma, {})[row.confidence_level] = row.rounds_to_decision
+    for row in sweep:
+        if row["rounds_to_decision"] is not None:
+            by_gamma.setdefault(row["gamma"], {})[row["confidence_level"]] = \
+                row["rounds_to_decision"]
     for gamma, per_level in by_gamma.items():
         if 0.90 in per_level and 0.99 in per_level:
             assert per_level[0.99] >= per_level[0.90]
@@ -89,9 +97,10 @@ def test_sweep_higher_confidence_never_speeds_up_detection(sweep):
 
 def test_sweep_higher_gamma_never_speeds_up_detection(sweep):
     by_level = {}
-    for row in sweep.rows:
-        if row.rounds_to_decision is not None:
-            by_level.setdefault(row.confidence_level, {})[row.gamma] = row.rounds_to_decision
+    for row in sweep:
+        if row["rounds_to_decision"] is not None:
+            by_level.setdefault(row["confidence_level"], {})[row["gamma"]] = \
+                row["rounds_to_decision"]
     for level, per_gamma in by_level.items():
         gammas = sorted(per_gamma)
         for low, high in zip(gammas, gammas[1:]):
@@ -99,13 +108,13 @@ def test_sweep_higher_gamma_never_speeds_up_detection(sweep):
 
 
 def test_sweep_margin_grows_with_confidence_level(sweep):
-    margins = {row.confidence_level: row.final_margin for row in sweep.rows
-               if row.gamma == 0.6 and row.final_margin is not None}
+    margins = {row["confidence_level"]: row["final_margin"] for row in sweep
+               if row["gamma"] == 0.6 and row["final_margin"] is not None}
     assert margins[0.99] > margins[0.90]
 
 
 def test_sweep_correct_fraction_and_rows(sweep):
-    assert sweep.correct_fraction() >= 0.5
-    rows = sweep.as_rows()
-    assert len(rows) == 9
-    assert all("verdict_correct" in row for row in rows)
+    correct = sum(1 for row in sweep if row["verdict_correct"])
+    assert correct / len(sweep) >= 0.5
+    assert len(sweep) == 9
+    assert all("verdict_correct" in row for row in sweep)

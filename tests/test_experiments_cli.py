@@ -4,29 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.__main__ import (
-    _parse_axis,
-    _parse_param,
-    _parse_value,
-    main,
-)
+from repro.experiments.__main__ import main
+from repro.experiments._cli import parse_axis, parse_param, parse_value
 
 
-def test_parse_value_types():
-    assert _parse_value("3") == 3
-    assert _parse_value("0.25") == 0.25
-    assert _parse_value("true") is True
-    assert _parse_value("None") is None
-    assert _parse_value("6.7%") == "6.7%"
+def test_value_parsing_types():
+    assert parse_value("3") == 3
+    assert parse_value("0.25") == 0.25
+    assert parse_value("true") is True
+    assert parse_value("None") is None
+    assert parse_value("6.7%") == "6.7%"
 
 
-def test_parse_axis_and_param():
-    assert _parse_axis("gamma=0.4,0.6") == ("gamma", (0.4, 0.6))
-    assert _parse_param("rounds=5") == ("rounds", 5)
+def test_axis_and_param_parsing():
+    assert parse_axis("gamma=0.4,0.6") == ("gamma", (0.4, 0.6))
+    assert parse_param("rounds=5") == ("rounds", 5)
     with pytest.raises(Exception):
-        _parse_axis("gamma")
+        parse_axis("gamma")
     with pytest.raises(Exception):
-        _parse_param("rounds")
+        parse_param("rounds")
 
 
 def test_cli_list_names_all_experiments(capsys):

@@ -5,17 +5,26 @@ from __future__ import annotations
 import pytest
 
 from repro.core.decision import DecisionOutcome
-from repro.experiments.config import (
-    ScenarioConfig,
-    figure2_config,
-    figure3_configs,
-    paper_default_config,
-)
+from repro.experiments.backends import scenario_config_from_params
+from repro.experiments.config import ScenarioConfig
+from repro.experiments.engine import get_experiment
 from repro.experiments.rounds import RoundBasedExperiment
 
 
+def _cell_configs(name):
+    """The scenario configuration of each cell of a registered experiment."""
+    definition = get_experiment(name)
+    configs = []
+    for spec in definition.expand():
+        params = spec.params_dict()
+        if definition.resolve_params is not None:
+            params = definition.resolve_params(params)
+        configs.append(scenario_config_from_params(params, spec.seed))
+    return configs
+
+
 def test_paper_default_matches_evaluation_section():
-    config = paper_default_config()
+    (config,) = _cell_configs("figure1")
     assert config.total_nodes == 16
     assert config.liar_count == 4
     assert config.rounds == 25
@@ -44,23 +53,23 @@ def test_liar_sizing_helpers():
 
 
 def test_with_overrides_copies():
-    config = paper_default_config()
+    config = ScenarioConfig()
     other = config.with_overrides(rounds=5)
     assert other.rounds == 5
     assert config.rounds == 25
 
 
 def test_figure2_config_has_attack_cutoff():
-    config = figure2_config()
+    (config,) = _cell_configs("figure2")
     assert config.attack_stop_round is not None
     assert config.rounds > config.attack_stop_round
 
 
 def test_figure3_configs_sweep_liar_ratio():
-    configs = figure3_configs()
-    counts = [config.effective_liar_count() for config in configs.values()]
+    configs = _cell_configs("figure3")
+    counts = [config.effective_liar_count() for config in configs]
     assert len(set(counts)) == len(counts)
-    assert max(counts) < min(config.responder_count() for config in configs.values())
+    assert max(counts) < min(config.responder_count() for config in configs)
 
 
 # --------------------------------------------------------------------- driver

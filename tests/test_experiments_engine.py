@@ -1,17 +1,17 @@
 """Tests for the unified experiment engine (spec / registry / runner).
 
-The golden-parity block asserts that every migrated experiment produces
-row-identical output to its legacy driver — the guarantee the multi-layer
-migration rests on: same scenario construction, same seeds, same row
-assembly, merely executed through the shared runtime.
+The golden block pins every paper and extension experiment's rows as JSON
+text, so a change to scenario construction, seeding or row assembly cannot
+slip through unnoticed.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.ablation import run_ablation
-from repro.experiments.confidence_sweep import run_confidence_sweep
 from repro.experiments.engine import (
     ExperimentDefinition,
     ExperimentSpec,
@@ -21,11 +21,6 @@ from repro.experiments.engine import (
     register,
     run_experiment,
 )
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.gravity_ablation import run_gravity_ablation
-from repro.experiments.mobility import run_mobility_study
 from repro.experiments.results import ResultsStore, spec_content_hash
 from repro.seeding import stable_seed
 
@@ -91,7 +86,7 @@ def test_expand_rejects_param_override_shadowed_by_an_axis():
 
 def test_shared_vs_per_cell_seed_modes():
     shared = get_experiment("confidence_sweep").expand()
-    assert len({spec.seed for spec in shared}) == 1  # legacy drivers share
+    assert len({spec.seed for spec in shared}) == 1
 
     per_cell = ExperimentDefinition(
         name="__per_cell__", description="", rows_from_result=lambda s, r: [],
@@ -114,40 +109,25 @@ def test_spec_content_hash_covers_backend_seed_and_params():
     assert len(hashes) == 4
 
 
-# ------------------------------------------------------------ golden parity
-def test_parity_figure1_rows_identical_to_legacy_driver():
-    assert run_experiment("figure1").rows() == run_figure1().rows()
+# ------------------------------------------------------------------- golden
+_GOLDEN = json.loads((Path(__file__).parent / "golden"
+                      / "experiment_rows.json").read_text())
 
 
-def test_parity_figure2_rows_identical_to_legacy_driver():
-    assert run_experiment("figure2").rows() == run_figure2().rows()
+@pytest.mark.parametrize("case", _GOLDEN["experiments"],
+                         ids=lambda case: case["name"])
+def test_rows_match_golden(case):
+    """Rows equal the golden's, as JSON text.
 
-
-def test_parity_figure3_rows_identical_to_legacy_driver():
-    assert run_experiment("figure3").rows() == run_figure3().rows()
-
-
-def test_parity_ablation_rows_identical_to_legacy_driver():
-    assert run_experiment("ablation").rows() == run_ablation().as_rows()
-
-
-def test_parity_confidence_sweep_rows_identical_to_legacy_driver():
-    assert run_experiment("confidence_sweep").rows() == run_confidence_sweep().as_rows()
-
-
-def test_parity_gravity_ablation_rows_identical_to_legacy_driver():
-    assert run_experiment("gravity_ablation").rows() == run_gravity_ablation().as_rows()
-
-
-def test_parity_mobility_rows_identical_to_legacy_driver():
-    # Reduced configuration (the full paper sweep is a bench); both paths run
-    # the identical netsim scenario.
-    legacy = run_mobility_study(speeds=(0.0, 8.0), node_count=12, liar_count=2,
-                                cycles=4, seed=23)
-    engine = run_experiment("mobility", axes={"max_speed": (0.0, 8.0)},
-                            params={"total_nodes": 12, "liar_count": 2,
-                                    "cycles": 4})
-    assert engine.rows() == legacy.as_rows()
+    ``tests/golden/experiment_rows.json`` was generated at commit 5d9ff03,
+    the last one where each experiment also had a stand-alone driver, and
+    where tests asserted that the engine's rows equal that driver's.  Each
+    entry holds ``run_experiment(name, axes=..., params=...).rows()``
+    (``json.dumps(..., indent=1)``); mobility runs a reduced grid (speeds
+    0 and 8, 12 nodes, 2 liars, 4 cycles) because the full sweep is a bench.
+    """
+    result = run_experiment(case["name"], axes=case["axes"], params=case["params"])
+    assert json.dumps(result.rows()) == json.dumps(case["rows"])
 
 
 # ----------------------------------------------------- runtime + parallelism

@@ -1,10 +1,7 @@
-"""Tests for MID/HNA support: association sets, node integration, HNA spoofing."""
+"""Tests for MID/HNA support: association sets and node integration."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.attacks.forge import HnaSpoofingAttack
 from repro.logs.records import LogCategory
 from repro.olsr.association import HnaAssociationSet, InterfaceAssociationSet
 from repro.olsr.node import OlsrConfig, OlsrNode
@@ -103,20 +100,3 @@ def test_nodes_without_configuration_send_no_mid_or_hna():
     for node_id in ("A", "B", "C"):
         assert not [r for r in nodes[node_id].log.by_category(LogCategory.MESSAGE_TX)
                     if r.event in ("MID", "HNA")]
-
-
-def test_hna_spoofing_attack_installs_bogus_gateway():
-    network, nodes = build_mid_hna_chain()
-    attack = HnaSpoofingAttack(spoofed_networks=[("198.51.100.0", "255.255.255.0")],
-                               period=5.0)
-    attack.install(nodes["B"])
-    network.run(until=network.now + 30.0)
-    assert attack.forged_count > 0
-    # A now believes B is a gateway for the spoofed network and routes to it.
-    assert "B" in nodes["A"].hna_associations.gateways_for("198.51.100.0")
-    assert nodes["A"].external_route_for("198.51.100.0") == "B"
-
-
-def test_hna_spoofing_requires_networks():
-    with pytest.raises(ValueError):
-        HnaSpoofingAttack(spoofed_networks=[])

@@ -34,10 +34,16 @@ def test_subpackage_all_exports_resolve(module_name):
         assert hasattr(module, name), f"{module_name}.{name} missing"
 
 
-def test_quickstart_snippet_from_readme_works():
-    result = repro.run_figure1(repro.ScenarioConfig(seed=1, rounds=5))
-    rows = result.rows()
-    assert rows and all("final_trust" in row for row in rows)
+def test_quickstart_snippet_from_readme_works(capsys):
+    """README's "Library quickstart" block runs as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    result = namespace["result"]
+    assert result.rows()
+    assert result.format_report() in capsys.readouterr().out
 
 
 def test_top_level_trust_primitives():
