@@ -5,7 +5,7 @@ Reproduction of *"Trust-enabled Link Spoofing Detection in MANET"*
 
 * ``repro.netsim`` — a discrete-event MANET simulator,
 * ``repro.olsr`` — a pure-Python OLSR (RFC 3626) implementation emitting
-  audit logs,
+  audit logs; its ``OlsrNode`` is every simulated node's router,
 * ``repro.logs`` — the audit-log records, parser and analyzer,
 * ``repro.attacks`` — link spoofing, the attack the paper evaluates, with
   its colluding liars, plus drop attacks and adaptive adversaries,

@@ -1,15 +1,14 @@
 """Attack framework.
 
-An :class:`Attack` installs hooks into a victim-controlled router — any
-:class:`repro.routing.base.RoutingProtocol` backend, either directly or
-wrapped in a :class:`repro.core.detector_node.DetectorNode` — without
-modifying the protocol implementation itself, mirroring how a compromised
-router behaves from the outside.  Attacks that use only the base-class
-hooks (``forward_filters``, ``data_handlers``) work on every protocol;
-attacks that forge protocol messages (link spoofing) require the matching
-backend and say so when installed elsewhere.  Attacks are activated and
-deactivated on a schedule, so experiments can model attacks that cease
-mid-run (Figure 2 of the paper).
+An :class:`Attack` installs hooks into a victim-controlled
+:class:`repro.olsr.node.OlsrNode`, either directly or wrapped in a
+:class:`repro.core.detector_node.DetectorNode`, without modifying the
+protocol implementation itself, mirroring how a compromised router behaves
+from the outside: drop attacks append to ``forward_filters``, link spoofing
+to ``hello_mutators``, and liars to the detector node's
+``answer_mutators``.  Attacks are activated and deactivated on a schedule,
+so experiments can model attacks that cease mid-run (Figure 2 of the
+paper).
 """
 
 from __future__ import annotations
@@ -134,25 +133,8 @@ class Attack(abc.ABC):
 
 
 def _underlying_router(node):
-    """Return the routing protocol behind either a router or a DetectorNode."""
+    """Return the OLSR router behind either a router or a DetectorNode."""
     if hasattr(node, "router"):
         return node.router
     return node
-
-
-def require_protocol_hook(router, hook_name: str, attack_name: str):
-    """Fetch a protocol-specific hook list, failing with a clear message.
-
-    Message-forging attacks need hooks only their protocol defines (e.g.
-    OLSR's ``hello_mutators``); installing them on another backend is a
-    scenario bug, reported as such instead of a bare ``AttributeError``.
-    """
-    hook = getattr(router, hook_name, None)
-    if hook is None:
-        protocol = getattr(router, "protocol_name", type(router).__name__)
-        raise TypeError(
-            f"attack {attack_name!r} needs the {hook_name!r} hook, which "
-            f"protocol {protocol!r} does not provide"
-        )
-    return hook
 

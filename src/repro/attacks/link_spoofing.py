@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set
 
-from repro.attacks.base import (
-    Attack,
-    AttackSchedule,
-    _underlying_router,
-    require_protocol_hook,
-)
+from repro.attacks.base import Attack, AttackSchedule, _underlying_router
 from repro.core.signatures import LinkSpoofingVariant
 from repro.olsr.constants import LinkType, NeighborType
 from repro.olsr.messages import HelloMessage, LinkAdvertisement
@@ -53,8 +48,7 @@ class LinkSpoofingAttack(Attack):
     # ------------------------------------------------------------------ hooks
     def install(self, node) -> None:
         olsr = _underlying_router(node)
-        require_protocol_hook(olsr, "hello_mutators", self.name).append(
-            self._mutate_hello)
+        olsr.hello_mutators.append(self._mutate_hello)
         self.mark_installed(olsr.node_id)
 
     def _mutate_hello(self, hello: HelloMessage, node) -> HelloMessage:

@@ -2,9 +2,7 @@
 
 A :class:`DetectorNode` bundles, for one network node:
 
-* a routing substrate producing audit logs — any registered
-  :class:`repro.routing.base.RoutingProtocol` backend (OLSR by default,
-  selected with the ``protocol`` argument),
+* the :class:`repro.olsr.node.OlsrNode` router producing the audit log,
 * the log analyzer and :class:`repro.core.detector.LocalDetector` (the node's
   log records only what a reader subscribed to, so an analyzer finds
   nothing until :meth:`repro.logs.analyzer.LogAnalyzer.subscribe` is called),
@@ -33,8 +31,7 @@ from repro.core.investigation import (
 )
 from repro.logs.analyzer import LogAnalyzer
 from repro.logs.store import LogStore
-from repro.olsr.node import OlsrConfig
-from repro.routing.registry import create_protocol
+from repro.olsr.node import OlsrConfig, OlsrNode
 from repro.trust.manager import TrustManager, TrustParameters
 from repro.trust.recommendation import RecommendationManager
 from repro.seeding import stable_digest
@@ -54,7 +51,7 @@ class DetectionConfig:
 
 
 class DetectorNode:
-    """One node running a routing protocol plus the trust-enabled misbehaviour detector."""
+    """One node running OLSR plus the trust-enabled misbehaviour detector."""
 
     def __init__(
         self,
@@ -64,21 +61,17 @@ class DetectorNode:
         trust_parameters: Optional[TrustParameters] = None,
         detection_config: Optional[DetectionConfig] = None,
         seed: Optional[int] = None,
-        protocol: str = "olsr",
-        routing_config: Optional[object] = None,
     ) -> None:
         self.node_id = node_id
         self.network = network
-        self.protocol = protocol
         self.detection_config = detection_config or DetectionConfig()
         self.rng = random.Random(seed if seed is not None else stable_digest(node_id) & 0xFFFF)
 
-        config = routing_config if routing_config is not None else olsr_config
         # The audit log records only what a reader subscribes to: the
         # analyzer (see LogAnalyzer.subscribe) or an invariant auditor.
-        self.router = create_protocol(protocol, node_id, network, config=config,
-                                      log_store=LogStore(node_id, categories=()),
-                                      seed=self.rng.randint(0, 2 ** 31))
+        self.router = OlsrNode(node_id, network, config=olsr_config,
+                               log_store=LogStore(node_id, categories=()),
+                               seed=self.rng.randint(0, 2 ** 31))
         self.log = self.router.log
         self.analyzer = LogAnalyzer(self.log)
         self.detector = LocalDetector(
@@ -98,7 +91,7 @@ class DetectorNode:
 
     # ----------------------------------------------------------------- wiring
     def start(self) -> None:
-        """Start the underlying routing protocol."""
+        """Start the node's OLSR router."""
         self.router.start()
 
     def bind_transport(self, transport: QueryTransport) -> None:
@@ -147,11 +140,10 @@ class DetectorNode:
         answer (or suppress it by returning ``None``).
         """
         if link_peer is None or link_peer == self.node_id:
-            honest: Optional[bool] = self.router.local_topology_answer(suspect)
+            honest: Optional[bool] = suspect in self.router.symmetric_neighbors()
         elif link_peer in self.router.symmetric_neighbors():
-            # What did link_peer itself advertise lately?  Link-state
-            # protocols track their neighbours' advertisements (OLSR: the
-            # 2-hop set); protocols without that state answer None.
+            # What did link_peer itself advertise lately (its HELLOs, as
+            # recorded in the 2-hop set)?
             honest = self.router.peer_advertises(link_peer, suspect)
         else:
             honest = None  # no knowledge about that link
@@ -231,7 +223,6 @@ class DetectorNode:
         open_suspects = self.investigator.open_investigations() if self.investigator else []
         return {
             "node": self.node_id,
-            "protocol": self.protocol,
             "olsr": self.router.describe(),
             "trust": self.trust_table(),
             "open_investigations": open_suspects,

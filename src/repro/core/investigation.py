@@ -72,8 +72,9 @@ class OracleTransport:
     """Transport that queries responder objects directly.
 
     Used by the round-based experiment driver: each responder object must
-    expose ``answer_link_query(suspect, requester) -> Optional[bool]``.  An
-    optional Bernoulli loss probability models lost requests or replies.
+    expose ``answer_link_query(suspect, requester, link_peer) ->
+    Optional[bool]``.  An optional Bernoulli loss probability models lost
+    requests or replies.
     """
 
     def __init__(
@@ -100,29 +101,21 @@ class OracleTransport:
             return None
         if self.loss_probability and self.rng.random() < self.loss_probability:
             return None
-        return _ask(target, suspect, requester, link_peer)
+        return target.answer_link_query(suspect, requester, link_peer)
 
 
 class CallableTransport:
-    """Transport backed by a plain callable (handy for tests)."""
+    """Transport backed by a plain callable (handy for tests).
+
+    The callable receives ``(requester, responder, suspect, link_peer)``.
+    """
 
     def __init__(self, func: Callable[..., Optional[bool]]) -> None:
         self._func = func
 
     def verify_link(self, requester: str, responder: str, suspect: str,
                     link_peer: Optional[str] = None) -> Optional[bool]:
-        try:
-            return self._func(requester, responder, suspect, link_peer)
-        except TypeError:
-            return self._func(requester, responder, suspect)
-
-
-def _ask(target, suspect: str, requester: str, link_peer: Optional[str]) -> Optional[bool]:
-    """Call a responder, tolerating responders without link_peer support."""
-    try:
-        return target.answer_link_query(suspect, requester, link_peer)
-    except TypeError:
-        return target.answer_link_query(suspect, requester)
+        return self._func(requester, responder, suspect, link_peer)
 
 
 @dataclass
@@ -511,4 +504,4 @@ class NetworkPathTransport:
         target = self._responders.get(responder)
         if target is None:
             return None
-        return _ask(target, suspect, requester, link_peer)
+        return target.answer_link_query(suspect, requester, link_peer)

@@ -154,22 +154,6 @@ def list_main(argv: Sequence[str]) -> int:
         title="Scenario profiles (sweep with --axis profile=..., "
               "fuzz with 'validate')",
     ))
-
-    from repro.routing import list_protocols
-
-    protocol_rows = [
-        {
-            "protocol": info.name,
-            "description": info.description,
-        }
-        for info in list_protocols()
-    ]
-    print()
-    print(format_table(
-        protocol_rows,
-        title="Routing protocols (sweep with --axis protocol=..., "
-              "fuzz with 'validate --protocols ...')",
-    ))
     return 0
 
 
@@ -312,10 +296,6 @@ def build_validate_parser() -> argparse.ArgumentParser:
                              "pure function of (base seed, index)")
     parser.add_argument("--profiles", type=str, default=None, metavar="A,B",
                         help="restrict fuzzing to these scenario profiles")
-    parser.add_argument("--protocols", type=str, default=None, metavar="A,B",
-                        help="fuzz the routing backend as an extra axis "
-                             "(e.g. olsr,aodv,geo); non-OLSR samples are "
-                             "invariant-checked only")
     parser.add_argument("--no-minimize", action="store_true",
                         help="report raw failing scenarios without shrinking them")
     parser.add_argument("--output", type=str, default=None,
@@ -329,7 +309,6 @@ def validate_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.seeds <= 0:
         parser.error("--seeds must be positive")
-    from repro.routing import get_protocol
     from repro.scenarios import get_profile
     from repro.validation import validate_corpus
 
@@ -344,21 +323,11 @@ def validate_main(argv: Sequence[str]) -> int:
         except KeyError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-    protocols = None
-    if args.protocols:
-        protocols = [name.strip() for name in args.protocols.split(",") if name.strip()]
-        try:
-            for name in protocols:
-                get_protocol(name)
-        except KeyError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     report = validate_corpus(
         args.seeds,
         base_seed=args.base_seed,
         profiles=profiles,
         minimize=not args.no_minimize,
-        protocols=protocols,
     )
     emit_report(report.format_report(), args.output)
     return 0 if report.ok else 1

@@ -21,11 +21,12 @@ row logic never cares which one produced the data:
 Netsim-only parameters (``area_size``, ``radio_range``, ``warmup``,
 ``attack_start``, ``cycles``, ``cycle_length``, ``loss_model``,
 ``loss_probability``, ``max_speed``, ``attack_variant``, ``mobility_model``,
-``threat``, ``drop_probability``, ``protocol``) are carried in the spec's
-flat parameter tuple and ignored by the oracle backend, so any spec can
-switch backends without being rewritten.  The engine-level ``profile`` parameter names a
-registered scenario profile (:mod:`repro.scenarios`) whose parameters are
-merged under the cell's own before execution.
+``threat``, ``drop_probability``) are carried in the spec's flat parameter
+tuple and ignored by the oracle backend, so any spec can switch backends
+without being rewritten.  A parameter no backend consumes is rejected.  The
+engine-level ``profile`` parameter names a registered scenario profile
+(:mod:`repro.scenarios`) whose parameters are merged under the cell's own
+before execution.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ NETSIM_PARAMS = frozenset((
     "area_size", "radio_range", "warmup", "attack_start", "cycles",
     "cycle_length", "loss_model", "loss_probability", "max_speed",
     "attack_variant", "mobility_model", "threat", "drop_probability",
-    "protocol",
 ))
 
 #: Parameters consumed by the engine itself rather than a backend.
@@ -154,7 +154,6 @@ def build_netsim_scenario(config: ScenarioConfig,
         threat=str(param("threat", "link-spoofing")),
         drop_probability=float(param("drop_probability", 0.7)),
         trust_parameters=config.trust,
-        protocol=str(param("protocol", "olsr")),
     )
     if config.random_initial_trust:
         # Mirror the oracle loop's "randomly set initial trust" step on the

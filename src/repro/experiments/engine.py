@@ -424,15 +424,9 @@ class ExperimentRunResult:
     #: Cells found already completed in the store and skipped (run ids).
     skipped_run_ids: List[str] = field(default_factory=list)
 
-    def iter_rows(self, keep=None) -> Iterator[Dict[str, object]]:
-        """Stream the flat rows of every completed cell, in expansion order.
-
-        ``keep`` optionally filters cells by their spec (``keep(spec) ->
-        bool``); rows of filtered-out cells are skipped entirely.
-        """
-        for spec, digest in zip(self.specs, self.hashes):
-            if keep is not None and not keep(spec):
-                continue
+    def iter_rows(self) -> Iterator[Dict[str, object]]:
+        """Stream the flat rows of every completed cell, in expansion order."""
+        for digest in self.hashes:
             rows = self.rows_by_hash.get(digest)
             if rows is None and self.store is not None:
                 rows = self.store.get_row(digest)
@@ -448,38 +442,16 @@ class ExperimentRunResult:
         return len(self.specs)
 
     def format_report(self) -> str:
-        """Deterministic plain-text report (no timestamps, no wall-clock).
-
-        When the run sweeps the ``protocol`` axis, the report splits into
-        one section per protocol (in sorted order) so cross-protocol runs
-        stay readable; single-protocol runs keep the historic single table.
-        """
+        """Deterministic plain-text report (no timestamps, no wall-clock)."""
         backend = self.specs[0].backend if self.specs else self.definition.default_backend
         title = (self.definition.report_title
                  or f"{self.definition.name} — {self.definition.description}")
-        protocols = sorted({str(spec.param("protocol", "olsr"))
-                            for spec in self.specs})
-        if len(protocols) > 1:
-            sections = []
-            for protocol in protocols:
-                def keep(spec, _protocol=protocol):
-                    return str(spec.param("protocol", "olsr")) == _protocol
-                rows = list(self.iter_rows(keep=keep))
-                cells = sum(1 for spec in self.specs if keep(spec))
-                sections.append(format_table(
-                    rows,
-                    title=f"{title} — protocol={protocol}\n"
-                          f"[{len(rows)} rows from {cells} cells, "
-                          f"backend={backend}]",
-                ))
-        else:
-            rows = self.rows()
-            sections = [format_table(
-                rows,
-                title=f"{title}\n[{len(rows)} rows from {self.cells()} cells, "
-                      f"backend={backend}]",
-            )]
-        return render_report(sections)
+        rows = self.rows()
+        return render_report([format_table(
+            rows,
+            title=f"{title}\n[{len(rows)} rows from {self.cells()} cells, "
+                  f"backend={backend}]",
+        )])
 
 
 def run_experiment(

@@ -30,7 +30,7 @@ from repro.attacks.adaptive import (
 )
 from repro.attacks.base import AttackSchedule
 from repro.attacks.collusion import LiarClique, grayhole_liar_stack
-from repro.attacks.dropping import GrayholeAttack, OnOffDroppingAttack
+from repro.attacks.dropping import OnOffDroppingAttack
 from repro.attacks.liar import LiarBehavior
 from repro.attacks.link_spoofing import LinkSpoofingAttack
 from repro.attacks.scenario import AttackScenario
@@ -276,7 +276,6 @@ def build_manet_scenario(
     threat: str = "link-spoofing",
     drop_probability: float = 0.7,
     trust_parameters: Optional["TrustParameters"] = None,
-    protocol: str = "olsr",
 ) -> SimulationScenario:
     """Build an ``node_count``-node random MANET with one attacker and liars.
 
@@ -315,14 +314,6 @@ def build_manet_scenario(
 
     These (with ``loss_model``/``max_speed``) are the axes the ``campaign``
     experiment and the unified experiment CLI sweep.
-
-    ``protocol`` selects the routing backend (any name registered with
-    :mod:`repro.routing`).  With OLSR the attacker runs the paper's link
-    spoofing; protocols without OLSR HELLOs to forge express the base
-    threat on the forwarding path instead (a grayhole starting at
-    ``attack_start`` with ``drop_probability``), so drop-evidence detection
-    is exercised on every backend.  Liars attach to the investigation
-    responder path and are protocol-agnostic.
     """
     if node_count < 4:
         raise ValueError("a MANET scenario needs at least 4 nodes")
@@ -353,26 +344,16 @@ def build_manet_scenario(
     nodes: Dict[str, DetectorNode] = {}
     attacker_id = node_ids[1]
     for node_id in node_ids:
-        if protocol == "olsr":
-            willingness = (Willingness.WILL_HIGH if node_id == attacker_id
-                           else Willingness.WILL_DEFAULT)
-            nodes[node_id] = DetectorNode(
-                node_id,
-                network,
-                olsr_config=OlsrConfig(willingness=willingness),
-                trust_parameters=trust_parameters,
-                detection_config=detection_config or DetectionConfig(),
-                seed=rng.randint(0, 2 ** 31),
-            )
-        else:
-            nodes[node_id] = DetectorNode(
-                node_id,
-                network,
-                protocol=protocol,
-                trust_parameters=trust_parameters,
-                detection_config=detection_config or DetectionConfig(),
-                seed=rng.randint(0, 2 ** 31),
-            )
+        willingness = (Willingness.WILL_HIGH if node_id == attacker_id
+                       else Willingness.WILL_DEFAULT)
+        nodes[node_id] = DetectorNode(
+            node_id,
+            network,
+            olsr_config=OlsrConfig(willingness=willingness),
+            trust_parameters=trust_parameters,
+            detection_config=detection_config or DetectionConfig(),
+            seed=rng.randint(0, 2 ** 31),
+        )
 
     # Victim: the attacker's best-connected radio neighbour (fallback: n00).
     attacker_neighbors = network.neighbors_of(attacker_id)
@@ -384,38 +365,28 @@ def build_manet_scenario(
         )
 
     scenario = AttackScenario(name=f"manet-{node_count}n-{liar_count}liars-{threat}")
-    if protocol == "olsr":
-        # Pick targets matching the spoofing expression: phantom addresses for
-        # variant 1, existing non-neighbours for variant 2, real neighbours
-        # (other than the victim) for variant 3.
-        if attack_variant == LinkSpoofingVariant.NON_EXISTENT_NEIGHBOR:
-            spoof_targets = [f"phantom{seed}-{i}" for i in range(max(3, node_count // 3))]
-        elif attack_variant == LinkSpoofingVariant.OMITTED_NEIGHBOR:
-            omittable = sorted(nid for nid in attacker_neighbors if nid != victim_id)
-            spoof_targets = omittable[: max(1, len(omittable) // 2)] or [victim_id]
-        else:
-            non_neighbors = [
-                nid for nid in node_ids
-                if nid not in attacker_neighbors and nid not in (attacker_id, victim_id)
-            ]
-            rng.shuffle(non_neighbors)
-            spoof_targets = non_neighbors[: max(3, node_count // 3)] or [f"phantom{seed}"]
-
-        attack = LinkSpoofingAttack(
-            variant=attack_variant,
-            target_addresses=spoof_targets,
-        )
-        attack.schedule.start_time = attack_start
-        scenario.add(attacker_id, attack)
+    # Pick targets matching the spoofing expression: phantom addresses for
+    # variant 1, existing non-neighbours for variant 2, real neighbours
+    # (other than the victim) for variant 3.
+    if attack_variant == LinkSpoofingVariant.NON_EXISTENT_NEIGHBOR:
+        spoof_targets = [f"phantom{seed}-{i}" for i in range(max(3, node_count // 3))]
+    elif attack_variant == LinkSpoofingVariant.OMITTED_NEIGHBOR:
+        omittable = sorted(nid for nid in attacker_neighbors if nid != victim_id)
+        spoof_targets = omittable[: max(1, len(omittable) // 2)] or [victim_id]
     else:
-        # No OLSR HELLOs to forge: the attacker misbehaves on the forwarding
-        # path itself, which every protocol backend exposes identically.
-        base_attack = GrayholeAttack(
-            drop_probability=drop_probability,
-            rng=random.Random(stable_seed(seed, "base-grayhole")),
-        )
-        base_attack.schedule.start_time = attack_start
-        scenario.add(attacker_id, base_attack)
+        non_neighbors = [
+            nid for nid in node_ids
+            if nid not in attacker_neighbors and nid not in (attacker_id, victim_id)
+        ]
+        rng.shuffle(non_neighbors)
+        spoof_targets = non_neighbors[: max(3, node_count // 3)] or [f"phantom{seed}"]
+
+    attack = LinkSpoofingAttack(
+        variant=attack_variant,
+        target_addresses=spoof_targets,
+    )
+    attack.schedule.start_time = attack_start
+    scenario.add(attacker_id, attack)
 
     # Threat composition: extra payloads stacked on the spoofing attacker.
     adaptive_attacks: List = []

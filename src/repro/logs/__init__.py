@@ -9,8 +9,11 @@ pipeline:
   follows from who reads it: a bare store keeps the full trail, while a
   detector node's store records only the categories a reader subscribed to
   (the investigating victim's analyzer, an invariant auditor).
-* :mod:`repro.logs.parser` — olsrd-like text serialisation and parsing, so the
-  detector genuinely works from a textual log and not from in-memory state.
+* :mod:`repro.logs.parser` — olsrd-like text serialisation and parsing of
+  records (:meth:`~repro.logs.store.LogStore.dump_text` and
+  :meth:`~repro.logs.store.LogStore.from_text`).  The analyzer reads the
+  in-memory :class:`~repro.logs.records.LogRecord` objects; the text format
+  is for dumps, and tests pin its round trip.
 * :mod:`repro.logs.analyzer` — extraction of detection-relevant events
   (MPR replacements, misbehaviour observations, neighbourhood changes).
 """

@@ -60,7 +60,7 @@ class LogStore:
 
     # ------------------------------------------------------------- writing
     def append(self, record: LogRecord) -> LogRecord:
-        """Append an already-built record, whatever its category (replay).
+        """Append an already-built record, whatever its category.
 
         A bounded store then trims its oldest records, but only those every
         reader's mark has passed.
@@ -138,7 +138,7 @@ class LogStore:
 
     @classmethod
     def from_text(cls, node_id: str, text: str) -> "LogStore":
-        """Build a store from a text dump (used when replaying captured logs)."""
+        """Build a store from a text dump."""
         store = cls(node_id)
         store.extend(load_records(text))
         return store

@@ -15,7 +15,7 @@ earlier revisions while preserving its ``(time, sequence)`` order exactly:
   ahead of the current slot.  An event whose timestamp falls inside the
   horizon is pushed onto the small per-slot heap for its quantised slot.
   This is where the periodic control-plane traffic (HELLO/TC emission,
-  mobility ticks, detection cycles, AODV/geo housekeeping) and the
+  mobility ticks, detection cycles, OLSR housekeeping) and the
   propagation-delay deliveries land: per-slot heaps stay tiny, so each
   push/pop costs O(log slot-occupancy) with cheap C-level tuple comparisons
   instead of O(log total-queue) comparisons on a dataclass.

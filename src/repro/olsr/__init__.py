@@ -19,12 +19,6 @@ from repro.olsr.constants import (
     decode_link_code,
     encode_link_code,
 )
-from repro.olsr.association import (
-    HnaAssociation,
-    HnaAssociationSet,
-    InterfaceAssociation,
-    InterfaceAssociationSet,
-)
 from repro.olsr.duplicate import DuplicateSet, DuplicateTuple
 from repro.olsr.link_state import (
     LinkSet,
@@ -38,36 +32,27 @@ from repro.olsr.link_state import (
 )
 from repro.olsr.messages import (
     HelloMessage,
-    HnaMessage,
     LinkAdvertisement,
-    MidMessage,
     OlsrMessage,
     TcMessage,
     make_hello,
 )
 from repro.olsr.mpr import MprComputationResult, mpr_coverage_complete, select_mprs
-from repro.olsr.node import DataPacket, OlsrConfig, OlsrNode
+from repro.olsr.node import OlsrConfig, OlsrNode
 from repro.olsr.packet import OlsrPacket
 from repro.olsr.routing import RouteEntry, RoutingTable, compute_routing_table
 from repro.olsr.topology import TopologySet, TopologyTuple
 
 __all__ = [
-    "DataPacket",
     "DuplicateSet",
     "DuplicateTuple",
     "HELLO_INTERVAL",
     "HelloMessage",
-    "HnaAssociation",
-    "HnaAssociationSet",
-    "HnaMessage",
-    "InterfaceAssociation",
-    "InterfaceAssociationSet",
     "LinkAdvertisement",
     "LinkSet",
     "LinkTuple",
     "LinkType",
     "MessageType",
-    "MidMessage",
     "MprComputationResult",
     "MprSelectorSet",
     "MprSelectorTuple",

@@ -13,14 +13,10 @@ import enum
 HELLO_INTERVAL = 2.0
 REFRESH_INTERVAL = 2.0
 TC_INTERVAL = 5.0
-MID_INTERVAL = TC_INTERVAL
-HNA_INTERVAL = TC_INTERVAL
 
 NEIGHB_HOLD_TIME = 3 * REFRESH_INTERVAL
 TOP_HOLD_TIME = 3 * TC_INTERVAL
 DUP_HOLD_TIME = 30.0
-MID_HOLD_TIME = 3 * MID_INTERVAL
-HNA_HOLD_TIME = 3 * HNA_INTERVAL
 
 #: Maximum jitter subtracted from periodic emission intervals (RFC §18.3).
 MAXJITTER = HELLO_INTERVAL / 4.0

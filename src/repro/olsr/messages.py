@@ -1,4 +1,4 @@
-"""OLSR control messages (HELLO, TC, MID, HNA) and the generic wrapper.
+"""OLSR control messages (HELLO, TC) and the generic wrapper.
 
 Messages are plain dataclasses; serialisation to bytes is not needed because
 the simulator exchanges Python objects, but each message knows its nominal
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.olsr.constants import (
     DEFAULT_TTL,
@@ -142,32 +142,6 @@ class TcMessage:
     def copy(self) -> "TcMessage":
         """Independent copy."""
         return TcMessage(ansn=self.ansn, advertised_neighbors=set(self.advertised_neighbors))
-
-
-@dataclass(slots=True)
-class MidMessage:
-    """MID: multiple interface declaration (RFC §5)."""
-
-    interface_addresses: List[str] = field(default_factory=list)
-
-    message_type: MessageType = field(default=MessageType.MID, init=False)
-
-    def size_bytes(self) -> int:
-        """Nominal on-air size."""
-        return TC_BASE_SIZE + PER_ADDRESS_SIZE * len(self.interface_addresses)
-
-
-@dataclass(slots=True)
-class HnaMessage:
-    """HNA: host and network association, announcing external routes (RFC §12)."""
-
-    networks: List[Tuple[str, str]] = field(default_factory=list)
-
-    message_type: MessageType = field(default=MessageType.HNA, init=False)
-
-    def size_bytes(self) -> int:
-        """Nominal on-air size."""
-        return TC_BASE_SIZE + 2 * PER_ADDRESS_SIZE * len(self.networks)
 
 
 @dataclass(slots=True)

@@ -8,21 +8,25 @@ paper's detector works from those audit logs rather than from packets.  The
 per-message sites ask the store first (``enabled_for``) and build no record
 for a category nobody subscribed to.
 
-:class:`OlsrNode` is the OLSR backend of the protocol-agnostic routing
-layer: the network attachment, audit log, data plane and the generic attack
-hooks (``forward_filters``, ``data_handlers``) live on
-:class:`repro.routing.base.RoutingProtocol`; this module adds the
-OLSR-specific ``hello_mutators``, which transform each HELLO right before
-emission (link spoofing).
+:class:`OlsrNode` is the package's one router.  Besides the protocol state
+it owns the node's attachment to the simulated network (it binds the
+interface and handles every received frame), the audit log, a
+deterministic per-node RNG, transmission statistics and the two attack
+hooks: ``forward_filters`` veto the relaying of a flooded message
+(blackhole/grayhole) and ``hello_mutators`` transform each HELLO right
+before emission (link spoofing).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
+from repro.netsim.packet import Frame
+from repro.netsim.stats import NodeStatistics
 from repro.olsr.constants import (
     DUP_HOLD_TIME,
     HELLO_INTERVAL,
@@ -35,7 +39,6 @@ from repro.olsr.constants import (
     NeighborType,
     Willingness,
 )
-from repro.olsr.association import HnaAssociationSet, InterfaceAssociationSet
 from repro.olsr.duplicate import DuplicateSet
 from repro.olsr.link_state import (
     LinkSet,
@@ -47,19 +50,12 @@ from repro.olsr.link_state import (
     TwoHopNeighborSet,
     TwoHopTuple,
 )
-from repro.olsr.messages import (
-    HelloMessage,
-    HnaMessage,
-    MidMessage,
-    OlsrMessage,
-    TcMessage,
-)
+from repro.olsr.messages import HelloMessage, OlsrMessage, TcMessage
 from repro.olsr.mpr import select_mprs
 from repro.olsr.packet import OlsrPacket
 from repro.olsr.routing import RoutingTable, compute_routing_table
 from repro.olsr.topology import TopologySet
-from repro.routing.base import DataPacket, RoutingProtocol
-from repro.routing.registry import register_protocol
+from repro.seeding import stable_digest
 
 HelloMutator = Callable[[HelloMessage, "OlsrNode"], HelloMessage]
 
@@ -80,17 +76,10 @@ class OlsrConfig:
     tc_when_no_selectors: bool = False
     #: Forwarding jitter applied before relaying flooded messages.
     forward_jitter: float = 0.1
-    #: Additional interface addresses announced in MID messages (RFC §5).
-    extra_interface_addresses: tuple = ()
-    #: External networks announced in HNA messages, as (network, netmask)
-    #: pairs (RFC §12); non-empty makes the node a gateway.
-    hna_networks: tuple = ()
 
 
-class OlsrNode(RoutingProtocol):
+class OlsrNode:
     """One OLSR router attached to a simulated network."""
-
-    protocol_name = "olsr"
 
     def __init__(
         self,
@@ -100,8 +89,12 @@ class OlsrNode(RoutingProtocol):
         log_store: Optional[LogStore] = None,
         seed: Optional[int] = None,
     ) -> None:
-        super().__init__(node_id, network, log_store=log_store, seed=seed)
-        self.config = config if isinstance(config, OlsrConfig) else OlsrConfig()
+        self.node_id = node_id
+        self.simulator = network.simulator
+        self.log = log_store if log_store is not None else LogStore(node_id)
+        self.rng = random.Random(seed if seed is not None else stable_digest(node_id) & 0xFFFF)
+        self.stats = NodeStatistics()
+        self.config = config or OlsrConfig()
 
         # Information repositories (RFC §4).
         self.link_set = LinkSet()
@@ -110,8 +103,6 @@ class OlsrNode(RoutingProtocol):
         self.mpr_selector_set = MprSelectorSet()
         self.topology_set = TopologySet()
         self.duplicate_set = DuplicateSet(hold_time=self.config.duplicate_hold_time)
-        self.interface_associations = InterfaceAssociationSet()
-        self.hna_associations = HnaAssociationSet()
         self._routing_table = RoutingTable()
         self.mpr_set: Set[str] = set()
         self.ansn = 0
@@ -126,8 +117,20 @@ class OlsrNode(RoutingProtocol):
         self._mpr_inputs_key: Optional[tuple] = None
         self._route_inputs_key: Optional[tuple] = None
 
-        # OLSR-specific attack hook (generic ones live on the base class).
+        # Attack hooks: each forward filter may veto a relay; each HELLO
+        # mutator rewrites the HELLO about to be sent.
+        self.forward_filters: List[Callable] = []
         self.hello_mutators: List[HelloMutator] = []
+
+        self._started = False
+        #: Periodic-chain handles registered via :meth:`_schedule_periodic`;
+        #: cancelled wholesale by :meth:`stop`.
+        self._periodic_handles: List = []
+        self.interface = network.interfaces.get(node_id)
+        if self.interface is None:
+            self.interface = network.create_interface(node_id)
+        self.interface.bind(self._on_frame)
+        network.attach_node(node_id, self)
 
     # ------------------------------------------------------------------ life
     def start(self) -> None:
@@ -152,27 +155,42 @@ class OlsrNode(RoutingProtocol):
             jitter=self.config.emission_jitter,
             rng=self.rng,
         )
-        if self.config.extra_interface_addresses:
-            self._schedule_periodic(
-                self.config.tc_interval,
-                self._emit_mid,
-                start_delay=start_delay + 0.5,
-                jitter=self.config.emission_jitter,
-                rng=self.rng,
-            )
-        if self.config.hna_networks:
-            self._schedule_periodic(
-                self.config.tc_interval,
-                self._emit_hna,
-                start_delay=start_delay + 1.0,
-                jitter=self.config.emission_jitter,
-                rng=self.rng,
-            )
         self._schedule_periodic(
             self.config.hello_interval,
             self._housekeeping,
             start_delay=self.config.hello_interval,
         )
+
+    def stop(self) -> None:
+        """Stop the node: cancel its periodic timers and go silent.
+
+        The interface stays registered (frames still reach ``_on_frame``)
+        but all control-traffic and housekeeping chains registered through
+        :meth:`_schedule_periodic` are cancelled, so a stopped node leaves
+        no live events behind in the engine.
+        """
+        self._started = False
+        for handle in self._periodic_handles:
+            handle.cancel()
+        self._periodic_handles.clear()
+        self.log.log(self.now, LogCategory.SYSTEM, "NODE_STOPPED")
+
+    def _schedule_periodic(self, interval: float, callback: Callable, *args,
+                           **kwargs):
+        """Register a periodic chain owned by this node's lifecycle.
+
+        Thin wrapper over ``simulator.schedule_periodic`` that records the
+        handle so :meth:`stop` can cancel the chain.
+        """
+        handle = self.simulator.schedule_periodic(interval, callback, *args,
+                                                  **kwargs)
+        self._periodic_handles.append(handle)
+        return handle
+
+    @property
+    def now(self) -> float:
+        """Current simulated time."""
+        return self.simulator.now
 
     # ----------------------------------------------------------- state views
     def symmetric_neighbors(self) -> Set[str]:
@@ -195,10 +213,6 @@ class OlsrNode(RoutingProtocol):
         """1-hop neighbours claiming to reach ``two_hop_address``."""
         return self.two_hop_set.providers_of(two_hop_address)
 
-    def is_mpr_selector(self, address: str) -> bool:
-        """Whether ``address`` has selected this node as MPR."""
-        return self.mpr_selector_set.contains(address)
-
     def peer_advertises(self, peer: str, address: str) -> bool:
         """Whether ``peer``'s HELLOs advertise ``address`` as its neighbour."""
         return address in self.two_hop_set.reachable_through(peer)
@@ -218,18 +232,6 @@ class OlsrNode(RoutingProtocol):
         """
         self._recompute_routes()
         return self._routing_table
-
-    def next_hop(self, destination: str) -> Optional[str]:
-        """Next hop toward ``destination`` from the proactive routing table."""
-        return self.routing_table.next_hop(destination)
-
-    def route_distance(self, destination: str) -> Optional[int]:
-        """Hop count toward ``destination``, if routed."""
-        return self.routing_table.distance(destination)
-
-    def known_destinations(self) -> Set[str]:
-        """Destinations present in the routing table."""
-        return set(self.routing_table.destinations())
 
     # ------------------------------------------------------------- emission
     def _emit_hello(self) -> None:
@@ -304,33 +306,10 @@ class OlsrNode(RoutingProtocol):
                 advertised=tc.advertised_neighbors,
             )
 
-    def _emit_mid(self) -> None:
-        if not self._started:
-            return
-        mid = MidMessage(interface_addresses=list(self.config.extra_interface_addresses))
-        message = OlsrMessage(originator=self.node_id, body=mid,
-                              vtime=3 * self.config.tc_interval)
-        packet = OlsrPacket.bundle(self.node_id, [message])
-        self.interface.broadcast(packet, size_bytes=packet.size_bytes())
-        self.stats.record_sent("MID")
-        self.log.log(self.now, LogCategory.MESSAGE_TX, "MID",
-                     seq=message.message_seq_number,
-                     interfaces=mid.interface_addresses)
-
-    def _emit_hna(self) -> None:
-        if not self._started:
-            return
-        hna = HnaMessage(networks=list(self.config.hna_networks))
-        message = OlsrMessage(originator=self.node_id, body=hna,
-                              vtime=3 * self.config.tc_interval)
-        packet = OlsrPacket.bundle(self.node_id, [message])
-        self.interface.broadcast(packet, size_bytes=packet.size_bytes())
-        self.stats.record_sent("HNA")
-        self.log.log(self.now, LogCategory.MESSAGE_TX, "HNA",
-                     seq=message.message_seq_number,
-                     networks=[f"{net}/{mask}" for net, mask in hna.networks])
-
     # -------------------------------------------------------------- reception
+    def _on_frame(self, frame: Frame, now: float) -> None:
+        self.handle_control(frame.payload, frame.source)
+
     def handle_control(self, payload: object, last_hop: str) -> None:
         """Unpack an OLSR packet and process the bundled messages."""
         if isinstance(payload, OlsrPacket):
@@ -353,16 +332,12 @@ class OlsrNode(RoutingProtocol):
             self.process_hello(message, last_hop)
             return
 
-        # Flooded message types (TC / MID / HNA).
+        # Flooded messages (TC).
         if log_rx:
             self._log_flooded_rx(message, last_hop)
         if not duplicate:
             if message.message_type == MessageType.TC:
                 self.process_tc(message, last_hop)
-            elif message.message_type == MessageType.MID:
-                self.process_mid(message, last_hop)
-            elif message.message_type == MessageType.HNA:
-                self.process_hna(message, last_hop)
         else:
             self.stats.duplicates_suppressed += 1
             if self.log.enabled_for(LogCategory.DUPLICATE):
@@ -508,58 +483,6 @@ class OlsrNode(RoutingProtocol):
                          origin=message.originator, ansn=tc.ansn,
                          advertised=tc.advertised_neighbors)
 
-    def process_mid(self, message: OlsrMessage, last_hop: str) -> None:
-        """Interface-association maintenance from a MID message (RFC §5.4)."""
-        if not self.link_set.is_symmetric_with(last_hop, self.now):
-            self.log.log(self.now, LogCategory.DROP, "FILTERED",
-                         origin=message.originator, reason="mid_from_non_sym",
-                         last_hop=last_hop)
-            return
-        mid: MidMessage = message.body
-        hold = message.vtime if message.vtime > 0 else self.config.topology_hold_time
-        changed = self.interface_associations.process_mid(
-            main_address=message.originator,
-            interface_addresses=list(mid.interface_addresses),
-            now=self.now,
-            hold_time=hold,
-        )
-        if changed:
-            self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
-                         origin=message.originator, kind="mid",
-                         interfaces=mid.interface_addresses)
-
-    def process_hna(self, message: OlsrMessage, last_hop: str) -> None:
-        """External-route maintenance from an HNA message (RFC §12.5)."""
-        if not self.link_set.is_symmetric_with(last_hop, self.now):
-            self.log.log(self.now, LogCategory.DROP, "FILTERED",
-                         origin=message.originator, reason="hna_from_non_sym",
-                         last_hop=last_hop)
-            return
-        hna: HnaMessage = message.body
-        hold = message.vtime if message.vtime > 0 else self.config.topology_hold_time
-        changed = self.hna_associations.process_hna(
-            gateway_address=message.originator,
-            networks=list(hna.networks),
-            now=self.now,
-            hold_time=hold,
-        )
-        if changed:
-            self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
-                         origin=message.originator, kind="hna",
-                         networks=[f"{net}/{mask}" for net, mask in hna.networks])
-
-    def external_route_for(self, network: str) -> Optional[str]:
-        """Next hop toward an external ``network`` announced via HNA.
-
-        The closest announcing gateway (by hop count) is chosen and the packet
-        is routed toward it; returns ``None`` when no reachable gateway
-        announces the network.
-        """
-        gateway = self.hna_associations.best_gateway(network, self.routing_table.distance)
-        if gateway is None:
-            return None
-        return self.routing_table.next_hop(gateway)
-
     # -------------------------------------------------------------- forwarding
     def _consider_forwarding(self, message: OlsrMessage, last_hop: str) -> None:
         """RFC §3.4 default forwarding algorithm (MPR flooding)."""
@@ -600,11 +523,6 @@ class OlsrNode(RoutingProtocol):
         packet = OlsrPacket.bundle(self.node_id, [message])
         self.interface.broadcast(packet, size_bytes=packet.size_bytes())
 
-    # -------------------------------------------------------------- data plane
-    def _data_filter_probe(self, packet: DataPacket) -> OlsrMessage:
-        """Drop attacks inspect data relays through a TC-shaped pseudo-message."""
-        return OlsrMessage(originator=packet.source, body=TcMessage(ansn=0))
-
     # ------------------------------------------------------------ maintenance
     def _housekeeping(self) -> None:
         now = self.now
@@ -624,8 +542,6 @@ class OlsrNode(RoutingProtocol):
                          selector=record.selector_address)
         self.topology_set.purge_expired(now)
         self.duplicate_set.purge_expired(now)
-        self.interface_associations.purge_expired(now)
-        self.hna_associations.purge_expired(now)
         # Symmetric status can silently expire; refresh neighbour tuples.
         symmetric = self.link_set.symmetric_neighbors(now)
         for neighbor in self.neighbor_set:
@@ -701,7 +617,6 @@ class OlsrNode(RoutingProtocol):
         """Summary of the node's protocol state (used by examples/reports)."""
         return {
             "node": self.node_id,
-            "protocol": self.protocol_name,
             "symmetric_neighbors": sorted(self.symmetric_neighbors()),
             "two_hop_neighbors": sorted(self.two_hop_neighbors()),
             "mprs": sorted(self.mpr_set),
@@ -709,15 +624,3 @@ class OlsrNode(RoutingProtocol):
             "routes": len(self.routing_table),
         }
 
-
-def _build_olsr(node_id, network, config=None, log_store=None, seed=None):
-    return OlsrNode(node_id, network, config=config,
-                    log_store=log_store, seed=seed)
-
-
-register_protocol(
-    "olsr",
-    _build_olsr,
-    "OLSR (RFC 3626): proactive link-state routing with MPR flooding "
-    "(the paper's protocol)",
-)

@@ -77,9 +77,6 @@ class FuzzedScenario:
     #: Whether the oracle↔netsim differential comparison applies (the
     #: profile models the process both backends implement).
     differential: bool
-    #: Routing backend the sample runs on (``olsr`` unless the fuzzer was
-    #: given a protocol axis).
-    protocol: str = "olsr"
 
     def params_dict(self) -> Dict[str, object]:
         """The sample's flat parameters as a plain dict."""
@@ -87,10 +84,7 @@ class FuzzedScenario:
 
     def run_id(self) -> str:
         """Human-readable identifier of the sample."""
-        label = f"fuzz[{self.index}]/{self.profile}"
-        if self.protocol != "olsr":
-            label += f"/{self.protocol}"
-        return f"{label}/seed={self.seed}"
+        return f"fuzz[{self.index}]/{self.profile}/seed={self.seed}"
 
     def cli_command(self, experiment: str = "figure1") -> str:
         """A ``python -m repro.experiments run`` line reproducing the cell."""
@@ -101,18 +95,12 @@ class ScenarioFuzzer:
     """Seeded sampler over the constrained scenario space.
 
     ``profiles`` restricts sampling to the named profiles (default: every
-    registered profile).  ``protocols`` adds a routing-backend axis: each
-    sample additionally draws one of the named protocols (``olsr``,
-    ``aodv``, ``geo``, …) and carries it as the ``protocol`` parameter.
-    The default (``protocols=None``) samples exactly the historical
-    OLSR-only corpus — byte for byte, since the protocol draw happens after
-    every other draw and only when the axis is enabled.  Sample ``i`` of
-    base seed ``s`` is identical across processes and platforms.
+    registered profile).  Sample ``i`` of base seed ``s`` is identical
+    across processes and platforms.
     """
 
     def __init__(self, base_seed: int = 0,
-                 profiles: Optional[Sequence[str]] = None,
-                 protocols: Optional[Sequence[str]] = None) -> None:
+                 profiles: Optional[Sequence[str]] = None) -> None:
         self.base_seed = base_seed
         if profiles is None:
             self.profiles: List[ScenarioProfile] = list_profiles()
@@ -120,10 +108,6 @@ class ScenarioFuzzer:
             self.profiles = [get_profile(name) for name in profiles]
         if not self.profiles:
             raise ValueError("no scenario profiles to fuzz")
-        self.protocols: Optional[Tuple[str, ...]] = (
-            tuple(protocols) if protocols is not None else None)
-        if self.protocols is not None and not self.protocols:
-            raise ValueError("no routing protocols to fuzz")
 
     def sample(self, index: int) -> FuzzedScenario:
         """The ``index``-th fuzzed scenario of this corpus."""
@@ -152,27 +136,13 @@ class ScenarioFuzzer:
         else:
             params["attack_variant"] = ATTACK_VARIANTS[rng.randrange(len(ATTACK_VARIANTS))]
 
-        # The protocol draw comes LAST and happens only when the axis is
-        # enabled, so the default corpus stays byte-identical to the
-        # OLSR-only fuzzer of earlier releases.
-        protocol = "olsr"
-        differential = profile.differential
-        if self.protocols is not None:
-            protocol = self.protocols[rng.randrange(len(self.protocols))]
-            params["protocol"] = protocol
-            if protocol != "olsr":
-                # The oracle backend models the OLSR-specific link-spoofing
-                # process; other routing backends have no oracle twin.
-                differential = False
-
         seed = stable_seed(self.base_seed, f"fuzz-seed:{index}")
         return FuzzedScenario(
             index=index,
             seed=seed,
             profile=profile.name,
             params=tuple(sorted(params.items())),
-            differential=differential,
-            protocol=protocol,
+            differential=profile.differential,
         )
 
     def corpus(self, count: int) -> Iterator[FuzzedScenario]:

@@ -132,22 +132,17 @@ def validate_corpus(
     profiles: Optional[Sequence[str]] = None,
     tolerances: Optional[Mapping[str, float]] = None,
     minimize: bool = True,
-    protocols: Optional[Sequence[str]] = None,
 ) -> ValidationReport:
     """Fuzz ``count`` scenarios and validate every one of them.
 
     Every sample is invariant-checked on the netsim backend; samples whose
     profile is differential-eligible are additionally cross-checked against
     the oracle backend (reusing the already-simulated netsim run, so each
-    sample costs one MANET simulation).  ``protocols`` turns the routing
-    backend into a fuzzed axis (see :class:`~repro.scenarios.fuzzer.
-    ScenarioFuzzer`); non-OLSR samples are invariant-checked only, since
-    the oracle models the OLSR link-spoofing process.  Failures are
-    minimized (when ``minimize``) and reported with explicit CLI
-    reproducers.
+    sample costs one MANET simulation).  Failures are minimized (when
+    ``minimize``) and reported with explicit CLI reproducers.
     """
     tolerances = tolerances or DEFAULT_TOLERANCES
-    fuzzer = ScenarioFuzzer(base_seed, profiles, protocols=protocols)
+    fuzzer = ScenarioFuzzer(base_seed, profiles)
     report = ValidationReport(samples=count)
 
     for sample in fuzzer.corpus(count):

@@ -107,8 +107,6 @@ def check_mpr_coverage(scenario) -> List[InvariantViolation]:
     violations: List[InvariantViolation] = []
     for node_id, node in sorted(scenario.nodes.items()):
         olsr = getattr(node, "router", node)
-        if not hasattr(olsr, "two_hop_set"):
-            continue  # MPR coverage is an OLSR property; other backends skip
         symmetric = olsr.symmetric_neighbors()
         willingness = {n.neighbor_address: n.willingness for n in olsr.neighbor_set}
         coverage: Dict[str, Set[str]] = olsr.two_hop_set.coverage_map()
@@ -189,10 +187,7 @@ def check_duplicate_suppression(scenario) -> List[InvariantViolation]:
         for record in node.log.by_category(LogCategory.FORWARD):
             if record.event != "RELAYED":
                 continue
-            seq = record.get("seq")
-            origin = record.get("origin")
-            if seq is None or origin is None:
-                continue  # data-plane relays carry no OLSR sequence number
+            origin, seq = record.get("origin"), record.get("seq")
             key = (origin, seq)
             if key in seen:
                 violations.append(InvariantViolation(

@@ -131,11 +131,37 @@ def test_oracle_transport_passes_link_peer():
     assert responder.queries[-1] == ("i", "inv", "x")
 
 
-def test_callable_transport_both_signatures():
-    four_arg = CallableTransport(lambda req, res, sus, peer: True)
-    three_arg = CallableTransport(lambda req, res, sus: False)
-    assert four_arg.verify_link("a", "b", "c", link_peer="d") is True
-    assert three_arg.verify_link("a", "b", "c") is False
+def test_callable_transport_passes_all_four_arguments():
+    calls = []
+    transport = CallableTransport(
+        lambda req, res, sus, peer: calls.append((req, res, sus, peer)) or False)
+    assert transport.verify_link("a", "b", "c", link_peer="d") is False
+    assert transport.verify_link("a", "b", "c") is False
+    assert calls == [("a", "b", "c", "d"), ("a", "b", "c", None)]
+
+
+class ContestedLinkFails:
+    """Responder whose contested-link branch raises ``TypeError``."""
+
+    def answer_link_query(self, suspect, requester, link_peer=None):
+        if link_peer is not None:
+            raise TypeError("contested-link branch failed")
+        return True
+
+
+def test_a_responder_type_error_propagates():
+    """A failing contested-link query is never answered as the own-link one."""
+    responder = ContestedLinkFails()
+    transports = [
+        OracleTransport({"s1": responder}),
+        NetworkPathTransport(lambda: {"inv": ["s1"], "s1": ["inv"]}, {"s1": responder}),
+        CallableTransport(lambda req, res, sus, peer=None:
+                          responder.answer_link_query(sus, req, peer)),
+    ]
+    for transport in transports:
+        assert transport.verify_link("inv", "s1", "i") is True
+        with pytest.raises(TypeError):
+            transport.verify_link("inv", "s1", "i", link_peer="p")
 
 
 def test_network_path_transport_avoids_suspect():

@@ -14,9 +14,7 @@ from repro.olsr.constants import (
 )
 from repro.olsr.messages import (
     HelloMessage,
-    HnaMessage,
     LinkAdvertisement,
-    MidMessage,
     OlsrMessage,
     TcMessage,
     make_hello,
@@ -89,15 +87,6 @@ def test_tc_message_copy_and_size():
     copy.advertised_neighbors.add("c")
     assert tc.advertised_neighbors == {"a", "b"}
     assert copy.size_bytes() > tc.size_bytes()
-
-
-def test_mid_and_hna_sizes():
-    mid = MidMessage(interface_addresses=["10.0.0.1", "10.0.1.1"])
-    hna = HnaMessage(networks=[("192.168.0.0", "255.255.255.0")])
-    assert mid.size_bytes() > 0
-    assert hna.size_bytes() > 0
-    assert mid.message_type == MessageType.MID
-    assert hna.message_type == MessageType.HNA
 
 
 def test_olsr_message_type_follows_body():

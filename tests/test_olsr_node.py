@@ -137,26 +137,6 @@ def test_node_restart_recovers_neighborhood(chain_network):
     assert nodes["A"].symmetric_neighbors() == {"B"}
 
 
-def test_data_plane_delivery_over_multiple_hops(chain_network):
-    network, nodes = chain_network
-    network.run(until=60.0)
-    delivered = []
-    nodes["D"].data_handlers.append(lambda packet, last_hop: delivered.append(packet))
-    assert nodes["A"].send_data("D", {"msg": "ping"})
-    network.run(until=65.0)
-    assert len(delivered) == 1
-    packet = delivered[0]
-    assert packet.source == "A"
-    assert packet.hops[0] == "A"
-    assert "B" in packet.hops and "C" in packet.hops
-
-
-def test_data_plane_no_route_returns_false(chain_network):
-    network, nodes = chain_network
-    network.run(until=10.0)
-    assert nodes["A"].send_data("ghost", "x") is False
-
-
 def test_willingness_never_node_not_selected_as_mpr():
     positions = dict(CHAIN_POSITIONS)
     network = make_network(positions)

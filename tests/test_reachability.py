@@ -6,8 +6,7 @@ out from ``repro.experiments.__main__``, the one entry point:
 * every ``import`` and ``from … import`` statement is an edge, at any depth
   (function-local imports included);
 * a string literal naming a ``repro`` module is an edge too, which covers the
-  lazy registries that import by name (the engine's and the routing layer's
-  ``_BUILTIN_MODULES``);
+  lazy registry that imports by name (the engine's ``_BUILTIN_MODULES``);
 * a name imported from a package resolves to the submodule that defines it,
   following the package's re-exports;
 * a package ``__init__`` reaches nothing: a re-export alone keeps no module
