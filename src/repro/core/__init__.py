@@ -45,7 +45,6 @@ from repro.core.investigation import (
     OracleTransport,
     RoundResult,
     common_two_hop_neighbors,
-    path_avoiding,
 )
 from repro.core.signatures import (
     EventPattern,
@@ -101,6 +100,5 @@ __all__ = [
     "evaluate_investigation",
     "evaluate_link_spoofing",
     "link_spoofing_event_signature",
-    "path_avoiding",
     "unweighted_vote",
 ]

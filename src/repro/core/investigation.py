@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Set
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Protocol,
+                    Sequence, Set, Tuple)
 
 from repro.core.decision import (
     ANSWER_CONFIRM,
@@ -434,36 +435,33 @@ def common_two_hop_neighbors(
     return {n for n in common if n not in exclude and n != suspicious_mpr}
 
 
-def path_avoiding(
+def reachable_avoiding(
     connectivity: Mapping[str, Sequence[str]],
     source: str,
-    target: str,
-    avoid: Set[str],
-) -> Optional[List[str]]:
-    """Breadth-first path from ``source`` to ``target`` avoiding the ``avoid`` set.
+    avoid: FrozenSet[str],
+) -> Set[str]:
+    """Every node a request from ``source`` can reach without transiting ``avoid``.
 
-    Returns the node sequence (including endpoints) or ``None`` when the
-    responder is unreachable without crossing a suspect — the situation where
-    the request would have to transit the suspicious MPR (evidence E3).
+    A node is reached when some path from ``source`` ends at it and none of
+    the nodes in between belongs to ``avoid``.  ``source`` itself is always
+    reached, and a member of ``avoid`` is reached as an endpoint (a query
+    addressed to the suspect or a colluder) but never relayed through.  A
+    node left out is unreachable without crossing a suspect: the E3
+    dead-end of the paper.
     """
-    if source == target:
-        return [source]
-    if target in avoid:
-        return None
-    visited = {source}
-    queue: List[List[str]] = [[source]]
-    while queue:
-        path = queue.pop(0)
-        current = path[-1]
-        for neighbor in connectivity.get(current, []):
-            if neighbor in visited or neighbor in avoid:
-                continue
-            next_path = path + [neighbor]
-            if neighbor == target:
-                return next_path
-            visited.add(neighbor)
-            queue.append(next_path)
-    return None
+    reached = {source}
+    frontier = [source]
+    while frontier:
+        relays = []
+        for node in frontier:
+            for neighbor in connectivity.get(node, ()):
+                if neighbor in reached:
+                    continue
+                reached.add(neighbor)
+                if neighbor not in avoid:
+                    relays.append(neighbor)
+        frontier = relays
+    return reached
 
 
 class NetworkPathTransport:
@@ -474,6 +472,13 @@ class NetworkPathTransport:
     connectivity oracle; when no alternative path exists the query fails
     (``None``), reproducing the E3 dead-end of the paper.  Each successful
     query can still be lost with ``loss_probability`` (unreliable channel).
+
+    Reachability does not depend on the responder or the contested link, so
+    one :func:`reachable_avoiding` set per (connectivity mapping, requester,
+    avoided nodes) answers every query of an investigation round.  The
+    oracle's contract: return a new mapping object whenever connectivity
+    changes (as :meth:`repro.netsim.medium.WirelessMedium.connectivity_matrix`
+    does), and never mutate one it has returned.
     """
 
     def __init__(
@@ -490,14 +495,21 @@ class NetworkPathTransport:
         self.colluders = set(colluders or set())
         self.loss_probability = loss_probability
         self.rng = rng or _transport_rng("network-path-transport", owner)
+        # The last reachable set and what it was computed from.  Holding the
+        # mapping keeps its identity from being recycled by a new object.
+        self._reach_connectivity: Optional[Mapping[str, Sequence[str]]] = None
+        self._reach_inputs: Optional[Tuple[str, FrozenSet[str]]] = None
+        self._reachable: Set[str] = set()
 
     def verify_link(self, requester: str, responder: str, suspect: str,
                     link_peer: Optional[str] = None) -> Optional[bool]:
         connectivity = self._connectivity_oracle()
-        avoid = {suspect} | self.colluders
-        avoid.discard(responder)
-        path = path_avoiding(connectivity, requester, responder, avoid)
-        if path is None:
+        avoid = frozenset(self.colluders | {suspect})
+        inputs = (requester, avoid)
+        if connectivity is not self._reach_connectivity or inputs != self._reach_inputs:
+            self._reachable = reachable_avoiding(connectivity, requester, avoid)
+            self._reach_connectivity, self._reach_inputs = connectivity, inputs
+        if responder not in self._reachable:
             return None
         if self.loss_probability and self.rng.random() < self.loss_probability:
             return None

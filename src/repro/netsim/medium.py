@@ -20,10 +20,14 @@ the per-node neighbour cache are invalidated through a *position epoch*: the
 :class:`repro.netsim.network.Network` exposes a counter that is bumped every
 time a node position changes (``set_position``, the mobility models, node
 arrival/departure) and the medium rebuilds its index lazily whenever the
-epoch it cached no longer matches.  When no epoch oracle is bound (bare
-position callables, as used by some unit tests) or the propagation model has
-no finite radio range, the medium transparently falls back to the brute-force
-scan, so correctness never depends on the index.
+epoch it cached no longer matches.  :meth:`WirelessMedium.connectivity_matrix`
+is built once per grid key and shared until the index is rebuilt, so the
+investigation transports that ask for it on every query reuse one mapping
+(and the reachability they derive from it) while nothing moves.  When no
+epoch oracle is bound (bare position callables, as used by some unit tests)
+or the propagation model has no finite radio range, the medium transparently
+falls back to the brute-force scan and builds a fresh matrix per call, so
+correctness never depends on the index.
 
 Delivery
 --------
@@ -323,6 +327,9 @@ class WirelessMedium:
         self._grid_key: Optional[Tuple[object, ...]] = None
         self._order: Dict[str, int] = {}
         self._neighbor_cache: Dict[str, List[str]] = {}
+        # The shared connectivity matrix of the current grid key (None until
+        # first asked for); same epoch discipline as the neighbour cache.
+        self._connectivity: Optional[Dict[str, List[str]]] = None
         # sender id -> (receivers, positions, distances, out_of_range count);
         # follows the same epoch discipline as the neighbour cache.
         self._broadcast_cache: Dict[str, Tuple[List[str], List[Position],
@@ -349,6 +356,7 @@ class WirelessMedium:
         self._grid = None
         self._grid_key = None
         self._neighbor_cache = {}
+        self._connectivity = None
         self._broadcast_cache = {}
 
     def register(self, node_id: str, interface) -> None:
@@ -409,6 +417,7 @@ class WirelessMedium:
             self._grid_key = key
             self._order = {nid: index for index, nid in enumerate(self._interfaces)}
             self._neighbor_cache = {}
+            self._connectivity = None
             self._broadcast_cache = {}
         return self._grid
 
@@ -447,8 +456,19 @@ class WirelessMedium:
         return result
 
     def connectivity_matrix(self) -> Dict[str, List[str]]:
-        """Mapping node id -> reachable neighbour ids (directed)."""
-        return {nid: self.neighbors_of(nid) for nid in self._interfaces}
+        """Mapping node id -> reachable neighbour ids (directed); read-only.
+
+        On the spatial fast path every call until the next index rebuild (a
+        position change, node arrival or departure, a per-node range edit)
+        returns the same shared mapping, built on first use; callers must
+        not mutate it.  A new object therefore means new connectivity.  The
+        brute-force fallback builds a fresh mapping on every call.
+        """
+        if self._current_grid() is None:
+            return {nid: self.neighbors_of(nid) for nid in self._interfaces}
+        if self._connectivity is None:
+            self._connectivity = {nid: self.neighbors_of(nid) for nid in self._interfaces}
+        return self._connectivity
 
     def _reaches(self, sender_id: str, sender_pos: Position, receiver_pos: Position) -> bool:
         prop = self.propagation

@@ -8,8 +8,8 @@ computations need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.olsr.constants import Willingness
 
@@ -168,14 +168,6 @@ class NeighborSet:
 
 
 # ------------------------------------------------------------ 2-hop neighbours
-@dataclass(frozen=True)
-class TwoHopKey:
-    """Dictionary key for a 2-hop tuple."""
-
-    neighbor_address: str
-    two_hop_address: str
-
-
 @dataclass
 class TwoHopTuple:
     """One 2-hop neighbour reachable through ``neighbor_address`` (RFC §4.3.2)."""
@@ -190,7 +182,13 @@ class TwoHopTuple:
 
 
 class TwoHopNeighborSet:
-    """Collection of :class:`TwoHopTuple`.
+    """Collection of :class:`TwoHopTuple`, indexed by 1-hop neighbour.
+
+    Tuples live in ``neighbour -> {2-hop address -> tuple}``, so the
+    per-neighbour queries (:meth:`reachable_through`,
+    :meth:`remove_for_neighbor`) and :meth:`coverage_map` cost the size of
+    their answer instead of a scan over every tuple.  A neighbour with no
+    tuple left has no entry.
 
     ``version`` counts *structural* changes only — key insertions and
     removals.  Refreshing an existing tuple's expiry does not change
@@ -200,7 +198,7 @@ class TwoHopNeighborSet:
     """
 
     def __init__(self) -> None:
-        self._tuples: Dict[TwoHopKey, TwoHopTuple] = {}
+        self._by_neighbor: Dict[str, Dict[str, TwoHopTuple]] = {}
         self.version = 0
         self._sorted_pairs: Optional[Tuple[int, List[Tuple[str, str]]]] = None
 
@@ -215,73 +213,72 @@ class TwoHopNeighborSet:
         if cached is not None and cached[0] == self.version:
             return cached[1]
         pairs = sorted(
-            (t.two_hop_address, t.neighbor_address) for t in self._tuples.values()
+            (two_hop, neighbor)
+            for neighbor, reached in self._by_neighbor.items()
+            for two_hop in reached
         )
         self._sorted_pairs = (self.version, pairs)
         return pairs
 
     def upsert(self, record: TwoHopTuple) -> TwoHopTuple:
         """Insert or refresh a 2-hop tuple."""
-        key = TwoHopKey(record.neighbor_address, record.two_hop_address)
-        if key not in self._tuples:
+        reached = self._by_neighbor.get(record.neighbor_address)
+        if reached is None:
+            reached = self._by_neighbor[record.neighbor_address] = {}
+        if record.two_hop_address not in reached:
             self.version += 1
-        self._tuples[key] = record
+        reached[record.two_hop_address] = record
         return record
 
     def remove_for_neighbor(self, neighbor_address: str) -> None:
         """Drop every tuple whose intermediate is ``neighbor_address``."""
-        stale = [k for k in self._tuples if k.neighbor_address == neighbor_address]
-        for key in stale:
-            del self._tuples[key]
-        if stale:
+        if self._by_neighbor.pop(neighbor_address, None):
             self.version += 1
 
     def remove(self, neighbor_address: str, two_hop_address: str) -> None:
         """Drop one (neighbour, 2-hop) tuple if present."""
-        if self._tuples.pop(TwoHopKey(neighbor_address, two_hop_address), None) is not None:
-            self.version += 1
+        reached = self._by_neighbor.get(neighbor_address)
+        if reached is None or reached.pop(two_hop_address, None) is None:
+            return
+        if not reached:
+            del self._by_neighbor[neighbor_address]
+        self.version += 1
 
     def purge_expired(self, now: float) -> List[TwoHopTuple]:
         """Drop expired tuples; returns the removed ones."""
-        expired = [t for t in self._tuples.values() if t.is_expired(now)]
-        for record in expired:
-            del self._tuples[TwoHopKey(record.neighbor_address, record.two_hop_address)]
+        expired: List[TwoHopTuple] = []
+        for neighbor, reached in list(self._by_neighbor.items()):
+            stale = [t for t in reached.values() if t.is_expired(now)]
+            for record in stale:
+                del reached[record.two_hop_address]
+            if not reached:
+                del self._by_neighbor[neighbor]
+            expired.extend(stale)
         if expired:
             self.version += 1
         return expired
 
     def two_hop_addresses(self) -> Set[str]:
         """Every known 2-hop address."""
-        return {t.two_hop_address for t in self._tuples.values()}
+        return {a for reached in self._by_neighbor.values() for a in reached}
 
     def reachable_through(self, neighbor_address: str) -> Set[str]:
         """2-hop addresses reachable through the given 1-hop neighbour."""
-        return {
-            t.two_hop_address
-            for t in self._tuples.values()
-            if t.neighbor_address == neighbor_address
-        }
+        return set(self._by_neighbor.get(neighbor_address, ()))
 
     def providers_of(self, two_hop_address: str) -> Set[str]:
         """1-hop neighbours that provide connectivity to ``two_hop_address``."""
-        return {
-            t.neighbor_address
-            for t in self._tuples.values()
-            if t.two_hop_address == two_hop_address
-        }
+        return {n for n, reached in self._by_neighbor.items() if two_hop_address in reached}
 
     def coverage_map(self) -> Dict[str, Set[str]]:
         """Mapping 1-hop neighbour -> set of 2-hop addresses it covers."""
-        coverage: Dict[str, Set[str]] = {}
-        for record in self._tuples.values():
-            coverage.setdefault(record.neighbor_address, set()).add(record.two_hop_address)
-        return coverage
+        return {n: set(reached) for n, reached in self._by_neighbor.items()}
 
     def __iter__(self):
-        return iter(self._tuples.values())
+        return (t for reached in self._by_neighbor.values() for t in reached.values())
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return sum(len(reached) for reached in self._by_neighbor.values())
 
 
 # ------------------------------------------------------------- MPR selectors

@@ -8,6 +8,13 @@ paper's detector works from those audit logs rather than from packets.  The
 per-message sites ask the store first (``enabled_for``) and build no record
 for a category nobody subscribed to.
 
+Control-plane state is computed when something reads it.  Routes are
+computed on a ``routing_table`` read, and at housekeeping only while the
+store records ``ROUTE``.  MPR selection runs at every input change on a
+node whose store records ``MPR``; elsewhere it is deferred to the next
+``mpr_set`` read (HELLO emission) or housekeeping, on the inputs of the
+change that triggered it (see :attr:`OlsrNode.mpr_set`).
+
 :class:`OlsrNode` is the package's one router.  Besides the protocol state
 it owns the node's attachment to the simulated network (it binds the
 interface and handles every received frame), the audit log, a
@@ -104,7 +111,7 @@ class OlsrNode:
         self.topology_set = TopologySet()
         self.duplicate_set = DuplicateSet(hold_time=self.config.duplicate_hold_time)
         self._routing_table = RoutingTable()
-        self.mpr_set: Set[str] = set()
+        self._mpr_set: Set[str] = set()
         self.ansn = 0
 
         # Recompute gates: fingerprints of the repository state the last
@@ -114,8 +121,13 @@ class OlsrNode:
         # and the full RFC computations run once per actual topology change
         # instead of once per message.  Skipping is byte-identical: unchanged
         # inputs would reproduce the current result, which logs nothing.
+        # Passing a gate does not mean computing: routes wait for a reader
+        # (``routing_table``) and so does an unrecorded MPR selection, which
+        # keeps the symmetric set of its trigger in ``_pending_mpr_symmetric``
+        # until ``mpr_set`` is read (None: nothing pending).
         self._mpr_inputs_key: Optional[tuple] = None
         self._route_inputs_key: Optional[tuple] = None
+        self._pending_mpr_symmetric: Optional[Set[str]] = None
 
         # Attack hooks: each forward filter may veto a relay; each HELLO
         # mutator rewrites the HELLO about to be sent.
@@ -219,19 +231,47 @@ class OlsrNode:
 
     @property
     def routing_table(self) -> RoutingTable:
-        """Proactive routing table, refreshed lazily on read.
+        """Proactive routing table, computed on read.
 
         The table is a pure function of the neighbour/2-hop/topology
         repositories, so recomputing at read time yields exactly the table an
         eager per-message recomputation would have produced at the same
         instant.  Reads between structural changes cost one version-key
-        comparison; the expensive calculation runs once per batch of
-        topology changes instead of once per received message — the
-        difference between quadratic and cubic total routing work during
-        convergence of a 1,024-node flood.
+        comparison.  Nothing else computes routes unless the store records
+        ``ROUTE``: housekeeping then recomputes once per HELLO interval to
+        keep that trail.  A store that starts recording ``ROUTE`` mid-run sees
+        its first ``TABLE_RECOMPUTED`` diffed against the last table
+        computed, whenever that was.
         """
         self._recompute_routes()
         return self._routing_table
+
+    @property
+    def mpr_set(self) -> Set[str]:
+        """The current MPR set (RFC 3626 §8.3.1); read-only.
+
+        Only HELLO emission reads it, so a node whose store does not record
+        ``MPR`` defers the selection to this read.  Three rules keep the
+        deferred result, and every audit trail, identical to an eager
+        selection at each trigger (the end of ``process_hello``,
+        housekeeping with expired links):
+
+        1. The trigger keeps the symmetric set it computed for its gate key
+           and the selection runs on it: links lapse silently, so
+           ``symmetric_neighbors`` at read time may already differ.
+        2. Housekeeping purges 2-hop tuples and flips symmetric flags
+           without reselecting, so it runs a pending selection first, on
+           the inputs of its trigger.
+        3. A deferred selection writes no ``MPR`` record.  If the store
+           starts recording ``MPR`` while one is pending, the next HELLO
+           runs it, silently, before changing any repository, so the first
+           recorded selection diffs against the right set.
+
+        A store that records ``MPR`` (the victim's, a bare ``LogStore``)
+        selects eagerly at each trigger and logs every change.
+        """
+        self._settle_mprs()
+        return self._mpr_set
 
     # ------------------------------------------------------------- emission
     def _emit_hello(self) -> None:
@@ -380,6 +420,9 @@ class OlsrNode:
     # ------------------------------------------------------ HELLO processing
     def process_hello(self, message: OlsrMessage, last_hop: str) -> None:
         """Link sensing, neighbour detection, 2-hop population, MPR signalling."""
+        if (self._pending_mpr_symmetric is not None
+                and self.log.enabled_for(LogCategory.MPR)):
+            self._settle_mprs()  # rule 3 of ``mpr_set``
         hello: HelloMessage = message.body
         origin = message.originator
         now = self.now
@@ -525,6 +568,7 @@ class OlsrNode:
 
     # ------------------------------------------------------------ maintenance
     def _housekeeping(self) -> None:
+        self._settle_mprs()  # rule 2 of ``mpr_set``: the purges edit its inputs
         now = self.now
         expired_links = self.link_set.purge_expired(now)
         for link in expired_links:
@@ -555,21 +599,35 @@ class OlsrNode:
                              neighbor=neighbor.neighbor_address)
         if expired_links:
             self._recompute_mprs()
-        # Routes refresh lazily on read (see ``routing_table``); this periodic
-        # call coalesces the topology churn of a whole HELLO interval into at
-        # most one recomputation, keeping the audit log's ROUTE trail alive
-        # even in runs that never consult the table.
-        self._recompute_routes()
+        # Routes are computed on read (see ``routing_table``); this periodic
+        # call only keeps a recorded ROUTE trail, coalescing the topology
+        # churn of a whole HELLO interval into at most one recomputation.
+        if self.log.enabled_for(LogCategory.ROUTE):
+            self._recompute_routes()
 
     def _recompute_mprs(self) -> None:
-        now = self.now
+        """An MPR-selection trigger: select now or defer (see ``mpr_set``)."""
         # The live symmetric set is time-dependent (links expire silently),
         # so it is part of the gate key alongside the structural versions.
-        symmetric = self.link_set.symmetric_neighbors(now)
+        symmetric = self.link_set.symmetric_neighbors(self.now)
         inputs_key = (self.neighbor_set.version, self.two_hop_set.version,
                       frozenset(symmetric))
         if inputs_key == self._mpr_inputs_key:
             return
+        self._mpr_inputs_key = inputs_key
+        if self.log.enabled_for(LogCategory.MPR):
+            self._select_mprs(symmetric, record=True)
+        else:
+            self._pending_mpr_symmetric = symmetric
+
+    def _settle_mprs(self) -> None:
+        """Run a deferred selection, silently, on its trigger's inputs."""
+        if self._pending_mpr_symmetric is not None:
+            self._select_mprs(self._pending_mpr_symmetric, record=False)
+
+    def _select_mprs(self, symmetric: Set[str], record: bool) -> None:
+        """Run RFC 3626 §8.3.1 selection; log the change when ``record``."""
+        self._pending_mpr_symmetric = None
         willingness = {n.neighbor_address: n.willingness for n in self.neighbor_set}
         coverage = self.two_hop_set.coverage_map()
         result = select_mprs(
@@ -579,18 +637,19 @@ class OlsrNode:
             local_address=self.node_id,
         )
         new_set = result.mprs
-        if new_set != self.mpr_set:
-            added = new_set - self.mpr_set
-            removed = self.mpr_set - new_set
-            for address in sorted(added):
+        previous = self._mpr_set
+        if new_set == previous:
+            return
+        if record:
+            now = self.now
+            for address in sorted(new_set - previous):
                 self.log.log(now, LogCategory.MPR, "MPR_SELECTED", mpr=address,
                              covered=result.coverage.get(address, set()))
-            for address in sorted(removed):
+            for address in sorted(previous - new_set):
                 self.log.log(now, LogCategory.MPR, "MPR_REMOVED", mpr=address)
             self.log.log(now, LogCategory.MPR, "MPR_SET_CHANGED",
-                         mprs=new_set, previous=self.mpr_set)
-            self.mpr_set = new_set
-        self._mpr_inputs_key = inputs_key
+                         mprs=new_set, previous=previous)
+        self._mpr_set = new_set
 
     def _recompute_routes(self) -> None:
         # The routing computation reads only stored symmetric flags and the

@@ -5,11 +5,14 @@
 * :class:`PerReceiverMedium` — a :class:`repro.netsim.medium.WirelessMedium`
   that schedules one delivery event per receiver and checks range, loss,
   collision and jitter receiver by receiver.
+* :func:`path_avoiding` — the per-query BFS the investigation transport's
+  cached reachable sets replaced.
 
-Neither is used by the program; they are oracles for its single paths.
+None is used by the program; they are oracles for its single paths.
 """
 
 from tests.reference.engine import HeapSimulator
 from tests.reference.medium import PerReceiverMedium
+from tests.reference.paths import path_avoiding
 
-__all__ = ["HeapSimulator", "PerReceiverMedium"]
+__all__ = ["HeapSimulator", "PerReceiverMedium", "path_avoiding"]

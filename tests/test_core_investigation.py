@@ -13,7 +13,6 @@ from repro.core.investigation import (
     NetworkPathTransport,
     OracleTransport,
     common_two_hop_neighbors,
-    path_avoiding,
 )
 from repro.trust.manager import TrustManager, TrustParameters
 from repro.trust.recommendation import RecommendationManager
@@ -66,30 +65,6 @@ def test_common_two_hop_neighbors_excludes_investigator_and_suspect():
     common = common_two_hop_neighbors(lambda n: coverage.get(n, set()), "suspect", [],
                                       exclude={"me"})
     assert common == {"x"}
-
-
-def test_path_avoiding_finds_detour():
-    connectivity = {
-        "a": ["b", "i"],
-        "b": ["a", "c"],
-        "c": ["b", "i"],
-        "i": ["a", "c"],
-    }
-    path = path_avoiding(connectivity, "a", "c", avoid={"i"})
-    assert path == ["a", "b", "c"]
-
-
-def test_path_avoiding_returns_none_when_only_route_is_suspect():
-    connectivity = {"a": ["i"], "i": ["a", "c"], "c": ["i"]}
-    assert path_avoiding(connectivity, "a", "c", avoid={"i"}) is None
-
-
-def test_path_avoiding_same_node():
-    assert path_avoiding({}, "a", "a", avoid=set()) == ["a"]
-
-
-def test_path_avoiding_target_in_avoid_set():
-    assert path_avoiding({"a": ["b"]}, "a", "b", avoid={"b"}) is None
 
 
 # -------------------------------------------------------------- transports

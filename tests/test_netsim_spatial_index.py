@@ -235,3 +235,45 @@ def test_distance_loss_zero_probability_is_lossless():
     model = _build_loss_model("distance", 0.0, radio_range=250.0, seed=1)
     assert model.max_loss == 0.0
     assert model.loss_probability(249.0) == 0.0
+
+
+def brute_force_matrix(medium):
+    return {nid: medium._neighbors_brute_force(nid) for nid in medium.node_ids}
+
+
+def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
+    propagation = AsymmetricRangePropagation(default_range=250.0)
+    network, _ = build_network(node_count=16, propagation=propagation)
+    medium = network.medium
+    matrix = medium.connectivity_matrix()
+    assert matrix == brute_force_matrix(medium)
+    medium.transmit(Frame(source="n00", destination=BROADCAST_ADDRESS, payload=None))
+    network.simulator.run()
+    assert medium.connectivity_matrix() is matrix  # nothing moved
+
+    def rebuilt(previous):
+        current = medium.connectivity_matrix()
+        assert current is not previous
+        assert current == brute_force_matrix(medium)
+        assert medium.connectivity_matrix() is current
+        return current
+
+    origin = network.position_of("n00")
+    network.set_position("n01", (origin[0] + 1.0, origin[1]))
+    matrix = rebuilt(matrix)
+    network.create_interface("late", origin)
+    matrix = rebuilt(matrix)
+    assert "late" in matrix["n00"]
+    network.remove_node("late")
+    matrix = rebuilt(matrix)
+    assert "late" not in matrix
+    propagation.register("n00", 40.0)
+    rebuilt(matrix)
+
+
+def test_brute_force_connectivity_matrix_is_fresh_per_call():
+    network, _ = build_network(node_count=8, use_spatial_index=False)
+    medium = network.medium
+    first = medium.connectivity_matrix()
+    assert first == brute_force_matrix(medium)
+    assert medium.connectivity_matrix() is not first

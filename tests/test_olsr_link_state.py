@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.olsr.constants import Willingness
 from repro.olsr.link_state import (
     LinkSet,
@@ -122,6 +125,80 @@ def test_two_hop_upsert_refreshes_existing():
     two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=50.0))
     assert len(two_hop) == 1
     assert two_hop.purge_expired(10.0) == []
+
+
+def test_two_hop_version_counts_structural_changes_only():
+    two_hop = TwoHopNeighborSet()
+    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=5.0))
+    assert two_hop.version == 1
+    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=50.0))  # a refresh
+    assert two_hop.version == 1
+    two_hop.upsert(TwoHopTuple("n1", "y", expiry_time=5.0))
+    two_hop.upsert(TwoHopTuple("n2", "y", expiry_time=50.0))
+    assert two_hop.version == 3
+    two_hop.remove("n2", "x")  # absent pair
+    two_hop.remove("n3", "x")  # absent neighbour
+    assert two_hop.version == 3
+    two_hop.remove("n2", "y")
+    assert two_hop.version == 4
+    assert [(t.neighbor_address, t.two_hop_address)
+            for t in two_hop.purge_expired(10.0)] == [("n1", "y")]
+    assert two_hop.version == 5
+    assert two_hop.purge_expired(10.0) == []
+    two_hop.remove_for_neighbor("n2")  # no tuple left through n2
+    assert two_hop.version == 5
+    two_hop.remove_for_neighbor("n1")
+    assert two_hop.version == 6
+    assert len(two_hop) == 0 and two_hop.coverage_map() == {}
+
+
+_neighbour = st.sampled_from(["n1", "n2", "n3", "n4"])
+_address = st.sampled_from(["n1", "n2", "x", "y", "z"])
+_operation = st.one_of(
+    st.tuples(st.just("upsert"), _neighbour, _address, st.integers(0, 20)),
+    st.tuples(st.just("remove"), _neighbour, _address),
+    st.tuples(st.just("remove_for_neighbor"), _neighbour),
+    st.tuples(st.just("purge_expired"), st.integers(0, 20)),
+)
+
+
+@given(operations=st.lists(_operation, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_two_hop_queries_equal_a_brute_force_pass(operations):
+    two_hop = TwoHopNeighborSet()
+    tuples = {}  # (neighbour, 2-hop address) -> expiry: the brute-force model
+    for operation in operations:
+        version, keys = two_hop.version, set(tuples)
+        kind, *args = operation
+        if kind == "upsert":
+            neighbour, address, expiry = args
+            two_hop.upsert(TwoHopTuple(neighbour, address, expiry_time=float(expiry)))
+            tuples[(neighbour, address)] = float(expiry)
+        elif kind == "remove":
+            two_hop.remove(*args)
+            tuples.pop(tuple(args), None)
+        elif kind == "remove_for_neighbor":
+            two_hop.remove_for_neighbor(args[0])
+            tuples = {k: v for k, v in tuples.items() if k[0] != args[0]}
+        else:
+            now = float(args[0])
+            purged = two_hop.purge_expired(now)
+            expired = {k for k, v in tuples.items() if v < now}
+            assert {(t.neighbor_address, t.two_hop_address) for t in purged} == expired
+            tuples = {k: v for k, v in tuples.items() if k not in expired}
+        assert (two_hop.version != version) == (set(tuples) != keys)
+        assert {(t.neighbor_address, t.two_hop_address): t.expiry_time
+                for t in two_hop} == tuples
+        assert len(two_hop) == len(tuples)
+        assert two_hop.sorted_pairs() == sorted((a, n) for n, a in tuples)
+        assert two_hop.two_hop_addresses() == {a for _, a in tuples}
+        coverage = {}
+        for neighbour, address in tuples:
+            coverage.setdefault(neighbour, set()).add(address)
+        assert two_hop.coverage_map() == coverage
+        for name in ("n1", "n2", "n3", "n4", "x", "y", "z"):
+            assert two_hop.reachable_through(name) == coverage.get(name, set())
+            assert two_hop.providers_of(name) == {n for n, a in tuples if a == name}
 
 
 # ------------------------------------------------------------- selector set
