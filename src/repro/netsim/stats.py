@@ -69,36 +69,57 @@ class MediumStatistics:
 
 @dataclass
 class NodeStatistics:
-    """Per-node transmit/receive counters (used by OLSR nodes)."""
+    """Per-node transmit/receive counters (used by OLSR nodes).
 
-    messages_sent: int = 0
-    messages_received: int = 0
+    Each message count is stored once, per message type, in
+    ``per_type_sent`` and ``per_type_received``; the totals and the HELLO/TC
+    counts are read-only views of those two dicts.  Keys are the message
+    type names (``MessageType`` members are ``str``, so ``"HELLO"`` and
+    ``MessageType.HELLO`` name the same entry).
+    """
+
     messages_forwarded: int = 0
     messages_dropped: int = 0
-    hello_sent: int = 0
-    hello_received: int = 0
-    tc_sent: int = 0
-    tc_received: int = 0
     duplicates_suppressed: int = 0
     per_type_sent: Dict[str, int] = field(default_factory=dict)
     per_type_received: Dict[str, int] = field(default_factory=dict)
 
     def record_sent(self, message_type: str) -> None:
         """Account for an originated message of ``message_type``."""
-        self.messages_sent += 1
         self.per_type_sent[message_type] = self.per_type_sent.get(message_type, 0) + 1
-        if message_type == "HELLO":
-            self.hello_sent += 1
-        elif message_type == "TC":
-            self.tc_sent += 1
 
     def record_received(self, message_type: str) -> None:
         """Account for a received message of ``message_type``."""
-        self.messages_received += 1
         self.per_type_received[message_type] = (
             self.per_type_received.get(message_type, 0) + 1
         )
-        if message_type == "HELLO":
-            self.hello_received += 1
-        elif message_type == "TC":
-            self.tc_received += 1
+
+    @property
+    def messages_sent(self) -> int:
+        """Originated messages of every type."""
+        return sum(self.per_type_sent.values())
+
+    @property
+    def messages_received(self) -> int:
+        """Received messages of every type."""
+        return sum(self.per_type_received.values())
+
+    @property
+    def hello_sent(self) -> int:
+        """Originated HELLOs."""
+        return self.per_type_sent.get("HELLO", 0)
+
+    @property
+    def hello_received(self) -> int:
+        """Received HELLOs."""
+        return self.per_type_received.get("HELLO", 0)
+
+    @property
+    def tc_sent(self) -> int:
+        """Originated TCs."""
+        return self.per_type_sent.get("TC", 0)
+
+    @property
+    def tc_received(self) -> int:
+        """Received TCs."""
+        return self.per_type_received.get("TC", 0)

@@ -19,7 +19,7 @@ from repro.olsr.constants import (
     decode_link_code,
     encode_link_code,
 )
-from repro.olsr.duplicate import DuplicateSet, DuplicateTuple
+from repro.olsr.duplicate import DuplicateSet
 from repro.olsr.link_state import (
     LinkSet,
     LinkTuple,
@@ -45,7 +45,6 @@ from repro.olsr.topology import TopologySet, TopologyTuple
 
 __all__ = [
     "DuplicateSet",
-    "DuplicateTuple",
     "HELLO_INTERVAL",
     "HelloMessage",
     "LinkAdvertisement",

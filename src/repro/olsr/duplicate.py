@@ -2,90 +2,63 @@
 
 RFC 3626 §3.4 default forwarding algorithm relies on a duplicate set keyed by
 (originator, message sequence number) to ensure each message is processed at
-most once and retransmitted at most once per interface.
+most once and retransmitted at most once.
+
+An entry is its key, an expiry time and whether the message was
+retransmitted; nothing else, and no object per entry: a map from key to
+expiry and a set of retransmitted keys.  Entries outlive a short cell (the
+30 s hold), so per-entry objects would stay alive, and be walked by the
+garbage collector, for the whole run.  There is no receiving-interface list
+(the RFC's ``D_iface_list``): each node has one interface, and the
+forwarding decision consults only the retransmitted flag, a deviation from
+§3.4.1 recorded as ROADMAP item 8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-
-@dataclass
-class DuplicateTuple:
-    """Record of a message already seen (RFC §3.4.1)."""
-
-    originator: str
-    message_seq_number: int
-    retransmitted: bool = False
-    expiry_time: float = 0.0
-    received_from: Set[str] = field(default_factory=set)
-
-    def is_expired(self, now: float) -> bool:
-        """Whether the tuple should be discarded."""
-        return self.expiry_time < now
+DuplicateKey = Tuple[str, int]
 
 
 class DuplicateSet:
-    """Collection of :class:`DuplicateTuple` keyed by (originator, sequence)."""
+    """(originator, sequence number) → expiry time, plus retransmitted keys."""
 
     def __init__(self, hold_time: float = 30.0) -> None:
         self.hold_time = hold_time
-        self._tuples: Dict[Tuple[str, int], DuplicateTuple] = {}
+        self._expiry: Dict[DuplicateKey, float] = {}
+        self._retransmitted: Set[DuplicateKey] = set()
 
-    def _key(self, originator: str, seq: int) -> Tuple[str, int]:
-        return (originator, seq)
+    def observe(self, originator: str, seq: int, now: float) -> Optional[bool]:
+        """Record a reception and refresh its expiry.
 
-    def seen(self, originator: str, seq: int) -> bool:
-        """Whether the message has already been processed."""
-        return self._key(originator, seq) in self._tuples
-
-    def already_forwarded(self, originator: str, seq: int) -> bool:
-        """Whether the message has already been retransmitted by this node."""
-        record = self._tuples.get(self._key(originator, seq))
-        return bool(record and record.retransmitted)
-
-    def record(
-        self,
-        originator: str,
-        seq: int,
-        now: float,
-        received_from: str,
-        retransmitted: bool = False,
-    ) -> DuplicateTuple:
-        """Record (or refresh) a message occurrence."""
-        key = self._key(originator, seq)
-        record = self._tuples.get(key)
-        if record is None:
-            record = DuplicateTuple(
-                originator=originator,
-                message_seq_number=seq,
-                retransmitted=retransmitted,
-                expiry_time=now + self.hold_time,
-                received_from={received_from},
-            )
-            self._tuples[key] = record
-        else:
-            record.expiry_time = now + self.hold_time
-            record.received_from.add(received_from)
-            record.retransmitted = record.retransmitted or retransmitted
-        return record
+        Returns ``None`` for the first reception of the message, and
+        otherwise whether it has already been retransmitted.
+        """
+        key = (originator, seq)
+        expiry = self._expiry
+        seen = key in expiry
+        expiry[key] = now + self.hold_time
+        if not seen:
+            return None
+        return key in self._retransmitted
 
     def mark_forwarded(self, originator: str, seq: int) -> None:
         """Mark a recorded message as retransmitted."""
-        record = self._tuples.get(self._key(originator, seq))
-        if record is not None:
-            record.retransmitted = True
+        key = (originator, seq)
+        if key in self._expiry:
+            self._retransmitted.add(key)
 
-    def purge_expired(self, now: float) -> List[DuplicateTuple]:
-        """Drop expired tuples; returns the removed ones."""
-        expired = [t for t in self._tuples.values() if t.is_expired(now)]
-        for record in expired:
-            del self._tuples[(record.originator, record.message_seq_number)]
+    def purge_expired(self, now: float) -> List[DuplicateKey]:
+        """Drop expired entries; returns their keys."""
+        expired = [key for key, expiry in self._expiry.items() if expiry < now]
+        for key in expired:
+            del self._expiry[key]
+            self._retransmitted.discard(key)
         return expired
 
-    def __len__(self) -> int:
-        return len(self._tuples)
+    def __contains__(self, key: DuplicateKey) -> bool:
+        return key in self._expiry
 
-    def __iter__(self):
-        return iter(self._tuples.values())
+    def __len__(self) -> int:
+        return len(self._expiry)

@@ -66,6 +66,11 @@ from repro.seeding import stable_digest
 
 HelloMutator = Callable[[HelloMessage, "OlsrNode"], HelloMessage]
 
+# Enum members are looked up through the metaclass on every class-attribute
+# access; the receive path compares against these by identity instead.
+_HELLO = MessageType.HELLO
+_TC = MessageType.TC
+
 
 @dataclass
 class OlsrConfig:
@@ -288,7 +293,7 @@ class OlsrNode:
         )
         packet = OlsrPacket.bundle(self.node_id, [message])
         self.interface.broadcast(packet, size_bytes=packet.size_bytes())
-        self.stats.record_sent("HELLO")
+        self.stats.record_sent(_HELLO)
         if self.log.enabled_for(LogCategory.MESSAGE_TX):
             self.log.log(
                 self.now,
@@ -335,7 +340,7 @@ class OlsrNode:
         )
         packet = OlsrPacket.bundle(self.node_id, [message])
         self.interface.broadcast(packet, size_bytes=packet.size_bytes())
-        self.stats.record_sent("TC")
+        self.stats.record_sent(_TC)
         if self.log.enabled_for(LogCategory.MESSAGE_TX):
             self.log.log(
                 self.now,
@@ -357,16 +362,24 @@ class OlsrNode:
                 self._on_message(message, last_hop)
 
     def _on_message(self, message: OlsrMessage, last_hop: str) -> None:
-        if message.originator == self.node_id:
-            return  # our own flooded message came back
-        message_type = str(message.message_type)
-        self.stats.record_received(message_type)
+        """Process one received message: a HELLO locally, a TC as flooded.
 
-        duplicate = self.duplicate_set.seen(message.originator, message.message_seq_number)
+        A flooded message reads the clock once and costs one duplicate-set
+        lookup: :meth:`DuplicateSet.observe` records the reception and its
+        answer (first reception, or whether the message was already
+        retransmitted) decides both processing and forwarding.  Records
+        follow the order ``MSG_RX``, then the TC's ``DROP``/``TOPOLOGY``
+        record or ``DUPLICATE``, then the forwarding record.
+        """
+        originator = message.originator
+        if originator == self.node_id:
+            return  # our own flooded message came back
+        message_type = message.body.message_type
+        self.stats.record_received(message_type)
         # Checked before the record's fields are built: on a node whose log
         # nobody reads, the RX trail costs one set lookup per message.
         log_rx = self.log.enabled_for(LogCategory.MESSAGE_RX)
-        if message.message_type == MessageType.HELLO:
+        if message_type is _HELLO:
             if log_rx:
                 self._log_hello_rx(message, last_hop)
             self.process_hello(message, last_hop)
@@ -375,18 +388,18 @@ class OlsrNode:
         # Flooded messages (TC).
         if log_rx:
             self._log_flooded_rx(message, last_hop)
-        if not duplicate:
-            if message.message_type == MessageType.TC:
-                self.process_tc(message, last_hop)
+        now = self.simulator.now
+        seq = message.message_seq_number
+        retransmitted = self.duplicate_set.observe(originator, seq, now)
+        if retransmitted is None:
+            if message_type is _TC:
+                self.process_tc(message, last_hop, now)
         else:
             self.stats.duplicates_suppressed += 1
             if self.log.enabled_for(LogCategory.DUPLICATE):
-                self.log.log(self.now, LogCategory.DUPLICATE, "DUPLICATE_DETECTED",
-                             origin=message.originator, seq=message.message_seq_number)
-        self.duplicate_set.record(
-            message.originator, message.message_seq_number, self.now, last_hop
-        )
-        self._consider_forwarding(message, last_hop)
+                self.log.log(now, LogCategory.DUPLICATE, "DUPLICATE_DETECTED",
+                             origin=originator, seq=seq)
+        self._consider_forwarding(message, last_hop, now, retransmitted)
 
     def _log_hello_rx(self, message: OlsrMessage, last_hop: str) -> None:
         hello: HelloMessage = message.body
@@ -471,10 +484,12 @@ class OlsrNode:
             self.log.log(now, LogCategory.NEIGHBOR, "NEIGHBOR_NOT_SYM", neighbor=origin)
 
         # 2-hop neighbour set: only populated through symmetric neighbours.
+        # Both walks are sorted so the TWO_HOP trail does not follow the
+        # hash seed's set order.
         if now_symmetric:
             advertised = hello.symmetric_neighbors()
             previous_coverage = self.two_hop_set.reachable_through(origin)
-            for address in advertised:
+            for address in sorted(advertised):
                 if address == self.node_id:
                     continue
                 self.two_hop_set.upsert(
@@ -484,7 +499,7 @@ class OlsrNode:
                 if address not in previous_coverage:
                     self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_ADDED",
                                  neighbor=origin, two_hop=address)
-            for address in previous_coverage - advertised:
+            for address in sorted(previous_coverage - advertised):
                 self.two_hop_set.remove(origin, address)
                 self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_REMOVED",
                              neighbor=origin, two_hop=address)
@@ -505,11 +520,11 @@ class OlsrNode:
         self._recompute_mprs()
 
     # --------------------------------------------------------- TC processing
-    def process_tc(self, message: OlsrMessage, last_hop: str) -> None:
-        """Topology-set maintenance from a TC message."""
-        if not self.link_set.is_symmetric_with(last_hop, self.now):
+    def process_tc(self, message: OlsrMessage, last_hop: str, now: float) -> None:
+        """Topology-set maintenance from a TC message received at ``now``."""
+        if not self.link_set.is_symmetric_with(last_hop, now):
             # RFC §9.5: discard TC messages not received from a symmetric neighbour.
-            self.log.log(self.now, LogCategory.DROP, "FILTERED",
+            self.log.log(now, LogCategory.DROP, "FILTERED",
                          origin=message.originator, reason="tc_from_non_sym", last_hop=last_hop)
             return
         tc: TcMessage = message.body
@@ -517,38 +532,43 @@ class OlsrNode:
         changed = self.topology_set.process_tc(
             originator=message.originator,
             ansn=tc.ansn,
-            advertised=set(tc.advertised_neighbors),
-            now=self.now,
+            advertised=tc.advertised_neighbors,
+            now=now,
             hold_time=hold,
         )
         if changed and self.log.enabled_for(LogCategory.TOPOLOGY):
-            self.log.log(self.now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
+            self.log.log(now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
                          origin=message.originator, ansn=tc.ansn,
                          advertised=tc.advertised_neighbors)
 
     # -------------------------------------------------------------- forwarding
-    def _consider_forwarding(self, message: OlsrMessage, last_hop: str) -> None:
-        """RFC §3.4 default forwarding algorithm (MPR flooding)."""
+    def _consider_forwarding(self, message: OlsrMessage, last_hop: str,
+                             now: float, retransmitted: Optional[bool]) -> None:
+        """RFC §3.4 default forwarding algorithm (MPR flooding).
+
+        ``retransmitted`` is the duplicate set's answer for this reception:
+        ``None`` on the first one, else whether the message was relayed.
+        """
         if message.ttl <= 1:
             if self.log.enabled_for(LogCategory.DROP):
-                self.log.log(self.now, LogCategory.DROP, "TTL_EXPIRED",
+                self.log.log(now, LogCategory.DROP, "TTL_EXPIRED",
                              origin=message.originator, seq=message.message_seq_number)
             return
-        if not self.link_set.is_symmetric_with(last_hop, self.now):
+        if retransmitted:
             return
-        if self.duplicate_set.already_forwarded(message.originator, message.message_seq_number):
+        if not self.link_set.is_symmetric_with(last_hop, now):
             return
         if not self.mpr_selector_set.contains(last_hop):
             # We are not an MPR of the last hop: do not retransmit.
             if self.log.enabled_for(LogCategory.FORWARD):
-                self.log.log(self.now, LogCategory.FORWARD, "NOT_RELAYED",
+                self.log.log(now, LogCategory.FORWARD, "NOT_RELAYED",
                              origin=message.originator, seq=message.message_seq_number,
                              reason="not_mpr_of_last_hop", last_hop=last_hop)
             return
         for forward_filter in self.forward_filters:
             if not forward_filter(message, last_hop, self):
                 self.stats.messages_dropped += 1
-                self.log.log(self.now, LogCategory.DROP, "FILTERED",
+                self.log.log(now, LogCategory.DROP, "FILTERED",
                              origin=message.originator, seq=message.message_seq_number,
                              reason="forward_filter", last_hop=last_hop)
                 return
@@ -558,7 +578,7 @@ class OlsrNode:
         self.simulator.post(delay, self._transmit_forward, forwarded)
         self.stats.messages_forwarded += 1
         if self.log.enabled_for(LogCategory.FORWARD):
-            self.log.log(self.now, LogCategory.FORWARD, "RELAYED",
+            self.log.log(now, LogCategory.FORWARD, "RELAYED",
                          origin=message.originator, seq=message.message_seq_number,
                          ttl=forwarded.ttl, last_hop=last_hop)
 

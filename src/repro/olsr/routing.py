@@ -110,13 +110,7 @@ def compute_routing_table(
     # Step 2: 2-hop neighbours (through a symmetric neighbour).  The cached
     # sorted view walks the exact order of the former per-call
     # ``sorted(two_hop_set, key=(two_hop, neighbor))`` scan.
-    if hasattr(two_hop_set, "sorted_pairs"):
-        two_hop_pairs = two_hop_set.sorted_pairs()
-    else:  # pragma: no cover - duck-typed stand-ins in tests
-        two_hop_pairs = sorted(
-            (t.two_hop_address, t.neighbor_address) for t in two_hop_set
-        )
-    for dest, via in two_hop_pairs:
+    for dest, via in two_hop_set.sorted_pairs():
         if dest == local_address or dest in routes:
             continue
         if via not in routes:
@@ -127,17 +121,7 @@ def compute_routing_table(
     # the (destination, last) scan order by destination, so each ring visits
     # a destination once and stops at its first advertiser in the frontier —
     # the same edge the former flat scan would have selected.
-    if hasattr(topology_set, "routing_view"):
-        topology_view = topology_set.routing_view()
-    else:  # pragma: no cover - duck-typed stand-ins in tests
-        topology_view = []
-        for dest, last in sorted(
-            (t.destination_address, t.last_address) for t in topology_set
-        ):
-            if topology_view and topology_view[-1][0] == dest:
-                topology_view[-1][1].append(last)
-            else:
-                topology_view.append((dest, [last]))
+    topology_view = topology_set.routing_view()
     distance = 2
     while True:
         added_any = False

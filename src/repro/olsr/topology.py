@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass
@@ -14,10 +14,6 @@ class TopologyTuple:
     last_address: str
     ansn: int
     expiry_time: float = 0.0
-
-    def is_expired(self, now: float) -> bool:
-        """Whether the tuple should be discarded."""
-        return self.expiry_time < now
 
 
 class TopologySet:
@@ -47,45 +43,57 @@ class TopologySet:
         self,
         originator: str,
         ansn: int,
-        advertised: Set[str],
+        advertised: Iterable[str],
         now: float,
         hold_time: float,
     ) -> bool:
-        """Apply a TC message from ``originator``.
+        """Apply a TC message from ``originator`` (RFC 3626 §9.5).
 
         Implements the RFC freshness rule: a TC whose ANSN is older than the
         freshest one already recorded for the originator is ignored.  Returns
         ``True`` when the topology set was modified.
+
+        Invariant: every stored tuple of an originator carries that
+        originator's latest ANSN.  An accepted TC with a different ANSN is
+        newer than all of them, so it removes them all; one with the latest
+        ANSN removes none.  The stale-ANSN scan therefore runs only when the
+        ANSN moved, and a tuple the TC refreshes already carries its ANSN:
+        the refresh pushes its expiry in place.
         """
         latest = self._latest_ansn.get(originator)
         if latest is not None and _ansn_older(ansn, latest):
             return False
-        self._latest_ansn[originator] = ansn
 
         changed = False
-        # Remove tuples from this originator with an older ANSN (via the
-        # per-originator index: only this originator's keys are scanned).
-        own_keys = self._keys_by_originator.get(originator, {})
-        stale = [
-            key for key in own_keys
-            if _ansn_older(self._tuples[key].ansn, ansn)
-        ]
-        for key in stale:
-            self._discard(key)
-            changed = True
+        if ansn != latest:
+            self._latest_ansn[originator] = ansn
+            # Remove tuples from this originator with an older ANSN (via the
+            # per-originator index: only this originator's keys are scanned).
+            own_keys = self._keys_by_originator.get(originator, {})
+            stale = [
+                key for key in own_keys
+                if _ansn_older(self._tuples[key].ansn, ansn)
+            ]
+            for key in stale:
+                self._discard(key)
+                changed = True
 
+        tuples = self._tuples
+        expiry_time = now + hold_time
         for destination in advertised:
             key = (destination, originator)
-            existing = self._tuples.get(key)
+            existing = tuples.get(key)
             if existing is None:
                 changed = True
                 self._keys_by_originator.setdefault(originator, {})[key] = None
-            self._tuples[key] = TopologyTuple(
-                destination_address=destination,
-                last_address=originator,
-                ansn=ansn,
-                expiry_time=now + hold_time,
-            )
+                tuples[key] = TopologyTuple(
+                    destination_address=destination,
+                    last_address=originator,
+                    ansn=ansn,
+                    expiry_time=expiry_time,
+                )
+            else:
+                existing.expiry_time = expiry_time
         if changed:
             self.version += 1
         return changed
@@ -109,7 +117,7 @@ class TopologySet:
 
     def purge_expired(self, now: float) -> List[TopologyTuple]:
         """Drop expired tuples; returns the removed ones."""
-        expired = [t for t in self._tuples.values() if t.is_expired(now)]
+        expired = [t for t in self._tuples.values() if t.expiry_time < now]
         for record in expired:
             self._discard((record.destination_address, record.last_address))
         if expired:

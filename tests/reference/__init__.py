@@ -7,6 +7,8 @@
   collision and jitter receiver by receiver.
 * :func:`path_avoiding` — the per-query BFS the investigation transport's
   cached reachable sets replaced.
+* :class:`RebuildingTopologySet` — the topology set that rescans stale
+  ANSNs and replaces every refreshed tuple on each TC.
 
 None is used by the program; they are oracles for its single paths.
 """
@@ -14,5 +16,7 @@ None is used by the program; they are oracles for its single paths.
 from tests.reference.engine import HeapSimulator
 from tests.reference.medium import PerReceiverMedium
 from tests.reference.paths import path_avoiding
+from tests.reference.topology import RebuildingTopologySet
 
-__all__ = ["HeapSimulator", "PerReceiverMedium", "path_avoiding"]
+__all__ = ["HeapSimulator", "PerReceiverMedium", "RebuildingTopologySet",
+           "path_avoiding"]
