@@ -9,7 +9,7 @@ computations need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.olsr.constants import Willingness
 
@@ -79,7 +79,7 @@ class LinkSet:
 
     def symmetric_neighbors(self, now: float) -> Set[str]:
         """Addresses with a currently symmetric link."""
-        return {a for a, l in self._links.items() if l.is_symmetric(now)}
+        return {a for a, l in self._links.items() if l.sym_time >= now}
 
     def is_symmetric_with(self, neighbor_address: str, now: float) -> bool:
         """O(1) membership test equivalent to ``address in symmetric_neighbors(now)``.
@@ -220,6 +220,49 @@ class TwoHopNeighborSet:
         self._sorted_pairs = (self.version, pairs)
         return pairs
 
+    def refresh(self, neighbor_address: str, advertised: Sequence[str],
+                local_address: str, expiry_time: float
+                ) -> Tuple[List[str], List[str]]:
+        """Apply one HELLO of ``neighbor_address`` advertising ``advertised``.
+
+        ``advertised`` is the HELLO's symmetric set in sorted order; the
+        receiver's own ``local_address`` in it is skipped.  Known tuples get
+        ``expiry_time`` in place, new ones are inserted, and tuples through
+        ``neighbor_address`` whose address the HELLO no longer advertises
+        are withdrawn.  Returns ``(added, withdrawn)``, each sorted.
+
+        Tuples, their order and ``version`` end up as with one
+        :meth:`upsert` per advertised address followed by one
+        :meth:`remove` per withdrawn one.  The withdrawal walk runs only
+        when the neighbour's tuple count, after the insertions, differs
+        from the number of addresses advertised: otherwise every stored
+        address was advertised.
+        """
+        reached = self._by_neighbor.get(neighbor_address)
+        if reached is None:
+            reached = self._by_neighbor[neighbor_address] = {}
+        added: List[str] = []
+        count = 0
+        for address in advertised:
+            if address == local_address:
+                continue
+            count += 1
+            record = reached.get(address)
+            if record is None:
+                reached[address] = TwoHopTuple(neighbor_address, address, expiry_time)
+                added.append(address)
+            else:
+                record.expiry_time = expiry_time
+        withdrawn: List[str] = []
+        if len(reached) != count:
+            withdrawn = sorted(reached.keys() - set(advertised))
+            for address in withdrawn:
+                del reached[address]
+        if not reached:
+            del self._by_neighbor[neighbor_address]
+        self.version += len(added) + len(withdrawn)
+        return added, withdrawn
+
     def upsert(self, record: TwoHopTuple) -> TwoHopTuple:
         """Insert or refresh a 2-hop tuple."""
         reached = self._by_neighbor.get(record.neighbor_address)
@@ -304,6 +347,17 @@ class MprSelectorSet:
         """Insert or refresh a selector tuple."""
         self._selectors[record.selector_address] = record
         return record
+
+    def refresh(self, selector_address: str, expiry_time: float) -> bool:
+        """Push a known selector's expiry in place, or insert a new one;
+        ``True`` when ``selector_address`` is a new selector."""
+        record = self._selectors.get(selector_address)
+        if record is None:
+            self._selectors[selector_address] = MprSelectorTuple(selector_address,
+                                                                 expiry_time)
+            return True
+        record.expiry_time = expiry_time
+        return False
 
     def remove(self, selector_address: str) -> None:
         """Remove a selector tuple if present."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.olsr.constants import (
     DEFAULT_TTL,
@@ -45,6 +45,20 @@ class LinkAdvertisement:
         return self.neighbor_type in (NeighborType.SYM_NEIGH, NeighborType.MPR_NEIGH)
 
 
+@dataclass(frozen=True, slots=True)
+class DeclaredSets:
+    """The address sets one HELLO declares, computed once by
+    :meth:`HelloMessage.declare` and shared by every receiver and log site."""
+
+    symmetric: FrozenSet[str]
+    #: ``symmetric`` in sorted order: the walk of the receivers' 2-hop refresh.
+    symmetric_sorted: Tuple[str, ...]
+    mprs: FrozenSet[str]
+    lost: FrozenSet[str]
+    addresses: FrozenSet[str]
+    asymmetric: FrozenSet[str]
+
+
 @dataclass(slots=True)
 class HelloMessage:
     """HELLO: local link state and neighbour declaration (RFC §6).
@@ -52,6 +66,12 @@ class HelloMessage:
     ``links`` lists every advertised neighbour with its link and neighbour
     type.  The symmetric set this message *declares* (the ``NS'_I`` of the
     paper's signature expressions) is :meth:`symmetric_neighbors`.
+
+    The sender computes the declared sets once per message, after its
+    ``hello_mutators`` ran (:meth:`declare`); every receiver and every log
+    site reads :attr:`declared` instead of rebuilding them, so a sent HELLO
+    is never mutated.  The per-set methods read ``links`` afresh on each
+    call and fill nothing, so a mutator may read a HELLO and then edit it.
     """
 
     willingness: Willingness = Willingness.WILL_DEFAULT
@@ -59,6 +79,9 @@ class HelloMessage:
     htime: float = 2.0
 
     message_type: MessageType = field(default=MessageType.HELLO, init=False)
+    #: Set by :meth:`declare`; None until then (and on every :meth:`copy`).
+    declared: Optional[DeclaredSets] = field(default=None, init=False, repr=False,
+                                             compare=False)
 
     def add_link(
         self,
@@ -108,6 +131,20 @@ class HelloMessage:
     def all_addresses(self) -> Set[str]:
         """Every address mentioned in the message."""
         return {adv.neighbor_address for adv in self.links}
+
+    def declare(self) -> DeclaredSets:
+        """Compute the declared sets from ``links`` and keep them in
+        :attr:`declared`: the message is final from here on."""
+        symmetric = frozenset(self.symmetric_neighbors())
+        self.declared = DeclaredSets(
+            symmetric=symmetric,
+            symmetric_sorted=tuple(sorted(symmetric)),
+            mprs=frozenset(self.mpr_neighbors()),
+            lost=frozenset(self.lost_neighbors()),
+            addresses=frozenset(self.all_addresses()),
+            asymmetric=frozenset(self.asymmetric_neighbors()),
+        )
+        return self.declared
 
     def size_bytes(self) -> int:
         """Nominal on-air size."""

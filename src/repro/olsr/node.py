@@ -15,6 +15,13 @@ node whose store records ``MPR``; elsewhere it is deferred to the next
 ``mpr_set`` read (HELLO emission) or housekeeping, on the inputs of the
 change that triggered it (see :attr:`OlsrNode.mpr_set`).
 
+A received HELLO costs each receiver only the work that depends on that
+receiver.  The sender computes the HELLO's declared sets once, after its
+``hello_mutators`` ran (:meth:`HelloMessage.declare`), and every receiver
+and log site reads them.  Known 2-hop and MPR-selector tuples are refreshed
+in place, and the 2-hop withdrawals are walked only when the neighbour's
+tuple count says some address was withdrawn.
+
 :class:`OlsrNode` is the package's one router.  Besides the protocol state
 it owns the node's attachment to the simulated network (it binds the
 interface and handles every received frame), the audit log, a
@@ -51,13 +58,11 @@ from repro.olsr.link_state import (
     LinkSet,
     LinkTuple,
     MprSelectorSet,
-    MprSelectorTuple,
     NeighborSet,
     NeighborTuple,
     TwoHopNeighborSet,
-    TwoHopTuple,
 )
-from repro.olsr.messages import HelloMessage, OlsrMessage, TcMessage
+from repro.olsr.messages import DeclaredSets, HelloMessage, OlsrMessage, TcMessage
 from repro.olsr.mpr import select_mprs
 from repro.olsr.packet import OlsrPacket
 from repro.olsr.routing import RoutingTable, compute_routing_table
@@ -285,6 +290,7 @@ class OlsrNode:
         hello = self.build_hello()
         for mutator in self.hello_mutators:
             hello = mutator(hello, self)
+        declared = hello.declare()
         message = OlsrMessage(
             originator=self.node_id,
             body=hello,
@@ -300,9 +306,9 @@ class OlsrNode:
                 LogCategory.MESSAGE_TX,
                 "HELLO",
                 seq=message.message_seq_number,
-                sym_neighbors=hello.symmetric_neighbors(),
-                asym_neighbors=hello.asymmetric_neighbors(),
-                mprs=hello.mpr_neighbors(),
+                sym_neighbors=declared.symmetric,
+                asym_neighbors=declared.asymmetric,
+                mprs=declared.mprs,
                 willingness=int(hello.willingness),
             )
 
@@ -380,9 +386,12 @@ class OlsrNode:
         # nobody reads, the RX trail costs one set lookup per message.
         log_rx = self.log.enabled_for(LogCategory.MESSAGE_RX)
         if message_type is _HELLO:
+            declared = message.body.declared
+            if declared is None:  # handed in without going through emission
+                declared = message.body.declare()
             if log_rx:
-                self._log_hello_rx(message, last_hop)
-            self.process_hello(message, last_hop)
+                self._log_hello_rx(message, last_hop, declared)
+            self.process_hello(message, last_hop, declared)
             return
 
         # Flooded messages (TC).
@@ -401,8 +410,8 @@ class OlsrNode:
                              origin=originator, seq=seq)
         self._consider_forwarding(message, last_hop, now, retransmitted)
 
-    def _log_hello_rx(self, message: OlsrMessage, last_hop: str) -> None:
-        hello: HelloMessage = message.body
+    def _log_hello_rx(self, message: OlsrMessage, last_hop: str,
+                      declared: DeclaredSets) -> None:
         self.log.log(
             self.now,
             LogCategory.MESSAGE_RX,
@@ -410,10 +419,10 @@ class OlsrNode:
             origin=message.originator,
             last_hop=last_hop,
             seq=message.message_seq_number,
-            sym_neighbors=hello.symmetric_neighbors(),
-            asym_neighbors=hello.asymmetric_neighbors(),
-            mprs=hello.mpr_neighbors(),
-            willingness=int(hello.willingness),
+            sym_neighbors=declared.symmetric,
+            asym_neighbors=declared.asymmetric,
+            mprs=declared.mprs,
+            willingness=int(message.body.willingness),
         )
 
     def _log_flooded_rx(self, message: OlsrMessage, last_hop: str) -> None:
@@ -431,25 +440,32 @@ class OlsrNode:
         self.log.log(self.now, LogCategory.MESSAGE_RX, str(message.message_type), **fields)
 
     # ------------------------------------------------------ HELLO processing
-    def process_hello(self, message: OlsrMessage, last_hop: str) -> None:
-        """Link sensing, neighbour detection, 2-hop population, MPR signalling."""
+    def process_hello(self, message: OlsrMessage, last_hop: str,
+                      declared: DeclaredSets) -> None:
+        """Link sensing, neighbour detection, 2-hop population, MPR signalling.
+
+        ``declared`` is the HELLO's :class:`DeclaredSets`, shared by every
+        receiver; only what depends on this node is computed here.  Known
+        2-hop and MPR-selector tuples are refreshed in place.
+        """
         if (self._pending_mpr_symmetric is not None
                 and self.log.enabled_for(LogCategory.MPR)):
             self._settle_mprs()  # rule 3 of ``mpr_set``
         hello: HelloMessage = message.body
         origin = message.originator
+        node_id = self.node_id
         now = self.now
         hold = message.vtime if message.vtime > 0 else self.config.neighbor_hold_time
 
         link = self.link_set.get(origin)
         created = link is None
         if link is None:
-            link = LinkTuple(local_address=self.node_id, neighbor_address=origin)
+            link = LinkTuple(local_address=node_id, neighbor_address=origin)
         was_symmetric = link.is_symmetric(now)
 
         link.asym_time = now + hold
-        heard_us = self.node_id in hello.all_addresses()
-        declared_lost = self.node_id in hello.lost_neighbors()
+        heard_us = node_id in declared.addresses
+        declared_lost = node_id in declared.lost
         if heard_us and not declared_lost:
             link.sym_time = now + hold
         elif declared_lost:
@@ -487,31 +503,20 @@ class OlsrNode:
         # Both walks are sorted so the TWO_HOP trail does not follow the
         # hash seed's set order.
         if now_symmetric:
-            advertised = hello.symmetric_neighbors()
-            previous_coverage = self.two_hop_set.reachable_through(origin)
-            for address in sorted(advertised):
-                if address == self.node_id:
-                    continue
-                self.two_hop_set.upsert(
-                    TwoHopTuple(neighbor_address=origin, two_hop_address=address,
-                                expiry_time=now + hold)
-                )
-                if address not in previous_coverage:
-                    self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_ADDED",
-                                 neighbor=origin, two_hop=address)
-            for address in sorted(previous_coverage - advertised):
-                self.two_hop_set.remove(origin, address)
+            added, withdrawn = self.two_hop_set.refresh(
+                origin, declared.symmetric_sorted, node_id, now + hold)
+            for address in added:
+                self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_ADDED",
+                             neighbor=origin, two_hop=address)
+            for address in withdrawn:
                 self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_REMOVED",
                              neighbor=origin, two_hop=address)
 
         # MPR selector set: the neighbour declares us with MPR neighbour type.
-        if self.node_id in hello.mpr_neighbors():
-            if not self.mpr_selector_set.contains(origin):
+        if node_id in declared.mprs:
+            if self.mpr_selector_set.refresh(origin, now + hold):
                 self.log.log(now, LogCategory.MPR_SELECTOR, "SELECTOR_ADDED", selector=origin)
                 self.ansn += 1
-            self.mpr_selector_set.upsert(
-                MprSelectorTuple(selector_address=origin, expiry_time=now + hold)
-            )
         elif self.mpr_selector_set.contains(origin):
             self.mpr_selector_set.remove(origin)
             self.ansn += 1
@@ -629,9 +634,9 @@ class OlsrNode:
         """An MPR-selection trigger: select now or defer (see ``mpr_set``)."""
         # The live symmetric set is time-dependent (links expire silently),
         # so it is part of the gate key alongside the structural versions.
+        # The key holds the set itself: nothing mutates it once built.
         symmetric = self.link_set.symmetric_neighbors(self.now)
-        inputs_key = (self.neighbor_set.version, self.two_hop_set.version,
-                      frozenset(symmetric))
+        inputs_key = (self.neighbor_set.version, self.two_hop_set.version, symmetric)
         if inputs_key == self._mpr_inputs_key:
             return
         self._mpr_inputs_key = inputs_key

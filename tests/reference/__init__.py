@@ -9,14 +9,17 @@
   cached reachable sets replaced.
 * :class:`RebuildingTopologySet` — the topology set that rescans stale
   ANSNs and replaces every refreshed tuple on each TC.
+* :func:`select_mprs` — the MPR selection that rebuilds the other MPRs'
+  coverage count for every MPR its redundancy prune considers.
 
 None is used by the program; they are oracles for its single paths.
 """
 
 from tests.reference.engine import HeapSimulator
 from tests.reference.medium import PerReceiverMedium
+from tests.reference.mpr import select_mprs
 from tests.reference.paths import path_avoiding
 from tests.reference.topology import RebuildingTopologySet
 
 __all__ = ["HeapSimulator", "PerReceiverMedium", "RebuildingTopologySet",
-           "path_avoiding"]
+           "path_avoiding", "select_mprs"]

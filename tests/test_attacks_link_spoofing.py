@@ -13,7 +13,7 @@ from repro.attacks.link_spoofing import (
 )
 from repro.core.signatures import LinkSpoofingVariant, evaluate_link_spoofing
 from repro.olsr.node import OlsrNode
-from tests.conftest import CHAIN_POSITIONS, make_olsr_network
+from tests.conftest import CHAIN_POSITIONS, STAR_POSITIONS, make_olsr_network
 
 
 def converged_chain():
@@ -147,6 +147,37 @@ def test_omission_eventually_breaks_symmetry_at_the_victim():
     # C no longer hears itself in B's HELLOs, so the link B-C cannot stay
     # symmetric from C's point of view.
     assert "B" not in nodes["C"].symmetric_neighbors()
+
+
+# ------------------------------------------------------ what receivers see
+#: The star of ``STAR_POSITIONS`` plus FAR, a leaf of L1 two hops from HUB.
+_STAR_AND_FAR = dict(STAR_POSITIONS, FAR=(0.0, 420.0))
+
+
+@pytest.mark.parametrize("variant, target", [
+    (LinkSpoofingVariant.FALSE_EXISTING_LINK, "FAR"),
+    (LinkSpoofingVariant.OMITTED_NEIGHBOR, "L2"),
+])
+def test_every_receiver_reads_the_forged_hello(variant, target):
+    """Receivers read the sets a HELLO declares after its mutators ran.
+
+    The false-link mutator reads the copied HELLO's addresses before it
+    appends the spoofed link, so sets cached on that first read would
+    reach the receivers without it.
+    """
+    network, nodes = make_olsr_network(_STAR_AND_FAR)
+    network.run(until=30.0)
+    assert "FAR" not in nodes["L3"].coverage_of("HUB")
+    assert "L2" in nodes["L3"].coverage_of("HUB")
+    LinkSpoofingAttack(variant, [target]).install(nodes["HUB"])
+    network.run(until=50.0)
+    for leaf in ("L1", "L2", "L3", "L4"):
+        coverage = nodes[leaf].coverage_of("HUB")
+        if variant == LinkSpoofingVariant.FALSE_EXISTING_LINK:
+            assert "FAR" in coverage, leaf
+        else:
+            assert "L2" not in coverage, leaf
+            assert leaf == "L2" or coverage == {"L1", "L3", "L4"} - {leaf}
 
 
 # --------------------------------------------------------------- ground truth

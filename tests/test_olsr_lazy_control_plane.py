@@ -5,7 +5,8 @@ A node whose store does not record ``MPR`` defers MPR selection to the next
 ``routing_table`` read or a recorded ``ROUTE`` trail asks.  These tests pin
 the deferred results to eager ones and guard the laziness itself: the
 per-layer counters of the benchmark are not gated, so an eager recompute
-coming back would otherwise go unnoticed.
+coming back would otherwise go unnoticed.  The same holds for a HELLO's
+declared sets, built once by its sender for all of its receivers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.medium import DistanceLossModel, UnitDiskPropagation, WirelessMedium
 from repro.netsim.mobility import GaussMarkovMobility
 from repro.netsim.network import Network
+from repro.olsr.messages import HelloMessage
 from repro.olsr.node import OlsrNode
 from repro.olsr.routing import compute_routing_table
 
@@ -175,3 +177,25 @@ def test_a_netsim_cell_defers_unrecorded_mpr_selection():
     _, _, lazy = _counted_cell(record_mpr=False)
     _, _, eager = _counted_cell(record_mpr=True)
     assert 0 < lazy < eager / 2
+    # Selecting at the top of ``build_hello`` instead of at the first
+    # symmetric link, for one, runs selections an eager node never runs.
+    assert (lazy, eager) == (246, 642)
+
+
+def test_a_netsim_cell_declares_each_hello_once(monkeypatch):
+    """Receivers and log sites share the sender's declared sets."""
+    builds = []
+    declare = HelloMessage.declare
+
+    def counted(hello):
+        builds.append(None)
+        return declare(hello)
+
+    monkeypatch.setattr(HelloMessage, "declare", counted)
+    config = scenario_config_from_params(_CELL, seed=7)
+    scenario = build_netsim_scenario(config, _CELL)
+    drive_netsim_scenario(scenario, config, _CELL)
+    sent = sum(node.router.stats.hello_sent for node in scenario.nodes.values())
+    received = sum(node.router.stats.hello_received for node in scenario.nodes.values())
+    assert received > 4 * sent > 0
+    assert len(builds) <= sent

@@ -154,39 +154,81 @@ def test_two_hop_version_counts_structural_changes_only():
 
 _neighbour = st.sampled_from(["n1", "n2", "n3", "n4"])
 _address = st.sampled_from(["n1", "n2", "x", "y", "z"])
+#: A HELLO's symmetric set as its receiver "me" sees it: it may name "me".
+_advertised = st.sets(st.sampled_from(["me", "n1", "n2", "x", "y", "z"]))
 _operation = st.one_of(
     st.tuples(st.just("upsert"), _neighbour, _address, st.integers(0, 20)),
     st.tuples(st.just("remove"), _neighbour, _address),
     st.tuples(st.just("remove_for_neighbor"), _neighbour),
     st.tuples(st.just("purge_expired"), st.integers(0, 20)),
+    st.tuples(st.just("refresh"), _neighbour, _advertised, st.integers(0, 20)),
 )
+
+
+def _per_address_refresh(two_hop, tuples, neighbour, advertised, expiry):
+    """One HELLO as ``process_hello`` applied it before the in-place refresh:
+    an upsert per advertised address, then a remove per withdrawn one.
+    Returns the TWO_HOP records it logged, in order."""
+    previous = two_hop.reachable_through(neighbour)
+    records = []
+    for address in sorted(advertised):
+        if address == "me":
+            continue
+        two_hop.upsert(TwoHopTuple(neighbour, address, expiry_time=expiry))
+        tuples[(neighbour, address)] = expiry
+        if address not in previous:
+            records.append(("TWO_HOP_ADDED", address))
+    for address in sorted(previous - advertised):
+        two_hop.remove(neighbour, address)
+        del tuples[(neighbour, address)]
+        records.append(("TWO_HOP_REMOVED", address))
+    return records
+
+
+def _ordered(two_hop):
+    return [(t.neighbor_address, t.two_hop_address, t.expiry_time) for t in two_hop]
 
 
 @given(operations=st.lists(_operation, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_two_hop_queries_equal_a_brute_force_pass(operations):
     two_hop = TwoHopNeighborSet()
+    per_address = TwoHopNeighborSet()  # driven by per-address upserts/removes
     tuples = {}  # (neighbour, 2-hop address) -> expiry: the brute-force model
     for operation in operations:
         version, keys = two_hop.version, set(tuples)
         kind, *args = operation
         if kind == "upsert":
             neighbour, address, expiry = args
-            two_hop.upsert(TwoHopTuple(neighbour, address, expiry_time=float(expiry)))
+            for target in (two_hop, per_address):
+                target.upsert(TwoHopTuple(neighbour, address, expiry_time=float(expiry)))
             tuples[(neighbour, address)] = float(expiry)
         elif kind == "remove":
             two_hop.remove(*args)
+            per_address.remove(*args)
             tuples.pop(tuple(args), None)
         elif kind == "remove_for_neighbor":
             two_hop.remove_for_neighbor(args[0])
+            per_address.remove_for_neighbor(args[0])
             tuples = {k: v for k, v in tuples.items() if k[0] != args[0]}
+        elif kind == "refresh":
+            neighbour, advertised, expiry = args
+            added, withdrawn = two_hop.refresh(neighbour, tuple(sorted(advertised)),
+                                               "me", float(expiry))
+            records = _per_address_refresh(per_address, tuples, neighbour,
+                                           advertised, float(expiry))
+            assert ([("TWO_HOP_ADDED", a) for a in added]
+                    + [("TWO_HOP_REMOVED", a) for a in withdrawn]) == records
         else:
             now = float(args[0])
             purged = two_hop.purge_expired(now)
+            assert _ordered(purged) == _ordered(per_address.purge_expired(now))
             expired = {k for k, v in tuples.items() if v < now}
             assert {(t.neighbor_address, t.two_hop_address) for t in purged} == expired
             tuples = {k: v for k, v in tuples.items() if k not in expired}
         assert (two_hop.version != version) == (set(tuples) != keys)
+        assert two_hop.version == per_address.version
+        assert _ordered(two_hop) == _ordered(per_address)
         assert {(t.neighbor_address, t.two_hop_address): t.expiry_time
                 for t in two_hop} == tuples
         assert len(two_hop) == len(tuples)
@@ -220,3 +262,15 @@ def test_mpr_selector_remove():
     selectors.remove("a")
     selectors.remove("ghost")
     assert selectors.addresses() == set()
+
+
+def test_mpr_selector_refresh_pushes_a_known_selector_in_place():
+    selectors = MprSelectorSet()
+    assert selectors.refresh("a", 5.0) is True
+    record = next(iter(selectors))
+    # A known selector: its expiry moves, and no new selector (no ANSN bump).
+    assert selectors.refresh("a", 50.0) is False
+    assert next(iter(selectors)) is record and record.expiry_time == 50.0
+    assert selectors.purge_expired(10.0) == []
+    assert selectors.refresh("b", 7.0) is True
+    assert [s.selector_address for s in selectors] == ["a", "b"]

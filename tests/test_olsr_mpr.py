@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.olsr.constants import Willingness
 from repro.olsr.mpr import mpr_coverage_complete, select_mprs
+from tests import reference
 
 
 def test_empty_two_hop_set_selects_no_mprs():
@@ -140,3 +144,57 @@ def test_larger_topology_coverage_invariant():
     result = select_mprs(symmetric_neighbors=symmetric, coverage=coverage)
     assert mpr_coverage_complete(result.mprs, coverage, {f"t{i}" for i in range(6)})
     assert len(result.mprs) <= 6
+
+
+# ------------------------------------------------------------------- oracle
+_ONE_HOP = [f"n{i:02d}" for i in range(20)]
+_TWO_HOP = [f"t{i}" for i in range(8)]
+
+
+@st.composite
+def _neighbourhoods(draw):
+    """Up to 20 symmetric neighbours whose HELLOs name the selecting node
+    ("me"), 1-hop neighbours (each neighbour itself among them) and 2-hop
+    addresses, with any willingness, redundancy and pruning."""
+    symmetric = draw(st.sets(st.sampled_from(_ONE_HOP), max_size=20))
+    names = sorted(symmetric)
+    advertised = st.one_of(st.sampled_from(_TWO_HOP), st.sampled_from(["me"] + names))
+    coverage = {name: draw(st.sets(advertised, max_size=8)) for name in names}
+    willingness, degree = {}, None
+    if names:
+        willingness = draw(st.dictionaries(st.sampled_from(names),
+                                           st.sampled_from(list(Willingness))))
+        degree = draw(st.none() | st.dictionaries(st.sampled_from(names),
+                                                  st.integers(0, 12)))
+    return dict(symmetric_neighbors=symmetric, coverage=coverage,
+                willingness=willingness, neighbor_degree=degree,
+                local_address="me", prune_redundant=draw(st.booleans()),
+                redundancy=draw(st.integers(0, 2)))
+
+
+#: With redundancy 1, n0 and n2 are each redundant alone but not both:
+#: pruning one of them (which one follows the set order) keeps the other.
+_PRUNE_INTERPLAY = dict(
+    symmetric_neighbors={"n0", "n1", "n2", "n3"},
+    coverage={"n0": {"t0", "t1"}, "n1": {"t0", "t2"}, "n2": {"t0", "t1"},
+              "n3": {"t1", "t2"}},
+    willingness={}, neighbor_degree=None, local_address="me",
+    prune_redundant=True, redundancy=1)
+
+
+@given(inputs=_neighbourhoods())
+@example(inputs=_PRUNE_INTERPLAY)
+@settings(max_examples=300, deadline=None)
+def test_selection_equals_the_recounting_oracle(inputs):
+    expected = reference.select_mprs(**inputs)
+    symmetric = set(inputs["symmetric_neighbors"])
+    coverage = {name: set(covered) for name, covered in inputs["coverage"].items()}
+    result = select_mprs(**inputs)
+    assert result.mprs == expected.mprs
+    assert result.uncovered == expected.uncovered
+    assert result.coverage == expected.coverage
+    assert list(result.coverage) == list(expected.coverage)
+    assert list(result.isolated_two_hops.items()) == list(expected.isolated_two_hops.items())
+    # The node's selection gate keeps the symmetric set it passed in.
+    assert inputs["symmetric_neighbors"] == symmetric
+    assert inputs["coverage"] == coverage
