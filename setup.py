@@ -17,10 +17,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[
-        # The trust manager's Eq. 5 update evaluates slots of 16 or more
-        # subjects with numpy, imported lazily inside that path; every
-        # other kernel is pure Python.
-        "numpy",
-    ],
 )

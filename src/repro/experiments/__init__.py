@@ -64,8 +64,7 @@ through the ``profile`` parameter — plus the seeded scenario fuzzer) and
 oracle↔netsim differential harness).
 
 Command line: ``python -m repro.experiments`` with the subcommands ``list``,
-``run <experiment>``, ``report``, ``validate``, ``attack-search`` and
-``fabric``.
+``run <experiment>``, ``report``, ``validate`` and ``attack-search``.
 """
 
 from repro.experiments.config import ScenarioConfig

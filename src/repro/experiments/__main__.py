@@ -11,10 +11,6 @@ One entry point for the whole evaluation harness::
     python -m repro.experiments run campaign --axis total_nodes=8,16 --workers 4
     python -m repro.experiments report --db sweep.sqlite --experiment confidence_sweep
     python -m repro.experiments validate --seeds 25
-    python -m repro.experiments fabric dispatch figure3 --queue fabric.sqlite
-    python -m repro.experiments fabric work --queue fabric.sqlite --group a --shard-dir shards/
-    python -m repro.experiments fabric merge --into merged.sqlite shards/shard-*.sqlite
-    python -m repro.experiments report --db merged.sqlite --experiment figure3
 
 ``run`` executes any registered experiment through the shared engine
 (:mod:`repro.experiments.engine`): parallel fan-out (``--workers``), durable
@@ -98,8 +94,7 @@ def build_report_parser() -> argparse.ArgumentParser:
                     "the live run); without it every stored row is tabulated.",
     )
     parser.add_argument("--db", type=str, required=True, metavar="FILE",
-                        help="SQLite results store written by a --db run "
-                             "or a fabric merge")
+                        help="SQLite results store written by a --db run")
     parser.add_argument("--experiment", type=str, default=None,
                         help="render this experiment's report from the store")
     parser.add_argument("--backend", choices=BACKENDS, default=None,
@@ -244,8 +239,8 @@ def report_main(argv: Sequence[str]) -> int:
             # An empty table would render and exit 0 — indistinguishable
             # from a successful report of a completed run.
             print(f"error: results store {args.db} holds no completed cells "
-                  f"— nothing to report (was the experiment run with --db, "
-                  f"or the shards merged?)", file=sys.stderr)
+                  f"— nothing to report (was the experiment run with --db?)",
+                  file=sys.stderr)
             return 1
         if args.experiment:
             try:
@@ -408,7 +403,6 @@ commands:
   validate    fuzz scenario profiles through invariant + differential checks
   attack-search
               evolutionary search for the least-detectable attack config
-  fabric      distributed campaigns: dispatch | work | merge | status
 
 run '{_PROG} <command> --help' for the command's options."""
 
@@ -430,10 +424,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return validate_main(rest)
     if command == "attack-search":
         return attack_search_main(rest)
-    if command == "fabric":
-        from repro.fabric.cli import main as fabric_main
-
-        return fabric_main(rest)
     print(f"error: unknown command {command!r}\n\n{_USAGE}", file=sys.stderr)
     return 2
 

@@ -1,8 +1,7 @@
-"""Helpers shared by the experiment CLI and its ``fabric`` subcommands.
+"""Helpers of the experiment CLI (``python -m repro.experiments``).
 
-``python -m repro.experiments`` and ``python -m repro.experiments fabric``
-parse overrides, open results stores and emit reports the same way;
-keeping the logic here stops the two front ends from drifting apart.
+They parse ``--axis``/``--param`` overrides, open results stores and emit
+reports the same way for every subcommand that takes those flags.
 """
 
 from __future__ import annotations

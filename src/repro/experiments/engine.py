@@ -23,9 +23,7 @@ by this one runtime:
   :class:`~repro.experiments.results.ResultsStore` (resume), fans the rest
   out over a :class:`~concurrent.futures.ProcessPoolExecutor`
   (:func:`execute_pending_cells`), commits every cell as soon as it
-  completes and aggregates the rows into a deterministic report.  The
-  distributed fabric (:mod:`repro.fabric`) expands and executes cells
-  through the same functions.
+  completes and aggregates the rows into a deterministic report.
 
 Backends (:mod:`repro.experiments.backends`) are pluggable per run: the same
 spec can execute on the fast ``"oracle"`` round loop
@@ -104,37 +102,6 @@ class ExperimentSpec:
     def content_hash(self) -> str:
         """Content hash keying this cell in a :class:`ResultsStore`."""
         return spec_content_hash(self)
-
-
-def spec_to_jsonable(spec: ExperimentSpec) -> Dict[str, object]:
-    """The spec as a JSON-serialisable dict (fabric queue wire format)."""
-    return {
-        "experiment": spec.experiment,
-        "cell_id": spec.cell_id,
-        "run_id": spec.run_id,
-        "seed": spec.seed,
-        "backend": spec.backend,
-        "params": [list(pair) for pair in spec.params],
-    }
-
-
-def spec_from_jsonable(data: Mapping[str, object]) -> ExperimentSpec:
-    """Rebuild a spec from :func:`spec_to_jsonable` output.
-
-    The round trip is hash-exact: JSON keeps ints, floats (repr-exact),
-    strings, bools and ``None`` intact, and :func:`spec_content_hash`
-    canonicalises tuples and lists identically — so a worker that receives a
-    cell over the fabric queue computes the same content hash the dispatcher
-    enqueued it under.
-    """
-    return ExperimentSpec(
-        experiment=str(data["experiment"]),
-        cell_id=str(data["cell_id"]),
-        run_id=str(data["run_id"]),
-        seed=int(data["seed"]),  # type: ignore[arg-type]
-        backend=str(data["backend"]),
-        params=tuple((str(name), value) for name, value in data["params"]),  # type: ignore[union-attr]
-    )
 
 
 #: Builds the per-cell rows from the backend's ExperimentResult.
@@ -321,10 +288,9 @@ def expand_experiment(
 ) -> Tuple[ExperimentDefinition, List[ExperimentSpec], List[str]]:
     """Resolve a named experiment into its seeded cell grid plus hashes.
 
-    The shared front half of :func:`run_experiment` and the fabric
-    dispatcher (:mod:`repro.fabric.dispatcher`): both must expand the same
-    grid in the same order and key cells by the same content hashes, or a
-    dispatched campaign would not merge back into the single-process report.
+    The front half of :func:`run_experiment`, also used by callers that
+    time or inspect a grid without running it: the cells come in expansion
+    order, each keyed by the content hash a results store files it under.
     """
     definition = get_experiment(name)
     specs = definition.expand(backend=backend, base_seed=base_seed,

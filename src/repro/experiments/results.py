@@ -50,7 +50,9 @@ derives all of its randomness from its own stable seed, re-running the
 missing cells in any order — or from any number of worker processes —
 reproduces the uninterrupted run's report byte for byte.  Stored rows
 round-trip through JSON (``repr``-exact floats), which keeps stored-row
-reports bit-identical to freshly-computed ones.
+reports bit-identical to freshly-computed ones.  ``scripts/resume_smoke.sh``
+checks this through the CLI: it SIGKILLs a ``run --db`` once a cell is
+committed, resumes it and compares the report with an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sqlite3
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 #: Bump when the row/spec encoding changes *or* when the simulation an
@@ -89,23 +91,6 @@ def spec_content_hash(spec) -> str:
     payload.update(asdict(spec))
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class StoreRecord:
-    """One stored cell exactly as the database holds it.
-
-    ``spec_json``/``row_json`` are the *raw* stored text, not decoded
-    objects: the fabric merge (:mod:`repro.fabric.merge`) copies these bytes
-    verbatim between stores, which is what keeps NaN/±inf rows — and
-    therefore merged reports — byte-identical to the shard that produced
-    them.
-    """
-
-    spec_hash: str
-    run_id: str
-    spec_json: str
-    row_json: str
 
 
 class ResultsStore:
@@ -193,24 +178,6 @@ class ResultsStore:
         """Drop one stored cell (e.g. to force its re-execution)."""
         self._connection.execute("DELETE FROM runs WHERE spec_hash = ?", (spec_hash,))
 
-    def record_raw(self, record: StoreRecord, replace: bool = False) -> bool:
-        """Insert one raw record verbatim; returns whether a row was written.
-
-        The shard merge uses this to copy records between stores without a
-        decode/re-encode round trip, so the destination's ``row_json`` is
-        byte-identical to the source shard's.  With ``replace=False`` an
-        existing cell under the same hash is left untouched (content-hash
-        identity: same hash ⇒ same simulation ⇒ same rows) and ``False`` is
-        returned.
-        """
-        verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
-        cursor = self._connection.execute(
-            f"{verb} INTO runs (spec_hash, run_id, spec_json, row_json) "
-            "VALUES (?, ?, ?, ?)",
-            (record.spec_hash, record.run_id, record.spec_json, record.row_json),
-        )
-        return cursor.rowcount > 0
-
     # -------------------------------------------------------------- reading
     def __contains__(self, spec_hash: str) -> bool:
         row = self._connection.execute(
@@ -221,10 +188,6 @@ class ResultsStore:
     def __len__(self) -> int:
         return self._connection.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
 
-    def has_cell(self, spec_hash: str) -> bool:
-        """Whether one cell's results are already stored (resume probe)."""
-        return spec_hash in self
-
     def count_rows(self) -> int:
         """Total number of result rows across every stored cell.
 
@@ -234,28 +197,6 @@ class ResultsStore:
         """
         cursor = self._connection.execute("SELECT row_json FROM runs")
         return sum(len(json.loads(row_json)) for (row_json,) in cursor)
-
-    def raw_row_json(self, spec_hash: str) -> Optional[str]:
-        """The stored ``row_json`` text of one cell, byte-exact, or ``None``."""
-        record = self._connection.execute(
-            "SELECT row_json FROM runs WHERE spec_hash = ?", (spec_hash,)
-        ).fetchone()
-        return None if record is None else record[0]
-
-    def iter_records(self) -> Iterator[StoreRecord]:
-        """Stream every stored cell as a raw :class:`StoreRecord`.
-
-        Ordered by ``(run_id, spec_hash)`` like :meth:`iter_rows`; the rows
-        come straight off the cursor so a merge over an arbitrarily large
-        shard holds one record in memory at a time.
-        """
-        cursor = self._connection.execute(
-            "SELECT spec_hash, run_id, spec_json, row_json "
-            "FROM runs ORDER BY run_id, spec_hash"
-        )
-        for spec_hash, run_id, spec_json, row_json in cursor:
-            yield StoreRecord(spec_hash=spec_hash, run_id=run_id,
-                              spec_json=spec_json, row_json=row_json)
 
     def completed_hashes(self, hashes: Optional[Iterable[str]] = None) -> Set[str]:
         """Hashes present in the store, optionally restricted to ``hashes``."""

@@ -176,10 +176,6 @@ class TwoHopTuple:
     two_hop_address: str
     expiry_time: float = 0.0
 
-    def is_expired(self, now: float) -> bool:
-        """Whether the tuple should be discarded."""
-        return self.expiry_time < now
-
 
 class TwoHopNeighborSet:
     """Collection of :class:`TwoHopTuple`, indexed by 1-hop neighbour.
@@ -291,7 +287,7 @@ class TwoHopNeighborSet:
         """Drop expired tuples; returns the removed ones."""
         expired: List[TwoHopTuple] = []
         for neighbor, reached in list(self._by_neighbor.items()):
-            stale = [t for t in reached.values() if t.is_expired(now)]
+            stale = [t for t in reached.values() if t.expiry_time < now]
             for record in stale:
                 del reached[record.two_hop_address]
             if not reached:

@@ -9,10 +9,14 @@ The heuristic is the one of the RFC:
 1. Exclude neighbours with willingness ``WILL_NEVER``.
 2. Always select neighbours with willingness ``WILL_ALWAYS``.
 3. Select neighbours that are the *only* provider of some 2-hop node.
-4. While uncovered 2-hop nodes remain, select the neighbour covering the most
-   of them, breaking ties by higher willingness, then higher reachability,
-   then higher degree, then lexicographic address (for determinism).
-5. Optionally prune redundant MPRs (nodes whose removal keeps full coverage).
+4. While uncovered 2-hop nodes remain, select the most willing neighbour
+   covering some of them, breaking ties by higher reachability, then higher
+   degree D(y) (the size of its strict coverage), then lexicographic
+   address (for determinism).
+5. Prune redundant MPRs (nodes whose removal keeps full coverage), in
+   order of (willingness, coverage size, address): the address tie-break
+   keeps the result independent of set iteration order, and so of
+   ``PYTHONHASHSEED``.
 
 The prune keeps one map from 2-hop address to the number of selected MPRs
 covering it, built once and decremented on each discard, so it costs
@@ -48,10 +52,7 @@ def select_mprs(
     symmetric_neighbors: Set[str],
     coverage: Mapping[str, Set[str]],
     willingness: Optional[Mapping[str, Willingness]] = None,
-    neighbor_degree: Optional[Mapping[str, int]] = None,
     local_address: Optional[str] = None,
-    prune_redundant: bool = True,
-    redundancy: int = 0,
 ) -> MprComputationResult:
     """Compute the MPR set.
 
@@ -65,18 +66,10 @@ def select_mprs(
         the 2-hop set per the RFC.
     willingness:
         Optional willingness per neighbour (default ``WILL_DEFAULT``).
-    neighbor_degree:
-        Optional degree D(y) per neighbour used for tie-breaking.
     local_address:
         The selecting node's own address (excluded from the 2-hop set).
-    prune_redundant:
-        Run the final redundancy-pruning pass of the RFC heuristic.
-    redundancy:
-        MPR_COVERAGE-like parameter: keep an MPR if it is needed for any 2-hop
-        node covered by fewer than ``redundancy + 1`` selected MPRs.
     """
     willingness = willingness or {}
-    neighbor_degree = neighbor_degree or {}
 
     def will(neighbor: str) -> Willingness:
         return willingness.get(neighbor, Willingness.WILL_DEFAULT)
@@ -119,40 +112,25 @@ def select_mprs(
                 listed.append(neighbor)
 
     mprs = _select_greedy(candidates, effective_coverage, providers, two_hop_set,
-                          will, neighbor_degree, result)
+                          will, result)
 
     # How many selected MPRs cover each 2-hop address; kept current through
-    # the redundancy additions and the pruning discards below.
+    # the pruning discards below.
     count: Dict[str, int] = {}
     for mpr in mprs:
         for address in effective_coverage[mpr]:
             count[address] = count.get(address, 0) + 1
 
-    # Optional MPR_COVERAGE-style redundancy: ensure each 2-hop node is
-    # covered by up to ``redundancy + 1`` MPRs when enough providers exist.
-    if redundancy > 0:
-        for address in sorted(two_hop_set):
-            providers_of_address = sorted(providers.get(address, ()))
-            needed = min(redundancy + 1, len(providers_of_address))
-            covering = count.get(address, 0)
-            for provider in providers_of_address:
-                if covering >= needed:
-                    break
-                if provider not in mprs:
-                    mprs.add(provider)
-                    covering += 1
-                    for covered_address in effective_coverage[provider]:
-                        count[covered_address] = count.get(covered_address, 0) + 1
-
     # Step 5: prune redundant MPRs (keep WILL_ALWAYS and sole providers).  An
-    # MPR is redundant when every address it covers stays covered by more
-    # than ``redundancy`` other MPRs; discarding it decrements its addresses.
-    if prune_redundant and len(mprs) > 1:
-        for neighbor in sorted(mprs, key=lambda n: (int(will(n)), len(effective_coverage[n]))):
+    # MPR is redundant when every address it covers is covered by another
+    # MPR too; discarding it decrements its addresses.
+    if len(mprs) > 1:
+        for neighbor in sorted(mprs, key=lambda n: (int(will(n)),
+                                                    len(effective_coverage[n]), n)):
             if will(neighbor) == Willingness.WILL_ALWAYS:
                 continue
             covered = effective_coverage[neighbor]
-            if all(count[address] > redundancy + 1 for address in covered):
+            if all(count[address] > 1 for address in covered):
                 mprs.discard(neighbor)
                 for address in covered:
                     count[address] -= 1
@@ -167,7 +145,6 @@ def _select_greedy(
     providers: Dict[str, List[str]],
     two_hop_set: Set[str],
     will: Callable[[str], Willingness],
-    neighbor_degree: Mapping[str, int],
     result: MprComputationResult,
 ) -> Set[str]:
     """Steps 1, 3 and 4 of the RFC heuristic."""
@@ -201,7 +178,7 @@ def _select_greedy(
             key = (
                 int(will(neighbor)),
                 reach,
-                neighbor_degree.get(neighbor, len(effective_coverage[neighbor])),
+                len(effective_coverage[neighbor]),
                 # lexicographically smaller address wins ties; negate by using
                 # reversed comparison via tuple ordering below
             )

@@ -23,15 +23,9 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.trust.evidence import TrustEvidence
-
-#: Minimum number of subjects before ``update_all`` switches to the numpy
-#: path.  Measured on the ``oracle-sweep`` benchmark shapes: per-subject
-#: ``update`` calls are faster at 12 subjects, the array form 1.13–1.39×
-#: faster at 48.
-_VECTOR_THRESHOLD = 16
 
 
 @dataclass
@@ -176,77 +170,14 @@ class TrustManager:
 
         Subjects already known to the manager but absent from the mapping are
         updated with an empty evidence list so forgetting applies uniformly.
-
-        On wide slots (>= 16 subjects) the per-subject Eq. 5 recurrences are
-        evaluated as one numpy expression.  The array form reproduces the
-        scalar arithmetic operation for operation — same grouping
-        ``(contribution + β·T) + ((1−β)·T_default)``, same clamp order — so
-        both paths yield bit-identical trust values; only the per-subject
-        evidence contribution Σ_j α_j·e_j stays a sequential Python sum,
-        because its accumulation order is part of the observable result.
+        Subjects are updated in sorted order, one :meth:`update` each.
         """
         subjects = sorted(set(evidences_by_subject) | set(self._records))
-        if len(subjects) >= _VECTOR_THRESHOLD:
-            return self._update_all_vector(subjects, evidences_by_subject, now)
         results: Dict[str, float] = {}
         for subject in subjects:
             results[subject] = self.update(
                 subject, evidences_by_subject.get(subject, []), now=now
             )
-        return results
-
-    def _update_all_vector(
-        self,
-        subjects: Sequence[str],
-        evidences_by_subject: Dict[str, List[TrustEvidence]],
-        now: float,
-    ) -> Dict[str, float]:
-        """One Eq. 5 slot for every subject, as float64 array arithmetic.
-
-        numpy is imported here, not at module level: importing it costs
-        100–135 ms, which runs that only ever see narrow slots never pay.
-        """
-        import numpy as np
-
-        params = self.parameters
-        records = [self.record_of(subject) for subject in subjects]
-        values = np.array([record.value for record in records], dtype=np.float64)
-        contributions = np.zeros(len(records), dtype=np.float64)
-        has_evidence = np.zeros(len(records), dtype=bool)
-        for i, subject in enumerate(subjects):
-            evidence_list = [
-                e for e in evidences_by_subject.get(subject, []) if e.subject == subject
-            ]
-            if not evidence_list:
-                continue
-            has_evidence[i] = True
-            contribution = 0.0
-            for evidence in evidence_list:
-                alpha = (
-                    params.alpha_harmful if evidence.is_harmful else params.alpha_beneficial
-                )
-                contribution += evidence.weighted(alpha)
-            contributions[i] = contribution
-
-        beta = np.full(len(records), params.beta, dtype=np.float64)
-        if params.beta_recovery is not None:
-            beta[~has_evidence & (values < params.default_trust)] = params.beta_recovery
-        if params.decay_to_default:
-            new_values = (contributions + beta * values) + (
-                (1.0 - beta) * params.default_trust
-            )
-        else:
-            new_values = contributions + beta * values
-        new_values = np.maximum(params.minimum, np.minimum(params.maximum, new_values))
-
-        results: Dict[str, float] = {}
-        for subject, record, new_value in zip(subjects, records, new_values):
-            value = float(new_value)
-            record.value = value
-            record.updates += 1
-            record.last_update_time = now
-            record.history.append(value)
-            results[subject] = value
         return results
 
     def decay_all(self, now: float = 0.0) -> Dict[str, float]:

@@ -12,10 +12,7 @@ def select_mprs(
     symmetric_neighbors: Set[str],
     coverage: Mapping[str, Set[str]],
     willingness: Optional[Mapping[str, Willingness]] = None,
-    neighbor_degree: Optional[Mapping[str, int]] = None,
     local_address: Optional[str] = None,
-    prune_redundant: bool = True,
-    redundancy: int = 0,
 ) -> MprComputationResult:
     """RFC 3626 §8.3.1 selection, as :func:`repro.olsr.mpr.select_mprs` was
     before it pruned with one coverage-count map.
@@ -36,18 +33,10 @@ def select_mprs(
         the 2-hop set per the RFC.
     willingness:
         Optional willingness per neighbour (default ``WILL_DEFAULT``).
-    neighbor_degree:
-        Optional degree D(y) per neighbour used for tie-breaking.
     local_address:
         The selecting node's own address (excluded from the 2-hop set).
-    prune_redundant:
-        Run the final redundancy-pruning pass of the RFC heuristic.
-    redundancy:
-        MPR_COVERAGE-like parameter: keep an MPR if it is needed for any 2-hop
-        node covered by fewer than ``redundancy + 1`` selected MPRs.
     """
     willingness = willingness or {}
-    neighbor_degree = neighbor_degree or {}
 
     def will(neighbor: str) -> Willingness:
         return willingness.get(neighbor, Willingness.WILL_DEFAULT)
@@ -79,29 +68,13 @@ def select_mprs(
         return result
 
     mprs = _select_greedy(candidates, effective_coverage, two_hop_set, will,
-                          neighbor_degree, result)
+                          result)
 
-    # Optional MPR_COVERAGE-style redundancy: ensure each 2-hop node is
-    # covered by up to ``redundancy + 1`` MPRs when enough providers exist.
-    if redundancy > 0:
-        for address in sorted(two_hop_set):
-            providers_of_address = sorted(
-                n for n in candidates if address in effective_coverage.get(n, set())
-            )
-            needed = min(redundancy + 1, len(providers_of_address))
-            covering = sum(
-                1 for m in mprs if address in effective_coverage.get(m, set())
-            )
-            for provider in providers_of_address:
-                if covering >= needed:
-                    break
-                if provider not in mprs:
-                    mprs.add(provider)
-                    covering += 1
-
-    # Step 5: prune redundant MPRs (keep WILL_ALWAYS and sole providers).
-    if prune_redundant and len(mprs) > 1:
-        for neighbor in sorted(mprs, key=lambda n: (int(will(n)), len(effective_coverage[n]))):
+    # Step 5: prune redundant MPRs (keep WILL_ALWAYS and sole providers),
+    # ties in (willingness, coverage size) taken in address order.
+    if len(mprs) > 1:
+        for neighbor in sorted(mprs, key=lambda n: (int(will(n)),
+                                                    len(effective_coverage[n]), n)):
             if will(neighbor) == Willingness.WILL_ALWAYS:
                 continue
             others = mprs - {neighbor}
@@ -110,7 +83,7 @@ def select_mprs(
                 for address in effective_coverage[other]:
                     covered_by_others[address] = covered_by_others.get(address, 0) + 1
             still_needed = any(
-                covered_by_others.get(address, 0) < redundancy + 1
+                covered_by_others.get(address, 0) < 1
                 for address in effective_coverage[neighbor]
                 if address in two_hop_set
             )
@@ -126,7 +99,6 @@ def _select_greedy(
     effective_coverage: Dict[str, Set[str]],
     two_hop_set: Set[str],
     will: Callable[[str], Willingness],
-    neighbor_degree: Mapping[str, int],
     result: MprComputationResult,
 ) -> Set[str]:
     """Steps 1, 3 and 4 of the RFC heuristic."""
@@ -164,7 +136,7 @@ def _select_greedy(
             key = (
                 int(will(neighbor)),
                 reach,
-                neighbor_degree.get(neighbor, len(effective_coverage[neighbor])),
+                len(effective_coverage[neighbor]),
                 # lexicographically smaller address wins ties; negate by using
                 # reversed comparison via tuple ordering below
             )

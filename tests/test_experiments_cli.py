@@ -127,51 +127,6 @@ def test_cli_report_missing_db_is_an_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-# ---------------------------------------------------------------- fabric CLI
-def test_cli_fabric_pipeline_matches_single_process_report(tmp_path, capsys):
-    queue = str(tmp_path / "q.sqlite")
-    shards = str(tmp_path / "shards")
-    merged = str(tmp_path / "merged.sqlite")
-    golden = tmp_path / "golden.txt"
-    fabric_out = tmp_path / "fabric.txt"
-    base = ["--param", "rounds=5"]
-    assert main(["run", "confidence_sweep", *base, "--output", str(golden)]) == 0
-    assert main(["fabric", "dispatch", "confidence_sweep", *base,
-                 "--queue", queue]) == 0
-    assert main(["fabric", "work", "--queue", queue, "--group", "a",
-                 "--shard-dir", shards, "--max-cells", "4"]) == 0
-    assert main(["fabric", "work", "--queue", queue, "--group", "b",
-                 "--shard-dir", shards]) == 0
-    assert main(["fabric", "status", "--queue", queue]) == 0
-    assert "done=9" in capsys.readouterr().out
-    assert main(["fabric", "merge", "--into", merged,
-                 f"{shards}/shard-a.sqlite", f"{shards}/shard-b.sqlite"]) == 0
-    assert main(["report", "--db", merged, "--experiment", "confidence_sweep",
-                 *base, "--output", str(fabric_out)]) == 0
-    assert fabric_out.read_bytes() == golden.read_bytes()
-    # Re-dispatching against the merged store enqueues nothing.
-    queue2 = str(tmp_path / "q2.sqlite")
-    assert main(["fabric", "dispatch", "confidence_sweep", *base,
-                 "--queue", queue2, "--resume-from", merged]) == 0
-    assert "0 enqueued" in capsys.readouterr().out
-
-
-def test_cli_fabric_usage_and_unknown_command(capsys):
-    assert main(["fabric"]) == 2
-    assert main(["fabric", "--help"]) == 0
-    assert main(["fabric", "frobnicate"]) == 2
-    with pytest.raises(SystemExit):
-        main(["fabric", "dispatch", "no_such_experiment", "--queue", "q"])
-    capsys.readouterr()
-
-
-def test_cli_fabric_merge_missing_shard_is_an_error(tmp_path, capsys):
-    missing = str(tmp_path / "shard-zz.sqlite")
-    assert main(["fabric", "merge", "--into", str(tmp_path / "m.sqlite"),
-                 missing]) == 1
-    assert "does not exist" in capsys.readouterr().err
-
-
 def test_cli_report_empty_store_exits_nonzero(tmp_path, capsys):
     from repro.experiments.results import ResultsStore
 

@@ -333,7 +333,7 @@ def test_failing_cell_commits_completed_and_cancels_pending(tmp_path):
     assert len(ran) < len(pending)
 
 
-# -------------------------------------------------------- fabric-facing API
+# --------------------------------------------------------------- expansion
 def test_expand_experiment_matches_run_expansion():
     from repro.experiments.engine import expand_experiment
 

@@ -318,7 +318,7 @@ def test_stored_spec_json_round_trips(tmp_path):
         assert json.loads(stored[0]) == json.loads(json.dumps(dataclasses.asdict(spec)))
 
 
-# ------------------------------------------------- fabric-facing store APIs
+# ------------------------------------------------------------- row counts
 def test_count_rows_flattens_multi_row_cells(tmp_path):
     with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
         assert store.count_rows() == 0
@@ -327,25 +327,3 @@ def test_count_rows_flattens_multi_row_cells(tmp_path):
         store.record(_spec(run_id="multi", seed=2), multi)
         assert store.count_rows() == 6
         assert len(store) == 2
-
-
-def test_has_cell_mirrors_containment(tmp_path):
-    with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        digest = store.record(_spec(), [{"run_id": "x"}])
-        assert store.has_cell(digest)
-        assert not store.has_cell("absent")
-
-
-def test_iter_records_streams_raw_stored_text(tmp_path):
-    import json
-
-    with ResultsStore(str(tmp_path / "runs.sqlite")) as store:
-        spec = _spec(run_id="raw")
-        digest = store.record(spec, [{"run_id": "raw", "x": float("inf")}])
-        records = list(store.iter_records())
-        assert len(records) == 1
-        record = records[0]
-        assert record.spec_hash == digest
-        assert record.run_id == "raw"
-        assert record.row_json == store.raw_row_json(digest)
-        assert json.loads(record.spec_json)["run_id"] == "raw"

@@ -205,8 +205,8 @@ def test_bare_medium_matches_per_receiver_reference(config, batched):
 
 # ------------------------------------------------------------------ trust
 def test_trust_update_all_vector_matches_scalar():
-    """``update_all`` on a wide slot (the numpy Eq. 5 path) equals one
-    ``update`` call per subject, in sorted order."""
+    """``update_all`` on a wide slot equals one ``update`` call per
+    subject, in sorted order."""
     from repro.trust.evidence import EvidenceKind, TrustEvidence
     from repro.trust.manager import TrustManager, TrustParameters
 
@@ -235,7 +235,7 @@ def test_trust_update_all_vector_matches_scalar():
     vector_manager, vector_evidences = build()
 
     subjects = sorted(set(scalar_evidences) | set(scalar_manager.known_subjects()))
-    assert len(subjects) >= 16  # wide enough for the vector path
+    assert len(subjects) >= 16
     scalar_results = {
         subject: scalar_manager.update(subject, scalar_evidences.get(subject, []),
                                        now=2.0)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -89,25 +95,6 @@ def test_redundant_mpr_pruned():
     assert result.mprs == {"big"}
 
 
-def test_prune_can_be_disabled():
-    coverage = {"big": {"x", "y", "z"}, "small": {"x"}}
-    pruned = select_mprs(symmetric_neighbors={"big", "small"}, coverage=coverage)
-    unpruned = select_mprs(symmetric_neighbors={"big", "small"}, coverage=coverage,
-                           prune_redundant=False)
-    assert pruned.mprs <= unpruned.mprs
-    # "small" is the sole provider of nothing, so even unpruned it is only
-    # selected if the greedy pass needed it; the invariant must hold either way.
-    assert mpr_coverage_complete(unpruned.mprs, coverage, {"x", "y", "z"})
-
-
-def test_redundancy_parameter_keeps_extra_mprs():
-    coverage = {"a": {"x", "y"}, "b": {"x", "y"}}
-    default = select_mprs(symmetric_neighbors={"a", "b"}, coverage=coverage)
-    redundant = select_mprs(symmetric_neighbors={"a", "b"}, coverage=coverage, redundancy=1)
-    assert len(default.mprs) == 1
-    assert redundant.mprs == {"a", "b"}
-
-
 def test_unreachable_two_hop_reported_uncovered():
     result = select_mprs(
         symmetric_neighbors={"a"},
@@ -155,35 +142,49 @@ _TWO_HOP = [f"t{i}" for i in range(8)]
 def _neighbourhoods(draw):
     """Up to 20 symmetric neighbours whose HELLOs name the selecting node
     ("me"), 1-hop neighbours (each neighbour itself among them) and 2-hop
-    addresses, with any willingness, redundancy and pruning."""
+    addresses, with any willingness: the inputs ``OlsrNode`` passes."""
     symmetric = draw(st.sets(st.sampled_from(_ONE_HOP), max_size=20))
     names = sorted(symmetric)
     advertised = st.one_of(st.sampled_from(_TWO_HOP), st.sampled_from(["me"] + names))
     coverage = {name: draw(st.sets(advertised, max_size=8)) for name in names}
-    willingness, degree = {}, None
+    willingness = {}
     if names:
         willingness = draw(st.dictionaries(st.sampled_from(names),
                                            st.sampled_from(list(Willingness))))
-        degree = draw(st.none() | st.dictionaries(st.sampled_from(names),
-                                                  st.integers(0, 12)))
     return dict(symmetric_neighbors=symmetric, coverage=coverage,
-                willingness=willingness, neighbor_degree=degree,
-                local_address="me", prune_redundant=draw(st.booleans()),
-                redundancy=draw(st.integers(0, 2)))
+                willingness=willingness, local_address="me")
 
 
-#: With redundancy 1, n0 and n2 are each redundant alone but not both:
-#: pruning one of them (which one follows the set order) keeps the other.
-_PRUNE_INTERPLAY = dict(
+#: The greedy pass selects n1, n2 and n3.  n1 and n2 tie on willingness and
+#: coverage size and are each redundant alone but not both: the prune takes
+#: n1 first by address, discards it and must then keep n2.
+_PRUNE_TIE = dict(
     symmetric_neighbors={"n0", "n1", "n2", "n3"},
-    coverage={"n0": {"t0", "t1"}, "n1": {"t0", "t2"}, "n2": {"t0", "t1"},
-              "n3": {"t1", "t2"}},
-    willingness={}, neighbor_degree=None, local_address="me",
-    prune_redundant=True, redundancy=1)
+    coverage={"n0": {"t0", "t1"}, "n1": {"t0", "t3"}, "n2": {"t3", "t2"},
+              "n3": {"t0", "t2", "t1"}},
+    willingness={"n1": Willingness.WILL_HIGH, "n2": Willingness.WILL_HIGH},
+    local_address="me")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "2"])
+def test_prune_ties_do_not_follow_the_hash_seed(hash_seed):
+    """Set iteration order follows ``PYTHONHASHSEED``; the prune's order
+    must not, so both interpreters keep {n2, n3}."""
+    root = Path(__file__).resolve().parent.parent
+    script = ("from repro.olsr.mpr import select_mprs\n"
+              "from tests.test_olsr_mpr import _PRUNE_TIE\n"
+              "print(sorted(select_mprs(**_PRUNE_TIE).mprs))\n")
+    process = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=root,
+        env={"PYTHONHASHSEED": hash_seed,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])},
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout == "['n2', 'n3']\n"
 
 
 @given(inputs=_neighbourhoods())
-@example(inputs=_PRUNE_INTERPLAY)
+@example(inputs=_PRUNE_TIE)
 @settings(max_examples=300, deadline=None)
 def test_selection_equals_the_recounting_oracle(inputs):
     expected = reference.select_mprs(**inputs)

@@ -87,17 +87,6 @@ def test_golden_will_never_neighbors_are_excluded():
     assert _coverage_property(result, coverage, symmetric)
 
 
-def test_golden_redundancy_selects_extra_providers():
-    symmetric = {"a", "b", "c"}
-    coverage = {"a": {"x"}, "b": {"x"}, "c": {"x"}}
-    plain = select_mprs(symmetric, coverage, local_address="self")
-    assert len(plain.mprs) == 1
-    redundant = select_mprs(symmetric, coverage, local_address="self",
-                            redundancy=1)
-    assert len(redundant.mprs) == 2
-    assert _coverage_property(redundant, coverage, symmetric)
-
-
 def test_golden_own_address_and_one_hops_excluded_from_two_hop_set():
     # Addresses equal to the selector or inside N are not 2-hop targets.
     symmetric = {"a", "b"}
