@@ -26,7 +26,7 @@ def test_bench_trust_slot_update(benchmark):
     ]
 
     def update():
-        return manager.update("subject", evidences, now=0.0)
+        return manager.update("subject", evidences)
 
     value = benchmark(update)
     assert 0.0 <= value <= 1.0

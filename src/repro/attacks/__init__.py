@@ -24,7 +24,8 @@ implement the tier:
   pauses its dropping as its observed trust nears the classification
   threshold, resuming once the forgetting factor restores headroom;
 * :class:`~repro.attacks.adaptive.RotatingLiarClique` — one active liar per
-  epoch, the rest honest, starving per-recommender bookkeeping;
+  epoch, the rest honest, starving each liar's direct trust of harmful
+  evidence;
 * the detectability search loop (:mod:`repro.attacks.search`) — a (1+λ)
   evolutionary search over fuzzer corpora hunting the least-detectable
   attack configuration (CLI: ``python -m repro.experiments attack-search``).

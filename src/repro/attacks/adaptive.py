@@ -20,7 +20,7 @@ Three pieces:
 * Concrete adversaries: :class:`ThresholdRidingGrayhole` (throttles its drop
   probability against the observed trust headroom) and
   :class:`RotatingLiarClique` (one active liar per epoch, the rest honest,
-  starving the per-recommender bookkeeping).
+  starving each liar's direct trust of harmful evidence).
 
 :func:`run_drop_feedback_loop` is a self-contained watchdog-style harness
 driving any drop attack against a :class:`~repro.trust.manager.TrustManager`
@@ -186,14 +186,16 @@ class ThresholdRidingGrayhole(GrayholeAttack, AdaptiveAttack):
 class RotatingLiarClique(LiarClique):
     """Clique whose *active* liar rotates per epoch; the rest stay honest.
 
-    Per-recommender bookkeeping (:mod:`repro.trust.recommendation`) discounts
-    a responder once it has disagreed with the majority often enough.  A
-    rotating clique starves that counter: each member lies only once every
-    ``len(members)`` epochs — below the rate at which disagreement evidence
-    accumulates faster than it is forgotten — while every epoch still carries
-    exactly one shielding answer.  The active member is the epoch-indexed
-    entry of the sorted member roster, so rotation is deterministic and
-    order-independent like the base clique's shared decision stream.
+    The investigator discounts a responder through its direct trust, the
+    Eq. 8 weight of its answers: every answer that contradicts the majority
+    is a harmful disagreement evidence (Eq. 5).  A rotating clique starves
+    that trust of harmful evidence: each member lies in one epoch out of
+    every ``len(members)``, so it takes disagreement evidence in that epoch
+    alone and agreement evidence in the others, while every epoch still
+    carries exactly one shielding answer.  The active member is the
+    epoch-indexed entry of the sorted member roster, so rotation is
+    deterministic and order-independent like the base clique's shared
+    decision stream.
     """
 
     def member_decision(self, member_id: str, suspect: str, now: float) -> str:
@@ -307,7 +309,7 @@ def run_drop_feedback_loop(
                 observer=observer, subject=attacker,
                 kind=EvidenceKind.TRAFFIC_RELAYED,
                 value=relays / opportunities, timestamp=float(cycle)))
-        trust.update(attacker, evidences, now=float(cycle))
+        trust.update(attacker, evidences)
         value = trust.trust_of(attacker)
         if isinstance(attack, AdaptiveAttack):
             attack.observe(float(cycle))

@@ -2,13 +2,13 @@
 
 The paper's evaluation uses *independent* liars: each misbehaving responder
 privately decides whether to falsify its answer, so with a lie probability
-below 1 the liars frequently contradict one another and the investigator's
-recommendation-trust bookkeeping (:class:`repro.trust.recommendation.
-RecommendationManager`) picks the disagreeing ones off individually.  A
+below 1 the liars frequently contradict one another, and the investigator's
+direct trust (Eq. 5), which takes a disagreement evidence for every answer
+against the majority, picks the disagreeing ones off individually.  A
 *clique* is the stronger adversary: its members draw one shared decision per
 (suspect, time epoch) and all answer identically — either everyone shields
-the suspect this epoch or everyone stays honest — so their recommendations
-are mutually consistent and their combined Eq. 8 weight moves as one block.
+the suspect this epoch or everyone stays honest — so their answers are
+mutually consistent and their combined Eq. 8 weight moves as one block.
 
 :class:`ThreatStack` composes several attacks on the same compromised node
 (e.g. grayhole + liar: drop traffic *and* shield yourself during the ensuing

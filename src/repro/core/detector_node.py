@@ -6,7 +6,7 @@ A :class:`DetectorNode` bundles, for one network node:
 * the log analyzer and :class:`repro.core.detector.LocalDetector` (the node's
   log records only what a reader subscribed to, so an analyzer finds
   nothing until :meth:`repro.logs.analyzer.LogAnalyzer.subscribe` is called),
-* the :class:`repro.trust.manager.TrustManager` and recommendation store, and
+* the :class:`repro.trust.manager.TrustManager` (its direct trust), and
 * a :class:`repro.core.investigation.CooperativeInvestigator`.
 
 It also implements the *responder* side of the protocol
@@ -33,7 +33,6 @@ from repro.logs.analyzer import LogAnalyzer
 from repro.logs.store import LogStore
 from repro.olsr.node import OlsrConfig, OlsrNode
 from repro.trust.manager import TrustManager, TrustParameters
-from repro.trust.recommendation import RecommendationManager
 from repro.seeding import stable_digest
 
 AnswerMutator = Callable[[str, str, bool], Optional[bool]]
@@ -79,7 +78,6 @@ class DetectorNode:
             sole_provider_oracle=self._sole_provider_oracle,
         )
         self.trust = TrustManager(node_id, trust_parameters)
-        self.recommendations = RecommendationManager(node_id)
         self.investigator: Optional[CooperativeInvestigator] = None
         self._transport: Optional[QueryTransport] = None
 
@@ -101,7 +99,6 @@ class DetectorNode:
             owner=self.node_id,
             transport=transport,
             trust_manager=self.trust,
-            recommendation_manager=self.recommendations,
             gamma=self.detection_config.gamma,
             confidence_level=self.detection_config.confidence_level,
             use_trust_weighting=self.detection_config.use_trust_weighting,

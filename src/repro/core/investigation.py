@@ -9,7 +9,7 @@ reached and the answer is recorded as missing (the E3 situation).
 
 The answers (+1 confirm / −1 deny / 0 missing) are aggregated with the trust
 system (Eq. 8) and fed to the decision rule (Eq. 10); the outcome updates the
-trust of the suspect and of every responder.
+direct trust (Eq. 5) of the suspect and of every responder.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from repro.core.decision import (
     evaluate_investigation,
 )
 from repro.seeding import stable_seed
-from repro.trust.evidence import EvidenceBatch, EvidenceKind, TrustEvidence
+from repro.trust.evidence import EvidenceKind, TrustEvidence
 from repro.trust.manager import TrustManager
-from repro.trust.recommendation import RecommendationManager
 
 
 def _transport_rng(kind: str, owner: str) -> random.Random:
@@ -91,10 +90,6 @@ class OracleTransport:
         self.loss_probability = loss_probability
         self.rng = rng or _transport_rng("oracle-transport", owner)
 
-    def add_responder(self, node_id: str, responder: object) -> None:
-        """Register an additional responder."""
-        self._responders[node_id] = responder
-
     def verify_link(self, requester: str, responder: str, suspect: str,
                     link_peer: Optional[str] = None) -> Optional[bool]:
         target = self._responders.get(responder)
@@ -133,29 +128,25 @@ class RoundResult:
 
 @dataclass
 class InvestigationState:
-    """Per-suspect bookkeeping across rounds (Algorithm 1 state)."""
+    """Per-suspect state across rounds (Algorithm 1 state).
+
+    Only the last round is kept: a caller that needs every round keeps the
+    :class:`RoundResult` each :meth:`CooperativeInvestigator.run_round`
+    returns.
+    """
 
     suspect: str
     responders: List[str]
     #: Contested links (suspect — peer) under verification.  When empty the
     #: investigation falls back to the per-own-link Algorithm 1 check.
     contested_links: List[str] = field(default_factory=list)
-    rounds: List[RoundResult] = field(default_factory=list)
-    agreeing: Set[str] = field(default_factory=set)
-    disagreeing: Set[str] = field(default_factory=set)
+    #: Number of rounds already executed.
+    round_count: int = 0
+    #: The latest round; :meth:`CooperativeInvestigator.close` reads its outcome.
+    last_round: Optional[RoundResult] = None
     unverified: bool = False
     closed: bool = False
     final_outcome: Optional[DecisionOutcome] = None
-
-    @property
-    def round_count(self) -> int:
-        """Number of rounds already executed."""
-        return len(self.rounds)
-
-    @property
-    def detect_trajectory(self) -> List[float]:
-        """Detect^{A,I} value per round (Figure 3 material)."""
-        return [r.decision.detect_value for r in self.rounds]
 
 
 class CooperativeInvestigator:
@@ -169,8 +160,6 @@ class CooperativeInvestigator:
         :class:`QueryTransport` used to reach the responders.
     trust_manager:
         Direct-trust store of the investigator (Eq. 5 state).
-    recommendation_manager:
-        Optional recommendation-trust store updated from answer accuracy.
     gamma / confidence_level:
         Decision-rule parameters (Eq. 10 / Eq. 9).
     use_trust_weighting:
@@ -187,7 +176,6 @@ class CooperativeInvestigator:
         owner: str,
         transport: QueryTransport,
         trust_manager: TrustManager,
-        recommendation_manager: Optional[RecommendationManager] = None,
         gamma: float = 0.6,
         confidence_level: float = 0.95,
         use_trust_weighting: bool = True,
@@ -196,7 +184,6 @@ class CooperativeInvestigator:
         self.owner = owner
         self.transport = transport
         self.trust = trust_manager
-        self.recommendations = recommendation_manager
         self.gamma = gamma
         self.confidence_level = confidence_level
         self.use_trust_weighting = use_trust_weighting
@@ -287,9 +274,9 @@ class CooperativeInvestigator:
             responders_reached=reached,
             responders_unreached=unreached,
         )
-        state.rounds.append(result)
+        state.round_count += 1
+        state.last_round = result
         self._update_trust_from_round(state, result, now)
-        self._update_agreement_sets(state, result)
         if not reached:
             state.unverified = True
         if self.close_on_decision and decision.is_final:
@@ -330,15 +317,17 @@ class CooperativeInvestigator:
         if state is None:
             return None
         state.closed = True
-        if state.rounds:
-            state.final_outcome = state.rounds[-1].decision.outcome
+        if state.last_round is not None:
+            state.final_outcome = state.last_round.decision.outcome
         return state.final_outcome
 
     # -------------------------------------------------------------- internals
     def _update_trust_from_round(self, state: InvestigationState,
                                  result: RoundResult, now: float) -> None:
         detect = result.decision.detect_value
-        batch = EvidenceBatch()
+        # Evidences grouped by subject; the order they are added is the order
+        # their α_j·e_j contributions are summed.
+        evidences: Dict[str, List[TrustEvidence]] = {}
 
         # Evidence about the responders: an answer consistent with the round's
         # conclusion is beneficial, a contradicting answer is harmful
@@ -360,7 +349,7 @@ class CooperativeInvestigator:
                     else EvidenceKind.INVESTIGATION_DISAGREEMENT
                 )
                 value = 1.0 if agreed else -1.0
-                batch.add(
+                evidences.setdefault(responder, []).append(
                     TrustEvidence(
                         observer=self.owner,
                         subject=responder,
@@ -370,15 +359,13 @@ class CooperativeInvestigator:
                         firsthand=True,
                     )
                 )
-                if self.recommendations is not None:
-                    self.recommendations.record_outcome(responder, agreed)
 
         # Evidence about the suspect itself: the aggregate sign *is* the
         # second-hand evidence of spoofing (negative) or correct behaviour
         # (positive).
         if abs(detect) > 1e-9:
             kind = EvidenceKind.LINK_SPOOFING if detect < 0 else EvidenceKind.CONSISTENT_ADVERTISEMENT
-            batch.add(
+            evidences.setdefault(state.suspect, []).append(
                 TrustEvidence(
                     observer=self.owner,
                     subject=state.suspect,
@@ -390,18 +377,7 @@ class CooperativeInvestigator:
                 )
             )
 
-        # One update_all call for the whole slot: wide batches take the
-        # manager's vectorised Eq. 5 path.
-        self.trust.update_all(batch.by_subject(), now=now)
-
-    def _update_agreement_sets(self, state: InvestigationState, result: RoundResult) -> None:
-        for responder, answer in result.answers.items():
-            if answer == ANSWER_DENY:
-                state.disagreeing.add(responder)
-                state.agreeing.discard(responder)
-            elif answer == ANSWER_CONFIRM:
-                state.agreeing.add(responder)
-                state.disagreeing.discard(responder)
+        self.trust.update_all(evidences)
 
 
 # ---------------------------------------------------------------------------

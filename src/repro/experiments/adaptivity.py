@@ -11,7 +11,9 @@ adversary's adaptivity tier instead:
   whenever that trust nears the classification threshold, resuming once the
   forgetting factor restores headroom.
 * ``rotating`` — a rotating liar clique: one active liar per round/epoch,
-  the rest honest, starving the per-recommender bookkeeping.
+  the rest honest.  Each liar takes one disagreement evidence per rotation
+  and agreement evidence in the rounds between, so its direct trust (the
+  Eq. 8 weight of its answers) stays high.
 
 Rows report when the investigator durably *distrusts* the attacker (trust
 at or below :data:`DISTRUST_THRESHOLD`), when the decision rule first says

@@ -43,6 +43,7 @@ from repro.experiments.rounds import (
     RoundRecord,
 )
 from repro.experiments.scenario import build_manet_scenario
+from repro.trust.manager import TrustParameters
 
 #: ScenarioConfig fields a spec parameter may set directly (by field name).
 _CONFIG_FIELDS = frozenset(
@@ -52,6 +53,7 @@ _CONFIG_FIELDS = frozenset(
 #: TrustParameters fields settable through ``trust_``-prefixed parameters
 #: (e.g. ``trust_alpha_harmful`` → ``TrustParameters.alpha_harmful``).
 _TRUST_PREFIX = "trust_"
+_TRUST_PARAMS = frozenset(_TRUST_PREFIX + f.name for f in fields(TrustParameters))
 
 #: Netsim-backend knobs a spec parameter may set (ignored by the oracle
 #: backend).  The engine validates override names against this set plus the
@@ -75,7 +77,7 @@ ENGINE_PARAMS = frozenset(("profile",))
 def is_known_param(name: str) -> bool:
     """Whether ``name`` is a parameter some backend will actually consume."""
     return (name in _CONFIG_FIELDS or name in NETSIM_PARAMS
-            or name in ENGINE_PARAMS or name.startswith(_TRUST_PREFIX))
+            or name in ENGINE_PARAMS or name in _TRUST_PARAMS)
 
 
 def scenario_config_from_params(params: Mapping[str, object],

@@ -55,7 +55,7 @@ class ScenarioConfig:
     #: investigator's trust in it falls to ``riding_threshold`` and resume at
     #: ``riding_resume`` (threshold riding, fed by a read-only trust probe);
     #: ``"rotating"`` makes only one liar per round lie while the rest stay
-    #: honest, starving the per-recommender bookkeeping.
+    #: honest, starving each liar's direct trust of harmful evidence.
     adaptivity: str = "static"
     #: Trust level at/below which a threshold-riding attacker pauses.
     riding_threshold: float = 0.32

@@ -231,7 +231,8 @@ class ExperimentDefinition:
             raise ValueError(
                 f"unknown {kind} {name!r} for experiment {self.name!r} "
                 f"(declared: {', '.join(sorted(known)) or 'none'}; plus any "
-                f"ScenarioConfig field, netsim knob or trust_* parameter)")
+                f"ScenarioConfig field, netsim knob or trust_<TrustParameters "
+                f"field>)")
 
 
 def _format_axis_value(value: object) -> str:

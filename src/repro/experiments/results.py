@@ -174,10 +174,6 @@ class ResultsStore:
         )
         return digest
 
-    def discard(self, spec_hash: str) -> None:
-        """Drop one stored cell (e.g. to force its re-execution)."""
-        self._connection.execute("DELETE FROM runs WHERE spec_hash = ?", (spec_hash,))
-
     # -------------------------------------------------------------- reading
     def __contains__(self, spec_hash: str) -> bool:
         row = self._connection.execute(
@@ -198,11 +194,8 @@ class ResultsStore:
         cursor = self._connection.execute("SELECT row_json FROM runs")
         return sum(len(json.loads(row_json)) for (row_json,) in cursor)
 
-    def completed_hashes(self, hashes: Optional[Iterable[str]] = None) -> Set[str]:
-        """Hashes present in the store, optionally restricted to ``hashes``."""
-        if hashes is None:
-            cursor = self._connection.execute("SELECT spec_hash FROM runs")
-            return {row[0] for row in cursor}
+    def completed_hashes(self, hashes: Iterable[str]) -> Set[str]:
+        """The members of ``hashes`` present in the store."""
         wanted = set(hashes)
         found: Set[str] = set()
         chunk: List[str] = []

@@ -28,7 +28,6 @@ from repro.core.investigation import CooperativeInvestigator, OracleTransport, R
 from repro.experiments.config import ScenarioConfig
 from repro.seeding import stable_seed
 from repro.trust.manager import TrustManager
-from repro.trust.recommendation import RecommendationManager
 
 
 class _Responder:
@@ -43,11 +42,6 @@ class _Responder:
         self.node_id = node_id
         self._honest_answer_supplier = honest_answer_supplier
         self.liar = liar
-
-    @property
-    def is_liar(self) -> bool:
-        """Whether a liar behaviour is installed on this responder."""
-        return self.liar is not None
 
     def answer_link_query(self, suspect: str, requester: str,
                           link_peer: Optional[str] = None) -> Optional[bool]:
@@ -152,7 +146,6 @@ class RoundBasedExperiment:
         #: scores it) through this probe and nothing else.
         self._trust_probe = TrustProbe(self.trust, self.attacker_id)
         self._riding_paused = False
-        self.recommendations = RecommendationManager(self.investigator_id)
         self._liar_behaviors: Dict[str, LiarBehavior] = {}
         self._responders: Dict[str, _Responder] = {}
         self._build_responders()
@@ -167,7 +160,6 @@ class RoundBasedExperiment:
             owner=self.investigator_id,
             transport=self.transport,
             trust_manager=self.trust,
-            recommendation_manager=self.recommendations,
             gamma=self.config.gamma,
             confidence_level=self.config.confidence_level,
             use_trust_weighting=self.config.use_trust_weighting,
@@ -248,7 +240,7 @@ class RoundBasedExperiment:
             )
         else:
             # No contested link: the trust values evolve under forgetting only.
-            self.trust.decay_all(now=float(round_index))
+            self.trust.decay_all()
             record = RoundRecord(
                 round_index=round_index,
                 attack_active=self._attack_active,
@@ -282,8 +274,9 @@ class RoundBasedExperiment:
         Static (and throttling) adversaries field every liar while the
         attack is active — the paper's behaviour, bit for bit.  The rotating
         tier fields exactly one liar per round (round-indexed entry of the
-        sorted roster) and keeps the rest honest, starving the
-        per-recommender disagreement bookkeeping.
+        sorted roster) and keeps the rest honest, which starves each liar's
+        direct trust of harmful evidence: a liar takes one disagreement
+        evidence per rotation and agreement evidence in the rounds between.
         """
         if not self._attack_active:
             for liar in self._liar_behaviors.values():

@@ -111,10 +111,6 @@ class SimulationScenario:
         self.network.run(until=self.network.now + duration)
         return self.victim.detection_round()
 
-    def run_detection_rounds(self, rounds: int, step: float = 10.0) -> List[List[RoundResult]]:
-        """Run several detection cycles, returning the per-cycle results."""
-        return [self.run_detection_cycle(step) for _ in range(rounds)]
-
 
 #: Coordinates of the canonical 6-node topology (radio range 250 m).
 #: ``victim`` neighbours ``relay`` (honest MPR) and ``attacker``;
@@ -308,8 +304,8 @@ def build_manet_scenario(
       forgetting restores headroom (:class:`repro.attacks.adaptive.
       ThresholdRidingGrayhole`, fed back through a read-only trust probe).
     * ``"rotating-clique"`` — the liar clique, but with a single *active*
-      liar rotating per epoch while the rest answer honestly, starving the
-      per-recommender disagreement bookkeeping
+      liar rotating per epoch while the rest answer honestly, starving each
+      liar's direct trust of harmful evidence
       (:class:`repro.attacks.adaptive.RotatingLiarClique`).
 
     These (with ``loss_model``/``max_speed``) are the axes the ``campaign``
@@ -430,8 +426,8 @@ def build_manet_scenario(
         # whole clique shields the attacker this epoch or the whole clique
         # answers honestly — independent liars at the same rate would split.
         # The rotating variant additionally fields only one active liar per
-        # epoch (the rest answer honestly), starving the per-recommender
-        # disagreement bookkeeping.
+        # epoch (the rest answer honestly), starving each liar's direct
+        # trust of harmful evidence.
         clique_cls = RotatingLiarClique if threat == "rotating-clique" else LiarClique
         clique = clique_cls(protected_suspects={attacker_id},
                             lie_probability=0.9,

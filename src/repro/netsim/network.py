@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium, UnitDiskPropagation, PerfectChannel
@@ -58,14 +58,6 @@ class PositionTable(Dict[str, Position]):
         if key not in self:
             self.epoch += 1
         return super().setdefault(key, default)
-
-
-class FrameReceiver(Protocol):
-    """Anything able to accept frames from the medium."""
-
-    def receive(self, frame: Frame, now: float) -> None:
-        """Handle a delivered frame at simulated time ``now``."""
-        ...
 
 
 class NetworkInterface:
@@ -164,11 +156,6 @@ class Network:
     # ------------------------------------------------------------ topology
     def _position_epoch(self) -> int:
         """Counter bumped on every position change (spatial-index invalidation)."""
-        return self.positions.epoch
-
-    @property
-    def position_epoch(self) -> int:
-        """Current position epoch (exposed for tests and diagnostics)."""
         return self.positions.epoch
 
     def position_of(self, node_id: str) -> Position:

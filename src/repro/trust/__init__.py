@@ -2,28 +2,21 @@
 
 * :mod:`repro.trust.evidence` — trust evidences (Property 1–5 metadata).
 * :mod:`repro.trust.entropy` — the information-theoretic trust mapping of
-  Sun et al. used to turn observation statistics into trust values.
+  Sun et al., which the CAP-OLSR baseline uses to score relays.
 * :mod:`repro.trust.manager` — direct trust maintenance (Eq. 5) with the
-  forgetting factor and gravity weights.
-* :mod:`repro.trust.propagation` — concatenated (Eq. 6) and multipath
-  (Eq. 7) trust propagation.
+  forgetting factor and gravity weights: one value per subject.
 * :mod:`repro.trust.confidence` — confidence interval (Eq. 9) and the margin
   of error used by the decision rule (Eq. 10).
-* :mod:`repro.trust.recommendation` — recommendation-trust bookkeeping.
+
+The paper's trust propagation (Eqs. 6–7) and the recommendation trust
+``R^{A,S}`` it takes as input are not reproduced: the detection aggregate
+(Eq. 8) weights each answer by the direct trust ``T^{A,S_i}``, and no step
+of Algorithm 1 exchanges trust values.
 """
 
-from repro.trust.evidence import EvidenceBatch, EvidenceKind, TrustEvidence
-from repro.trust.entropy import (
-    binary_entropy,
-    entropy_trust_from_probability,
-    probability_from_entropy_trust,
-)
-from repro.trust.manager import TrustManager, TrustParameters, TrustRecord
-from repro.trust.propagation import (
-    concatenated_trust,
-    multipath_trust,
-    normalised_weights,
-)
+from repro.trust.evidence import EvidenceKind, TrustEvidence
+from repro.trust.entropy import binary_entropy, entropy_trust_from_probability
+from repro.trust.manager import TrustManager, TrustParameters
 from repro.trust.confidence import (
     ConfidenceInterval,
     confidence_interval,
@@ -31,25 +24,17 @@ from repro.trust.confidence import (
     sample_standard_deviation,
     z_value,
 )
-from repro.trust.recommendation import RecommendationManager
 
 __all__ = [
     "ConfidenceInterval",
-    "EvidenceBatch",
     "EvidenceKind",
-    "RecommendationManager",
     "TrustEvidence",
     "TrustManager",
     "TrustParameters",
-    "TrustRecord",
     "binary_entropy",
-    "concatenated_trust",
     "confidence_interval",
     "entropy_trust_from_probability",
     "margin_of_error",
-    "multipath_trust",
-    "normalised_weights",
-    "probability_from_entropy_trust",
     "sample_standard_deviation",
     "z_value",
 ]

@@ -8,14 +8,13 @@ node acts correctly, and trust is derived from that entropy:
 * ``T = H(p) − 1`` when ``p < 0.5`` (more likely bad ⇒ negative trust).
 
 Trust is therefore in ``[−1, 1]`` with ``T = 0`` at maximal uncertainty
-(``p = 0.5``).  The inverse mapping is obtained by bisection since the binary
-entropy has no closed-form inverse.
+(``p = 0.5``).  The CAP-OLSR baseline scores relays with this mapping; the
+detector's own trust is the Eq. 5 value of :mod:`repro.trust.manager`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
 
 
 def binary_entropy(p: float) -> float:
@@ -33,85 +32,3 @@ def entropy_trust_from_probability(p: float) -> float:
     if p >= 0.5:
         return 1.0 - h
     return h - 1.0
-
-
-def probability_from_entropy_trust(trust: float, tolerance: float = 1e-9) -> float:
-    """Inverse of :func:`entropy_trust_from_probability` (by bisection).
-
-    For ``trust ≥ 0`` the returned probability is in ``[0.5, 1]``; for
-    ``trust < 0`` it is in ``[0, 0.5)``.
-    """
-    if not -1.0 <= trust <= 1.0:
-        raise ValueError(f"trust must be in [-1, 1], got {trust}")
-    target_entropy = 1.0 - abs(trust)
-    # binary_entropy is increasing on [0, 0.5] and decreasing on [0.5, 1].
-    if trust >= 0.0:
-        low, high = 0.5, 1.0
-        # entropy decreases from 1 to 0 on this interval
-        while high - low > tolerance:
-            mid = (low + high) / 2.0
-            if binary_entropy(mid) > target_entropy:
-                low = mid
-            else:
-                high = mid
-        return (low + high) / 2.0
-    low, high = 0.0, 0.5
-    # entropy increases from 0 to 1 on this interval
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if binary_entropy(mid) < target_entropy:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0
-
-
-def trust_from_observations(positive: int, negative: int,
-                            prior_positive: float = 1.0,
-                            prior_negative: float = 1.0) -> float:
-    """Entropy trust computed from counted observations.
-
-    The probability of correct behaviour is estimated with a smoothed
-    (Laplace/Beta) ratio, then mapped through the entropy trust function.
-    Used by the CAP-OLSR baseline and by tests as a reference point.
-    """
-    if positive < 0 or negative < 0:
-        raise ValueError("observation counts must be non-negative")
-    p = (positive + prior_positive) / (positive + negative + prior_positive + prior_negative)
-    return entropy_trust_from_probability(p)
-
-
-def shannon_entropy(probabilities: Iterable[float]) -> float:
-    """Shannon entropy (bits) of a discrete distribution.
-
-    Probabilities must be non-negative and sum to 1 within a small tolerance.
-    """
-    probs = list(probabilities)
-    if any(p < 0 for p in probs):
-        raise ValueError("probabilities must be non-negative")
-    total = sum(probs)
-    if not math.isclose(total, 1.0, rel_tol=1e-6, abs_tol=1e-6):
-        raise ValueError(f"probabilities must sum to 1, got {total}")
-    return -sum(p * math.log2(p) for p in probs if p > 0.0)
-
-
-def uncertainty(trust: float) -> float:
-    """Remaining uncertainty (entropy) associated with a trust value."""
-    return 1.0 - abs(max(-1.0, min(1.0, trust)))
-
-
-def clamp_unit_interval(value: float, low: float = -1.0, high: float = 1.0) -> float:
-    """Clamp ``value`` into ``[low, high]``."""
-    return max(low, min(high, value))
-
-
-def normalised_trust_to_unit(trust: float) -> float:
-    """Rescale a trust value from ``[-1, 1]`` to ``[0, 1]``."""
-    return (clamp_unit_interval(trust) + 1.0) / 2.0
-
-
-def unit_to_normalised_trust(value: float) -> float:
-    """Rescale a ``[0, 1]`` value to the ``[-1, 1]`` trust range."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"value must be in [0, 1], got {value}")
-    return value * 2.0 - 1.0

@@ -16,8 +16,8 @@ enforce the paper's five trust properties:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 class EvidenceKind(str, enum.Enum):
@@ -76,7 +76,6 @@ class TrustEvidence:
     firsthand: bool = True
     gravity: Optional[float] = None
     imminent: bool = False
-    details: dict = field(default_factory=dict, hash=False, compare=False)
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.value <= 1.0:
@@ -104,47 +103,6 @@ class TrustEvidence:
             # Property 5: second-hand evidences count less than local ones.
             weight *= 0.5
         return weight * self.value
-
-
-class EvidenceBatch:
-    """Accumulates one slot's evidences grouped by subject.
-
-    Collectors (investigations, forwarding monitors, …) append evidences as
-    they observe them; at the end of the slot the whole batch feeds
-    :meth:`TrustManager.update_all` in one call, which lets the manager run
-    its vectorised Eq. 5 path over every subject at once instead of being
-    driven one ``update()`` at a time.  Insertion order per subject is
-    preserved — the order evidences are added is the order their α_j·e_j
-    contributions are summed.
-    """
-
-    __slots__ = ("_by_subject",)
-
-    def __init__(self) -> None:
-        self._by_subject: Dict[str, List[TrustEvidence]] = {}
-
-    def add(self, evidence: TrustEvidence) -> None:
-        """Record one evidence under its subject."""
-        self._by_subject.setdefault(evidence.subject, []).append(evidence)
-
-    def extend(self, evidences: Iterable[TrustEvidence]) -> None:
-        """Record several evidences, preserving their order."""
-        for evidence in evidences:
-            self.add(evidence)
-
-    def by_subject(self) -> Dict[str, List[TrustEvidence]]:
-        """The accumulated mapping, ready for ``TrustManager.update_all``."""
-        return self._by_subject
-
-    def subjects(self) -> List[str]:
-        """Subjects with at least one accumulated evidence."""
-        return list(self._by_subject)
-
-    def __len__(self) -> int:
-        return sum(len(lst) for lst in self._by_subject.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._by_subject)
 
 
 def beneficial(observer: str, subject: str, kind: EvidenceKind,

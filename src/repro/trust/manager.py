@@ -18,11 +18,16 @@ them:
   the default: ``T ← β·T + (1−β)·T_default``.  This is what Figure 2 shows —
   former liars slowly *recover* toward the default after the attack ceases,
   while previously trusted nodes decay back down to it.
+
+The manager keeps one float per subject and nothing per slot, so its memory
+grows with the subjects it knows, not with the slots it has updated.  A
+caller that needs a trajectory records the values :meth:`TrustManager.update`
+returns, as the experiment drivers' round records do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.trust.evidence import TrustEvidence
@@ -44,9 +49,6 @@ class TrustParameters:
     #: Lower / upper bounds of the trust value.
     minimum: float = 0.0
     maximum: float = 1.0
-    #: When True, the update is anchored to ``default_trust``: the forgetting
-    #: term pulls the value toward the default instead of toward zero.
-    decay_to_default: bool = True
     #: Optional slower forgetting factor applied when a node *recovers* from a
     #: trust value below the default with no new evidence.  This implements
     #: the paper's defensive behaviour: a former liar "demands a long
@@ -68,21 +70,6 @@ class TrustParameters:
             raise ValueError("alpha factors must be non-negative")
 
 
-@dataclass
-class TrustRecord:
-    """Trust state kept about one subject node."""
-
-    subject: str
-    value: float
-    updates: int = 0
-    last_update_time: float = 0.0
-    history: List[float] = field(default_factory=list)
-
-    def snapshot(self) -> None:
-        """Append the current value to the history (one point per slot)."""
-        self.history.append(self.value)
-
-
 class TrustManager:
     """Maintains the direct trust T(A, I) an observer holds about every subject."""
 
@@ -90,49 +77,32 @@ class TrustManager:
         self.owner = owner
         self.parameters = parameters or TrustParameters()
         self.parameters.validate()
-        self._records: Dict[str, TrustRecord] = {}
+        self._values: Dict[str, float] = {}
 
     # -------------------------------------------------------------- accessors
     def known_subjects(self) -> List[str]:
-        """Every node for which a trust record exists."""
-        return sorted(self._records)
-
-    def record_of(self, subject: str) -> TrustRecord:
-        """Trust record for ``subject``, created at the default value if absent."""
-        record = self._records.get(subject)
-        if record is None:
-            record = TrustRecord(subject=subject, value=self.parameters.default_trust)
-            self._records[subject] = record
-        return record
+        """Every node for which a trust value exists."""
+        return sorted(self._values)
 
     def trust_of(self, subject: str) -> float:
         """Current trust value for ``subject`` (default when unknown)."""
-        record = self._records.get(subject)
-        return record.value if record else self.parameters.default_trust
+        return self._values.get(subject, self.parameters.default_trust)
 
     def set_initial_trust(self, subject: str, value: float) -> None:
         """Initialise the trust of ``subject`` (used by the experiments'
         "randomly set initial trust" step)."""
-        clamped = self._clamp(value)
-        self._records[subject] = TrustRecord(subject=subject, value=clamped)
-
-    def history_of(self, subject: str) -> List[float]:
-        """Per-slot trust history of ``subject`` (one value per update slot)."""
-        record = self._records.get(subject)
-        return list(record.history) if record else []
+        self._values[subject] = self._clamp(value)
 
     # ---------------------------------------------------------------- updates
-    def update(self, subject: str, evidences: Iterable[TrustEvidence],
-               now: float = 0.0) -> float:
+    def update(self, subject: str, evidences: Iterable[TrustEvidence]) -> float:
         """Apply Eq. 5 for one time slot and return the new trust value.
 
         ``evidences`` are the observations about ``subject`` collected during
-        the slot; an empty iterable triggers pure forgetting (decay toward the
-        default value when ``decay_to_default`` is set, plain β-scaling
-        otherwise).
+        the slot; an empty iterable triggers pure forgetting, a relaxation
+        toward the default value.
         """
         params = self.parameters
-        record = self.record_of(subject)
+        value = self.trust_of(subject)
         evidence_list = [e for e in evidences if e.subject == subject]
 
         contribution = 0.0
@@ -144,56 +114,43 @@ class TrustManager:
         if (
             not evidence_list
             and params.beta_recovery is not None
-            and record.value < params.default_trust
+            and value < params.default_trust
         ):
             # Recovering from a below-default (e.g. former liar) value with no
             # fresh evidence is deliberately slower than ordinary forgetting.
             beta = params.beta_recovery
 
-        if params.decay_to_default:
-            # Default-anchored exponential forgetting: without evidence the
-            # value relaxes toward the default; with evidence the α_j·e_j term
-            # pushes it up or down from that anchor.
-            new_value = contribution + beta * record.value + (1.0 - beta) * params.default_trust
-        else:
-            new_value = contribution + beta * record.value
+        # Default-anchored exponential forgetting: without evidence the value
+        # relaxes toward the default; with evidence the α_j·e_j term pushes it
+        # up or down from that anchor.
+        new_value = self._clamp(
+            contribution + beta * value + (1.0 - beta) * params.default_trust)
+        self._values[subject] = new_value
+        return new_value
 
-        record.value = self._clamp(new_value)
-        record.updates += 1
-        record.last_update_time = now
-        record.snapshot()
-        return record.value
-
-    def update_all(self, evidences_by_subject: Dict[str, List[TrustEvidence]],
-                   now: float = 0.0) -> Dict[str, float]:
+    def update_all(
+        self, evidences_by_subject: Dict[str, List[TrustEvidence]]
+    ) -> Dict[str, float]:
         """Run one slot update for every subject in the mapping.
 
         Subjects already known to the manager but absent from the mapping are
         updated with an empty evidence list so forgetting applies uniformly.
         Subjects are updated in sorted order, one :meth:`update` each.
         """
-        subjects = sorted(set(evidences_by_subject) | set(self._records))
-        results: Dict[str, float] = {}
-        for subject in subjects:
-            results[subject] = self.update(
-                subject, evidences_by_subject.get(subject, []), now=now
-            )
-        return results
+        subjects = sorted(set(evidences_by_subject) | set(self._values))
+        return {
+            subject: self.update(subject, evidences_by_subject.get(subject, []))
+            for subject in subjects
+        }
 
-    def decay_all(self, now: float = 0.0) -> Dict[str, float]:
+    def decay_all(self) -> Dict[str, float]:
         """Apply one slot of pure forgetting to every known subject."""
-        return self.update_all({}, now=now)
+        return self.update_all({})
 
     # ---------------------------------------------------------------- helpers
     def _clamp(self, value: float) -> float:
         return max(self.parameters.minimum, min(self.parameters.maximum, value))
 
-    def normalised_trust(self, subject: str) -> float:
-        """Trust rescaled to ``[0, 1]`` regardless of the configured bounds."""
-        params = self.parameters
-        span = params.maximum - params.minimum
-        return (self.trust_of(subject) - params.minimum) / span
-
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of every subject's current trust value."""
-        return {subject: record.value for subject, record in sorted(self._records.items())}
+        return dict(sorted(self._values.items()))

@@ -3,11 +3,11 @@
 An invariant is a property every correct run must satisfy regardless of the
 scenario: the medium never delivers a frame beyond the sender's radio range,
 every node's MPR set covers its strict 2-hop neighbourhood (RFC 3626
-§8.3.1), trust and recommendation values stay inside their declared bounds,
-and the duplicate table never lets a node relay the same flooded message
-twice.  The checkers run *after* a simulation against its live state — they
-are read-only — and return :class:`InvariantViolation` records instead of
-raising, so a fuzzing campaign can collect every violation of a corpus.
+§8.3.1), trust values stay inside their declared bounds, and the duplicate
+table never lets a node relay the same flooded message twice.  The checkers
+run *after* a simulation against its live state — they are read-only — and
+return :class:`InvariantViolation` records instead of raising, so a fuzzing
+campaign can collect every violation of a corpus.
 
 Usage::
 
@@ -139,7 +139,7 @@ def check_mpr_coverage(scenario) -> List[InvariantViolation]:
 
 
 def check_trust_bounds(scenario) -> List[InvariantViolation]:
-    """Trust and recommendation values stay inside their declared bounds.
+    """Trust values stay inside their declared bounds.
 
     The trust system's update rule (Eq. 5) clamps into
     ``[minimum, maximum]``; any value outside — or outside the paper's
@@ -158,15 +158,6 @@ def check_trust_bounds(scenario) -> List[InvariantViolation]:
                         invariant="trust-bounds",
                         node=node_id,
                         detail=f"trust of {subject} is {value!r}, outside [{low}, {high}]",
-                    ))
-        recommendations = getattr(node, "recommendations", None)
-        if recommendations is not None:
-            for subject, value in sorted(recommendations.as_dict().items()):
-                if not (0.0 - 1e-12 <= value <= 1.0 + 1e-12) or math.isnan(value):
-                    violations.append(InvariantViolation(
-                        invariant="trust-bounds",
-                        node=node_id,
-                        detail=f"recommendation trust of {subject} is {value!r}",
                     ))
     return violations
 

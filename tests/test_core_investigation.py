@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import tracemalloc
 
 import pytest
+
+import repro
 
 from repro.core.decision import ANSWER_CONFIRM, ANSWER_DENY, ANSWER_MISSING, DecisionOutcome
 from repro.core.investigation import (
@@ -15,7 +20,6 @@ from repro.core.investigation import (
     common_two_hop_neighbors,
 )
 from repro.trust.manager import TrustManager, TrustParameters
-from repro.trust.recommendation import RecommendationManager
 
 
 class StubResponder:
@@ -36,7 +40,6 @@ def make_investigator(transport, **kwargs) -> CooperativeInvestigator:
         owner="inv",
         transport=transport,
         trust_manager=trust,
-        recommendation_manager=RecommendationManager("inv"),
         **kwargs,
     )
 
@@ -225,31 +228,48 @@ def test_trust_updates_after_round():
     assert trust.trust_of("i") < before_suspect
 
 
-def test_recommendation_trust_tracks_agreement():
-    responders = {"h0": StubResponder(False), "h1": StubResponder(False),
-                  "liar": StubResponder(True)}
-    investigator = make_investigator(OracleTransport(responders))
-    investigator.open_investigation("i", list(responders))
-    investigator.run_round("i")
-    recs = investigator.recommendations
-    assert recs.accuracy_of("h0") == 1.0
-    assert recs.accuracy_of("liar") == 0.0
-
-
 def test_repeated_rounds_converge_and_track_trajectory():
     responders = {f"h{i}": StubResponder(False) for i in range(10)}
     responders.update({f"l{i}": StubResponder(True) for i in range(4)})
     investigator = make_investigator(OracleTransport(responders))
     investigator.open_investigation("i", list(responders))
-    for round_index in range(15):
-        investigator.run_round("i", now=float(round_index))
-    state = investigator.state_of("i")
-    trajectory = state.detect_trajectory
-    assert len(trajectory) == 15
+    results = [investigator.run_round("i", now=float(round_index))
+               for round_index in range(15)]
+    assert [r.round_index for r in results] == list(range(15))
+    assert investigator.state_of("i").round_count == 15
+    trajectory = [r.decision.detect_value for r in results]
     assert trajectory[-1] < trajectory[0]
     assert trajectory[-1] < -0.8
-    assert state.disagreeing == {f"h{i}" for i in range(10)}
-    assert state.agreeing == {f"l{i}" for i in range(4)}
+    answers = results[-1].answers
+    assert {n for n, a in answers.items() if a == ANSWER_DENY} == {f"h{i}" for i in range(10)}
+    assert {n for n, a in answers.items() if a == ANSWER_CONFIRM} == {f"l{i}" for i in range(4)}
+
+
+def test_investigator_memory_does_not_grow_with_rounds():
+    """Rounds 50 to 500 leave the investigator's live memory where it was:
+    its state grows with the responders, not with the rounds run."""
+    responders = {f"h{i}": StubResponder(False) for i in range(10)}
+    responders.update({f"l{i}": StubResponder(True) for i in range(4)})
+    investigator = make_investigator(OracleTransport(responders))
+    investigator.open_investigation("i", list(responders))
+    # Only the package's own allocations count (the stubs log every query).
+    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(repro.__file__), "*"))]
+
+    def live_snapshot():
+        gc.collect()
+        return tracemalloc.take_snapshot().filter_traces(package)
+
+    tracemalloc.start()
+    try:
+        for round_index in range(500):
+            investigator.run_round("i", now=float(round_index))
+            if round_index == 49:
+                after_50 = live_snapshot()
+        after_500 = live_snapshot()
+    finally:
+        tracemalloc.stop()
+    growth = sum(stat.size_diff for stat in after_500.compare_to(after_50, "filename"))
+    assert growth < 16 * 1024
 
 
 def test_close_on_decision_terminates_investigation():

@@ -114,9 +114,11 @@ def test_cli_run_unknown_experiment_errors(capsys):
 
 
 def test_cli_run_typo_in_param_fails_fast(capsys):
-    assert main(["run", "figure3", "--param", "cycels=4"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown parameter 'cycels'" in err
+    # A trust_ name is known only when it names a TrustParameters field.
+    for name in ("cycels", "trust_alpha_harmfull", "trust_decay_to_default"):
+        assert main(["run", "figure3", "--param", f"{name}=4"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown parameter {name!r}" in err
 
 
 def test_cli_report_missing_db_is_an_error(tmp_path, capsys):

@@ -237,15 +237,11 @@ def test_trust_update_all_vector_matches_scalar():
     subjects = sorted(set(scalar_evidences) | set(scalar_manager.known_subjects()))
     assert len(subjects) >= 16
     scalar_results = {
-        subject: scalar_manager.update(subject, scalar_evidences.get(subject, []),
-                                       now=2.0)
+        subject: scalar_manager.update(subject, scalar_evidences.get(subject, []))
         for subject in subjects
     }
-    vector_results = vector_manager.update_all(vector_evidences, now=2.0)
+    vector_results = vector_manager.update_all(vector_evidences)
 
     assert scalar_results == vector_results
     assert list(scalar_results) == list(vector_results)
     assert scalar_manager.as_dict() == vector_manager.as_dict()
-    for subject in scalar_results:
-        assert (scalar_manager.history_of(subject)
-                == vector_manager.history_of(subject))

@@ -16,14 +16,9 @@ from repro.trust.confidence import (
     margin_of_error,
     weighted_margin_of_error,
 )
-from repro.trust.entropy import (
-    binary_entropy,
-    entropy_trust_from_probability,
-    probability_from_entropy_trust,
-)
+from repro.trust.entropy import binary_entropy, entropy_trust_from_probability
 from repro.trust.evidence import EvidenceKind, TrustEvidence
 from repro.trust.manager import TrustManager, TrustParameters
-from repro.trust.propagation import multipath_trust, normalised_weights
 
 
 # ---------------------------------------------------------------------- logs
@@ -90,12 +85,6 @@ def test_entropy_trust_bounds_and_sign(p):
         assert trust <= 0.0
 
 
-@given(p=st.floats(min_value=0.001, max_value=0.999, allow_nan=False))
-def test_entropy_trust_inverse_roundtrip(p):
-    trust = entropy_trust_from_probability(p)
-    assert abs(probability_from_entropy_trust(trust) - p) < 1e-4
-
-
 @given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_binary_entropy_bounds(p):
     assert 0.0 <= binary_entropy(p) <= 1.0 + 1e-12
@@ -115,20 +104,8 @@ def test_trust_manager_always_within_bounds(initial, values):
         evidences = []
         if value != 0.0:
             evidences.append(TrustEvidence("me", "x", kind, value=value, timestamp=float(slot)))
-        manager.update("x", evidences, now=float(slot))
+        manager.update("x", evidences)
         assert 0.0 <= manager.trust_of("x") <= 1.0
-
-
-@given(
-    rec_trusts=st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-                        min_size=0, max_size=10),
-)
-def test_normalised_weights_and_multipath_bounds(rec_trusts):
-    weights = normalised_weights(rec_trusts)
-    assert all(w >= 0 for w in weights)
-    pairs = [(r, 1.0) for r in rec_trusts]
-    value = multipath_trust(pairs)
-    assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------- confidence

@@ -4,17 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.trust.entropy import (
-    binary_entropy,
-    clamp_unit_interval,
-    entropy_trust_from_probability,
-    normalised_trust_to_unit,
-    probability_from_entropy_trust,
-    shannon_entropy,
-    trust_from_observations,
-    uncertainty,
-    unit_to_normalised_trust,
-)
+from repro.trust.entropy import binary_entropy, entropy_trust_from_probability
 
 
 def test_binary_entropy_extremes_and_midpoint():
@@ -53,52 +43,3 @@ def test_entropy_trust_antisymmetric():
 def test_entropy_trust_monotone_in_probability():
     values = [entropy_trust_from_probability(p / 20.0) for p in range(21)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_probability_inverse_roundtrip():
-    for p in (0.05, 0.3, 0.5, 0.72, 0.99):
-        trust = entropy_trust_from_probability(p)
-        assert probability_from_entropy_trust(trust) == pytest.approx(p, abs=1e-6)
-
-
-def test_probability_from_trust_validates_range():
-    with pytest.raises(ValueError):
-        probability_from_entropy_trust(1.5)
-
-
-def test_trust_from_observations_smoothing():
-    # No observations: maximal uncertainty.
-    assert trust_from_observations(0, 0) == pytest.approx(0.0)
-    assert trust_from_observations(10, 0) > 0.5
-    assert trust_from_observations(0, 10) < -0.5
-    with pytest.raises(ValueError):
-        trust_from_observations(-1, 0)
-
-
-def test_shannon_entropy_uniform_maximal():
-    assert shannon_entropy([0.25] * 4) == pytest.approx(2.0)
-    assert shannon_entropy([1.0, 0.0]) == pytest.approx(0.0)
-
-
-def test_shannon_entropy_validates_distribution():
-    with pytest.raises(ValueError):
-        shannon_entropy([0.5, 0.2])
-    with pytest.raises(ValueError):
-        shannon_entropy([-0.1, 1.1])
-
-
-def test_uncertainty_decreases_with_trust_magnitude():
-    assert uncertainty(0.0) == 1.0
-    assert uncertainty(1.0) == 0.0
-    assert uncertainty(-1.0) == 0.0
-    assert uncertainty(0.5) == pytest.approx(0.5)
-
-
-def test_clamp_and_rescaling_helpers():
-    assert clamp_unit_interval(2.0) == 1.0
-    assert clamp_unit_interval(-2.0) == -1.0
-    assert normalised_trust_to_unit(-1.0) == 0.0
-    assert normalised_trust_to_unit(1.0) == 1.0
-    assert unit_to_normalised_trust(0.5) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        unit_to_normalised_trust(1.5)

@@ -89,9 +89,9 @@ def test_trust_bounds_checker_flags_escaped_values():
     scenario = build_canonical_scenario(seed=11)
     scenario.warm_up(30.0)
     assert check_trust_bounds(scenario) == []
-    # Skip the clamp by mutating a record directly, as a buggy update would.
-    scenario.victim.trust.record_of("edge1").value = 1.7
-    scenario.nodes["relay"].recommendations.record_of("edge2").value = float("nan")
+    # Skip the clamp by writing values directly, as a buggy update would.
+    scenario.victim.trust._values["edge1"] = 1.7
+    scenario.nodes["relay"].trust._values["edge2"] = float("nan")
     violations = check_trust_bounds(scenario)
     assert {v.node for v in violations} == {"victim", "relay"}
     assert all(v.invariant == "trust-bounds" for v in violations)
