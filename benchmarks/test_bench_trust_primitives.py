@@ -2,8 +2,9 @@
 
 The paper's future work mentions evaluating "the resource consumption that is
 related to the trust system"; these micro-benchmarks record the per-operation
-cost of a trust-slot update, a detection aggregation and a confidence-interval
-computation so the overhead of securing the detection can be budgeted.
+cost of a trust-slot update (one subject, and a 48-subject slot), a detection
+aggregation and a confidence-interval computation so the overhead of securing
+the detection can be budgeted.
 """
 
 from __future__ import annotations
@@ -30,6 +31,20 @@ def test_bench_trust_slot_update(benchmark):
 
     value = benchmark(update)
     assert 0.0 <= value <= 1.0
+
+
+def test_bench_trust_update_all_48_subjects(benchmark):
+    """One Eq. 5 slot over a 48-node oracle cell's subjects, half of them
+    with a contribution (the investigation's round update)."""
+    manager = TrustManager("me", TrustParameters(beta_recovery=0.99))
+    rng = random.Random(11)
+    for i in range(48):
+        manager.set_initial_trust(f"s{i}", rng.random())
+    contributions = {f"s{i}": rng.choice([0.02, -0.08]) for i in range(0, 48, 2)}
+
+    values = benchmark(lambda: manager.update_all(contributions))
+    assert list(values) == manager.known_subjects()
+    assert all(0.0 <= value <= 1.0 for value in values.values())
 
 
 def test_bench_detection_aggregation_eq8(benchmark):

@@ -50,6 +50,16 @@ ANSWER_DENY = -1.0
 ANSWER_MISSING = 0.0
 
 
+def _detection_weight(total: float) -> float:
+    """The common weight ``1 / Σ_j T^{A,S_j}`` of Eq. 8 (0 when unusable)."""
+    if total <= 0.0:
+        return 0.0
+    weight = 1.0 / total
+    if math.isinf(weight):
+        return 0.0
+    return weight
+
+
 def detection_weights(trust_values: Sequence[float]) -> List[float]:
     """Weights ``w_i = 1 / Σ_j T^{A,S_j}`` of Eq. 8.
 
@@ -59,13 +69,20 @@ def detection_weights(trust_values: Sequence[float]) -> List[float]:
     aggregate with NaNs, and trust that small is indistinguishable from
     zero anyway.
     """
-    total = sum(trust_values)
-    if total <= 0.0:
-        return [0.0 for _ in trust_values]
-    weight = 1.0 / total
-    if math.isinf(weight):
-        return [0.0 for _ in trust_values]
+    weight = _detection_weight(sum(trust_values))
     return [weight for _ in trust_values]
+
+
+def _weighted_detection(responders: Sequence[str], samples: Sequence[float],
+                        trust_values: Sequence[float]) -> float:
+    """Eq. 8 over index-aligned responders, answers and clipped trust values."""
+    weight = _detection_weight(sum(trust_values))
+    result = 0.0
+    for responder, value, trust_value in zip(responders, samples, trust_values):
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"answer of {responder} out of range: {value}")
+        result += weight * trust_value * value
+    return max(-1.0, min(1.0, result))
 
 
 def aggregate_detection(
@@ -79,15 +96,11 @@ def aggregate_detection(
     entry contribute with zero weight.
     """
     responders = sorted(answers)
-    trust_values = [max(0.0, trust.get(r, 0.0)) for r in responders]
-    weights = detection_weights(trust_values)
-    result = 0.0
-    for responder, weight, trust_value in zip(responders, weights, trust_values):
-        value = answers[responder]
-        if not -1.0 <= value <= 1.0:
-            raise ValueError(f"answer of {responder} out of range: {value}")
-        result += weight * trust_value * value
-    return max(-1.0, min(1.0, result))
+    return _weighted_detection(
+        responders,
+        [answers[r] for r in responders],
+        [max(0.0, trust.get(r, 0.0)) for r in responders],
+    )
 
 
 def unweighted_vote(answers: Mapping[str, float]) -> float:
@@ -145,13 +158,15 @@ def evaluate_investigation(
     the ablation configuration used to quantify the benefit of the trust
     system.
     """
+    trust_used = {k: trust.get(k, 0.0) for k in answers}
     responders = sorted(answers)
     samples = [answers[r] for r in responders]
     if use_trust_weighting:
-        detect_value = aggregate_detection(answers, trust)
-        # The interval is trust-weighted as well: answers coming from nodes
-        # whose trust has collapsed should not keep the interval wide forever.
-        weights = [max(0.0, trust.get(r, 0.0)) for r in responders]
+        # One weight list for both equations: the interval is trust-weighted
+        # as well, so answers coming from nodes whose trust has collapsed
+        # do not keep the interval wide forever.
+        weights = [max(0.0, trust_used[r]) for r in responders]
+        detect_value = _weighted_detection(responders, samples, weights)
         interval = ConfidenceInterval(
             center=detect_value,
             margin=weighted_margin_of_error(samples, weights, confidence_level),
@@ -170,5 +185,5 @@ def evaluate_investigation(
         gamma=gamma,
         outcome=outcome,
         answers=dict(answers),
-        trust_used={k: trust.get(k, 0.0) for k in answers},
+        trust_used=trust_used,
     )

@@ -194,7 +194,7 @@ class DetectorNode:
         """Run one round of the cooperative investigation about ``suspect``."""
         if self.investigator is None:
             raise RuntimeError("no transport bound: call bind_transport() first")
-        result = self.investigator.run_round(suspect, now=self.router.now)
+        result = self.investigator.run_round(suspect)
         self.decision_history.append(result.decision)
         return result
 

@@ -28,7 +28,7 @@ from repro.core.decision import (
     evaluate_investigation,
 )
 from repro.seeding import stable_seed
-from repro.trust.evidence import EvidenceKind, TrustEvidence
+from repro.trust.evidence import DEFAULT_GRAVITY, EvidenceKind, weigh_evidence
 from repro.trust.manager import TrustManager
 
 
@@ -229,7 +229,7 @@ class CooperativeInvestigator:
         return sorted(s for s, st in self._investigations.items() if not st.closed)
 
     # ----------------------------------------------------------------- rounds
-    def run_round(self, suspect: str, now: float = 0.0) -> RoundResult:
+    def run_round(self, suspect: str) -> RoundResult:
         """Execute one investigation round about ``suspect``.
 
         Every responder is queried through the transport; the answers are
@@ -276,7 +276,7 @@ class CooperativeInvestigator:
         )
         state.round_count += 1
         state.last_round = result
-        self._update_trust_from_round(state, result, now)
+        self._update_trust_from_round(state, result)
         if not reached:
             state.unverified = True
         if self.close_on_decision and decision.is_final:
@@ -323,11 +323,16 @@ class CooperativeInvestigator:
 
     # -------------------------------------------------------------- internals
     def _update_trust_from_round(self, state: InvestigationState,
-                                 result: RoundResult, now: float) -> None:
+                                 result: RoundResult) -> None:
+        """One Eq. 5 slot from the round: each subject's α_j·e_j, summed.
+
+        A subject's terms are summed from 0.0 in the order its evidences
+        arise: its answer first, then (for the suspect) the aggregate.
+        """
+        params = self.trust.parameters
+        answers = result.answers
         detect = result.decision.detect_value
-        # Evidences grouped by subject; the order they are added is the order
-        # their α_j·e_j contributions are summed.
-        evidences: Dict[str, List[TrustEvidence]] = {}
+        contributions: Dict[str, float] = {}
 
         # Evidence about the responders: an answer consistent with the round's
         # conclusion is beneficial, a contradicting answer is harmful
@@ -335,49 +340,34 @@ class CooperativeInvestigator:
         # majority opinion of the received answers: under the paper's threat
         # model the colluders are a minority, so the majority identifies the
         # incorrect answers regardless of how the initial trust was drawn.
-        received = [a for a in result.answers.values() if a != ANSWER_MISSING]
+        received = [a for a in answers.values() if a != ANSWER_MISSING]
         majority = sum(received) / len(received) if received else 0.0
         if abs(majority) > 1e-9:
             reference_sign = 1.0 if majority > 0 else -1.0
-            for responder, answer in result.answers.items():
+            agreement = 0.0 + weigh_evidence(
+                params.alpha_for(1.0),
+                DEFAULT_GRAVITY[EvidenceKind.INVESTIGATION_AGREEMENT], 1.0)
+            disagreement = 0.0 + weigh_evidence(
+                params.alpha_for(-1.0),
+                DEFAULT_GRAVITY[EvidenceKind.INVESTIGATION_DISAGREEMENT], -1.0)
+            for responder, answer in answers.items():
                 if answer == ANSWER_MISSING:
                     continue
                 agreed = (answer * reference_sign) > 0
-                kind = (
-                    EvidenceKind.INVESTIGATION_AGREEMENT
-                    if agreed
-                    else EvidenceKind.INVESTIGATION_DISAGREEMENT
-                )
-                value = 1.0 if agreed else -1.0
-                evidences.setdefault(responder, []).append(
-                    TrustEvidence(
-                        observer=self.owner,
-                        subject=responder,
-                        kind=kind,
-                        value=value,
-                        timestamp=now,
-                        firsthand=True,
-                    )
-                )
+                contributions[responder] = agreement if agreed else disagreement
 
         # Evidence about the suspect itself: the aggregate sign *is* the
         # second-hand evidence of spoofing (negative) or correct behaviour
         # (positive).
         if abs(detect) > 1e-9:
             kind = EvidenceKind.LINK_SPOOFING if detect < 0 else EvidenceKind.CONSISTENT_ADVERTISEMENT
-            evidences.setdefault(state.suspect, []).append(
-                TrustEvidence(
-                    observer=self.owner,
-                    subject=state.suspect,
-                    kind=kind,
-                    value=max(-1.0, min(1.0, detect)),
-                    timestamp=now,
-                    firsthand=False,
-                    imminent=detect < -0.5,
-                )
-            )
+            value = max(-1.0, min(1.0, detect))
+            suspect = state.suspect
+            contributions[suspect] = contributions.get(suspect, 0.0) + weigh_evidence(
+                params.alpha_for(value), DEFAULT_GRAVITY[kind], value,
+                imminent=detect < -0.5, firsthand=False)
 
-        self.trust.update_all(evidences)
+        self.trust.update_all(contributions)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.experiments._cli import (
 )
 from repro.experiments.engine import (
     BACKENDS,
+    expand_experiment,
     get_experiment,
     list_experiments,
     run_experiment,
@@ -163,8 +164,18 @@ def run_main(argv: Sequence[str]) -> int:
     except KeyError as error:
         parser.error(str(error.args[0]))
 
+    axes = dict(args.axis) or None
+    params = dict(args.param) or None
     store = None
     if args.db:
+        # Expanding validates every name before the store file exists, so a
+        # misspelt --param or --axis leaves no empty store behind.
+        try:
+            expand_experiment(args.experiment, backend=args.backend,
+                              base_seed=args.seed, axes=axes, params=params)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
         store = open_store(args.db)
         if store is None:
             return 1
@@ -183,8 +194,8 @@ def run_main(argv: Sequence[str]) -> int:
             resume=args.resume,
             max_new_runs=args.max_new_runs,
             base_seed=args.seed,
-            axes=dict(args.axis) or None,
-            params=dict(args.param) or None,
+            axes=axes,
+            params=params,
         )
         if result.skipped_run_ids:
             print(f"[resume] skipped {len(result.skipped_run_ids)} stored cells, "

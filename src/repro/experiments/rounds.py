@@ -228,7 +228,7 @@ class RoundBasedExperiment:
         self._apply_liar_policy(round_index)
 
         if self._attack_active and not self._investigation_closed():
-            round_result = self.investigator.run_round(self.attacker_id, now=float(round_index))
+            round_result = self.investigator.run_round(self.attacker_id)
             record = RoundRecord(
                 round_index=round_index,
                 attack_active=True,

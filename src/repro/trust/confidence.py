@@ -106,16 +106,25 @@ def weighted_sample_standard_deviation(
     (normalised) trust values as reliability weights.  Falls back to the
     unweighted estimator when every weight is zero.
     """
+    _check_lengths(samples, weights)
+    return _weighted_sigma(samples, weights, sum(weights),
+                           effective_sample_size(weights))
+
+
+def _check_lengths(samples: Sequence[float], weights: Sequence[float]) -> None:
     if len(samples) != len(weights):
         raise ValueError("samples and weights must have the same length")
-    total = sum(weights)
+
+
+def _weighted_sigma(samples: Sequence[float], weights: Sequence[float],
+                    total: float, n_eff: float) -> float:
+    """σ_w from the weights' sum ``total`` and effective sample size ``n_eff``."""
     if total <= 0.0:
         return sample_standard_deviation(samples)
     normalised = [w / total for w in weights]
     mean = sum(w * x for w, x in zip(normalised, samples))
     variance = sum(w * (x - mean) ** 2 for w, x in zip(normalised, samples))
     # Bessel-style correction using the effective sample size.
-    n_eff = effective_sample_size(weights)
     if n_eff > 1.0:
         variance *= n_eff / (n_eff - 1.0)
     return math.sqrt(variance)
@@ -123,8 +132,10 @@ def weighted_sample_standard_deviation(
 
 def effective_sample_size(weights: Sequence[float]) -> float:
     """Kish effective sample size ``(Σw)² / Σw²`` (0 for all-zero weights)."""
-    total = sum(weights)
-    squares = sum(w * w for w in weights)
+    return _kish(sum(weights), sum(w * w for w in weights))
+
+
+def _kish(total: float, squares: float) -> float:
     if squares <= 0.0:
         return 0.0
     return (total * total) / squares
@@ -139,14 +150,18 @@ def weighted_margin_of_error(
 
     Low-trust responders contribute little to both the spread and the
     effective sample size, so the interval tightens as the liars' trust —
-    and hence their weight — shrinks across investigation rounds.
+    and hence their weight — shrinks across investigation rounds.  ``Σw``
+    and ``Σw²`` are computed once; mismatched lengths raise ``ValueError``
+    on every path.
     """
+    _check_lengths(samples, weights)
     if not samples:
         return 0.0
-    n_eff = effective_sample_size(weights)
+    total = sum(weights)
+    n_eff = _kish(total, sum(w * w for w in weights))
     if n_eff <= 0.0:
         return margin_of_error(samples, confidence_level)
-    sigma = weighted_sample_standard_deviation(samples, weights)
+    sigma = _weighted_sigma(samples, weights, total, n_eff)
     return z_value(confidence_level) * sigma / math.sqrt(n_eff)
 
 

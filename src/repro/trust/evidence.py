@@ -8,9 +8,16 @@ enforce the paper's five trust properties:
 * Property 2 — ``gravity`` scales the weighting factor α_j.
 * Property 3 — ``imminent`` marks evidences belonging to an evolving attack
   signature, which drastically lowers trust.
-* Property 4 — ``timestamp`` lets the manager prefer fresh evidences.
+* Property 4 — fresh evidences count more than stale ones through the
+  forgetting factor β of Eq. 5, which discounts every earlier slot; the
+  manager never reads ``timestamp``, which only records when the caller
+  made the observation.
 * Property 5 — ``firsthand`` distinguishes own observations from the less
   reliable second-hand ones.
+
+:func:`weigh_evidence` is the α_j·e_j weighting of Eq. 5.
+:meth:`TrustEvidence.weighted` applies it to an evidence object, and the
+investigation applies it to its answers without building one.
 """
 
 from __future__ import annotations
@@ -95,14 +102,26 @@ class TrustEvidence:
 
     def weighted(self, alpha: float) -> float:
         """Contribution α_j · e_j of this evidence to Eq. 5."""
-        weight = alpha * self.effective_gravity
-        if self.imminent and self.is_harmful:
-            # Property 3: imminence of an intrusion drastically decreases trust.
-            weight *= 2.0
-        if not self.firsthand:
-            # Property 5: second-hand evidences count less than local ones.
-            weight *= 0.5
-        return weight * self.value
+        return weigh_evidence(alpha, self.effective_gravity, self.value,
+                              imminent=self.imminent, firsthand=self.firsthand)
+
+
+def weigh_evidence(alpha: float, gravity: float, value: float,
+                   imminent: bool = False, firsthand: bool = True) -> float:
+    """Contribution α_j · e_j of one evidence of ``value`` to Eq. 5.
+
+    ``gravity`` scales α (Property 2); the weight doubles for an imminent
+    harmful evidence (Property 3) and halves for a second-hand one
+    (Property 5).
+    """
+    weight = alpha * gravity
+    if imminent and value < 0.0:
+        # Property 3: imminence of an intrusion drastically decreases trust.
+        weight *= 2.0
+    if not firsthand:
+        # Property 5: second-hand evidences count less than local ones.
+        weight *= 0.5
+    return weight * value
 
 
 def beneficial(observer: str, subject: str, kind: EvidenceKind,

@@ -23,12 +23,19 @@ The manager keeps one float per subject and nothing per slot, so its memory
 grows with the subjects it knows, not with the slots it has updated.  A
 caller that needs a trajectory records the values :meth:`TrustManager.update`
 returns, as the experiment drivers' round records do.
+
+A slot is one pass over plain floats.  :meth:`TrustManager.update_all` takes
+each subject's *contribution* ``Σ_j α_j·e_j`` (summed by the caller, which
+knows its evidences, from 0.0 in evidence order) and runs Eq. 5 with the
+clamp inline over every known or contributing subject; a subject without a
+contribution forgets.  :meth:`TrustManager.update` reduces an evidence list
+to one contribution and runs the same step for one subject.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.trust.evidence import TrustEvidence
 
@@ -69,6 +76,11 @@ class TrustParameters:
         if self.alpha_beneficial < 0 or self.alpha_harmful < 0:
             raise ValueError("alpha factors must be non-negative")
 
+    def alpha_for(self, value: float) -> float:
+        """Weighting factor α of an evidence of ``value``: harmful evidences
+        (``value < 0``, Property 1) take ``alpha_harmful``."""
+        return self.alpha_harmful if value < 0.0 else self.alpha_beneficial
+
 
 class TrustManager:
     """Maintains the direct trust T(A, I) an observer holds about every subject."""
@@ -98,54 +110,68 @@ class TrustManager:
         """Apply Eq. 5 for one time slot and return the new trust value.
 
         ``evidences`` are the observations about ``subject`` collected during
-        the slot; an empty iterable triggers pure forgetting, a relaxation
-        toward the default value.
+        the slot (evidences about another subject are ignored); an empty
+        iterable triggers pure forgetting, a relaxation toward the default
+        value.
         """
-        params = self.parameters
-        value = self.trust_of(subject)
-        evidence_list = [e for e in evidences if e.subject == subject]
+        alpha_for = self.parameters.alpha_for
+        contributions: Dict[str, float] = {}
+        for evidence in evidences:
+            if evidence.subject == subject:
+                contributions[subject] = contributions.get(subject, 0.0) + \
+                    evidence.weighted(alpha_for(evidence.value))
+        return self._slot((subject,), contributions)[subject]
 
-        contribution = 0.0
-        for evidence in evidence_list:
-            alpha = params.alpha_harmful if evidence.is_harmful else params.alpha_beneficial
-            contribution += evidence.weighted(alpha)
+    def update_all(self, contributions: Mapping[str, float]) -> Dict[str, float]:
+        """Run one slot update for every known or contributing subject.
 
-        beta = params.beta
-        if (
-            not evidence_list
-            and params.beta_recovery is not None
-            and value < params.default_trust
-        ):
-            # Recovering from a below-default (e.g. former liar) value with no
-            # fresh evidence is deliberately slower than ordinary forgetting.
-            beta = params.beta_recovery
-
-        # Default-anchored exponential forgetting: without evidence the value
-        # relaxes toward the default; with evidence the α_j·e_j term pushes it
-        # up or down from that anchor.
-        new_value = self._clamp(
-            contribution + beta * value + (1.0 - beta) * params.default_trust)
-        self._values[subject] = new_value
-        return new_value
-
-    def update_all(
-        self, evidences_by_subject: Dict[str, List[TrustEvidence]]
-    ) -> Dict[str, float]:
-        """Run one slot update for every subject in the mapping.
-
-        Subjects already known to the manager but absent from the mapping are
-        updated with an empty evidence list so forgetting applies uniformly.
-        Subjects are updated in sorted order, one :meth:`update` each.
+        ``contributions`` maps each subject that had evidence this slot to
+        its summed ``α_j·e_j``.  Known subjects absent from it forget, so
+        forgetting applies uniformly.  Subjects are updated in sorted order;
+        the new values are returned in that order.
         """
-        subjects = sorted(set(evidences_by_subject) | set(self._values))
-        return {
-            subject: self.update(subject, evidences_by_subject.get(subject, []))
-            for subject in subjects
-        }
+        return self._slot(sorted(self._values.keys() | contributions.keys()),
+                          contributions)
 
     def decay_all(self) -> Dict[str, float]:
         """Apply one slot of pure forgetting to every known subject."""
         return self.update_all({})
+
+    def _slot(self, subjects: Iterable[str],
+              contributions: Mapping[str, float]) -> Dict[str, float]:
+        """Eq. 5 for ``subjects``, in order, clamped to [minimum, maximum]."""
+        params = self.parameters
+        values = self._values
+        default = params.default_trust
+        minimum, maximum = params.minimum, params.maximum
+        beta = params.beta
+        anchor = (1.0 - beta) * default
+        beta_recovery = params.beta_recovery
+        if beta_recovery is not None:
+            recovery_anchor = (1.0 - beta_recovery) * default
+        updated: Dict[str, float] = {}
+        for subject in subjects:
+            value = values.get(subject, default)
+            contribution = contributions.get(subject)
+            slot_beta, slot_anchor = beta, anchor
+            if contribution is None:
+                contribution = 0.0
+                if beta_recovery is not None and value < default:
+                    # Recovering from a below-default (e.g. former liar)
+                    # value with no fresh evidence is deliberately slower
+                    # than ordinary forgetting.
+                    slot_beta, slot_anchor = beta_recovery, recovery_anchor
+            # Default-anchored exponential forgetting: without evidence the
+            # value relaxes toward the default; with evidence the α_j·e_j
+            # term pushes it up or down from that anchor.
+            new_value = contribution + slot_beta * value + slot_anchor
+            # The clamp max(minimum, min(maximum, new_value)), inline.
+            if not new_value < maximum:
+                new_value = maximum
+            if not new_value > minimum:
+                new_value = minimum
+            values[subject] = updated[subject] = new_value
+        return updated
 
     # ---------------------------------------------------------------- helpers
     def _clamp(self, value: float) -> float:

@@ -11,6 +11,11 @@
   ANSNs and replaces every refreshed tuple on each TC.
 * :func:`select_mprs` — the MPR selection that rebuilds the other MPRs'
   coverage count for every MPR its redundancy prune considers.
+* :mod:`tests.reference.trust` — an investigation round computed evidence
+  by evidence: one :class:`repro.trust.evidence.TrustEvidence` per
+  responder, one per-subject Eq. 5 update each, and Eqs. 8–10 over
+  responders sorted twice (:class:`~tests.reference.trust.PerSubjectTrust`,
+  :func:`~tests.reference.trust.run_round`).
 
 None is used by the program; they are oracles for its single paths.
 """

@@ -179,7 +179,7 @@ def test_open_investigation_and_round_all_denials():
     transport = OracleTransport({f"s{i}": StubResponder(False) for i in range(6)})
     investigator = make_investigator(transport)
     investigator.open_investigation("i", [f"s{i}" for i in range(6)])
-    result = investigator.run_round("i", now=0.0)
+    result = investigator.run_round("i")
     assert result.decision.detect_value == pytest.approx(-1.0)
     assert set(result.answers.values()) == {ANSWER_DENY}
     assert result.responders_unreached == []
@@ -222,7 +222,7 @@ def test_trust_updates_after_round():
     before_liar = trust.trust_of("liar")
     before_honest = trust.trust_of("h0")
     before_suspect = trust.trust_of("i")
-    investigator.run_round("i", now=1.0)
+    investigator.run_round("i")
     assert trust.trust_of("liar") < before_liar
     assert trust.trust_of("h0") >= before_honest
     assert trust.trust_of("i") < before_suspect
@@ -233,8 +233,7 @@ def test_repeated_rounds_converge_and_track_trajectory():
     responders.update({f"l{i}": StubResponder(True) for i in range(4)})
     investigator = make_investigator(OracleTransport(responders))
     investigator.open_investigation("i", list(responders))
-    results = [investigator.run_round("i", now=float(round_index))
-               for round_index in range(15)]
+    results = [investigator.run_round("i") for _ in range(15)]
     assert [r.round_index for r in results] == list(range(15))
     assert investigator.state_of("i").round_count == 15
     trajectory = [r.decision.detect_value for r in results]
@@ -262,7 +261,7 @@ def test_investigator_memory_does_not_grow_with_rounds():
     tracemalloc.start()
     try:
         for round_index in range(500):
-            investigator.run_round("i", now=float(round_index))
+            investigator.run_round("i")
             if round_index == 49:
                 after_50 = live_snapshot()
         after_500 = live_snapshot()

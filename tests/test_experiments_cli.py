@@ -113,12 +113,20 @@ def test_cli_run_unknown_experiment_errors(capsys):
     capsys.readouterr()
 
 
-def test_cli_run_typo_in_param_fails_fast(capsys):
+def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
     # A trust_ name is known only when it names a TrustParameters field.
+    db = tmp_path / "typo.sqlite"
     for name in ("cycels", "trust_alpha_harmfull", "trust_decay_to_default"):
         assert main(["run", "figure3", "--param", f"{name}=4"]) == 2
         err = capsys.readouterr().err
         assert f"unknown parameter {name!r}" in err
+        # The spec is checked before the store is opened: no empty file.
+        assert main(["run", "figure3", "--param", f"{name}=4", "--db", str(db)]) == 2
+        assert f"unknown parameter {name!r}" in capsys.readouterr().err
+        assert not db.exists()
+    assert main(["run", "confidence_sweep", "--axis", "gamm=0.5", "--db", str(db)]) == 2
+    assert "unknown axis 'gamm'" in capsys.readouterr().err
+    assert not db.exists()
 
 
 def test_cli_report_missing_db_is_an_error(tmp_path, capsys):

@@ -205,8 +205,9 @@ def test_bare_medium_matches_per_receiver_reference(config, batched):
 
 # ------------------------------------------------------------------ trust
 def test_trust_update_all_vector_matches_scalar():
-    """``update_all`` on a wide slot equals one ``update`` call per
-    subject, in sorted order."""
+    """``update_all`` on a wide slot, given each subject's summed
+    contribution, equals one ``update`` call per subject on its evidence
+    list, in sorted order."""
     from repro.trust.evidence import EvidenceKind, TrustEvidence
     from repro.trust.manager import TrustManager, TrustParameters
 
@@ -233,6 +234,13 @@ def test_trust_update_all_vector_matches_scalar():
 
     scalar_manager, scalar_evidences = build()
     vector_manager, vector_evidences = build()
+    alpha_for = vector_manager.parameters.alpha_for
+    contributions = {}
+    for subject, evidences in vector_evidences.items():
+        total = 0.0
+        for evidence in evidences:
+            total += evidence.weighted(alpha_for(evidence.value))
+        contributions[subject] = total
 
     subjects = sorted(set(scalar_evidences) | set(scalar_manager.known_subjects()))
     assert len(subjects) >= 16
@@ -240,7 +248,7 @@ def test_trust_update_all_vector_matches_scalar():
         subject: scalar_manager.update(subject, scalar_evidences.get(subject, []))
         for subject in subjects
     }
-    vector_results = vector_manager.update_all(vector_evidences)
+    vector_results = vector_manager.update_all(contributions)
 
     assert scalar_results == vector_results
     assert list(scalar_results) == list(vector_results)

@@ -93,6 +93,13 @@ def test_weighted_std_falls_back_when_all_weights_zero():
 def test_weighted_std_length_mismatch_raises():
     with pytest.raises(ValueError):
         weighted_sample_standard_deviation([1.0], [1.0, 2.0])
+    # Eq. 9 checks the lengths before any branch: the all-zero-weight
+    # fallback and the empty sample reject a mismatch too.
+    for samples, weights in (([1.0, -1.0, 1.0], [0.0, 0.0]),
+                             ([1.0, -1.0, 1.0], [1.0, 0.5]),
+                             ([], [1.0])):
+        with pytest.raises(ValueError):
+            weighted_margin_of_error(samples, weights, 0.95)
 
 
 def test_effective_sample_size():

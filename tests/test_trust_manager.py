@@ -122,8 +122,9 @@ def test_update_all_applies_forgetting_to_missing_subjects():
     manager = make_manager()
     manager.set_initial_trust("quiet", 0.9)
     manager.set_initial_trust("active", 0.4)
+    evidence = beneficial("observer", "active", EvidenceKind.CORRECT_ANSWER)
     results = manager.update_all(
-        {"active": [beneficial("observer", "active", EvidenceKind.CORRECT_ANSWER)]})
+        {"active": evidence.weighted(manager.parameters.alpha_for(evidence.value))})
     assert results["active"] > 0.4
     assert results["quiet"] < 0.9  # forgetting pulled it toward the default
 
