@@ -104,9 +104,16 @@ def aggregate_detection(
 
 
 def unweighted_vote(answers: Mapping[str, float]) -> float:
-    """Plain mean of the answers (the ablation baseline without trust weighting)."""
+    """Plain mean of the answers (the ablation baseline without trust weighting).
+
+    Answers outside [−1, 1] raise ``ValueError``, as in Eq. 8.
+    """
     if not answers:
         return 0.0
+    for responder in sorted(answers):
+        value = answers[responder]
+        if not -1.0 <= value <= 1.0:
+            raise ValueError(f"answer of {responder} out of range: {value}")
     values = list(answers.values())
     return sum(values) / len(values)
 

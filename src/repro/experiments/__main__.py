@@ -38,6 +38,7 @@ from repro.experiments._cli import (
 )
 from repro.experiments.engine import (
     BACKENDS,
+    cell_config,
     expand_experiment,
     get_experiment,
     list_experiments,
@@ -168,11 +169,15 @@ def run_main(argv: Sequence[str]) -> int:
     params = dict(args.param) or None
     store = None
     if args.db:
-        # Expanding validates every name before the store file exists, so a
-        # misspelt --param or --axis leaves no empty store behind.
+        # Expanding validates every name, and building each cell's config
+        # every config value, before the store file exists, so a misspelt or
+        # out-of-range --param or --axis leaves no empty store behind.
         try:
-            expand_experiment(args.experiment, backend=args.backend,
-                              base_seed=args.seed, axes=axes, params=params)
+            _, specs, _ = expand_experiment(
+                args.experiment, backend=args.backend, base_seed=args.seed,
+                axes=axes, params=params)
+            for spec in specs:
+                cell_config(spec)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -80,6 +80,15 @@ class ScenarioConfig:
             raise ValueError("a scenario needs at least investigator, attacker and one responder")
         if self.rounds <= 0:
             raise ValueError("rounds must be positive")
+        if not 0.0 <= self.answer_loss_probability <= 1.0:
+            raise ValueError(
+                f"answer_loss_probability must be in [0, 1], "
+                f"got {self.answer_loss_probability}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 0.0 < self.confidence_level < 1.0:
+            raise ValueError(
+                f"confidence level must be in (0, 1), got {self.confidence_level}")
         if self.liar_fraction is not None and not 0.0 <= self.liar_fraction < 1.0:
             raise ValueError("liar_fraction must be in [0, 1)")
         if self.adaptivity not in ADAPTIVITY_MODES:

@@ -50,6 +50,7 @@ from typing import (
     Tuple,
 )
 
+from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table, render_report
 from repro.experiments.results import ResultsStore, spec_content_hash
 from repro.seeding import stable_seed
@@ -301,20 +302,28 @@ def expand_experiment(
 
 
 # ----------------------------------------------------------------- runtime
-def execute_cell(spec: ExperimentSpec) -> List[Dict[str, object]]:
-    """Run one cell end to end (the process-pool worker entry point)."""
-    from repro.experiments.backends import (
-        execute_backend,
-        scenario_config_from_params,
-    )
+def cell_config(spec: ExperimentSpec) -> Tuple[Dict[str, object], ScenarioConfig]:
+    """A cell's resolved parameters and its validated ``ScenarioConfig``.
+
+    Raises ``ValueError`` for a parameter value the configuration rejects,
+    without running anything, so callers can check a grid up front.
+    """
+    from repro.experiments.backends import scenario_config_from_params
 
     definition = get_experiment(spec.experiment)
     params = spec.params_dict()
     if definition.resolve_params is not None:
         params = definition.resolve_params(dict(params))
-    config = scenario_config_from_params(params, spec.seed)
+    return params, scenario_config_from_params(params, spec.seed)
+
+
+def execute_cell(spec: ExperimentSpec) -> List[Dict[str, object]]:
+    """Run one cell end to end (the process-pool worker entry point)."""
+    from repro.experiments.backends import execute_backend
+
+    params, config = cell_config(spec)
     result = execute_backend(spec.backend, config, params)
-    return definition.rows_from_result(spec, result)
+    return get_experiment(spec.experiment).rows_from_result(spec, result)
 
 
 def execute_pending_cells(

@@ -1,9 +1,37 @@
-"""Topology information base built from TC messages (RFC 3626 §9.5)."""
+"""Topology information base built from TC messages (RFC 3626 §9.5).
+
+The set is keyed by originator.  Each TC originator a node has heard has
+one entry: the advertised set of its latest accepted TC and one expiry
+time.  A node's topology state therefore grows with the originators it
+hears, not with the edges they advertise; the RFC's topology tuples
+``(T_dest_addr, T_last_addr, T_seq, T_time)`` are built only when asked
+for (:meth:`TopologySet.__iter__`, :meth:`TopologySet.purge_expired`).
+
+Sharing invariant: the entry holds the TC's advertised set itself, not a
+copy, so every receiver of one TC shares one set.  That is safe because
+nothing mutates a sent TC: the originator builds the set once per TC,
+:meth:`~repro.olsr.messages.OlsrMessage.forwarded_copy` shares the body,
+and receivers only read it (as they read a HELLO's declared sets).
+
+A same-ANSN TC that advertises a different set refreshes only the edges it
+names, so that originator's entry alone turns into a ``destination →
+expiry`` map and keeps every edge's expiry exact.  Traffic rarely takes
+that branch: a same-ANSN TC is a re-emission of the same selector set.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 
 @dataclass
@@ -16,24 +44,29 @@ class TopologyTuple:
     expiry_time: float = 0.0
 
 
-class TopologySet:
-    """Collection of :class:`TopologyTuple` keyed by (destination, last hop).
+#: An originator's destinations: its TC's set (one shared expiry), or a
+#: ``destination → expiry`` map once a same-ANSN TC changed the set.
+Advertised = Union[AbstractSet[str], Dict[str, float]]
 
-    ``version`` counts structural (key set) changes only: the routing
-    computation reads nothing but the keys, so ANSN/expiry refreshes of
-    existing edges leave it untouched and the node can skip route
-    recomputations whose inputs did not change.
+
+class TopologySet:
+    """TC originator → (latest ANSN, advertised destinations, expiry).
+
+    ``version`` counts structural (edge set) changes only: the routing
+    computation reads nothing but the edges, so expiry refreshes leave it
+    untouched and the node can skip route recomputations whose inputs did
+    not change.
     """
 
     def __init__(self) -> None:
-        self._tuples: Dict[Tuple[str, str], TopologyTuple] = {}
+        # The latest ANSN outlives a purge, so an older TC is still rejected.
         self._latest_ansn: Dict[str, int] = {}
+        self._advertised: Dict[str, Advertised] = {}
+        # Originator -> when its set expires; for a map entry, the earliest
+        # of its destinations' expiries.
+        self._expiry: Dict[str, float] = {}
         self.version = 0
-        # Secondary index: originator -> its keys (insertion-ordered).  TC
-        # processing and originator removal would otherwise scan the whole
-        # tuple table per message, which dominates at 1,024-node scale.
-        self._keys_by_originator: Dict[str, Dict[Tuple[str, str], None]] = {}
-        # Routing-view cache, invalidated by ``version`` (key-set changes):
+        # Routing-view cache, invalidated by ``version`` (edge-set changes):
         # destinations in sorted order, each with its advertisers sorted.
         self._routing_view: Optional[
             Tuple[int, List[Tuple[str, Sequence[str]]]]] = None
@@ -43,7 +76,7 @@ class TopologySet:
         self,
         originator: str,
         ansn: int,
-        advertised: Iterable[str],
+        advertised: AbstractSet[str],
         now: float,
         hold_time: float,
     ) -> bool:
@@ -51,135 +84,125 @@ class TopologySet:
 
         Implements the RFC freshness rule: a TC whose ANSN is older than the
         freshest one already recorded for the originator is ignored.  Returns
-        ``True`` when the topology set was modified.
+        ``True`` when an edge was added or removed.  ``advertised`` is
+        stored as it is (see the module docstring).
 
-        Invariant: every stored tuple of an originator carries that
-        originator's latest ANSN.  An accepted TC with a different ANSN is
-        newer than all of them, so it removes them all; one with the latest
-        ANSN removes none.  The stale-ANSN scan therefore runs only when the
-        ANSN moved, and a tuple the TC refreshes already carries its ANSN:
-        the refresh pushes its expiry in place.
+        Every stored edge of an originator carries its latest ANSN, so an
+        accepted TC with a different ANSN is newer than all of them and
+        replaces the entry; one with the latest ANSN and the same set only
+        pushes the entry's expiry.
         """
         latest = self._latest_ansn.get(originator)
         if latest is not None and _ansn_older(ansn, latest):
             return False
-
-        changed = False
-        if ansn != latest:
+        stored = self._advertised.get(originator)
+        expiry = now + hold_time
+        if ansn != latest or stored is None:
             self._latest_ansn[originator] = ansn
-            # Remove tuples from this originator with an older ANSN (via the
-            # per-originator index: only this originator's keys are scanned).
-            own_keys = self._keys_by_originator.get(originator, {})
-            stale = [
-                key for key in own_keys
-                if _ansn_older(self._tuples[key].ansn, ansn)
-            ]
-            for key in stale:
-                self._discard(key)
-                changed = True
-
-        tuples = self._tuples
-        expiry_time = now + hold_time
-        for destination in advertised:
-            key = (destination, originator)
-            existing = tuples.get(key)
-            if existing is None:
-                changed = True
-                self._keys_by_originator.setdefault(originator, {})[key] = None
-                tuples[key] = TopologyTuple(
-                    destination_address=destination,
-                    last_address=originator,
-                    ansn=ansn,
-                    expiry_time=expiry_time,
-                )
-            else:
-                existing.expiry_time = expiry_time
+            if advertised:
+                self._advertised[originator] = advertised
+                self._expiry[originator] = expiry
+            elif stored is not None:
+                del self._advertised[originator]
+                del self._expiry[originator]
+            changed = stored is not None or bool(advertised)
+        elif stored == advertised:  # a map never equals a set
+            self._expiry[originator] = expiry
+            return False
+        else:
+            changed = self._refresh_edges(originator, stored, advertised, expiry)
         if changed:
             self.version += 1
         return changed
 
-    def _discard(self, key: Tuple[str, str]) -> None:
-        """Remove one tuple and its index entry (key must be present)."""
-        del self._tuples[key]
-        originator_keys = self._keys_by_originator.get(key[1])
-        if originator_keys is not None:
-            originator_keys.pop(key, None)
-            if not originator_keys:
-                del self._keys_by_originator[key[1]]
+    def _refresh_edges(self, originator: str, stored: Advertised,
+                       advertised: AbstractSet[str], expiry: float) -> bool:
+        """A same-ANSN TC with a different set: refresh the edges it names.
 
-    def remove_for_originator(self, originator: str) -> None:
-        """Drop every edge advertised by ``originator``."""
-        stale = list(self._keys_by_originator.get(originator, ()))
-        for key in stale:
-            self._discard(key)
-        if stale:
-            self.version += 1
+        The entry becomes (or stays) a ``destination → expiry`` map; edges
+        the TC does not name keep their expiry.  ``True`` when it added one.
+        """
+        if not isinstance(stored, dict):
+            stored = dict.fromkeys(stored, self._expiry[originator])
+            self._advertised[originator] = stored
+        size = len(stored)
+        stored.update(dict.fromkeys(advertised, expiry))
+        self._expiry[originator] = min(stored.values())
+        return len(stored) != size
 
-    def purge_expired(self, now: float) -> List[TopologyTuple]:
-        """Drop expired tuples; returns the removed ones."""
-        expired = [t for t in self._tuples.values() if t.expiry_time < now]
-        for record in expired:
-            self._discard((record.destination_address, record.last_address))
-        if expired:
+    def purge_expired(self, now: float) -> Iterator[TopologyTuple]:
+        """Drop edges that expired before ``now``; returns the removed ones.
+
+        The removal happens in the call.  The removed edges' tuples are
+        built as the returned iterator is read, originator by originator.
+        """
+        expiry = self._expiry
+        expired = [originator for originator, when in expiry.items() if when < now]
+        removed: List[Tuple[str, int, Advertised, float]] = []
+        for originator in expired:
+            ansn = self._latest_ansn[originator]
+            stored = self._advertised[originator]
+            if isinstance(stored, dict):
+                lapsed = {d: when for d, when in stored.items() if when < now}
+                for destination in lapsed:
+                    del stored[destination]
+                removed.append((originator, ansn, lapsed, 0.0))
+                if stored:
+                    expiry[originator] = min(stored.values())
+                    continue
+            else:
+                removed.append((originator, ansn, stored, expiry[originator]))
+            del self._advertised[originator]
+            del expiry[originator]
+        if removed:
             self.version += 1
-        return expired
+        return (edge for entry in removed for edge in _edges(*entry))
 
     # ---------------------------------------------------------- routing view
     def routing_view(self) -> List[Tuple[str, Sequence[str]]]:
         """Destinations with their advertisers, both in sorted order.
 
-        This is exactly the traversal order of a ``sorted(topology_set,
-        key=(destination, last))`` scan, pre-grouped by destination so the
-        routing calculation can skip already-routed destinations wholesale.
-        Cached on ``version``: ANSN/expiry refreshes keep the key set — and
-        therefore this view — unchanged.
+        This is exactly the traversal order of a sorted (destination, last
+        hop) scan of the edges, grouped by destination so the routing
+        calculation can skip already-routed destinations wholesale.  Cached
+        on ``version``: expiry refreshes keep the edges — and therefore this
+        view — unchanged.
         """
         cached = self._routing_view
         if cached is not None and cached[0] == self.version:
             return cached[1]
-        view: List[Tuple[str, List[str]]] = []
-        for destination, last in sorted(self._tuples):
-            if view and view[-1][0] == destination:
-                view[-1][1].append(last)
-            else:
-                view.append((destination, [last]))
+        advertisers: Dict[str, List[str]] = {}
+        for originator in sorted(self._advertised):
+            for destination in self._advertised[originator]:
+                lasts = advertisers.get(destination)
+                if lasts is None:
+                    advertisers[destination] = [originator]
+                else:
+                    lasts.append(originator)
+        view = sorted(advertisers.items())
         self._routing_view = (self.version, view)
         return view
 
     # --------------------------------------------------------------- queries
-    def edges(self) -> List[Tuple[str, str]]:
-        """All (last_address, destination_address) directed edges."""
-        return [(t.last_address, t.destination_address) for t in self._tuples.values()]
-
-    def destinations(self) -> Set[str]:
-        """All advertised destination addresses."""
-        return {t.destination_address for t in self._tuples.values()}
-
-    def last_hops_for(self, destination: str) -> Set[str]:
-        """Nodes advertising reachability to ``destination``."""
-        return {
-            t.last_address
-            for t in self._tuples.values()
-            if t.destination_address == destination
-        }
-
-    def advertised_by(self, last_address: str) -> Set[str]:
-        """Destinations advertised by ``last_address``."""
-        return {
-            t.destination_address
-            for t in self._tuples.values()
-            if t.last_address == last_address
-        }
-
-    def get(self, destination: str, last_address: str) -> Optional[TopologyTuple]:
-        """Specific tuple (None when absent)."""
-        return self._tuples.get((destination, last_address))
-
-    def __iter__(self):
-        return iter(self._tuples.values())
+    def __iter__(self) -> Iterator[TopologyTuple]:
+        """Every stored edge as a new tuple, originator by originator."""
+        for originator, stored in self._advertised.items():
+            yield from _edges(originator, self._latest_ansn[originator],
+                              stored, self._expiry[originator])
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return sum(map(len, self._advertised.values()))
+
+
+def _edges(originator: str, ansn: int, stored: Advertised,
+           expiry: float) -> Iterator[TopologyTuple]:
+    """One originator's edges as tuples; a map carries its own expiries."""
+    if isinstance(stored, dict):
+        for destination, when in stored.items():
+            yield TopologyTuple(destination, originator, ansn, when)
+    else:
+        for destination in stored:
+            yield TopologyTuple(destination, originator, ansn, expiry)
 
 
 def _ansn_older(candidate: int, reference: int, window: int = 32768) -> bool:

@@ -7,8 +7,12 @@
   collision and jitter receiver by receiver.
 * :func:`path_avoiding` — the per-query BFS the investigation transport's
   cached reachable sets replaced.
-* :class:`RebuildingTopologySet` — the topology set that rescans stale
-  ANSNs and replaces every refreshed tuple on each TC.
+* :class:`RebuildingTopologySet` — the topology set with one tuple per
+  edge, which rescans stale ANSNs and replaces every refreshed tuple on
+  each TC.
+* :class:`FlatDuplicateSet` — the duplicate set with one
+  (originator, sequence number) key tuple per entry and a set of
+  retransmitted keys.
 * :func:`select_mprs` — the MPR selection that rebuilds the other MPRs'
   coverage count for every MPR its redundancy prune considers.
 * :mod:`tests.reference.trust` — an investigation round computed evidence
@@ -20,11 +24,12 @@
 None is used by the program; they are oracles for its single paths.
 """
 
+from tests.reference.duplicate import FlatDuplicateSet
 from tests.reference.engine import HeapSimulator
 from tests.reference.medium import PerReceiverMedium
 from tests.reference.mpr import select_mprs
 from tests.reference.paths import path_avoiding
 from tests.reference.topology import RebuildingTopologySet
 
-__all__ = ["HeapSimulator", "PerReceiverMedium", "RebuildingTopologySet",
-           "path_avoiding", "select_mprs"]
+__all__ = ["FlatDuplicateSet", "HeapSimulator", "PerReceiverMedium",
+           "RebuildingTopologySet", "path_avoiding", "select_mprs"]

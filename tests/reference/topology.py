@@ -9,12 +9,14 @@ from repro.olsr.topology import TopologyTuple, _ansn_older
 
 class RebuildingTopologySet:
     """RFC 3626 §9.5 topology set, as :class:`repro.olsr.topology.TopologySet`
-    was before it refreshed tuples in place.
+    was before it refreshed tuples in place and before it was keyed by
+    originator: one :class:`TopologyTuple` per (destination, last hop) edge.
 
     Every accepted TC scans the originator's tuples for a stale ANSN and
     replaces each advertised tuple with a new one, and the purge asks each
     tuple whether it expired.  The program's set must return the same
-    values and keep the same tuples, versions and routing view.
+    values, versions and routing view, and keep and purge the same tuples
+    (compared in sorted order: it iterates originator by originator).
     """
 
     def __init__(self) -> None:
@@ -64,14 +66,6 @@ class RebuildingTopologySet:
             originator_keys.pop(key, None)
             if not originator_keys:
                 del self._keys_by_originator[key[1]]
-
-    def remove_for_originator(self, originator: str) -> None:
-        """Drop every edge advertised by ``originator``."""
-        stale = list(self._keys_by_originator.get(originator, ()))
-        for key in stale:
-            self._discard(key)
-        if stale:
-            self.version += 1
 
     def purge_expired(self, now: float) -> List[TopologyTuple]:
         """Drop expired tuples; returns the removed ones."""

@@ -194,6 +194,18 @@ def test_evaluate_investigation_unweighted_mode():
     assert unweighted.detect_value == pytest.approx(-1 / 3)
 
 
+def test_unweighted_mode_rejects_the_answers_the_weighted_mode_rejects():
+    answers = {"a": 2.0, "b": 1.0}
+    trust = {"a": 0.5, "b": 0.5}
+    for weighting in (True, False):
+        with pytest.raises(ValueError, match="answer of a out of range: 2.0"):
+            evaluate_investigation("i", answers, trust, use_trust_weighting=weighting)
+    with pytest.raises(ValueError, match="answer of b out of range: -1.5"):
+        unweighted_vote({"a": 1.0, "b": -1.5})
+    with pytest.raises(ValueError):
+        unweighted_vote({"a": float("nan")})
+
+
 def test_evaluate_investigation_records_inputs():
     answers = {"s1": ANSWER_DENY}
     trust = {"s1": 0.5}

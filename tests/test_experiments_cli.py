@@ -127,6 +127,19 @@ def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
     assert main(["run", "confidence_sweep", "--axis", "gamm=0.5", "--db", str(db)]) == 2
     assert "unknown axis 'gamm'" in capsys.readouterr().err
     assert not db.exists()
+    # A bad value is checked before the store is opened too, and a store
+    # that existed before the command is left as it was.
+    for flags in (["--param", "gamma=5"], ["--axis", "confidence_level=1.5"],
+                  ["--param", "answer_loss_probability=2"]):
+        assert main(["run", "figure3", *flags, "--db", str(db)]) == 2
+        assert "must be in " in capsys.readouterr().err
+        assert not db.exists()
+    assert main(["run", "figure3", "--param", "rounds=3", "--db", str(db)]) == 0
+    capsys.readouterr()
+    stored = db.read_bytes()
+    assert main(["run", "figure3", "--param", "gamma=5", "--db", str(db)]) == 2
+    assert "gamma must be in (0, 1], got 5" in capsys.readouterr().err
+    assert db.read_bytes() == stored
 
 
 def test_cli_report_missing_db_is_an_error(tmp_path, capsys):
