@@ -23,7 +23,9 @@ Netsim-only parameters (``area_size``, ``radio_range``, ``warmup``,
 ``loss_probability``, ``max_speed``, ``attack_variant``, ``mobility_model``,
 ``threat``, ``drop_probability``) are carried in the spec's flat parameter
 tuple and ignored by the oracle backend, so any spec can switch backends
-without being rewritten.  A parameter no backend consumes is rejected.  The
+without being rewritten.  A parameter no backend consumes is rejected, and
+so is a numeric netsim parameter out of its range
+(:func:`check_netsim_params`).  The
 engine-level ``profile`` parameter names a registered scenario profile
 (:mod:`repro.scenarios`) whose parameters are merged under the cell's own
 before execution.
@@ -31,6 +33,7 @@ before execution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from typing import Mapping
 
@@ -65,6 +68,19 @@ NETSIM_PARAMS = frozenset((
     "attack_variant", "mobility_model", "threat", "drop_probability",
 ))
 
+#: Interval of each real-valued netsim parameter: (low, low excluded, high).
+#: Every value must also be finite.
+_NETSIM_RANGES = {
+    "area_size": (0.0, True, math.inf),
+    "radio_range": (0.0, True, math.inf),
+    "warmup": (0.0, False, math.inf),
+    "attack_start": (0.0, False, math.inf),
+    "cycle_length": (0.0, True, math.inf),
+    "max_speed": (0.0, False, math.inf),
+    "loss_probability": (0.0, False, 1.0),
+    "drop_probability": (0.0, False, 1.0),
+}
+
 #: Parameters consumed by the engine itself rather than a backend.
 #: ``profile`` names a registered scenario profile
 #: (:mod:`repro.scenarios`) whose parameters are merged under the cell's
@@ -78,6 +94,33 @@ def is_known_param(name: str) -> bool:
     """Whether ``name`` is a parameter some backend will actually consume."""
     return (name in _CONFIG_FIELDS or name in NETSIM_PARAMS
             or name in ENGINE_PARAMS or name in _TRUST_PARAMS)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_netsim_params(params: Mapping[str, object]) -> None:
+    """Raise ``ValueError`` naming the first numeric netsim parameter out of
+    range; an absent parameter takes its default, which is in range.
+
+    ``cycles`` must be an integer >= 1; the others must be finite numbers in
+    their ``_NETSIM_RANGES`` interval.
+    """
+    for name, (low, low_excluded, high) in _NETSIM_RANGES.items():
+        if name not in params:
+            continue
+        value = params[name]
+        if (_is_number(value) and math.isfinite(value)
+                and (low < value if low_excluded else low <= value) and value <= high):
+            continue
+        opening = "(" if low_excluded else "["
+        closing = "]" if high < math.inf else ")"
+        raise ValueError(
+            f"{name} must be in {opening}{low:g}, {high:g}{closing}, got {value!r}")
+    cycles = params.get("cycles", 1)
+    if not (_is_number(cycles) and float(cycles).is_integer() and cycles >= 1):
+        raise ValueError(f"cycles must be an integer >= 1, got {cycles!r}")
 
 
 def scenario_config_from_params(params: Mapping[str, object],
@@ -128,6 +171,8 @@ def build_netsim_scenario(config: ScenarioConfig,
     delivery auditor here — can do so and then hand the scenario to
     :func:`drive_netsim_scenario`.
     """
+    check_netsim_params(params)
+
     def param(name, default):
         return params.get(name, default)
 

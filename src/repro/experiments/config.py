@@ -89,6 +89,10 @@ class ScenarioConfig:
         if not 0.0 < self.confidence_level < 1.0:
             raise ValueError(
                 f"confidence level must be in (0, 1), got {self.confidence_level}")
+        if self.initial_trust_min > self.initial_trust_max:
+            raise ValueError(
+                f"initial_trust_min must be <= initial_trust_max, "
+                f"got {self.initial_trust_min} > {self.initial_trust_max}")
         if self.liar_fraction is not None and not 0.0 <= self.liar_fraction < 1.0:
             raise ValueError("liar_fraction must be in [0, 1)")
         if self.adaptivity not in ADAPTIVITY_MODES:

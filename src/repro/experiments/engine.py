@@ -305,15 +305,17 @@ def expand_experiment(
 def cell_config(spec: ExperimentSpec) -> Tuple[Dict[str, object], ScenarioConfig]:
     """A cell's resolved parameters and its validated ``ScenarioConfig``.
 
-    Raises ``ValueError`` for a parameter value the configuration rejects,
-    without running anything, so callers can check a grid up front.
+    Raises ``ValueError`` for a parameter value the configuration or the
+    netsim backend rejects, without running anything, so callers can check
+    a grid up front.
     """
-    from repro.experiments.backends import scenario_config_from_params
+    from repro.experiments.backends import check_netsim_params, scenario_config_from_params
 
     definition = get_experiment(spec.experiment)
     params = spec.params_dict()
     if definition.resolve_params is not None:
         params = definition.resolve_params(dict(params))
+    check_netsim_params(params)
     return params, scenario_config_from_params(params, spec.seed)
 
 

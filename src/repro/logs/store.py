@@ -38,7 +38,10 @@ class LogStore:
         self._records: List[LogRecord] = []
         self._max_records = max_records
         self._marks: Dict[str, int] = {}
-        self._recorded: FrozenSet[LogCategory] = frozenset(categories)
+        #: The categories whose records are kept; read-only (:meth:`subscribe`
+        #: replaces it).  A caller tests membership here to skip building
+        #: the fields of a record nobody keeps.
+        self.recorded: FrozenSet[LogCategory] = frozenset(categories)
 
     # ------------------------------------------------------- subscriptions
     def subscribe(self, reader: str,
@@ -51,12 +54,7 @@ class LogStore:
         store keeps every record it has not read.
         """
         self._marks.setdefault(reader, 0)
-        self._recorded |= frozenset(categories)
-
-    def enabled_for(self, category: LogCategory) -> bool:
-        """Whether records of ``category`` are kept; callers may skip
-        building the fields of a record nobody keeps."""
-        return category in self._recorded
+        self.recorded |= frozenset(categories)
 
     # ------------------------------------------------------------- writing
     def append(self, record: LogRecord) -> LogRecord:
@@ -78,7 +76,7 @@ class LogStore:
             **fields) -> Optional[LogRecord]:
         """Build (via :func:`make_record`) and append a record; ``None``
         when ``category`` is not recorded."""
-        if category not in self._recorded:
+        if category not in self.recorded:
             return None
         return self.append(make_record(time, self.node_id, category, event, **fields))
 

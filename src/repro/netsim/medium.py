@@ -44,6 +44,14 @@ their callback order; the events it saves are tallied in
 event per delivery.  With a collision model or jitter, loss, the
 collision window and the jitter draw are interleaved per receiver, each
 survivor getting its own event.
+
+Either way a delivery is one call, ``interface.receive(frame, now)``, and
+on a :class:`repro.netsim.network.NetworkInterface` that is up and bound
+``receive`` *is* the node's handler (``OlsrNode.handle_control``), so the
+frame enters the node without an intermediate call.  A frame reaches
+:meth:`WirelessMedium.transmit` in one call from the interface too.  The
+medium counts a frame delivered to a registered interface even when that
+interface is down and drops it.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.netsim.packet import Frame
+from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from repro.netsim.stats import MediumStatistics
 
 Position = Tuple[float, float]
@@ -493,7 +501,7 @@ class WirelessMedium:
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
 
-        if frame.is_broadcast:
+        if frame.destination == BROADCAST_ADDRESS:
             grid = self._current_grid()
             if grid is not None:
                 resolved = self._broadcast_cache.get(source)

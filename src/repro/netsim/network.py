@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium, UnitDiskPropagation, PerfectChannel
 from repro.netsim.mobility import MobilityModel, GridPlacement
-from repro.netsim.packet import Frame
+from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from repro.netsim.trace import TraceRecorder
 
 Position = Tuple[float, float]
@@ -63,54 +63,63 @@ class PositionTable(Dict[str, Position]):
 class NetworkInterface:
     """Adapter between a protocol node and the wireless medium.
 
-    The interface forwards received frames to the ``handler`` callable and
-    exposes :meth:`send` / :meth:`broadcast` for the node to transmit.
+    A frame crosses the interface in one call each way.  The medium delivers
+    through ``receive(frame, now)``; :meth:`bind` installs the handler *as*
+    ``receive`` while the interface is up, so a delivery calls the handler
+    directly.  While the interface is down, or before anything is bound,
+    ``receive`` is the class's no-op.  :meth:`broadcast` and :meth:`unicast`
+    build the frame and hand it straight to the medium's ``transmit``
+    (nothing while the interface is down).
     """
 
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
         self._network = network
         self._handler: Optional[Callable[[Frame, float], None]] = None
-        self.up = True
+        self._up = True
+
+    @property
+    def up(self) -> bool:
+        """Whether the interface sends and receives (``Network.fail_node``
+        and ``recover_node`` flip it)."""
+        return self._up
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        self._up = value
+        self._install_receive()
 
     def bind(self, handler: Callable[[Frame, float], None]) -> None:
-        """Install the upper-layer receive handler."""
+        """Install the upper-layer receive handler as ``receive``."""
         self._handler = handler
+        self._install_receive()
+
+    def _install_receive(self) -> None:
+        if self._up and self._handler is not None:
+            self.receive = self._handler
+        else:
+            vars(self).pop("receive", None)
 
     def receive(self, frame: Frame, now: float) -> None:
-        """Deliver a frame to the bound handler (dropped when interface is down)."""
-        if not self.up or self._handler is None:
-            return
-        self._handler(frame, now)
+        """Drop ``frame``: the interface is down or nothing is bound.
 
-    def send(self, frame: Frame) -> None:
-        """Transmit a pre-built frame."""
-        if not self.up:
-            return
-        self._network.medium.transmit(frame)
+        While the interface is up and bound, the bound handler shadows this
+        method (see the class docstring).
+        """
 
     def broadcast(self, payload, size_bytes: int = 64, **metadata) -> Frame:
         """Broadcast ``payload`` to every node in range; returns the frame."""
-        frame = Frame(
-            source=self.node_id,
-            destination="ff:ff",
-            payload=payload,
-            size_bytes=size_bytes,
-            metadata=metadata,
-        )
-        self.send(frame)
+        frame = Frame(self.node_id, BROADCAST_ADDRESS, payload, size_bytes,
+                      metadata=metadata)
+        if self._up:
+            self._network.medium.transmit(frame)
         return frame
 
     def unicast(self, destination: str, payload, size_bytes: int = 64, **metadata) -> Frame:
         """Send ``payload`` to a single link-layer destination; returns the frame."""
-        frame = Frame(
-            source=self.node_id,
-            destination=destination,
-            payload=payload,
-            size_bytes=size_bytes,
-            metadata=metadata,
-        )
-        self.send(frame)
+        frame = Frame(self.node_id, destination, payload, size_bytes, metadata=metadata)
+        if self._up:
+            self._network.medium.transmit(frame)
         return frame
 
 

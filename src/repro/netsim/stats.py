@@ -75,7 +75,8 @@ class NodeStatistics:
     ``per_type_sent`` and ``per_type_received``; the totals and the HELLO/TC
     counts are read-only views of those two dicts.  Keys are the message
     type names (``MessageType`` members are ``str``, so ``"HELLO"`` and
-    ``MessageType.HELLO`` name the same entry).
+    ``MessageType.HELLO`` name the same entry).  ``OlsrNode.handle_control``
+    counts each received message into ``per_type_received`` itself.
     """
 
     messages_forwarded: int = 0
@@ -87,12 +88,6 @@ class NodeStatistics:
     def record_sent(self, message_type: str) -> None:
         """Account for an originated message of ``message_type``."""
         self.per_type_sent[message_type] = self.per_type_sent.get(message_type, 0) + 1
-
-    def record_received(self, message_type: str) -> None:
-        """Account for a received message of ``message_type``."""
-        self.per_type_received[message_type] = (
-            self.per_type_received.get(message_type, 0) + 1
-        )
 
     @property
     def messages_sent(self) -> int:

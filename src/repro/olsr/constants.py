@@ -80,6 +80,9 @@ def decode_link_code(code: int) -> tuple[LinkType, NeighborType]:
 DEFAULT_TTL = 255
 MAX_TTL = 255
 
+#: Header sizes (bytes): an OLSR packet header and each message's header.
+PACKET_HEADER_SIZE = 4
+MESSAGE_HEADER_SIZE = 12
 #: Default emission sizes used for statistics (bytes); HELLO stays local so
 #: its size only matters for collision modelling.
 HELLO_BASE_SIZE = 20

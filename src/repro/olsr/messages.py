@@ -16,6 +16,7 @@ from repro.olsr.constants import (
     DEFAULT_TTL,
     HELLO_BASE_SIZE,
     LinkType,
+    MESSAGE_HEADER_SIZE,
     MessageType,
     NeighborType,
     PER_ADDRESS_SIZE,
@@ -202,8 +203,8 @@ class OlsrMessage:
         return self.body.message_type
 
     def size_bytes(self) -> int:
-        """Nominal on-air size including the 12-byte message header."""
-        return 12 + self.body.size_bytes()
+        """Nominal on-air size including the message header."""
+        return MESSAGE_HEADER_SIZE + self.body.size_bytes()
 
     def forwarded_copy(self) -> "OlsrMessage":
         """Copy used when retransmitting: TTL decremented, hop count incremented.

@@ -5,8 +5,8 @@ detection, MPR selection and signalling, TC flooding through MPRs, topology
 discovery and routing-table calculation.  Every state transition of interest
 is written to the node's :class:`repro.logs.store.LogStore`, because the
 paper's detector works from those audit logs rather than from packets.  The
-per-message sites ask the store first (``enabled_for``) and build no record
-for a category nobody subscribed to.
+per-message sites test the store's ``recorded`` categories first and build
+no record for a category nobody subscribed to.
 
 Control-plane state is computed when something reads it.  Routes are
 computed on a ``routing_table`` read, and at housekeeping only while the
@@ -29,13 +29,20 @@ deterministic per-node RNG, transmission statistics and the two attack
 hooks: ``forward_filters`` veto the relaying of a flooded message
 (blackhole/grayhole) and ``hello_mutators`` transform each HELLO right
 before emission (link spoofing).
+
+A frame crosses the node's boundary with the medium in one call each way.
+The interface's ``receive`` is :meth:`OlsrNode.handle_control` itself, and
+each emission builds its one-message packet and size in place and hands the
+frame to ``WirelessMedium.transmit`` through ``NetworkInterface.broadcast``.
+``handle_control`` and ``transmit`` are the per-frame entry points a tracer
+may wrap on the class: a node binds ``handle_control`` when it is built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
@@ -45,7 +52,9 @@ from repro.olsr.constants import (
     DUP_HOLD_TIME,
     HELLO_INTERVAL,
     MAXJITTER,
+    MESSAGE_HEADER_SIZE,
     NEIGHB_HOLD_TIME,
+    PACKET_HEADER_SIZE,
     TC_INTERVAL,
     TOP_HOLD_TIME,
     LinkType,
@@ -75,6 +84,13 @@ HelloMutator = Callable[[HelloMessage, "OlsrNode"], HelloMessage]
 # access; the receive path compares against these by identity instead.
 _HELLO = MessageType.HELLO
 _TC = MessageType.TC
+_MESSAGE_RX = LogCategory.MESSAGE_RX
+_DUPLICATE = LogCategory.DUPLICATE
+_DROP = LogCategory.DROP
+_FORWARD = LogCategory.FORWARD
+
+#: On-air size of a one-message packet, less its message body.
+_HEADERS_SIZE = PACKET_HEADER_SIZE + MESSAGE_HEADER_SIZE
 
 
 @dataclass
@@ -151,7 +167,9 @@ class OlsrNode:
         self.interface = network.interfaces.get(node_id)
         if self.interface is None:
             self.interface = network.create_interface(node_id)
-        self.interface.bind(self._on_frame)
+        # Looked up on the class now, so a wrapper installed there beforehand
+        # sees every delivery.
+        self.interface.bind(self.handle_control)
         network.attach_node(node_id, self)
 
     # ------------------------------------------------------------------ life
@@ -186,10 +204,10 @@ class OlsrNode:
     def stop(self) -> None:
         """Stop the node: cancel its periodic timers and go silent.
 
-        The interface stays registered (frames still reach ``_on_frame``)
-        but all control-traffic and housekeeping chains registered through
-        :meth:`_schedule_periodic` are cancelled, so a stopped node leaves
-        no live events behind in the engine.
+        The interface stays registered (frames still reach
+        :meth:`handle_control`) but all control-traffic and housekeeping
+        chains registered through :meth:`_schedule_periodic` are cancelled,
+        so a stopped node leaves no live events behind in the engine.
         """
         self._started = False
         for handle in self._periodic_handles:
@@ -297,10 +315,10 @@ class OlsrNode:
             vtime=self.config.neighbor_hold_time,
             ttl=1,
         )
-        packet = OlsrPacket.bundle(self.node_id, [message])
-        self.interface.broadcast(packet, size_bytes=packet.size_bytes())
+        self.interface.broadcast(OlsrPacket(self.node_id, [message]),
+                                 _HEADERS_SIZE + hello.size_bytes())
         self.stats.record_sent(_HELLO)
-        if self.log.enabled_for(LogCategory.MESSAGE_TX):
+        if LogCategory.MESSAGE_TX in self.log.recorded:
             self.log.log(
                 self.now,
                 LogCategory.MESSAGE_TX,
@@ -344,10 +362,10 @@ class OlsrNode:
             body=tc,
             vtime=self.config.topology_hold_time,
         )
-        packet = OlsrPacket.bundle(self.node_id, [message])
-        self.interface.broadcast(packet, size_bytes=packet.size_bytes())
+        self.interface.broadcast(OlsrPacket(self.node_id, [message]),
+                                 _HEADERS_SIZE + tc.size_bytes())
         self.stats.record_sent(_TC)
-        if self.log.enabled_for(LogCategory.MESSAGE_TX):
+        if LogCategory.MESSAGE_TX in self.log.recorded:
             self.log.log(
                 self.now,
                 LogCategory.MESSAGE_TX,
@@ -358,62 +376,66 @@ class OlsrNode:
             )
 
     # -------------------------------------------------------------- reception
-    def _on_frame(self, frame: Frame, now: float) -> None:
-        self.handle_control(frame.payload, frame.source)
+    def handle_control(self, frame: Frame, now: float) -> None:
+        """Process the OLSR messages of ``frame``, delivered at ``now``.
 
-    def handle_control(self, payload: object, last_hop: str) -> None:
-        """Unpack an OLSR packet and process the bundled messages."""
-        if isinstance(payload, OlsrPacket):
-            for message in payload:
-                self._on_message(message, last_hop)
-
-    def _on_message(self, message: OlsrMessage, last_hop: str) -> None:
-        """Process one received message: a HELLO locally, a TC as flooded.
-
-        A flooded message reads the clock once and costs one duplicate-set
-        lookup: :meth:`DuplicateSet.observe` records the reception and its
-        answer (first reception, or whether the message was already
-        retransmitted) decides both processing and forwarding.  Records
-        follow the order ``MSG_RX``, then the TC's ``DROP``/``TOPOLOGY``
-        record or ``DUPLICATE``, then the forwarding record.
+        This is the interface's ``receive``: the medium calls it once per
+        delivered frame.  A HELLO is processed locally, a TC as flooded.
+        Each message is counted and reads the store's recorded categories
+        once.  A flooded message costs one duplicate-set lookup:
+        :meth:`DuplicateSet.observe` records the reception and its answer
+        (first reception, or whether the message was already retransmitted)
+        decides both processing and forwarding.  A copy whose TTL is spent
+        or that this node already relayed stops here; any other goes to
+        :meth:`_consider_forwarding`.  Records follow the order ``MSG_RX``,
+        then the TC's ``DROP``/``TOPOLOGY`` record or ``DUPLICATE``, then
+        the forwarding record.
         """
-        originator = message.originator
-        if originator == self.node_id:
-            return  # our own flooded message came back
-        message_type = message.body.message_type
-        self.stats.record_received(message_type)
-        # Checked before the record's fields are built: on a node whose log
-        # nobody reads, the RX trail costs one set lookup per message.
-        log_rx = self.log.enabled_for(LogCategory.MESSAGE_RX)
-        if message_type is _HELLO:
-            declared = message.body.declared
-            if declared is None:  # handed in without going through emission
-                declared = message.body.declare()
-            if log_rx:
-                self._log_hello_rx(message, last_hop, declared)
-            self.process_hello(message, last_hop, declared)
+        packet = frame.payload
+        if not isinstance(packet, OlsrPacket):
             return
+        last_hop = frame.source
+        received = self.stats.per_type_received
+        for message in packet.messages:
+            originator = message.originator
+            if originator == self.node_id:
+                continue  # our own flooded message came back
+            body = message.body
+            message_type = body.message_type
+            received[message_type] = received.get(message_type, 0) + 1
+            recorded = self.log.recorded
+            if message_type is _HELLO:
+                declared = body.declared
+                if declared is None:  # handed in without going through emission
+                    declared = body.declare()
+                if _MESSAGE_RX in recorded:
+                    self._log_hello_rx(message, last_hop, declared, now)
+                self.process_hello(message, last_hop, declared, now)
+                continue
 
-        # Flooded messages (TC).
-        if log_rx:
-            self._log_flooded_rx(message, last_hop)
-        now = self.simulator.now
-        seq = message.message_seq_number
-        retransmitted = self.duplicate_set.observe(originator, seq, now)
-        if retransmitted is None:
-            if message_type is _TC:
-                self.process_tc(message, last_hop, now)
-        else:
-            self.stats.duplicates_suppressed += 1
-            if self.log.enabled_for(LogCategory.DUPLICATE):
-                self.log.log(now, LogCategory.DUPLICATE, "DUPLICATE_DETECTED",
-                             origin=originator, seq=seq)
-        self._consider_forwarding(message, last_hop, now, retransmitted)
+            # Flooded messages (TC).
+            if _MESSAGE_RX in recorded:
+                self._log_flooded_rx(message, last_hop, now)
+            seq = message.message_seq_number
+            retransmitted = self.duplicate_set.observe(originator, seq, now)
+            if retransmitted is None:
+                if message_type is _TC:
+                    self.process_tc(message, last_hop, now)
+            else:
+                self.stats.duplicates_suppressed += 1
+                if _DUPLICATE in recorded:
+                    self.log.log(now, _DUPLICATE, "DUPLICATE_DETECTED",
+                                 origin=originator, seq=seq)
+            if message.ttl <= 1:
+                if _DROP in recorded:
+                    self.log.log(now, _DROP, "TTL_EXPIRED", origin=originator, seq=seq)
+            elif not retransmitted:
+                self._consider_forwarding(message, last_hop, now, recorded)
 
     def _log_hello_rx(self, message: OlsrMessage, last_hop: str,
-                      declared: DeclaredSets) -> None:
+                      declared: DeclaredSets, now: float) -> None:
         self.log.log(
-            self.now,
+            now,
             LogCategory.MESSAGE_RX,
             "HELLO",
             origin=message.originator,
@@ -425,7 +447,7 @@ class OlsrNode:
             willingness=int(message.body.willingness),
         )
 
-    def _log_flooded_rx(self, message: OlsrMessage, last_hop: str) -> None:
+    def _log_flooded_rx(self, message: OlsrMessage, last_hop: str, now: float) -> None:
         fields = {
             "origin": message.originator,
             "last_hop": last_hop,
@@ -437,24 +459,24 @@ class OlsrNode:
             tc: TcMessage = message.body
             fields["ansn"] = tc.ansn
             fields["advertised"] = tc.advertised_neighbors
-        self.log.log(self.now, LogCategory.MESSAGE_RX, str(message.message_type), **fields)
+        self.log.log(now, LogCategory.MESSAGE_RX, str(message.message_type), **fields)
 
     # ------------------------------------------------------ HELLO processing
     def process_hello(self, message: OlsrMessage, last_hop: str,
-                      declared: DeclaredSets) -> None:
-        """Link sensing, neighbour detection, 2-hop population, MPR signalling.
+                      declared: DeclaredSets, now: float) -> None:
+        """Link sensing, neighbour detection, 2-hop population, MPR signalling
+        from a HELLO received at ``now``.
 
         ``declared`` is the HELLO's :class:`DeclaredSets`, shared by every
         receiver; only what depends on this node is computed here.  Known
         2-hop and MPR-selector tuples are refreshed in place.
         """
         if (self._pending_mpr_symmetric is not None
-                and self.log.enabled_for(LogCategory.MPR)):
+                and LogCategory.MPR in self.log.recorded):
             self._settle_mprs()  # rule 3 of ``mpr_set``
         hello: HelloMessage = message.body
         origin = message.originator
         node_id = self.node_id
-        now = self.now
         hold = message.vtime if message.vtime > 0 else self.config.neighbor_hold_time
 
         link = self.link_set.get(origin)
@@ -522,7 +544,7 @@ class OlsrNode:
             self.ansn += 1
             self.log.log(now, LogCategory.MPR_SELECTOR, "SELECTOR_REMOVED", selector=origin)
 
-        self._recompute_mprs()
+        self._recompute_mprs(now)
 
     # --------------------------------------------------------- TC processing
     def process_tc(self, message: OlsrMessage, last_hop: str, now: float) -> None:
@@ -541,39 +563,33 @@ class OlsrNode:
             now=now,
             hold_time=hold,
         )
-        if changed and self.log.enabled_for(LogCategory.TOPOLOGY):
+        if changed and LogCategory.TOPOLOGY in self.log.recorded:
             self.log.log(now, LogCategory.TOPOLOGY, "TOPOLOGY_UPDATED",
                          origin=message.originator, ansn=tc.ansn,
                          advertised=tc.advertised_neighbors)
 
     # -------------------------------------------------------------- forwarding
     def _consider_forwarding(self, message: OlsrMessage, last_hop: str,
-                             now: float, retransmitted: Optional[bool]) -> None:
+                             now: float, recorded: FrozenSet[LogCategory]) -> None:
         """RFC §3.4 default forwarding algorithm (MPR flooding).
 
-        ``retransmitted`` is the duplicate set's answer for this reception:
-        ``None`` on the first one, else whether the message was relayed.
+        :meth:`handle_control` calls it for a message with TTL left that
+        this node has not relayed yet; ``recorded`` is the store's recorded
+        categories as that message read them.
         """
-        if message.ttl <= 1:
-            if self.log.enabled_for(LogCategory.DROP):
-                self.log.log(now, LogCategory.DROP, "TTL_EXPIRED",
-                             origin=message.originator, seq=message.message_seq_number)
-            return
-        if retransmitted:
-            return
         if not self.link_set.is_symmetric_with(last_hop, now):
             return
         if not self.mpr_selector_set.contains(last_hop):
             # We are not an MPR of the last hop: do not retransmit.
-            if self.log.enabled_for(LogCategory.FORWARD):
-                self.log.log(now, LogCategory.FORWARD, "NOT_RELAYED",
+            if _FORWARD in recorded:
+                self.log.log(now, _FORWARD, "NOT_RELAYED",
                              origin=message.originator, seq=message.message_seq_number,
                              reason="not_mpr_of_last_hop", last_hop=last_hop)
             return
         for forward_filter in self.forward_filters:
             if not forward_filter(message, last_hop, self):
                 self.stats.messages_dropped += 1
-                self.log.log(now, LogCategory.DROP, "FILTERED",
+                self.log.log(now, _DROP, "FILTERED",
                              origin=message.originator, seq=message.message_seq_number,
                              reason="forward_filter", last_hop=last_hop)
                 return
@@ -582,14 +598,14 @@ class OlsrNode:
         delay = self.rng.uniform(0.0, self.config.forward_jitter)
         self.simulator.post(delay, self._transmit_forward, forwarded)
         self.stats.messages_forwarded += 1
-        if self.log.enabled_for(LogCategory.FORWARD):
-            self.log.log(now, LogCategory.FORWARD, "RELAYED",
+        if _FORWARD in recorded:
+            self.log.log(now, _FORWARD, "RELAYED",
                          origin=message.originator, seq=message.message_seq_number,
                          ttl=forwarded.ttl, last_hop=last_hop)
 
     def _transmit_forward(self, message: OlsrMessage) -> None:
-        packet = OlsrPacket.bundle(self.node_id, [message])
-        self.interface.broadcast(packet, size_bytes=packet.size_bytes())
+        self.interface.broadcast(OlsrPacket(self.node_id, [message]),
+                                 _HEADERS_SIZE + message.body.size_bytes())
 
     # ------------------------------------------------------------ maintenance
     def _housekeeping(self) -> None:
@@ -623,24 +639,24 @@ class OlsrNode:
                 self.log.log(now, LogCategory.NEIGHBOR, "NEIGHBOR_NOT_SYM",
                              neighbor=neighbor.neighbor_address)
         if expired_links:
-            self._recompute_mprs()
+            self._recompute_mprs(now)
         # Routes are computed on read (see ``routing_table``); this periodic
         # call only keeps a recorded ROUTE trail, coalescing the topology
         # churn of a whole HELLO interval into at most one recomputation.
-        if self.log.enabled_for(LogCategory.ROUTE):
+        if LogCategory.ROUTE in self.log.recorded:
             self._recompute_routes()
 
-    def _recompute_mprs(self) -> None:
-        """An MPR-selection trigger: select now or defer (see ``mpr_set``)."""
+    def _recompute_mprs(self, now: float) -> None:
+        """An MPR-selection trigger at ``now``: select or defer (see ``mpr_set``)."""
         # The live symmetric set is time-dependent (links expire silently),
         # so it is part of the gate key alongside the structural versions.
         # The key holds the set itself: nothing mutates it once built.
-        symmetric = self.link_set.symmetric_neighbors(self.now)
+        symmetric = self.link_set.symmetric_neighbors(now)
         inputs_key = (self.neighbor_set.version, self.two_hop_set.version, symmetric)
         if inputs_key == self._mpr_inputs_key:
             return
         self._mpr_inputs_key = inputs_key
-        if self.log.enabled_for(LogCategory.MPR):
+        if LogCategory.MPR in self.log.recorded:
             self._select_mprs(symmetric, record=True)
         else:
             self._pending_mpr_symmetric = symmetric

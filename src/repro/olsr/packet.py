@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List
 
+from repro.olsr.constants import PACKET_HEADER_SIZE
 from repro.olsr.messages import OlsrMessage
 
 _packet_seq = itertools.count(1)
@@ -22,15 +23,15 @@ class OlsrPacket:
 
     source: str
     messages: List[OlsrMessage] = field(default_factory=list)
-    packet_seq_number: int = field(default_factory=lambda: next(_packet_seq))
+    packet_seq_number: int = field(default_factory=_packet_seq.__next__)
 
     def add(self, message: OlsrMessage) -> None:
         """Append a message to the packet."""
         self.messages.append(message)
 
     def size_bytes(self) -> int:
-        """Nominal on-air size: 4-byte packet header plus the messages."""
-        return 4 + sum(message.size_bytes() for message in self.messages)
+        """Nominal on-air size: the packet header plus the messages."""
+        return PACKET_HEADER_SIZE + sum(message.size_bytes() for message in self.messages)
 
     def __iter__(self):
         return iter(self.messages)

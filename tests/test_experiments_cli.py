@@ -134,6 +134,23 @@ def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
         assert main(["run", "figure3", *flags, "--db", str(db)]) == 2
         assert "must be in " in capsys.readouterr().err
         assert not db.exists()
+    inverted = ["--param", "initial_trust_min=0.9", "--param", "initial_trust_max=0.1"]
+    for flags in (inverted, [*inverted, "--db", str(db)]):
+        assert main(["run", "figure3", *flags]) == 2
+        assert ("initial_trust_min must be <= initial_trust_max"
+                in capsys.readouterr().err)
+        assert not db.exists()
+    # So are the netsim-only parameters, each named in the error.
+    netsim = ["run", "figure1", "--backend", "netsim",
+              "--param", "total_nodes=8", "--param", "cycles=1"]
+    for flag in ("radio_range=-5", "warmup=-5", "area_size=0", "cycle_length=0",
+                 "max_speed=-3", "drop_probability=5", "attack_start=-1",
+                 "radio_range=nan", "loss_probability=2", "cycles=0"):
+        name = flag.partition("=")[0]
+        for extra in ([], ["--db", str(db)]):
+            assert main([*netsim, "--param", flag, *extra]) == 2, flag
+            assert f"{name} must be " in capsys.readouterr().err
+            assert not db.exists()
     assert main(["run", "figure3", "--param", "rounds=3", "--db", str(db)]) == 0
     capsys.readouterr()
     stored = db.read_bytes()

@@ -43,6 +43,13 @@ def test_config_validation():
         ScenarioConfig(total_nodes=5, liar_count=10)
 
 
+def test_inverted_initial_trust_interval_is_rejected():
+    # random.uniform would silently swap the bounds.
+    with pytest.raises(ValueError, match="initial_trust_min .*initial_trust_max"):
+        ScenarioConfig(initial_trust_min=0.9, initial_trust_max=0.1)
+    ScenarioConfig(initial_trust_min=0.5, initial_trust_max=0.5)
+
+
 def test_liar_sizing_helpers():
     config = ScenarioConfig(total_nodes=16, liar_count=4)
     assert config.responder_count() == 14

@@ -91,8 +91,8 @@ def test_store_without_categories_records_only_subscriptions():
     store.log(1.0, LogCategory.LINK, "LINK_SYM", neighbor="a")
     store.log(2.0, LogCategory.MPR, "MPR_SELECTED", mpr="a")
     assert [r.event for r in store] == ["MPR_SELECTED"]
-    assert store.enabled_for(LogCategory.MPR)
-    assert not store.enabled_for(LogCategory.LINK)
+    assert LogCategory.MPR in store.recorded
+    assert LogCategory.LINK not in store.recorded
     # A bare store keeps the full trail whoever subscribes.
     bare = make_store_with_records(2)
     bare.subscribe("reader", (LogCategory.MPR,))

@@ -126,3 +126,30 @@ def test_default_network_constructs_with_defaults():
     network = Network()
     network.add_nodes(["a", "b", "c", "d"])
     assert len(network.positions) == 4
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.01], ids=["batched", "per_receiver"])
+def test_receiver_failing_while_a_frame_is_in_the_air(jitter):
+    # Without jitter one batched event delivers the frame; with jitter each
+    # receiver gets its own delivery event.  Either way the medium still
+    # counts the frame delivered, and the down interface drops it.
+    network = make_network({"a": (0, 0), "b": (100, 0)})
+    network.medium.jitter = jitter
+    received = []
+    network.interfaces["b"].bind(lambda frame, now: received.append(frame.payload))
+    network.interfaces["a"].broadcast("in the air")
+    network.fail_node("b")
+    network.run()
+    assert received == []
+    assert network.medium.stats.frames_delivered == 1
+    # Re-binding while the interface is down stays silent.
+    network.interfaces["b"].bind(
+        lambda frame, now: received.append(("rebound", frame.payload)))
+    network.interfaces["a"].broadcast("still down")
+    network.run()
+    assert received == []
+    network.recover_node("b")
+    network.interfaces["a"].broadcast("back up")
+    network.run()
+    assert received == [("rebound", "back up")]
+    assert network.medium.stats.frames_delivered == 3

@@ -158,7 +158,7 @@ def _counted_cell(record_mpr):
 
 def test_a_netsim_cell_computes_routes_only_on_read(monkeypatch):
     scenario, routes, _ = _counted_cell(record_mpr=False)
-    assert not any(node.log.enabled_for(LogCategory.ROUTE)
+    assert not any(LogCategory.ROUTE in node.log.recorded
                    for node in scenario.nodes.values())
     assert routes == 0
     calls = _Counted(monkeypatch)
