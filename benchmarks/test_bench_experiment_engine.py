@@ -2,18 +2,20 @@
 
 The unified engine's pitch is that every figure/sweep experiment gets
 process-pool fan-out for free.  This bench quantifies it on a
-scaled-up confidence/γ sweep (9 cells, each a 120-node 600-round scenario):
-the engine with ``workers=4`` must beat the same run with ``workers=1``
-wall-clock while producing the exact same rows.
+scaled-up confidence/γ sweep (9 cells, each a 120-node 1,200-round
+scenario): the engine with ``workers=4`` must beat the same run with
+``workers=1`` wall-clock while producing the exact same rows.
 
 Each side is timed three times, serial and parallel alternating, and
 compared by its median, so one run slowed by a neighbour does not decide
 the verdict.  The cells must cost well above what the 4-worker side loses
 to the pool's start-up and, on a shared two-core host, to a second core
 that runs at about half speed for a second after it idles (each serial run
-leaves it idle).  At 150 rounds the two sides tie (about 0.5 s each); at
-600 rounds the serial side takes about 2 s and the parallel side about
-1.1 s.
+leaves it idle): the serial side should take about 2 s.  The round count
+follows the cost of a round.  With the one-pass investigation round a
+600-round sweep takes about 1 s serially and the parallel side lost 1 in
+8 runs; 1,200 rounds take about 2 s serially and about 1 s in parallel,
+as 600 rounds did before.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.experiments import format_table, run_experiment
 _CONFIDENCE_LEVELS = (0.90, 0.95, 0.99)
 _GAMMAS = (0.4, 0.6, 0.8)
 _NODES = 120
-_ROUNDS = 600
+_ROUNDS = 1200
 _REPEATS = 3
 _MIN_SPEEDUP = 1.1
 

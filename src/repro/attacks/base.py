@@ -94,7 +94,10 @@ class Attack(abc.ABC):
             return self._manual_override
         if not self.schedule.is_active(now):
             return False
-        return all(gate(now) for gate in self._activation_gates)
+        gates = self._activation_gates
+        if not gates:
+            return True
+        return all(gate(now) for gate in gates)
 
     def add_activation_gate(self, gate: Callable[[float], bool]) -> None:
         """AND an extra ``gate(now) -> bool`` condition into :meth:`is_active`."""

@@ -10,7 +10,7 @@ and the unweighted-vote ablation of the benches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass
@@ -40,13 +40,20 @@ class AveragingTrustSystem:
         self.distance_discount = distance_discount
         self.freshness_halflife = freshness_halflife
         self.misbehavior_threshold = misbehavior_threshold
-        self._reports: Dict[str, List[TrustReport]] = {}
+        #: subject → (each report's weight, each report's weight × value),
+        #: in arrival order.
+        self._weighted: Dict[str, Tuple[List[float], List[float]]] = {}
 
     def add_report(self, report: TrustReport) -> None:
-        """Record one report."""
+        """Record one report, weighing it once with the discounts set now."""
         if not -1.0 <= report.value <= 1.0:
             raise ValueError("report value must be in [-1, 1]")
-        self._reports.setdefault(report.subject, []).append(report)
+        weight = self._weight(report)
+        entry = self._weighted.get(report.subject)
+        if entry is None:
+            entry = self._weighted[report.subject] = ([], [])
+        entry[0].append(weight)
+        entry[1].append(weight * report.value)
 
     def _weight(self, report: TrustReport) -> float:
         weight = 1.0
@@ -58,14 +65,14 @@ class AveragingTrustSystem:
 
     def trust_of(self, subject: str) -> float:
         """Weighted average of every report about ``subject`` (0 when none)."""
-        reports = self._reports.get(subject, [])
-        if not reports:
+        entry = self._weighted.get(subject)
+        if entry is None:
             return 0.0
-        weights = [self._weight(r) for r in reports]
+        weights, weighted_values = entry
         total = sum(weights)
         if total == 0.0:
             return 0.0
-        return sum(w * r.value for w, r in zip(weights, reports)) / total
+        return sum(weighted_values) / total
 
     def classify(self, subject: str) -> str:
         """"intruder" / "well-behaving" classification of ``subject``."""
@@ -86,4 +93,5 @@ class AveragingTrustSystem:
 
     def report_count(self, subject: str) -> int:
         """Number of reports recorded about ``subject``."""
-        return len(self._reports.get(subject, []))
+        entry = self._weighted.get(subject)
+        return 0 if entry is None else len(entry[0])

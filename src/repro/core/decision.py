@@ -24,12 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.trust.confidence import (
     ConfidenceInterval,
     confidence_interval,
-    weighted_margin_of_error,
+    weighted_margin,
 )
 
 
@@ -74,9 +74,10 @@ def detection_weights(trust_values: Sequence[float]) -> List[float]:
 
 
 def _weighted_detection(responders: Sequence[str], samples: Sequence[float],
-                        trust_values: Sequence[float]) -> float:
-    """Eq. 8 over index-aligned responders, answers and clipped trust values."""
-    weight = _detection_weight(sum(trust_values))
+                        trust_values: Sequence[float], total: float) -> float:
+    """Eq. 8 over index-aligned responders, answers and clipped trust values
+    whose sum is ``total``."""
+    weight = _detection_weight(total)
     result = 0.0
     for responder, value, trust_value in zip(responders, samples, trust_values):
         if not -1.0 <= value <= 1.0:
@@ -96,11 +97,25 @@ def aggregate_detection(
     entry contribute with zero weight.
     """
     responders = sorted(answers)
-    return _weighted_detection(
-        responders,
-        [answers[r] for r in responders],
-        [max(0.0, trust.get(r, 0.0)) for r in responders],
-    )
+    samples, weights = _samples_and_weights(responders, answers, trust)
+    return _weighted_detection(responders, samples, weights, sum(weights))
+
+
+def _samples_and_weights(responders: Sequence[str], answers: Mapping[str, float],
+                         trust: Mapping[str, float]) -> Tuple[List[float], List[float]]:
+    """Each responder's answer and its Eq. 8 weight, in ``responders`` order.
+
+    A weight is the responder's trust clipped at 0 (no entry: 0).
+    ``t if t > 0.0 else 0.0`` is ``max(0.0, t)`` without the builtin call,
+    and yields ``0.0`` for ``-0.0`` and NaN as ``max`` does.
+    """
+    samples = []
+    weights = []
+    for responder in responders:
+        samples.append(answers[responder])
+        value = trust.get(responder, 0.0)
+        weights.append(value if value > 0.0 else 0.0)
+    return samples, weights
 
 
 def unweighted_vote(answers: Mapping[str, float]) -> float:
@@ -167,16 +182,41 @@ def evaluate_investigation(
     """
     trust_used = {k: trust.get(k, 0.0) for k in answers}
     responders = sorted(answers)
-    samples = [answers[r] for r in responders]
+    samples, weights = _samples_and_weights(responders, answers, trust_used)
+    return decide_round(suspect, dict(answers), trust_used, responders, samples,
+                        weights, gamma, confidence_level, use_trust_weighting)
+
+
+def decide_round(
+    suspect: str,
+    answers: Dict[str, float],
+    trust_used: Dict[str, float],
+    responders: Sequence[str],
+    samples: List[float],
+    weights: List[float],
+    gamma: float,
+    confidence_level: float,
+    use_trust_weighting: bool,
+) -> DetectionDecision:
+    """Eqs. 8–10 on a round whose samples and weights are already built.
+
+    ``responders`` is sorted, and ``samples`` and ``weights`` are each
+    responder's answer and clipped trust in that order, as
+    :func:`evaluate_investigation` builds them;
+    :meth:`repro.core.investigation.CooperativeInvestigator.run_round`
+    builds them in its query loop.  The decision keeps ``answers`` and
+    ``trust_used`` as given.  Eq. 8 and Eq. 9 take one pass each and
+    share the weights' sum.
+    """
     if use_trust_weighting:
         # One weight list for both equations: the interval is trust-weighted
         # as well, so answers coming from nodes whose trust has collapsed
         # do not keep the interval wide forever.
-        weights = [max(0.0, trust_used[r]) for r in responders]
-        detect_value = _weighted_detection(responders, samples, weights)
+        total = sum(weights)
+        detect_value = _weighted_detection(responders, samples, weights, total)
         interval = ConfidenceInterval(
             center=detect_value,
-            margin=weighted_margin_of_error(samples, weights, confidence_level),
+            margin=weighted_margin(samples, weights, total, confidence_level),
             confidence_level=confidence_level,
             sample_size=len(samples),
         )
@@ -191,6 +231,6 @@ def evaluate_investigation(
         interval=interval,
         gamma=gamma,
         outcome=outcome,
-        answers=dict(answers),
+        answers=answers,
         trust_used=trust_used,
     )

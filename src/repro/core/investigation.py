@@ -10,6 +10,13 @@ reached and the answer is recorded as missing (the E3 situation).
 The answers (+1 confirm / −1 deny / 0 missing) are aggregated with the trust
 system (Eq. 8) and fed to the decision rule (Eq. 10); the outcome updates the
 direct trust (Eq. 5) of the suspect and of every responder.
+
+A round costs one transport call per query and one pass per equation: one
+loop over the responders queries each of them, classifies the reply, counts
+confirms and denies and reads the responder's trust from the manager's map,
+building Eq. 8–9's samples and weights as it goes; Eqs. 8, 9 and 5 then take
+one pass each.  The majority that grades the responders follows from the
+two counts.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.core.decision import (
     ANSWER_MISSING,
     DecisionOutcome,
     DetectionDecision,
-    evaluate_investigation,
+    decide_round,
 )
 from repro.seeding import stable_seed
 from repro.trust.evidence import DEFAULT_GRAVITY, EvidenceKind, weigh_evidence
@@ -136,6 +143,8 @@ class InvestigationState:
     """
 
     suspect: str
+    #: Sorted (:meth:`CooperativeInvestigator.open_investigation` keeps it
+    #: so): a round queries in this order and sums Eqs. 8–9 in it.
     responders: List[str]
     #: Contested links (suspect — peer) under verification.  When empty the
     #: investigation falls back to the per-own-link Algorithm 1 check.
@@ -232,9 +241,14 @@ class CooperativeInvestigator:
     def run_round(self, suspect: str) -> RoundResult:
         """Execute one investigation round about ``suspect``.
 
-        Every responder is queried through the transport; the answers are
-        aggregated (Eq. 8), the decision rule applied (Eq. 10) and the trust of
-        the suspect and of every responder updated from the outcome.
+        One pass over the responders, in sorted order: each query is one
+        call to the transport's ``verify_link`` (one per contested link when
+        the investigation has contested links), the reply is classified and
+        counted, and the responder's trust is read from the manager's map.
+        The answers are then aggregated (Eq. 8) and bounded (Eq. 9) in one
+        pass each, the decision rule applied (Eq. 10), and the trust of the
+        suspect and of every responder that answered updated from the
+        outcome in one Eq. 5 slot.
         """
         state = self._investigations.get(suspect)
         if state is None:
@@ -242,30 +256,40 @@ class CooperativeInvestigator:
         if state.closed:
             raise RuntimeError(f"investigation about {suspect!r} is already closed")
 
+        owner = self.owner
+        verify = self.transport.verify_link
+        contested = state.contested_links
+        trust = self.trust.trust_map()
+        default = self.trust.parameters.default_trust
         answers: Dict[str, float] = {}
+        trust_view: Dict[str, float] = {}
+        weights: List[float] = []
         reached: List[str] = []
+        confirmed: List[str] = []
         unreached: List[str] = []
+        denies = 0
         for responder in state.responders:
-            reply = self._query_responder(state, responder, suspect)
+            if contested:
+                reply = self._query_contested(verify, responder, suspect, contested)
+            else:
+                reply = verify(owner, responder, suspect)
             if reply is None:
                 answers[responder] = ANSWER_MISSING
                 unreached.append(responder)
             elif reply:
                 answers[responder] = ANSWER_CONFIRM
                 reached.append(responder)
+                confirmed.append(responder)
             else:
                 answers[responder] = ANSWER_DENY
                 reached.append(responder)
+                denies += 1
+            value = trust_view[responder] = trust.get(responder, default)
+            weights.append(value if value > 0.0 else 0.0)
 
-        trust_view = {responder: self.trust.trust_of(responder) for responder in answers}
-        decision = evaluate_investigation(
-            suspect=suspect,
-            answers=answers,
-            trust=trust_view,
-            gamma=self.gamma,
-            confidence_level=self.confidence_level,
-            use_trust_weighting=self.use_trust_weighting,
-        )
+        decision = decide_round(
+            suspect, answers, trust_view, state.responders, list(answers.values()),
+            weights, self.gamma, self.confidence_level, self.use_trust_weighting)
         result = RoundResult(
             round_index=state.round_count,
             suspect=suspect,
@@ -276,7 +300,8 @@ class CooperativeInvestigator:
         )
         state.round_count += 1
         state.last_round = result
-        self._update_trust_from_round(state, result)
+        self._update_trust_from_round(suspect, reached, confirmed,
+                                      len(confirmed) - denies, decision.detect_value)
         if not reached:
             state.unverified = True
         if self.close_on_decision and decision.is_final:
@@ -284,23 +309,19 @@ class CooperativeInvestigator:
             state.final_outcome = decision.outcome
         return result
 
-    def _query_responder(self, state: InvestigationState, responder: str,
-                         suspect: str) -> Optional[bool]:
-        """Query one responder, honouring the contested-link mode.
+    def _query_contested(self, verify: Callable[..., Optional[bool]], responder: str,
+                         suspect: str, contested_links: Sequence[str]) -> Optional[bool]:
+        """Query one responder about each contested link.
 
-        Without contested links the responder verifies its *own* link with the
-        suspect.  With contested links it is asked about each of them; per
-        Expression 4 a single witnessed falsification (E4/E5) is damning, so a
-        single denial yields an overall deny, a confirmation without any
-        denial yields confirm, and no knowledge at all yields no answer.
+        Per Expression 4 a single witnessed falsification (E4/E5) is
+        damning, so a single denial yields an overall deny, a confirmation
+        without any denial yields confirm, and no knowledge at all yields no
+        answer.
         """
-        if not state.contested_links:
-            return self.transport.verify_link(self.owner, responder, suspect)
         saw_confirm = False
         saw_answer = False
-        for link_peer in state.contested_links:
-            reply = self.transport.verify_link(self.owner, responder, suspect,
-                                               link_peer=link_peer)
+        for link_peer in contested_links:
+            reply = verify(self.owner, responder, suspect, link_peer=link_peer)
             if reply is None:
                 continue
             saw_answer = True
@@ -322,16 +343,18 @@ class CooperativeInvestigator:
         return state.final_outcome
 
     # -------------------------------------------------------------- internals
-    def _update_trust_from_round(self, state: InvestigationState,
-                                 result: RoundResult) -> None:
+    def _update_trust_from_round(self, suspect: str, reached: Sequence[str],
+                                 confirmed: Sequence[str], lead: int,
+                                 detect: float) -> None:
         """One Eq. 5 slot from the round: each subject's α_j·e_j, summed.
 
-        A subject's terms are summed from 0.0 in the order its evidences
-        arise: its answer first, then (for the suspect) the aggregate.
+        ``reached`` are the responders that answered, ``confirmed`` those
+        of them that confirmed, and ``lead`` is the round's confirms minus
+        its denies.  A subject's terms are summed from 0.0 in the order its
+        evidences arise: its answer first, then (for the suspect) the
+        aggregate.
         """
         params = self.trust.parameters
-        answers = result.answers
-        detect = result.decision.detect_value
         contributions: Dict[str, float] = {}
 
         # Evidence about the responders: an answer consistent with the round's
@@ -340,21 +363,21 @@ class CooperativeInvestigator:
         # majority opinion of the received answers: under the paper's threat
         # model the colluders are a minority, so the majority identifies the
         # incorrect answers regardless of how the initial trust was drawn.
-        received = [a for a in answers.values() if a != ANSWER_MISSING]
-        majority = sum(received) / len(received) if received else 0.0
-        if abs(majority) > 1e-9:
-            reference_sign = 1.0 if majority > 0 else -1.0
+        # Answers are ±1, so the mean of the received ones is positive
+        # exactly when confirms outnumber denies, and zero on a tie.
+        if lead:
             agreement = 0.0 + weigh_evidence(
                 params.alpha_for(1.0),
                 DEFAULT_GRAVITY[EvidenceKind.INVESTIGATION_AGREEMENT], 1.0)
             disagreement = 0.0 + weigh_evidence(
                 params.alpha_for(-1.0),
                 DEFAULT_GRAVITY[EvidenceKind.INVESTIGATION_DISAGREEMENT], -1.0)
-            for responder, answer in answers.items():
-                if answer == ANSWER_MISSING:
-                    continue
-                agreed = (answer * reference_sign) > 0
-                contributions[responder] = agreement if agreed else disagreement
+            if lead > 0:
+                confirm, deny = agreement, disagreement
+            else:
+                confirm, deny = disagreement, agreement
+            contributions = dict.fromkeys(reached, deny)
+            contributions.update(dict.fromkeys(confirmed, confirm))
 
         # Evidence about the suspect itself: the aggregate sign *is* the
         # second-hand evidence of spoofing (negative) or correct behaviour
@@ -362,7 +385,6 @@ class CooperativeInvestigator:
         if abs(detect) > 1e-9:
             kind = EvidenceKind.LINK_SPOOFING if detect < 0 else EvidenceKind.CONSISTENT_ADVERTISEMENT
             value = max(-1.0, min(1.0, detect))
-            suspect = state.suspect
             contributions[suspect] = contributions.get(suspect, 0.0) + weigh_evidence(
                 params.alpha_for(value), DEFAULT_GRAVITY[kind], value,
                 imminent=detect < -0.5, firsthand=False)

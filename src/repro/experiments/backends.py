@@ -24,8 +24,9 @@ Netsim-only parameters (``area_size``, ``radio_range``, ``warmup``,
 ``threat``, ``drop_probability``) are carried in the spec's flat parameter
 tuple and ignored by the oracle backend, so any spec can switch backends
 without being rewritten.  A parameter no backend consumes is rejected, and
-so is a numeric netsim parameter out of its range
-(:func:`check_netsim_params`).  The
+so is a numeric netsim parameter out of its range or a named one
+(``loss_model``, ``mobility_model``, ``threat``, ``attack_variant``) that
+``build_manet_scenario`` does not know (:func:`check_netsim_params`).  The
 engine-level ``profile`` parameter names a registered scenario profile
 (:mod:`repro.scenarios`) whose parameters are merged under the cell's own
 before execution.
@@ -45,7 +46,12 @@ from repro.experiments.rounds import (
     RoundBasedExperiment,
     RoundRecord,
 )
-from repro.experiments.scenario import build_manet_scenario
+from repro.experiments.scenario import (
+    LOSS_MODELS,
+    MOBILITY_MODELS,
+    THREATS,
+    build_manet_scenario,
+)
 from repro.trust.manager import TrustParameters
 
 #: ScenarioConfig fields a spec parameter may set directly (by field name).
@@ -81,6 +87,16 @@ _NETSIM_RANGES = {
     "drop_probability": (0.0, False, 1.0),
 }
 
+#: Names each string-valued netsim parameter accepts: the tables
+#: ``build_manet_scenario`` picks its models, threats and attack variants
+#: from.
+_NETSIM_CHOICES = {
+    "loss_model": LOSS_MODELS,
+    "mobility_model": MOBILITY_MODELS,
+    "threat": THREATS,
+    "attack_variant": tuple(str(variant) for variant in LinkSpoofingVariant),
+}
+
 #: Parameters consumed by the engine itself rather than a backend.
 #: ``profile`` names a registered scenario profile
 #: (:mod:`repro.scenarios`) whose parameters are merged under the cell's
@@ -101,12 +117,19 @@ def _is_number(value: object) -> bool:
 
 
 def check_netsim_params(params: Mapping[str, object]) -> None:
-    """Raise ``ValueError`` naming the first numeric netsim parameter out of
-    range; an absent parameter takes its default, which is in range.
+    """Raise ``ValueError`` naming the first netsim parameter whose value
+    ``build_manet_scenario`` would reject; an absent parameter takes its
+    default, which is valid.
 
-    ``cycles`` must be an integer >= 1; the others must be finite numbers in
-    their ``_NETSIM_RANGES`` interval.
+    ``cycles`` must be an integer >= 1; the other numeric ones must be
+    finite numbers in their ``_NETSIM_RANGES`` interval, and each named one
+    must be one of its ``_NETSIM_CHOICES`` (compared as a string, as the
+    scenario reads it).
     """
+    for name, choices in _NETSIM_CHOICES.items():
+        if name in params and str(params[name]) not in choices:
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, "
+                             f"got {params[name]!r}")
     for name, (low, low_excluded, high) in _NETSIM_RANGES.items():
         if name not in params:
             continue

@@ -252,17 +252,25 @@ def register(definition: ExperimentDefinition) -> ExperimentDefinition:
     return definition
 
 
+#: Whether :func:`_ensure_builtin_experiments` has imported every module.
+_builtins_imported = False
+
+
 def _ensure_builtin_experiments() -> None:
-    """Import the built-in experiment modules (idempotent).
+    """Import the built-in experiment modules, once per process.
 
     Registration happens at module import; this hook lets worker processes
     and the CLI resolve names without importing :mod:`repro.experiments`
     eagerly.
     """
+    global _builtins_imported
+    if _builtins_imported:
+        return
     import importlib
 
     for module in _BUILTIN_MODULES:
         importlib.import_module(module)
+    _builtins_imported = True
 
 
 def get_experiment(name: str) -> ExperimentDefinition:

@@ -33,19 +33,23 @@ from repro.trust.manager import TrustManager
 class _Responder:
     """A responder in the round-based experiment.
 
-    ``honest_answer_supplier`` returns the truthful answer to "is the suspect
-    your symmetric neighbour (as it advertises)?"; a liar behaviour, when
-    installed, falsifies it.
+    The truthful answer to "is the suspect your symmetric neighbour (as it
+    advertises)?" is read from the experiment's attack flag: while the
+    attack is active the advertised link is spoofed, so a truthful
+    responder denies it; once the attacker stops spoofing, its
+    advertisement matches reality again.  A liar behaviour, when installed,
+    falsifies the answer.
     """
 
-    def __init__(self, node_id: str, honest_answer_supplier, liar: Optional[LiarBehavior] = None) -> None:
+    def __init__(self, node_id: str, experiment: "RoundBasedExperiment",
+                 liar: Optional[LiarBehavior] = None) -> None:
         self.node_id = node_id
-        self._honest_answer_supplier = honest_answer_supplier
+        self._experiment = experiment
         self.liar = liar
 
     def answer_link_query(self, suspect: str, requester: str,
                           link_peer: Optional[str] = None) -> Optional[bool]:
-        honest = self._honest_answer_supplier(suspect)
+        honest = not self._experiment._attack_active
         if self.liar is None:
             return honest
         return self.liar.answer(honest)
@@ -169,12 +173,6 @@ class RoundBasedExperiment:
 
     # ----------------------------------------------------------------- set-up
     def _build_responders(self) -> None:
-        def honest_answer(_suspect: str) -> bool:
-            # While the attack is active the advertised link is spoofed, so a
-            # truthful responder denies it; once the attacker stops spoofing,
-            # its advertisement matches reality again.
-            return not self._attack_active
-
         for node_id in self.responder_ids:
             liar: Optional[LiarBehavior] = None
             if node_id in self.liar_ids:
@@ -187,7 +185,7 @@ class RoundBasedExperiment:
                     rng=random.Random(stable_seed(self.config.seed, f"liar:{node_id}")),
                 )
                 self._liar_behaviors[node_id] = liar
-            self._responders[node_id] = _Responder(node_id, honest_answer, liar)
+            self._responders[node_id] = _Responder(node_id, self, liar)
 
     def _assign_initial_trust(self) -> None:
         subjects = list(self.responder_ids) + [self.attacker_id]
@@ -235,7 +233,7 @@ class RoundBasedExperiment:
                 detect_value=round_result.decision.detect_value,
                 outcome=round_result.decision.outcome,
                 margin=round_result.decision.interval.margin,
-                answers=dict(round_result.answers),
+                answers=round_result.answers,
                 unreached=len(round_result.responders_unreached),
             )
         else:

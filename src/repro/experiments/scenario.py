@@ -205,8 +205,12 @@ def _build_loss_model(kind: str, loss_probability: float, radio_range: float,
         return DistanceLossModel(radio_range=radio_range,
                                  max_loss=max(loss_probability, 0.0),
                                  rng=rng)
-    raise ValueError(f"unknown loss model {kind!r} (expected 'bernoulli' or 'distance')")
+    raise ValueError(
+        f"unknown loss model {kind!r} (expected one of {', '.join(LOSS_MODELS)})")
 
+
+#: Loss models build_manet_scenario can instantiate by name.
+LOSS_MODELS = ("bernoulli", "distance")
 
 #: Mobility models build_manet_scenario can instantiate by name.
 MOBILITY_MODELS = ("auto", "static", "waypoint", "walk", "gauss-markov", "rpgm")

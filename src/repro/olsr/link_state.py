@@ -55,54 +55,48 @@ class LinkSet:
     """Collection of :class:`LinkTuple`, keyed by neighbour address."""
 
     def __init__(self) -> None:
-        self._links: Dict[str, LinkTuple] = {}
+        #: neighbour address → link tuple.  The flooded path reads it
+        #: directly (``link.sym_time >= now`` is a symmetric link); write
+        #: through the methods.
+        self.by_address: Dict[str, LinkTuple] = {}
 
     def get(self, neighbor_address: str) -> Optional[LinkTuple]:
         """Link tuple towards ``neighbor_address`` (None when absent)."""
-        return self._links.get(neighbor_address)
+        return self.by_address.get(neighbor_address)
 
     def upsert(self, link: LinkTuple) -> LinkTuple:
         """Insert or replace the link towards ``link.neighbor_address``."""
-        self._links[link.neighbor_address] = link
+        self.by_address[link.neighbor_address] = link
         return link
 
     def remove(self, neighbor_address: str) -> None:
         """Remove the link towards ``neighbor_address`` if present."""
-        self._links.pop(neighbor_address, None)
+        self.by_address.pop(neighbor_address, None)
 
     def purge_expired(self, now: float) -> List[LinkTuple]:
         """Drop expired tuples; returns the removed ones."""
-        expired = [l for l in self._links.values() if l.is_expired(now)]
+        expired = [l for l in self.by_address.values() if l.is_expired(now)]
         for link in expired:
-            del self._links[link.neighbor_address]
+            del self.by_address[link.neighbor_address]
         return expired
 
     def symmetric_neighbors(self, now: float) -> Set[str]:
         """Addresses with a currently symmetric link."""
-        return {a for a, l in self._links.items() if l.sym_time >= now}
-
-    def is_symmetric_with(self, neighbor_address: str, now: float) -> bool:
-        """O(1) membership test equivalent to ``address in symmetric_neighbors(now)``.
-
-        Hot-path helper: received-message validation only needs the last
-        hop's status, not the whole symmetric set.
-        """
-        link = self._links.get(neighbor_address)
-        return link is not None and link.is_symmetric(now)
+        return {a for a, l in self.by_address.items() if l.sym_time >= now}
 
     def asymmetric_neighbors(self, now: float) -> Set[str]:
         """Addresses heard but not symmetric."""
-        return {a for a, l in self._links.items() if l.is_asymmetric(now)}
+        return {a for a, l in self.by_address.items() if l.is_asymmetric(now)}
 
     def all_neighbors(self) -> Set[str]:
         """Every address with a (non-purged) link tuple."""
-        return set(self._links)
+        return set(self.by_address)
 
     def __iter__(self):
-        return iter(self._links.values())
+        return iter(self.by_address.values())
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self.by_address)
 
 
 # ----------------------------------------------------------------- neighbours
@@ -337,45 +331,43 @@ class MprSelectorSet:
     """Collection of :class:`MprSelectorTuple` keyed by selector address."""
 
     def __init__(self) -> None:
-        self._selectors: Dict[str, MprSelectorTuple] = {}
+        #: selector address → tuple; ``address in by_address`` is the
+        #: membership test.  Write through the methods.
+        self.by_address: Dict[str, MprSelectorTuple] = {}
 
     def upsert(self, record: MprSelectorTuple) -> MprSelectorTuple:
         """Insert or refresh a selector tuple."""
-        self._selectors[record.selector_address] = record
+        self.by_address[record.selector_address] = record
         return record
 
     def refresh(self, selector_address: str, expiry_time: float) -> bool:
         """Push a known selector's expiry in place, or insert a new one;
         ``True`` when ``selector_address`` is a new selector."""
-        record = self._selectors.get(selector_address)
+        record = self.by_address.get(selector_address)
         if record is None:
-            self._selectors[selector_address] = MprSelectorTuple(selector_address,
-                                                                 expiry_time)
+            self.by_address[selector_address] = MprSelectorTuple(selector_address,
+                                                                  expiry_time)
             return True
         record.expiry_time = expiry_time
         return False
 
     def remove(self, selector_address: str) -> None:
         """Remove a selector tuple if present."""
-        self._selectors.pop(selector_address, None)
+        self.by_address.pop(selector_address, None)
 
     def purge_expired(self, now: float) -> List[MprSelectorTuple]:
         """Drop expired tuples; returns the removed ones."""
-        expired = [s for s in self._selectors.values() if s.is_expired(now)]
+        expired = [s for s in self.by_address.values() if s.is_expired(now)]
         for record in expired:
-            del self._selectors[record.selector_address]
+            del self.by_address[record.selector_address]
         return expired
 
     def addresses(self) -> Set[str]:
         """Every address that currently selects the local node as MPR."""
-        return set(self._selectors)
-
-    def contains(self, address: str) -> bool:
-        """Whether ``address`` selects the local node as MPR."""
-        return address in self._selectors
+        return set(self.by_address)
 
     def __iter__(self):
-        return iter(self._selectors.values())
+        return iter(self.by_address.values())
 
     def __len__(self) -> int:
-        return len(self._selectors)
+        return len(self.by_address)

@@ -483,7 +483,7 @@ class OlsrNode:
         created = link is None
         if link is None:
             link = LinkTuple(local_address=node_id, neighbor_address=origin)
-        was_symmetric = link.is_symmetric(now)
+        was_symmetric = link.sym_time >= now
 
         link.asym_time = now + hold
         heard_us = node_id in declared.addresses
@@ -497,7 +497,7 @@ class OlsrNode:
 
         if created:
             self.log.log(now, LogCategory.LINK, "LINK_ADDED", neighbor=origin)
-        now_symmetric = link.is_symmetric(now)
+        now_symmetric = link.sym_time >= now
         if now_symmetric and not was_symmetric:
             self.log.log(now, LogCategory.LINK, "LINK_SYM", neighbor=origin)
         elif not now_symmetric and was_symmetric:
@@ -539,7 +539,7 @@ class OlsrNode:
             if self.mpr_selector_set.refresh(origin, now + hold):
                 self.log.log(now, LogCategory.MPR_SELECTOR, "SELECTOR_ADDED", selector=origin)
                 self.ansn += 1
-        elif self.mpr_selector_set.contains(origin):
+        elif origin in self.mpr_selector_set.by_address:
             self.mpr_selector_set.remove(origin)
             self.ansn += 1
             self.log.log(now, LogCategory.MPR_SELECTOR, "SELECTOR_REMOVED", selector=origin)
@@ -549,7 +549,8 @@ class OlsrNode:
     # --------------------------------------------------------- TC processing
     def process_tc(self, message: OlsrMessage, last_hop: str, now: float) -> None:
         """Topology-set maintenance from a TC message received at ``now``."""
-        if not self.link_set.is_symmetric_with(last_hop, now):
+        link = self.link_set.by_address.get(last_hop)
+        if link is None or not link.sym_time >= now:
             # RFC §9.5: discard TC messages not received from a symmetric neighbour.
             self.log.log(now, LogCategory.DROP, "FILTERED",
                          origin=message.originator, reason="tc_from_non_sym", last_hop=last_hop)
@@ -577,9 +578,10 @@ class OlsrNode:
         this node has not relayed yet; ``recorded`` is the store's recorded
         categories as that message read them.
         """
-        if not self.link_set.is_symmetric_with(last_hop, now):
+        link = self.link_set.by_address.get(last_hop)
+        if link is None or not link.sym_time >= now:
             return
-        if not self.mpr_selector_set.contains(last_hop):
+        if last_hop not in self.mpr_selector_set.by_address:
             # We are not an MPR of the last hop: do not retransmit.
             if _FORWARD in recorded:
                 self.log.log(now, _FORWARD, "NOT_RELAYED",

@@ -35,6 +35,9 @@ def z_value(confidence_level: float) -> float:
     """
     if not 0.0 < confidence_level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {confidence_level}")
+    exact = Z_TABLE.get(confidence_level)
+    if exact is not None:
+        return exact
     for level, z in Z_TABLE.items():
         if math.isclose(level, confidence_level, abs_tol=1e-9):
             return z
@@ -83,7 +86,7 @@ def sample_standard_deviation(samples: Sequence[float]) -> float:
     if n < 2:
         return 0.0
     mean = sum(samples) / n
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    variance = sum([(x - mean) ** 2 for x in samples]) / (n - 1)
     return math.sqrt(variance)
 
 
@@ -122,8 +125,8 @@ def _weighted_sigma(samples: Sequence[float], weights: Sequence[float],
     if total <= 0.0:
         return sample_standard_deviation(samples)
     normalised = [w / total for w in weights]
-    mean = sum(w * x for w, x in zip(normalised, samples))
-    variance = sum(w * (x - mean) ** 2 for w, x in zip(normalised, samples))
+    mean = sum([w * x for w, x in zip(normalised, samples)])
+    variance = sum([w * (x - mean) ** 2 for w, x in zip(normalised, samples)])
     # Bessel-style correction using the effective sample size.
     if n_eff > 1.0:
         variance *= n_eff / (n_eff - 1.0)
@@ -132,7 +135,7 @@ def _weighted_sigma(samples: Sequence[float], weights: Sequence[float],
 
 def effective_sample_size(weights: Sequence[float]) -> float:
     """Kish effective sample size ``(Σw)² / Σw²`` (0 for all-zero weights)."""
-    return _kish(sum(weights), sum(w * w for w in weights))
+    return _kish(sum(weights), sum([w * w for w in weights]))
 
 
 def _kish(total: float, squares: float) -> float:
@@ -155,10 +158,17 @@ def weighted_margin_of_error(
     on every path.
     """
     _check_lengths(samples, weights)
+    return weighted_margin(samples, weights, sum(weights), confidence_level)
+
+
+def weighted_margin(samples: Sequence[float], weights: Sequence[float],
+                    total: float, confidence_level: float) -> float:
+    """:func:`weighted_margin_of_error` of index-aligned ``samples`` and
+    ``weights`` whose sum ``total`` the caller already holds (Eq. 8 needs
+    it too).  The caller guarantees the equal lengths."""
     if not samples:
         return 0.0
-    total = sum(weights)
-    n_eff = _kish(total, sum(w * w for w in weights))
+    n_eff = _kish(total, sum([w * w for w in weights]))
     if n_eff <= 0.0:
         return margin_of_error(samples, confidence_level)
     sigma = _weighted_sigma(samples, weights, total, n_eff)

@@ -30,12 +30,20 @@ knows its evidences, from 0.0 in evidence order) and runs Eq. 5 with the
 clamp inline over every known or contributing subject; a subject without a
 contribution forgets.  :meth:`TrustManager.update` reduces an evidence list
 to one contribution and runs the same step for one subject.
+
+The manager keeps its ``subject → value`` map in sorted subject order.  It
+sorts only when a subject it did not know arrives (through
+:meth:`~TrustManager.set_initial_trust`, :meth:`~TrustManager.update` or
+:meth:`~TrustManager.update_all`), so a slot walks the map as it is,
+:meth:`~TrustManager.known_subjects` and :meth:`~TrustManager.as_dict` are
+plain copies, and :meth:`~TrustManager.trust_map` hands a caller the map to
+read without a call per subject.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.trust.evidence import TrustEvidence
 
@@ -89,21 +97,36 @@ class TrustManager:
         self.owner = owner
         self.parameters = parameters or TrustParameters()
         self.parameters.validate()
+        #: subject → trust, in sorted subject order (see the module notes).
         self._values: Dict[str, float] = {}
 
     # -------------------------------------------------------------- accessors
     def known_subjects(self) -> List[str]:
-        """Every node for which a trust value exists."""
-        return sorted(self._values)
+        """Every node for which a trust value exists, sorted."""
+        return list(self._values)
 
     def trust_of(self, subject: str) -> float:
         """Current trust value for ``subject`` (default when unknown)."""
         return self._values.get(subject, self.parameters.default_trust)
 
+    def trust_map(self) -> Mapping[str, float]:
+        """The live ``subject → trust`` map, in sorted subject order.
+
+        For a reader that looks up many subjects at once, as an
+        investigation round does: ``trust_map().get(s, default_trust)`` is
+        :meth:`trust_of` without a call per subject.  The map changes with
+        every update; never write to it.
+        """
+        return self._values
+
     def set_initial_trust(self, subject: str, value: float) -> None:
         """Initialise the trust of ``subject`` (used by the experiments'
         "randomly set initial trust" step)."""
-        self._values[subject] = self._clamp(value)
+        values = self._values
+        if subject in values:
+            values[subject] = self._clamp(value)
+        else:
+            self._admit(subject, self._clamp(value))
 
     # ---------------------------------------------------------------- updates
     def update(self, subject: str, evidences: Iterable[TrustEvidence]) -> float:
@@ -120,7 +143,11 @@ class TrustManager:
             if evidence.subject == subject:
                 contributions[subject] = contributions.get(subject, 0.0) + \
                     evidence.weighted(alpha_for(evidence.value))
-        return self._slot((subject,), contributions)[subject]
+        values = self._values
+        if subject not in values:
+            self._admit(subject, self.parameters.default_trust)
+        self._slot(((subject, values[subject]),), contributions)
+        return values[subject]
 
     def update_all(self, contributions: Mapping[str, float]) -> Dict[str, float]:
         """Run one slot update for every known or contributing subject.
@@ -130,16 +157,37 @@ class TrustManager:
         forgetting applies uniformly.  Subjects are updated in sorted order;
         the new values are returned in that order.
         """
-        return self._slot(sorted(self._values.keys() | contributions.keys()),
-                          contributions)
+        values = self._values
+        if not values.keys() >= contributions.keys():
+            default = self.parameters.default_trust
+            for subject in contributions:
+                if subject not in values:
+                    self._admit(subject, default)
+        self._slot(values.items(), contributions)
+        return dict(values)
 
     def decay_all(self) -> Dict[str, float]:
         """Apply one slot of pure forgetting to every known subject."""
         return self.update_all({})
 
-    def _slot(self, subjects: Iterable[str],
-              contributions: Mapping[str, float]) -> Dict[str, float]:
-        """Eq. 5 for ``subjects``, in order, clamped to [minimum, maximum]."""
+    def _admit(self, subject: str, value: float) -> None:
+        """Add an unknown ``subject`` at ``value``, keeping the map sorted.
+
+        A subject that sorts after every known one is appended; any other
+        re-sorts the map in place, so a held :meth:`trust_map` stays live.
+        """
+        values = self._values
+        last = next(reversed(values), None)
+        values[subject] = value
+        if last is not None and subject < last:
+            items = sorted(values.items())
+            values.clear()
+            values.update(items)
+
+    def _slot(self, items: Iterable[Tuple[str, float]],
+              contributions: Mapping[str, float]) -> None:
+        """Eq. 5 for the known ``(subject, value)`` ``items``, clamped to
+        [minimum, maximum]."""
         params = self.parameters
         values = self._values
         default = params.default_trust
@@ -149,34 +197,31 @@ class TrustManager:
         beta_recovery = params.beta_recovery
         if beta_recovery is not None:
             recovery_anchor = (1.0 - beta_recovery) * default
-        updated: Dict[str, float] = {}
-        for subject in subjects:
-            value = values.get(subject, default)
-            contribution = contributions.get(subject)
-            slot_beta, slot_anchor = beta, anchor
-            if contribution is None:
-                contribution = 0.0
-                if beta_recovery is not None and value < default:
-                    # Recovering from a below-default (e.g. former liar)
-                    # value with no fresh evidence is deliberately slower
-                    # than ordinary forgetting.
-                    slot_beta, slot_anchor = beta_recovery, recovery_anchor
+        for subject, value in items:
             # Default-anchored exponential forgetting: without evidence the
             # value relaxes toward the default; with evidence the α_j·e_j
-            # term pushes it up or down from that anchor.
-            new_value = contribution + slot_beta * value + slot_anchor
+            # term pushes it up or down from that anchor.  No evidence is a
+            # contribution of 0.0.
+            if subject in contributions:
+                new_value = contributions[subject] + beta * value + anchor
+            elif beta_recovery is not None and value < default:
+                # Recovering from a below-default (e.g. former liar) value
+                # with no fresh evidence is deliberately slower than
+                # ordinary forgetting.
+                new_value = 0.0 + beta_recovery * value + recovery_anchor
+            else:
+                new_value = 0.0 + beta * value + anchor
             # The clamp max(minimum, min(maximum, new_value)), inline.
             if not new_value < maximum:
                 new_value = maximum
             if not new_value > minimum:
                 new_value = minimum
-            values[subject] = updated[subject] = new_value
-        return updated
+            values[subject] = new_value
 
     # ---------------------------------------------------------------- helpers
     def _clamp(self, value: float) -> float:
         return max(self.parameters.minimum, min(self.parameters.maximum, value))
 
     def as_dict(self) -> Dict[str, float]:
-        """Snapshot of every subject's current trust value."""
-        return dict(sorted(self._values.items()))
+        """Snapshot of every subject's current trust value, sorted by subject."""
+        return dict(self._values)

@@ -18,8 +18,12 @@
 * :mod:`tests.reference.trust` — an investigation round computed evidence
   by evidence: one :class:`repro.trust.evidence.TrustEvidence` per
   responder, one per-subject Eq. 5 update each, and Eqs. 8–10 over
-  responders sorted twice (:class:`~tests.reference.trust.PerSubjectTrust`,
+  responders sorted twice, each reply queried per responder and the
+  majority found by a second walk
+  (:class:`~tests.reference.trust.PerSubjectTrust`,
   :func:`~tests.reference.trust.run_round`).
+* :class:`~tests.reference.averaging.ReweighingAveraging` — report
+  averaging that weighs every stored report again at each ``trust_of``.
 
 None is used by the program; they are oracles for its single paths.
 """

@@ -10,6 +10,12 @@ for the one-pass round of :class:`repro.core.investigation.CooperativeInvestigat
 * :func:`evaluate_investigation` — Eqs. 8–10 with the responders sorted
   twice, the trust read twice, ``sum(weights)`` three times and the
   effective sample size computed twice.
+* :func:`query_responder` — one responder's reply in either mode, through
+  a helper per responder: its own link with the suspect, or each contested
+  link until a denial.
+* :func:`run_round` — the round: replies first, then the trust view with
+  one ``trust_of`` per responder, Eqs. 8–10, and the majority found by a
+  second walk over the answers.
 """
 
 from __future__ import annotations
@@ -227,14 +233,44 @@ def evaluate_investigation(
     )
 
 
+def query_responder(transport, owner: str, responder: str, suspect: str,
+                    contested_links: Sequence[str]) -> Optional[bool]:
+    """Query one responder, honouring the contested-link mode.
+
+    Without contested links the responder verifies its *own* link with the
+    suspect.  With contested links it is asked about each of them; per
+    Expression 4 a single witnessed falsification (E4/E5) is damning, so a
+    single denial yields an overall deny, a confirmation without any
+    denial yields confirm, and no knowledge at all yields no answer.
+    """
+    if not contested_links:
+        return transport.verify_link(owner, responder, suspect)
+    saw_confirm = False
+    saw_answer = False
+    for link_peer in contested_links:
+        reply = transport.verify_link(owner, responder, suspect, link_peer=link_peer)
+        if reply is None:
+            continue
+        saw_answer = True
+        if not reply:
+            return False
+        saw_confirm = True
+    if not saw_answer:
+        return None
+    return saw_confirm
+
+
 def run_round(trust: PerSubjectTrust, owner: str, suspect: str,
-              responders: Sequence[str], replies: Mapping[str, Optional[bool]],
+              responders: Sequence[str], transport,
+              contested_links: Sequence[str] = (),
               gamma: float = 0.6, confidence_level: float = 0.95,
               use_trust_weighting: bool = True) -> DetectionDecision:
-    """One round of Algorithm 1 on scripted ``replies`` (``None``: no answer)."""
+    """One round of Algorithm 1, each responder queried through ``transport``
+    about ``contested_links`` (sorted, the suspect left out) or, when there
+    are none, about its own link with the suspect."""
     answers: Dict[str, float] = {}
     for responder in sorted(set(responders)):
-        reply = replies[responder]
+        reply = query_responder(transport, owner, responder, suspect, contested_links)
         answers[responder] = 0.0 if reply is None else (1.0 if reply else -1.0)
     trust_view = {responder: trust.trust_of(responder) for responder in answers}
     decision = evaluate_investigation(suspect, answers, trust_view, gamma=gamma,

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.averaging import AveragingTrustSystem, TrustReport
 from repro.baselines.beta_reputation import BetaReputation, BetaReputationSystem
@@ -237,6 +239,36 @@ def test_averaging_freshness_discount():
     system.add_report(TrustReport("old", "t", 1.0, age=100.0))
     system.add_report(TrustReport("new", "t", -1.0, age=0.0))
     assert system.trust_of("t") < 0
+
+
+_REPORTS = st.builds(
+    TrustReport,
+    reporter=st.just("r"),
+    subject=st.sampled_from(["x", "y"]),
+    value=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
+    hop_distance=st.integers(0, 8),
+    age=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+)
+
+
+@given(distance_discount=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       halflife=st.one_of(st.none(), st.just(0.0), st.floats(0.5, 100.0)),
+       reports=st.lists(_REPORTS, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_averaging_weighs_once_as_the_reweighing_oracle(distance_discount, halflife, reports):
+    """Weights fixed when a report is added give the oracle's averages,
+    which weigh every stored report again at each read, bit for bit."""
+    from tests.reference.averaging import ReweighingAveraging
+
+    system = AveragingTrustSystem("me", distance_discount=distance_discount,
+                                  freshness_halflife=halflife)
+    oracle = ReweighingAveraging(distance_discount, halflife)
+    for report in reports:
+        system.add_report(report)
+        oracle.add_report(report)
+        for subject in ("x", "y", "z"):
+            assert float.hex(system.trust_of(subject)) == float.hex(oracle.trust_of(subject))
+            assert system.report_count(subject) == oracle.report_count(subject)
 
 
 def test_averaging_classification_and_round_interface():

@@ -151,6 +151,17 @@ def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
             assert main([*netsim, "--param", flag, *extra]) == 2, flag
             assert f"{name} must be " in capsys.readouterr().err
             assert not db.exists()
+    # The named ones are checked against build_manet_scenario's tables,
+    # and the error lists what they accept.
+    for name, accepted in (("loss_model", "distance"), ("mobility_model", "rpgm"),
+                           ("threat", "liar-clique"),
+                           ("attack_variant", "omitted_neighbor")):
+        for extra in ([], ["--db", str(db)]):
+            assert main([*netsim, "--param", f"{name}=bogus", *extra]) == 2, name
+            err = capsys.readouterr().err
+            assert f"{name} must be one of " in err and "got 'bogus'" in err
+            assert accepted in err
+            assert not db.exists()
     assert main(["run", "figure3", "--param", "rounds=3", "--db", str(db)]) == 0
     capsys.readouterr()
     stored = db.read_bytes()

@@ -248,11 +248,11 @@ def test_mpr_selector_set_membership_and_purge():
     selectors = MprSelectorSet()
     selectors.upsert(MprSelectorTuple("a", expiry_time=5.0))
     selectors.upsert(MprSelectorTuple("b", expiry_time=50.0))
-    assert selectors.contains("a")
+    assert "a" in selectors.by_address
     assert selectors.addresses() == {"a", "b"}
     expired = selectors.purge_expired(10.0)
     assert [s.selector_address for s in expired] == ["a"]
-    assert not selectors.contains("a")
+    assert "a" not in selectors.by_address
     assert len(selectors) == 1
 
 
