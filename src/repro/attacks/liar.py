@@ -135,8 +135,15 @@ class LiarBehavior(Attack):
 
     # simple-callable form used by the round-based experiment harness --------
     def answer(self, honest: Optional[bool], now: float = 0.0) -> Optional[bool]:
-        """Stand-alone form of the lying decision, given the honest answer."""
-        if not self.is_active(now):
+        """Stand-alone form of the lying decision, given the honest answer.
+
+        A set override (:meth:`activate`/:meth:`deactivate`) decides without
+        consulting the schedule, as :meth:`is_active` would.
+        """
+        active = self._manual_override
+        if active is None:
+            active = self.is_active(now)
+        if not active:
             self.honest_answers += 1
             return honest
         if self.suppress_probability and self.rng.random() < self.suppress_probability:

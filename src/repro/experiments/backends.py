@@ -327,9 +327,9 @@ def drive_netsim_scenario(scenario, config: ScenarioConfig,
         # per delivery.
         "events_processed": (network.simulator.processed_events
                              + network.medium.batched_deliveries_saved),
-        # Scheduler counters (pushes/pops/cancelled_skipped/wheel_hits/
-        # compactions).  No experiment puts them in a row, so surfacing
-        # them here cannot perturb report byte-identity.
+        # Scheduler counters (pushes/pops/cancelled_skipped).  No
+        # experiment puts them in a row, so surfacing them here cannot
+        # perturb report byte-identity.
         "engine": network.engine_counters(),
     }
     return result

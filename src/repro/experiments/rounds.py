@@ -30,6 +30,12 @@ from repro.seeding import stable_seed
 from repro.trust.manager import TrustManager
 
 
+#: ``RoundBasedExperiment._fielded`` markers: every liar lies, or the liars
+#: have not been switched yet.
+_ALL_LIARS = object()
+_UNFIELDED = object()
+
+
 class _Responder:
     """A responder in the round-based experiment.
 
@@ -151,6 +157,9 @@ class RoundBasedExperiment:
         self._trust_probe = TrustProbe(self.trust, self.attacker_id)
         self._riding_paused = False
         self._liar_behaviors: Dict[str, LiarBehavior] = {}
+        #: Which liars lie, as last fielded: ``None`` (none), ``_ALL_LIARS``
+        #: or the one active liar's id; ``_UNFIELDED`` before the first round.
+        self._fielded: object = _UNFIELDED
         self._responders: Dict[str, _Responder] = {}
         self._build_responders()
         self._assign_initial_trust()
@@ -275,22 +284,26 @@ class RoundBasedExperiment:
         sorted roster) and keeps the rest honest, which starves each liar's
         direct trust of harmful evidence: a liar takes one disagreement
         evidence per rotation and agreement evidence in the rounds between.
+
+        A fielded liar is switched on with ``activate``.  Its schedule is
+        the default one and it answers at time 0.0, where that schedule is
+        active, so this is what following the schedule would decide.  The
+        liars are switched only when the fielded set changes.
         """
-        if not self._attack_active:
-            for liar in self._liar_behaviors.values():
+        fielded: object = None
+        if self._attack_active:
+            fielded = _ALL_LIARS
+            if self.config.adaptivity == "rotating" and self._liar_behaviors:
+                roster = sorted(self._liar_behaviors)
+                fielded = roster[round_index % len(roster)]
+        if fielded == self._fielded:
+            return
+        self._fielded = fielded
+        for node_id, liar in self._liar_behaviors.items():
+            if fielded is _ALL_LIARS or node_id == fielded:
+                liar.activate()
+            else:
                 liar.deactivate()
-            return
-        if self.config.adaptivity == "rotating" and self._liar_behaviors:
-            roster = sorted(self._liar_behaviors)
-            active_liar = roster[round_index % len(roster)]
-            for node_id, liar in self._liar_behaviors.items():
-                if node_id == active_liar:
-                    liar.follow_schedule()
-                else:
-                    liar.deactivate()
-            return
-        for liar in self._liar_behaviors.values():
-            liar.follow_schedule()
 
     def _investigation_closed(self) -> bool:
         state = self.investigator.state_of(self.attacker_id)

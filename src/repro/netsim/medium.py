@@ -1,57 +1,52 @@
-"""Wireless medium: propagation, loss and collision models.
+"""Wireless medium: unit-disk propagation, loss models and batched delivery.
 
 The medium implements an idealised single-channel broadcast radio:
 
-* A :class:`PropagationModel` decides *who can hear whom* (connectivity).
-* A loss model decides, per receiver, whether an otherwise reachable frame is
-  actually delivered (captures fading, noise, obstacles — the unreliability
-  the paper points at when discussing evidence ``E3``).
-* An optional :class:`CollisionModel` drops frames whose on-air intervals
-  overlap at a receiver, modelling the "high level of collisions" mentioned
-  in the paper's Section IV-C.
+* A propagation model decides *who can hear whom*: a receiver hears a
+  sender within its ``radio_range`` (:class:`UnitDiskPropagation`).
+* A loss model decides, per receiver, whether an otherwise reachable frame
+  is actually delivered (captures fading, noise, obstacles — the
+  unreliability the paper points at when discussing evidence ``E3``):
+  :class:`PerfectChannel`, :class:`BernoulliLossModel` or
+  :class:`DistanceLossModel`, the three the scenarios build.
 
-Spatial fast path
------------------
-Broadcast candidate selection, :meth:`WirelessMedium.neighbors_of` and
-:meth:`WirelessMedium.connectivity_matrix` are served from a uniform spatial
-grid (:class:`_SpatialGrid`) hashed by cell, so each query costs
-O(neighbours) instead of O(N) over all registered interfaces.  The grid and
-the per-node neighbour cache are invalidated through a *position epoch*: the
-:class:`repro.netsim.network.Network` exposes a counter that is bumped every
-time a node position changes (``set_position``, the mobility models, node
-arrival/departure) and the medium rebuilds its index lazily whenever the
-epoch it cached no longer matches.  :meth:`WirelessMedium.connectivity_matrix`
-is built once per grid key and shared until the index is rebuilt, so the
-investigation transports that ask for it on every query reuse one mapping
-(and the reachability they derive from it) while nothing moves.  When no
-epoch oracle is bound (bare position callables, as used by some unit tests)
-or the propagation model has no finite radio range, the medium transparently
-falls back to the brute-force scan and builds a fresh matrix per call, so
-correctness never depends on the index.
+Spatial index
+-------------
+Neighbourhoods come from a uniform grid (:class:`_SpatialGrid`) whose cells
+are one radio range wide, so each query costs O(neighbours), not O(N).
+Positions are read from the network's
+:class:`~repro.netsim.network.PositionTable` (bound with
+:meth:`WirelessMedium.bind_positions`), whose ``epoch`` counter is bumped
+on every write.  The caches — each node's neighbour list, the connectivity
+matrix (one shared mapping, so the investigation transports that ask for
+it on every query reuse it) and each sender's broadcast resolution — are
+rebuilt lazily once that epoch moves, an interface registers or
+unregisters, or the propagation or loss model is replaced (replace a
+model; do not edit one in place).
 
 Delivery
 --------
-:meth:`WirelessMedium.transmit` resolves the receivers of a frame first:
-the cached grid lookup for a broadcast (recomputed once per position
-epoch), a brute-force scan over every interface when no epoch oracle is
-bound, or the unicast destination.  Without a collision model or jitter,
-loss is then drawn in receiver order and one scheduled event delivers the
-frame to every survivor, in that order.  Per-receiver events scheduled back
-to back inside one ``transmit`` call would pop consecutively off the
-``(time, sequence)`` queue anyway, so the single event replays exactly
-their callback order; the events it saves are tallied in
-``batched_deliveries_saved`` so the reported event count keeps meaning one
-event per delivery.  With a collision model or jitter, loss, the
-collision window and the jitter draw are interleaved per receiver, each
-survivor getting its own event.
+A broadcast's resolution holds its in-range receivers in registration
+order, each with its interface, the count of interfaces out of range and,
+under distance loss, each receiver's loss probability.  On a cached
+broadcast :meth:`WirelessMedium.transmit` compares the epoch, reads the
+resolution, draws the losses in receiver order (``rng.random() < p``, as
+``is_lost`` draws) and posts one engine event that delivers the frame to
+every survivor, in order.  Per-receiver events posted back to back would
+pop consecutively off the ``(time, sequence)`` queue anyway, so the single
+event replays exactly their callback order; the events it saves are
+tallied in ``batched_deliveries_saved`` so the reported event count keeps
+meaning one event per delivery.  A unicast is resolved the same way,
+uncached.
 
-Either way a delivery is one call, ``interface.receive(frame, now)``, and
-on a :class:`repro.netsim.network.NetworkInterface` that is up and bound
-``receive`` *is* the node's handler (``OlsrNode.handle_control``), so the
-frame enters the node without an intermediate call.  A frame reaches
-:meth:`WirelessMedium.transmit` in one call from the interface too.  The
-medium counts a frame delivered to a registered interface even when that
-interface is down and drops it.
+A delivery is one call, ``interface.receive(frame, now)``; on an up and
+bound :class:`repro.netsim.network.NetworkInterface`, ``receive`` *is* the
+node's handler.  A frame delivered to a registered interface counts as
+delivered even when that interface is down and drops it.  If an interface
+registered or unregistered while the frame was in the air, the event
+looks each receiver up by id and counts the ones gone as unroutable.
+``tests/test_netsim_batch_parity.py`` pins all of this to the per-receiver
+medium kept in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from repro.netsim.stats import MediumStatistics
@@ -73,11 +68,15 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-# --------------------------------------------------------------------------
-# Propagation models
-# --------------------------------------------------------------------------
+# ------------------------------------------------------------- propagation
 class PropagationModel(Protocol):
-    """Decides whether a transmission from ``sender`` reaches ``receiver``."""
+    """Decides whether a transmission from ``sender`` reaches ``receiver``.
+
+    ``in_range`` must be false beyond ``radio_range`` metres: the spatial
+    grid only looks that far.
+    """
+
+    radio_range: float
 
     def in_range(self, sender: Position, receiver: Position) -> bool:
         """Return True when a frame sent at ``sender`` can reach ``receiver``."""
@@ -94,45 +93,7 @@ class UnitDiskPropagation:
         return distance(sender, receiver) <= self.radio_range
 
 
-@dataclass
-class AsymmetricRangePropagation:
-    """Unit-disk model with per-node transmit ranges.
-
-    Used to create asymmetric links (A hears B but not vice versa), one of the
-    situations that makes evidence ``E3`` hard to diagnose.
-    """
-
-    default_range: float = 250.0
-    per_node_range: Dict[str, float] = field(default_factory=dict)
-
-    def register(self, node_id: str, tx_range: float) -> None:
-        """Assign ``tx_range`` to ``node_id``."""
-        self.per_node_range[node_id] = tx_range
-
-    def range_of(self, node_id: Optional[str]) -> float:
-        """Transmit range of ``node_id`` (or the default when unknown)."""
-        if node_id is None:
-            return self.default_range
-        return self.per_node_range.get(node_id, self.default_range)
-
-    def max_range(self) -> float:
-        """Largest transmit range any node can have under this model."""
-        per_node = max(self.per_node_range.values(), default=0.0)
-        return max(self.default_range, per_node)
-
-    def in_range(self, sender: Position, receiver: Position) -> bool:
-        # Without a node id the model degrades to the default range;
-        # WirelessMedium uses in_range_for when sender identity is known.
-        return distance(sender, receiver) <= self.default_range
-
-    def in_range_for(self, sender_id: str, sender: Position, receiver: Position) -> bool:
-        """Range check using ``sender_id``'s own transmit range."""
-        return distance(sender, receiver) <= self.range_of(sender_id)
-
-
-# --------------------------------------------------------------------------
-# Loss models
-# --------------------------------------------------------------------------
+# ------------------------------------------------------------- loss models
 class LossModel(Protocol):
     """Per-receiver frame-loss decision."""
 
@@ -197,66 +158,16 @@ class DistanceLossModel:
         return self.rng.random() < self.loss_probability(distance(sender, receiver))
 
 
-@dataclass
-class CompositeLossModel:
-    """A frame is lost when *any* of the sub-models loses it."""
-
-    models: List[LossModel] = field(default_factory=list)
-
-    def is_lost(self, frame: Frame, sender: Position, receiver: Position) -> bool:
-        return any(m.is_lost(frame, sender, receiver) for m in self.models)
+_LOSS_MODELS = (PerfectChannel, BernoulliLossModel, DistanceLossModel)
 
 
-# --------------------------------------------------------------------------
-# Collision model
-# --------------------------------------------------------------------------
-@dataclass
-class CollisionModel:
-    """Simple busy-window collision model.
-
-    Two frames collide at a receiver when their on-air intervals overlap.  The
-    on-air duration of a frame is ``size_bytes * 8 / bitrate``.  Both
-    overlapping frames are dropped at that receiver (no capture effect): the
-    later arrival is never scheduled and the earlier frame's pending delivery
-    is cancelled.
-    """
-
-    bitrate_bps: float = 2_000_000.0
-
-    def airtime(self, frame: Frame) -> float:
-        """On-air duration of ``frame`` in seconds."""
-        return frame.size_bytes * 8.0 / self.bitrate_bps
-
-    def overlaps(
-        self, start_a: float, end_a: float, start_b: float, end_b: float
-    ) -> bool:
-        """Whether two on-air intervals overlap."""
-        return start_a < end_b and start_b < end_a
-
-
-class _BusyEntry:
-    """One on-air interval at a receiver, plus its pending delivery event."""
-
-    __slots__ = ("start", "end", "frame_id", "handle", "delivered")
-
-    def __init__(self, start: float, end: float, frame_id: int) -> None:
-        self.start = start
-        self.end = end
-        self.frame_id = frame_id
-        self.handle = None  # EventHandle of the scheduled delivery (if any)
-        self.delivered = False
-
-
-# --------------------------------------------------------------------------
-# Spatial index
-# --------------------------------------------------------------------------
+# ----------------------------------------------------------- spatial index
 class _SpatialGrid:
     """Uniform grid over node positions, hashed by integer cell coordinates.
 
-    ``cell_size`` is the maximum radio range of the propagation model, so any
-    receiver a sender can reach lies within one cell ring of the sender's
-    cell; :meth:`candidates_near` therefore returns a conservative superset
-    of the true neighbourhood in O(neighbours).
+    ``cell_size`` is the radio range, so any receiver a sender can reach
+    lies in the 3×3 cells around the sender's: :meth:`candidates_near`
+    returns a superset of the neighbourhood in O(neighbours).
     """
 
     __slots__ = ("cell_size", "positions", "cells")
@@ -269,34 +180,43 @@ class _SpatialGrid:
             key = (math.floor(x / cell_size), math.floor(y / cell_size))
             self.cells.setdefault(key, []).append(node_id)
 
-    def candidates_near(self, origin: Position, radius: float) -> List[str]:
-        """All node ids whose cell may contain points within ``radius`` of ``origin``."""
+    def candidates_near(self, origin: Position) -> List[str]:
+        """Node ids in the cells within one cell of ``origin``'s."""
         cx = math.floor(origin[0] / self.cell_size)
         cy = math.floor(origin[1] / self.cell_size)
-        reach = max(1, math.ceil(radius / self.cell_size))
         out: List[str] = []
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
                 bucket = self.cells.get((cx + dx, cy + dy))
                 if bucket:
                     out.extend(bucket)
         return out
 
 
-# --------------------------------------------------------------------------
-# The medium itself
-# --------------------------------------------------------------------------
+class _Unbound:
+    """The position table of a medium not bound to one yet."""
+
+    epoch = -1
+
+    def __getitem__(self, node_id: str) -> Position:
+        raise RuntimeError("medium has no position table bound")
+
+
+#: A receiver of a frame: its node id and its interface.
+Receiver = Tuple[str, object]
+#: A resolved transmission: receivers in range (registration order), their
+#: loss probabilities under distance loss (else ``None``), and how many
+#: interfaces were out of range.
+Resolution = Tuple[List[Receiver], Optional[List[float]], int]
+
+
+# ------------------------------------------------------- the medium itself
 class WirelessMedium:
     """Single-channel broadcast medium connecting every registered interface.
 
-    The medium needs a position oracle (callable ``node_id -> (x, y)``) which
-    the :class:`repro.netsim.network.Network` provides, so mobility models can
-    move nodes without the medium keeping stale coordinates.  When the network
-    additionally provides an *epoch oracle* (callable returning an int bumped
-    on every position change), neighbourhood queries and broadcast candidate
-    selection run through a cached spatial grid instead of scanning all N
-    interfaces; set ``use_spatial_index=False`` to force the brute-force scan
-    (used by the scaling benchmarks as the comparison baseline).
+    Positions come from the table bound by :meth:`bind_positions` (a
+    :class:`repro.netsim.network.Network` binds its ``positions``); see the
+    module docstring for the caches and delivery.
     """
 
     def __init__(
@@ -304,19 +224,10 @@ class WirelessMedium:
         simulator,
         propagation: Optional[PropagationModel] = None,
         loss_model: Optional[LossModel] = None,
-        collision_model: Optional[CollisionModel] = None,
         propagation_delay: float = 1e-4,
-        jitter: float = 0.0,
-        rng: Optional[random.Random] = None,
-        use_spatial_index: bool = True,
     ) -> None:
         self._simulator = simulator
-        self.propagation = propagation or UnitDiskPropagation()
-        self.loss_model = loss_model or PerfectChannel()
-        self.collision_model = collision_model
         self.propagation_delay = propagation_delay
-        self.jitter = jitter
-        self._rng = rng or random.Random(0)
         #: Per-medium frame-id pool: two networks in one process (the
         #: differential validator runs oracle and netsim side by side) must
         #: not interleave their id streams.
@@ -326,335 +237,250 @@ class WirelessMedium:
         #: ``Simulator.processed_events`` so the "events" metric counts one
         #: event per delivery.
         self.batched_deliveries_saved = 0
-        self._interfaces: Dict[str, object] = {}
-        self._position_of = None  # set by Network
-        self._position_epoch_of: Optional[Callable[[], int]] = None
-        self.use_spatial_index = use_spatial_index
-        self._membership_epoch = 0  # bumped on register/unregister
-        self._grid: Optional[_SpatialGrid] = None
-        self._grid_key: Optional[Tuple[object, ...]] = None
-        self._order: Dict[str, int] = {}
-        self._neighbor_cache: Dict[str, List[str]] = {}
-        # The shared connectivity matrix of the current grid key (None until
-        # first asked for); same epoch discipline as the neighbour cache.
-        self._connectivity: Optional[Dict[str, List[str]]] = None
-        # sender id -> (receivers, positions, distances, out_of_range count);
-        # follows the same epoch discipline as the neighbour cache.
-        self._broadcast_cache: Dict[str, Tuple[List[str], List[Position],
-                                               Optional[List[float]], int]] = {}
         self.stats = MediumStatistics()
-        # receiver id -> list of busy entries (for collisions)
-        self._busy: Dict[str, List[_BusyEntry]] = {}
         #: Optional delivery-trace recorder (``repro.netsim.trace.TraceRecorder``
         #: or anything with its ``record`` signature).  ``None`` (the default)
         #: costs nothing; the validation harness installs one to audit every
         #: delivery with the positions the range check actually used.
         self.trace_recorder = None
+        self._interfaces: Dict[str, object] = {}
+        #: Bumped on register/unregister; a delivery compares it.
+        self._membership = 0
+        self._positions = _Unbound()
+        #: Position epoch the caches were built at; ``None`` forces a rebuild.
+        self._epoch: Optional[int] = None
+        self._grid: Optional[_SpatialGrid] = None
+        self._order: Dict[str, int] = {}
+        self._neighbors: Dict[str, List[str]] = {}
+        self._connectivity: Optional[Dict[str, List[str]]] = None
+        self._broadcasts: Dict[str, Resolution] = {}
+        self.propagation = propagation or UnitDiskPropagation()
+        self.loss_model = loss_model or PerfectChannel()
 
     # ------------------------------------------------------------- wiring
-    def bind_position_oracle(self, oracle, epoch_oracle: Optional[Callable[[], int]] = None) -> None:
-        """Install the callable used to resolve current node positions.
+    @property
+    def propagation(self) -> PropagationModel:
+        """The propagation model; it needs a finite positive ``radio_range``."""
+        return self._propagation
 
-        ``epoch_oracle``, when provided, must return a counter that changes
-        whenever any position changes; it gates the spatial-index cache.
-        Without it the medium always falls back to the brute-force scan.
-        """
-        self._position_of = oracle
-        self._position_epoch_of = epoch_oracle
-        self._grid = None
-        self._grid_key = None
-        self._neighbor_cache = {}
-        self._connectivity = None
-        self._broadcast_cache = {}
+    @propagation.setter
+    def propagation(self, model: PropagationModel) -> None:
+        radio_range = getattr(model, "radio_range", None)
+        if not (isinstance(radio_range, (int, float)) and math.isfinite(radio_range)
+                and radio_range > 0):
+            raise ValueError(
+                f"propagation model needs a finite positive radio_range, got {radio_range!r}")
+        self._propagation = model
+        self._epoch = None
+
+    @property
+    def loss_model(self) -> LossModel:
+        """The loss model: a :class:`PerfectChannel`,
+        :class:`BernoulliLossModel` or :class:`DistanceLossModel`."""
+        return self._loss_model
+
+    @loss_model.setter
+    def loss_model(self, model: LossModel) -> None:
+        if type(model) not in _LOSS_MODELS:
+            raise TypeError(f"unsupported loss model {type(model).__name__}")
+        self._loss_model = model
+        self._bernoulli = model if type(model) is BernoulliLossModel else None
+        self._epoch = None
+
+    def bind_positions(self, positions) -> None:
+        """Read node positions from ``positions``, a ``node id → (x, y)``
+        mapping with an ``epoch`` counter bumped on every write (a
+        :class:`~repro.netsim.network.PositionTable`)."""
+        if not isinstance(getattr(positions, "epoch", None), int):
+            raise TypeError("the medium needs a position table with an epoch "
+                            "counter (repro.netsim.network.PositionTable)")
+        self._positions = positions
+        self._epoch = None
 
     def register(self, node_id: str, interface) -> None:
         """Register a receiving interface (must expose ``receive(frame, now)``)."""
         if node_id in self._interfaces:
             raise ValueError(f"interface {node_id!r} already registered")
         self._interfaces[node_id] = interface
-        self._membership_epoch += 1
+        self._membership += 1
+        self._epoch = None
 
     def unregister(self, node_id: str) -> None:
         """Remove an interface (node failure / departure)."""
         if self._interfaces.pop(node_id, None) is not None:
-            self._membership_epoch += 1
+            self._membership += 1
+            self._epoch = None
 
     @property
     def node_ids(self) -> List[str]:
         """Identifiers of all registered interfaces."""
         return list(self._interfaces)
 
-    # ----------------------------------------------------------- fast path
-    def _max_propagation_range(self) -> Optional[float]:
-        """Largest sender range under the propagation model, or None if unknown."""
-        prop = self.propagation
-        if isinstance(prop, AsymmetricRangePropagation):
-            candidate = prop.max_range()
-        else:
-            candidate = getattr(prop, "radio_range", None)
-        if isinstance(candidate, (int, float)) and math.isfinite(candidate) and candidate > 0:
-            return float(candidate)
-        return None
+    # --------------------------------------------------------- spatial index
+    def _refresh(self) -> None:
+        """Rebuild the grid and drop every cache built on the old one."""
+        positions = self._positions
+        snapshot = {nid: positions[nid] for nid in self._interfaces}
+        self._grid = _SpatialGrid(float(self._propagation.radio_range), snapshot)
+        self._order = {nid: index for index, nid in enumerate(self._interfaces)}
+        self._neighbors = {}
+        self._connectivity = None
+        self._broadcasts = {}
+        self._epoch = positions.epoch
 
-    def _range_of_sender(self, sender_id: str) -> float:
-        prop = self.propagation
-        if isinstance(prop, AsymmetricRangePropagation):
-            return prop.range_of(sender_id)
-        return float(getattr(prop, "radio_range"))
-
-    def _current_grid(self) -> Optional[_SpatialGrid]:
-        """The up-to-date spatial grid, or None when the fast path is off."""
-        if not self.use_spatial_index or self._position_epoch_of is None or self._position_of is None:
-            return None
-        cell_size = self._max_propagation_range()
-        if cell_size is None:
-            return None
-        # Per-node range edits (AsymmetricRangePropagation.register) change
-        # query answers without moving anyone, so they must be part of the key.
-        prop = self.propagation
-        if isinstance(prop, AsymmetricRangePropagation):
-            range_fingerprint: object = tuple(sorted(prop.per_node_range.items()))
-        else:
-            range_fingerprint = None
-        key = (self._position_epoch_of(), self._membership_epoch, cell_size,
-               range_fingerprint)
-        if self._grid is None or self._grid_key != key:
-            position_of = self._position_of
-            positions = {nid: position_of(nid) for nid in self._interfaces}
-            self._grid = _SpatialGrid(cell_size, positions)
-            self._grid_key = key
-            self._order = {nid: index for index, nid in enumerate(self._interfaces)}
-            self._neighbor_cache = {}
-            self._connectivity = None
-            self._broadcast_cache = {}
-        return self._grid
+    def _neighbors_of(self, node_id: str) -> List[str]:
+        """The cached neighbour list of ``node_id``; callers must not mutate it."""
+        cached = self._neighbors.get(node_id)
+        if cached is None:
+            positions = self._grid.positions
+            origin = positions.get(node_id)
+            if origin is None:
+                origin = self._positions[node_id]
+            candidates = self._grid.candidates_near(origin)
+            candidates.sort(key=self._order.__getitem__)
+            in_range = self._propagation.in_range
+            cached = [other for other in candidates
+                      if other != node_id and in_range(origin, positions[other])]
+            self._neighbors[node_id] = cached
+        return cached
 
     # ------------------------------------------------------------ querying
     def neighbors_of(self, node_id: str) -> List[str]:
         """Node ids currently within radio range of ``node_id``."""
-        if self._position_of is None:
-            raise RuntimeError("medium has no position oracle bound")
-        grid = self._current_grid()
-        if grid is None:
-            return self._neighbors_brute_force(node_id)
-        cached = self._neighbor_cache.get(node_id)
-        if cached is not None:
-            return list(cached)
-        origin = grid.positions.get(node_id)
-        if origin is None:
-            origin = self._position_of(node_id)
-        candidates = grid.candidates_near(origin, self._range_of_sender(node_id))
-        candidates.sort(key=self._order.__getitem__)
-        result = [
-            other
-            for other in candidates
-            if other != node_id and self._reaches(node_id, origin, grid.positions[other])
-        ]
-        self._neighbor_cache[node_id] = result
-        return list(result)
-
-    def _neighbors_brute_force(self, node_id: str) -> List[str]:
-        origin = self._position_of(node_id)
-        result = []
-        for other in self._interfaces:
-            if other == node_id:
-                continue
-            if self._reaches(node_id, origin, self._position_of(other)):
-                result.append(other)
-        return result
+        if self._positions.epoch != self._epoch:
+            self._refresh()
+        return list(self._neighbors_of(node_id))
 
     def connectivity_matrix(self) -> Dict[str, List[str]]:
         """Mapping node id -> reachable neighbour ids (directed); read-only.
 
-        On the spatial fast path every call until the next index rebuild (a
-        position change, node arrival or departure, a per-node range edit)
-        returns the same shared mapping, built on first use; callers must
-        not mutate it.  A new object therefore means new connectivity.  The
-        brute-force fallback builds a fresh mapping on every call.
+        Every call until the next rebuild (a position change, an arrival or
+        departure, a replaced model) returns the same shared mapping, built
+        on first use; callers must not mutate it.  A new object therefore
+        means new connectivity.
         """
-        if self._current_grid() is None:
-            return {nid: self.neighbors_of(nid) for nid in self._interfaces}
+        if self._positions.epoch != self._epoch:
+            self._refresh()
         if self._connectivity is None:
-            self._connectivity = {nid: self.neighbors_of(nid) for nid in self._interfaces}
+            self._connectivity = {nid: list(self._neighbors_of(nid))
+                                  for nid in self._interfaces}
         return self._connectivity
-
-    def _reaches(self, sender_id: str, sender_pos: Position, receiver_pos: Position) -> bool:
-        prop = self.propagation
-        if isinstance(prop, AsymmetricRangePropagation):
-            return prop.in_range_for(sender_id, sender_pos, receiver_pos)
-        return prop.in_range(sender_pos, receiver_pos)
 
     # ---------------------------------------------------------- transmission
     def transmit(self, frame: Frame) -> None:
         """Transmit ``frame`` from its source (see "Delivery" in the module doc)."""
-        if self._position_of is None:
-            raise RuntimeError("medium has no position oracle bound")
         source = frame.source
-        if source not in self._interfaces:
+        destination = frame.destination
+        if destination == BROADCAST_ADDRESS:
+            if self._positions.epoch != self._epoch:
+                self._refresh()
+            resolution = self._broadcasts.get(source)
+            if resolution is None:
+                resolution = self._resolve_broadcast(source)
+        elif source not in self._interfaces:
             raise ValueError(f"unknown transmitter {source!r}")
+        elif destination in self._interfaces:
+            resolution = self._resolve_unicast(source, destination)
+        else:
+            resolution = None
         now = self._simulator.now
         frame.created_at = now
         if frame._frame_id is None:
             frame._frame_id = next(self._frame_ids)
-        sender_pos = self._position_of(source)
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
-
-        if frame.destination == BROADCAST_ADDRESS:
-            grid = self._current_grid()
-            if grid is not None:
-                resolved = self._broadcast_cache.get(source)
-                if resolved is None:
-                    resolved = self._resolve_broadcast(source, sender_pos, grid)
-                    self._broadcast_cache[source] = resolved
-            else:
-                others = [nid for nid in self._interfaces if nid != source]
-                resolved = self._resolve(source, sender_pos, others, self._position_of)
-        elif frame.destination in self._interfaces:
-            resolved = self._resolve(source, sender_pos, [frame.destination],
-                                     self._position_of)
-        else:
+        if resolution is None:
             stats.frames_unroutable += 1
             return
-        receivers, receiver_positions, distances, out_of_range = resolved
+        receivers, probabilities, out_of_range = resolution
         stats.frames_out_of_range += out_of_range
         if not receivers:
             return
-        if self.collision_model is None and not self.jitter:
-            self._post_batch(frame, sender_pos, receivers, receiver_positions, distances)
-        else:
-            self._schedule_each(frame, sender_pos, receivers, receiver_positions, now)
-
-    def _resolve(
-        self, source: str, sender_pos: Position, candidates: List[str],
-        position_of: Callable[[str], Position],
-    ) -> Tuple[List[str], List[Position], Optional[List[float]], int]:
-        """The ``candidates`` in range of ``source``, in candidate order.
-
-        Returns ``(receivers, positions, distances, out_of_range)`` where
-        ``distances`` is only materialised when the loss model needs it.
-        """
-        receivers: List[str] = []
-        receiver_positions: List[Position] = []
-        for nid in candidates:
-            receiver_pos = position_of(nid)
-            if self._reaches(source, sender_pos, receiver_pos):
-                receivers.append(nid)
-                receiver_positions.append(receiver_pos)
-        distances: Optional[List[float]] = None
-        if type(self.loss_model) is DistanceLossModel:
-            distances = [distance(sender_pos, rp) for rp in receiver_positions]
-        return (receivers, receiver_positions, distances,
-                len(candidates) - len(receivers))
-
-    def _resolve_broadcast(
-        self, source: str, sender_pos: Position, grid: _SpatialGrid
-    ) -> Tuple[List[str], List[Position], Optional[List[float]], int]:
-        """:meth:`_resolve` over the grid's candidates, in registration order.
-
-        Anything outside the candidate cells is provably out of range, so
-        it counts as out of range without a check.
-        """
-        candidates = grid.candidates_near(sender_pos, self._range_of_sender(source))
-        candidates.sort(key=self._order.__getitem__)
-        candidates = [nid for nid in candidates if nid != source]
-        receivers, receiver_positions, distances, _ = self._resolve(
-            source, sender_pos, candidates, grid.positions.__getitem__)
-        out_of_range = len(self._interfaces) - 1 - len(receivers)
-        return receivers, receiver_positions, distances, out_of_range
-
-    def _post_batch(
-        self, frame: Frame, sender_pos: Position, receivers: List[str],
-        receiver_positions: List[Position], distances: Optional[List[float]],
-    ) -> None:
-        """Draw losses in receiver order; one event delivers to the rest."""
-        loss = self.loss_model
-        loss_type = type(loss)
-        keep: Optional[List[int]] = None
-        if loss_type is PerfectChannel:
-            pass
-        elif loss_type is BernoulliLossModel:
-            probability = loss.loss_probability
-            if probability > 0.0:
-                rng_random = loss.rng.random
-                keep = [i for i in range(len(receivers))
-                        if not rng_random() < probability]
-        elif loss_type is DistanceLossModel:
-            if distances is None:  # loss model swapped after the cache filled
-                distances = [distance(sender_pos, rp) for rp in receiver_positions]
-            probability_at = loss.loss_probability
-            rng_random = loss.rng.random
-            keep = [i for i, d in enumerate(distances)
-                    if not rng_random() < probability_at(d)]
-        else:
-            keep = [i for i, receiver_pos in enumerate(receiver_positions)
-                    if not loss.is_lost(frame, sender_pos, receiver_pos)]
-        if keep is not None:
-            self.stats.frames_lost += len(receivers) - len(keep)
-            if len(keep) != len(receivers):
-                receivers = [receivers[i] for i in keep]
-                receiver_positions = [receiver_positions[i] for i in keep]
-            if not receivers:
+        survivors = receivers
+        if probabilities is not None:
+            draw = self._loss_model.rng.random
+            survivors = [receiver for receiver, p in zip(receivers, probabilities)
+                         if not draw() < p]
+        elif self._bernoulli is not None:
+            p = self._bernoulli.loss_probability
+            if p > 0.0:
+                draw = self._bernoulli.rng.random
+                survivors = [receiver for receiver in receivers if not draw() < p]
+        if survivors is not receivers:
+            stats.frames_lost += len(receivers) - len(survivors)
+            if not survivors:
                 return
-        tx_infos = None
-        if self.trace_recorder is not None:
-            # Capture the positions (and the sender range) the in-range
-            # decision was made with — mobility may move either endpoint
-            # before the delivery event fires.
-            tx_range = self._safe_range_of(frame.source)
-            tx_infos = [(sender_pos, receiver_pos, tx_range)
-                        for receiver_pos in receiver_positions]
-        self.batched_deliveries_saved += len(receivers) - 1
-        self._simulator.post(self.propagation_delay, self._deliver_batch,
-                             receivers, frame, tx_infos)
+        self.batched_deliveries_saved += len(survivors) - 1
+        if self.trace_recorder is None:
+            self._simulator.post(self.propagation_delay, self._deliver_batch,
+                                 frame, survivors, self._membership)
+            return
+        # Capture the positions (and the range) the in-range decision was
+        # made with: mobility may move either endpoint before delivery.
+        positions = self._positions
+        sender_pos = positions[source]
+        tx_range = float(self._propagation.radio_range)
+        tx_infos = [(sender_pos, positions[receiver_id], tx_range)
+                    for receiver_id, _ in survivors]
+        self._simulator.post(self.propagation_delay, self._deliver_checked,
+                             frame, survivors, tx_infos)
 
-    def _schedule_each(
-        self, frame: Frame, sender_pos: Position, receivers: List[str],
-        receiver_positions: List[Position], now: float,
-    ) -> None:
-        """Loss, collision window and jitter per receiver, one event each."""
-        loss = self.loss_model
+    def _resolve_broadcast(self, source: str) -> Resolution:
+        """Resolve and cache ``source``'s broadcast for this epoch."""
+        if source not in self._interfaces:
+            raise ValueError(f"unknown transmitter {source!r}")
+        interfaces = self._interfaces
+        neighbors = self._neighbors_of(source)
+        resolution = ([(nid, interfaces[nid]) for nid in neighbors],
+                      self._loss_probabilities(source, neighbors),
+                      len(interfaces) - 1 - len(neighbors))
+        self._broadcasts[source] = resolution
+        return resolution
+
+    def _resolve_unicast(self, source: str, destination: str) -> Resolution:
+        positions = self._positions
+        if not self._propagation.in_range(positions[source], positions[destination]):
+            return [], None, 1
+        return ([(destination, self._interfaces[destination])],
+                self._loss_probabilities(source, [destination]), 0)
+
+    def _loss_probabilities(self, source: str,
+                            receivers: List[str]) -> Optional[List[float]]:
+        """Each receiver's distance-loss probability (``None`` otherwise)."""
+        loss = self._loss_model
+        if type(loss) is not DistanceLossModel:
+            return None
+        positions = self._positions
+        origin = positions[source]
+        return [loss.loss_probability(distance(origin, positions[nid]))
+                for nid in receivers]
+
+    def _deliver_batch(self, frame: Frame, receivers: List[Receiver],
+                       membership: int) -> None:
+        """Deliver one frame to all surviving receivers, in order."""
+        if membership != self._membership:
+            self._deliver_checked(frame, receivers, None)
+            return
+        now = self._simulator.now
+        count = len(receivers)
         stats = self.stats
-        tx_range = None
-        if self.trace_recorder is not None:
-            tx_range = self._safe_range_of(frame.source)
-        for receiver_id, receiver_pos in zip(receivers, receiver_positions):
-            if loss.is_lost(frame, sender_pos, receiver_pos):
-                stats.frames_lost += 1
-                continue
-            entry: Optional[_BusyEntry] = None
-            if self.collision_model is not None:
-                entry, collided = self._check_collision(receiver_id, frame, now)
-                if collided:
-                    stats.frames_collided += 1
-                    continue
-            delay = self.propagation_delay
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
-            tx_info = None
-            if self.trace_recorder is not None:
-                tx_info = (sender_pos, receiver_pos, tx_range)
-            if entry is not None:
-                entry.handle = self._simulator.schedule(
-                    delay, self._deliver, receiver_id, frame, entry, tx_info)
-            else:
-                # No collision entry to cancel later: skip handle creation.
-                self._simulator.post(delay, self._deliver, receiver_id,
-                                     frame, None, tx_info)
+        stats.frames_delivered += count
+        stats.bytes_delivered += count * frame.size_bytes
+        for _, interface in receivers:
+            interface.receive(frame, now)
 
-    def _deliver_batch(self, receiver_ids: List[str], frame: Frame,
-                       tx_infos: Optional[List[Tuple[Position, Position, Optional[float]]]]) -> None:
-        """Deliver one frame to all surviving receivers, in order.
-
-        Receivers that unregistered while the frame was on the air count as
-        unroutable, as a per-receiver delivery event would count them.
-        """
+    def _deliver_checked(
+        self, frame: Frame, receivers: List[Receiver],
+        tx_infos: Optional[List[Tuple[Position, Position, float]]],
+    ) -> None:
+        """Deliver by node id (ids gone count as unroutable), recording each
+        delivery when ``tx_infos`` was captured."""
         interfaces = self._interfaces
         stats = self.stats
         now = self._simulator.now
         size_bytes = frame.size_bytes
-        for index, receiver_id in enumerate(receiver_ids):
+        for index, (receiver_id, _) in enumerate(receivers):
             interface = interfaces.get(receiver_id)
             if interface is None:
                 stats.frames_unroutable += 1
@@ -671,66 +497,3 @@ class WirelessMedium:
                     tx_range=tx_range,
                 )
             interface.receive(frame, now)
-
-    def _check_collision(
-        self, receiver_id: str, frame: Frame, now: float
-    ) -> Tuple[_BusyEntry, bool]:
-        """Record ``frame``'s on-air interval; detect and resolve overlaps.
-
-        Both frames of an overlapping pair are dropped: the new frame is
-        reported as collided to the caller, and any earlier frame still
-        awaiting delivery has its delivery event cancelled here.
-        """
-        model = self.collision_model
-        assert model is not None
-        airtime = model.airtime(frame)
-        entry = _BusyEntry(now, now + airtime, frame.frame_id)
-        intervals = self._busy.setdefault(receiver_id, [])
-        # prune stale intervals
-        intervals[:] = [iv for iv in intervals if iv.end > now - 1.0]
-        collided = False
-        for other in intervals:
-            if not model.overlaps(entry.start, entry.end, other.start, other.end):
-                continue
-            collided = True
-            if (
-                other.handle is not None
-                and not other.delivered
-                and not other.handle.cancelled
-            ):
-                other.handle.cancel()
-                other.handle = None
-                self.stats.frames_collided += 1
-        intervals.append(entry)
-        return entry, collided
-
-    def _safe_range_of(self, sender_id: str) -> Optional[float]:
-        """``_range_of_sender`` for models that may have no finite range."""
-        prop = self.propagation
-        if isinstance(prop, AsymmetricRangePropagation):
-            return prop.range_of(sender_id)
-        candidate = getattr(prop, "radio_range", None)
-        if isinstance(candidate, (int, float)) and math.isfinite(candidate):
-            return float(candidate)
-        return None
-
-    def _deliver(self, receiver_id: str, frame: Frame, entry: Optional[_BusyEntry] = None,
-                 tx_info: Optional[Tuple[Position, Position, Optional[float]]] = None) -> None:
-        if entry is not None:
-            entry.delivered = True
-        interface = self._interfaces.get(receiver_id)
-        if interface is None:
-            self.stats.frames_unroutable += 1
-            return
-        self.stats.frames_delivered += 1
-        self.stats.bytes_delivered += frame.size_bytes
-        if self.trace_recorder is not None and tx_info is not None:
-            sender_pos, receiver_pos, tx_range = tx_info
-            self.trace_recorder.record(
-                self._simulator.now, "medium", receiver_id, "FRAME_DELIVERED",
-                source=frame.source,
-                sender_pos=sender_pos,
-                receiver_pos=receiver_pos,
-                tx_range=tx_range,
-            )
-        interface.receive(frame, self._simulator.now)

@@ -27,7 +27,8 @@ class PositionTable(Dict[str, Position]):
     The wireless medium caches a spatial index over node positions; every
     write to this table (teleports via :meth:`Network.set_position`, the
     periodic mobility-model updates, node arrival/departure) bumps ``epoch``,
-    which the medium polls to invalidate that cache lazily.
+    an attribute the medium compares on each query to invalidate that cache
+    lazily.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -155,7 +156,7 @@ class Network:
             loss_model=PerfectChannel(),
         )
         self.positions: PositionTable = PositionTable()
-        self.medium.bind_position_oracle(self.position_of, self._position_epoch)
+        self.medium.bind_positions(self.positions)
         self.mobility = mobility or GridPlacement()
         self.interfaces: Dict[str, NetworkInterface] = {}
         self.nodes: Dict[str, object] = {}
@@ -163,10 +164,6 @@ class Network:
         self._mobility_installed = False
 
     # ------------------------------------------------------------ topology
-    def _position_epoch(self) -> int:
-        """Counter bumped on every position change (spatial-index invalidation)."""
-        return self.positions.epoch
-
     def position_of(self, node_id: str) -> Position:
         """Current coordinates of ``node_id``."""
         try:
@@ -246,10 +243,9 @@ class Network:
     def engine_counters(self) -> Dict[str, int]:
         """Scheduler throughput counters (empty for engines without them).
 
-        The timer-wheel :class:`~repro.netsim.engine.Simulator` reports
-        ``pushes``/``pops``/``cancelled_skipped``/``wheel_hits``/
-        ``compactions``; an injected stand-in engine without ``counters()``
-        reports ``{}``.
+        :class:`~repro.netsim.engine.Simulator` reports ``pushes``, ``pops``
+        and ``cancelled_skipped``; an injected stand-in engine without
+        ``counters()`` reports ``{}``.
         """
         counters = getattr(self.simulator, "counters", None)
         return counters() if callable(counters) else {}

@@ -6,8 +6,8 @@ link-layer broadcast address or to a specific node identifier.
 
 Frame ids
 ---------
-Every frame gets a monotonically increasing ``frame_id`` so traces and the
-collision model's busy windows can tell transmissions apart.  Ids are
+Every frame gets a monotonically increasing ``frame_id`` so traces can
+tell transmissions apart.  Ids are
 allocated lazily: :meth:`repro.netsim.medium.WirelessMedium.transmit` stamps
 each frame from the *medium's own* counter, so two networks running in one
 process (the differential validation harness runs oracle and netsim side by
@@ -41,8 +41,7 @@ class Frame:
     payload:
         Arbitrary upper-layer content.
     size_bytes:
-        Nominal on-air size used by statistics and (optionally) collision
-        windows.
+        Nominal on-air size used by statistics.
     frame_id:
         Monotonically increasing identifier, stamped by the transmitting
         medium (or lazily from a module pool when read before transmission).

@@ -8,7 +8,10 @@ from typing import Dict
 
 @dataclass
 class MediumStatistics:
-    """Counters maintained by :class:`repro.netsim.medium.WirelessMedium`."""
+    """Counters maintained by :class:`repro.netsim.medium.WirelessMedium`.
+
+    The medium models no collisions, so ``frames_collided`` stays 0.
+    """
 
     frames_sent: int = 0
     frames_delivered: int = 0
@@ -34,7 +37,7 @@ class MediumStatistics:
 
     @property
     def loss_ratio(self) -> float:
-        """Lost (channel loss + collisions) / attempted deliveries."""
+        """Lost (channel loss, plus any collisions) / attempted deliveries."""
         attempted = (
             self.frames_delivered
             + self.frames_lost

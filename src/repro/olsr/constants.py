@@ -83,8 +83,7 @@ MAX_TTL = 255
 #: Header sizes (bytes): an OLSR packet header and each message's header.
 PACKET_HEADER_SIZE = 4
 MESSAGE_HEADER_SIZE = 12
-#: Default emission sizes used for statistics (bytes); HELLO stays local so
-#: its size only matters for collision modelling.
+#: Default emission sizes used for statistics (bytes).
 HELLO_BASE_SIZE = 20
 TC_BASE_SIZE = 16
 PER_ADDRESS_SIZE = 4

@@ -2,7 +2,7 @@
 
 Messages are plain dataclasses; serialisation to bytes is not needed because
 the simulator exchanges Python objects, but each message knows its nominal
-wire size so the medium's collision/throughput accounting stays meaningful.
+wire size so the medium's byte accounting stays meaningful.
 """
 
 from __future__ import annotations

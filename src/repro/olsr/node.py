@@ -597,7 +597,9 @@ class OlsrNode:
                 return
         self.duplicate_set.mark_forwarded(message.originator, message.message_seq_number)
         forwarded = message.forwarded_copy()
-        delay = self.rng.uniform(0.0, self.config.forward_jitter)
+        # Uniform in [0, forward_jitter): one draw, and the float
+        # ``rng.uniform(0.0, forward_jitter)`` would give.
+        delay = self.config.forward_jitter * self.rng.random()
         self.simulator.post(delay, self._transmit_forward, forwarded)
         self.stats.messages_forwarded += 1
         if _FORWARD in recorded:

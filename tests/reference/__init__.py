@@ -1,10 +1,13 @@
 """Reference implementations the parity suites compare the program against.
 
-* :class:`HeapSimulator` — the single-heap event engine the timer-wheel
-  :class:`repro.netsim.engine.Simulator` replaced.
+* :class:`HeapSimulator` — an event engine whose heap holds event objects
+  ordered by a Python ``__lt__``, the ordering oracle of
+  :class:`repro.netsim.engine.Simulator`'s tuple heap.
 * :class:`PerReceiverMedium` — a :class:`repro.netsim.medium.WirelessMedium`
-  that schedules one delivery event per receiver and checks range, loss,
-  collision and jitter receiver by receiver.
+  that scans every interface, checks range and loss receiver by receiver
+  and schedules one delivery event per receiver.
+* :func:`scan_neighbors` / :func:`scan_connectivity` — the all-pairs
+  neighbour scan the medium's spatial grid replaced.
 * :func:`path_avoiding` — the per-query BFS the investigation transport's
   cached reachable sets replaced.
 * :class:`RebuildingTopologySet` — the topology set with one tuple per
@@ -30,10 +33,11 @@ None is used by the program; they are oracles for its single paths.
 
 from tests.reference.duplicate import FlatDuplicateSet
 from tests.reference.engine import HeapSimulator
-from tests.reference.medium import PerReceiverMedium
+from tests.reference.medium import PerReceiverMedium, scan_connectivity, scan_neighbors
 from tests.reference.mpr import select_mprs
 from tests.reference.paths import path_avoiding
 from tests.reference.topology import RebuildingTopologySet
 
 __all__ = ["FlatDuplicateSet", "HeapSimulator", "PerReceiverMedium",
-           "RebuildingTopologySet", "path_avoiding", "select_mprs"]
+           "RebuildingTopologySet", "path_avoiding", "scan_connectivity",
+           "scan_neighbors", "select_mprs"]

@@ -45,11 +45,11 @@ class _HeapEventHandle:
 
 
 class HeapSimulator:
-    """The pre-timer-wheel engine: one global ``(time, sequence)`` heap.
+    """One global heap of event objects compared by ``(time, sequence)``.
 
-    ``tests/test_netsim_engine_parity.py`` pins the timer wheel's event
+    ``tests/test_netsim_engine_parity.py`` pins the program engine's event
     order against it on randomised schedules, and it is the baseline of the
-    engine-throughput benchmark in ``benchmarks/test_bench_olsr_scale.py``.
+    engine benchmark in ``benchmarks/test_bench_olsr_scale.py``.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:

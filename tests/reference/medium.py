@@ -1,79 +1,117 @@
-"""The per-receiver medium: the delivery oracle of the batch parity suite."""
+"""The per-receiver medium and the all-pairs neighbour scan.
+
+:class:`PerReceiverMedium` is the delivery oracle of the batch parity suite,
+and :func:`scan_neighbors` / :func:`scan_connectivity` are the oracles of
+the medium's spatial grid.
+"""
 
 from __future__ import annotations
 
-from typing import Optional
+import itertools
+import math
 
-from repro.netsim.medium import WirelessMedium, _BusyEntry
-from repro.netsim.packet import Frame
+from repro.netsim.medium import WirelessMedium
+from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+
+
+def scan_neighbors(node_ids, positions, propagation, node_id):
+    """The ids in ``node_ids`` (in that order), other than ``node_id``, that
+    ``propagation`` says a frame sent from ``node_id`` reaches."""
+    origin = positions[node_id]
+    return [other for other in node_ids
+            if other != node_id and propagation.in_range(origin, positions[other])]
+
+
+def scan_connectivity(node_ids, positions, propagation):
+    """:func:`scan_neighbors` of every node: ``node id -> neighbour ids``."""
+    return {node_id: scan_neighbors(node_ids, positions, propagation, node_id)
+            for node_id in node_ids}
 
 
 class PerReceiverMedium(WirelessMedium):
-    """``WirelessMedium`` whose ``transmit`` decides every receiver alone.
+    """A medium whose ``transmit`` decides every receiver alone.
 
-    Each candidate receiver is range-checked against its live position,
-    then loss, the collision window and the jitter draw are taken in turn,
-    and each survivor gets its own delivery event.  The program's
-    ``transmit`` must be observably identical to this: same deliveries,
-    same order, same statistics, same rng consumption, and
-    ``processed_events + batched_deliveries_saved`` equal to this
-    medium's ``processed_events``.
+    It scans every registered interface in registration order, range-checks
+    each against its live position (the unit-disk test, inlined), draws its
+    loss with the loss model's ``is_lost``, and posts one delivery event per
+    receiver, which looks the receiver up by id when it fires.  It uses
+    none of the medium's caches or helpers; neighbour queries are inherited.
+    The program's ``transmit`` must be observably identical to this: same
+    deliveries, same order, same statistics, same rng consumption, and
+    ``processed_events + batched_deliveries_saved`` equal to this medium's
+    ``processed_events``.
     """
 
+    def __init__(self, simulator, *args, **kwargs) -> None:
+        super().__init__(simulator, *args, **kwargs)
+        self._engine = simulator
+        self._receivers = {}
+        self._live_positions = None
+        self._ids = itertools.count(1)
+
+    def bind_positions(self, positions) -> None:
+        super().bind_positions(positions)
+        self._live_positions = positions
+
+    def register(self, node_id, interface) -> None:
+        super().register(node_id, interface)
+        self._receivers[node_id] = interface
+
+    def unregister(self, node_id) -> None:
+        super().unregister(node_id)
+        self._receivers.pop(node_id, None)
+
     def transmit(self, frame: Frame) -> None:
-        if self._position_of is None:
-            raise RuntimeError("medium has no position oracle bound")
-        if frame.source not in self._interfaces:
-            raise ValueError(f"unknown transmitter {frame.source!r}")
-        now = self._simulator.now
+        source = frame.source
+        if source not in self._receivers:
+            raise ValueError(f"unknown transmitter {source!r}")
+        now = self._engine.now
         frame.created_at = now
         if frame._frame_id is None:
-            frame._frame_id = next(self._frame_ids)
-        sender_pos = self._position_of(frame.source)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += frame.size_bytes
-
-        if frame.is_broadcast:
-            grid = self._current_grid()
-            if grid is not None:
-                candidates = grid.candidates_near(
-                    sender_pos, self._range_of_sender(frame.source))
-                receivers = [nid for nid in candidates if nid != frame.source]
-                receivers.sort(key=self._order.__getitem__)
-                # Anything outside the candidate cells is out of range.
-                self.stats.frames_out_of_range += (
-                    len(self._interfaces) - 1 - len(receivers))
-            else:
-                receivers = [nid for nid in self._interfaces if nid != frame.source]
+            frame._frame_id = next(self._ids)
+        stats = self.stats
+        stats.frames_sent += 1
+        stats.bytes_sent += frame.size_bytes
+        if frame.destination == BROADCAST_ADDRESS:
+            candidates = [nid for nid in self._receivers if nid != source]
+        elif frame.destination in self._receivers:
+            candidates = [frame.destination]
         else:
-            receivers = [frame.destination] if frame.destination in self._interfaces else []
-            if not receivers:
-                self.stats.frames_unroutable += 1
-                return
-
-        for receiver_id in receivers:
-            receiver_pos = self._position_of(receiver_id)
-            if not self._reaches(frame.source, sender_pos, receiver_pos):
-                self.stats.frames_out_of_range += 1
+            stats.frames_unroutable += 1
+            return
+        positions = self._live_positions
+        sender_pos = positions[source]
+        radio_range = self.propagation.radio_range
+        for receiver_id in candidates:
+            receiver_pos = positions[receiver_id]
+            if not (math.hypot(sender_pos[0] - receiver_pos[0],
+                               sender_pos[1] - receiver_pos[1]) <= radio_range):
+                stats.frames_out_of_range += 1
                 continue
             if self.loss_model.is_lost(frame, sender_pos, receiver_pos):
-                self.stats.frames_lost += 1
+                stats.frames_lost += 1
                 continue
-            entry: Optional[_BusyEntry] = None
-            if self.collision_model is not None:
-                entry, collided = self._check_collision(receiver_id, frame, now)
-                if collided:
-                    self.stats.frames_collided += 1
-                    continue
-            delay = self.propagation_delay
-            if self.jitter:
-                delay += self._rng.uniform(0.0, self.jitter)
             tx_info = None
             if self.trace_recorder is not None:
-                tx_info = (sender_pos, receiver_pos, self._safe_range_of(frame.source))
-            if entry is not None:
-                entry.handle = self._simulator.schedule(
-                    delay, self._deliver, receiver_id, frame, entry, tx_info)
-            else:
-                self._simulator.post(delay, self._deliver, receiver_id,
-                                     frame, None, tx_info)
+                tx_info = (sender_pos, receiver_pos, float(radio_range))
+            self._engine.post(self.propagation_delay, self._deliver_one,
+                              receiver_id, frame, tx_info)
+
+    def _deliver_one(self, receiver_id, frame, tx_info) -> None:
+        interface = self._receivers.get(receiver_id)
+        if interface is None:
+            self.stats.frames_unroutable += 1
+            return
+        self.stats.frames_delivered += 1
+        self.stats.bytes_delivered += frame.size_bytes
+        now = self._engine.now
+        if self.trace_recorder is not None and tx_info is not None:
+            sender_pos, receiver_pos, tx_range = tx_info
+            self.trace_recorder.record(
+                now, "medium", receiver_id, "FRAME_DELIVERED",
+                source=frame.source,
+                sender_pos=sender_pos,
+                receiver_pos=receiver_pos,
+                tx_range=tx_range,
+            )
+        interface.receive(frame, now)

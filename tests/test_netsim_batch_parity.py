@@ -1,18 +1,17 @@
 """Medium parity: batched delivery is a pure performance optimisation.
 
 :meth:`repro.netsim.medium.WirelessMedium.transmit` resolves each frame's
-receivers once and, without a collision model or jitter, serves them all
-with one scheduled event.  It must be observably indistinguishable from
-:class:`tests.reference.PerReceiverMedium`, which decides and schedules
-every receiver alone: identical delivery traces, statistics, experiment
-results and stored row JSON, and ``processed_events +
-batched_deliveries_saved`` equal to the reference's event count.
+receivers once and serves them all with one scheduled event.  It must be
+observably indistinguishable from :class:`tests.reference.PerReceiverMedium`,
+which scans, decides and schedules every receiver alone: identical delivery
+traces, statistics, experiment results and stored row JSON, and
+``processed_events + batched_deliveries_saved`` equal to the reference's
+event count.
 
 The full-scenario sweep covers node count × loss model × mobility; the
-bare-medium cases cover the configurations served by the shared
-per-receiver loop or the brute-force scan (a collision model, jitter on the
-loss model's own rng, a medium without an epoch oracle, unicast).  The
-vector Eq. 5 trust update is pinned against per-subject updates.
+bare-medium cases drift 24 nodes between bursts of broadcasts or unicasts,
+and drop receivers while frames are in the air.  The vector Eq. 5 trust
+update is pinned against per-subject updates.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ from repro.experiments.engine import execute_cell, get_experiment
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import (
     BernoulliLossModel,
-    CollisionModel,
     UnitDiskPropagation,
     WirelessMedium,
 )
+from repro.netsim.network import PositionTable
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from repro.netsim.trace import TraceRecorder
 from tests.reference import PerReceiverMedium
@@ -125,29 +124,24 @@ def test_campaign_row_json_identical_between_paths(monkeypatch):
 
 
 # ------------------------------------------------------------ bare medium
-def _bare_run(medium_cls, *, collision=False, jitter=0.0, shared_rng=False,
-              epoch_oracle=True, unicast=False):
+def _bare_run(medium_cls, *, unicast=False, departures=False):
     """24 drifting nodes exchanging 150 frames.
 
-    Returns everything observable, and the deliveries batching saved.
+    With ``departures`` two receivers unregister while frames are in the
+    air.  Returns everything observable, and the deliveries batching saved.
     """
     simulator = Simulator()
-    medium_rng = random.Random(11)
-    loss_rng = medium_rng if shared_rng else random.Random(12)
+    loss_rng = random.Random(12)
     medium = medium_cls(
         simulator,
         propagation=UnitDiskPropagation(radio_range=250.0),
         loss_model=BernoulliLossModel(loss_probability=0.3, rng=loss_rng),
-        collision_model=CollisionModel(bitrate_bps=100_000) if collision else None,
-        jitter=jitter,
-        rng=medium_rng,
     )
     layout = random.Random(3)
     ids = [f"n{i:02d}" for i in range(24)]
-    positions = {nid: (layout.uniform(0, 600), layout.uniform(0, 600)) for nid in ids}
-    epoch = [0]
-    medium.bind_position_oracle(positions.__getitem__,
-                                (lambda: epoch[0]) if epoch_oracle else None)
+    positions = PositionTable(
+        {nid: (layout.uniform(0, 600), layout.uniform(0, 600)) for nid in ids})
+    medium.bind_positions(positions)
     deliveries = []
 
     class Sink:
@@ -166,41 +160,54 @@ def _bare_run(medium_cls, *, collision=False, jitter=0.0, shared_rng=False,
         for nid in ids:
             x, y = positions[nid]
             positions[nid] = (x + layout.uniform(-40, 40), y + layout.uniform(-40, 40))
-        epoch[0] += 1
 
+    leaving = ("n03", "n07") if departures else ()
+    senders = [nid for nid in ids if nid not in leaving]
     traffic = random.Random(5)
     for k in range(150):
-        source = traffic.choice(ids)
+        source = traffic.choice(senders)
         destination = traffic.choice(ids) if unicast else BROADCAST_ADDRESS
         frame = Frame(source=source, destination=destination, payload=k)
         simulator.schedule_at(traffic.uniform(0.0, 3.0), medium.transmit, frame)
     for tick in (1.0, 2.0):
         simulator.schedule_at(tick, drift)
+    for k, (when, node_id) in enumerate(zip((1.5, 2.5), leaving)):
+        # Everyone else broadcasts, and the node leaves before the frames
+        # arrive 0.1 ms later.  Without a recorder the batch takes the
+        # membership check; the recorder's own path checks every receiver.
+        for source in senders:
+            frame = Frame(source=source, destination=BROADCAST_ADDRESS,
+                          payload=(node_id, source))
+            simulator.schedule_at(when, medium.transmit, frame)
+        simulator.schedule_at(when + 5e-5, medium.unregister, node_id)
+        if k == 0:
+            simulator.schedule_at(when - 1e-3, setattr, medium, "trace_recorder", None)
+            simulator.schedule_at(when + 1e-3, setattr, medium, "trace_recorder",
+                                  recorder)
     simulator.run()
     observed = {
         "deliveries": deliveries,
         "trace": [(e.time, e.node, e.description, e.data) for e in recorder.events],
         "stats": medium.stats,
         "events": simulator.processed_events + medium.batched_deliveries_saved,
-        "rng": (medium_rng.getstate(), loss_rng.getstate()),
+        "rng": loss_rng.getstate(),
     }
     return observed, medium.batched_deliveries_saved
 
 
-@pytest.mark.parametrize("config,batched", [
-    ({"collision": True}, False),
-    ({"jitter": 0.002, "shared_rng": True}, False),
-    ({"epoch_oracle": False}, True),
-    ({"unicast": True}, False),
-], ids=["collision", "jitter_shared_rng", "no_epoch_oracle", "unicast"])
-def test_bare_medium_matches_per_receiver_reference(config, batched):
+@pytest.mark.parametrize("config", [
+    {"unicast": True},
+    {"departures": True},
+], ids=["unicast", "departures"])
+def test_bare_medium_matches_per_receiver_reference(config):
     got, saved = _bare_run(WirelessMedium, **config)
     want, _ = _bare_run(PerReceiverMedium, **config)
     assert got["deliveries"] and got["stats"].frames_lost
     assert got == want
-    # Without a collision model or jitter a broadcast is one event, whether
-    # its receivers came from the grid or from the brute-force scan.
-    assert (saved > 0) == batched
+    # A unicast has one receiver: batching saves nothing.
+    assert (saved > 0) == (not config.get("unicast", False))
+    if config.get("departures"):
+        assert got["stats"].frames_unroutable > 0
 
 
 # ------------------------------------------------------------------ trust

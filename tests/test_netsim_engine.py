@@ -246,7 +246,7 @@ def test_run_until_still_advances_clock_when_drained():
     assert sim.now == 4.0
 
 
-# ------------------------------------------------- timer-wheel scheduler core
+# ------------------------------------------------------------- heap core
 
 def test_post_is_equivalent_to_schedule_without_handle():
     sim = Simulator()
@@ -267,44 +267,30 @@ def test_pending_events_excludes_cancelled():
     for handle in handles[:7]:
         handle.cancel()
     assert sim.pending_events == 3
-    assert sim.queued_entries == 10  # cancelled records await compaction
+    assert sim.queued_entries == 10  # cancelled entries wait for their pop
 
 
-def test_compaction_bounds_cancelled_backlog():
-    sim = Simulator(compaction_threshold=64)
-    handles = [sim.schedule(float(i % 50) + 1.0, lambda: None)
-               for i in range(1000)]
-    for handle in handles[:999]:
-        handle.cancel()
-    assert sim.counters()["compactions"] >= 1
-    # The cancelled backlog was dropped from the queue, not just flagged.
-    assert sim.queued_entries < 200
-    assert sim.pending_events == 1
-
-
-def test_counters_track_wheel_hits_and_cancelled_skips():
-    sim = Simulator(wheel_quantum=1.0, wheel_slots=16,
-                    compaction_threshold=1 << 30)
+def test_counters_track_pushes_pops_and_cancelled_skips():
+    sim = Simulator()
     kept = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
     doomed = [sim.schedule(float(i + 1), lambda: None) for i in range(8)]
     for handle in doomed:
         handle.cancel()
     sim.run()
-    counters = sim.counters()
-    assert counters["pushes"] == 16
-    assert counters["pops"] == 8
-    assert counters["cancelled_skipped"] == 8
-    assert counters["wheel_hits"] == 16  # all within the wheel horizon
+    assert sim.counters() == {"pushes": 16, "pops": 8, "cancelled_skipped": 8}
     assert sim.processed_events == 8
+    assert sim.queued_entries == 0
+    assert not any(handle.cancelled for handle in kept)
 
 
 def test_equal_timestamp_fifo_across_wheel_and_overflow_boundary():
-    """An event parked in the overflow heap and a same-time event scheduled
-    later straight into the wheel must still run in scheduling order."""
-    sim = Simulator(wheel_quantum=0.05, wheel_slots=256)  # horizon 12.8 s
+    """An event scheduled long before its time and same-time events
+    scheduled after the clock moved still run in scheduling order (the
+    boundary the name recalls was the timer wheel's horizon)."""
+    sim = Simulator()
     seen = []
-    sim.schedule_at(20.0, seen.append, "overflow-first")   # beyond horizon
-    sim.run(until=10.0)                                    # horizon now 22.8 s
+    sim.schedule_at(20.0, seen.append, "overflow-first")
+    sim.run(until=10.0)
     sim.schedule_at(20.0, seen.append, "wheel-second")     # same timestamp
     sim.schedule_at(20.0, seen.append, "wheel-third")
     sim.run()
@@ -313,9 +299,11 @@ def test_equal_timestamp_fifo_across_wheel_and_overflow_boundary():
 
 
 def test_until_and_max_events_interplay_after_wheel_rollover():
-    sim = Simulator(wheel_quantum=1.0, wheel_slots=8)  # horizon 8 s
+    """``until`` and ``max_events`` across 30 events (several turns of the
+    timer wheel this was written for)."""
+    sim = Simulator()
     times = []
-    for i in range(1, 31):                             # wraps the wheel 3×
+    for i in range(1, 31):
         sim.schedule_at(float(i), times.append, i)
     sim.run(until=15.5, max_events=10)
     assert times == list(range(1, 11))
@@ -328,20 +316,31 @@ def test_until_and_max_events_interplay_after_wheel_rollover():
     assert sim.now == 30.0
 
 
-def test_drain_is_deterministic_across_wheel_and_overflow():
-    sim = Simulator(wheel_quantum=1.0, wheel_slots=4)  # horizon 4 s
-    labels = {}
-    order = [2.5, 0.5, 9.0, 2.5, 6.0, 0.5, 30.0]       # wheel + overflow mix
-    handles = []
-    for i, t in enumerate(order):
-        handles.append(sim.schedule_at(t, lambda: None))
-        labels[handles[-1]._event.sequence] = (t, i)
+def test_drain_yields_pending_events_in_time_sequence_order():
+    sim = Simulator()
+    order = [2.5, 0.5, 9.0, 2.5, 6.0, 0.5, 30.0]
+    handles = [sim.schedule_at(t, lambda: None) for t in order]
     handles[3].cancel()                                # drop one duplicate
-    drained = [(event.time, event.sequence) for event in sim.drain()]
+    drained = [(entry[0], entry[1]) for entry in sim.drain()]
     assert drained == sorted(drained)                  # (time, seq) order
-    assert len(drained) == 6                           # cancelled one skipped
+    assert drained == sorted((t, i) for i, t in enumerate(order) if i != 3)
     assert sim.pending_events == 0
     assert sim.peek_next_time() is None
+    assert sim.counters() == {"pushes": 7, "pops": 6, "cancelled_skipped": 1}
+
+
+def test_keyword_arguments_are_bound_when_scheduled():
+    sim = Simulator()
+    seen = []
+
+    def record(label, *, suffix):
+        seen.append((sim.now, label + suffix))
+
+    sim.schedule(1.0, record, "a", suffix="!")
+    sim.schedule_at(2.0, record, "b", suffix="?")
+    sim.schedule_periodic(1.5, record, "p", suffix=".", start_delay=0.5)
+    sim.run(until=2.5)
+    assert seen == [(0.5, "p."), (1.0, "a!"), (2.0, "b?"), (2.0, "p.")]
 
 
 def test_periodic_handle_time_tracks_next_firing():

@@ -1,16 +1,17 @@
-"""Scheduler-swap parity: the timer-wheel engine is a pure optimisation.
+"""Engine parity: the tuple heap runs events in the reference heap's order.
 
-The timer-wheel :class:`repro.netsim.engine.Simulator` must execute events
-in exactly the order a single global heap (the reference
-:class:`tests.reference.HeapSimulator`) would — same ``(time, sequence)``
-FIFO, same clock positions, same periodic-chain behaviour — because the
-whole campaign/figure pipeline's byte-identity rests on it.
+:class:`repro.netsim.engine.Simulator` must execute events in exactly the
+order the reference :class:`tests.reference.HeapSimulator` (event objects
+ordered by a Python ``__lt__``) does — same ``(time, sequence)`` FIFO, same
+clock positions, same periodic-chain behaviour — because the whole
+campaign/figure pipeline's byte-identity rests on it.
 
 Two layers of evidence:
 
 * a property test replaying 50 seeded random schedules (one-shots, nested
-  reschedules, cancellations, jittered periodic chains, varied wheel
-  geometry) through both engines and comparing the full traces;
+  reschedules, cancellations, jittered periodic chains) through both
+  engines and comparing the full traces, which also checks the engine's
+  accounting after ``run``, ``step`` and ``drain``;
 * a campaign cell executed under each engine, comparing the stored row
   JSON byte for byte.
 """
@@ -25,16 +26,6 @@ import pytest
 from repro.experiments.engine import execute_cell, get_experiment
 from repro.netsim.engine import Simulator
 from tests.reference import HeapSimulator
-
-#: Wheel geometries cycled by seed: coarse/fine quanta, tiny wheels that
-#: force frequent rollover and overflow migration, and the default.
-_GEOMETRIES = [
-    {},
-    {"wheel_quantum": 1.0, "wheel_slots": 4},
-    {"wheel_quantum": 0.25, "wheel_slots": 16},
-    {"wheel_quantum": 0.01, "wheel_slots": 64},
-    {"wheel_quantum": 2.0, "wheel_slots": 8, "compaction_threshold": 8},
-]
 
 
 def _build_ops(seed: int):
@@ -95,12 +86,26 @@ def _trace(sim, ops):
     return out
 
 
+def _assert_accounted(sim):
+    """Every event pushed was popped, skipped as cancelled, or is queued."""
+    counters = sim.counters()
+    assert counters["pushes"] == (counters["pops"] + counters["cancelled_skipped"]
+                                  + sim.queued_entries)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_random_schedules_trace_identical_to_heap_engine(seed):
     ops = _build_ops(seed)
-    wheel = Simulator(**_GEOMETRIES[seed % len(_GEOMETRIES)])
-    heap = HeapSimulator()
-    assert _trace(wheel, ops) == _trace(heap, ops)
+    sim = Simulator()
+    assert _trace(sim, ops) == _trace(HeapSimulator(), ops)
+    _assert_accounted(sim)
+    for _ in range(3):
+        sim.step()
+        _assert_accounted(sim)
+    drained = list(sim.drain())
+    assert sim.queued_entries == 0
+    _assert_accounted(sim)
+    assert sim.counters()["pops"] == sim.processed_events + len(drained)
 
 
 def _campaign_cell(warmup, **axes):
@@ -130,8 +135,8 @@ def _cell_rows_under(engine_cls, spec, monkeypatch):
 
 
 def test_campaign_row_json_identical_between_engines(monkeypatch):
-    """A full campaign cell run under the heap engine and the timer-wheel
-    engine persists byte-identical row JSON."""
+    """A full campaign cell run under the reference heap engine and the
+    program's engine persists byte-identical row JSON."""
     spec = _campaign_cell(total_nodes=16, liar_fraction=0.25,
                           loss_model="distance", loss_probability=0.8,
                           max_speed=6.0, warmup=15.0)
@@ -141,8 +146,8 @@ def test_campaign_row_json_identical_between_engines(monkeypatch):
 
 
 def test_mobile_lossy_cell_rows_identical_between_engines(monkeypatch):
-    """Same check on a mobile + lossy cell, where mobility ticks, collision
-    windows and AODV-style cancellations stress the wheel harder."""
+    """Same check on a mobile + lossy cell, where mobility ticks and
+    Bernoulli loss change what is flooded from tick to tick."""
     spec = _campaign_cell(total_nodes=20, liar_fraction=0.2,
                           loss_model="bernoulli", loss_probability=0.2,
                           max_speed=8.0, warmup=12.0)

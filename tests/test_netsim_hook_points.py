@@ -1,4 +1,4 @@
-"""The per-frame entry points a tracer wraps on the class.
+"""The entry points a tracer wraps on the class.
 
 perfbench's tracer attributes every delivery to OLSR by wrapping
 ``OlsrNode.handle_control`` and every send to the medium by wrapping
@@ -7,6 +7,11 @@ built.  A delivery or send that bypassed either entry point would move its
 cost to another layer unseen, so each must be called exactly once per
 delivered and per sent frame.  No digest covers frame sizes, so the test
 also checks each sent frame's size against its OLSR packet's.
+
+The tracer bills every event the engine runs to the layer that scheduled
+it, by handing ``Simulator.post``, ``schedule``, ``schedule_at`` and
+``schedule_periodic`` a trampoline in place of the callback.  So every
+callback the engine runs must have gone through one of those four methods.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.experiments.backends import (
     drive_netsim_scenario,
     scenario_config_from_params,
 )
+from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium
 from repro.olsr.node import OlsrNode
 
@@ -58,3 +64,34 @@ def test_every_frame_crosses_both_hook_points_once():
     assert counts["handle_control"] == stats.frames_delivered
     # The node sizes each frame in place; it must equal the packet's size.
     assert all(frame.size_bytes == frame.payload.size_bytes() for frame in sent)
+
+
+def test_every_event_the_engine_runs_was_scheduled_through_a_hook_point():
+    ran = Counter()
+
+    def counting(callback, *args, **kwargs):
+        ran[callback.__name__] += 1
+        callback(*args, **kwargs)
+
+    def hooked(function):
+        # The tracer's call: the trampoline stands in for the callback,
+        # which becomes the trampoline's first argument.
+        def wrapper(simulator, delay, callback, *args, **kwargs):
+            return function(simulator, delay, counting, callback, *args, **kwargs)
+        return wrapper
+
+    names = ("post", "schedule", "schedule_at", "schedule_periodic")
+    originals = {name: vars(Simulator)[name] for name in names}
+    for name, original in originals.items():
+        setattr(Simulator, name, hooked(original))
+    try:
+        config = scenario_config_from_params(_CELL, 5)
+        scenario = build_netsim_scenario(config, _CELL)
+        drive_netsim_scenario(scenario, config, _CELL)
+    finally:
+        for name, original in originals.items():
+            setattr(Simulator, name, original)
+    processed = scenario.network.simulator.processed_events
+    assert processed > 0
+    assert sum(ran.values()) == processed
+    assert ran["_deliver_batch"] > 0 and ran["_emit_hello"] > 0

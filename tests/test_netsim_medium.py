@@ -1,4 +1,4 @@
-"""Tests for the wireless medium: propagation, loss, collisions, delivery."""
+"""Tests for the wireless medium: propagation, loss, delivery."""
 
 from __future__ import annotations
 
@@ -8,16 +8,14 @@ import pytest
 
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import (
-    AsymmetricRangePropagation,
     BernoulliLossModel,
-    CollisionModel,
-    CompositeLossModel,
     DistanceLossModel,
     PerfectChannel,
     UnitDiskPropagation,
     WirelessMedium,
     distance,
 )
+from repro.netsim.network import PositionTable
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 
 
@@ -31,15 +29,16 @@ class Sink:
         self.received.append((frame, now))
 
 
-def build_medium(positions, propagation=None, loss_model=None, collision_model=None):
+def build_medium(positions, propagation=None, loss_model=None):
+    """A medium over ``positions`` (a :class:`PositionTable`, edited in place
+    by the tests) with one :class:`Sink` per node."""
     sim = Simulator()
     medium = WirelessMedium(
         sim,
         propagation=propagation or UnitDiskPropagation(radio_range=250.0),
         loss_model=loss_model or PerfectChannel(),
-        collision_model=collision_model,
     )
-    medium.bind_position_oracle(lambda nid: positions[nid])
+    medium.bind_positions(positions)
     sinks = {}
     for node_id in positions:
         sink = Sink()
@@ -59,7 +58,7 @@ def test_unit_disk_in_range_boundary():
 
 
 def test_broadcast_reaches_only_nodes_in_range():
-    positions = {"a": (0, 0), "b": (200, 0), "c": (600, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (600, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
@@ -69,7 +68,7 @@ def test_broadcast_reaches_only_nodes_in_range():
 
 
 def test_unicast_only_reaches_destination():
-    positions = {"a": (0, 0), "b": (100, 0), "c": (150, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (100, 0), "c": (150, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.transmit(Frame(source="a", destination="b", payload="x"))
     sim.run()
@@ -78,7 +77,7 @@ def test_unicast_only_reaches_destination():
 
 
 def test_unicast_to_unknown_destination_counts_unroutable():
-    positions = {"a": (0, 0)}
+    positions = PositionTable({"a": (0, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.transmit(Frame(source="a", destination="ghost", payload="x"))
     sim.run()
@@ -86,14 +85,14 @@ def test_unicast_to_unknown_destination_counts_unroutable():
 
 
 def test_transmit_from_unknown_source_rejected():
-    positions = {"a": (0, 0)}
+    positions = PositionTable({"a": (0, 0)})
     sim, medium, _ = build_medium(positions)
     with pytest.raises(ValueError):
         medium.transmit(Frame(source="ghost", destination=BROADCAST_ADDRESS, payload="x"))
 
 
 def test_sender_never_receives_its_own_broadcast():
-    positions = {"a": (0, 0), "b": (50, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
@@ -102,7 +101,7 @@ def test_sender_never_receives_its_own_broadcast():
 
 
 def test_delivery_applies_propagation_delay():
-    positions = {"a": (0, 0), "b": (50, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.propagation_delay = 0.01
     medium.transmit(Frame(source="a", destination="b", payload="x"))
@@ -112,7 +111,7 @@ def test_delivery_applies_propagation_delay():
 
 
 def test_bernoulli_loss_all_or_nothing():
-    positions = {"a": (0, 0), "b": (50, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(
         positions, loss_model=BernoulliLossModel(1.0, rng=random.Random(0)))
     for _ in range(10):
@@ -140,34 +139,10 @@ def test_distance_loss_increases_with_distance():
     assert model.loss_probability(100.0) == pytest.approx(0.8)
 
 
-def test_composite_loss_any_model_loses():
-    always = BernoulliLossModel(1.0, rng=random.Random(0))
-    never = PerfectChannel()
-    composite = CompositeLossModel(models=[never, always])
-    assert composite.is_lost(Frame("a", "b", None), (0, 0), (1, 1))
-
-
-def test_collision_model_airtime():
-    model = CollisionModel(bitrate_bps=1_000_000)
-    frame = Frame("a", "b", None, size_bytes=125)
-    assert model.airtime(frame) == pytest.approx(0.001)
-
-
-def test_collisions_drop_overlapping_frames():
-    positions = {"a": (0, 0), "b": (10, 0), "r": (5, 5)}
-    sim, medium, sinks = build_medium(
-        positions, collision_model=CollisionModel(bitrate_bps=1_000))
-    # Two large frames sent at the same instant overlap at the receiver.
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x", size_bytes=500))
-    medium.transmit(Frame(source="b", destination=BROADCAST_ADDRESS, payload="y", size_bytes=500))
-    sim.run()
-    assert medium.stats.frames_collided >= 1
-
-
 def test_no_collision_when_transmissions_are_spaced():
-    positions = {"a": (0, 0), "r": (5, 5)}
-    sim, medium, sinks = build_medium(
-        positions, collision_model=CollisionModel(bitrate_bps=1_000_000))
+    # The medium models no collisions: ``frames_collided`` stays 0.
+    positions = PositionTable({"a": (0, 0), "r": (5, 5)})
+    sim, medium, sinks = build_medium(positions)
     medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
     sim.schedule(1.0, lambda: medium.transmit(
@@ -178,7 +153,7 @@ def test_no_collision_when_transmissions_are_spaced():
 
 
 def test_neighbors_of_uses_current_positions():
-    positions = {"a": (0, 0), "b": (200, 0), "c": (600, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (600, 0)})
     sim, medium, _ = build_medium(positions)
     assert medium.neighbors_of("a") == ["b"]
     positions["c"] = (100, 0)
@@ -186,7 +161,7 @@ def test_neighbors_of_uses_current_positions():
 
 
 def test_connectivity_matrix_symmetric_for_unit_disk():
-    positions = {"a": (0, 0), "b": (200, 0), "c": (400, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (400, 0)})
     _, medium, _ = build_medium(positions)
     matrix = medium.connectivity_matrix()
     assert matrix["a"] == ["b"]
@@ -194,21 +169,8 @@ def test_connectivity_matrix_symmetric_for_unit_disk():
     assert matrix["c"] == ["b"]
 
 
-def test_asymmetric_propagation_creates_one_way_links():
-    prop = AsymmetricRangePropagation(default_range=250.0)
-    prop.register("weak", 100.0)
-    positions = {"weak": (0, 0), "strong": (200, 0)}
-    sim, medium, sinks = build_medium(positions, propagation=prop)
-    # strong -> weak reaches (default 250 range); weak -> strong does not.
-    medium.transmit(Frame(source="strong", destination=BROADCAST_ADDRESS, payload="x"))
-    medium.transmit(Frame(source="weak", destination=BROADCAST_ADDRESS, payload="y"))
-    sim.run()
-    assert len(sinks["weak"].received) == 1
-    assert len(sinks["strong"].received) == 0
-
-
 def test_unregister_stops_delivery():
-    positions = {"a": (0, 0), "b": (50, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.unregister("b")
     medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
@@ -217,14 +179,14 @@ def test_unregister_stops_delivery():
 
 
 def test_duplicate_registration_rejected():
-    positions = {"a": (0, 0)}
+    positions = PositionTable({"a": (0, 0)})
     _, medium, _ = build_medium(positions)
     with pytest.raises(ValueError):
         medium.register("a", Sink())
 
 
 def test_stats_delivery_and_loss_ratios():
-    positions = {"a": (0, 0), "b": (50, 0)}
+    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, _ = build_medium(
         positions, loss_model=BernoulliLossModel(0.5, rng=random.Random(7)))
     for _ in range(200):
@@ -246,42 +208,6 @@ def test_frame_copy_for_preserves_payload_and_changes_id():
     assert copy.frame_id != frame.frame_id
 
 
-def test_collision_drops_both_overlapping_frames():
-    """The documented semantics: *both* frames of an overlapping pair are
-    dropped at the receiver — the earlier frame's already-scheduled delivery
-    is cancelled, not just the later arrival.
-    """
-    # a and b cannot hear each other; r hears both.
-    positions = {"a": (0, 0), "b": (400, 0), "r": (200, 0)}
-    sim, medium, sinks = build_medium(
-        positions, collision_model=CollisionModel(bitrate_bps=1_000))
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x", size_bytes=500))
-    medium.transmit(Frame(source="b", destination=BROADCAST_ADDRESS, payload="y", size_bytes=500))
-    sim.run()
-    assert len(sinks["r"].received) == 0
-    assert medium.stats.frames_collided == 2
-    assert medium.stats.frames_delivered == 0
-
-
-def test_collision_does_not_retract_already_delivered_frame():
-    """A frame delivered before the overlapping transmission starts stays
-    delivered; only the newcomer is dropped (and counted) then.
-    """
-    positions = {"a": (0, 0), "b": (400, 0), "r": (200, 0)}
-    sim, medium, sinks = build_medium(
-        positions, collision_model=CollisionModel(bitrate_bps=1_000))
-    # Airtime of 500 bytes at 1 kbit/s is 4 s; delivery happens after 0.1 ms.
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x", size_bytes=500))
-    sim.run()
-    assert len(sinks["r"].received) == 1
-    sim.schedule(1.0, lambda: medium.transmit(
-        Frame(source="b", destination=BROADCAST_ADDRESS, payload="y", size_bytes=500)))
-    sim.run()
-    assert len(sinks["r"].received) == 1
-    assert medium.stats.frames_collided == 1
-    assert medium.stats.frames_delivered == 1
-
-
 def test_loss_models_default_rngs_are_deterministic():
     """Omitting ``rng`` must not silently break run-to-run determinism."""
     frame = Frame("a", "b", None)
@@ -295,3 +221,38 @@ def test_loss_models_default_rngs_are_deterministic():
     first = [distance_a.is_lost(frame, *far) for _ in range(64)]
     second = [distance_b.is_lost(frame, *far) for _ in range(64)]
     assert first == second
+
+
+def test_replacing_the_loss_model_takes_effect_at_the_next_frame():
+    positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (100, 0)})
+    sim, medium, sinks = build_medium(positions)
+    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=0))
+    medium.loss_model = BernoulliLossModel(1.0, rng=random.Random(0))
+    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=1))
+    sim.run()
+    assert [frame.payload for frame, _ in sinks["b"].received] == [0]
+    assert medium.stats.frames_lost == 2
+    # Distance loss draws once per receiver, in order, against each
+    # receiver's probability: exactly what ``is_lost`` draws.
+    twin = DistanceLossModel(radio_range=250.0, max_loss=0.9, rng=random.Random(4))
+    medium.loss_model = DistanceLossModel(radio_range=250.0, max_loss=0.9,
+                                          rng=random.Random(4))
+    expected = {"b": 0, "c": 0}
+    for k in range(2, 42):
+        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=k))
+        for receiver in ("b", "c"):  # registration order
+            if not twin.is_lost(Frame("a", receiver, None), positions["a"],
+                                positions[receiver]):
+                expected[receiver] += 1
+    sim.run()
+    assert len(sinks["b"].received) - 1 == expected["b"] < 40
+    assert len(sinks["c"].received) - 1 == expected["c"] == 40
+
+
+def test_unsupported_loss_model_rejected():
+    class Custom:
+        def is_lost(self, frame, sender, receiver):
+            return False
+
+    with pytest.raises(TypeError):
+        WirelessMedium(Simulator(), loss_model=Custom())

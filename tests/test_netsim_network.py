@@ -6,6 +6,7 @@ import pytest
 
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST_ADDRESS
+from repro.netsim.trace import TraceRecorder
 from tests.conftest import make_network
 
 
@@ -128,13 +129,15 @@ def test_default_network_constructs_with_defaults():
     assert len(network.positions) == 4
 
 
-@pytest.mark.parametrize("jitter", [0.0, 0.01], ids=["batched", "per_receiver"])
-def test_receiver_failing_while_a_frame_is_in_the_air(jitter):
-    # Without jitter one batched event delivers the frame; with jitter each
-    # receiver gets its own delivery event.  Either way the medium still
-    # counts the frame delivered, and the down interface drops it.
+@pytest.mark.parametrize("traced", [False, True], ids=["batched", "per_receiver"])
+def test_receiver_failing_while_a_frame_is_in_the_air(traced):
+    # One event delivers the frame: to every receiver at once, or receiver
+    # by receiver (each looked up by id and recorded) while a trace
+    # recorder is installed.  Either way the medium still counts the frame
+    # delivered, and the down interface drops it.
     network = make_network({"a": (0, 0), "b": (100, 0)})
-    network.medium.jitter = jitter
+    if traced:
+        network.medium.trace_recorder = TraceRecorder()
     received = []
     network.interfaces["b"].bind(lambda frame, now: received.append(frame.payload))
     network.interfaces["a"].broadcast("in the air")
@@ -153,3 +156,5 @@ def test_receiver_failing_while_a_frame_is_in_the_air(jitter):
     network.run()
     assert received == [("rebound", "back up")]
     assert network.medium.stats.frames_delivered == 3
+    if traced:
+        assert len(network.medium.trace_recorder.by_category("medium")) == 3

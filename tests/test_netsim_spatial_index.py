@@ -1,10 +1,10 @@
 """Tests for the wireless medium's spatial neighbour index.
 
-The fast path must be an invisible optimisation: every query it serves
-(neighbour sets, connectivity matrices, broadcast candidate selection) has to
-match the brute-force all-interfaces scan exactly — under static placements,
-after teleports via ``Network.set_position``, while a mobility model moves
-nodes, and with per-sender ranges (``AsymmetricRangePropagation``).
+The grid must be an invisible optimisation: every query it serves
+(neighbour sets, connectivity matrices, broadcast receivers) has to match
+the all-pairs scan kept in ``tests/reference/`` exactly — under static
+placements, after teleports via ``Network.set_position``, while a mobility
+model moves nodes, and as nodes arrive and leave.
 """
 
 from __future__ import annotations
@@ -14,14 +14,11 @@ import random
 import pytest
 
 from repro.netsim.engine import Simulator
-from repro.netsim.medium import (
-    AsymmetricRangePropagation,
-    UnitDiskPropagation,
-    WirelessMedium,
-)
+from repro.netsim.medium import UnitDiskPropagation, WirelessMedium
 from repro.netsim.mobility import RandomWaypointMobility, UniformRandomPlacement
 from repro.netsim.network import Network, PositionTable
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from tests.reference import PerReceiverMedium, scan_connectivity, scan_neighbors
 
 
 class Sink:
@@ -33,12 +30,11 @@ class Sink:
 
 
 def build_network(node_count=30, seed=3, radio_range=250.0, area=900.0,
-                  propagation=None, mobility=None, use_spatial_index=True):
+                  mobility=None, medium_cls=WirelessMedium):
     simulator = Simulator()
-    medium = WirelessMedium(
+    medium = medium_cls(
         simulator,
-        propagation=propagation or UnitDiskPropagation(radio_range=radio_range),
-        use_spatial_index=use_spatial_index,
+        propagation=UnitDiskPropagation(radio_range=radio_range),
     )
     network = Network(
         simulator=simulator,
@@ -52,14 +48,18 @@ def build_network(node_count=30, seed=3, radio_range=250.0, area=900.0,
     return network, node_ids
 
 
-def assert_matches_brute_force(network, node_ids):
-    """Fast-path answers must equal the brute-force scan, order included."""
+def scanned(network, node_id):
+    """The reference scan's neighbours of ``node_id``."""
     medium = network.medium
-    assert medium._current_grid() is not None, "fast path unexpectedly disabled"
+    return scan_neighbors(medium.node_ids, network.positions, medium.propagation,
+                          node_id)
+
+
+def assert_matches_brute_force(network, node_ids):
+    """Grid answers must equal the all-pairs scan, order included."""
     for node_id in node_ids:
-        fast = medium.neighbors_of(node_id)
-        brute = medium._neighbors_brute_force(node_id)
-        assert fast == brute, f"neighbour mismatch for {node_id}"
+        assert network.medium.neighbors_of(node_id) == scanned(network, node_id), (
+            f"neighbour mismatch for {node_id}")
 
 
 def test_static_placement_matches_brute_force():
@@ -67,7 +67,7 @@ def test_static_placement_matches_brute_force():
     assert_matches_brute_force(network, node_ids)
     matrix = network.medium.connectivity_matrix()
     for node_id in node_ids:
-        assert matrix[node_id] == network.medium._neighbors_brute_force(node_id)
+        assert matrix[node_id] == scanned(network, node_id)
 
 
 def test_teleport_via_set_position_invalidates_index():
@@ -78,7 +78,7 @@ def test_teleport_via_set_position_invalidates_index():
     network.set_position("n01", (origin[0] + 1.0, origin[1] + 1.0))
     after = network.medium.neighbors_of("n00")
     assert "n01" in after
-    assert after == network.medium._neighbors_brute_force("n00")
+    assert after == scanned(network, "n00")
     # Move it out of everyone's range.
     network.set_position("n01", (1e6, 1e6))
     assert "n01" not in network.medium.neighbors_of("n00")
@@ -96,26 +96,9 @@ def test_mobile_placement_matches_brute_force_over_time():
         assert_matches_brute_force(network, node_ids)
 
 
-def test_asymmetric_per_sender_ranges_match_brute_force():
-    propagation = AsymmetricRangePropagation(default_range=250.0)
-    network, node_ids = build_network(node_count=24, propagation=propagation)
-    # A mix of short- and long-range transmitters, including one whose range
-    # exceeds the default (forces the grid cell size to grow).
-    propagation.register("n00", 60.0)
-    propagation.register("n01", 400.0)
-    propagation.register("n02", 120.0)
-    assert_matches_brute_force(network, node_ids)
-    # Asymmetry really happens: the long-range node reaches someone who
-    # cannot reach it back.
-    far = set(network.medium.neighbors_of("n01")) - set(
-        nid for nid in node_ids if "n01" in network.medium.neighbors_of(nid))
-    # (may be empty on this layout; the contract is only equality with brute force)
-    assert far is not None
-
-
 def test_broadcast_delivery_identical_with_and_without_index():
-    def flood(use_spatial_index):
-        network, node_ids = build_network(use_spatial_index=use_spatial_index)
+    def flood(medium_cls):
+        network, node_ids = build_network(medium_cls=medium_cls)
         medium = network.medium
         sinks = {}
         for node_id in node_ids:
@@ -128,17 +111,15 @@ def test_broadcast_delivery_identical_with_and_without_index():
                                   payload=node_id))
         network.simulator.run()
         received = {
-            nid: sorted(frame.source for frame, _ in sink.received)
+            nid: [frame.source for frame, _ in sink.received]
             for nid, sink in sinks.items()
         }
         return received, medium.stats
 
-    fast_received, fast_stats = flood(True)
-    brute_received, brute_stats = flood(False)
-    assert fast_received == brute_received
-    assert fast_stats.frames_delivered == brute_stats.frames_delivered
-    assert fast_stats.frames_out_of_range == brute_stats.frames_out_of_range
-    assert fast_stats.frames_sent == brute_stats.frames_sent
+    fast_received, fast_stats = flood(WirelessMedium)
+    scan_received, scan_stats = flood(PerReceiverMedium)
+    assert fast_received == scan_received
+    assert fast_stats == scan_stats
 
 
 def test_node_arrival_and_departure_invalidate_index():
@@ -168,29 +149,28 @@ def test_position_table_epoch_counts_mutations():
     assert table.epoch == 6
 
 
-def test_bare_oracle_without_epoch_falls_back_to_brute_force():
-    positions = {"a": (0.0, 0.0), "b": (100.0, 0.0)}
+def test_a_medium_without_an_epoch_source_raises():
     medium = WirelessMedium(Simulator())
-    medium.bind_position_oracle(lambda nid: positions[nid])
     medium.register("a", Sink())
-    medium.register("b", Sink())
-    assert medium._current_grid() is None
-    assert medium.neighbors_of("a") == ["b"]
-    # Direct dict mutation (no epoch to observe) must still be reflected.
-    positions["b"] = (1e6, 1e6)
+    with pytest.raises(RuntimeError):  # nothing bound yet
+        medium.neighbors_of("a")
+    with pytest.raises(RuntimeError):
+        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=None))
+    with pytest.raises(TypeError):  # a mapping without an epoch
+        medium.bind_positions({"a": (0.0, 0.0)})
+    medium.bind_positions(PositionTable({"a": (0.0, 0.0)}))
     assert medium.neighbors_of("a") == []
 
 
-def test_unknown_propagation_model_falls_back_to_brute_force():
+def test_a_propagation_model_without_a_radio_range_is_rejected():
     class EverythingReaches:
         def in_range(self, sender, receiver):
             return True
 
-    network, node_ids = build_network(propagation=EverythingReaches(), node_count=6)
-    assert network.medium._current_grid() is None
-    for node_id in node_ids:
-        expected = [nid for nid in node_ids if nid != node_id]
-        assert network.medium.neighbors_of(node_id) == expected
+    for model in (EverythingReaches(), UnitDiskPropagation(radio_range=float("inf")),
+                  UnitDiskPropagation(radio_range=0.0)):
+        with pytest.raises(ValueError):
+            WirelessMedium(Simulator(), propagation=model)
 
 
 def test_neighbor_cache_not_mutable_by_callers():
@@ -198,22 +178,6 @@ def test_neighbor_cache_not_mutable_by_callers():
     first = network.medium.neighbors_of("n00")
     first.append("bogus")
     assert "bogus" not in network.medium.neighbors_of("n00")
-
-
-def test_per_node_range_change_invalidates_cache():
-    """Regression: shrinking one node's range after a query must not leave the
-    old (larger-range) neighbour list in the per-epoch cache.
-    """
-    propagation = AsymmetricRangePropagation(default_range=250.0)
-    network, node_ids = build_network(node_count=24, propagation=propagation)
-    before = network.medium.neighbors_of("n00")
-    propagation.register("n00", 1.0)  # nearly deaf transmitter now
-    after = network.medium.neighbors_of("n00")
-    assert after == network.medium._neighbors_brute_force("n00")
-    assert after == []
-    propagation.register("n00", 250.0)
-    assert network.medium.neighbors_of("n00") == before
-    assert_matches_brute_force(network, node_ids)
 
 
 def test_aggregate_rows_preserve_numeric_group_keys():
@@ -237,16 +201,15 @@ def test_distance_loss_zero_probability_is_lossless():
     assert model.loss_probability(249.0) == 0.0
 
 
-def brute_force_matrix(medium):
-    return {nid: medium._neighbors_brute_force(nid) for nid in medium.node_ids}
-
-
 def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
-    propagation = AsymmetricRangePropagation(default_range=250.0)
-    network, _ = build_network(node_count=16, propagation=propagation)
+    network, _ = build_network(node_count=16)
     medium = network.medium
+
+    def brute_force_matrix():
+        return scan_connectivity(medium.node_ids, network.positions, medium.propagation)
+
     matrix = medium.connectivity_matrix()
-    assert matrix == brute_force_matrix(medium)
+    assert matrix == brute_force_matrix()
     medium.transmit(Frame(source="n00", destination=BROADCAST_ADDRESS, payload=None))
     network.simulator.run()
     assert medium.connectivity_matrix() is matrix  # nothing moved
@@ -254,7 +217,7 @@ def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
     def rebuilt(previous):
         current = medium.connectivity_matrix()
         assert current is not previous
-        assert current == brute_force_matrix(medium)
+        assert current == brute_force_matrix()
         assert medium.connectivity_matrix() is current
         return current
 
@@ -267,13 +230,5 @@ def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
     network.remove_node("late")
     matrix = rebuilt(matrix)
     assert "late" not in matrix
-    propagation.register("n00", 40.0)
+    medium.propagation = UnitDiskPropagation(radio_range=120.0)
     rebuilt(matrix)
-
-
-def test_brute_force_connectivity_matrix_is_fresh_per_call():
-    network, _ = build_network(node_count=8, use_spatial_index=False)
-    medium = network.medium
-    first = medium.connectivity_matrix()
-    assert first == brute_force_matrix(medium)
-    assert medium.connectivity_matrix() is not first
