@@ -41,7 +41,7 @@ from repro.netsim.medium import (
     WirelessMedium,
 )
 from repro.netsim.mobility import GridPlacement
-from repro.netsim.network import Network
+from repro.netsim.network import PositionTable
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
 from tests.reference import HeapSimulator, PerReceiverMedium, scan_connectivity
 
@@ -79,7 +79,8 @@ def test_bench_olsr_simulation_scale(benchmark, emit, node_count):
     simulator = scenario.network.simulator
     stats = scenario.network.medium.stats
     total_rx = sum(node.router.stats.messages_received for node in scenario.nodes.values())
-    total_tx = sum(node.router.stats.messages_sent for node in scenario.nodes.values())
+    total_tx = sum(sum(node.router.stats.per_type_sent.values())
+                   for node in scenario.nodes.values())
     rows = [{
         "nodes": node_count,
         "simulated_seconds": 60.0,
@@ -110,30 +111,36 @@ class _Sink:
         self.received += 1
 
 
+def _sink_medium(medium_cls, node_count: int, spacing: float, **kwargs):
+    """A bare medium over ``node_count`` grid-placed nodes, one
+    :class:`_Sink` registered per node."""
+    simulator = Simulator()
+    medium = medium_cls(simulator, propagation=UnitDiskPropagation(radio_range=250.0),
+                        **kwargs)
+    node_ids = [f"n{i:03d}" for i in range(node_count)]
+    positions = PositionTable(GridPlacement(spacing=spacing).place(node_ids))
+    medium.bind_positions(positions)
+    sinks = {}
+    for node_id in node_ids:
+        sink = _Sink()
+        medium.register(node_id, sink)
+        sinks[node_id] = sink
+    return simulator, medium, positions, node_ids, sinks
+
+
 def _medium_workload(node_count: int, medium_cls, rounds: int = 20) -> float:
     """Broadcast floods + connectivity queries; returns elapsed wall-clock.
 
     The :class:`PerReceiverMedium` side answers its connectivity queries
     with the reference all-pairs scan.
     """
-    simulator = Simulator()
-    medium = medium_cls(simulator, propagation=UnitDiskPropagation(radio_range=250.0))
-    network = Network(simulator=simulator, medium=medium,
-                      mobility=GridPlacement(spacing=180.0))
-    node_ids = [f"n{i:03d}" for i in range(node_count)]
-    network.add_nodes(node_ids)
-    sinks = {}
-    for node_id in node_ids:
-        medium.unregister(node_id)
-        sink = _Sink()
-        medium.register(node_id, sink)
-        sinks[node_id] = sink
+    simulator, medium, positions, node_ids, sinks = _sink_medium(
+        medium_cls, node_count, spacing=180.0)
     if medium_cls is WirelessMedium:
         connectivity = medium.connectivity_matrix
     else:
         def connectivity():
-            return scan_connectivity(medium.node_ids, network.positions,
-                                     medium.propagation)
+            return scan_connectivity(medium.node_ids, positions, medium.propagation)
     started = time.perf_counter()
     for _ in range(rounds):
         for node_id in node_ids:
@@ -179,22 +186,9 @@ def _delivery_workload(node_count: int, medium_cls, rounds: int = 10) -> float:
     broadcast) matches what a 1,024-node campaign cell's flooding core sees;
     no connectivity queries, so the measurement isolates delivery resolution.
     """
-    simulator = Simulator()
-    medium = medium_cls(
-        simulator,
-        propagation=UnitDiskPropagation(radio_range=250.0),
-        loss_model=DistanceLossModel(radio_range=250.0, rng=random.Random(9)),
-    )
-    network = Network(simulator=simulator, medium=medium,
-                      mobility=GridPlacement(spacing=60.0))
-    node_ids = [f"n{i:03d}" for i in range(node_count)]
-    network.add_nodes(node_ids)
-    sinks = {}
-    for node_id in node_ids:
-        medium.unregister(node_id)
-        sink = _Sink()
-        medium.register(node_id, sink)
-        sinks[node_id] = sink
+    simulator, medium, _, node_ids, sinks = _sink_medium(
+        medium_cls, node_count, spacing=60.0,
+        loss_model=DistanceLossModel(radio_range=250.0, rng=random.Random(9)))
     started = time.perf_counter()
     for _ in range(rounds):
         for node_id in node_ids:

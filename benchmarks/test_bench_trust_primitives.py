@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.core.decision import aggregate_detection, evaluate_investigation
-from repro.trust.confidence import margin_of_error, weighted_margin_of_error
+from repro.trust.confidence import margin_of_error, weighted_margin
 from repro.trust.evidence import EvidenceKind, TrustEvidence
 from repro.trust.manager import TrustManager, TrustParameters
 
@@ -57,12 +57,15 @@ def test_bench_detection_aggregation_eq8(benchmark):
 
 
 def test_bench_confidence_interval_eq9(benchmark):
+    """Eq. 9 both ways: unweighted, and trust-weighted as
+    ``decision.decide_round`` calls it, with the weights' sum in hand."""
     rng = random.Random(5)
     samples = [rng.choice([-1.0, 1.0]) for _ in range(50)]
     weights = [rng.random() for _ in range(50)]
 
     def compute():
-        return margin_of_error(samples, 0.95), weighted_margin_of_error(samples, weights, 0.95)
+        return (margin_of_error(samples, 0.95),
+                weighted_margin(samples, weights, sum(weights), 0.95))
 
     plain, weighted = benchmark(compute)
     assert plain >= 0.0 and weighted >= 0.0

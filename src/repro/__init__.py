@@ -6,10 +6,10 @@ Reproduction of *"Trust-enabled Link Spoofing Detection in MANET"*
 * ``repro.netsim`` — a discrete-event MANET simulator,
 * ``repro.olsr`` — a pure-Python OLSR (RFC 3626) implementation emitting
   audit logs; its ``OlsrNode`` is every simulated node's router,
-* ``repro.logs`` — the audit-log records, parser and analyzer,
+* ``repro.logs`` — the audit-log records, store and analyzer,
 * ``repro.attacks`` — link spoofing, the attack the paper evaluates, with
   its colluding liars, plus drop attacks and adaptive adversaries,
-* ``repro.core`` — the log/signature-based detector, the cooperative
+* ``repro.core`` — the log-based detector, the cooperative
   investigation (Algorithm 1) and the decision rule,
 * ``repro.trust`` — the entropy-based trust system with the confidence
   interval,

@@ -38,12 +38,9 @@ both on purpose.
 
 from repro.attacks.adaptive import (
     AdaptiveAttack,
-    DropCycleRecord,
-    DropLoopResult,
     RotatingLiarClique,
     ThresholdRidingGrayhole,
     TrustProbe,
-    run_drop_feedback_loop,
 )
 from repro.attacks.base import Attack, AttackSchedule, PeriodicSchedule
 from repro.attacks.collusion import (
@@ -56,15 +53,9 @@ from repro.attacks.dropping import (
     BlackholeAttack,
     GrayholeAttack,
     OnOffDroppingAttack,
-    SelectiveDropFilter,
 )
 from repro.attacks.liar import LiarBehavior, LieMode
-from repro.attacks.link_spoofing import (
-    LinkSpoofingAttack,
-    spoof_false_link,
-    spoof_non_existent,
-    spoof_omit_neighbor,
-)
+from repro.attacks.link_spoofing import LinkSpoofingAttack
 from repro.attacks.scenario import AttackScenario
 
 __all__ = [
@@ -74,8 +65,6 @@ __all__ = [
     "AttackScenario",
     "BlackholeAttack",
     "CliqueMember",
-    "DropCycleRecord",
-    "DropLoopResult",
     "GrayholeAttack",
     "LiarBehavior",
     "LiarClique",
@@ -84,13 +73,8 @@ __all__ = [
     "OnOffDroppingAttack",
     "PeriodicSchedule",
     "RotatingLiarClique",
-    "SelectiveDropFilter",
     "ThresholdRidingGrayhole",
     "ThreatStack",
     "TrustProbe",
     "grayhole_liar_stack",
-    "run_drop_feedback_loop",
-    "spoof_false_link",
-    "spoof_non_existent",
-    "spoof_omit_neighbor",
 ]

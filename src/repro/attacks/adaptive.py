@@ -22,25 +22,20 @@ Three pieces:
   :class:`RotatingLiarClique` (one active liar per epoch, the rest honest,
   starving each liar's direct trust of harmful evidence).
 
-:func:`run_drop_feedback_loop` is a self-contained watchdog-style harness
-driving any drop attack against a :class:`~repro.trust.manager.TrustManager`
-observer — the measurement rig behind the "time-to-detect vs adaptivity"
-claims (and their tests): the same loop, fed a static grayhole or a
-threshold rider, shows the rider surviving ≥ 2× longer at a matched
-effective drop ratio.
+``tests/test_attacks_adaptive.py`` drives a static grayhole and a threshold
+rider through the same watchdog-style feedback loop and shows the rider
+surviving ≥ 2× longer at a matched effective drop ratio.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.attacks.base import AttackSchedule
 from repro.attacks.collusion import LiarClique
 from repro.attacks.dropping import GrayholeAttack
-from repro.trust.evidence import EvidenceKind, TrustEvidence
-from repro.trust.manager import TrustManager, TrustParameters
+from repro.trust.manager import TrustManager
 
 
 class TrustProbe:
@@ -169,19 +164,6 @@ class ThresholdRidingGrayhole(GrayholeAttack, AdaptiveAttack):
         self.adaptation_log.append(
             (now, trust, 0.0 if self.riding_paused else self.drop_probability))
 
-    def describe(self) -> dict:
-        data = super().describe()
-        data.update({
-            "max_drop_probability": self.max_drop_probability,
-            "min_drop_probability": self.min_drop_probability,
-            "ride_threshold": self.ride_threshold,
-            "resume_threshold": self.resume_threshold,
-            "full_throttle_headroom": self.full_throttle_headroom,
-            "riding_paused": self.riding_paused,
-            "observations": len(self.adaptation_log),
-        })
-        return data
-
 
 class RotatingLiarClique(LiarClique):
     """Clique whose *active* liar rotates per epoch; the rest stay honest.
@@ -208,114 +190,3 @@ class RotatingLiarClique(LiarClique):
             return "honest"
         return self.decision(suspect, now)
 
-    def describe(self) -> dict:
-        data = super().describe()
-        data["name"] = "rotating-liar-clique"
-        data["rotation"] = "one active member per epoch (sorted roster)"
-        return data
-
-
-# --------------------------------------------------------------------------
-# Closed feedback loop: drop attack vs watchdog-style trust observer.
-# --------------------------------------------------------------------------
-
-class _LoopRouter:
-    """Minimal forwarding substrate the feedback loop installs attacks on."""
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-        self.forward_filters: list = []
-        self.now = 0.0
-
-
-@dataclass
-class DropCycleRecord:
-    """One detection cycle of the feedback loop."""
-
-    cycle: int
-    drops: int
-    relays: int
-    trust: float
-    drop_probability: float
-
-
-@dataclass
-class DropLoopResult:
-    """Outcome of :func:`run_drop_feedback_loop`."""
-
-    records: List[DropCycleRecord] = field(default_factory=list)
-    #: First cycle at which the observer's trust crossed the classification
-    #: threshold (``None`` = the attacker survived the whole run).
-    detected_cycle: Optional[int] = None
-
-    def time_to_detect(self, horizon: Optional[int] = None) -> float:
-        """Cycles until classification; undetected runs count as ``horizon``
-        (default: the number of simulated cycles)."""
-        if self.detected_cycle is not None:
-            return float(self.detected_cycle + 1)
-        return float(horizon if horizon is not None else len(self.records))
-
-    @property
-    def effective_drop_ratio(self) -> float:
-        """Fraction of relay opportunities actually dropped over the run."""
-        drops = sum(r.drops for r in self.records)
-        total = sum(r.drops + r.relays for r in self.records)
-        return drops / total if total else 0.0
-
-
-def run_drop_feedback_loop(
-    attack: GrayholeAttack,
-    cycles: int = 40,
-    opportunities: int = 20,
-    classification_threshold: float = 0.25,
-    trust_parameters: Optional[TrustParameters] = None,
-    observer: str = "victim",
-    attacker: str = "attacker",
-) -> DropLoopResult:
-    """Drive a (possibly adaptive) drop attack against a watchdog observer.
-
-    Each of the ``cycles`` detection cycles offers the installed attack
-    ``opportunities`` relay opportunities through its real forward filter;
-    the observer converts the observed drop/relay counts into
-    ``TRAFFIC_DROPPED``/``TRAFFIC_RELAYED`` evidence, runs one Eq. 5 slot,
-    and — when the attack is adaptive — feeds the new trust value back
-    through a read-only :class:`TrustProbe`.  The attacker counts as
-    detected on the first cycle its trust reaches
-    ``classification_threshold``.
-    """
-    trust = TrustManager(observer, trust_parameters)
-    router = _LoopRouter(attacker)
-    attack.install(router)
-    if isinstance(attack, AdaptiveAttack) and attack.probe is None:
-        attack.bind_probe(TrustProbe(trust, attacker))
-
-    result = DropLoopResult()
-    for cycle in range(cycles):
-        router.now = float(cycle)
-        drops = relays = 0
-        for _ in range(opportunities):
-            if attack._filter(None, observer, router):
-                relays += 1
-            else:
-                drops += 1
-        evidences = []
-        if drops:
-            evidences.append(TrustEvidence(
-                observer=observer, subject=attacker,
-                kind=EvidenceKind.TRAFFIC_DROPPED,
-                value=-drops / opportunities, timestamp=float(cycle)))
-        if relays:
-            evidences.append(TrustEvidence(
-                observer=observer, subject=attacker,
-                kind=EvidenceKind.TRAFFIC_RELAYED,
-                value=relays / opportunities, timestamp=float(cycle)))
-        trust.update(attacker, evidences)
-        value = trust.trust_of(attacker)
-        if isinstance(attack, AdaptiveAttack):
-            attack.observe(float(cycle))
-        result.records.append(DropCycleRecord(
-            cycle=cycle, drops=drops, relays=relays, trust=value,
-            drop_probability=attack.drop_probability))
-        if result.detected_cycle is None and value <= classification_threshold:
-            result.detected_cycle = cycle
-    return result

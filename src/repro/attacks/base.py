@@ -14,7 +14,7 @@ paper).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 
@@ -124,15 +124,6 @@ class Attack(abc.ABC):
         """Record that the attack was installed on ``node_id``."""
         if node_id not in self.installed_on:
             self.installed_on.append(node_id)
-
-    def describe(self) -> dict:
-        """Short description used by scenario reports."""
-        return {
-            "name": self.name,
-            "installed_on": list(self.installed_on),
-            "start_time": self.schedule.start_time,
-            "stop_time": self.schedule.stop_time,
-        }
 
 
 def _underlying_router(node):

@@ -103,17 +103,6 @@ class LiarClique:
         self.members.append(behavior)
         return behavior
 
-    def describe(self) -> dict:
-        """Summary used by scenario reports."""
-        return {
-            "name": "liar-clique",
-            "members": [m.member_id for m in self.members],
-            "mode": str(self.mode),
-            "lie_probability": self.lie_probability,
-            "suppress_probability": self.suppress_probability,
-            "epoch_length": self.epoch_length,
-        }
-
 
 class CliqueMember(LiarBehavior):
     """One liar whose decisions come from its :class:`LiarClique`.
@@ -170,11 +159,6 @@ class CliqueMember(LiarBehavior):
             return honest
         return self._decide(target, honest, now)
 
-    def describe(self) -> dict:
-        data = super().describe()
-        data.update({"clique_members": [m.member_id for m in self.clique.members]})
-        return data
-
 
 class ThreatStack(Attack):
     """Several attacks installed together on one compromised node.
@@ -228,11 +212,6 @@ class ThreatStack(Attack):
         super().follow_schedule()
         for attack in self.attacks:
             attack.follow_schedule()
-
-    def describe(self) -> dict:
-        data = super().describe()
-        data["layers"] = [attack.describe() for attack in self.attacks]
-        return data
 
 
 def grayhole_liar_stack(

@@ -8,7 +8,7 @@ a *blackhole*; selective or probabilistic dropping is a *grayhole*.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 from repro.attacks.base import Attack, AttackSchedule, PeriodicSchedule, _underlying_router
 from repro.olsr.constants import MessageType
@@ -102,28 +102,6 @@ class GrayholeAttack(Attack):
         self.relayed_count += 1
         return True
 
-    @property
-    def observed_drop_ratio(self) -> float:
-        """Fraction of eligible messages actually dropped so far."""
-        total = self.dropped_count + self.relayed_count
-        if total == 0:
-            return 0.0
-        return self.dropped_count / total
-
-    def describe(self) -> dict:
-        data = super().describe()
-        data.update({
-            "drop_probability": self.drop_probability,
-            "message_types": (sorted(str(t) for t in self.message_types)
-                              if self.message_types is not None else None),
-            "victim_originators": (sorted(self.victim_originators)
-                                   if self.victim_originators is not None else None),
-            "dropped": self.dropped_count,
-            "relayed": self.relayed_count,
-            "observed_drop_ratio": self.observed_drop_ratio,
-        })
-        return data
-
 
 class OnOffDroppingAttack(GrayholeAttack):
     """Grayhole that drops only during periodic on-windows.
@@ -160,46 +138,3 @@ class OnOffDroppingAttack(GrayholeAttack):
             ),
             rng=rng,
         )
-
-    def describe(self) -> dict:
-        data = super().describe()
-        schedule = self.schedule
-        if isinstance(schedule, PeriodicSchedule):
-            data.update({
-                "on_duration": schedule.on_duration,
-                "off_duration": schedule.off_duration,
-            })
-        return data
-
-
-class SelectiveDropFilter(Attack):
-    """Drop messages selected by an arbitrary predicate (building block).
-
-    Used by tests and by composite scenarios that need a drop behaviour not
-    covered by the blackhole/grayhole classes (e.g. drop only investigation
-    traffic).
-    """
-
-    name = "selective-drop"
-
-    def __init__(
-        self,
-        predicate: Callable[[OlsrMessage, str], bool],
-        schedule: Optional[AttackSchedule] = None,
-    ) -> None:
-        super().__init__(schedule)
-        self.predicate = predicate
-        self.dropped_count = 0
-
-    def install(self, node) -> None:
-        olsr = _underlying_router(node)
-        olsr.forward_filters.append(self._filter)
-        self.mark_installed(olsr.node_id)
-
-    def _filter(self, message: OlsrMessage, last_hop: str, node) -> bool:
-        if not self.is_active(node.now):
-            return True
-        if self.predicate(message, last_hop):
-            self.dropped_count += 1
-            return False
-        return True

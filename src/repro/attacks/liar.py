@@ -154,16 +154,3 @@ class LiarBehavior(Attack):
             return self._lie(honest)
         self.honest_answers += 1
         return honest
-
-    def describe(self) -> dict:
-        data = super().describe()
-        data.update(
-            {
-                "mode": str(self.mode),
-                "lie_probability": self.lie_probability,
-                "suppress_probability": self.suppress_probability,
-                "lies_told": self.lies_told,
-                "answers_suppressed": self.answers_suppressed,
-            }
-        )
-        return data

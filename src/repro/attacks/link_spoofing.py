@@ -14,7 +14,7 @@ variants correspond to Expressions 1–3:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Optional
 
 from repro.attacks.base import Attack, AttackSchedule, _underlying_router
 from repro.core.signatures import LinkSpoofingVariant
@@ -82,51 +82,3 @@ class LinkSpoofingAttack(Attack):
         forged.links = [adv for adv in forged.links if adv.neighbor_address not in omitted]
         return forged
 
-    # ------------------------------------------------------------------ views
-    def spoofed_links_of(self, real_symmetric: Set[str]) -> Set[str]:
-        """The advertised-but-false (or omitted) links given the real neighbourhood.
-
-        Useful for ground-truth checks in tests and metrics.
-        """
-        if self.variant == LinkSpoofingVariant.OMITTED_NEIGHBOR:
-            return set(self.target_addresses) & real_symmetric
-        return set(self.target_addresses) - real_symmetric
-
-    def describe(self) -> dict:
-        data = super().describe()
-        data["variant"] = str(self.variant)
-        data["targets"] = list(self.target_addresses)
-        return data
-
-
-def spoof_non_existent(node_or_id, phantom_addresses: Iterable[str],
-                       schedule: Optional[AttackSchedule] = None) -> LinkSpoofingAttack:
-    """Build (and optionally install) the Expression-1 variant."""
-    attack = LinkSpoofingAttack(
-        LinkSpoofingVariant.NON_EXISTENT_NEIGHBOR, phantom_addresses, schedule
-    )
-    if not isinstance(node_or_id, str) and node_or_id is not None:
-        attack.install(node_or_id)
-    return attack
-
-
-def spoof_false_link(node_or_id, victim_addresses: Iterable[str],
-                     schedule: Optional[AttackSchedule] = None) -> LinkSpoofingAttack:
-    """Build (and optionally install) the Expression-2 variant."""
-    attack = LinkSpoofingAttack(
-        LinkSpoofingVariant.FALSE_EXISTING_LINK, victim_addresses, schedule
-    )
-    if not isinstance(node_or_id, str) and node_or_id is not None:
-        attack.install(node_or_id)
-    return attack
-
-
-def spoof_omit_neighbor(node_or_id, omitted_addresses: Iterable[str],
-                        schedule: Optional[AttackSchedule] = None) -> LinkSpoofingAttack:
-    """Build (and optionally install) the Expression-3 variant."""
-    attack = LinkSpoofingAttack(
-        LinkSpoofingVariant.OMITTED_NEIGHBOR, omitted_addresses, schedule
-    )
-    if not isinstance(node_or_id, str) and node_or_id is not None:
-        attack.install(node_or_id)
-    return attack

@@ -2,18 +2,17 @@
 
 An :class:`AttackScenario` maps node identifiers to the attacks they carry
 and installs everything on a network of nodes in one call.  It also exposes
-the ground truth (who is an attacker, who is a liar) that the metrics module
+the ground truth (who misbehaves, who is a liar) that the metrics module
 needs to score the detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Set
 
 from repro.attacks.base import Attack
 from repro.attacks.liar import LiarBehavior
-from repro.attacks.link_spoofing import LinkSpoofingAttack
 
 
 @dataclass
@@ -38,14 +37,6 @@ class AttackScenario:
                 attack.install(nodes[node_id])
 
     # ------------------------------------------------------------ ground truth
-    def attackers(self) -> Set[str]:
-        """Nodes carrying an active-attack payload (anything but pure lying)."""
-        result = set()
-        for node_id, attacks in self.attacks_by_node.items():
-            if any(not isinstance(a, LiarBehavior) for a in attacks):
-                result.add(node_id)
-        return result
-
     def liars(self) -> Set[str]:
         """Nodes carrying a liar behaviour."""
         result = set()
@@ -54,41 +45,3 @@ class AttackScenario:
                 result.add(node_id)
         return result
 
-    def misbehaving(self) -> Set[str]:
-        """Every compromised node (attackers ∪ liars)."""
-        return set(self.attacks_by_node)
-
-    def link_spoofers(self) -> Set[str]:
-        """Nodes carrying a link-spoofing attack specifically."""
-        result = set()
-        for node_id, attacks in self.attacks_by_node.items():
-            if any(isinstance(a, LinkSpoofingAttack) for a in attacks):
-                result.add(node_id)
-        return result
-
-    def well_behaving(self, all_nodes: Set[str]) -> Set[str]:
-        """Nodes of ``all_nodes`` that carry no attack at all."""
-        return set(all_nodes) - self.misbehaving()
-
-    # ----------------------------------------------------------------- control
-    def stop_all(self) -> None:
-        """Deactivate every attack (used to model the attack ceasing)."""
-        for attacks in self.attacks_by_node.values():
-            for attack in attacks:
-                attack.deactivate()
-
-    def resume_all(self) -> None:
-        """Return every attack to its schedule."""
-        for attacks in self.attacks_by_node.values():
-            for attack in attacks:
-                attack.follow_schedule()
-
-    def describe(self) -> List[dict]:
-        """Flat description of every attack in the scenario."""
-        rows = []
-        for node_id, attacks in sorted(self.attacks_by_node.items()):
-            for attack in attacks:
-                row = attack.describe()
-                row["node"] = node_id
-                rows.append(row)
-        return rows

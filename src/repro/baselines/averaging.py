@@ -9,7 +9,7 @@ and the unweighted-vote ablation of the benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 
@@ -90,8 +90,3 @@ class AveragingTrustSystem:
                             value=1.0 if answer else -1.0)
             )
         return self.trust_of(suspect)
-
-    def report_count(self, subject: str) -> int:
-        """Number of reports recorded about ``subject``."""
-        entry = self._weighted.get(subject)
-        return 0 if entry is None else len(entry[0])

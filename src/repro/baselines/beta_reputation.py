@@ -3,14 +3,14 @@
 Reputation about a node is maintained as a Beta(α, β) distribution over its
 probability of behaving correctly: positive observations increment α,
 negative ones increment β.  Second-hand reports are merged with a deviation
-test (reports too far from the current belief are rejected) and reputation
-fades over time by discounting both counters, which is the "robust reputation
-system" refinement of the 2004 paper.
+test (reports too far from the current belief are rejected), the "robust
+reputation system" refinement of the 2004 paper.  Its reputation fading is
+not reproduced: the round adapter keeps every report at full weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Set
 
 
@@ -26,24 +26,12 @@ class BetaReputation:
         """Expected probability of correct behaviour, E[Beta(α, β)] = α/(α+β)."""
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def observations(self) -> float:
-        """Total evidence mass beyond the uniform prior."""
-        return self.alpha + self.beta - 2.0
-
     def update(self, positive: float = 0.0, negative: float = 0.0) -> None:
         """Add first-hand observations."""
         if positive < 0 or negative < 0:
             raise ValueError("observation counts must be non-negative")
         self.alpha += positive
         self.beta += negative
-
-    def fade(self, factor: float) -> None:
-        """Reputation fading: discount old evidence by ``factor`` in [0, 1]."""
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("fading factor must be in [0, 1]")
-        self.alpha = 1.0 + (self.alpha - 1.0) * factor
-        self.beta = 1.0 + (self.beta - 1.0) * factor
 
 
 class BetaReputationSystem:
@@ -54,13 +42,11 @@ class BetaReputationSystem:
         owner: str,
         deviation_threshold: float = 0.5,
         second_hand_weight: float = 0.2,
-        fading_factor: float = 0.98,
         misbehavior_threshold: float = 0.35,
     ) -> None:
         self.owner = owner
         self.deviation_threshold = deviation_threshold
         self.second_hand_weight = second_hand_weight
-        self.fading_factor = fading_factor
         self.misbehavior_threshold = misbehavior_threshold
         self._reputation: Dict[str, BetaReputation] = {}
         self.rejected_reports = 0
@@ -74,12 +60,6 @@ class BetaReputationSystem:
             record = BetaReputation()
             self._reputation[subject] = record
         return record
-
-    def first_hand(self, subject: str, positive: float = 0.0, negative: float = 0.0) -> float:
-        """Add a first-hand observation and return the new expectation."""
-        record = self.reputation_of(subject)
-        record.update(positive=positive, negative=negative)
-        return record.expectation
 
     def second_hand(self, subject: str, reported: BetaReputation) -> Optional[float]:
         """Merge a second-hand report after the deviation test.
@@ -96,11 +76,6 @@ class BetaReputationSystem:
         record.alpha += self.second_hand_weight * (reported.alpha - 1.0)
         record.beta += self.second_hand_weight * (reported.beta - 1.0)
         return record.expectation
-
-    def fade_all(self) -> None:
-        """Apply reputation fading to every subject (one time step)."""
-        for record in self._reputation.values():
-            record.fade(self.fading_factor)
 
     # ---------------------------------------------------------------- queries
     def expectation_of(self, subject: str) -> float:

@@ -10,7 +10,7 @@ from its MPR set when that trust falls below a threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional
 
 from repro.trust.entropy import entropy_trust_from_probability
 
@@ -29,14 +29,13 @@ class CapOlsrTrust:
 
     Observations are aggregated into a relaying probability per MPR (with
     Laplace smoothing); the probability is mapped to trust through the
-    entropy trust function.  MPRs whose trust falls below
-    ``exclusion_threshold`` are excluded.
+    entropy trust function.  :class:`CapOlsrDetector` classifies a relay
+    whose trust falls below its exclusion threshold as an intruder.
     """
 
-    def __init__(self, owner: str, exclusion_threshold: float = 0.0,
+    def __init__(self, owner: str,
                  prior_positive: float = 1.0, prior_negative: float = 1.0) -> None:
         self.owner = owner
-        self.exclusion_threshold = exclusion_threshold
         self.prior_positive = prior_positive
         self.prior_negative = prior_negative
         self._positive: Dict[str, int] = {}
@@ -50,11 +49,6 @@ class CapOlsrTrust:
         else:
             self._negative[observation.relay] = self._negative.get(observation.relay, 0) + 1
 
-    def add_observations(self, observations: List[RelayObservation]) -> None:
-        """Record many relay observations."""
-        for observation in observations:
-            self.add_observation(observation)
-
     # ----------------------------------------------------------------- queries
     def relay_probability(self, relay: str) -> float:
         """Smoothed probability that ``relay`` forwards the owner's traffic."""
@@ -67,21 +61,6 @@ class CapOlsrTrust:
     def trust_of(self, relay: str) -> float:
         """Entropy-based trust of ``relay`` in ``[-1, 1]``."""
         return entropy_trust_from_probability(self.relay_probability(relay))
-
-    def excluded_mprs(self, candidate_mprs: Set[str]) -> Set[str]:
-        """MPRs whose trust is below the exclusion threshold."""
-        return {m for m in candidate_mprs if self.trust_of(m) < self.exclusion_threshold}
-
-    def filtered_mpr_set(self, candidate_mprs: Set[str]) -> Set[str]:
-        """The MPR set after removing excluded relays."""
-        return set(candidate_mprs) - self.excluded_mprs(candidate_mprs)
-
-    def observation_counts(self, relay: str) -> Dict[str, int]:
-        """Raw positive/negative counts for ``relay``."""
-        return {
-            "positive": self._positive.get(relay, 0),
-            "negative": self._negative.get(relay, 0),
-        }
 
 
 @dataclass
@@ -101,7 +80,7 @@ class CapOlsrDetector:
 
     def __post_init__(self) -> None:
         if self.trust is None:
-            self.trust = CapOlsrTrust(self.owner, self.exclusion_threshold)
+            self.trust = CapOlsrTrust(self.owner)
 
     def process_round(self, suspect: str, answers: Mapping[str, Optional[bool]]) -> float:
         """Feed one round of answers about ``suspect``; returns its new trust.

@@ -2,8 +2,10 @@
 
 Each node overhears its neighbours' transmissions to count the packets a
 relay was supposed to forward but did not.  When the miss count exceeds a
-threshold the relay is flagged as a misbehaving node and the Pathrater
-component down-rates (or avoids) routes through it.
+threshold the relay is flagged as a misbehaving node.  The original's
+Pathrater half, which down-rates routes through flagged relays, is not
+reproduced: the simulated nodes have no data plane whose routes it could
+rate, and the round adapter reads only the watchdog.
 
 This is the classic trust-free baseline the paper's related-work section
 cites ([13], [14]); it detects *drop* attacks but is blind to link spoofing,
@@ -13,7 +15,7 @@ which is exactly the comparison the ablation benches document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional, Set
 
 
 @dataclass
@@ -76,84 +78,16 @@ class Watchdog:
         return relay in self.misbehaving_nodes()
 
 
-class Pathrater:
-    """Rates paths by the ratings of the nodes they traverse.
-
-    Every node starts at ``neutral_rating`` and is incremented periodically
-    while it behaves, decremented on negative events, and pinned to
-    ``misbehaving_rating`` when the watchdog flags it.  A path's rating is the
-    average of its nodes' ratings; negative-rated paths are avoided.
-    """
-
-    def __init__(
-        self,
-        owner: str,
-        watchdog: Optional[Watchdog] = None,
-        neutral_rating: float = 0.5,
-        increment: float = 0.01,
-        decrement: float = 0.05,
-        misbehaving_rating: float = -100.0,
-        maximum: float = 0.8,
-    ) -> None:
-        self.owner = owner
-        self.watchdog = watchdog
-        self.neutral_rating = neutral_rating
-        self.increment = increment
-        self.decrement = decrement
-        self.misbehaving_rating = misbehaving_rating
-        self.maximum = maximum
-        self._ratings: Dict[str, float] = {}
-
-    def rating_of(self, node: str) -> float:
-        """Current rating of ``node`` (misbehaving rating when flagged)."""
-        if self.watchdog is not None and self.watchdog.is_misbehaving(node):
-            return self.misbehaving_rating
-        return self._ratings.get(node, self.neutral_rating)
-
-    def actively_used(self, node: str) -> None:
-        """Periodic positive update for nodes on actively used paths."""
-        current = self._ratings.get(node, self.neutral_rating)
-        self._ratings[node] = min(self.maximum, current + self.increment)
-
-    def negative_event(self, node: str) -> None:
-        """Negative update (e.g. link breakage reported)."""
-        current = self._ratings.get(node, self.neutral_rating)
-        self._ratings[node] = current - self.decrement
-
-    def path_rating(self, path: List[str]) -> float:
-        """Average rating of the nodes along ``path`` (excluding the owner)."""
-        nodes = [n for n in path if n != self.owner]
-        if not nodes:
-            return self.neutral_rating
-        return sum(self.rating_of(n) for n in nodes) / len(nodes)
-
-    def best_path(self, paths: List[List[str]]) -> Optional[List[str]]:
-        """The highest-rated path, or ``None`` when every path is negative."""
-        rated = [(self.path_rating(p), p) for p in paths]
-        rated = [(r, p) for r, p in rated if r > 0.0]
-        if not rated:
-            return None
-        rated.sort(key=lambda item: (-item[0], len(item[1])))
-        return rated[0][1]
-
-
 @dataclass
 class WatchdogPathrater:
-    """Convenience bundle of a watchdog and its pathrater."""
+    """The watchdog baseline behind the detector's round interface."""
 
     owner: str
     watchdog: Watchdog = field(default=None)  # type: ignore[assignment]
-    pathrater: Pathrater = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.watchdog is None:
             self.watchdog = Watchdog(self.owner)
-        if self.pathrater is None:
-            self.pathrater = Pathrater(self.owner, watchdog=self.watchdog)
-
-    def detected_attackers(self) -> Set[str]:
-        """Nodes the bundle currently classifies as misbehaving."""
-        return self.watchdog.misbehaving_nodes()
 
     def process_round(self, suspect: str, answers: Mapping[str, Optional[bool]]) -> float:
         """Round-based adapter matching the paper detector's interface.

@@ -1,8 +1,9 @@
-"""Paper contribution: log/signature-based detection secured by trust.
+"""Paper contribution: log-based detection secured by trust.
 
-* :mod:`repro.core.evidence` — detection evidences E1–E5.
-* :mod:`repro.core.signatures` — attack signatures and the three link
-  spoofing expressions.
+* :mod:`repro.core.evidence` — detection evidences E1–E5 and the builders
+  of the three the local detector raises (E1–E3).
+* :mod:`repro.core.signatures` — the three link-spoofing variants
+  (Expressions 1–3).
 * :mod:`repro.core.detector` — local, log-based detector producing
   investigation triggers.
 * :mod:`repro.core.investigation` — cooperative investigation (Algorithm 1)
@@ -21,7 +22,6 @@ from repro.core.decision import (
     DetectionDecision,
     aggregate_detection,
     decide,
-    detection_weights,
     evaluate_investigation,
     unweighted_vote,
 )
@@ -34,8 +34,6 @@ from repro.core.evidence import (
     e1,
     e2,
     e3,
-    e4,
-    e5,
 )
 from repro.core.investigation import (
     CallableTransport,
@@ -46,19 +44,7 @@ from repro.core.investigation import (
     RoundResult,
     common_two_hop_neighbors,
 )
-from repro.core.signatures import (
-    EventPattern,
-    LinkSpoofingVariant,
-    Signature,
-    SignatureMatch,
-    SignatureMatcher,
-    SpoofingIndicator,
-    evaluate_expression_1,
-    evaluate_expression_2,
-    evaluate_expression_3,
-    evaluate_link_spoofing,
-    link_spoofing_event_signature,
-)
+from repro.core.signatures import LinkSpoofingVariant
 
 __all__ = [
     "ANSWER_CONFIRM",
@@ -71,7 +57,6 @@ __all__ = [
     "DetectionDecision",
     "DetectionEvidence",
     "DetectorNode",
-    "EventPattern",
     "EvidenceType",
     "InvestigationState",
     "InvestigationTrigger",
@@ -80,25 +65,13 @@ __all__ = [
     "NetworkPathTransport",
     "OracleTransport",
     "RoundResult",
-    "Signature",
-    "SignatureMatch",
-    "SignatureMatcher",
-    "SpoofingIndicator",
     "SuspicionLevel",
     "aggregate_detection",
     "common_two_hop_neighbors",
     "decide",
-    "detection_weights",
     "e1",
     "e2",
     "e3",
-    "e4",
-    "e5",
-    "evaluate_expression_1",
-    "evaluate_expression_2",
-    "evaluate_expression_3",
     "evaluate_investigation",
-    "evaluate_link_spoofing",
-    "link_spoofing_event_signature",
     "unweighted_vote",
 ]

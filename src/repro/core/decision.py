@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.trust.confidence import (
     ConfidenceInterval,
@@ -58,19 +58,6 @@ def _detection_weight(total: float) -> float:
     if math.isinf(weight):
         return 0.0
     return weight
-
-
-def detection_weights(trust_values: Sequence[float]) -> List[float]:
-    """Weights ``w_i = 1 / Σ_j T^{A,S_j}`` of Eq. 8.
-
-    When every responder has zero trust the weights are zero: worthless
-    answers cannot move the aggregate.  A subnormal total gets the same
-    treatment — ``1/total`` would overflow to ``inf`` and poison the
-    aggregate with NaNs, and trust that small is indistinguishable from
-    zero anyway.
-    """
-    weight = _detection_weight(sum(trust_values))
-    return [weight for _ in trust_values]
 
 
 def _weighted_detection(responders: Sequence[str], samples: Sequence[float],

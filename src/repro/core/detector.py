@@ -2,31 +2,24 @@
 
 The local detector is the per-node front end of the IDS: it periodically
 analyses the node's own audit logs (through
-:class:`repro.logs.analyzer.LogAnalyzer`), matches the extracted events
-against the attack signatures, derives the detection evidences E1–E3 and
-decides whether a cooperative investigation must be launched and against
-whom.
+:class:`repro.logs.analyzer.LogAnalyzer`), derives the detection evidences
+E1–E3 from the extracted events and decides whether a cooperative
+investigation must be launched and against whom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.evidence import (
     DetectionEvidence,
-    EvidenceType,
     SuspicionLevel,
     e1,
     e2,
     e3,
 )
-from repro.core.signatures import (
-    Signature,
-    SignatureMatcher,
-    link_spoofing_event_signature,
-)
-from repro.logs.analyzer import DetectionEvent, DetectionEventType, LogAnalyzer
+from repro.logs.analyzer import DetectionEventType, LogAnalyzer
 
 
 @dataclass
@@ -53,6 +46,9 @@ class InvestigationTrigger:
 class LocalDetector:
     """Turns audit-log events into investigation triggers.
 
+    It keeps no event or evidence between scans beyond the analyzer's own
+    state: each scan's evidences travel in the triggers it returns.
+
     Parameters
     ----------
     analyzer:
@@ -62,9 +58,6 @@ class LocalDetector:
         the only connectivity provider`` — the E3 check.  The OLSR node
         provides it from its 2-hop set; the lightweight experiment harness
         can omit it.
-    signatures:
-        Signature library; defaults to the link-spoofing preliminary
-        signature.
     min_trigger_level:
         Events below this criticality never start an investigation (the
         paper's "minimise the number of investigations" goal).
@@ -79,24 +72,19 @@ class LocalDetector:
         self,
         analyzer: LogAnalyzer,
         sole_provider_oracle: Optional[Callable[[str], Set[str]]] = None,
-        signatures: Optional[Sequence[Signature]] = None,
         min_trigger_level: SuspicionLevel = SuspicionLevel.SUSPICIOUS,
         mpr_advertisement_change_is_e2: bool = True,
     ) -> None:
         self.analyzer = analyzer
         self.node_id = analyzer.node_id
         self.sole_provider_oracle = sole_provider_oracle
-        self.matcher = SignatureMatcher(list(signatures) if signatures else [link_spoofing_event_signature()])
         self.min_trigger_level = min_trigger_level
         self.mpr_advertisement_change_is_e2 = mpr_advertisement_change_is_e2
-        self.pending_events: List[DetectionEvent] = []
-        self.evidence_log: List[DetectionEvidence] = []
 
     # ------------------------------------------------------------------ scan
     def scan(self, now: Optional[float] = None) -> List[InvestigationTrigger]:
         """Analyse the new log records and return the investigation triggers."""
         events = self.analyzer.analyze()
-        self.pending_events.extend(events)
         triggers: Dict[str, InvestigationTrigger] = {}
         for event in events:
             time = now if now is not None else event.time
@@ -108,9 +96,7 @@ class LocalDetector:
                         suspect,
                         InvestigationTrigger(suspect=suspect, observer=self.node_id, time=time),
                     )
-                    evidence = e1(self.node_id, suspect, time, replaced=replaced)
-                    trigger.evidences.append(evidence)
-                    self.evidence_log.append(evidence)
+                    trigger.evidences.append(e1(self.node_id, suspect, time, replaced=replaced))
                     if replaced and replaced not in trigger.replaced_mprs:
                         trigger.replaced_mprs.append(replaced)
             elif event.event_type == DetectionEventType.MPR_MISBEHAVIOR:
@@ -119,10 +105,8 @@ class LocalDetector:
                     suspect,
                     InvestigationTrigger(suspect=suspect, observer=self.node_id, time=time),
                 )
-                evidence = e2(self.node_id, suspect, time,
-                              reason=event.details.get("reason", "misbehavior"))
-                trigger.evidences.append(evidence)
-                self.evidence_log.append(evidence)
+                trigger.evidences.append(e2(self.node_id, suspect, time,
+                                            reason=event.details.get("reason", "misbehavior")))
             elif (
                 event.event_type == DetectionEventType.ADVERTISEMENT_CHANGED
                 and self.mpr_advertisement_change_is_e2
@@ -134,10 +118,8 @@ class LocalDetector:
                     suspect,
                     InvestigationTrigger(suspect=suspect, observer=self.node_id, time=time),
                 )
-                evidence = e2(self.node_id, suspect, time,
-                              reason="mpr_advertisement_change")
-                trigger.evidences.append(evidence)
-                self.evidence_log.append(evidence)
+                trigger.evidences.append(e2(self.node_id, suspect, time,
+                                            reason="mpr_advertisement_change"))
                 added = [a for a in event.details.get("added", "").split(",") if a]
                 for address in added:
                     if address in (self.node_id, suspect):
@@ -160,27 +142,5 @@ class LocalDetector:
             return
         isolated = self.sole_provider_oracle(trigger.suspect)
         for node in sorted(isolated):
-            evidence = e3(self.node_id, trigger.suspect, trigger.time, isolated_node=node)
-            trigger.evidences.append(evidence)
-            self.evidence_log.append(evidence)
-
-    # -------------------------------------------------------------- signature
-    def match_signatures(self) -> List[str]:
-        """Names of the signatures fully matched by the accumulated events."""
-        matches = self.matcher.complete_matches(self.pending_events)
-        return [m.signature_name for m in matches]
-
-    def evidence_about(self, suspect: str) -> List[DetectionEvidence]:
-        """Every evidence collected so far about ``suspect``."""
-        return [evidence for evidence in self.evidence_log if evidence.suspect == suspect]
-
-    def has_triggering_evidence(self, suspect: str) -> bool:
-        """Whether E1 or E2 has been observed about ``suspect``."""
-        return any(
-            evidence.triggers_investigation for evidence in self.evidence_about(suspect)
-        )
-
-    def reset(self) -> None:
-        """Forget accumulated events and evidences (keeps the analyzer state)."""
-        self.pending_events.clear()
-        self.evidence_log.clear()
+            trigger.evidences.append(
+                e3(self.node_id, trigger.suspect, trigger.time, isolated_node=node))

@@ -79,7 +79,6 @@ class DetectorNode:
         )
         self.trust = TrustManager(node_id, trust_parameters)
         self.investigator: Optional[CooperativeInvestigator] = None
-        self._transport: Optional[QueryTransport] = None
 
         #: Liar hooks installed by attack modules: called with
         #: (suspect, requester, honest_answer) and may return a falsified one.
@@ -94,7 +93,6 @@ class DetectorNode:
 
     def bind_transport(self, transport: QueryTransport) -> None:
         """Install the query transport and build the investigator on top of it."""
-        self._transport = transport
         self.investigator = CooperativeInvestigator(
             owner=self.node_id,
             transport=transport,
@@ -214,14 +212,3 @@ class DetectorNode:
     def trust_table(self) -> Dict[str, float]:
         """Current direct trust of every known node."""
         return self.trust.as_dict()
-
-    def describe(self) -> Dict[str, object]:
-        """Summary of the node's detection state."""
-        open_suspects = self.investigator.open_investigations() if self.investigator else []
-        return {
-            "node": self.node_id,
-            "olsr": self.router.describe(),
-            "trust": self.trust_table(),
-            "open_investigations": open_suspects,
-            "decisions": len(self.decision_history),
-        }

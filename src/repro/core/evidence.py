@@ -59,15 +59,6 @@ DEFAULT_SUSPICION = {
     EvidenceType.E5_NON_NEIGHBOR_ADVERTISED: SuspicionLevel.CRITICAL,
 }
 
-#: Evidences able to *start* an investigation (Expression 4 left column).
-TRIGGERING_EVIDENCE = {EvidenceType.E1_MPR_REPLACED, EvidenceType.E2_MPR_MISBEHAVIOR}
-
-#: Evidences established *by* the cooperative investigation.
-CONFIRMING_EVIDENCE = {
-    EvidenceType.E4_NEIGHBOR_NOT_COVERED,
-    EvidenceType.E5_NON_NEIGHBOR_ADVERTISED,
-}
-
 
 @dataclass(frozen=True)
 class DetectionEvidence:
@@ -78,7 +69,6 @@ class DetectionEvidence:
     suspect: str
     time: float
     suspicion: Optional[SuspicionLevel] = None
-    firsthand: bool = True
     details: Dict[str, str] = field(default_factory=dict, hash=False, compare=False)
 
     @property
@@ -87,17 +77,6 @@ class DetectionEvidence:
         if self.suspicion is not None:
             return self.suspicion
         return DEFAULT_SUSPICION[self.evidence_type]
-
-    @property
-    def triggers_investigation(self) -> bool:
-        """Whether this evidence alone can start a cooperative investigation."""
-        return self.evidence_type in TRIGGERING_EVIDENCE
-
-    @property
-    def confirms_attack(self) -> bool:
-        """Whether this evidence, once agreed upon, confirms the attack."""
-        return self.evidence_type in CONFIRMING_EVIDENCE
-
 
 def e1(observer: str, suspect: str, time: float, replaced: str) -> DetectionEvidence:
     """Build an E1 evidence: ``suspect`` replaced ``replaced`` as MPR of ``observer``."""
@@ -129,30 +108,4 @@ def e3(observer: str, suspect: str, time: float, isolated_node: str) -> Detectio
         suspect=suspect,
         time=time,
         details={"isolated_node": isolated_node},
-    )
-
-
-def e4(observer: str, suspect: str, time: float, denied_by: str,
-       firsthand: bool = False) -> DetectionEvidence:
-    """Build an E4 evidence: ``denied_by`` denies being covered by ``suspect``."""
-    return DetectionEvidence(
-        evidence_type=EvidenceType.E4_NEIGHBOR_NOT_COVERED,
-        observer=observer,
-        suspect=suspect,
-        time=time,
-        firsthand=firsthand,
-        details={"denied_by": denied_by},
-    )
-
-
-def e5(observer: str, suspect: str, time: float, advertised: str,
-       firsthand: bool = False) -> DetectionEvidence:
-    """Build an E5 evidence: ``suspect`` advertises the distant node ``advertised``."""
-    return DetectionEvidence(
-        evidence_type=EvidenceType.E5_NON_NEIGHBOR_ADVERTISED,
-        observer=observer,
-        suspect=suspect,
-        time=time,
-        firsthand=firsthand,
-        details={"advertised": advertised},
     )

@@ -1,171 +1,16 @@
-"""Attack signatures.
+"""The link-spoofing variants.
 
-A signature is a partially ordered sequence of events that characterises a
-misbehaving activity (Section III of the paper).  This module provides:
-
-* the generic signature machinery (:class:`EventPattern`, :class:`Signature`,
-  :class:`SignatureMatcher`) that matches sequences of
-  :class:`repro.logs.analyzer.DetectionEvent` against signatures, possibly
-  partially; and
-* the *link spoofing* signature expressions (Expressions 1–3) evaluated on a
-  node's local view of the topology plus the HELLO advertisement of the
-  suspect.
+A link-spoofing intruder falsifies its HELLO advertisement in one of three
+ways (Expressions 1–3 of the paper). The detector does not evaluate the
+expressions: the cooperative investigation asks responders whether the
+suspect's advertised links exist.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
-
-from repro.logs.analyzer import DetectionEvent, DetectionEventType
 
 
-# ---------------------------------------------------------------------------
-# Generic signature machinery
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class EventPattern:
-    """One step of a signature: a named predicate over detection events."""
-
-    name: str
-    predicate: Callable[[DetectionEvent], bool] = field(compare=False, hash=False)
-    optional: bool = False
-
-    def matches(self, event: DetectionEvent) -> bool:
-        """Whether ``event`` satisfies this step."""
-        return self.predicate(event)
-
-
-@dataclass
-class SignatureMatch:
-    """Result of matching a signature against a sequence of events."""
-
-    signature_name: str
-    matched_steps: List[str] = field(default_factory=list)
-    missing_steps: List[str] = field(default_factory=list)
-    matched_events: List[DetectionEvent] = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        """Whether every mandatory step was matched."""
-        return not self.missing_steps
-
-    @property
-    def completion_ratio(self) -> float:
-        """Fraction of mandatory steps matched (1.0 for a complete match)."""
-        total = len(self.matched_steps) + len(self.missing_steps)
-        if total == 0:
-            return 0.0
-        return len(self.matched_steps) / total
-
-
-@dataclass
-class Signature:
-    """A partially ordered sequence of :class:`EventPattern` steps.
-
-    Steps must be matched in order, but events irrelevant to the signature may
-    be interleaved freely; optional steps never block a match.
-    """
-
-    name: str
-    steps: List[EventPattern] = field(default_factory=list)
-    description: str = ""
-
-    def match(self, events: Sequence[DetectionEvent]) -> SignatureMatch:
-        """Match the signature against ``events`` (ordered by time)."""
-        result = SignatureMatch(signature_name=self.name)
-        position = 0
-        for step in self.steps:
-            found = None
-            for index in range(position, len(events)):
-                if step.matches(events[index]):
-                    found = index
-                    break
-            if found is not None:
-                result.matched_steps.append(step.name)
-                result.matched_events.append(events[found])
-                position = found + 1
-            elif step.optional:
-                continue
-            else:
-                result.missing_steps.append(step.name)
-        return result
-
-
-class SignatureMatcher:
-    """Matches a library of signatures against an event stream."""
-
-    def __init__(self, signatures: Optional[List[Signature]] = None) -> None:
-        self.signatures: List[Signature] = list(signatures or [])
-
-    def add(self, signature: Signature) -> None:
-        """Register an additional signature."""
-        self.signatures.append(signature)
-
-    def match_all(self, events: Sequence[DetectionEvent]) -> List[SignatureMatch]:
-        """Match every registered signature; returns one result per signature."""
-        ordered = sorted(events, key=lambda e: e.time)
-        return [signature.match(ordered) for signature in self.signatures]
-
-    def complete_matches(self, events: Sequence[DetectionEvent]) -> List[SignatureMatch]:
-        """Only the signatures whose mandatory steps all matched."""
-        return [m for m in self.match_all(events) if m.complete]
-
-
-def _is_type(event_type: DetectionEventType) -> Callable[[DetectionEvent], bool]:
-    return lambda event: event.event_type == event_type
-
-
-def link_spoofing_event_signature() -> Signature:
-    """The event-level part of the link-spoofing signature.
-
-    An MPR replacement (or a misbehaviour observation about an MPR), possibly
-    preceded by advertisement changes, is the preliminary sign that triggers
-    the cooperative investigation (Expression 4, left-hand column).
-    """
-    return Signature(
-        name="link-spoofing-preliminary",
-        description="Preliminary sign of a link spoofing attack (E1/E2 trigger)",
-        steps=[
-            EventPattern(
-                name="advertisement-change",
-                predicate=_is_type(DetectionEventType.ADVERTISEMENT_CHANGED),
-                optional=True,
-            ),
-            EventPattern(
-                name="mpr-replaced-or-misbehaving",
-                predicate=lambda e: e.event_type
-                in (DetectionEventType.MPR_REPLACED, DetectionEventType.MPR_MISBEHAVIOR),
-            ),
-        ],
-    )
-
-
-def broadcast_storm_signature(threshold: int = 20) -> Signature:
-    """Signature of a (broadcast) storm: a burst of advertisement changes.
-
-    Kept simple on purpose — storms are not the focus of the paper but the
-    matcher must accommodate several signatures simultaneously.
-    """
-    counter = {"count": 0}
-
-    def is_burst(event: DetectionEvent) -> bool:
-        if event.event_type != DetectionEventType.ADVERTISEMENT_CHANGED:
-            return False
-        counter["count"] += 1
-        return counter["count"] >= threshold
-
-    return Signature(
-        name="broadcast-storm",
-        description="Unusual burst of advertisement changes from one originator",
-        steps=[EventPattern(name="advertisement-burst", predicate=is_burst)],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Link-spoofing signature expressions (Expressions 1–3)
-# ---------------------------------------------------------------------------
 class LinkSpoofingVariant(str, enum.Enum):
     """The three falsification options available to a link-spoofing intruder."""
 
@@ -175,116 +20,3 @@ class LinkSpoofingVariant(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class SpoofingIndicator:
-    """Outcome of evaluating the spoofing expressions on one advertisement."""
-
-    variant: LinkSpoofingVariant
-    suspect: str
-    offending_addresses: frozenset
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        nodes = ",".join(sorted(self.offending_addresses))
-        return f"{self.suspect} [{self.variant}]: {nodes}"
-
-
-def evaluate_expression_1(
-    suspect: str,
-    advertised_symmetric: Set[str],
-    known_network_nodes: Set[str],
-) -> Optional[SpoofingIndicator]:
-    """Expression 1: the suspect declares at least one *non-existing* node.
-
-    ``∃ N ∈ NS'_I  such that  N ∉ 𝒩`` — advertising a node that does not exist
-    in the OLSR network guarantees that a misbehaving node is selected as MPR
-    because no well-behaving MPR can claim to cover that phantom node.
-    """
-    phantom = {a for a in advertised_symmetric if a not in known_network_nodes and a != suspect}
-    if not phantom:
-        return None
-    return SpoofingIndicator(
-        variant=LinkSpoofingVariant.NON_EXISTENT_NEIGHBOR,
-        suspect=suspect,
-        offending_addresses=frozenset(phantom),
-    )
-
-
-def evaluate_expression_2(
-    suspect: str,
-    advertised_symmetric: Set[str],
-    actual_neighbors_of_suspect: Set[str],
-    known_network_nodes: Set[str],
-) -> Optional[SpoofingIndicator]:
-    """Expression 2: the suspect claims an existing node as symmetric neighbour
-    although it is not (``∃ X ∈ NS'_I ∩ 𝒩  such that  X ∉ NS_I``).
-
-    This is the blackhole-provisioning variant: the intruder artificially
-    increases its connectivity so traffic is routed through it.
-    """
-    false_links = {
-        a
-        for a in advertised_symmetric
-        if a in known_network_nodes and a not in actual_neighbors_of_suspect and a != suspect
-    }
-    if not false_links:
-        return None
-    return SpoofingIndicator(
-        variant=LinkSpoofingVariant.FALSE_EXISTING_LINK,
-        suspect=suspect,
-        offending_addresses=frozenset(false_links),
-    )
-
-
-def evaluate_expression_3(
-    suspect: str,
-    advertised_symmetric: Set[str],
-    actual_neighbors_of_suspect: Set[str],
-) -> Optional[SpoofingIndicator]:
-    """Expression 3: the suspect omits an existing symmetric neighbour
-    (``∃ P ∈ NS_I  such that  P ∉ NS'_I``), artificially decreasing the
-    connectivity of both nodes.
-    """
-    omitted = {a for a in actual_neighbors_of_suspect if a not in advertised_symmetric}
-    if not omitted:
-        return None
-    return SpoofingIndicator(
-        variant=LinkSpoofingVariant.OMITTED_NEIGHBOR,
-        suspect=suspect,
-        offending_addresses=frozenset(omitted),
-    )
-
-
-def evaluate_link_spoofing(
-    suspect: str,
-    advertised_symmetric: Set[str],
-    actual_neighbors_of_suspect: Optional[Set[str]] = None,
-    known_network_nodes: Optional[Set[str]] = None,
-) -> List[SpoofingIndicator]:
-    """Evaluate every applicable spoofing expression.
-
-    ``actual_neighbors_of_suspect`` is ground truth only available through the
-    cooperative investigation (or to an omniscient test); when it is ``None``
-    only Expression 1 (which needs the set of known network nodes) can be
-    evaluated.
-    """
-    indicators: List[SpoofingIndicator] = []
-    if known_network_nodes is not None:
-        indicator = evaluate_expression_1(suspect, advertised_symmetric, known_network_nodes)
-        if indicator:
-            indicators.append(indicator)
-    if actual_neighbors_of_suspect is not None:
-        if known_network_nodes is not None:
-            indicator = evaluate_expression_2(
-                suspect, advertised_symmetric, actual_neighbors_of_suspect, known_network_nodes
-            )
-            if indicator:
-                indicators.append(indicator)
-        indicator = evaluate_expression_3(
-            suspect, advertised_symmetric, actual_neighbors_of_suspect
-        )
-        if indicator:
-            indicators.append(indicator)
-    return indicators

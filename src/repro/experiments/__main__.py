@@ -160,6 +160,10 @@ def run_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.db:
         parser.error("--resume requires --db")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
+    if args.max_new_runs is not None and args.max_new_runs < 0:
+        parser.error("--max-new-runs must be non-negative")
     try:
         get_experiment(args.experiment)
     except KeyError as error:
@@ -383,6 +387,8 @@ def attack_search_main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     if args.corpus <= 0:
         parser.error("--corpus must be positive")
+    if args.rounds <= 0:
+        parser.error("--rounds must be positive")
     if args.generations < 0 or args.children < 0:
         parser.error("--generations and --children must be non-negative")
     from repro.attacks.search import search_attack_configs

@@ -101,6 +101,8 @@ class ScenarioConfig:
                 f"(expected one of {', '.join(ADAPTIVITY_MODES)})")
         if self.riding_resume < self.riding_threshold:
             raise ValueError("riding_resume must be >= riding_threshold")
+        if self.liar_count < 0:
+            raise ValueError(f"liar_count must be non-negative, got {self.liar_count}")
         if self.effective_liar_count() > self.responder_count():
             raise ValueError("more liars than responders")
 

@@ -462,6 +462,8 @@ def run_experiment(
     Because every cell derives all randomness from its own stable seed, the
     returned report is identical whichever execution mode produced it.
     """
+    if max_new_runs is not None and max_new_runs < 0:
+        raise ValueError(f"max_new_runs must be non-negative, got {max_new_runs}")
     definition, specs, hashes = expand_experiment(
         name, backend=backend, base_seed=base_seed, axes=axes, params=params)
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set
 from repro.attacks.adaptive import TrustProbe
 from repro.attacks.liar import LiarBehavior
 from repro.core.decision import DecisionOutcome
-from repro.core.investigation import CooperativeInvestigator, OracleTransport, RoundResult
+from repro.core.investigation import CooperativeInvestigator, OracleTransport
 from repro.experiments.config import ScenarioConfig
 from repro.seeding import stable_seed
 from repro.trust.manager import TrustManager
@@ -105,10 +105,6 @@ class ExperimentResult:
         """Trajectories of every responder and of the attacker."""
         nodes = sorted(self.responders | {self.attacker})
         return {node: self.trust_trajectory(node) for node in nodes}
-
-    def detect_trajectory(self) -> List[Optional[float]]:
-        """Detect^{A,I} value per round (None for rounds without investigation)."""
-        return [record.detect_value for record in self.rounds]
 
     def detect_values(self) -> List[float]:
         """Detect values of the rounds where an investigation actually ran."""

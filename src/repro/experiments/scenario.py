@@ -317,6 +317,8 @@ def build_manet_scenario(
     """
     if node_count < 4:
         raise ValueError("a MANET scenario needs at least 4 nodes")
+    if liar_count < 0:
+        raise ValueError(f"liar_count must be non-negative, got {liar_count}")
     if liar_count >= node_count - 2:
         raise ValueError("too many liars for the node count")
     if threat not in THREATS:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.logs.records import LogCategory, LogRecord
 from repro.logs.store import LogStore
@@ -63,8 +63,8 @@ class LogAnalyzer:
     Each call to :meth:`analyze` consumes the records appended since the
     previous call (through the store's analysis mark) and returns the
     detection events found.  The analyzer also maintains the per-neighbour
-    :class:`NeighborhoodSnapshot` map used by the detector to evaluate the
-    link-spoofing signature expressions.
+    :class:`NeighborhoodSnapshot` map against which it detects advertisement
+    changes.
     """
 
     MARK = "log-analyzer"
@@ -112,23 +112,6 @@ class LogAnalyzer:
         for record in new_records:
             events.extend(self._process(record))
         return events
-
-    def analyze_all(self) -> List[DetectionEvent]:
-        """Process the entire log from the beginning (ignores marks)."""
-        events: List[DetectionEvent] = []
-        for record in self.store.records:
-            events.extend(self._process(record))
-        self.store.advance_mark(self.MARK)
-        return events
-
-    def snapshot_of(self, neighbor: str) -> Optional[NeighborhoodSnapshot]:
-        """Latest advertisement snapshot of ``neighbor`` (None when never heard)."""
-        return self.snapshots.get(neighbor)
-
-    def advertised_symmetric_neighbors(self, neighbor: str) -> Set[str]:
-        """Addresses ``neighbor`` last advertised as symmetric (empty when unknown)."""
-        snapshot = self.snapshots.get(neighbor)
-        return set(snapshot.advertised_symmetric) if snapshot else set()
 
     # ------------------------------------------------------------ internals
     def _process(self, record: LogRecord) -> List[DetectionEvent]:
@@ -292,12 +275,3 @@ class LogAnalyzer:
                 details={"reason": "NOT_RELAYED"},
             )
         ]
-
-
-def merge_events(event_lists: Sequence[List[DetectionEvent]]) -> List[DetectionEvent]:
-    """Merge several event lists, sorted by time (stable for equal times)."""
-    merged: List[DetectionEvent] = []
-    for events in event_lists:
-        merged.extend(events)
-    merged.sort(key=lambda e: e.time)
-    return merged

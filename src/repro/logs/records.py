@@ -1,8 +1,7 @@
 """Structured audit-log records produced by the OLSR node.
 
-Every record is a flat ``(time, node, category, event, fields)`` tuple that
-can be serialised to a single olsrd-style text line (see
-:mod:`repro.logs.parser`) and parsed back without loss.
+Every record is a flat ``(time, node, category, event, fields)`` tuple, the
+content of one olsrd-style log line.
 """
 
 from __future__ import annotations
@@ -87,12 +86,6 @@ class LogRecord:
         if not raw:
             return []
         return [item for item in raw.split(",") if item]
-
-    def with_fields(self, **extra: str) -> "LogRecord":
-        """Return a copy of the record with additional fields."""
-        merged = dict(self.fields)
-        merged.update({k: str(v) for k, v in extra.items()})
-        return LogRecord(self.time, self.node, self.category, self.event, merged)
 
 
 def make_record(

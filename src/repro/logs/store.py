@@ -15,9 +15,8 @@ has not consumed yet.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
-from repro.logs.parser import dump_records, load_records
 from repro.logs.records import LogCategory, LogRecord, make_record
 
 #: Every category: what a bare store records.
@@ -109,10 +108,6 @@ class LogStore:
         """Records with ``start <= time <= end``."""
         return [r for r in self._records if start <= r.time <= end]
 
-    def where(self, predicate: Callable[[LogRecord], bool]) -> List[LogRecord]:
-        """Records satisfying an arbitrary predicate."""
-        return [r for r in self._records if predicate(r)]
-
     def last(self, count: int = 1) -> List[LogRecord]:
         """The ``count`` most recent records."""
         if count <= 0:
@@ -128,18 +123,6 @@ class LogStore:
     def advance_mark(self, mark_name: str = "default") -> None:
         """Move the analysis mark to the end of the current log."""
         self._marks[mark_name] = len(self._records)
-
-    # ------------------------------------------------------------- text I/O
-    def dump_text(self) -> str:
-        """Serialise the whole log to olsrd-like text."""
-        return dump_records(self._records)
-
-    @classmethod
-    def from_text(cls, node_id: str, text: str) -> "LogStore":
-        """Build a store from a text dump."""
-        store = cls(node_id)
-        store.extend(load_records(text))
-        return store
 
     def clear(self) -> None:
         """Discard every record and analysis mark."""

@@ -1,33 +1,17 @@
 """Metrics used to score detection runs and trust trajectories."""
 
-from repro.metrics.detection import (
-    ConfusionMatrix,
-    DetectionReport,
-    classification_matrix,
-    convergence_round,
-    rounds_to_stable_verdict,
-)
+from repro.metrics.detection import convergence_round
 from repro.metrics.trust_metrics import (
     TrustTrajectoryReport,
-    first_round_above,
-    first_round_below,
-    is_monotonic,
     recovery_gap,
     separation,
     total_change,
 )
 
 __all__ = [
-    "ConfusionMatrix",
-    "DetectionReport",
     "TrustTrajectoryReport",
-    "classification_matrix",
     "convergence_round",
-    "first_round_above",
-    "first_round_below",
-    "is_monotonic",
     "recovery_gap",
-    "rounds_to_stable_verdict",
     "separation",
     "total_change",
 ]

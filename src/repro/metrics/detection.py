@@ -1,105 +1,12 @@
 """Detection-quality metrics.
 
-These metrics score a detector run against the scenario's ground truth:
-classification accuracy, false positive / false negative rates, and the
-convergence speed of the detection aggregate (the number of investigation
-rounds the paper reports on the x-axis of its figures).
+The convergence speed of the detection aggregate: the number of
+investigation rounds the paper reports on the x-axis of its figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
-
-from repro.core.decision import DecisionOutcome
-
-
-@dataclass
-class ConfusionMatrix:
-    """Binary confusion matrix over "is this node an intruder?"."""
-
-    true_positives: int = 0
-    false_positives: int = 0
-    true_negatives: int = 0
-    false_negatives: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total number of classified nodes."""
-        return (
-            self.true_positives
-            + self.false_positives
-            + self.true_negatives
-            + self.false_negatives
-        )
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of correct classifications."""
-        if self.total == 0:
-            return 0.0
-        return (self.true_positives + self.true_negatives) / self.total
-
-    @property
-    def precision(self) -> float:
-        """TP / (TP + FP)."""
-        denominator = self.true_positives + self.false_positives
-        if denominator == 0:
-            return 0.0
-        return self.true_positives / denominator
-
-    @property
-    def recall(self) -> float:
-        """Detection rate: TP / (TP + FN)."""
-        denominator = self.true_positives + self.false_negatives
-        if denominator == 0:
-            return 0.0
-        return self.true_positives / denominator
-
-    @property
-    def false_positive_rate(self) -> float:
-        """FP / (FP + TN)."""
-        denominator = self.false_positives + self.true_negatives
-        if denominator == 0:
-            return 0.0
-        return self.false_positives / denominator
-
-    @property
-    def f1_score(self) -> float:
-        """Harmonic mean of precision and recall."""
-        p, r = self.precision, self.recall
-        if p + r == 0.0:
-            return 0.0
-        return 2.0 * p * r / (p + r)
-
-
-def classification_matrix(
-    verdicts: Mapping[str, DecisionOutcome],
-    true_intruders: Set[str],
-    treat_unrecognized_as_negative: bool = True,
-) -> ConfusionMatrix:
-    """Score the per-node verdicts against the ground-truth intruder set.
-
-    ``unrecognized`` verdicts count as "not flagged" by default (the
-    conservative reading the paper adopts: more evidence is needed before
-    acting).
-    """
-    matrix = ConfusionMatrix()
-    for node, outcome in verdicts.items():
-        flagged = outcome == DecisionOutcome.INTRUDER
-        if outcome == DecisionOutcome.UNRECOGNIZED and not treat_unrecognized_as_negative:
-            continue
-        if node in true_intruders:
-            if flagged:
-                matrix.true_positives += 1
-            else:
-                matrix.false_negatives += 1
-        else:
-            if flagged:
-                matrix.false_positives += 1
-            else:
-                matrix.true_negatives += 1
-    return matrix
+from typing import Optional, Sequence
 
 
 def convergence_round(
@@ -119,48 +26,3 @@ def convergence_round(
         if not below and value >= threshold:
             return index
     return None
-
-
-def rounds_to_stable_verdict(
-    outcomes: Sequence[DecisionOutcome],
-    target: DecisionOutcome,
-    stability: int = 2,
-) -> Optional[int]:
-    """First round after which the verdict equals ``target`` for ``stability``
-    consecutive rounds (and never changes again before the end)."""
-    run = 0
-    for index, outcome in enumerate(outcomes):
-        if outcome == target:
-            run += 1
-            if run >= stability:
-                start = index - stability + 1
-                if all(o == target for o in outcomes[start:]):
-                    return start
-        else:
-            run = 0
-    return None
-
-
-@dataclass
-class DetectionReport:
-    """Aggregated view of a detection experiment used by the text reports."""
-
-    scenario_name: str
-    matrix: ConfusionMatrix
-    convergence_rounds: Dict[str, Optional[int]] = field(default_factory=dict)
-    final_detect_values: Dict[str, float] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """Flat rows (one per suspect) for tabular output."""
-        rows = []
-        for suspect in sorted(set(self.convergence_rounds) | set(self.final_detect_values)):
-            rows.append(
-                {
-                    "scenario": self.scenario_name,
-                    "suspect": suspect,
-                    "convergence_round": self.convergence_rounds.get(suspect),
-                    "final_detect": self.final_detect_values.get(suspect),
-                }
-            )
-        return rows

@@ -2,25 +2,15 @@
 
 Figures 1 and 2 of the paper plot the trust value of every node (as seen by
 the attacked node) across investigation rounds.  The helpers below compute
-the properties those figures illustrate: monotonic decrease for liars,
-slow increase for honest nodes, separation between the two groups, and the
-recovery behaviour after the attack ceases.
+the properties those figures illustrate: decrease for liars, no decrease
+for honest nodes, separation between the two groups, and the recovery
+behaviour after the attack ceases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
-
-
-def is_monotonic(values: Sequence[float], increasing: bool, tolerance: float = 1e-9) -> bool:
-    """Whether the sequence is monotonic in the requested direction."""
-    for previous, current in zip(values, values[1:]):
-        if increasing and current < previous - tolerance:
-            return False
-        if not increasing and current > previous + tolerance:
-            return False
-    return True
 
 
 def total_change(values: Sequence[float]) -> float:
@@ -60,22 +50,6 @@ def separation(
     if mean_a is None or mean_b is None:
         return 0.0
     return mean_a - mean_b
-
-
-def first_round_below(values: Sequence[float], threshold: float) -> Optional[int]:
-    """First index at which the trajectory is ≤ threshold (None when never)."""
-    for index, value in enumerate(values):
-        if value <= threshold:
-            return index
-    return None
-
-
-def first_round_above(values: Sequence[float], threshold: float) -> Optional[int]:
-    """First index at which the trajectory is ≥ threshold (None when never)."""
-    for index, value in enumerate(values):
-        if value >= threshold:
-            return index
-    return None
 
 
 def recovery_gap(values: Sequence[float], target: float) -> float:
@@ -119,22 +93,3 @@ class TrustTrajectoryReport:
     def final_separation(self) -> float:
         """Mean honest trust minus mean liar trust at the last round."""
         return separation(self.trajectories, self.honest, self.liars, at_round=-1)
-
-    def as_rows(self) -> List[Dict[str, object]]:
-        """One row per node: role, initial, final, change."""
-        rows = []
-        for node in sorted(self.trajectories):
-            trajectory = self.trajectories[node]
-            role = "liar" if node in self.liars else (
-                "attacker" if node == self.attacker else "honest")
-            rows.append(
-                {
-                    "observer": self.observer,
-                    "node": node,
-                    "role": role,
-                    "initial_trust": trajectory[0] if trajectory else None,
-                    "final_trust": trajectory[-1] if trajectory else None,
-                    "change": total_change(trajectory),
-                }
-            )
-        return rows

@@ -9,7 +9,8 @@ the intrusion-detection experiments run:
   propagation and the perfect, Bernoulli and distance loss models, served
   by a spatial neighbour index (uniform grid, position-epoch invalidation)
   so neighbourhood queries and broadcast resolution cost O(neighbours),
-  not O(N).
+  not O(N).  It delivers broadcasts only: there is no unicast path, and
+  nodes neither leave nor fail.
 * :mod:`repro.netsim.mobility` — node placement and mobility models.
 * :mod:`repro.netsim.network` — container wiring nodes, medium and engine.
 * :mod:`repro.netsim.stats` — transmission statistics.
@@ -31,8 +32,7 @@ transmission is resolved once for all of its receivers:
    3×3 cells around the sender (a superset of reachable receivers in
    O(neighbours)) and range-checks them once per position epoch; the
    result, with each receiver's interface and (under distance loss) loss
-   probability, is cached per sender until a node moves, arrives or
-   leaves.
+   probability, is cached per sender until a node moves or arrives.
 2. **Loss draws** — consumed in receiver order, one per receiver.
 3. **Single delivery event** — one simulator event fans the frame out to
    the surviving receivers with one ``receive`` call each; the

@@ -20,31 +20,31 @@ Positions are read from the network's
 on every write.  The caches — each node's neighbour list, the connectivity
 matrix (one shared mapping, so the investigation transports that ask for
 it on every query reuse it) and each sender's broadcast resolution — are
-rebuilt lazily once that epoch moves, an interface registers or
-unregisters, or the propagation or loss model is replaced (replace a
-model; do not edit one in place).
+rebuilt lazily once that epoch moves, an interface registers, or the
+propagation or loss model is replaced (replace a model; do not edit one in
+place).
 
 Delivery
 --------
-A broadcast's resolution holds its in-range receivers in registration
-order, each with its interface, the count of interfaces out of range and,
-under distance loss, each receiver's loss probability.  On a cached
-broadcast :meth:`WirelessMedium.transmit` compares the epoch, reads the
-resolution, draws the losses in receiver order (``rng.random() < p``, as
-``is_lost`` draws) and posts one engine event that delivers the frame to
-every survivor, in order.  Per-receiver events posted back to back would
-pop consecutively off the ``(time, sequence)`` queue anyway, so the single
-event replays exactly their callback order; the events it saves are
-tallied in ``batched_deliveries_saved`` so the reported event count keeps
-meaning one event per delivery.  A unicast is resolved the same way,
-uncached.
+The medium delivers broadcasts only; it has no unicast path, and an
+interface, once registered, never leaves.  A broadcast's resolution holds
+its in-range receivers in registration order, each with its interface, the
+count of interfaces out of range and, under distance loss, each receiver's
+loss probability.  On a cached broadcast :meth:`WirelessMedium.transmit`
+compares the epoch, reads the resolution, draws the losses in receiver
+order (``rng.random() < p``, as ``is_lost`` draws) and posts one engine
+event that delivers the frame to every survivor, in order.  Per-receiver
+events posted back to back would pop consecutively off the ``(time,
+sequence)`` queue anyway, so the single event replays exactly their
+callback order; the events it saves are tallied in
+``batched_deliveries_saved`` so the reported event count keeps meaning one
+event per delivery.
 
-A delivery is one call, ``interface.receive(frame, now)``; on an up and
-bound :class:`repro.netsim.network.NetworkInterface`, ``receive`` *is* the
-node's handler.  A frame delivered to a registered interface counts as
-delivered even when that interface is down and drops it.  If an interface
-registered or unregistered while the frame was in the air, the event
-looks each receiver up by id and counts the ones gone as unroutable.
+A delivery is one call, ``interface.receive(frame, now)``; on a bound
+:class:`repro.netsim.network.NetworkInterface`, ``receive`` *is* the
+node's handler.  An arrival while a frame is in the air takes no receiver
+away from it, so the event delivers to the interfaces resolved at send
+time.  Nothing is ever unroutable, and ``frames_unroutable`` stays 0.
 ``tests/test_netsim_batch_parity.py`` pins all of this to the per-receiver
 medium kept in ``tests/reference/``.
 """
@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Protocol, Tuple
 
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 from repro.netsim.stats import MediumStatistics
 
 Position = Tuple[float, float]
@@ -244,8 +244,6 @@ class WirelessMedium:
         #: delivery with the positions the range check actually used.
         self.trace_recorder = None
         self._interfaces: Dict[str, object] = {}
-        #: Bumped on register/unregister; a delivery compares it.
-        self._membership = 0
         self._positions = _Unbound()
         #: Position epoch the caches were built at; ``None`` forces a rebuild.
         self._epoch: Optional[int] = None
@@ -302,14 +300,7 @@ class WirelessMedium:
         if node_id in self._interfaces:
             raise ValueError(f"interface {node_id!r} already registered")
         self._interfaces[node_id] = interface
-        self._membership += 1
         self._epoch = None
-
-    def unregister(self, node_id: str) -> None:
-        """Remove an interface (node failure / departure)."""
-        if self._interfaces.pop(node_id, None) is not None:
-            self._membership += 1
-            self._epoch = None
 
     @property
     def node_ids(self) -> List[str]:
@@ -354,8 +345,8 @@ class WirelessMedium:
     def connectivity_matrix(self) -> Dict[str, List[str]]:
         """Mapping node id -> reachable neighbour ids (directed); read-only.
 
-        Every call until the next rebuild (a position change, an arrival or
-        departure, a replaced model) returns the same shared mapping, built
+        Every call until the next rebuild (a position change, an arrival, a
+        replaced model) returns the same shared mapping, built
         on first use; callers must not mutate it.  A new object therefore
         means new connectivity.
         """
@@ -368,21 +359,13 @@ class WirelessMedium:
 
     # ---------------------------------------------------------- transmission
     def transmit(self, frame: Frame) -> None:
-        """Transmit ``frame`` from its source (see "Delivery" in the module doc)."""
+        """Broadcast ``frame`` from its source (see "Delivery" in the module doc)."""
         source = frame.source
-        destination = frame.destination
-        if destination == BROADCAST_ADDRESS:
-            if self._positions.epoch != self._epoch:
-                self._refresh()
-            resolution = self._broadcasts.get(source)
-            if resolution is None:
-                resolution = self._resolve_broadcast(source)
-        elif source not in self._interfaces:
-            raise ValueError(f"unknown transmitter {source!r}")
-        elif destination in self._interfaces:
-            resolution = self._resolve_unicast(source, destination)
-        else:
-            resolution = None
+        if self._positions.epoch != self._epoch:
+            self._refresh()
+        resolution = self._broadcasts.get(source)
+        if resolution is None:
+            resolution = self._resolve_broadcast(source)
         now = self._simulator.now
         frame.created_at = now
         if frame._frame_id is None:
@@ -390,9 +373,6 @@ class WirelessMedium:
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
-        if resolution is None:
-            stats.frames_unroutable += 1
-            return
         receivers, probabilities, out_of_range = resolution
         stats.frames_out_of_range += out_of_range
         if not receivers:
@@ -414,7 +394,7 @@ class WirelessMedium:
         self.batched_deliveries_saved += len(survivors) - 1
         if self.trace_recorder is None:
             self._simulator.post(self.propagation_delay, self._deliver_batch,
-                                 frame, survivors, self._membership)
+                                 frame, survivors)
             return
         # Capture the positions (and the range) the in-range decision was
         # made with: mobility may move either endpoint before delivery.
@@ -423,7 +403,7 @@ class WirelessMedium:
         tx_range = float(self._propagation.radio_range)
         tx_infos = [(sender_pos, positions[receiver_id], tx_range)
                     for receiver_id, _ in survivors]
-        self._simulator.post(self.propagation_delay, self._deliver_checked,
+        self._simulator.post(self.propagation_delay, self._deliver_traced,
                              frame, survivors, tx_infos)
 
     def _resolve_broadcast(self, source: str) -> Resolution:
@@ -438,13 +418,6 @@ class WirelessMedium:
         self._broadcasts[source] = resolution
         return resolution
 
-    def _resolve_unicast(self, source: str, destination: str) -> Resolution:
-        positions = self._positions
-        if not self._propagation.in_range(positions[source], positions[destination]):
-            return [], None, 1
-        return ([(destination, self._interfaces[destination])],
-                self._loss_probabilities(source, [destination]), 0)
-
     def _loss_probabilities(self, source: str,
                             receivers: List[str]) -> Optional[List[float]]:
         """Each receiver's distance-loss probability (``None`` otherwise)."""
@@ -456,12 +429,8 @@ class WirelessMedium:
         return [loss.loss_probability(distance(origin, positions[nid]))
                 for nid in receivers]
 
-    def _deliver_batch(self, frame: Frame, receivers: List[Receiver],
-                       membership: int) -> None:
+    def _deliver_batch(self, frame: Frame, receivers: List[Receiver]) -> None:
         """Deliver one frame to all surviving receivers, in order."""
-        if membership != self._membership:
-            self._deliver_checked(frame, receivers, None)
-            return
         now = self._simulator.now
         count = len(receivers)
         stats = self.stats
@@ -470,25 +439,20 @@ class WirelessMedium:
         for _, interface in receivers:
             interface.receive(frame, now)
 
-    def _deliver_checked(
+    def _deliver_traced(
         self, frame: Frame, receivers: List[Receiver],
-        tx_infos: Optional[List[Tuple[Position, Position, float]]],
+        tx_infos: List[Tuple[Position, Position, float]],
     ) -> None:
-        """Deliver by node id (ids gone count as unroutable), recording each
-        delivery when ``tx_infos`` was captured."""
-        interfaces = self._interfaces
+        """:meth:`_deliver_batch`, recording each delivery with the positions
+        captured at send time while a trace recorder is installed."""
         stats = self.stats
         now = self._simulator.now
         size_bytes = frame.size_bytes
-        for index, (receiver_id, _) in enumerate(receivers):
-            interface = interfaces.get(receiver_id)
-            if interface is None:
-                stats.frames_unroutable += 1
-                continue
+        for (receiver_id, interface), tx_info in zip(receivers, tx_infos):
             stats.frames_delivered += 1
             stats.bytes_delivered += size_bytes
-            if self.trace_recorder is not None and tx_infos is not None:
-                sender_pos, receiver_pos, tx_range = tx_infos[index]
+            if self.trace_recorder is not None:
+                sender_pos, receiver_pos, tx_range = tx_info
                 self.trace_recorder.record(
                     now, "medium", receiver_id, "FRAME_DELIVERED",
                     source=frame.source,

@@ -386,22 +386,3 @@ class ReferencePointGroupMobility:
                 ox, oy = ox * scale, oy * scale
             self._offsets[node_id] = (ox, oy)
             network.positions[node_id] = self._member_position(group, node_id)
-
-
-def ring_positions(node_ids: Sequence[str], radius: float, center: Position = (0.0, 0.0)) -> Dict[str, Position]:
-    """Place nodes evenly on a circle (useful for fully controlled topologies)."""
-    n = len(node_ids)
-    positions: Dict[str, Position] = {}
-    for index, nid in enumerate(node_ids):
-        angle = 2.0 * math.pi * index / max(n, 1)
-        positions[nid] = (
-            center[0] + radius * math.cos(angle),
-            center[1] + radius * math.sin(angle),
-        )
-    return positions
-
-
-def chain_positions(node_ids: Sequence[str], spacing: float, origin: Position = (0.0, 0.0)) -> Dict[str, Position]:
-    """Place nodes on a straight horizontal chain (multi-hop line topology)."""
-    ox, oy = origin
-    return {nid: (ox + index * spacing, oy) for index, nid in enumerate(node_ids)}

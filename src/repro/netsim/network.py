@@ -16,7 +16,6 @@ from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium, UnitDiskPropagation, PerfectChannel
 from repro.netsim.mobility import MobilityModel, GridPlacement
 from repro.netsim.packet import BROADCAST_ADDRESS, Frame
-from repro.netsim.trace import TraceRecorder
 
 Position = Tuple[float, float]
 
@@ -25,10 +24,9 @@ class PositionTable(Dict[str, Position]):
     """Node-position mapping that counts its mutations.
 
     The wireless medium caches a spatial index over node positions; every
-    write to this table (teleports via :meth:`Network.set_position`, the
-    periodic mobility-model updates, node arrival/departure) bumps ``epoch``,
-    an attribute the medium compares on each query to invalidate that cache
-    lazily.
+    write to this table (node arrival, the periodic mobility-model updates,
+    a direct teleport) bumps ``epoch``, an attribute the medium compares on
+    each query to invalidate that cache lazily.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -66,61 +64,32 @@ class NetworkInterface:
 
     A frame crosses the interface in one call each way.  The medium delivers
     through ``receive(frame, now)``; :meth:`bind` installs the handler *as*
-    ``receive`` while the interface is up, so a delivery calls the handler
-    directly.  While the interface is down, or before anything is bound,
-    ``receive`` is the class's no-op.  :meth:`broadcast` and :meth:`unicast`
-    build the frame and hand it straight to the medium's ``transmit``
-    (nothing while the interface is down).
+    ``receive``, so a delivery calls the handler directly.  Before anything
+    is bound, ``receive`` is the class's no-op.  :meth:`broadcast` builds the
+    frame and hands it straight to the medium's ``transmit``.  Interfaces
+    never go down or leave the network.
     """
 
     def __init__(self, node_id: str, network: "Network") -> None:
         self.node_id = node_id
         self._network = network
-        self._handler: Optional[Callable[[Frame, float], None]] = None
-        self._up = True
-
-    @property
-    def up(self) -> bool:
-        """Whether the interface sends and receives (``Network.fail_node``
-        and ``recover_node`` flip it)."""
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        self._up = value
-        self._install_receive()
 
     def bind(self, handler: Callable[[Frame, float], None]) -> None:
         """Install the upper-layer receive handler as ``receive``."""
-        self._handler = handler
-        self._install_receive()
-
-    def _install_receive(self) -> None:
-        if self._up and self._handler is not None:
-            self.receive = self._handler
-        else:
-            vars(self).pop("receive", None)
+        self.receive = handler
 
     def receive(self, frame: Frame, now: float) -> None:
-        """Drop ``frame``: the interface is down or nothing is bound.
+        """Drop ``frame``: nothing is bound yet.
 
-        While the interface is up and bound, the bound handler shadows this
-        method (see the class docstring).
+        Once a handler is bound, it shadows this method (see the class
+        docstring).
         """
 
     def broadcast(self, payload, size_bytes: int = 64, **metadata) -> Frame:
         """Broadcast ``payload`` to every node in range; returns the frame."""
         frame = Frame(self.node_id, BROADCAST_ADDRESS, payload, size_bytes,
                       metadata=metadata)
-        if self._up:
-            self._network.medium.transmit(frame)
-        return frame
-
-    def unicast(self, destination: str, payload, size_bytes: int = 64, **metadata) -> Frame:
-        """Send ``payload`` to a single link-layer destination; returns the frame."""
-        frame = Frame(self.node_id, destination, payload, size_bytes, metadata=metadata)
-        if self._up:
-            self._network.medium.transmit(frame)
+        self._network.medium.transmit(frame)
         return frame
 
 
@@ -160,23 +129,9 @@ class Network:
         self.mobility = mobility or GridPlacement()
         self.interfaces: Dict[str, NetworkInterface] = {}
         self.nodes: Dict[str, object] = {}
-        self.trace = TraceRecorder()
         self._mobility_installed = False
 
     # ------------------------------------------------------------ topology
-    def position_of(self, node_id: str) -> Position:
-        """Current coordinates of ``node_id``."""
-        try:
-            return self.positions[node_id]
-        except KeyError:
-            raise KeyError(f"unknown node {node_id!r}") from None
-
-    def set_position(self, node_id: str, position: Position) -> None:
-        """Teleport a node (used by tests and scripted scenarios)."""
-        if node_id not in self.positions:
-            raise KeyError(f"unknown node {node_id!r}")
-        self.positions[node_id] = position
-
     def neighbors_of(self, node_id: str) -> List[str]:
         """Nodes currently within radio range of ``node_id``."""
         return self.medium.neighbors_of(node_id)
@@ -210,25 +165,6 @@ class Network:
     def attach_node(self, node_id: str, node: object) -> None:
         """Remember the protocol node object bound to ``node_id``."""
         self.nodes[node_id] = node
-
-    def remove_node(self, node_id: str) -> None:
-        """Detach a node entirely (interface, position and protocol object)."""
-        self.medium.unregister(node_id)
-        self.interfaces.pop(node_id, None)
-        self.positions.pop(node_id, None)
-        self.nodes.pop(node_id, None)
-
-    def fail_node(self, node_id: str) -> None:
-        """Take a node's interface down without removing it (crash model)."""
-        interface = self.interfaces.get(node_id)
-        if interface is not None:
-            interface.up = False
-
-    def recover_node(self, node_id: str) -> None:
-        """Bring a previously failed node's interface back up."""
-        interface = self.interfaces.get(node_id)
-        if interface is not None:
-            interface.up = True
 
     # ---------------------------------------------------------------- run
     def run(self, until: Optional[float] = None) -> None:

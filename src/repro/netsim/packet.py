@@ -1,8 +1,9 @@
 """Link-layer frame model used by the wireless medium.
 
 A :class:`Frame` carries an opaque ``payload`` (for OLSR this is an
-:class:`repro.olsr.packet.OlsrPacket`).  Frames are addressed either to the
-link-layer broadcast address or to a specific node identifier.
+:class:`repro.olsr.packet.OlsrPacket`).  The medium delivers broadcasts
+only, so every frame a node sends is addressed to the link-layer broadcast
+address.
 
 Frame ids
 ---------
@@ -89,23 +90,6 @@ class Frame:
     def is_broadcast(self) -> bool:
         """Whether the frame is addressed to every node in range."""
         return self.destination == BROADCAST_ADDRESS
-
-    def copy_for(self, destination: str) -> "Frame":
-        """Return a copy of the frame re-addressed to ``destination``.
-
-        The payload object is shared (frames are treated as immutable once
-        transmitted); the copy carries no id yet, so the next medium (or the
-        fallback pool) assigns a fresh ``frame_id`` and traces can tell the
-        copies apart.
-        """
-        return Frame(
-            source=self.source,
-            destination=destination,
-            payload=self.payload,
-            size_bytes=self.size_bytes,
-            created_at=self.created_at,
-            metadata=dict(self.metadata),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "bcast" if self.is_broadcast else f"to={self.destination}"

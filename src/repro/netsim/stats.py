@@ -10,7 +10,9 @@ from typing import Dict
 class MediumStatistics:
     """Counters maintained by :class:`repro.netsim.medium.WirelessMedium`.
 
-    The medium models no collisions, so ``frames_collided`` stays 0.
+    The medium models no collisions, so ``frames_collided`` stays 0, and it
+    has no unicast path and no departures, so ``frames_unroutable`` stays 0
+    too.  Both stay because perfbench's digest payload reads them.
     """
 
     frames_sent: int = 0
@@ -55,28 +57,14 @@ class MediumStatistics:
         data["loss_ratio"] = self.loss_ratio
         return data
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        for name in (
-            "frames_sent",
-            "frames_delivered",
-            "frames_lost",
-            "frames_collided",
-            "frames_out_of_range",
-            "frames_unroutable",
-            "bytes_sent",
-            "bytes_delivered",
-        ):
-            setattr(self, name, 0)
-
 
 @dataclass
 class NodeStatistics:
     """Per-node transmit/receive counters (used by OLSR nodes).
 
     Each message count is stored once, per message type, in
-    ``per_type_sent`` and ``per_type_received``; the totals and the HELLO/TC
-    counts are read-only views of those two dicts.  Keys are the message
+    ``per_type_sent`` and ``per_type_received``; ``messages_received`` is a
+    read-only total of the second.  Keys are the message
     type names (``MessageType`` members are ``str``, so ``"HELLO"`` and
     ``MessageType.HELLO`` name the same entry).  ``OlsrNode.handle_control``
     counts each received message into ``per_type_received`` itself.
@@ -93,31 +81,6 @@ class NodeStatistics:
         self.per_type_sent[message_type] = self.per_type_sent.get(message_type, 0) + 1
 
     @property
-    def messages_sent(self) -> int:
-        """Originated messages of every type."""
-        return sum(self.per_type_sent.values())
-
-    @property
     def messages_received(self) -> int:
         """Received messages of every type."""
         return sum(self.per_type_received.values())
-
-    @property
-    def hello_sent(self) -> int:
-        """Originated HELLOs."""
-        return self.per_type_sent.get("HELLO", 0)
-
-    @property
-    def hello_received(self) -> int:
-        """Received HELLOs."""
-        return self.per_type_received.get("HELLO", 0)
-
-    @property
-    def tc_sent(self) -> int:
-        """Originated TCs."""
-        return self.per_type_sent.get("TC", 0)
-
-    @property
-    def tc_received(self) -> int:
-        """Received TCs."""
-        return self.per_type_received.get("TC", 0)

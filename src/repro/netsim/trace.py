@@ -8,7 +8,7 @@ by tests and by the experiment report generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,6 @@ class TraceRecorder:
         """Events whose category matches exactly."""
         return [e for e in self._events if e.category == category]
 
-    def by_node(self, node: str) -> List[TraceEvent]:
-        """Events emitted by ``node``."""
-        return [e for e in self._events if e.node == node]
-
     def between(self, start: float, end: float) -> List[TraceEvent]:
         """Events with ``start <= time <= end``."""
         return [e for e in self._events if start <= e.time <= end]
@@ -83,13 +79,6 @@ class TraceRecorder:
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> List[TraceEvent]:
         """Events satisfying an arbitrary predicate."""
         return [e for e in self._events if predicate(e)]
-
-    def counts_by_category(self) -> Dict[str, int]:
-        """Histogram of event categories."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.category] = counts.get(event.category, 0) + 1
-        return counts
 
     def clear(self) -> None:
         """Discard every recorded event."""

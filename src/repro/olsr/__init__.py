@@ -16,8 +16,6 @@ from repro.olsr.constants import (
     NeighborType,
     TC_INTERVAL,
     Willingness,
-    decode_link_code,
-    encode_link_code,
 )
 from repro.olsr.duplicate import DuplicateSet
 from repro.olsr.link_state import (
@@ -35,7 +33,6 @@ from repro.olsr.messages import (
     LinkAdvertisement,
     OlsrMessage,
     TcMessage,
-    make_hello,
 )
 from repro.olsr.mpr import MprComputationResult, mpr_coverage_complete, select_mprs
 from repro.olsr.node import OlsrConfig, OlsrNode
@@ -72,9 +69,6 @@ __all__ = [
     "TwoHopTuple",
     "Willingness",
     "compute_routing_table",
-    "decode_link_code",
-    "encode_link_code",
-    "make_hello",
     "mpr_coverage_complete",
     "select_mprs",
 ]

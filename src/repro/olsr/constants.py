@@ -64,18 +64,6 @@ class NeighborType(int, enum.Enum):
     MPR_NEIGH = 2
 
 
-def encode_link_code(link_type: LinkType, neighbor_type: NeighborType) -> int:
-    """Pack a (link type, neighbour type) pair into the 8-bit link code."""
-    return (int(neighbor_type) << 2) | int(link_type)
-
-
-def decode_link_code(code: int) -> tuple[LinkType, NeighborType]:
-    """Unpack an 8-bit link code into its (link type, neighbour type) pair."""
-    link_type = LinkType(code & 0x03)
-    neighbor_type = NeighborType((code >> 2) & 0x03)
-    return link_type, neighbor_type
-
-
 # --------------------------------------------------------------------- limits
 DEFAULT_TTL = 255
 MAX_TTL = 255

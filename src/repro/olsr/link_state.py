@@ -42,14 +42,6 @@ class LinkTuple:
         """Whether the whole tuple should be discarded."""
         return self.expiry_time < now
 
-    def status(self, now: float) -> str:
-        """Human-readable link status used in audit logs."""
-        if self.is_symmetric(now):
-            return "SYM"
-        if self.is_asymmetric(now):
-            return "ASYM"
-        return "LOST"
-
 
 class LinkSet:
     """Collection of :class:`LinkTuple`, keyed by neighbour address."""
@@ -87,10 +79,6 @@ class LinkSet:
     def asymmetric_neighbors(self, now: float) -> Set[str]:
         """Addresses heard but not symmetric."""
         return {a for a, l in self.by_address.items() if l.is_asymmetric(now)}
-
-    def all_neighbors(self) -> Set[str]:
-        """Every address with a (non-purged) link tuple."""
-        return set(self.by_address)
 
     def __iter__(self):
         return iter(self.by_address.values())
@@ -144,11 +132,6 @@ class NeighborSet:
     def symmetric_neighbors(self) -> Set[str]:
         """Addresses of neighbours with symmetric status."""
         return {a for a, n in self._neighbors.items() if n.symmetric}
-
-    def willingness_of(self, address: str) -> Willingness:
-        """Willingness of ``address`` (default when unknown)."""
-        neighbor = self._neighbors.get(address)
-        return neighbor.willingness if neighbor else Willingness.WILL_DEFAULT
 
     def addresses(self) -> Set[str]:
         """Every known 1-hop neighbour address."""
@@ -290,10 +273,6 @@ class TwoHopNeighborSet:
         if expired:
             self.version += 1
         return expired
-
-    def two_hop_addresses(self) -> Set[str]:
-        """Every known 2-hop address."""
-        return {a for reached in self._by_neighbor.values() for a in reached}
 
     def reachable_through(self, neighbor_address: str) -> Set[str]:
         """2-hop addresses reachable through the given 1-hop neighbour."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.olsr.constants import (
     DEFAULT_TTL,
@@ -220,43 +220,3 @@ class OlsrMessage:
             hop_count=self.hop_count + 1,
             message_seq_number=self.message_seq_number,
         )
-
-    def describe(self) -> Dict[str, str]:
-        """Small dict used for logging/tracing."""
-        return {
-            "type": str(self.message_type),
-            "origin": self.originator,
-            "seq": str(self.message_seq_number),
-            "ttl": str(self.ttl),
-            "hops": str(self.hop_count),
-        }
-
-
-def make_hello(
-    willingness: Willingness = Willingness.WILL_DEFAULT,
-    symmetric: Optional[Set[str]] = None,
-    asymmetric: Optional[Set[str]] = None,
-    mprs: Optional[Set[str]] = None,
-    lost: Optional[Set[str]] = None,
-) -> HelloMessage:
-    """Convenience HELLO builder used by tests and attack modules.
-
-    ``mprs`` must be a subset of ``symmetric``; addresses in ``mprs`` are
-    advertised with the MPR neighbour type, the remaining symmetric addresses
-    with SYM, ``asymmetric`` with ASYM and ``lost`` with LOST.
-    """
-    symmetric = set(symmetric or set())
-    asymmetric = set(asymmetric or set())
-    mprs = set(mprs or set())
-    lost = set(lost or set())
-    if not mprs <= symmetric:
-        raise ValueError("MPRs must be a subset of the symmetric neighbours")
-    hello = HelloMessage(willingness=willingness)
-    for address in sorted(symmetric):
-        neighbor_type = NeighborType.MPR_NEIGH if address in mprs else NeighborType.SYM_NEIGH
-        hello.add_link(address, LinkType.SYM_LINK, neighbor_type)
-    for address in sorted(asymmetric - symmetric):
-        hello.add_link(address, LinkType.ASYM_LINK, NeighborType.NOT_NEIGH)
-    for address in sorted(lost - symmetric - asymmetric):
-        hello.add_link(address, LinkType.LOST_LINK, NeighborType.NOT_NEIGH)
-    return hello

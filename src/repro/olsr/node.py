@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, FrozenSet, List, Optional, Set
 
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
@@ -236,14 +236,6 @@ class OlsrNode:
     def symmetric_neighbors(self) -> Set[str]:
         """Current 1-hop symmetric neighbours (the paper's ``NS``)."""
         return self.link_set.symmetric_neighbors(self.now)
-
-    def two_hop_neighbors(self) -> Set[str]:
-        """Current strict 2-hop neighbourhood."""
-        own = self.symmetric_neighbors()
-        return {
-            a for a in self.two_hop_set.two_hop_addresses()
-            if a != self.node_id and a not in own
-        }
 
     def coverage_of(self, neighbor: str) -> Set[str]:
         """2-hop addresses reachable through ``neighbor`` according to its HELLOs."""
@@ -715,16 +707,4 @@ class OlsrNode:
                          added=diff.added, removed=diff.removed,
                          changed=diff.changed, size=len(entries))
         self._route_inputs_key = inputs_key
-
-    # ---------------------------------------------------------------- helpers
-    def describe(self) -> Dict[str, object]:
-        """Summary of the node's protocol state (used by examples/reports)."""
-        return {
-            "node": self.node_id,
-            "symmetric_neighbors": sorted(self.symmetric_neighbors()),
-            "two_hop_neighbors": sorted(self.two_hop_neighbors()),
-            "mprs": sorted(self.mpr_set),
-            "mpr_selectors": sorted(self.mpr_selector_set.addresses()),
-            "routes": len(self.routing_table),
-        }
 

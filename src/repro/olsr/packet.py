@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import List
 
 from repro.olsr.constants import PACKET_HEADER_SIZE
 from repro.olsr.messages import OlsrMessage
@@ -38,11 +38,3 @@ class OlsrPacket:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-    @classmethod
-    def bundle(cls, source: str, messages: Iterable[OlsrMessage]) -> "OlsrPacket":
-        """Build a packet containing ``messages`` in order."""
-        packet = cls(source=source)
-        for message in messages:
-            packet.add(message)
-        return packet

@@ -43,10 +43,6 @@ class RoutingTable:
         entry = self._routes.get(destination)
         return entry.distance if entry else None
 
-    def destinations(self) -> Set[str]:
-        """Every reachable destination."""
-        return set(self._routes)
-
     def entries(self) -> List[RouteEntry]:
         """All entries sorted by (distance, destination) for stable output."""
         return sorted(self._routes.values(), key=lambda e: (e.distance, e.destination))

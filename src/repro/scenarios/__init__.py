@@ -1,13 +1,12 @@
-"""Scenario library: composable, content-hashable scenario profiles.
+"""Scenario library: composable scenario profiles.
 
 This package turns "a scenario" into a first-class, named object:
 
 * :mod:`repro.scenarios.profiles` — the :class:`ScenarioProfile` registry.
   A profile is a frozen bundle of experiment parameters (a mobility regime,
-  a threat composition, or a full composite scenario) with a SHA-256
-  content digest.  The engine-level ``profile`` parameter resolves through
-  :func:`apply_profile`, so every registered experiment can sweep profiles
-  from the unified CLI::
+  a threat composition, or a full composite scenario).  The engine-level
+  ``profile`` parameter resolves through :func:`apply_profile`, so every
+  registered experiment can sweep profiles from the unified CLI::
 
       python -m repro.experiments run figure1 --backend netsim \
           --axis profile=paper-static,gauss-markov,rpgm

@@ -86,10 +86,6 @@ class FuzzedScenario:
         """Human-readable identifier of the sample."""
         return f"fuzz[{self.index}]/{self.profile}/seed={self.seed}"
 
-    def cli_command(self, experiment: str = "figure1") -> str:
-        """A ``python -m repro.experiments run`` line reproducing the cell."""
-        return reproducer_command(self.params_dict(), self.seed, experiment)
-
 
 class ScenarioFuzzer:
     """Seeded sampler over the constrained scenario space.

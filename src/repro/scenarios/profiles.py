@@ -1,4 +1,4 @@
-"""Composable, content-hashable scenario profiles.
+"""Composable scenario profiles.
 
 A :class:`ScenarioProfile` is a named, frozen bundle of experiment
 parameters — a mobility regime, a threat composition, or a full composite
@@ -18,15 +18,13 @@ profile's group-mobility regime instead of fighting it.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
 class ScenarioProfile:
-    """One named scenario regime (frozen, content-hashable).
+    """One named scenario regime (frozen).
 
     ``kind`` is ``"mobility"``, ``"threat"`` or ``"composite"`` — purely
     descriptive, used by listings and the fuzzer's sampling space.
@@ -51,21 +49,6 @@ class ScenarioProfile:
     def params_dict(self) -> Dict[str, object]:
         """The profile's parameters as a plain dict."""
         return dict(self.params)
-
-    def content_digest(self) -> str:
-        """SHA-256 content hash of the fully-resolved profile.
-
-        Two profiles collide only when they would configure the identical
-        scenario, so the digest is a safe cache/dedup key for fuzzing
-        corpora and stored validation results.
-        """
-        payload = {
-            "name": self.name,
-            "kind": self.kind,
-            "params": {k: v for k, v in self.params},
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 _PROFILES: Dict[str, ScenarioProfile] = {}

@@ -99,26 +99,6 @@ def margin_of_error(samples: Sequence[float], confidence_level: float = 0.95) ->
     return z_value(confidence_level) * sigma / math.sqrt(n)
 
 
-def weighted_sample_standard_deviation(
-    samples: Sequence[float], weights: Sequence[float]
-) -> float:
-    """Reliability-weighted sample standard deviation.
-
-    Evidence provided by low-trust nodes should barely widen the confidence
-    interval: the spread is computed around the weighted mean with the
-    (normalised) trust values as reliability weights.  Falls back to the
-    unweighted estimator when every weight is zero.
-    """
-    _check_lengths(samples, weights)
-    return _weighted_sigma(samples, weights, sum(weights),
-                           effective_sample_size(weights))
-
-
-def _check_lengths(samples: Sequence[float], weights: Sequence[float]) -> None:
-    if len(samples) != len(weights):
-        raise ValueError("samples and weights must have the same length")
-
-
 def _weighted_sigma(samples: Sequence[float], weights: Sequence[float],
                     total: float, n_eff: float) -> float:
     """σ_w from the weights' sum ``total`` and effective sample size ``n_eff``."""
@@ -133,39 +113,23 @@ def _weighted_sigma(samples: Sequence[float], weights: Sequence[float],
     return math.sqrt(variance)
 
 
-def effective_sample_size(weights: Sequence[float]) -> float:
-    """Kish effective sample size ``(Σw)² / Σw²`` (0 for all-zero weights)."""
-    return _kish(sum(weights), sum([w * w for w in weights]))
-
-
 def _kish(total: float, squares: float) -> float:
     if squares <= 0.0:
         return 0.0
     return (total * total) / squares
 
 
-def weighted_margin_of_error(
-    samples: Sequence[float],
-    weights: Sequence[float],
-    confidence_level: float = 0.95,
-) -> float:
-    """Trust-weighted variant of Eq. 9: ``ε = z · σ_w / √n_eff``.
-
-    Low-trust responders contribute little to both the spread and the
-    effective sample size, so the interval tightens as the liars' trust —
-    and hence their weight — shrinks across investigation rounds.  ``Σw``
-    and ``Σw²`` are computed once; mismatched lengths raise ``ValueError``
-    on every path.
-    """
-    _check_lengths(samples, weights)
-    return weighted_margin(samples, weights, sum(weights), confidence_level)
-
-
 def weighted_margin(samples: Sequence[float], weights: Sequence[float],
                     total: float, confidence_level: float) -> float:
-    """:func:`weighted_margin_of_error` of index-aligned ``samples`` and
-    ``weights`` whose sum ``total`` the caller already holds (Eq. 8 needs
-    it too).  The caller guarantees the equal lengths."""
+    """Trust-weighted variant of Eq. 9: ``ε = z · σ_w / √n_eff``.
+
+    ``σ_w`` is the spread around the weighted mean with the normalised
+    weights as reliability weights, and ``n_eff = (Σw)² / Σw²`` is Kish's
+    effective sample size. Low-trust responders contribute little to both,
+    so the interval tightens as the liars' trust — and hence their weight —
+    shrinks across investigation rounds. ``samples`` and ``weights`` are
+    index-aligned, and the caller already holds their sum ``total`` (Eq. 8
+    needs it too). With all-zero weights the unweighted Eq. 9 applies."""
     if not samples:
         return 0.0
     n_eff = _kish(total, sum([w * w for w in weights]))
@@ -190,26 +154,9 @@ class ConfidenceInterval:
         return self.center - self.margin
 
     @property
-    def upper(self) -> float:
-        """Upper bound of the interval."""
-        return self.center + self.margin
-
-    @property
     def width(self) -> float:
         """Total width of the interval."""
         return 2.0 * self.margin
-
-    def contains(self, value: float) -> bool:
-        """Whether ``value`` falls inside the interval."""
-        return self.lower <= value <= self.upper
-
-    def is_conclusive(self, threshold: float) -> bool:
-        """Whether the whole interval lies beyond ``±threshold``.
-
-        Used by the decision rule: only when the interval does not straddle
-        the undecided region can the investigation be terminated.
-        """
-        return self.lower >= threshold or self.upper <= -threshold
 
 
 def confidence_interval(

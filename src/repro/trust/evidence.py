@@ -89,11 +89,6 @@ class TrustEvidence:
             raise ValueError(f"evidence value must be in [-1, 1], got {self.value}")
 
     @property
-    def is_harmful(self) -> bool:
-        """Whether the evidence reports a harmful activity (Property 1)."""
-        return self.value < 0.0
-
-    @property
     def effective_gravity(self) -> float:
         """Gravity to use: explicit value or the per-kind default (Property 2)."""
         if self.gravity is not None:

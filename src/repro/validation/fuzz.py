@@ -23,7 +23,6 @@ from repro.experiments.backends import (
 from repro.scenarios import ScenarioFuzzer, apply_profile, reproducer_command
 from repro.validation.differential import (
     DEFAULT_TOLERANCES,
-    DifferentialResult,
     run_differential,
 )
 from repro.validation.invariants import InvariantViolation, ScenarioAuditor

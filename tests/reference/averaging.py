@@ -40,6 +40,3 @@ class ReweighingAveraging:
         if total == 0.0:
             return 0.0
         return sum(w * r.value for w, r in zip(weights, reports)) / total
-
-    def report_count(self, subject: str) -> int:
-        return len(self._reports.get(subject, []))

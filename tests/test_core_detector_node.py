@@ -93,14 +93,11 @@ def test_innocent_relay_not_condemned(attacked_scenario):
     assert all(r.decision.outcome != DecisionOutcome.INTRUDER for r in relay_rounds)
 
 
-def test_decision_history_and_describe(attacked_scenario):
+def test_decision_history_and_trust_table(attacked_scenario):
     scenario, results = attacked_scenario
     victim = scenario.victim
     assert len(victim.decision_history) == len(results) + 1  # +1 pre-attack cycle round
-    description = victim.describe()
-    assert description["node"] == "victim"
-    assert "attacker" in description["trust"]
-    assert description["decisions"] == len(victim.decision_history)
+    assert "attacker" in victim.trust_table()
 
 
 def test_answer_link_query_semantics(attacked_scenario):

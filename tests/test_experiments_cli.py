@@ -170,6 +170,57 @@ def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
     assert db.read_bytes() == stored
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-new-runs", "-1"], ["--workers", "0"], ["--workers", "-2"],
+], ids=["max-new-runs=-1", "workers=0", "workers=-2"])
+def test_cli_run_rejects_a_negative_budget_and_workers_below_one(tmp_path, capsys, flags):
+    # A negative budget would slice cells off the end of the grid, and a
+    # worker count below one would silently run serially.
+    db = tmp_path / "bad.sqlite"
+    for extra in ([], ["--db", str(db)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "figure3", "--param", "rounds=3", *flags, *extra])
+        assert exit_info.value.code == 2
+        assert f"{flags[0]} must be " in capsys.readouterr().err
+        assert not db.exists()
+
+
+def test_run_experiment_rejects_a_negative_budget():
+    from repro.experiments.engine import run_experiment
+
+    with pytest.raises(ValueError, match="max_new_runs must be non-negative"):
+        run_experiment("figure3", max_new_runs=-1, params={"rounds": 3})
+
+
+def test_cli_run_rejects_a_negative_liar_count(tmp_path, capsys):
+    # ``-1`` would slice every responder but one into the liar set.
+    db = tmp_path / "liars.sqlite"
+    oracle = ["run", "figure3", "--param", "rounds=3"]
+    netsim = ["run", "figure1", "--backend", "netsim",
+              "--param", "total_nodes=8", "--param", "cycles=1"]
+    for argv in (oracle, netsim):
+        for extra in ([], ["--db", str(db)]):
+            assert main([*argv, "--param", "liar_count=-1", *extra]) == 2
+            assert "liar_count must be non-negative, got -1" in capsys.readouterr().err
+            assert not db.exists()
+
+
+def test_build_manet_scenario_rejects_a_negative_liar_count():
+    from repro.experiments.scenario import build_manet_scenario
+
+    with pytest.raises(ValueError, match="liar_count must be non-negative"):
+        build_manet_scenario(node_count=8, liar_count=-1)
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_cli_attack_search_rejects_rounds_below_one(capsys, rounds):
+    # A usage error, not a ValueError traceback from ScenarioConfig.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["attack-search", "--rounds", rounds])
+    assert exit_info.value.code == 2
+    assert "--rounds must be positive" in capsys.readouterr().err
+
+
 def test_cli_report_missing_db_is_an_error(tmp_path, capsys):
     missing = tmp_path / "nope.sqlite"
     assert main(["report", "--db", str(missing)]) == 1

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.attacks.liar import LiarBehavior
+from repro.attacks.link_spoofing import LinkSpoofingAttack
 from repro.experiments.scenario import build_manet_scenario
 from repro.logs.records import LogCategory
 
@@ -28,7 +29,9 @@ def test_scenario_population(manet):
     assert len(scenario.liar_ids) == 4
     assert scenario.attacker_id not in scenario.liar_ids
     assert scenario.victim_id != scenario.attacker_id
-    assert scenario.attack_scenario.link_spoofers() == {scenario.attacker_id}
+    attacks = scenario.attack_scenario.attacks_by_node
+    assert set(attacks) == scenario.liar_ids | {scenario.attacker_id}
+    assert [type(attack) for attack in attacks[scenario.attacker_id]] == [LinkSpoofingAttack]
     assert scenario.attack_scenario.liars() == scenario.liar_ids
 
 

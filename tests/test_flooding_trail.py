@@ -7,8 +7,9 @@ trails, nor :class:`~repro.netsim.stats.NodeStatistics`.  This test does:
 seed 1) run for 40 s, every node on a bare ``LogStore`` (the full trail),
 and node ``n05`` carries a forward filter that vetoes every third relay, so
 ``FILTERED`` drops appear too.  Per node it records the SHA-256 of the trail
-formatted with :func:`repro.logs.parser.format_record`, the record count per
-category and the statistics; it also records the medium's frame counts.
+formatted one olsrd-style line per record (:func:`format_record`), the
+record count per category and the statistics; it also records the medium's
+frame counts.
 
 The scenario runs in two interpreters, with ``PYTHONHASHSEED`` 0 and 13,
 and both must match ``golden/flooding_trail.json``.  The golden was
@@ -31,7 +32,6 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.logs.parser import format_record
 from repro.logs.store import LogStore
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import DistanceLossModel, UnitDiskPropagation, WirelessMedium
@@ -42,11 +42,40 @@ from repro.olsr.node import OlsrNode
 GOLDEN_PATH = Path(__file__).parent / "golden" / "flooding_trail.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-STATISTICS = ("messages_sent", "messages_received", "messages_forwarded",
-              "messages_dropped", "hello_sent", "hello_received", "tc_sent",
-              "tc_received", "duplicates_suppressed")
+STATISTICS = ("messages_received", "messages_forwarded", "messages_dropped",
+              "duplicates_suppressed")
 FRAME_COUNTS = ("frames_sent", "frames_delivered", "frames_lost",
                 "frames_collided", "frames_out_of_range", "frames_unroutable")
+
+
+def format_record(record) -> str:
+    """One olsrd-style text line: the header keys, then the fields sorted by
+    key, a value quoted when it is empty or holds whitespace."""
+    parts = [
+        f"t={record.time:.6f}",
+        f"node={record.node}",
+        f"cat={record.category.value}",
+        f"event={record.event}",
+    ]
+    for key in sorted(record.fields):
+        value = record.fields[key]
+        if value == "" or any(ch.isspace() for ch in value):
+            parts.append(f'{key}="{value}"')
+        else:
+            parts.append(f"{key}={value}")
+    return " ".join(parts)
+
+
+def node_statistics(stats) -> dict:
+    """The golden's view of a node's ``NodeStatistics``."""
+    summary = {name: getattr(stats, name) for name in STATISTICS}
+    summary["messages_sent"] = sum(stats.per_type_sent.values())
+    for kind, name in (("HELLO", "hello"), ("TC", "tc")):
+        summary[f"{name}_sent"] = stats.per_type_sent.get(kind, 0)
+        summary[f"{name}_received"] = stats.per_type_received.get(kind, 0)
+    summary["per_type_sent"] = dict(stats.per_type_sent)
+    summary["per_type_received"] = dict(stats.per_type_received)
+    return summary
 
 
 class EveryThirdRelayVetoed:
@@ -84,13 +113,10 @@ def flooding_trail(seed: int = 1, node_count: int = 24, area: float = 1000.0,
     summary = {}
     for node_id, node in nodes.items():
         trail = "\n".join(format_record(record) for record in node.log)
-        stats = {name: getattr(node.stats, name) for name in STATISTICS}
-        stats["per_type_sent"] = dict(node.stats.per_type_sent)
-        stats["per_type_received"] = dict(node.stats.per_type_received)
         summary[node_id] = {
             "trail_sha256": hashlib.sha256(trail.encode()).hexdigest(),
             "records": dict(Counter(record.category.value for record in node.log)),
-            "statistics": stats,
+            "statistics": node_statistics(node.stats),
         }
     return {
         "nodes": summary,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.logs.analyzer import DetectionEventType, LogAnalyzer, merge_events
+from repro.logs.analyzer import DetectionEventType, LogAnalyzer
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
 
@@ -17,12 +17,11 @@ def test_hello_rx_builds_snapshot():
     store.log(1.0, LogCategory.MESSAGE_RX, "HELLO", origin="n1",
               sym_neighbors=["a", "b"], willingness=3)
     analyzer.analyze()
-    snapshot = analyzer.snapshot_of("n1")
+    snapshot = analyzer.snapshots.get("n1")
     assert snapshot is not None
     assert snapshot.advertised_symmetric == {"a", "b"}
     assert snapshot.willingness == 3
-    assert analyzer.advertised_symmetric_neighbors("n1") == {"a", "b"}
-    assert analyzer.advertised_symmetric_neighbors("unknown") == set()
+    assert "unknown" not in analyzer.snapshots
 
 
 def test_advertisement_change_event_emitted():
@@ -144,24 +143,3 @@ def test_analyze_is_incremental():
     second = analyzer.analyze()
     assert len(first) == 1
     assert second == []
-
-
-def test_analyze_all_processes_whole_log():
-    store, analyzer = make_analyzer()
-    store.log(1.0, LogCategory.NEIGHBOR, "NEIGHBOR_ADDED", neighbor="n1")
-    analyzer.analyze()
-    events = analyzer.analyze_all()
-    # NEIGHBOR_ADDED already known, so no new event, but no crash either.
-    assert isinstance(events, list)
-
-
-def test_merge_events_sorted_by_time():
-    store, analyzer = make_analyzer()
-    store.log(5.0, LogCategory.NEIGHBOR, "NEIGHBOR_ADDED", neighbor="late")
-    events_a = analyzer.analyze()
-    store2 = LogStore("me2")
-    analyzer2 = LogAnalyzer(store2)
-    store2.log(1.0, LogCategory.NEIGHBOR, "NEIGHBOR_ADDED", neighbor="early")
-    events_b = analyzer2.analyze()
-    merged = merge_events([events_a, events_b])
-    assert [e.subject for e in merged] == ["early", "late"]

@@ -29,10 +29,9 @@ def test_by_category_and_event():
     assert len(store.by_event("MPR_SELECTED")) == 1
 
 
-def test_between_and_where():
+def test_between():
     store = make_store_with_records(10)
     assert len(store.between(2.0, 4.0)) == 3
-    assert len(store.where(lambda r: r.get("neighbor") == "n7")) == 1
 
 
 def test_last_records():
@@ -98,14 +97,6 @@ def test_store_without_categories_records_only_subscriptions():
     bare.subscribe("reader", (LogCategory.MPR,))
     bare.log(3.0, LogCategory.LINK, "LINK_SYM", neighbor="b")
     assert len(bare) == 3
-
-
-def test_dump_and_reload_text():
-    store = make_store_with_records(4)
-    text = store.dump_text()
-    reloaded = LogStore.from_text("n1", text)
-    assert len(reloaded) == 4
-    assert reloaded.records[2].get("neighbor") == "n2"
 
 
 def test_clear_resets_everything():

@@ -4,65 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decision import DecisionOutcome
-from repro.metrics.detection import (
-    ConfusionMatrix,
-    DetectionReport,
-    classification_matrix,
-    convergence_round,
-    rounds_to_stable_verdict,
-)
+from repro.metrics.detection import convergence_round
 from repro.metrics.trust_metrics import (
     TrustTrajectoryReport,
-    first_round_above,
-    first_round_below,
-    is_monotonic,
     recovery_gap,
     separation,
     total_change,
 )
-
-
-# ------------------------------------------------------------------ confusion
-def test_confusion_matrix_derived_metrics():
-    matrix = ConfusionMatrix(true_positives=8, false_positives=2,
-                             true_negatives=85, false_negatives=5)
-    assert matrix.total == 100
-    assert matrix.accuracy == pytest.approx(0.93)
-    assert matrix.precision == pytest.approx(0.8)
-    assert matrix.recall == pytest.approx(8 / 13)
-    assert matrix.false_positive_rate == pytest.approx(2 / 87)
-    assert 0.0 < matrix.f1_score < 1.0
-
-
-def test_confusion_matrix_empty_is_zero():
-    matrix = ConfusionMatrix()
-    assert matrix.accuracy == 0.0
-    assert matrix.precision == 0.0
-    assert matrix.recall == 0.0
-    assert matrix.f1_score == 0.0
-
-
-def test_classification_matrix_counts():
-    verdicts = {
-        "attacker": DecisionOutcome.INTRUDER,
-        "honest1": DecisionOutcome.WELL_BEHAVING,
-        "honest2": DecisionOutcome.INTRUDER,        # false positive
-        "missed": DecisionOutcome.WELL_BEHAVING,    # false negative
-        "pending": DecisionOutcome.UNRECOGNIZED,    # counted as not flagged
-    }
-    matrix = classification_matrix(verdicts, true_intruders={"attacker", "missed"})
-    assert matrix.true_positives == 1
-    assert matrix.false_positives == 1
-    assert matrix.false_negatives == 1
-    assert matrix.true_negatives == 2
-
-
-def test_classification_matrix_can_skip_unrecognized():
-    verdicts = {"pending": DecisionOutcome.UNRECOGNIZED}
-    matrix = classification_matrix(verdicts, true_intruders=set(),
-                                   treat_unrecognized_as_negative=False)
-    assert matrix.total == 0
 
 
 # ----------------------------------------------------------------- convergence
@@ -77,50 +25,11 @@ def test_convergence_round_above_threshold():
     assert convergence_round(trajectory, 0.6, below=False) == 2
 
 
-def test_rounds_to_stable_verdict():
-    outcomes = [
-        DecisionOutcome.UNRECOGNIZED,
-        DecisionOutcome.INTRUDER,
-        DecisionOutcome.UNRECOGNIZED,
-        DecisionOutcome.INTRUDER,
-        DecisionOutcome.INTRUDER,
-        DecisionOutcome.INTRUDER,
-    ]
-    assert rounds_to_stable_verdict(outcomes, DecisionOutcome.INTRUDER, stability=2) == 3
-    assert rounds_to_stable_verdict(outcomes, DecisionOutcome.WELL_BEHAVING) is None
-
-
-def test_detection_report_rows():
-    report = DetectionReport(
-        scenario_name="paper",
-        matrix=ConfusionMatrix(true_positives=1),
-        convergence_rounds={"attacker": 5},
-        final_detect_values={"attacker": -0.9},
-    )
-    rows = report.as_rows()
-    assert rows[0]["suspect"] == "attacker"
-    assert rows[0]["convergence_round"] == 5
-
-
 # ------------------------------------------------------------------ trust
-def test_is_monotonic():
-    assert is_monotonic([0.1, 0.2, 0.2, 0.5], increasing=True)
-    assert not is_monotonic([0.1, 0.2, 0.15], increasing=True)
-    assert is_monotonic([0.9, 0.5, 0.5, 0.1], increasing=False)
-    assert not is_monotonic([0.9, 0.95], increasing=False)
-
-
 def test_total_change():
     assert total_change([0.4, 0.6]) == pytest.approx(0.2)
     assert total_change([0.4]) == 0.0
     assert total_change([]) == 0.0
-
-
-def test_first_round_below_and_above():
-    values = [0.5, 0.3, 0.1, 0.05]
-    assert first_round_below(values, 0.2) == 2
-    assert first_round_below(values, 0.01) is None
-    assert first_round_above([0.1, 0.5, 0.9], 0.8) == 2
 
 
 def test_recovery_gap():
@@ -154,8 +63,5 @@ def test_trajectory_report_checks():
     assert report.liars_all_decreasing()
     assert report.honest_all_non_decreasing()
     assert report.final_separation() > 0.2
-    rows = report.as_rows()
-    roles = {row["node"]: row["role"] for row in rows}
-    assert roles == {"h1": "honest", "h2": "honest", "l1": "liar", "attacker": "attacker"}
     assert report.liar_trajectories().keys() == {"l1"}
     assert set(report.honest_trajectories()) == {"h1", "h2"}

@@ -9,8 +9,8 @@ traces, statistics, experiment results and stored row JSON, and
 event count.
 
 The full-scenario sweep covers node count × loss model × mobility; the
-bare-medium cases drift 24 nodes between bursts of broadcasts or unicasts,
-and drop receivers while frames are in the air.  The vector Eq. 5 trust
+bare-medium case drifts 24 nodes between bursts of broadcasts, and removes
+the trace recorder around and during a burst.  The vector Eq. 5 trust
 update is pinned against per-subject updates.
 """
 
@@ -124,11 +124,13 @@ def test_campaign_row_json_identical_between_paths(monkeypatch):
 
 
 # ------------------------------------------------------------ bare medium
-def _bare_run(medium_cls, *, unicast=False, departures=False):
-    """24 drifting nodes exchanging 150 frames.
+def _bare_run(medium_cls):
+    """24 drifting nodes exchanging 150 broadcasts, then two bursts in which
+    every node broadcasts at once.
 
-    With ``departures`` two receivers unregister while frames are in the
-    air.  Returns everything observable, and the deliveries batching saved.
+    The trace recorder is removed before the first burst is sent and while
+    the second is in the air.  Returns everything observable, and the
+    deliveries batching saved.
     """
     simulator = Simulator()
     loss_rng = random.Random(12)
@@ -161,29 +163,21 @@ def _bare_run(medium_cls, *, unicast=False, departures=False):
             x, y = positions[nid]
             positions[nid] = (x + layout.uniform(-40, 40), y + layout.uniform(-40, 40))
 
-    leaving = ("n03", "n07") if departures else ()
-    senders = [nid for nid in ids if nid not in leaving]
     traffic = random.Random(5)
     for k in range(150):
-        source = traffic.choice(senders)
-        destination = traffic.choice(ids) if unicast else BROADCAST_ADDRESS
-        frame = Frame(source=source, destination=destination, payload=k)
+        frame = Frame(source=traffic.choice(ids), destination=BROADCAST_ADDRESS,
+                      payload=k)
         simulator.schedule_at(traffic.uniform(0.0, 3.0), medium.transmit, frame)
     for tick in (1.0, 2.0):
         simulator.schedule_at(tick, drift)
-    for k, (when, node_id) in enumerate(zip((1.5, 2.5), leaving)):
-        # Everyone else broadcasts, and the node leaves before the frames
-        # arrive 0.1 ms later.  Without a recorder the batch takes the
-        # membership check; the recorder's own path checks every receiver.
-        for source in senders:
+    # The frames of a burst arrive 0.1 ms after it is sent.
+    for when, gap_start in ((1.5, 1.5 - 1e-3), (2.5, 2.5 + 5e-5)):
+        for source in ids:
             frame = Frame(source=source, destination=BROADCAST_ADDRESS,
-                          payload=(node_id, source))
+                          payload=(when, source))
             simulator.schedule_at(when, medium.transmit, frame)
-        simulator.schedule_at(when + 5e-5, medium.unregister, node_id)
-        if k == 0:
-            simulator.schedule_at(when - 1e-3, setattr, medium, "trace_recorder", None)
-            simulator.schedule_at(when + 1e-3, setattr, medium, "trace_recorder",
-                                  recorder)
+        simulator.schedule_at(gap_start, setattr, medium, "trace_recorder", None)
+        simulator.schedule_at(when + 1e-3, setattr, medium, "trace_recorder", recorder)
     simulator.run()
     observed = {
         "deliveries": deliveries,
@@ -195,19 +189,13 @@ def _bare_run(medium_cls, *, unicast=False, departures=False):
     return observed, medium.batched_deliveries_saved
 
 
-@pytest.mark.parametrize("config", [
-    {"unicast": True},
-    {"departures": True},
-], ids=["unicast", "departures"])
-def test_bare_medium_matches_per_receiver_reference(config):
-    got, saved = _bare_run(WirelessMedium, **config)
-    want, _ = _bare_run(PerReceiverMedium, **config)
+def test_bare_medium_matches_per_receiver_reference():
+    got, saved = _bare_run(WirelessMedium)
+    want, _ = _bare_run(PerReceiverMedium)
     assert got["deliveries"] and got["stats"].frames_lost
     assert got == want
-    # A unicast has one receiver: batching saves nothing.
-    assert (saved > 0) == (not config.get("unicast", False))
-    if config.get("departures"):
-        assert got["stats"].frames_unroutable > 0
+    assert saved > 0
+    assert got["stats"].frames_unroutable == 0
 
 
 # ------------------------------------------------------------------ trust

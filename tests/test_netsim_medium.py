@@ -67,23 +67,6 @@ def test_broadcast_reaches_only_nodes_in_range():
     assert medium.stats.frames_out_of_range == 1
 
 
-def test_unicast_only_reaches_destination():
-    positions = PositionTable({"a": (0, 0), "b": (100, 0), "c": (150, 0)})
-    sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination="b", payload="x"))
-    sim.run()
-    assert len(sinks["b"].received) == 1
-    assert len(sinks["c"].received) == 0
-
-
-def test_unicast_to_unknown_destination_counts_unroutable():
-    positions = PositionTable({"a": (0, 0)})
-    sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination="ghost", payload="x"))
-    sim.run()
-    assert medium.stats.frames_unroutable == 1
-
-
 def test_transmit_from_unknown_source_rejected():
     positions = PositionTable({"a": (0, 0)})
     sim, medium, _ = build_medium(positions)
@@ -104,7 +87,7 @@ def test_delivery_applies_propagation_delay():
     positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
     medium.propagation_delay = 0.01
-    medium.transmit(Frame(source="a", destination="b", payload="x"))
+    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
     _, received_at = sinks["b"].received[0]
     assert received_at == pytest.approx(0.01)
@@ -115,7 +98,7 @@ def test_bernoulli_loss_all_or_nothing():
     sim, medium, sinks = build_medium(
         positions, loss_model=BernoulliLossModel(1.0, rng=random.Random(0)))
     for _ in range(10):
-        medium.transmit(Frame(source="a", destination="b", payload="x"))
+        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
     assert len(sinks["b"].received) == 0
     assert medium.stats.frames_lost == 10
@@ -169,15 +152,6 @@ def test_connectivity_matrix_symmetric_for_unit_disk():
     assert matrix["c"] == ["b"]
 
 
-def test_unregister_stops_delivery():
-    positions = PositionTable({"a": (0, 0), "b": (50, 0)})
-    sim, medium, sinks = build_medium(positions)
-    medium.unregister("b")
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
-    sim.run()
-    assert len(sinks["b"].received) == 0
-
-
 def test_duplicate_registration_rejected():
     positions = PositionTable({"a": (0, 0)})
     _, medium, _ = build_medium(positions)
@@ -190,22 +164,13 @@ def test_stats_delivery_and_loss_ratios():
     sim, medium, _ = build_medium(
         positions, loss_model=BernoulliLossModel(0.5, rng=random.Random(7)))
     for _ in range(200):
-        medium.transmit(Frame(source="a", destination="b", payload="x"))
+        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
     sim.run()
     stats = medium.stats
     assert stats.frames_sent == 200
     assert stats.frames_delivered + stats.frames_lost == 200
     assert 0.3 < stats.delivery_ratio < 0.7
     assert stats.as_dict()["loss_ratio"] == pytest.approx(stats.loss_ratio)
-
-
-def test_frame_copy_for_preserves_payload_and_changes_id():
-    frame = Frame(source="a", destination=BROADCAST_ADDRESS, payload={"k": 1}, size_bytes=99)
-    copy = frame.copy_for("b")
-    assert copy.destination == "b"
-    assert copy.payload is frame.payload
-    assert copy.size_bytes == 99
-    assert copy.frame_id != frame.frame_id
 
 
 def test_loss_models_default_rngs_are_deterministic():

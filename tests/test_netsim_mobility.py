@@ -14,8 +14,6 @@ from repro.netsim.mobility import (
     ReferencePointGroupMobility,
     StaticPlacement,
     UniformRandomPlacement,
-    chain_positions,
-    ring_positions,
 )
 from repro.netsim.network import Network
 from repro.netsim.engine import Simulator
@@ -100,17 +98,6 @@ def test_random_walk_moves_and_stays_in_bounds():
         assert 0.0 <= y <= 50.0
 
 
-def test_ring_positions_equidistant_from_center():
-    positions = ring_positions(["a", "b", "c", "d"], radius=100.0, center=(10.0, 10.0))
-    for x, y in positions.values():
-        assert ((x - 10.0) ** 2 + (y - 10.0) ** 2) ** 0.5 == pytest.approx(100.0)
-
-
-def test_chain_positions_spacing():
-    positions = chain_positions(["a", "b", "c"], spacing=75.0)
-    assert positions == {"a": (0.0, 0.0), "b": (75.0, 0.0), "c": (150.0, 0.0)}
-
-
 def test_gauss_markov_moves_and_stays_in_bounds():
     mobility = GaussMarkovMobility(width=200.0, height=200.0, mean_speed=5.0,
                                    rng=random.Random(4))
@@ -147,7 +134,7 @@ def test_gauss_markov_motion_is_temporally_correlated():
     network = Network(simulator=Simulator(), mobility=mobility, seed=6)
     network.add_nodes(["a"])
     # Re-centre so edge reflections cannot interfere with the measurement.
-    network.set_position("a", (5_000.0, 5_000.0))
+    network.positions["a"] = (5_000.0, 5_000.0)
     positions = []
     for step in range(1, 11):
         network.run(until=float(step))

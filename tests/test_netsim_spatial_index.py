@@ -3,8 +3,8 @@
 The grid must be an invisible optimisation: every query it serves
 (neighbour sets, connectivity matrices, broadcast receivers) has to match
 the all-pairs scan kept in ``tests/reference/`` exactly — under static
-placements, after teleports via ``Network.set_position``, while a mobility
-model moves nodes, and as nodes arrive and leave.
+placements, after teleports (a write to ``Network.positions``), while a
+mobility model moves nodes, and as nodes arrive.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class Sink:
 
 
 def build_network(node_count=30, seed=3, radio_range=250.0, area=900.0,
-                  mobility=None, medium_cls=WirelessMedium):
+                  mobility=None):
     simulator = Simulator()
-    medium = medium_cls(
+    medium = WirelessMedium(
         simulator,
         propagation=UnitDiskPropagation(radio_range=radio_range),
     )
@@ -70,17 +70,17 @@ def test_static_placement_matches_brute_force():
         assert matrix[node_id] == scanned(network, node_id)
 
 
-def test_teleport_via_set_position_invalidates_index():
+def test_teleport_invalidates_index():
     network, node_ids = build_network()
     before = network.medium.neighbors_of("n00")
     # Move n01 right next to n00 (and far from where it was).
-    origin = network.position_of("n00")
-    network.set_position("n01", (origin[0] + 1.0, origin[1] + 1.0))
+    origin = network.positions["n00"]
+    network.positions["n01"] = (origin[0] + 1.0, origin[1] + 1.0)
     after = network.medium.neighbors_of("n00")
     assert "n01" in after
     assert after == scanned(network, "n00")
     # Move it out of everyone's range.
-    network.set_position("n01", (1e6, 1e6))
+    network.positions["n01"] = (1e6, 1e6)
     assert "n01" not in network.medium.neighbors_of("n00")
     assert_matches_brute_force(network, node_ids)
     assert before is not None  # silence linters; the point is no staleness
@@ -97,19 +97,23 @@ def test_mobile_placement_matches_brute_force_over_time():
 
 
 def test_broadcast_delivery_identical_with_and_without_index():
+    node_ids = [f"n{i:02d}" for i in range(30)]
+    placement = UniformRandomPlacement(width=900.0, height=900.0, rng=random.Random(3))
+    layout = placement.place(node_ids)
+
     def flood(medium_cls):
-        network, node_ids = build_network(medium_cls=medium_cls)
-        medium = network.medium
+        simulator = Simulator()
+        medium = medium_cls(simulator, propagation=UnitDiskPropagation(radio_range=250.0))
+        medium.bind_positions(PositionTable(layout))
         sinks = {}
         for node_id in node_ids:
-            medium.unregister(node_id)
             sink = Sink()
             medium.register(node_id, sink)
             sinks[node_id] = sink
         for node_id in node_ids:
             medium.transmit(Frame(source=node_id, destination=BROADCAST_ADDRESS,
                                   payload=node_id))
-        network.simulator.run()
+        simulator.run()
         received = {
             nid: [frame.source for frame, _ in sink.received]
             for nid, sink in sinks.items()
@@ -122,15 +126,13 @@ def test_broadcast_delivery_identical_with_and_without_index():
     assert fast_stats == scan_stats
 
 
-def test_node_arrival_and_departure_invalidate_index():
+def test_node_arrival_invalidates_index():
     network, node_ids = build_network(node_count=10)
     network.medium.neighbors_of("n00")  # prime the cache
-    interface = network.create_interface("late", network.position_of("n00"))
+    interface = network.create_interface("late", network.positions["n00"])
     assert interface is not None
     assert "late" in network.medium.neighbors_of("n00")
-    network.remove_node("late")
-    assert "late" not in network.medium.neighbors_of("n00")
-    assert_matches_brute_force(network, node_ids)
+    assert_matches_brute_force(network, node_ids + ["late"])
 
 
 def test_position_table_epoch_counts_mutations():
@@ -221,14 +223,11 @@ def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
         assert medium.connectivity_matrix() is current
         return current
 
-    origin = network.position_of("n00")
-    network.set_position("n01", (origin[0] + 1.0, origin[1]))
+    origin = network.positions["n00"]
+    network.positions["n01"] = (origin[0] + 1.0, origin[1])
     matrix = rebuilt(matrix)
     network.create_interface("late", origin)
     matrix = rebuilt(matrix)
     assert "late" in matrix["n00"]
-    network.remove_node("late")
-    matrix = rebuilt(matrix)
-    assert "late" not in matrix
     medium.propagation = UnitDiskPropagation(radio_range=120.0)
     rebuilt(matrix)

@@ -22,7 +22,7 @@ def test_trace_by_category_and_node():
     trace.record(2.0, "DETECT", "a", "y")
     trace.record(3.0, "MSG", "b", "z")
     assert len(trace.by_category("MSG")) == 2
-    assert len(trace.by_node("a")) == 2
+    assert len(trace.filter(lambda event: event.node == "a")) == 2
 
 
 def test_trace_between_time_window():
@@ -38,14 +38,6 @@ def test_trace_filter_predicate():
     trace.record(2.0, "C", "n", "e", value=20)
     big = trace.filter(lambda e: e.data.get("value", 0) > 15)
     assert len(big) == 1
-
-
-def test_trace_counts_by_category():
-    trace = TraceRecorder()
-    trace.record(1.0, "A", "n", "e")
-    trace.record(2.0, "A", "n", "e")
-    trace.record(3.0, "B", "n", "e")
-    assert trace.counts_by_category() == {"A": 2, "B": 1}
 
 
 def test_trace_bounded_drops_oldest():
@@ -85,22 +77,11 @@ def test_medium_stats_ratios():
     assert stats.loss_ratio == pytest.approx(0.2)
 
 
-def test_medium_stats_reset():
-    stats = MediumStatistics(frames_sent=5, bytes_sent=100)
-    stats.reset()
-    assert stats.frames_sent == 0
-    assert stats.bytes_sent == 0
-
-
 def test_node_stats_per_type_counters():
     stats = NodeStatistics()
     stats.record_sent("HELLO")
     stats.record_sent("TC")
     stats.per_type_received["HELLO"] = 2  # as OlsrNode.handle_control counts
-    assert stats.hello_sent == 1
-    assert stats.tc_sent == 1
-    assert stats.hello_received == 2
     assert stats.per_type_sent == {"HELLO": 1, "TC": 1}
     assert stats.per_type_received == {"HELLO": 2}
-    assert stats.messages_sent == 2
     assert stats.messages_received == 2

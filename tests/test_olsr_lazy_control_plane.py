@@ -195,7 +195,8 @@ def test_a_netsim_cell_declares_each_hello_once(monkeypatch):
     config = scenario_config_from_params(_CELL, seed=7)
     scenario = build_netsim_scenario(config, _CELL)
     drive_netsim_scenario(scenario, config, _CELL)
-    sent = sum(node.router.stats.hello_sent for node in scenario.nodes.values())
-    received = sum(node.router.stats.hello_received for node in scenario.nodes.values())
+    routers = [node.router for node in scenario.nodes.values()]
+    sent = sum(router.stats.per_type_sent["HELLO"] for router in routers)
+    received = sum(router.stats.per_type_received["HELLO"] for router in routers)
     assert received > 4 * sent > 0
     assert len(builds) <= sent

@@ -22,13 +22,11 @@ from repro.olsr.link_state import (
 def test_link_status_transitions():
     link = LinkTuple("me", "n1", sym_time=10.0, asym_time=10.0, expiry_time=20.0)
     assert link.is_symmetric(5.0)
-    assert link.status(5.0) == "SYM"
     assert not link.is_symmetric(11.0)
     assert link.is_asymmetric(11.0) is False  # asym expired too
     link2 = LinkTuple("me", "n1", sym_time=-1.0, asym_time=10.0, expiry_time=20.0)
-    assert link2.is_asymmetric(5.0)
-    assert link2.status(5.0) == "ASYM"
-    assert link2.status(15.0) == "LOST"
+    assert link2.is_asymmetric(5.0) and not link2.is_symmetric(5.0)
+    assert not link2.is_asymmetric(15.0) and not link2.is_symmetric(15.0)
 
 
 def test_link_set_upsert_and_queries():
@@ -37,7 +35,7 @@ def test_link_set_upsert_and_queries():
     links.upsert(LinkTuple("me", "b", sym_time=-1.0, asym_time=10.0, expiry_time=20.0))
     assert links.symmetric_neighbors(5.0) == {"a"}
     assert links.asymmetric_neighbors(5.0) == {"b"}
-    assert links.all_neighbors() == {"a", "b"}
+    assert {link.neighbor_address for link in links} == {"a", "b"}
     assert len(links) == 2
 
 
@@ -65,8 +63,7 @@ def test_neighbor_set_symmetric_and_willingness():
     neighbors.upsert(NeighborTuple("a", symmetric=True, willingness=Willingness.WILL_HIGH))
     neighbors.upsert(NeighborTuple("b", symmetric=False))
     assert neighbors.symmetric_neighbors() == {"a"}
-    assert neighbors.willingness_of("a") == Willingness.WILL_HIGH
-    assert neighbors.willingness_of("unknown") == Willingness.WILL_DEFAULT
+    assert neighbors.get("a").willingness == Willingness.WILL_HIGH
     assert neighbors.addresses() == {"a", "b"}
 
 
@@ -88,9 +85,14 @@ def build_two_hop_set() -> TwoHopNeighborSet:
     return two_hop
 
 
+def two_hop_addresses(two_hop: TwoHopNeighborSet) -> set:
+    """Every 2-hop address of ``two_hop``."""
+    return {t.two_hop_address for t in two_hop}
+
+
 def test_two_hop_queries():
     two_hop = build_two_hop_set()
-    assert two_hop.two_hop_addresses() == {"x", "y", "z"}
+    assert two_hop_addresses(two_hop) == {"x", "y", "z"}
     assert two_hop.reachable_through("n1") == {"x", "y"}
     assert two_hop.providers_of("y") == {"n1", "n2"}
     assert two_hop.providers_of("x") == {"n1"}
@@ -100,7 +102,7 @@ def test_two_hop_queries():
 def test_two_hop_remove_for_neighbor():
     two_hop = build_two_hop_set()
     two_hop.remove_for_neighbor("n1")
-    assert two_hop.two_hop_addresses() == {"y", "z"}
+    assert two_hop_addresses(two_hop) == {"y", "z"}
     assert two_hop.reachable_through("n1") == set()
 
 
@@ -116,7 +118,7 @@ def test_two_hop_purge_expired():
     two_hop.upsert(TwoHopTuple("n1", "y", expiry_time=50.0))
     expired = two_hop.purge_expired(10.0)
     assert len(expired) == 1
-    assert two_hop.two_hop_addresses() == {"y"}
+    assert two_hop_addresses(two_hop) == {"y"}
 
 
 def test_two_hop_upsert_refreshes_existing():
@@ -233,7 +235,7 @@ def test_two_hop_queries_equal_a_brute_force_pass(operations):
                 for t in two_hop} == tuples
         assert len(two_hop) == len(tuples)
         assert two_hop.sorted_pairs() == sorted((a, n) for n, a in tuples)
-        assert two_hop.two_hop_addresses() == {a for _, a in tuples}
+        assert two_hop_addresses(two_hop) == {a for _, a in tuples}
         coverage = {}
         for neighbour, address in tuples:
             coverage.setdefault(neighbour, set()).add(address)

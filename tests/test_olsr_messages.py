@@ -1,32 +1,20 @@
-"""Tests for OLSR messages, link codes and the packet wrapper."""
+"""Tests for OLSR messages and the packet wrapper."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.olsr.constants import (
     LinkType,
     MessageType,
     NeighborType,
     Willingness,
-    decode_link_code,
-    encode_link_code,
 )
 from repro.olsr.messages import (
     HelloMessage,
     LinkAdvertisement,
     OlsrMessage,
     TcMessage,
-    make_hello,
 )
 from repro.olsr.packet import OlsrPacket
-
-
-def test_link_code_roundtrip():
-    for link_type in LinkType:
-        for neighbor_type in NeighborType:
-            code = encode_link_code(link_type, neighbor_type)
-            assert decode_link_code(code) == (link_type, neighbor_type)
 
 
 def test_hello_symmetric_neighbors_includes_mpr_type():
@@ -63,24 +51,6 @@ def test_hello_size_grows_with_links():
     assert one.size_bytes() > empty.size_bytes()
 
 
-def test_make_hello_classifies_addresses():
-    hello = make_hello(
-        symmetric={"s1", "s2"},
-        mprs={"s1"},
-        asymmetric={"a1"},
-        lost={"l1"},
-    )
-    assert hello.symmetric_neighbors() == {"s1", "s2"}
-    assert hello.mpr_neighbors() == {"s1"}
-    assert hello.asymmetric_neighbors() == {"a1"}
-    assert hello.lost_neighbors() == {"l1"}
-
-
-def test_make_hello_mpr_must_be_symmetric():
-    with pytest.raises(ValueError):
-        make_hello(symmetric={"a"}, mprs={"b"})
-
-
 def test_tc_message_copy_and_size():
     tc = TcMessage(ansn=5, advertised_neighbors={"a", "b"})
     copy = tc.copy()
@@ -112,20 +82,14 @@ def test_forwarded_copy_updates_ttl_and_hops_only():
     assert forwarded.body is message.body
 
 
-def test_message_describe_fields():
-    message = OlsrMessage(originator="a", body=HelloMessage(), ttl=1)
-    described = message.describe()
-    assert described["type"] == "HELLO"
-    assert described["origin"] == "a"
-    assert described["ttl"] == "1"
-
-
 def test_packet_bundle_and_iteration():
     messages = [
         OlsrMessage(originator="a", body=HelloMessage()),
         OlsrMessage(originator="a", body=TcMessage(ansn=1)),
     ]
-    packet = OlsrPacket.bundle("a", messages)
+    packet = OlsrPacket(source="a")
+    for message in messages:
+        packet.add(message)
     assert len(packet) == 2
     assert [m.message_type for m in packet] == [MessageType.HELLO, MessageType.TC]
     assert packet.size_bytes() > sum(m.size_bytes() for m in messages)

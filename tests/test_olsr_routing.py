@@ -90,7 +90,7 @@ def test_routing_table_replace_all_diff():
     diff = table.replace_all({})
     assert diff.removed == {"a", "c"}
     assert diff.is_empty is False
-    assert table.destinations() == set()
+    assert len(table) == 0
 
 
 def test_routing_table_queries():

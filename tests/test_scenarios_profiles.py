@@ -12,6 +12,7 @@ from repro.scenarios import (
     get_profile,
     list_profiles,
     register_profile,
+    reproducer_command,
 )
 from repro.scenarios.fuzzer import FUZZ_ROUNDS, NODE_COUNTS
 
@@ -37,16 +38,13 @@ def test_get_profile_unknown_name_lists_known_ones():
         get_profile("no-such-profile")
 
 
-def test_profile_params_are_sorted_and_digest_is_content_based():
+def test_profile_params_are_sorted_and_kind_is_checked():
     a = ScenarioProfile(name="t", description="", kind="threat",
                         params=(("b", 1), ("a", 2)))
-    b = ScenarioProfile(name="t", description="ignored by digest? no:", kind="threat",
+    b = ScenarioProfile(name="t", description="", kind="threat",
                         params=(("a", 2), ("b", 1)))
     assert a.params == (("a", 2), ("b", 1))
-    assert a.content_digest() == b.content_digest()
-    c = ScenarioProfile(name="t", description="", kind="threat",
-                        params=(("a", 2), ("b", 99)))
-    assert c.content_digest() != a.content_digest()
+    assert a == b
     with pytest.raises(ValueError):
         ScenarioProfile(name="x", description="", kind="weird")
 
@@ -121,7 +119,7 @@ def test_fuzzer_covers_every_registered_profile():
 
 def test_fuzzed_scenario_cli_reproducer_mentions_every_param():
     sample = ScenarioFuzzer(0).sample(0)
-    command = sample.cli_command()
+    command = reproducer_command(sample.params_dict(), sample.seed, "figure1")
     assert command.startswith("python -m repro.experiments run figure1")
     assert f"--seed {sample.seed}" in command
     for name, value in sample.params:

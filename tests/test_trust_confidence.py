@@ -6,16 +6,20 @@ import math
 
 import pytest
 
+from repro.core.decision import DecisionOutcome, decide
 from repro.trust.confidence import (
     ConfidenceInterval,
     confidence_interval,
-    effective_sample_size,
     margin_of_error,
     sample_standard_deviation,
-    weighted_margin_of_error,
-    weighted_sample_standard_deviation,
+    weighted_margin,
     z_value,
 )
+
+
+def margin(samples, weights, confidence_level=0.95):
+    """Eq. 9's trust-weighted margin, called as ``decide_round`` calls it."""
+    return weighted_margin(samples, weights, sum(weights), confidence_level)
 
 
 def test_z_value_reference_points():
@@ -78,66 +82,55 @@ def test_margin_grows_with_confidence_level():
 
 def test_weighted_std_downweights_unreliable_samples():
     samples = [-1.0, -1.0, -1.0, 1.0]
-    equal = weighted_sample_standard_deviation(samples, [1.0, 1.0, 1.0, 1.0])
+    equal = margin(samples, [1.0, 1.0, 1.0, 1.0])
     # The lone dissenting +1 comes from an almost-zero-weight responder.
-    discounted = weighted_sample_standard_deviation(samples, [1.0, 1.0, 1.0, 0.01])
+    discounted = margin(samples, [1.0, 1.0, 1.0, 0.01])
     assert discounted < equal
 
 
 def test_weighted_std_falls_back_when_all_weights_zero():
     samples = [1.0, -1.0]
-    assert weighted_sample_standard_deviation(samples, [0.0, 0.0]) == pytest.approx(
-        sample_standard_deviation(samples))
-
-
-def test_weighted_std_length_mismatch_raises():
-    with pytest.raises(ValueError):
-        weighted_sample_standard_deviation([1.0], [1.0, 2.0])
-    # Eq. 9 checks the lengths before any branch: the all-zero-weight
-    # fallback and the empty sample reject a mismatch too.
-    for samples, weights in (([1.0, -1.0, 1.0], [0.0, 0.0]),
-                             ([1.0, -1.0, 1.0], [1.0, 0.5]),
-                             ([], [1.0])):
-        with pytest.raises(ValueError):
-            weighted_margin_of_error(samples, weights, 0.95)
+    assert margin(samples, [0.0, 0.0]) == pytest.approx(margin_of_error(samples))
 
 
 def test_effective_sample_size():
-    assert effective_sample_size([1.0, 1.0, 1.0, 1.0]) == pytest.approx(4.0)
-    assert effective_sample_size([1.0, 0.0, 0.0]) == pytest.approx(1.0)
-    assert effective_sample_size([]) == 0.0
+    # Kish's n_eff = (Σw)² / Σw²: equal weights count every sample, so the
+    # weighted margin is the unweighted one; zero-weight samples drop out.
+    samples = [1.0, -1.0, 1.0, 1.0]
+    assert margin(samples, [1.0] * 4) == pytest.approx(margin_of_error(samples))
+    assert margin(samples, [0.3] * 4) == pytest.approx(margin_of_error(samples))
+    assert margin(samples, [1.0, 1.0, 0.0, 0.0]) == pytest.approx(margin_of_error([1.0, -1.0]))
+    # A single effective sample has no spread.
+    assert margin([1.0, -1.0, -1.0], [1.0, 0.0, 0.0]) == 0.0
 
 
 def test_weighted_margin_tightens_as_liar_weights_vanish():
     samples = [-1.0] * 10 + [1.0] * 4
     full_weights = [0.5] * 14
     shrunk_weights = [0.5] * 10 + [0.01] * 4
-    assert weighted_margin_of_error(samples, shrunk_weights, 0.95) < \
-        weighted_margin_of_error(samples, full_weights, 0.95)
+    assert margin(samples, shrunk_weights) < margin(samples, full_weights)
 
 
 def test_weighted_margin_empty_and_zero_weight_fallback():
-    assert weighted_margin_of_error([], [], 0.95) == 0.0
+    assert margin([], []) == 0.0
     samples = [1.0, -1.0]
-    assert weighted_margin_of_error(samples, [0.0, 0.0], 0.95) == pytest.approx(
-        margin_of_error(samples, 0.95))
+    assert margin(samples, [0.0, 0.0]) == pytest.approx(margin_of_error(samples, 0.95))
 
 
 def test_confidence_interval_object():
     interval = confidence_interval([1.0, -1.0, 1.0, -1.0], center=0.0, confidence_level=0.95)
     assert isinstance(interval, ConfidenceInterval)
     assert interval.lower == pytest.approx(-interval.margin)
-    assert interval.upper == pytest.approx(interval.margin)
     assert interval.width == pytest.approx(2 * interval.margin)
     assert interval.sample_size == 4
-    assert interval.contains(0.0)
-    assert not interval.contains(10.0)
 
 
 def test_confidence_interval_conclusiveness():
+    # Eq. 10 concludes only when the whole interval lies beyond ±γ.
     tight = ConfidenceInterval(center=-0.9, margin=0.05, confidence_level=0.95, sample_size=10)
     wide = ConfidenceInterval(center=-0.9, margin=0.5, confidence_level=0.95, sample_size=3)
-    assert tight.is_conclusive(0.6)
-    assert not wide.is_conclusive(0.6)
     positive = ConfidenceInterval(center=0.9, margin=0.1, confidence_level=0.95, sample_size=10)
-    assert positive.is_conclusive(0.6)
+    assert decide(tight.center, tight.margin, gamma=0.6) == DecisionOutcome.INTRUDER
+    assert decide(wide.center, wide.margin, gamma=0.6) == DecisionOutcome.UNRECOGNIZED
+    assert decide(positive.center, positive.margin, gamma=0.6) == DecisionOutcome.WELL_BEHAVING
+    assert positive.lower >= 0.6

@@ -24,8 +24,8 @@ def test_value_range_validated():
 def test_property1_sign_encodes_harmfulness():
     good = beneficial("a", "b", EvidenceKind.CORRECT_ANSWER)
     bad = harmful("a", "b", EvidenceKind.INCORRECT_ANSWER)
-    assert not good.is_harmful
-    assert bad.is_harmful
+    assert good.value > 0.0
+    assert bad.value < 0.0
 
 
 def test_beneficial_and_harmful_constructors_validate_sign():
