@@ -54,7 +54,7 @@ from repro.attacks.dropping import (
     GrayholeAttack,
     OnOffDroppingAttack,
 )
-from repro.attacks.liar import LiarBehavior, LieMode
+from repro.attacks.liar import LiarBehavior
 from repro.attacks.link_spoofing import LinkSpoofingAttack
 from repro.attacks.scenario import AttackScenario
 
@@ -68,7 +68,6 @@ __all__ = [
     "GrayholeAttack",
     "LiarBehavior",
     "LiarClique",
-    "LieMode",
     "LinkSpoofingAttack",
     "OnOffDroppingAttack",
     "PeriodicSchedule",

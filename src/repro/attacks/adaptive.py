@@ -1,11 +1,11 @@
 """Adaptive adversaries: attacks that observe the detector and react.
 
 Every other attack in :mod:`repro.attacks` is an *open-loop* policy — a drop
-probability, a lie mode, a schedule — fixed when the scenario is built.  This
-module closes the loop: an adaptive attack taps the detector's own trust
-surface through a read-only :class:`TrustProbe` and adjusts its behaviour
-once per detection cycle, modelling an adversary that knows (or estimates)
-how the paper's trust system scores it and rides just above the
+probability, a lie probability, a schedule — fixed when the scenario is
+built.  This module closes the loop: an adaptive attack taps the detector's
+own trust surface through a read-only :class:`TrustProbe` and adjusts its
+behaviour once per detection cycle, modelling an adversary that knows (or
+estimates) how the paper's trust system scores it and rides just above the
 classification threshold.
 
 Three pieces:
@@ -83,27 +83,34 @@ class AdaptiveAttack:
         raise NotImplementedError
 
 
+#: The rider pauses once its trust falls to this value or below ...
+RIDE_THRESHOLD = 0.3
+#: ... and resumes once it is back at this value.
+RESUME_THRESHOLD = 0.38
+#: Headroom above :data:`RIDE_THRESHOLD` at which the rider drops at its
+#: full ``max_drop_probability``.
+FULL_THROTTLE_HEADROOM = 0.1
+
+
 class ThresholdRidingGrayhole(GrayholeAttack, AdaptiveAttack):
     """Grayhole that paces its misconduct to ride the detection threshold.
 
     Each cycle the attacker reads its own trust as the victim sees it and
     rides a hysteresis band above the classification threshold:
 
-    * trust at or below ``ride_threshold`` — the attack *pauses* (a manual
-      ``deactivate``), relaying faithfully while the trust system's
+    * trust at or below :data:`RIDE_THRESHOLD` — the attack *pauses* (a
+      manual ``deactivate``), relaying faithfully while the trust system's
       forgetting factor restores headroom;
-    * trust back at ``resume_threshold`` — the attack resumes;
-    * while active, the drop probability is additionally throttled between
-      ``min_drop_probability`` and ``max_drop_probability`` proportionally
-      to the headroom above ``ride_threshold`` (saturating at
-      ``full_throttle_headroom``), so even the active windows back off as
-      the margin thins.
+    * trust back at :data:`RESUME_THRESHOLD` — the attack resumes;
+    * while active, the drop probability is additionally throttled between 0
+      and ``max_drop_probability`` proportionally to the headroom above
+      :data:`RIDE_THRESHOLD` (saturating at :data:`FULL_THROTTLE_HEADROOM`),
+      so even the active windows back off as the margin thins.
 
-    The pause windows keep :attr:`observed_drop_ratio` an *active-window*
-    statistic (the base filter does not count paused traffic), which is what
-    makes "matched effective drop ratio" comparisons against a static
-    grayhole meaningful: both drop the same fraction of the traffic they
-    attack; the rider merely picks its windows by watching its trust.
+    A paused rider relays everything and drops nothing, so comparing it with
+    a static grayhole that drops the fraction the rider dropped while active
+    matches the traffic both attack; the rider merely picks its windows by
+    watching its trust.
     """
 
     name = "threshold-grayhole"
@@ -111,35 +118,12 @@ class ThresholdRidingGrayhole(GrayholeAttack, AdaptiveAttack):
     def __init__(
         self,
         max_drop_probability: float = 0.7,
-        min_drop_probability: float = 0.0,
-        ride_threshold: float = 0.3,
-        resume_threshold: float = 0.38,
-        full_throttle_headroom: float = 0.1,
         probe: Optional[TrustProbe] = None,
-        message_types=None,
-        victim_originators=None,
         schedule: Optional[AttackSchedule] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if not 0.0 <= min_drop_probability <= max_drop_probability <= 1.0:
-            raise ValueError(
-                "need 0 <= min_drop_probability <= max_drop_probability <= 1")
-        if resume_threshold < ride_threshold:
-            raise ValueError("resume_threshold must be >= ride_threshold")
-        if full_throttle_headroom <= 0.0:
-            raise ValueError("full_throttle_headroom must be positive")
-        super().__init__(
-            drop_probability=max_drop_probability,
-            message_types=message_types,
-            victim_originators=victim_originators,
-            schedule=schedule,
-            rng=rng,
-        )
+        super().__init__(drop_probability=max_drop_probability, schedule=schedule, rng=rng)
         self.max_drop_probability = max_drop_probability
-        self.min_drop_probability = min_drop_probability
-        self.ride_threshold = ride_threshold
-        self.resume_threshold = resume_threshold
-        self.full_throttle_headroom = full_throttle_headroom
         self.riding_paused = False
         self._init_adaptive(probe)
 
@@ -148,19 +132,15 @@ class ThresholdRidingGrayhole(GrayholeAttack, AdaptiveAttack):
             return
         trust = self.probe.read()
         if self.riding_paused:
-            if trust >= self.resume_threshold:
+            if trust >= RESUME_THRESHOLD:
                 self.riding_paused = False
                 self.follow_schedule()
-        elif trust <= self.ride_threshold:
+        elif trust <= RIDE_THRESHOLD:
             self.riding_paused = True
             self.deactivate()
         if not self.riding_paused:
-            fraction = min(1.0, (trust - self.ride_threshold)
-                           / self.full_throttle_headroom)
-            self.drop_probability = (
-                self.min_drop_probability
-                + max(0.0, fraction)
-                * (self.max_drop_probability - self.min_drop_probability))
+            fraction = min(1.0, (trust - RIDE_THRESHOLD) / FULL_THROTTLE_HEADROOM)
+            self.drop_probability = max(0.0, fraction) * self.max_drop_probability
         self.adaptation_log.append(
             (now, trust, 0.0 if self.riding_paused else self.drop_probability))
 
@@ -180,13 +160,13 @@ class RotatingLiarClique(LiarClique):
     decision stream.
     """
 
-    def member_decision(self, member_id: str, suspect: str, now: float) -> str:
+    def member_decision(self, member_id: str, suspect: str, now: float) -> bool:
         roster = sorted(m.member_id for m in self.members)
         if not roster:
             return self.decision(suspect, now)
         epoch = int(now // self.epoch_length)
         active = roster[epoch % len(roster)]
         if member_id != active:
-            return "honest"
+            return False
         return self.decision(suspect, now)
 

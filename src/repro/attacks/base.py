@@ -20,23 +20,19 @@ from typing import Callable, List, Optional
 
 @dataclass
 class AttackSchedule:
-    """Activation window of an attack ``[start_time, stop_time)``.
+    """Activation of an attack from ``start_time`` on.
 
-    ``stop_time = None`` means the attack lasts for the whole experiment,
-    which is the paper's default ("the attack takes place during the overall
-    experiment, unless specified").
+    An attack lasts for the rest of the experiment once it starts, the
+    paper's default ("the attack takes place during the overall experiment,
+    unless specified").  An attack that ceases mid-run is deactivated by the
+    experiment that drives it.
     """
 
     start_time: float = 0.0
-    stop_time: Optional[float] = None
 
     def is_active(self, now: float) -> bool:
         """Whether the attack is active at simulated time ``now``."""
-        if now < self.start_time:
-            return False
-        if self.stop_time is not None and now >= self.stop_time:
-            return False
-        return True
+        return now >= self.start_time
 
 
 @dataclass
@@ -48,8 +44,7 @@ class PeriodicSchedule(AttackSchedule):
     seconds.  Intermittent misbehaviour is much harder to pin down than a
     permanent attack — the paper's detector only collects evidence while the
     misconduct is observable — so this schedule is the backbone of the
-    "on–off dropping" threat profile.  ``stop_time`` still bounds the whole
-    pattern.
+    "on–off dropping" threat profile.
     """
 
     on_duration: float = 10.0
@@ -65,8 +60,6 @@ class PeriodicSchedule(AttackSchedule):
         if not super().is_active(now):
             return False
         period = self.on_duration + self.off_duration
-        if period <= 0.0:
-            return True
         return (now - self.start_time) % period < self.on_duration
 
 

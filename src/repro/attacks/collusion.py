@@ -22,16 +22,16 @@ import random
 from typing import Iterable, List, Optional, Set
 
 from repro.attacks.base import Attack, AttackSchedule
-from repro.attacks.liar import LiarBehavior, LieMode
+from repro.attacks.liar import LiarBehavior
 from repro.seeding import stable_seed
 
 
 class LiarClique:
     """Shared decision stream for a clique of colluding liars.
 
-    The clique decides *once* per (suspect, epoch) whether its members lie,
-    suppress or answer honestly during that epoch; every member consults the
-    same decision, so the clique never contradicts itself.  Decisions are
+    The clique decides *once* per (suspect, epoch) whether its members lie
+    or answer honestly during that epoch; every member consults the same
+    decision, so the clique never contradicts itself.  Decisions are
     derived with :func:`repro.seeding.stable_seed` from the clique seed, the
     suspect and the epoch index — not from a shared mutable RNG — so they are
     independent of the order in which members are queried, which keeps
@@ -46,48 +46,35 @@ class LiarClique:
 
     def __init__(
         self,
-        protected_suspects: Optional[Iterable[str]] = None,
+        protected_suspects: Iterable[str],
         lie_probability: float = 1.0,
-        suppress_probability: float = 0.0,
-        mode: LieMode = LieMode.PROTECT,
         epoch_length: float = 1.0,
         seed: int = 0,
         schedule: Optional[AttackSchedule] = None,
     ) -> None:
         if not 0.0 <= lie_probability <= 1.0:
             raise ValueError("lie_probability must be in [0, 1]")
-        if not 0.0 <= suppress_probability <= 1.0:
-            raise ValueError("suppress_probability must be in [0, 1]")
         if epoch_length <= 0.0:
             raise ValueError("epoch_length must be positive")
-        self.protected_suspects: Optional[Set[str]] = (
-            set(protected_suspects) if protected_suspects is not None else None
-        )
+        self.protected_suspects: Set[str] = set(protected_suspects)
         self.lie_probability = lie_probability
-        self.suppress_probability = suppress_probability
-        self.mode = mode
         self.epoch_length = epoch_length
         self.seed = seed
         self.schedule = schedule or AttackSchedule()
         self.members: List["CliqueMember"] = []
 
     # ------------------------------------------------------------- decisions
-    def decision(self, suspect: str, now: float) -> str:
-        """The clique-wide verdict for ``suspect`` at time ``now``.
+    def decision(self, suspect: str, now: float) -> bool:
+        """Whether the clique lies about ``suspect`` at time ``now``.
 
-        Returns ``"lie"``, ``"suppress"`` or ``"honest"``; every member maps
-        the same (suspect, epoch) to the same verdict.
+        Every member maps the same (suspect, epoch) to the same verdict.
         """
         epoch = int(now // self.epoch_length)
         rng = random.Random(stable_seed(self.seed, f"clique:{suspect}@{epoch}"))
-        if self.suppress_probability and rng.random() < self.suppress_probability:
-            return "suppress"
-        if rng.random() < self.lie_probability:
-            return "lie"
-        return "honest"
+        return rng.random() < self.lie_probability
 
-    def member_decision(self, member_id: str, suspect: str, now: float) -> str:
-        """The verdict ``member_id`` applies for ``suspect`` at time ``now``.
+    def member_decision(self, member_id: str, suspect: str, now: float) -> bool:
+        """Whether ``member_id`` lies about ``suspect`` at time ``now``.
 
         The base clique ignores the member identity — everyone executes the
         shared epoch decision.  Subclasses (the rotating clique of
@@ -107,7 +94,7 @@ class LiarClique:
 class CliqueMember(LiarBehavior):
     """One liar whose decisions come from its :class:`LiarClique`.
 
-    Inherits the installation contract and the counters of
+    Inherits the installation contract of
     :class:`~repro.attacks.liar.LiarBehavior`; only the per-query decision is
     replaced by the clique's shared verdict.
     """
@@ -118,46 +105,27 @@ class CliqueMember(LiarBehavior):
         super().__init__(
             protected_suspects=clique.protected_suspects,
             lie_probability=clique.lie_probability,
-            suppress_probability=clique.suppress_probability,
-            mode=clique.mode,
             schedule=clique.schedule,
         )
         self.clique = clique
         self.member_id = member_id
 
-    def _decide(self, suspect: str, honest: Optional[bool], now: float) -> Optional[bool]:
-        verdict = self.clique.member_decision(self.member_id, suspect, now)
-        if verdict == "suppress":
-            self.answers_suppressed += 1
-            return None
-        if verdict == "lie":
-            self.lies_told += 1
-            return self._lie(honest)
-        self.honest_answers += 1
-        return honest
-
     def _mutate_answer(self, suspect: str, requester: str,
                        honest: Optional[bool]) -> Optional[bool]:
-        now = self._now()
-        if not self.is_active(now) or not self._concerns_protected(suspect):
-            self.honest_answers += 1
-            return honest
-        return self._decide(suspect, honest, now)
+        return self.answer(honest, self._now(), suspect)
 
     def answer(self, honest: Optional[bool], now: float = 0.0,
                suspect: Optional[str] = None) -> Optional[bool]:
-        """Stand-alone form used by the round-based harness."""
+        """The clique's verdict about ``suspect`` (by default the first
+        protected suspect), given the honest answer."""
         if not self.is_active(now):
-            self.honest_answers += 1
             return honest
-        target = suspect
-        if target is None:
-            protected = self.protected_suspects or set()
-            target = next(iter(sorted(protected)), "*")
-        if not self._concerns_protected(target):
-            self.honest_answers += 1
+        target = suspect if suspect is not None else min(self.protected_suspects, default="*")
+        if target not in self.protected_suspects:
             return honest
-        return self._decide(target, honest, now)
+        if self.clique.member_decision(self.member_id, target, now):
+            return True
+        return honest
 
 
 class ThreatStack(Attack):
@@ -215,7 +183,7 @@ class ThreatStack(Attack):
 
 
 def grayhole_liar_stack(
-    protected_suspects: Optional[Iterable[str]] = None,
+    protected_suspects: Iterable[str],
     drop_probability: float = 0.7,
     lie_probability: float = 1.0,
     start_time: float = 0.0,

@@ -8,10 +8,9 @@ a *blackhole*; selective or probabilistic dropping is a *grayhole*.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Set
+from typing import Optional
 
 from repro.attacks.base import Attack, AttackSchedule, PeriodicSchedule, _underlying_router
-from repro.olsr.constants import MessageType
 from repro.olsr.messages import OlsrMessage
 from repro.seeding import stable_seed
 
@@ -38,21 +37,14 @@ class BlackholeAttack(Attack):
 
 
 class GrayholeAttack(Attack):
-    """Selective dropping.
-
-    Messages are dropped with probability ``drop_probability``; additionally
-    the drop can be restricted to specific message types and/or originators
-    (e.g. drop only the TC messages of a victim, hiding it from the rest of
-    the network).
-    """
+    """Probabilistic dropping: each message to relay is dropped with
+    probability ``drop_probability``, whatever its type or originator."""
 
     name = "grayhole"
 
     def __init__(
         self,
         drop_probability: float = 0.5,
-        message_types: Optional[Iterable[MessageType]] = None,
-        victim_originators: Optional[Iterable[str]] = None,
         schedule: Optional[AttackSchedule] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -60,12 +52,6 @@ class GrayholeAttack(Attack):
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
         self.drop_probability = drop_probability
-        self.message_types: Optional[Set[MessageType]] = (
-            set(message_types) if message_types is not None else None
-        )
-        self.victim_originators: Optional[Set[str]] = (
-            set(victim_originators) if victim_originators is not None else None
-        )
         # When no rng is supplied, a per-node stream is derived at install()
         # time (stable_seed of the node id, as OracleTransport does per
         # owner); two default-constructed grayholes on different nodes used
@@ -74,7 +60,6 @@ class GrayholeAttack(Attack):
         self._rng_supplied = rng is not None
         self.rng = rng if rng is not None else random.Random(0)
         self.dropped_count = 0
-        self.relayed_count = 0
 
     def install(self, node) -> None:
         olsr = _underlying_router(node)
@@ -87,19 +72,9 @@ class GrayholeAttack(Attack):
     def _filter(self, message: OlsrMessage, last_hop: str, node) -> bool:
         if not self.is_active(node.now):
             return True
-        if self.message_types is not None and message.message_type not in self.message_types:
-            self.relayed_count += 1
-            return True
-        if (
-            self.victim_originators is not None
-            and message.originator not in self.victim_originators
-        ):
-            self.relayed_count += 1
-            return True
         if self.rng.random() < self.drop_probability:
             self.dropped_count += 1
             return False
-        self.relayed_count += 1
         return True
 
 
@@ -121,18 +96,12 @@ class OnOffDroppingAttack(GrayholeAttack):
         on_duration: float = 10.0,
         off_duration: float = 10.0,
         start_time: float = 0.0,
-        stop_time: Optional[float] = None,
-        message_types: Optional[Iterable[MessageType]] = None,
-        victim_originators: Optional[Iterable[str]] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(
             drop_probability=drop_probability,
-            message_types=message_types,
-            victim_originators=victim_originators,
             schedule=PeriodicSchedule(
                 start_time=start_time,
-                stop_time=stop_time,
                 on_duration=on_duration,
                 off_duration=off_duration,
             ),

@@ -32,16 +32,12 @@ class LinkSpoofingAttack(Attack):
         variant: LinkSpoofingVariant,
         target_addresses: Iterable[str],
         schedule: Optional[AttackSchedule] = None,
-        advertise_as_mpr_selector: bool = False,
     ) -> None:
-        """``target_addresses`` are the addresses to add (variants 1 and 2) or
-        to omit (variant 3).  ``advertise_as_mpr_selector`` additionally marks
-        the spoofed neighbours with the MPR neighbour type, an aggressive
-        refinement that speeds up the corruption of the MPR selection."""
+        """``target_addresses`` are the addresses to add (variants 1 and 2),
+        each advertised as a symmetric neighbour, or to omit (variant 3)."""
         super().__init__(schedule)
         self.variant = variant
         self.target_addresses: List[str] = sorted(set(target_addresses))
-        self.advertise_as_mpr_selector = advertise_as_mpr_selector
         if not self.target_addresses:
             raise ValueError("link spoofing requires at least one target address")
 
@@ -61,9 +57,6 @@ class LinkSpoofingAttack(Attack):
     def _add_spoofed_links(self, hello: HelloMessage, node) -> HelloMessage:
         forged = hello.copy()
         already = forged.all_addresses()
-        neighbor_type = (
-            NeighborType.MPR_NEIGH if self.advertise_as_mpr_selector else NeighborType.SYM_NEIGH
-        )
         for address in self.target_addresses:
             if address in already or address == node.node_id:
                 continue
@@ -71,7 +64,7 @@ class LinkSpoofingAttack(Attack):
                 LinkAdvertisement(
                     neighbor_address=address,
                     link_type=LinkType.SYM_LINK,
-                    neighbor_type=neighbor_type,
+                    neighbor_type=NeighborType.SYM_NEIGH,
                 )
             )
         return forged

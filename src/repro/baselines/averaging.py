@@ -1,8 +1,8 @@
 """Report-averaging baseline (Liu et al., FTDCS 2004 style).
 
 The simplest recommendation fusion: the trust assigned to a target is the
-plain average of the reported values, optionally weighted by hop distance and
-report freshness but *not* by the trust placed in the reporter.  It is the
+plain average of the reported values, weighted neither by the reporter's
+distance or freshness nor by the trust placed in the reporter.  It is the
 natural "no defence against liars" strawman the paper's Eq. 8 improves upon,
 and the unweighted-vote ablation of the benches.
 """
@@ -10,7 +10,10 @@ and the unweighted-vote ablation of the benches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
+
+#: A subject whose average report falls below this is an intruder.
+MISBEHAVIOR_THRESHOLD = -0.2
 
 
 @dataclass
@@ -20,63 +23,32 @@ class TrustReport:
     reporter: str
     subject: str
     value: float
-    hop_distance: int = 1
-    age: float = 0.0
 
 
 class AveragingTrustSystem:
-    """Average-of-reports trust with optional distance/freshness discounting."""
+    """Average-of-reports trust."""
 
-    def __init__(
-        self,
-        owner: str,
-        distance_discount: float = 0.0,
-        freshness_halflife: Optional[float] = None,
-        misbehavior_threshold: float = -0.2,
-    ) -> None:
-        if not 0.0 <= distance_discount < 1.0:
-            raise ValueError("distance_discount must be in [0, 1)")
+    def __init__(self, owner: str) -> None:
         self.owner = owner
-        self.distance_discount = distance_discount
-        self.freshness_halflife = freshness_halflife
-        self.misbehavior_threshold = misbehavior_threshold
-        #: subject → (each report's weight, each report's weight × value),
-        #: in arrival order.
-        self._weighted: Dict[str, Tuple[List[float], List[float]]] = {}
+        #: subject → every reported value, in arrival order.
+        self._values: Dict[str, List[float]] = {}
 
     def add_report(self, report: TrustReport) -> None:
-        """Record one report, weighing it once with the discounts set now."""
+        """Record one report."""
         if not -1.0 <= report.value <= 1.0:
             raise ValueError("report value must be in [-1, 1]")
-        weight = self._weight(report)
-        entry = self._weighted.get(report.subject)
-        if entry is None:
-            entry = self._weighted[report.subject] = ([], [])
-        entry[0].append(weight)
-        entry[1].append(weight * report.value)
-
-    def _weight(self, report: TrustReport) -> float:
-        weight = 1.0
-        if self.distance_discount:
-            weight *= (1.0 - self.distance_discount) ** max(report.hop_distance - 1, 0)
-        if self.freshness_halflife:
-            weight *= 0.5 ** (report.age / self.freshness_halflife)
-        return weight
+        self._values.setdefault(report.subject, []).append(report.value)
 
     def trust_of(self, subject: str) -> float:
-        """Weighted average of every report about ``subject`` (0 when none)."""
-        entry = self._weighted.get(subject)
-        if entry is None:
+        """Average of every report about ``subject`` (0 when none)."""
+        values = self._values.get(subject)
+        if not values:
             return 0.0
-        weights, weighted_values = entry
-        total = sum(weights)
-        if total == 0.0:
-            return 0.0
-        return sum(weighted_values) / total
+        return sum(values) / len(values)
 
     def classify(self, subject: str) -> str:
         """"intruder" / "well-behaving" classification of ``subject``."""
-        if self.trust_of(subject) < self.misbehavior_threshold:
+        if self.trust_of(subject) < MISBEHAVIOR_THRESHOLD:
             return "intruder"
         return "well-behaving"
 

@@ -34,23 +34,21 @@ class BetaReputation:
         self.beta += negative
 
 
+#: A second-hand report whose expectation deviates from the current belief
+#: by more than this is rejected.
+DEVIATION_THRESHOLD = 0.5
+#: Weight of an accepted second-hand report's observations.
+SECOND_HAND_WEIGHT = 0.2
+#: A subject whose expectation falls below this is misbehaving.
+MISBEHAVIOR_THRESHOLD = 0.35
+
+
 class BetaReputationSystem:
     """Per-node reputation table with deviation-tested second-hand reports."""
 
-    def __init__(
-        self,
-        owner: str,
-        deviation_threshold: float = 0.5,
-        second_hand_weight: float = 0.2,
-        misbehavior_threshold: float = 0.35,
-    ) -> None:
+    def __init__(self, owner: str) -> None:
         self.owner = owner
-        self.deviation_threshold = deviation_threshold
-        self.second_hand_weight = second_hand_weight
-        self.misbehavior_threshold = misbehavior_threshold
         self._reputation: Dict[str, BetaReputation] = {}
-        self.rejected_reports = 0
-        self.accepted_reports = 0
 
     # ---------------------------------------------------------------- updates
     def reputation_of(self, subject: str) -> BetaReputation:
@@ -65,16 +63,14 @@ class BetaReputationSystem:
         """Merge a second-hand report after the deviation test.
 
         The report is rejected (returns ``None``) when its expectation deviates
-        from the current belief by more than ``deviation_threshold``; otherwise
-        it is merged with weight ``second_hand_weight``.
+        from the current belief by more than :data:`DEVIATION_THRESHOLD`;
+        otherwise it is merged with weight :data:`SECOND_HAND_WEIGHT`.
         """
         record = self.reputation_of(subject)
-        if abs(reported.expectation - record.expectation) > self.deviation_threshold:
-            self.rejected_reports += 1
+        if abs(reported.expectation - record.expectation) > DEVIATION_THRESHOLD:
             return None
-        self.accepted_reports += 1
-        record.alpha += self.second_hand_weight * (reported.alpha - 1.0)
-        record.beta += self.second_hand_weight * (reported.beta - 1.0)
+        record.alpha += SECOND_HAND_WEIGHT * (reported.alpha - 1.0)
+        record.beta += SECOND_HAND_WEIGHT * (reported.beta - 1.0)
         return record.expectation
 
     # ---------------------------------------------------------------- queries
@@ -87,12 +83,12 @@ class BetaReputationSystem:
         return {
             subject
             for subject, record in self._reputation.items()
-            if record.expectation < self.misbehavior_threshold
+            if record.expectation < MISBEHAVIOR_THRESHOLD
         }
 
     def classify(self, subject: str) -> str:
         """"intruder" / "well-behaving" classification of ``subject``."""
-        if self.expectation_of(subject) < self.misbehavior_threshold:
+        if self.expectation_of(subject) < MISBEHAVIOR_THRESHOLD:
             return "intruder"
         return "well-behaving"
 

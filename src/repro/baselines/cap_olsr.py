@@ -28,16 +28,14 @@ class CapOlsrTrust:
     """Entropy-based relay trust as used by CAP-OLSR.
 
     Observations are aggregated into a relaying probability per MPR (with
-    Laplace smoothing); the probability is mapped to trust through the
-    entropy trust function.  :class:`CapOlsrDetector` classifies a relay
-    whose trust falls below its exclusion threshold as an intruder.
+    Laplace smoothing: one prior observation each way); the probability is
+    mapped to trust through the entropy trust function.
+    :class:`CapOlsrDetector` classifies a relay whose trust falls below its
+    exclusion threshold as an intruder.
     """
 
-    def __init__(self, owner: str,
-                 prior_positive: float = 1.0, prior_negative: float = 1.0) -> None:
+    def __init__(self, owner: str) -> None:
         self.owner = owner
-        self.prior_positive = prior_positive
-        self.prior_negative = prior_negative
         self._positive: Dict[str, int] = {}
         self._negative: Dict[str, int] = {}
 
@@ -54,9 +52,7 @@ class CapOlsrTrust:
         """Smoothed probability that ``relay`` forwards the owner's traffic."""
         positive = self._positive.get(relay, 0)
         negative = self._negative.get(relay, 0)
-        return (positive + self.prior_positive) / (
-            positive + negative + self.prior_positive + self.prior_negative
-        )
+        return (positive + 1.0) / (positive + negative + 2.0)
 
     def trust_of(self, relay: str) -> float:
         """Entropy-based trust of ``relay`` in ``[-1, 1]``."""

@@ -35,14 +35,17 @@ class WatchdogRecord:
         return self.missed / self.expected
 
 
+#: A relay is flagged once it missed at least this many forwards ...
+MISS_THRESHOLD = 5
+#: ... and at least this fraction of the forwards expected of it.
+MISS_RATIO_THRESHOLD = 0.5
+
+
 class Watchdog:
     """Per-node watchdog counting unforwarded packets."""
 
-    def __init__(self, owner: str, miss_threshold: int = 5,
-                 miss_ratio_threshold: float = 0.5) -> None:
+    def __init__(self, owner: str) -> None:
         self.owner = owner
-        self.miss_threshold = miss_threshold
-        self.miss_ratio_threshold = miss_ratio_threshold
         self._records: Dict[str, WatchdogRecord] = {}
 
     def record_of(self, relay: str) -> WatchdogRecord:
@@ -69,7 +72,7 @@ class Watchdog:
         """Relays flagged by the watchdog."""
         flagged = set()
         for relay, record in self._records.items():
-            if record.missed >= self.miss_threshold and record.miss_ratio >= self.miss_ratio_threshold:
+            if record.missed >= MISS_THRESHOLD and record.miss_ratio >= MISS_RATIO_THRESHOLD:
                 flagged.add(relay)
         return flagged
 

@@ -1,7 +1,8 @@
 """Paper contribution: log-based detection secured by trust.
 
-* :mod:`repro.core.evidence` — detection evidences E1–E5 and the builders
-  of the three the local detector raises (E1–E3).
+* :mod:`repro.core.evidence` — the detection evidences E1–E3 the local
+  detector raises, and their builders.  E4 and E5 are a responder's deny
+  or confirm, carried in the investigation round's answers (Expression 4).
 * :mod:`repro.core.signatures` — the three link-spoofing variants
   (Expressions 1–3).
 * :mod:`repro.core.detector` — local, log-based detector producing
@@ -30,7 +31,6 @@ from repro.core.detector_node import DetectionConfig, DetectorNode
 from repro.core.evidence import (
     DetectionEvidence,
     EvidenceType,
-    SuspicionLevel,
     e1,
     e2,
     e3,
@@ -65,7 +65,6 @@ __all__ = [
     "NetworkPathTransport",
     "OracleTransport",
     "RoundResult",
-    "SuspicionLevel",
     "aggregate_detection",
     "common_two_hop_neighbors",
     "decide",

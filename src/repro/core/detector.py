@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.core.evidence import (
-    DetectionEvidence,
-    SuspicionLevel,
-    e1,
-    e2,
-    e3,
-)
+from repro.core.evidence import DetectionEvidence, e1, e2, e3
 from repro.logs.analyzer import DetectionEventType, LogAnalyzer
 
 
@@ -35,19 +29,17 @@ class InvestigationTrigger:
     #: neighbours of an MPR's advertisement); used to focus the verification.
     contested_links: List[str] = field(default_factory=list)
 
-    @property
-    def strongest_level(self) -> SuspicionLevel:
-        """Highest criticality among the collected evidences."""
-        if not self.evidences:
-            return SuspicionLevel.INFORMATIONAL
-        return max((evidence.level for evidence in self.evidences), key=int)
-
 
 class LocalDetector:
     """Turns audit-log events into investigation triggers.
 
     It keeps no event or evidence between scans beyond the analyzer's own
-    state: each scan's evidences travel in the triggers it returns.
+    state: each scan's evidences travel in the triggers it returns.  Every
+    trigger starts from an E1 or an E2, so every trigger is returned; E3
+    only enriches a trigger that exists.  A change in the links advertised
+    by a node that is *currently one of our MPRs* counts as an E2: it covers
+    the intruder that is already an MPR when it starts spoofing, so no MPR
+    replacement (E1) is ever observed.
 
     Parameters
     ----------
@@ -58,28 +50,16 @@ class LocalDetector:
         the only connectivity provider`` — the E3 check.  The OLSR node
         provides it from its 2-hop set; the lightweight experiment harness
         can omit it.
-    min_trigger_level:
-        Events below this criticality never start an investigation (the
-        paper's "minimise the number of investigations" goal).
-    mpr_advertisement_change_is_e2:
-        Treat a change in the links advertised by a node that is *currently
-        one of our MPRs* as an E2-style misbehaviour hint.  This covers the
-        common case where the intruder is already an MPR when it starts
-        spoofing, so no MPR replacement (E1) is ever observed.
     """
 
     def __init__(
         self,
         analyzer: LogAnalyzer,
         sole_provider_oracle: Optional[Callable[[str], Set[str]]] = None,
-        min_trigger_level: SuspicionLevel = SuspicionLevel.SUSPICIOUS,
-        mpr_advertisement_change_is_e2: bool = True,
     ) -> None:
         self.analyzer = analyzer
         self.node_id = analyzer.node_id
         self.sole_provider_oracle = sole_provider_oracle
-        self.min_trigger_level = min_trigger_level
-        self.mpr_advertisement_change_is_e2 = mpr_advertisement_change_is_e2
 
     # ------------------------------------------------------------------ scan
     def scan(self, now: Optional[float] = None) -> List[InvestigationTrigger]:
@@ -109,7 +89,6 @@ class LocalDetector:
                                             reason=event.details.get("reason", "misbehavior")))
             elif (
                 event.event_type == DetectionEventType.ADVERTISEMENT_CHANGED
-                and self.mpr_advertisement_change_is_e2
                 and event.subject in self.analyzer.current_mprs
                 and event.details.get("added")
             ):
@@ -128,14 +107,9 @@ class LocalDetector:
                         trigger.contested_links.append(address)
 
         # Enrich triggers with the optional E3 evidence.
-        for suspect, trigger in triggers.items():
+        for trigger in triggers.values():
             self._attach_e3(trigger)
-
-        return [
-            trigger
-            for trigger in triggers.values()
-            if int(trigger.strongest_level) >= int(self.min_trigger_level)
-        ]
+        return list(triggers.values())
 
     def _attach_e3(self, trigger: InvestigationTrigger) -> None:
         if self.sole_provider_oracle is None:

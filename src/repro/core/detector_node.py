@@ -31,7 +31,8 @@ from repro.core.investigation import (
 )
 from repro.logs.analyzer import LogAnalyzer
 from repro.logs.store import LogStore
-from repro.olsr.node import OlsrConfig, OlsrNode
+from repro.olsr.constants import Willingness
+from repro.olsr.node import OlsrNode
 from repro.trust.manager import TrustManager, TrustParameters
 from repro.seeding import stable_digest
 
@@ -56,7 +57,7 @@ class DetectorNode:
         self,
         node_id: str,
         network,
-        olsr_config: Optional[OlsrConfig] = None,
+        willingness: Willingness = Willingness.WILL_DEFAULT,
         trust_parameters: Optional[TrustParameters] = None,
         detection_config: Optional[DetectionConfig] = None,
         seed: Optional[int] = None,
@@ -68,7 +69,7 @@ class DetectorNode:
 
         # The audit log records only what a reader subscribes to: the
         # analyzer (see LogAnalyzer.subscribe) or an invariant auditor.
-        self.router = OlsrNode(node_id, network, config=olsr_config,
+        self.router = OlsrNode(node_id, network, willingness=willingness,
                                log_store=LogStore(node_id, categories=()),
                                seed=self.rng.randint(0, 2 ** 31))
         self.log = self.router.log
@@ -103,8 +104,7 @@ class DetectorNode:
             close_on_decision=self.detection_config.close_on_decision,
         )
 
-    def bind_default_transport(self, peers: Mapping[str, "DetectorNode"],
-                               colluders: Optional[Set[str]] = None) -> None:
+    def bind_default_transport(self, peers: Mapping[str, "DetectorNode"]) -> None:
         """Build the network-aware transport that avoids the suspect.
 
         ``peers`` maps node id → :class:`DetectorNode` for every node able to
@@ -113,7 +113,6 @@ class DetectorNode:
         transport = NetworkPathTransport(
             connectivity_oracle=self.network.medium.connectivity_matrix,
             responders=peers,
-            colluders=colluders,
             loss_probability=self.detection_config.query_loss_probability,
             rng=self.rng,
             owner=self.node_id,
@@ -132,7 +131,7 @@ class DetectorNode:
         checks whether ``link_peer``'s recent HELLOs advertise the suspect
         back).  Well-behaving nodes answer truthfully from their OLSR state; a
         liar behaviour installed through ``answer_mutators`` may falsify the
-        answer (or suppress it by returning ``None``).
+        answer.
         """
         if link_peer is None or link_peer == self.node_id:
             honest: Optional[bool] = suspect in self.router.symmetric_neighbors()

@@ -1,6 +1,7 @@
-"""Detection evidences E1–E5 (Section III-B of the paper).
+"""Detection evidences E1–E3 (Section III-B of the paper).
 
-The detection of a link-spoofing attack relies on five classes of evidence:
+The detection of a link-spoofing attack relies on five classes of evidence;
+the first three are evidence objects a node raises from its own logs:
 
 * **E1** — an MPR has been replaced (a change in the covering of 1-hop
   neighbours caused the replacement).
@@ -8,56 +9,31 @@ The detection of a link-spoofing attack relies on five classes of evidence:
   forging or mis-relaying messages).
 * **E3** — an MPR is the only node providing connectivity to some node(s);
   suspicious but not sufficient to start an investigation on its own.
-* **E4** — an MPR does not cover its adjacent neighbour(s): a neighbour
-  denies the link the MPR advertises.
-* **E5** — an MPR provides connectivity to a non-neighbour: it advertises a
-  node that is not actually adjacent.
 
-E1/E2 (optionally strengthened by E3) start an investigation; E4/E5 are what
-the cooperative investigation establishes, and decide whether the suspicious
-MPR is an intruder (Expression 4).
+E1 or E2 starts an investigation, and E3 only enriches the trigger it joins.
+E4 (an MPR does not cover its adjacent neighbour: a neighbour denies the
+advertised link) and E5 (an MPR advertises a node that is not adjacent) are
+not evidence objects: they are a responder's deny or confirm, carried in the
+round's answers, and decide whether the suspicious MPR is an intruder
+(Expression 4).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 class EvidenceType(str, enum.Enum):
-    """The five evidences of the link-spoofing detection strategy."""
+    """The evidences a node raises from its own logs."""
 
     E1_MPR_REPLACED = "E1"
     E2_MPR_MISBEHAVIOR = "E2"
     E3_SOLE_PROVIDER = "E3"
-    E4_NEIGHBOR_NOT_COVERED = "E4"
-    E5_NON_NEIGHBOR_ADVERTISED = "E5"
 
     def __str__(self) -> str:
         return self.value
-
-
-class SuspicionLevel(int, enum.Enum):
-    """Criticality attached to an evidence, driving whether to investigate.
-
-    The paper categorises events by level of criticality so that only the
-    relevant ones trigger a (costly) distributed investigation.
-    """
-
-    INFORMATIONAL = 0
-    SUSPICIOUS = 1
-    CRITICAL = 2
-
-
-#: Default criticality per evidence type.
-DEFAULT_SUSPICION = {
-    EvidenceType.E1_MPR_REPLACED: SuspicionLevel.SUSPICIOUS,
-    EvidenceType.E2_MPR_MISBEHAVIOR: SuspicionLevel.CRITICAL,
-    EvidenceType.E3_SOLE_PROVIDER: SuspicionLevel.INFORMATIONAL,
-    EvidenceType.E4_NEIGHBOR_NOT_COVERED: SuspicionLevel.CRITICAL,
-    EvidenceType.E5_NON_NEIGHBOR_ADVERTISED: SuspicionLevel.CRITICAL,
-}
 
 
 @dataclass(frozen=True)
@@ -68,15 +44,8 @@ class DetectionEvidence:
     observer: str
     suspect: str
     time: float
-    suspicion: Optional[SuspicionLevel] = None
     details: Dict[str, str] = field(default_factory=dict, hash=False, compare=False)
 
-    @property
-    def level(self) -> SuspicionLevel:
-        """Criticality level (explicit value or the per-type default)."""
-        if self.suspicion is not None:
-            return self.suspicion
-        return DEFAULT_SUSPICION[self.evidence_type]
 
 def e1(observer: str, suspect: str, time: float, replaced: str) -> DetectionEvidence:
     """Build an E1 evidence: ``suspect`` replaced ``replaced`` as MPR of ``observer``."""

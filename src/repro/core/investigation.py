@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional, Protocol,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Set,
+                    Tuple)
 
 from repro.core.decision import (
     ANSWER_CONFIRM,
@@ -426,16 +426,15 @@ def common_two_hop_neighbors(
 def reachable_avoiding(
     connectivity: Mapping[str, Sequence[str]],
     source: str,
-    avoid: FrozenSet[str],
+    suspect: str,
 ) -> Set[str]:
-    """Every node a request from ``source`` can reach without transiting ``avoid``.
+    """Every node a request from ``source`` can reach without transiting ``suspect``.
 
-    A node is reached when some path from ``source`` ends at it and none of
-    the nodes in between belongs to ``avoid``.  ``source`` itself is always
-    reached, and a member of ``avoid`` is reached as an endpoint (a query
-    addressed to the suspect or a colluder) but never relayed through.  A
-    node left out is unreachable without crossing a suspect: the E3
-    dead-end of the paper.
+    A node is reached when some path from ``source`` ends at it and the
+    suspect is not one of the nodes in between.  ``source`` itself is always
+    reached, and the suspect is reached as an endpoint (a query addressed to
+    it) but never relayed through.  A node left out is unreachable without
+    crossing the suspect: the E3 dead-end of the paper.
     """
     reached = {source}
     frontier = [source]
@@ -446,7 +445,7 @@ def reachable_avoiding(
                 if neighbor in reached:
                     continue
                 reached.add(neighbor)
-                if neighbor not in avoid:
+                if neighbor != suspect:
                     relays.append(neighbor)
         frontier = relays
     return reached
@@ -455,15 +454,15 @@ def reachable_avoiding(
 class NetworkPathTransport:
     """Transport that honours the "avoid the suspect" routing rule.
 
-    The request (and its answer) must not go through the suspicious MPR or any
-    node in ``colluders``.  Reachability is evaluated on the supplied
-    connectivity oracle; when no alternative path exists the query fails
-    (``None``), reproducing the E3 dead-end of the paper.  Each successful
+    The request (and its answer) must not go through the suspicious MPR.
+    Reachability is evaluated on the supplied connectivity oracle; when no
+    alternative path exists the query fails (``None``), reproducing the E3
+    dead-end of the paper.  Each successful
     query can still be lost with ``loss_probability`` (unreliable channel).
 
     Reachability does not depend on the responder or the contested link, so
     one :func:`reachable_avoiding` set per (connectivity mapping, requester,
-    avoided nodes) answers every query of an investigation round.  The
+    suspect) answers every query of an investigation round.  The
     oracle's contract: return a new mapping object whenever connectivity
     changes (as :meth:`repro.netsim.medium.WirelessMedium.connectivity_matrix`
     does), and never mutate one it has returned.
@@ -473,29 +472,26 @@ class NetworkPathTransport:
         self,
         connectivity_oracle: Callable[[], Mapping[str, Sequence[str]]],
         responders: Mapping[str, object],
-        colluders: Optional[Set[str]] = None,
         loss_probability: float = 0.0,
         rng: Optional[random.Random] = None,
         owner: str = "",
     ) -> None:
         self._connectivity_oracle = connectivity_oracle
         self._responders = dict(responders)
-        self.colluders = set(colluders or set())
         self.loss_probability = loss_probability
         self.rng = rng or _transport_rng("network-path-transport", owner)
         # The last reachable set and what it was computed from.  Holding the
         # mapping keeps its identity from being recycled by a new object.
         self._reach_connectivity: Optional[Mapping[str, Sequence[str]]] = None
-        self._reach_inputs: Optional[Tuple[str, FrozenSet[str]]] = None
+        self._reach_inputs: Optional[Tuple[str, str]] = None
         self._reachable: Set[str] = set()
 
     def verify_link(self, requester: str, responder: str, suspect: str,
                     link_peer: Optional[str] = None) -> Optional[bool]:
         connectivity = self._connectivity_oracle()
-        avoid = frozenset(self.colluders | {suspect})
-        inputs = (requester, avoid)
+        inputs = (requester, suspect)
         if connectivity is not self._reach_connectivity or inputs != self._reach_inputs:
-            self._reachable = reachable_avoiding(connectivity, requester, avoid)
+            self._reachable = reachable_avoiding(connectivity, requester, suspect)
             self._reach_connectivity, self._reach_inputs = connectivity, inputs
         if responder not in self._reachable:
             return None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments._cli import (
     emit_report,
@@ -429,9 +429,10 @@ commands:
 run '{_PROG} <command> --help' for the command's options."""
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
+def main(argv: Sequence[str]) -> int:
+    """CLI entry point: ``argv`` is the command line after the program name;
+    returns the process exit code."""
+    argv = list(argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(_USAGE)
         return 0 if argv else 2
@@ -451,4 +452,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

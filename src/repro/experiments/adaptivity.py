@@ -72,13 +72,13 @@ def resolve_adaptivity_params(params: Dict[str, object]) -> Dict[str, object]:
     return resolved
 
 
-def time_to_distrust(result: ExperimentResult,
-                     threshold: float = DISTRUST_THRESHOLD) -> Optional[int]:
+def time_to_distrust(result: ExperimentResult) -> Optional[int]:
     """Rounds until the investigator's trust in the attacker reaches
-    ``threshold`` (1-based; ``None`` = the attacker survived the run)."""
+    :data:`DISTRUST_THRESHOLD` (1-based; ``None`` = the attacker survived
+    the run)."""
     for record in result.rounds:
         snapshot = record.trust_snapshot
-        if snapshot and snapshot.get(result.attacker, 1.0) <= threshold:
+        if snapshot and snapshot.get(result.attacker, 1.0) <= DISTRUST_THRESHOLD:
             return record.round_index + 1
     return None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.trust.manager import TrustParameters
+from repro.trust.manager import TrustParameters, require_finite
 
 #: Adversary adaptivity tiers the round loop (and the netsim threat
 #: compositions) implement.  ``"static"`` reproduces the paper's open-loop
@@ -76,6 +76,8 @@ class ScenarioConfig:
     )
 
     def __post_init__(self) -> None:
+        require_finite(self)
+        self.trust.validate()
         if self.total_nodes < 3:
             raise ValueError("a scenario needs at least investigator, attacker and one responder")
         if self.rounds <= 0:

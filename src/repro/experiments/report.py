@@ -51,9 +51,8 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_series(series: Mapping[str, Sequence[float]], title: Optional[str] = None,
-                  precision: int = 2) -> str:
-    """Format named numeric series as aligned rows of values."""
+def format_series(series: Mapping[str, Sequence[float]], title: Optional[str] = None) -> str:
+    """Format named numeric series as aligned rows of signed two-decimal values."""
     lines: List[str] = []
     if title:
         lines.append(title)
@@ -63,7 +62,7 @@ def format_series(series: Mapping[str, Sequence[float]], title: Optional[str] = 
     label_width = max(len(str(label)) for label in series)
     for label in sorted(series):
         values = series[label]
-        rendered = " ".join(f"{v:+.{precision}f}" for v in values)
+        rendered = " ".join(f"{v:+.2f}" for v in values)
         lines.append(f"{str(label).ljust(label_width)} : {rendered}")
     return "\n".join(lines)
 
@@ -115,12 +114,11 @@ def format_trajectories(trajectories: Mapping[str, Sequence[float]],
 
 def aggregate_rows(rows: Iterable[Mapping[str, object]],
                    group_by: Sequence[str],
-                   value_columns: Sequence[str],
-                   count_column: str = "runs") -> List[Dict[str, object]]:
+                   value_columns: Sequence[str]) -> List[Dict[str, object]]:
     """Group ``rows`` by the ``group_by`` columns and average ``value_columns``.
 
     Non-numeric (or missing) values are skipped in the mean; each output row
-    carries the group key columns, the per-column means and a ``count_column``
+    carries the group key columns, the per-column means and a ``runs`` column
     with the group size.  Groups are emitted in sorted key order so repeated
     aggregations of the same data are byte-identical.
 
@@ -158,7 +156,7 @@ def aggregate_rows(rows: Iterable[Mapping[str, object]],
     for key in sorted(groups, key=sort_key):
         count, sums = groups[key]
         out: Dict[str, object] = dict(zip(group_by, key))
-        out[count_column] = count
+        out["runs"] = count
         for column in value_columns:
             total, seen = sums[column]
             out[column] = total / seen if seen else None

@@ -55,7 +55,6 @@ from repro.netsim.mobility import (
 from repro.netsim.network import Network
 from repro.netsim.engine import Simulator
 from repro.olsr.constants import Willingness
-from repro.olsr.node import OlsrConfig
 from repro.seeding import stable_seed
 from repro.trust.manager import TrustParameters
 
@@ -158,11 +157,10 @@ def build_canonical_scenario(
     nodes: Dict[str, DetectorNode] = {}
     for node_id in CANONICAL_POSITIONS:
         willingness = Willingness.WILL_HIGH if node_id == "attacker" else Willingness.WILL_DEFAULT
-        config = OlsrConfig(willingness=willingness)
         nodes[node_id] = DetectorNode(
             node_id,
             network,
-            olsr_config=config,
+            willingness=willingness,
             detection_config=detection_config or DetectionConfig(),
             seed=rng.randint(0, 2 ** 31),
         )
@@ -351,7 +349,7 @@ def build_manet_scenario(
         nodes[node_id] = DetectorNode(
             node_id,
             network,
-            olsr_config=OlsrConfig(willingness=willingness),
+            willingness=willingness,
             trust_parameters=trust_parameters,
             detection_config=detection_config or DetectionConfig(),
             seed=rng.randint(0, 2 ** 31),

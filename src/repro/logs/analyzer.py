@@ -3,8 +3,10 @@
 The analyzer is the first stage of the paper's detection pipeline: it parses
 a node's own logs and surfaces the *local observations* that can start an
 investigation — an MPR being replaced (evidence ``E1``), a previously
-selected MPR caught misbehaving (``E2``), and the raw material needed to
-evaluate ``E3``–``E5`` (who advertised which symmetric neighbours, and when).
+selected MPR caught misbehaving (``E2``), and who advertised which symmetric
+neighbours, and when.  ``E3`` comes from the node's 2-hop set, and ``E4`` and
+``E5`` are the responders' denies and confirms in an investigation round
+(Expression 4), not log events.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class NeighborhoodSnapshot:
     willingness: Optional[int] = None
 
 
+#: A neighbour whose link was lost this many times ...
+INSTABILITY_THRESHOLD = 4
+#: ... within this many seconds is unstable.
+INSTABILITY_WINDOW = 30.0
+
+
 class LogAnalyzer:
     """Stateful analyzer scanning a :class:`LogStore` incrementally.
 
@@ -69,15 +77,12 @@ class LogAnalyzer:
 
     MARK = "log-analyzer"
 
-    def __init__(self, store: LogStore, instability_threshold: int = 4,
-                 instability_window: float = 30.0) -> None:
+    def __init__(self, store: LogStore) -> None:
         self.store = store
         self.node_id = store.node_id
         self.snapshots: Dict[str, NeighborhoodSnapshot] = {}
         self.current_mprs: Set[str] = set()
         self.known_neighbors: Set[str] = set()
-        self.instability_threshold = instability_threshold
-        self.instability_window = instability_window
         self._link_flaps: Dict[str, List[float]] = {}
         self._handlers: Dict[LogCategory, Callable[[LogRecord], List[DetectionEvent]]] = {
             LogCategory.MESSAGE_RX: self._on_message_rx,
@@ -229,9 +234,9 @@ class LogAnalyzer:
             return []
         flaps = self._link_flaps.setdefault(neighbor, [])
         flaps.append(record.time)
-        cutoff = record.time - self.instability_window
+        cutoff = record.time - INSTABILITY_WINDOW
         flaps[:] = [t for t in flaps if t >= cutoff]
-        if len(flaps) >= self.instability_threshold:
+        if len(flaps) >= INSTABILITY_THRESHOLD:
             self._link_flaps[neighbor] = []
             return [
                 DetectionEvent(
@@ -239,7 +244,7 @@ class LogAnalyzer:
                     node=self.node_id,
                     event_type=DetectionEventType.LINK_INSTABILITY,
                     subject=neighbor,
-                    details={"flaps": str(self.instability_threshold)},
+                    details={"flaps": str(INSTABILITY_THRESHOLD)},
                 )
             ]
         return []

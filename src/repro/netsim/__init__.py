@@ -84,12 +84,11 @@ from repro.netsim.mobility import (
     UniformRandomPlacement,
 )
 from repro.netsim.network import Network, NetworkInterface, PositionTable
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 from repro.netsim.stats import MediumStatistics
 from repro.netsim.trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "BROADCAST_ADDRESS",
     "BernoulliLossModel",
     "DistanceLossModel",
     "EventHandle",

@@ -51,7 +51,6 @@ medium kept in ``tests/reference/``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,6 +60,9 @@ from repro.netsim.packet import Frame
 from repro.netsim.stats import MediumStatistics
 
 Position = Tuple[float, float]
+
+#: Seconds between a transmission and its delivery to every receiver.
+PROPAGATION_DELAY = 1e-4
 
 
 def distance(a: Position, b: Position) -> float:
@@ -134,25 +136,24 @@ class BernoulliLossModel:
 
 @dataclass
 class DistanceLossModel:
-    """Loss probability grows with distance relative to ``radio_range``.
+    """Loss probability grows with the square of the distance relative to
+    ``radio_range``.
 
-    ``p_loss = min(max_loss, (d / radio_range) ** exponent * max_loss)``.
-    Within a fraction ``reliable_fraction`` of the range, delivery is perfect.
-    The default ``rng`` is seeded for run-to-run determinism.
+    ``p_loss = min(max_loss, (d / radio_range) ** 2 * max_loss)``.  Within
+    half the range, delivery is perfect.  The default ``rng`` is seeded for
+    run-to-run determinism.
     """
 
     radio_range: float = 250.0
     max_loss: float = 0.8
-    exponent: float = 2.0
-    reliable_fraction: float = 0.5
     rng: random.Random = field(default_factory=lambda: random.Random(0))
 
     def loss_probability(self, d: float) -> float:
         """Loss probability at distance ``d``."""
-        if d <= self.radio_range * self.reliable_fraction:
+        if d <= self.radio_range * 0.5:
             return 0.0
         ratio = min(d / self.radio_range, 1.0)
-        return min(self.max_loss, (ratio ** self.exponent) * self.max_loss)
+        return min(self.max_loss, (ratio ** 2.0) * self.max_loss)
 
     def is_lost(self, frame: Frame, sender: Position, receiver: Position) -> bool:
         return self.rng.random() < self.loss_probability(distance(sender, receiver))
@@ -224,14 +225,8 @@ class WirelessMedium:
         simulator,
         propagation: Optional[PropagationModel] = None,
         loss_model: Optional[LossModel] = None,
-        propagation_delay: float = 1e-4,
     ) -> None:
         self._simulator = simulator
-        self.propagation_delay = propagation_delay
-        #: Per-medium frame-id pool: two networks in one process (the
-        #: differential validator runs oracle and netsim side by side) must
-        #: not interleave their id streams.
-        self._frame_ids = itertools.count(1)
         #: Per-receiver delivery events elided by batching (one event serves
         #: every receiver of a frame).  Reporting code adds this to
         #: ``Simulator.processed_events`` so the "events" metric counts one
@@ -366,10 +361,6 @@ class WirelessMedium:
         resolution = self._broadcasts.get(source)
         if resolution is None:
             resolution = self._resolve_broadcast(source)
-        now = self._simulator.now
-        frame.created_at = now
-        if frame._frame_id is None:
-            frame._frame_id = next(self._frame_ids)
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
@@ -393,7 +384,7 @@ class WirelessMedium:
                 return
         self.batched_deliveries_saved += len(survivors) - 1
         if self.trace_recorder is None:
-            self._simulator.post(self.propagation_delay, self._deliver_batch,
+            self._simulator.post(PROPAGATION_DELAY, self._deliver_batch,
                                  frame, survivors)
             return
         # Capture the positions (and the range) the in-range decision was
@@ -403,7 +394,7 @@ class WirelessMedium:
         tx_range = float(self._propagation.radio_range)
         tx_infos = [(sender_pos, positions[receiver_id], tx_range)
                     for receiver_id, _ in survivors]
-        self._simulator.post(self.propagation_delay, self._deliver_traced,
+        self._simulator.post(PROPAGATION_DELAY, self._deliver_traced,
                              frame, survivors, tx_infos)
 
     def _resolve_broadcast(self, source: str) -> Resolution:

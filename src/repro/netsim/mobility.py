@@ -19,9 +19,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Protocol, Sequence, Tuple
 
 Position = Tuple[float, float]
+
+#: Seconds of simulated time between two ticks of a mobility model.
+UPDATE_INTERVAL = 1.0
+#: Distance between neighbouring nodes of a :class:`GridPlacement`.
+GRID_SPACING = 180.0
+#: Standard deviations of the Gauss–Markov speed (m/s) and heading (rad)
+#: noise.
+GAUSS_MARKOV_SPEED_STDDEV = 1.0
+GAUSS_MARKOV_DIRECTION_STDDEV = 0.6
+#: Groups of a :class:`ReferencePointGroupMobility` (fewer with fewer nodes).
+RPGM_GROUP_COUNT = 3
 
 
 class MobilityModel(Protocol):
@@ -54,25 +65,22 @@ class StaticPlacement:
 
 @dataclass
 class GridPlacement:
-    """Place nodes on a regular grid with the given ``spacing``.
+    """Place nodes on a regular grid, :data:`GRID_SPACING` apart.
 
-    The grid is as square as possible; spacing is chosen relative to the radio
-    range so that the resulting topology is multi-hop (important for the
-    2-hop-neighbour investigations of the paper).
+    The grid is as square as possible; the spacing is chosen relative to the
+    default 250 m radio range so that the resulting topology is multi-hop
+    (important for the 2-hop-neighbour investigations of the paper).
     """
 
-    spacing: float = 180.0
     origin: Position = (0.0, 0.0)
-    columns: Optional[int] = None
 
     def place(self, node_ids: Sequence[str]) -> Dict[str, Position]:
-        n = len(node_ids)
-        cols = self.columns or max(1, int(math.ceil(math.sqrt(n))))
+        cols = max(1, int(math.ceil(math.sqrt(len(node_ids)))))
         ox, oy = self.origin
         positions: Dict[str, Position] = {}
         for index, nid in enumerate(node_ids):
             row, col = divmod(index, cols)
-            positions[nid] = (ox + col * self.spacing, oy + row * self.spacing)
+            positions[nid] = (ox + col * GRID_SPACING, oy + row * GRID_SPACING)
         return positions
 
     def install(self, network) -> None:
@@ -103,7 +111,8 @@ class RandomWaypointMobility:
 
     Each node picks a random destination and speed in ``[min_speed, max_speed]``,
     moves there in straight line, pauses ``pause_time`` seconds, then repeats.
-    Positions are updated every ``update_interval`` seconds of simulated time.
+    Positions are updated every :data:`UPDATE_INTERVAL` seconds of simulated
+    time.
     """
 
     width: float = 1000.0
@@ -111,7 +120,6 @@ class RandomWaypointMobility:
     min_speed: float = 1.0
     max_speed: float = 5.0
     pause_time: float = 2.0
-    update_interval: float = 1.0
     rng: random.Random = field(default_factory=random.Random)
     _targets: Dict[str, Position] = field(default_factory=dict)
     _speeds: Dict[str, float] = field(default_factory=dict)
@@ -128,10 +136,10 @@ class RandomWaypointMobility:
 
     def install(self, network) -> None:
         network.simulator.schedule_periodic(
-            self.update_interval,
+            UPDATE_INTERVAL,
             self._advance,
             network,
-            start_delay=self.update_interval,
+            start_delay=UPDATE_INTERVAL,
         )
 
     # internal ------------------------------------------------------------
@@ -152,7 +160,7 @@ class RandomWaypointMobility:
                 self._pick_new_target(node_id)
                 target = self._targets[node_id]
             speed = self._speeds.get(node_id, self.min_speed)
-            step = speed * self.update_interval
+            step = speed * UPDATE_INTERVAL
             dx, dy = target[0] - position[0], target[1] - position[1]
             dist = math.hypot(dx, dy)
             if dist <= step:
@@ -173,7 +181,6 @@ class RandomWalkMobility:
     width: float = 1000.0
     height: float = 1000.0
     max_step: float = 10.0
-    update_interval: float = 1.0
     rng: random.Random = field(default_factory=random.Random)
 
     def place(self, node_ids: Sequence[str]) -> Dict[str, Position]:
@@ -184,10 +191,10 @@ class RandomWalkMobility:
 
     def install(self, network) -> None:
         network.simulator.schedule_periodic(
-            self.update_interval,
+            UPDATE_INTERVAL,
             self._advance,
             network,
-            start_delay=self.update_interval,
+            start_delay=UPDATE_INTERVAL,
         )
 
     def _advance(self, network) -> None:
@@ -205,12 +212,14 @@ class GaussMarkovMobility:
     """Gauss–Markov mobility (temporally correlated speed and heading).
 
     Each node carries a speed and a direction updated every
-    ``update_interval`` seconds by the Gauss–Markov recurrence::
+    :data:`UPDATE_INTERVAL` seconds by the Gauss–Markov recurrence::
 
         s_t = α·s_{t−1} + (1−α)·s̄ + √(1−α²)·N(0, σ_s)
         d_t = α·d_{t−1} + (1−α)·d̄ + √(1−α²)·N(0, σ_d)
 
-    with memory factor ``alpha`` ∈ [0, 1]: 1 keeps the previous velocity
+    with memory factor ``alpha`` ∈ [0, 1] and the noise deviations σ_s =
+    :data:`GAUSS_MARKOV_SPEED_STDDEV` and σ_d =
+    :data:`GAUSS_MARKOV_DIRECTION_STDDEV`: 1 keeps the previous velocity
     forever (linear motion), 0 degenerates to a memoryless random walk.
     Unlike random waypoint, movement has no pause/teleport discontinuities
     and no density concentration at the area centre, so neighbourhoods churn
@@ -222,9 +231,6 @@ class GaussMarkovMobility:
     height: float = 1000.0
     mean_speed: float = 3.0
     alpha: float = 0.75
-    speed_stddev: float = 1.0
-    direction_stddev: float = 0.6
-    update_interval: float = 1.0
     rng: random.Random = field(default_factory=random.Random)
     _speeds: Dict[str, float] = field(default_factory=dict)
     _directions: Dict[str, float] = field(default_factory=dict)
@@ -236,7 +242,8 @@ class GaussMarkovMobility:
             for nid in node_ids
         }
         for nid in node_ids:
-            self._speeds[nid] = max(0.0, self.rng.gauss(self.mean_speed, self.speed_stddev))
+            self._speeds[nid] = max(
+                0.0, self.rng.gauss(self.mean_speed, GAUSS_MARKOV_SPEED_STDDEV))
             direction = self.rng.uniform(0.0, 2.0 * math.pi)
             self._directions[nid] = direction
             self._mean_directions[nid] = direction
@@ -244,10 +251,10 @@ class GaussMarkovMobility:
 
     def install(self, network) -> None:
         network.simulator.schedule_periodic(
-            self.update_interval,
+            UPDATE_INTERVAL,
             self._advance,
             network,
-            start_delay=self.update_interval,
+            start_delay=UPDATE_INTERVAL,
         )
 
     def _advance(self, network) -> None:
@@ -258,11 +265,11 @@ class GaussMarkovMobility:
             direction = self._directions.get(node_id, 0.0)
             mean_direction = self._mean_directions.get(node_id, direction)
             speed = (a * speed + (1.0 - a) * self.mean_speed
-                     + noise * self.rng.gauss(0.0, self.speed_stddev))
+                     + noise * self.rng.gauss(0.0, GAUSS_MARKOV_SPEED_STDDEV))
             direction = (a * direction + (1.0 - a) * mean_direction
-                         + noise * self.rng.gauss(0.0, self.direction_stddev))
+                         + noise * self.rng.gauss(0.0, GAUSS_MARKOV_DIRECTION_STDDEV))
             speed = max(0.0, speed)
-            step = speed * self.update_interval
+            step = speed * UPDATE_INTERVAL
             nx = x + step * math.cos(direction)
             ny = y + step * math.sin(direction)
             # Reflect off the edges and flip the mean direction so the
@@ -285,7 +292,7 @@ class GaussMarkovMobility:
 class ReferencePointGroupMobility:
     """Reference-point group mobility (RPGM).
 
-    Nodes are partitioned into ``group_count`` groups.  Each group has a
+    Nodes are partitioned into :data:`RPGM_GROUP_COUNT` groups.  Each group has a
     *reference point* performing random-waypoint motion; every member
     follows its group's reference point while wandering inside a disc of
     radius ``member_radius`` around it.  This produces the clustered,
@@ -296,11 +303,9 @@ class ReferencePointGroupMobility:
 
     width: float = 1000.0
     height: float = 1000.0
-    group_count: int = 3
     member_radius: float = 120.0
     min_speed: float = 1.0
     max_speed: float = 5.0
-    update_interval: float = 1.0
     rng: random.Random = field(default_factory=random.Random)
     _group_of: Dict[str, int] = field(default_factory=dict)
     _references: Dict[int, Position] = field(default_factory=dict)
@@ -309,7 +314,7 @@ class ReferencePointGroupMobility:
     _offsets: Dict[str, Position] = field(default_factory=dict)
 
     def place(self, node_ids: Sequence[str]) -> Dict[str, Position]:
-        groups = max(1, min(self.group_count, len(node_ids)))
+        groups = max(1, min(RPGM_GROUP_COUNT, len(node_ids)))
         positions: Dict[str, Position] = {}
         for group in range(groups):
             self._references[group] = (
@@ -326,10 +331,10 @@ class ReferencePointGroupMobility:
 
     def install(self, network) -> None:
         network.simulator.schedule_periodic(
-            self.update_interval,
+            UPDATE_INTERVAL,
             self._advance,
             network,
-            start_delay=self.update_interval,
+            start_delay=UPDATE_INTERVAL,
         )
 
     # internal ------------------------------------------------------------
@@ -357,7 +362,7 @@ class ReferencePointGroupMobility:
         for group, reference in list(self._references.items()):
             target = self._targets[group]
             speed = self._speeds[group]
-            step = speed * self.update_interval
+            step = speed * UPDATE_INTERVAL
             dx, dy = target[0] - reference[0], target[1] - reference[1]
             dist = math.hypot(dx, dy)
             if dist <= step:

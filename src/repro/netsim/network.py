@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium, UnitDiskPropagation, PerfectChannel
 from repro.netsim.mobility import MobilityModel, GridPlacement
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 
 Position = Tuple[float, float]
 
@@ -87,8 +87,7 @@ class NetworkInterface:
 
     def broadcast(self, payload, size_bytes: int = 64, **metadata) -> Frame:
         """Broadcast ``payload`` to every node in range; returns the frame."""
-        frame = Frame(self.node_id, BROADCAST_ADDRESS, payload, size_bytes,
-                      metadata=metadata)
+        frame = Frame(self.node_id, payload, size_bytes, metadata=metadata)
         self._network.medium.transmit(frame)
         return frame
 

@@ -8,7 +8,11 @@ by tests and by the experiment report generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List
+
+#: A recorder keeps at most this many events: when full, the oldest events
+#: are discarded, which keeps long simulations from exhausting memory.
+MAX_EVENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -23,15 +27,11 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only trace with simple querying.
+    """Append-only trace of at most :data:`MAX_EVENTS` events, with simple
+    querying."""
 
-    The recorder can be bounded (``max_events``) to keep long simulations from
-    exhausting memory; when full, the oldest events are discarded.
-    """
-
-    def __init__(self, max_events: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
-        self._max_events = max_events
         self._subscribers: List[Callable[[TraceEvent], None]] = []
 
     def record(
@@ -46,8 +46,8 @@ class TraceRecorder:
         event = TraceEvent(time=time, category=category, node=node,
                            description=description, data=data)
         self._events.append(event)
-        if self._max_events is not None and len(self._events) > self._max_events:
-            del self._events[: len(self._events) - self._max_events]
+        if len(self._events) > MAX_EVENTS:
+            del self._events[: len(self._events) - MAX_EVENTS]
         for callback in self._subscribers:
             callback(event)
         return event
@@ -88,5 +88,5 @@ class TraceRecorder:
         """Bulk-append already constructed events (used when merging traces)."""
         for event in events:
             self._events.append(event)
-        if self._max_events is not None and len(self._events) > self._max_events:
-            del self._events[: len(self._events) - self._max_events]
+        if len(self._events) > MAX_EVENTS:
+            del self._events[: len(self._events) - MAX_EVENTS]

@@ -35,7 +35,7 @@ from repro.olsr.messages import (
     TcMessage,
 )
 from repro.olsr.mpr import MprComputationResult, mpr_coverage_complete, select_mprs
-from repro.olsr.node import OlsrConfig, OlsrNode
+from repro.olsr.node import OlsrNode
 from repro.olsr.packet import OlsrPacket
 from repro.olsr.routing import RouteEntry, RoutingTable, compute_routing_table
 from repro.olsr.topology import TopologySet, TopologyTuple
@@ -55,7 +55,6 @@ __all__ = [
     "NeighborSet",
     "NeighborTuple",
     "NeighborType",
-    "OlsrConfig",
     "OlsrMessage",
     "OlsrNode",
     "OlsrPacket",

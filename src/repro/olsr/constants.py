@@ -1,8 +1,7 @@
 """Protocol constants from RFC 3626 (Optimized Link State Routing).
 
-Timing values are in seconds of simulated time.  They follow the RFC defaults
-but every :class:`repro.olsr.node.OlsrConfig` field can override them, which
-the experiments use to shorten runs.
+Timing values are in seconds of simulated time.  They are the RFC 3626 §18
+defaults, and every node runs on them: nothing overrides a timer.
 """
 
 from __future__ import annotations
@@ -20,6 +19,10 @@ DUP_HOLD_TIME = 30.0
 
 #: Maximum jitter subtracted from periodic emission intervals (RFC §18.3).
 MAXJITTER = HELLO_INTERVAL / 4.0
+#: A node's first HELLO leaves within this long of its start.
+START_DELAY_MAX = 1.0
+#: A relayed flooded message waits a uniform delay below this (RFC §3.4).
+FORWARD_JITTER = 0.1
 
 
 # ---------------------------------------------------------------- message ids

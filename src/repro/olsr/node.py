@@ -41,7 +41,6 @@ may wrap on the class: a node binds ``handle_control`` when it is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Set
 
 from repro.logs.records import LogCategory
@@ -50,11 +49,13 @@ from repro.netsim.packet import Frame
 from repro.netsim.stats import NodeStatistics
 from repro.olsr.constants import (
     DUP_HOLD_TIME,
+    FORWARD_JITTER,
     HELLO_INTERVAL,
     MAXJITTER,
     MESSAGE_HEADER_SIZE,
     NEIGHB_HOLD_TIME,
     PACKET_HEADER_SIZE,
+    START_DELAY_MAX,
     TC_INTERVAL,
     TOP_HOLD_TIME,
     LinkType,
@@ -93,24 +94,6 @@ _FORWARD = LogCategory.FORWARD
 _HEADERS_SIZE = PACKET_HEADER_SIZE + MESSAGE_HEADER_SIZE
 
 
-@dataclass
-class OlsrConfig:
-    """Per-node protocol configuration (RFC defaults, all overridable)."""
-
-    hello_interval: float = HELLO_INTERVAL
-    tc_interval: float = TC_INTERVAL
-    neighbor_hold_time: float = NEIGHB_HOLD_TIME
-    topology_hold_time: float = TOP_HOLD_TIME
-    duplicate_hold_time: float = DUP_HOLD_TIME
-    willingness: Willingness = Willingness.WILL_DEFAULT
-    emission_jitter: float = MAXJITTER
-    start_delay_max: float = 1.0
-    #: Emit TC messages even with an empty MPR-selector set (useful in tests).
-    tc_when_no_selectors: bool = False
-    #: Forwarding jitter applied before relaying flooded messages.
-    forward_jitter: float = 0.1
-
-
 class OlsrNode:
     """One OLSR router attached to a simulated network."""
 
@@ -118,7 +101,7 @@ class OlsrNode:
         self,
         node_id: str,
         network,
-        config: Optional[OlsrConfig] = None,
+        willingness: Willingness = Willingness.WILL_DEFAULT,
         log_store: Optional[LogStore] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -127,7 +110,7 @@ class OlsrNode:
         self.log = log_store if log_store is not None else LogStore(node_id)
         self.rng = random.Random(seed if seed is not None else stable_digest(node_id) & 0xFFFF)
         self.stats = NodeStatistics()
-        self.config = config or OlsrConfig()
+        self.willingness = willingness
 
         # Information repositories (RFC §4).
         self.link_set = LinkSet()
@@ -135,7 +118,7 @@ class OlsrNode:
         self.two_hop_set = TwoHopNeighborSet()
         self.mpr_selector_set = MprSelectorSet()
         self.topology_set = TopologySet()
-        self.duplicate_set = DuplicateSet(hold_time=self.config.duplicate_hold_time)
+        self.duplicate_set = DuplicateSet(hold_time=DUP_HOLD_TIME)
         self._routing_table = RoutingTable()
         self._mpr_set: Set[str] = set()
         self.ansn = 0
@@ -179,26 +162,26 @@ class OlsrNode:
             return
         self._started = True
         self.log.log(self.now, LogCategory.SYSTEM, "NODE_STARTED",
-                     willingness=int(self.config.willingness))
-        start_delay = self.rng.uniform(0.0, self.config.start_delay_max)
+                     willingness=int(self.willingness))
+        start_delay = self.rng.uniform(0.0, START_DELAY_MAX)
         self._schedule_periodic(
-            self.config.hello_interval,
+            HELLO_INTERVAL,
             self._emit_hello,
             start_delay=start_delay,
-            jitter=self.config.emission_jitter,
+            jitter=MAXJITTER,
             rng=self.rng,
         )
         self._schedule_periodic(
-            self.config.tc_interval,
+            TC_INTERVAL,
             self._emit_tc,
-            start_delay=start_delay + self.config.hello_interval,
-            jitter=self.config.emission_jitter,
+            start_delay=start_delay + HELLO_INTERVAL,
+            jitter=MAXJITTER,
             rng=self.rng,
         )
         self._schedule_periodic(
-            self.config.hello_interval,
+            HELLO_INTERVAL,
             self._housekeeping,
-            start_delay=self.config.hello_interval,
+            start_delay=HELLO_INTERVAL,
         )
 
     def stop(self) -> None:
@@ -304,7 +287,7 @@ class OlsrNode:
         message = OlsrMessage(
             originator=self.node_id,
             body=hello,
-            vtime=self.config.neighbor_hold_time,
+            vtime=NEIGHB_HOLD_TIME,
             ttl=1,
         )
         self.interface.broadcast(OlsrPacket(self.node_id, [message]),
@@ -325,8 +308,7 @@ class OlsrNode:
     def build_hello(self) -> HelloMessage:
         """Build the HELLO describing the current local link state."""
         now = self.now
-        hello = HelloMessage(willingness=self.config.willingness,
-                             htime=self.config.hello_interval)
+        hello = HelloMessage(willingness=self.willingness, htime=HELLO_INTERVAL)
         for link in self.link_set:
             if link.is_expired(now):
                 continue
@@ -346,13 +328,13 @@ class OlsrNode:
         if not self._started:
             return
         selectors = self.mpr_selector_set.addresses()
-        if not selectors and not self.config.tc_when_no_selectors:
+        if not selectors:
             return
         tc = TcMessage(ansn=self.ansn, advertised_neighbors=set(selectors))
         message = OlsrMessage(
             originator=self.node_id,
             body=tc,
-            vtime=self.config.topology_hold_time,
+            vtime=TOP_HOLD_TIME,
         )
         self.interface.broadcast(OlsrPacket(self.node_id, [message]),
                                  _HEADERS_SIZE + tc.size_bytes())
@@ -469,7 +451,7 @@ class OlsrNode:
         hello: HelloMessage = message.body
         origin = message.originator
         node_id = self.node_id
-        hold = message.vtime if message.vtime > 0 else self.config.neighbor_hold_time
+        hold = message.vtime if message.vtime > 0 else NEIGHB_HOLD_TIME
 
         link = self.link_set.get(origin)
         created = link is None
@@ -548,7 +530,7 @@ class OlsrNode:
                          origin=message.originator, reason="tc_from_non_sym", last_hop=last_hop)
             return
         tc: TcMessage = message.body
-        hold = message.vtime if message.vtime > 0 else self.config.topology_hold_time
+        hold = message.vtime if message.vtime > 0 else TOP_HOLD_TIME
         changed = self.topology_set.process_tc(
             originator=message.originator,
             ansn=tc.ansn,
@@ -589,9 +571,9 @@ class OlsrNode:
                 return
         self.duplicate_set.mark_forwarded(message.originator, message.message_seq_number)
         forwarded = message.forwarded_copy()
-        # Uniform in [0, forward_jitter): one draw, and the float
-        # ``rng.uniform(0.0, forward_jitter)`` would give.
-        delay = self.config.forward_jitter * self.rng.random()
+        # Uniform in [0, FORWARD_JITTER): one draw, and the float
+        # ``rng.uniform(0.0, FORWARD_JITTER)`` would give.
+        delay = FORWARD_JITTER * self.rng.random()
         self.simulator.post(delay, self._transmit_forward, forwarded)
         self.stats.messages_forwarded += 1
         if _FORWARD in recorded:

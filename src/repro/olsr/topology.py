@@ -205,8 +205,9 @@ def _edges(originator: str, ansn: int, stored: Advertised,
             yield TopologyTuple(destination, originator, ansn, expiry)
 
 
-def _ansn_older(candidate: int, reference: int, window: int = 32768) -> bool:
-    """Sequence-number comparison with wrap-around (RFC §19)."""
-    return (reference > candidate and reference - candidate <= window) or (
-        candidate > reference and candidate - reference > window
+def _ansn_older(candidate: int, reference: int) -> bool:
+    """Sequence-number comparison with wrap-around (RFC §19): half the
+    16-bit space, 32768, separates older from newer."""
+    return (reference > candidate and reference - candidate <= 32768) or (
+        candidate > reference and candidate - reference > 32768
     )

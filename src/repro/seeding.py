@@ -18,12 +18,12 @@ def stable_digest(label: str) -> int:
     return zlib.crc32(label.encode("utf-8"))
 
 
-def stable_seed(base_seed: int, label: str, modulus: int = 2 ** 31) -> int:
-    """Derive a deterministic per-``label`` seed from ``base_seed``.
+def stable_seed(base_seed: int, label: str) -> int:
+    """Derive a deterministic per-``label`` seed in ``[0, 2**31)`` from ``base_seed``.
 
     The combination is injective enough for experiment fan-out (distinct
     labels under the same base seed get distinct, reproducible seeds) and is
     byte-identical across interpreter processes, unlike ``hash``-based
     derivations.
     """
-    return (base_seed * 1_000_003 + stable_digest(label)) % modulus
+    return (base_seed * 1_000_003 + stable_digest(label)) % 2 ** 31

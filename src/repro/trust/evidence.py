@@ -5,13 +5,13 @@ An evidence records one observed activity of a subject node, positive
 enforce the paper's five trust properties:
 
 * Property 1 — the sign of ``value`` encodes beneficial vs. harmful.
-* Property 2 — ``gravity`` scales the weighting factor α_j.
+* Property 2 — the gravity of the evidence's kind (:data:`DEFAULT_GRAVITY`)
+  scales the weighting factor α_j.
 * Property 3 — ``imminent`` marks evidences belonging to an evolving attack
   signature, which drastically lowers trust.
 * Property 4 — fresh evidences count more than stale ones through the
-  forgetting factor β of Eq. 5, which discounts every earlier slot; the
-  manager never reads ``timestamp``, which only records when the caller
-  made the observation.
+  forgetting factor β of Eq. 5, which discounts every earlier slot; an
+  evidence carries no time of its own.
 * Property 5 — ``firsthand`` distinguishes own observations from the less
   reliable second-hand ones.
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class EvidenceKind(str, enum.Enum):
@@ -79,9 +78,7 @@ class TrustEvidence:
     subject: str
     kind: EvidenceKind
     value: float
-    timestamp: float = 0.0
     firsthand: bool = True
-    gravity: Optional[float] = None
     imminent: bool = False
 
     def __post_init__(self) -> None:
@@ -90,9 +87,7 @@ class TrustEvidence:
 
     @property
     def effective_gravity(self) -> float:
-        """Gravity to use: explicit value or the per-kind default (Property 2)."""
-        if self.gravity is not None:
-            return self.gravity
+        """The gravity of the evidence's kind (Property 2)."""
         return DEFAULT_GRAVITY.get(self.kind, 1.0)
 
     def weighted(self, alpha: float) -> float:
@@ -120,21 +115,19 @@ def weigh_evidence(alpha: float, gravity: float, value: float,
 
 
 def beneficial(observer: str, subject: str, kind: EvidenceKind,
-               timestamp: float = 0.0, value: float = 1.0,
-               firsthand: bool = True) -> TrustEvidence:
+               value: float = 1.0, firsthand: bool = True) -> TrustEvidence:
     """Build a beneficial (positive) evidence."""
     if value <= 0.0:
         raise ValueError("beneficial evidence requires a positive value")
     return TrustEvidence(observer=observer, subject=subject, kind=kind,
-                         value=value, timestamp=timestamp, firsthand=firsthand)
+                         value=value, firsthand=firsthand)
 
 
 def harmful(observer: str, subject: str, kind: EvidenceKind,
-            timestamp: float = 0.0, value: float = -1.0,
-            firsthand: bool = True, imminent: bool = False) -> TrustEvidence:
+            value: float = -1.0, firsthand: bool = True,
+            imminent: bool = False) -> TrustEvidence:
     """Build a harmful (negative) evidence."""
     if value >= 0.0:
         raise ValueError("harmful evidence requires a negative value")
     return TrustEvidence(observer=observer, subject=subject, kind=kind,
-                         value=value, timestamp=timestamp, firsthand=firsthand,
-                         imminent=imminent)
+                         value=value, firsthand=firsthand, imminent=imminent)

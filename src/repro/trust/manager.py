@@ -42,10 +42,24 @@ read without a call per subject.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.trust.evidence import TrustEvidence
+
+
+def require_finite(instance) -> None:
+    """Raise ``ValueError`` naming the first field of the dataclass
+    ``instance`` that holds a NaN or an infinite float.
+
+    A range check written as a comparison lets NaN through, since every
+    comparison with NaN is false.
+    """
+    for item in fields(instance):
+        value = getattr(instance, item.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value}")
 
 
 @dataclass
@@ -73,6 +87,7 @@ class TrustParameters:
 
     def validate(self) -> None:
         """Raise ``ValueError`` when the parameter combination is inconsistent."""
+        require_finite(self)
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
         if self.beta_recovery is not None and not 0.0 <= self.beta_recovery <= 1.0:

@@ -154,19 +154,17 @@ def summary_metrics(result: ExperimentResult) -> Dict[str, Optional[float]]:
 def compare_metrics(
     oracle_metrics: Mapping[str, Optional[float]],
     netsim_metrics: Mapping[str, Optional[float]],
-    tolerances: Optional[Mapping[str, float]] = None,
 ) -> List[MetricComparison]:
-    """Compare two metric dicts under the declared tolerances.
+    """Compare two metric dicts under the declared :data:`DEFAULT_TOLERANCES`.
 
     Trust-trajectory metrics are only comparable when *both* backends
     actually ran investigations — a netsim run whose victim never
     investigated the attacker carries no evidence either way.
     """
-    tolerances = tolerances or DEFAULT_TOLERANCES
     both_investigated = bool(oracle_metrics.get("investigated")) and bool(
         netsim_metrics.get("investigated"))
     comparisons: List[MetricComparison] = []
-    for metric, tolerance in sorted(tolerances.items()):
+    for metric, tolerance in sorted(DEFAULT_TOLERANCES.items()):
         oracle = oracle_metrics.get(metric)
         netsim = netsim_metrics.get(metric)
         comparable = (
@@ -187,7 +185,6 @@ def compare_metrics(
 def run_differential(
     params: Mapping[str, object],
     seed: int,
-    tolerances: Optional[Mapping[str, float]] = None,
     netsim_result: Optional[ExperimentResult] = None,
 ) -> DifferentialResult:
     """Run one parameter set on both backends and compare the metrics.
@@ -209,7 +206,7 @@ def run_differential(
     return DifferentialResult(
         seed=seed,
         params=dict(params),
-        comparisons=compare_metrics(oracle_metrics, netsim_metrics, tolerances),
+        comparisons=compare_metrics(oracle_metrics, netsim_metrics),
         oracle_metrics=oracle_metrics,
         netsim_metrics=netsim_metrics,
     )

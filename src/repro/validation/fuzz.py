@@ -21,10 +21,7 @@ from repro.experiments.backends import (
     scenario_config_from_params,
 )
 from repro.scenarios import ScenarioFuzzer, apply_profile, reproducer_command
-from repro.validation.differential import (
-    DEFAULT_TOLERANCES,
-    run_differential,
-)
+from repro.validation.differential import run_differential
 from repro.validation.invariants import InvariantViolation, ScenarioAuditor
 
 #: Greedy shrink steps, in the order they are attempted.  Each maps a
@@ -129,7 +126,6 @@ def validate_corpus(
     count: int,
     base_seed: int = 0,
     profiles: Optional[Sequence[str]] = None,
-    tolerances: Optional[Mapping[str, float]] = None,
     minimize: bool = True,
 ) -> ValidationReport:
     """Fuzz ``count`` scenarios and validate every one of them.
@@ -140,7 +136,6 @@ def validate_corpus(
     sample costs one MANET simulation).  Failures are minimized (when
     ``minimize``) and reported with explicit CLI reproducers.
     """
-    tolerances = tolerances or DEFAULT_TOLERANCES
     fuzzer = ScenarioFuzzer(base_seed, profiles)
     report = ValidationReport(samples=count)
 
@@ -172,10 +167,8 @@ def validate_corpus(
                 ))
 
         if sample.differential:
-            differential = run_differential(
-                params, sample.seed, tolerances=tolerances,
-                netsim_result=netsim_result,
-            )
+            differential = run_differential(params, sample.seed,
+                                            netsim_result=netsim_result)
             report.differential_runs += 1
             if not differential.ok:
                 failing = dict(params)
@@ -183,8 +176,7 @@ def validate_corpus(
                     broken = {c.metric for c in differential.disagreements()}
 
                     def _still(candidate, _broken=broken):
-                        result = run_differential(candidate, sample.seed,
-                                                  tolerances=tolerances)
+                        result = run_differential(candidate, sample.seed)
                         return bool(_broken & {c.metric
                                                for c in result.disagreements()})
 

@@ -53,8 +53,7 @@ class InvariantViolation:
 
 
 # ------------------------------------------------------------------ checkers
-def check_delivery_range(scenario, recorder: TraceRecorder,
-                         limit: Optional[int] = None) -> List[InvariantViolation]:
+def check_delivery_range(scenario, recorder: TraceRecorder) -> List[InvariantViolation]:
     """No frame is delivered beyond the sender's transmit range.
 
     ``recorder`` must have been installed as the medium's delivery auditor
@@ -63,10 +62,7 @@ def check_delivery_range(scenario, recorder: TraceRecorder,
     own in-range decision used.
     """
     violations: List[InvariantViolation] = []
-    events = recorder.by_category("medium")
-    if limit is not None:
-        events = events[:limit]
-    for event in events:
+    for event in recorder.by_category("medium"):
         tx_range = event.data.get("tx_range")
         if tx_range is None:
             continue
@@ -206,17 +202,17 @@ class ScenarioAuditor:
     Construct the auditor *before* running the simulation: it installs the
     medium's delivery-trace recorder so the range invariant can audit every
     delivery, and subscribes every node's audit log to the ``FORWARD``
-    records the duplicate-suppression invariant reads.
-    ``max_trace_events`` bounds the recorder's memory; when the bound trims
-    the trace only the retained deliveries are checked.
+    records the duplicate-suppression invariant reads.  The recorder keeps
+    the last :data:`repro.netsim.trace.MAX_EVENTS` events; when that bound
+    trims the trace only the retained deliveries are checked.
     """
 
     #: Reader name of the auditor's log subscription.
     READER = "invariants"
 
-    def __init__(self, scenario, max_trace_events: int = 200_000) -> None:
+    def __init__(self, scenario) -> None:
         self.scenario = scenario
-        self.recorder = TraceRecorder(max_events=max_trace_events)
+        self.recorder = TraceRecorder()
         scenario.network.medium.trace_recorder = self.recorder
         for node in scenario.nodes.values():
             node.log.subscribe(self.READER, (LogCategory.FORWARD,))

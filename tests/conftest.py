@@ -10,7 +10,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.medium import UnitDiskPropagation, WirelessMedium
 from repro.netsim.mobility import StaticPlacement
 from repro.netsim.network import Network
-from repro.olsr.node import OlsrConfig, OlsrNode
+from repro.olsr.node import OlsrNode
 
 
 @pytest.fixture
@@ -44,13 +44,12 @@ def make_network(positions, radio_range: float = 250.0, seed: int = 0,
     return network
 
 
-def make_olsr_network(positions, radio_range: float = 250.0, seed: int = 0,
-                      config: OlsrConfig | None = None):
+def make_olsr_network(positions, radio_range: float = 250.0, seed: int = 0):
     """Build a network plus one started OLSR node per position."""
     network = make_network(positions, radio_range=radio_range, seed=seed)
     nodes = {}
     for index, node_id in enumerate(positions):
-        nodes[node_id] = OlsrNode(node_id, network, config=config, seed=seed + index)
+        nodes[node_id] = OlsrNode(node_id, network, seed=seed + index)
     for node in nodes.values():
         node.start()
     return network, nodes

@@ -25,8 +25,6 @@
   majority found by a second walk
   (:class:`~tests.reference.trust.PerSubjectTrust`,
   :func:`~tests.reference.trust.run_round`).
-* :class:`~tests.reference.averaging.ReweighingAveraging` — report
-  averaging that weighs every stored report again at each ``trust_of``.
 
 None is used by the program; they are oracles for its single paths.
 """

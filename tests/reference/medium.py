@@ -7,10 +7,9 @@ the medium's spatial grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from repro.netsim.medium import WirelessMedium
+from repro.netsim.medium import PROPAGATION_DELAY, WirelessMedium
 from repro.netsim.packet import Frame
 
 
@@ -48,7 +47,6 @@ class PerReceiverMedium(WirelessMedium):
         self._engine = simulator
         self._receivers = {}
         self._live_positions = None
-        self._ids = itertools.count(1)
 
     def bind_positions(self, positions) -> None:
         super().bind_positions(positions)
@@ -62,10 +60,6 @@ class PerReceiverMedium(WirelessMedium):
         source = frame.source
         if source not in self._receivers:
             raise ValueError(f"unknown transmitter {source!r}")
-        now = self._engine.now
-        frame.created_at = now
-        if frame._frame_id is None:
-            frame._frame_id = next(self._ids)
         stats = self.stats
         stats.frames_sent += 1
         stats.bytes_sent += frame.size_bytes
@@ -85,7 +79,7 @@ class PerReceiverMedium(WirelessMedium):
             tx_info = None
             if self.trace_recorder is not None:
                 tx_info = (sender_pos, receiver_pos, float(radio_range))
-            self._engine.post(self.propagation_delay, self._deliver_one,
+            self._engine.post(PROPAGATION_DELAY, self._deliver_one,
                               receiver_id, frame, tx_info)
 
     def _deliver_one(self, receiver_id, frame, tx_info) -> None:

@@ -17,8 +17,8 @@ def path_avoiding(
     responder is unreachable without crossing a suspect — the situation where
     the request would have to transit the suspicious MPR (evidence E3).
     :class:`repro.core.investigation.NetworkPathTransport` once called this
-    per query, with ``avoid`` the suspect and the colluders minus the
-    responder; its cached reachable sets must answer exactly as this does.
+    per query, with ``avoid`` the suspect unless it is the responder; its
+    cached reachable sets must answer exactly as this does.
     """
     if source == target:
         return [source]

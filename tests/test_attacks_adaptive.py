@@ -37,9 +37,11 @@ class _Router:
         self.now = 0.0
 
 
-def _drop_ratio(attack: GrayholeAttack) -> float:
-    """Fraction of the eligible messages ``attack`` dropped."""
-    return attack.dropped_count / (attack.dropped_count + attack.relayed_count)
+def _drop_ratio(run: "DropLoopResult") -> float:
+    """Fraction of the messages dropped in the cycles the attack was active."""
+    drops = sum(r.drops for r in run.records if r.attacking)
+    relays = sum(r.relays for r in run.records if r.attacking)
+    return drops / (drops + relays)
 
 
 # ----------------------------------- closed loop: drop attack vs trust observer
@@ -52,6 +54,8 @@ class DropCycleRecord:
     relays: int
     trust: float
     drop_probability: float
+    #: Whether the attack was active during the cycle's opportunities.
+    attacking: bool
 
 
 @dataclass
@@ -107,6 +111,7 @@ def run_drop_feedback_loop(
     result = DropLoopResult()
     for cycle in range(cycles):
         router.now = float(cycle)
+        attacking = attack.is_active(router.now)
         drops = relays = 0
         for _ in range(opportunities):
             if attack._filter(None, observer, router):
@@ -118,19 +123,19 @@ def run_drop_feedback_loop(
             evidences.append(TrustEvidence(
                 observer=observer, subject=attacker,
                 kind=EvidenceKind.TRAFFIC_DROPPED,
-                value=-drops / opportunities, timestamp=float(cycle)))
+                value=-drops / opportunities))
         if relays:
             evidences.append(TrustEvidence(
                 observer=observer, subject=attacker,
                 kind=EvidenceKind.TRAFFIC_RELAYED,
-                value=relays / opportunities, timestamp=float(cycle)))
+                value=relays / opportunities))
         trust.update(attacker, evidences)
         value = trust.trust_of(attacker)
         if isinstance(attack, AdaptiveAttack):
             attack.observe(float(cycle))
         result.records.append(DropCycleRecord(
             cycle=cycle, drops=drops, relays=relays, trust=value,
-            drop_probability=attack.drop_probability))
+            drop_probability=attack.drop_probability, attacking=attacking))
         if result.detected_cycle is None and value <= classification_threshold:
             result.detected_cycle = cycle
     return result
@@ -160,19 +165,15 @@ def test_trust_probe_is_a_read_only_surface():
 # ------------------------------------------------------ ThresholdRidingGrayhole
 def test_threshold_rider_validates_parameters():
     with pytest.raises(ValueError):
-        ThresholdRidingGrayhole(max_drop_probability=0.3, min_drop_probability=0.5)
+        ThresholdRidingGrayhole(max_drop_probability=1.5)
     with pytest.raises(ValueError):
-        ThresholdRidingGrayhole(ride_threshold=0.4, resume_threshold=0.3)
-    with pytest.raises(ValueError):
-        ThresholdRidingGrayhole(full_throttle_headroom=0.0)
+        ThresholdRidingGrayhole(max_drop_probability=-0.1)
 
 
 def test_threshold_rider_pauses_and_resumes_with_hysteresis():
     trust = TrustManager("victim")
     trust.set_initial_trust("attacker", 0.5)
-    rider = ThresholdRidingGrayhole(
-        max_drop_probability=0.8, ride_threshold=0.3, resume_threshold=0.4,
-        rng=random.Random(1))
+    rider = ThresholdRidingGrayhole(max_drop_probability=0.8, rng=random.Random(1))
     rider.bind_probe(TrustProbe(trust, "attacker"))
 
     rider.observe(0.0)
@@ -194,19 +195,16 @@ def test_threshold_rider_pauses_and_resumes_with_hysteresis():
 
 def test_threshold_rider_throttles_drop_probability_with_headroom():
     trust = TrustManager("victim")
-    rider = ThresholdRidingGrayhole(
-        max_drop_probability=0.8, min_drop_probability=0.2,
-        ride_threshold=0.3, resume_threshold=0.4, full_throttle_headroom=0.2,
-        rng=random.Random(1))
+    rider = ThresholdRidingGrayhole(max_drop_probability=0.8, rng=random.Random(1))
     rider.bind_probe(TrustProbe(trust, "attacker"))
 
-    trust.set_initial_trust("attacker", 0.6)        # >= full headroom
+    trust.set_initial_trust("attacker", 0.6)        # >= full headroom (0.3 + 0.1)
     rider.observe(0.0)
     assert rider.drop_probability == pytest.approx(0.8)
 
-    trust.set_initial_trust("attacker", 0.4)        # half the headroom
+    trust.set_initial_trust("attacker", 0.35)       # half the headroom
     rider.observe(1.0)
-    assert rider.drop_probability == pytest.approx(0.5)
+    assert rider.drop_probability == pytest.approx(0.4)
 
 
 def test_threshold_rider_without_probe_behaves_like_static_grayhole():
@@ -218,34 +216,33 @@ def test_threshold_rider_without_probe_behaves_like_static_grayhole():
 
 # ------------------------------------------------- the 2x time-to-detect claim
 def test_threshold_rider_survives_2x_longer_at_matched_drop_ratio():
-    """The ISSUE's acceptance property, deterministically.
+    """The rider survives at least twice as long as a matched static grayhole.
 
-    Both attackers drop 100% of the traffic they attack (drop ratio matched
-    exactly, with no RNG involvement); the rider merely *picks its windows*
-    by watching its own trust.  Under a fast-learning watchdog the static
-    grayhole is classified on the first cycle, while the rider survives the
-    whole horizon — far beyond the required 2x.
+    The rider merely *picks its windows* by watching its own trust: it
+    pauses at or below 0.3, above the watchdog's 0.25 classification line,
+    and throttles as its headroom thins.  A static grayhole that drops the
+    same fraction of the traffic it attacks as the rider did in its active
+    windows is classified within a few cycles under this defensive observer
+    (harmful evidence weighs more than beneficial), while the rider survives
+    the whole horizon.
     """
-    params = TrustParameters(beta=0.8, alpha_harmful=0.2, alpha_beneficial=0.2,
+    params = TrustParameters(beta=0.8, alpha_harmful=0.15, alpha_beneficial=0.1,
                              default_trust=0.5, minimum=0.0)
     cycles = 24
 
-    static = GrayholeAttack(drop_probability=1.0, rng=random.Random(11))
+    rider = ThresholdRidingGrayhole(max_drop_probability=1.0, rng=random.Random(11))
+    rider_run = run_drop_feedback_loop(
+        rider, cycles=cycles, opportunities=20,
+        classification_threshold=0.25, trust_parameters=params)
+    matched = _drop_ratio(rider_run)
+
+    static = GrayholeAttack(drop_probability=matched, rng=random.Random(11))
     static_run = run_drop_feedback_loop(
         static, cycles=cycles, opportunities=20,
         classification_threshold=0.25, trust_parameters=params)
 
-    rider = ThresholdRidingGrayhole(
-        max_drop_probability=1.0, min_drop_probability=1.0,
-        ride_threshold=0.45, resume_threshold=0.6,
-        rng=random.Random(11))
-    rider_run = run_drop_feedback_loop(
-        rider, cycles=cycles, opportunities=20,
-        classification_threshold=0.25, trust_parameters=params)
-
-    # Matched effective drop ratio: both drop everything while attacking.
-    assert _drop_ratio(static) == 1.0
-    assert _drop_ratio(rider) == 1.0
+    # Matched effective drop ratio, up to the static attacker's sampling.
+    assert abs(_drop_ratio(static_run) - matched) < 0.05
 
     assert static_run.detected_cycle is not None
     assert rider_run.detected_cycle is None          # survived the whole run
@@ -279,7 +276,7 @@ def test_rotating_clique_fields_one_active_liar_per_epoch():
     for epoch in range(9):
         decisions = {m.member_id: clique.member_decision(m.member_id, "s", float(epoch))
                      for m in members}
-        liars = [mid for mid, decision in decisions.items() if decision == "lie"]
+        liars = [mid for mid, lies in decisions.items() if lies]
         assert liars == [f"m{epoch % 3}"], f"epoch {epoch}: {decisions}"
 
 
@@ -297,7 +294,7 @@ def test_rotating_clique_rotation_is_deterministic_and_order_independent():
     schedule_two = [two.member_decision(m, "s", float(now))
                     for now in range(12) for m in ("a", "b", "c")]
     assert schedule_one == schedule_two
-    assert "lie" in schedule_one and "honest" in schedule_one
+    assert True in schedule_one and False in schedule_one
 
 
 def test_rotating_clique_member_answers_flow_through_rotation():
@@ -315,7 +312,7 @@ def test_rotating_clique_member_answers_flow_through_rotation():
 def test_rotating_clique_without_members_falls_back_to_shared_decision():
     clique = RotatingLiarClique(protected_suspects={"s"}, lie_probability=1.0,
                                 epoch_length=1.0, seed=5)
-    assert clique.member_decision("ghost", "s", 0.0) == "lie"
+    assert clique.member_decision("ghost", "s", 0.0) is True
 
 
 # ------------------------------------------------- per-node attack RNG streams

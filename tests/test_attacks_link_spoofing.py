@@ -26,13 +26,10 @@ def spoof(node, variant, targets):
 
 # ------------------------------------------------------------------ schedule
 def test_attack_schedule_window():
-    schedule = AttackSchedule(start_time=10.0, stop_time=20.0)
+    schedule = AttackSchedule(start_time=10.0)
     assert not schedule.is_active(5.0)
     assert schedule.is_active(10.0)
-    assert schedule.is_active(19.9)
-    assert not schedule.is_active(20.0)
-    open_ended = AttackSchedule(start_time=0.0)
-    assert open_ended.is_active(1e9)
+    assert schedule.is_active(1e9)
 
 
 def test_manual_override_beats_schedule():
@@ -111,17 +108,6 @@ def test_spoofing_never_advertises_self():
     for mutator in nodes["B"].hello_mutators:
         hello = mutator(hello, nodes["B"])
     assert "B" not in hello.symmetric_neighbors()
-
-
-def test_advertise_as_mpr_selector_option():
-    network, nodes = converged_chain()
-    attack = LinkSpoofingAttack(
-        LinkSpoofingVariant.FALSE_EXISTING_LINK, ["D"], advertise_as_mpr_selector=True)
-    attack.install(nodes["B"])
-    hello = nodes["B"].build_hello()
-    for mutator in nodes["B"].hello_mutators:
-        hello = mutator(hello, nodes["B"])
-    assert "D" in hello.mpr_neighbors()
 
 
 # ------------------------------------------------------------------ variant 3

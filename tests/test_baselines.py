@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.averaging import AveragingTrustSystem, TrustReport
 from repro.baselines.beta_reputation import BetaReputation, BetaReputationSystem
@@ -14,7 +12,7 @@ from repro.baselines.watchdog import Watchdog, WatchdogPathrater
 
 # ------------------------------------------------------------------ watchdog
 def test_watchdog_flags_after_threshold_misses():
-    watchdog = Watchdog("me", miss_threshold=3, miss_ratio_threshold=0.5)
+    watchdog = Watchdog("me")
     for _ in range(5):
         watchdog.expect_forward("dropper")
         watchdog.observe_miss("dropper")
@@ -23,7 +21,7 @@ def test_watchdog_flags_after_threshold_misses():
 
 
 def test_watchdog_does_not_flag_good_relay():
-    watchdog = Watchdog("me", miss_threshold=3)
+    watchdog = Watchdog("me")
     for _ in range(20):
         watchdog.expect_forward("relay")
         watchdog.observe_forward("relay")
@@ -34,8 +32,8 @@ def test_watchdog_does_not_flag_good_relay():
 
 
 def test_watchdog_requires_both_thresholds():
-    watchdog = Watchdog("me", miss_threshold=5, miss_ratio_threshold=0.5)
-    # Many misses but also many successes: ratio below threshold.
+    watchdog = Watchdog("me")
+    # Many misses (at least 5) but also many successes: ratio below 0.5.
     for _ in range(6):
         watchdog.expect_forward("relay")
         watchdog.observe_miss("relay")
@@ -137,7 +135,7 @@ def test_beta_reputation_expectation_updates():
 
 
 def test_beta_system_first_hand_and_classification():
-    system = BetaReputationSystem("me", misbehavior_threshold=0.35)
+    system = BetaReputationSystem("me")
     for _ in range(10):
         system.reputation_of("dropper").update(negative=1.0)
     assert system.classify("dropper") == "intruder"
@@ -148,17 +146,18 @@ def test_beta_system_first_hand_and_classification():
 
 
 def test_beta_system_deviation_test_rejects_outliers():
-    system = BetaReputationSystem("me", deviation_threshold=0.2)
+    system = BetaReputationSystem("me")
     for _ in range(20):
         system.reputation_of("node").update(positive=1.0)
-    # A wildly negative report deviates too much from the current belief.
+    belief = system.expectation_of("node")
+    # A wildly negative report deviates too much from the current belief
+    # (by more than 0.5) and leaves it unchanged.
     negative_report = BetaReputation(alpha=1.0, beta=20.0)
     assert system.second_hand("node", negative_report) is None
-    assert system.rejected_reports == 1
-    # A mildly positive report is accepted.
+    assert system.expectation_of("node") == belief
+    # A mildly positive report is accepted at the second-hand weight 0.2.
     positive_report = BetaReputation(alpha=5.0, beta=1.0)
-    assert system.second_hand("node", positive_report) is not None
-    assert system.accepted_reports == 1
+    assert system.second_hand("node", positive_report) == pytest.approx(21.8 / 22.8)
 
 
 def test_beta_system_round_interface():
@@ -181,56 +180,10 @@ def test_averaging_report_value_validated():
     system = AveragingTrustSystem("me")
     with pytest.raises(ValueError):
         system.add_report(TrustReport("s", "t", 2.0))
-    with pytest.raises(ValueError):
-        AveragingTrustSystem("me", distance_discount=1.0)
-
-
-def test_averaging_distance_discount():
-    system = AveragingTrustSystem("me", distance_discount=0.5)
-    system.add_report(TrustReport("near", "t", 1.0, hop_distance=1))
-    system.add_report(TrustReport("far", "t", -1.0, hop_distance=4))
-    # The distant negative report is discounted, so the average stays positive.
-    assert system.trust_of("t") > 0
-
-
-def test_averaging_freshness_discount():
-    system = AveragingTrustSystem("me", freshness_halflife=10.0)
-    system.add_report(TrustReport("old", "t", 1.0, age=100.0))
-    system.add_report(TrustReport("new", "t", -1.0, age=0.0))
-    assert system.trust_of("t") < 0
-
-
-_REPORTS = st.builds(
-    TrustReport,
-    reporter=st.just("r"),
-    subject=st.sampled_from(["x", "y"]),
-    value=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0)),
-    hop_distance=st.integers(0, 8),
-    age=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
-)
-
-
-@given(distance_discount=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
-       halflife=st.one_of(st.none(), st.just(0.0), st.floats(0.5, 100.0)),
-       reports=st.lists(_REPORTS, min_size=1, max_size=12))
-@settings(max_examples=300, deadline=None)
-def test_averaging_weighs_once_as_the_reweighing_oracle(distance_discount, halflife, reports):
-    """Weights fixed when a report is added give the oracle's averages,
-    which weigh every stored report again at each read, bit for bit."""
-    from tests.reference.averaging import ReweighingAveraging
-
-    system = AveragingTrustSystem("me", distance_discount=distance_discount,
-                                  freshness_halflife=halflife)
-    oracle = ReweighingAveraging(distance_discount, halflife)
-    for report in reports:
-        system.add_report(report)
-        oracle.add_report(report)
-        for subject in ("x", "y", "z"):
-            assert float.hex(system.trust_of(subject)) == float.hex(oracle.trust_of(subject))
 
 
 def test_averaging_classification_and_round_interface():
-    system = AveragingTrustSystem("me", misbehavior_threshold=-0.2)
+    system = AveragingTrustSystem("me")
     system.process_round("suspect", {"s1": False, "s2": False, "s3": True, "s4": None})
     assert system.classify("suspect") == "intruder"
 

@@ -14,30 +14,19 @@ from repro.core.decision import (
     evaluate_investigation,
     unweighted_vote,
 )
-from repro.core.evidence import (
-    DetectionEvidence,
-    EvidenceType,
-    SuspicionLevel,
-    e1,
-    e2,
-    e3,
-)
+from repro.core.evidence import EvidenceType, e1, e2, e3
 
 
 # ----------------------------------------------------------------- evidences
-def test_evidence_builders_and_levels():
-    assert e1("a", "i", 1.0, replaced="m").level == SuspicionLevel.SUSPICIOUS
-    assert e2("a", "i", 1.0, reason="drop").level == SuspicionLevel.CRITICAL
-    assert e3("a", "i", 1.0, isolated_node="x").level == SuspicionLevel.INFORMATIONAL
-
-
-def test_explicit_suspicion_overrides_default():
-    evidence = DetectionEvidence(
-        evidence_type=EvidenceType.E3_SOLE_PROVIDER,
-        observer="a", suspect="i", time=0.0,
-        suspicion=SuspicionLevel.CRITICAL,
-    )
-    assert evidence.level == SuspicionLevel.CRITICAL
+def test_evidence_builders():
+    built = [e1("a", "i", 1.0, replaced="m"), e2("a", "i", 1.0, reason="drop"),
+             e3("a", "i", 1.0, isolated_node="x")]
+    assert [evidence.evidence_type for evidence in built] == [
+        EvidenceType.E1_MPR_REPLACED, EvidenceType.E2_MPR_MISBEHAVIOR,
+        EvidenceType.E3_SOLE_PROVIDER]
+    assert [evidence.details for evidence in built] == [
+        {"replaced": "m"}, {"reason": "drop"}, {"isolated_node": "x"}]
+    assert {(e.observer, e.suspect, e.time) for e in built} == {("a", "i", 1.0)}
 
 
 # ---------------------------------------------------------------- weights

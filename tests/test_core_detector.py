@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from repro.core.detector import LocalDetector
-from repro.core.evidence import EvidenceType, SuspicionLevel
+from repro.core.evidence import EvidenceType
 from repro.logs.analyzer import LogAnalyzer
 from repro.logs.records import LogCategory
 from repro.logs.store import LogStore
 
 
-def make_detector(sole_provider_oracle=None, **kwargs):
+def make_detector(sole_provider_oracle=None):
     store = LogStore("me")
     analyzer = LogAnalyzer(store)
-    detector = LocalDetector(analyzer, sole_provider_oracle=sole_provider_oracle, **kwargs)
+    detector = LocalDetector(analyzer, sole_provider_oracle=sole_provider_oracle)
     return store, detector
 
 
@@ -65,15 +65,6 @@ def test_advertisement_change_by_non_mpr_is_ignored():
     assert detector.scan() == []
 
 
-def test_advertisement_trigger_can_be_disabled():
-    store, detector = make_detector(mpr_advertisement_change_is_e2=False)
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["m"], previous=[])
-    store.log(1.5, LogCategory.MESSAGE_RX, "HELLO", origin="m", sym_neighbors=["a"])
-    detector.scan()
-    store.log(2.0, LogCategory.MESSAGE_RX, "HELLO", origin="m", sym_neighbors=["a", "b"])
-    assert detector.scan() == []
-
-
 def test_e3_attached_when_oracle_reports_isolated_nodes():
     store, detector = make_detector(sole_provider_oracle=lambda suspect: {"lonely"})
     store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["old"], previous=[])
@@ -83,15 +74,6 @@ def test_e3_attached_when_oracle_reports_isolated_nodes():
     e3 = [e for e in triggers[0].evidences if e.evidence_type == EvidenceType.E3_SOLE_PROVIDER]
     assert len(e3) == 1
     assert e3[0].details["isolated_node"] == "lonely"
-
-
-def test_min_trigger_level_filters_informational_triggers():
-    # With the threshold raised to CRITICAL, an E1 (SUSPICIOUS) trigger is dropped.
-    store, detector = make_detector(min_trigger_level=SuspicionLevel.CRITICAL)
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["old"], previous=[])
-    detector.scan()
-    log_mpr_replacement(store)
-    assert detector.scan() == []
 
 
 def test_no_trigger_without_relevant_events():
@@ -108,12 +90,3 @@ def test_scan_is_incremental():
     log_mpr_replacement(store)
     assert len(detector.scan()) == 1
     assert detector.scan() == []  # nothing new
-
-
-def test_trigger_strongest_level():
-    store, detector = make_detector()
-    store.log(1.0, LogCategory.MPR, "MPR_SET_CHANGED", mprs=["m"], previous=[])
-    detector.scan()
-    store.log(2.0, LogCategory.FORWARD, "NOT_RELAYED", culprit="m")
-    triggers = detector.scan()
-    assert triggers[0].strongest_level == SuspicionLevel.CRITICAL

@@ -1,7 +1,7 @@
 """Suspect-avoiding reachability: the per-query BFS oracle and the cached transport.
 
 :class:`~repro.core.investigation.NetworkPathTransport` answers every query
-from one reachable set per (connectivity mapping, requester, avoided nodes).
+from one reachable set per (connectivity mapping, requester, suspect).
 These tests pin it to the reference :func:`tests.reference.path_avoiding`,
 which runs one fresh BFS per query with the responder removed from the
 avoided set.
@@ -28,17 +28,14 @@ class AlwaysConfirms:
 class PerQueryPathTransport:
     """The transport as it was: one connectivity read and one BFS per query."""
 
-    def __init__(self, connectivity_oracle, responders, colluders=(),
-                 loss_probability=0.0, rng=None):
+    def __init__(self, connectivity_oracle, responders, loss_probability=0.0, rng=None):
         self._connectivity_oracle = connectivity_oracle
         self._responders = dict(responders)
-        self.colluders = set(colluders)
         self.loss_probability = loss_probability
         self.rng = rng
 
     def verify_link(self, requester, responder, suspect, link_peer=None):
-        avoid = {suspect} | self.colluders
-        avoid.discard(responder)
+        avoid = {suspect} - {responder}
         if path_avoiding(self._connectivity_oracle(), requester, responder, avoid) is None:
             return None
         if self.loss_probability and self.rng.random() < self.loss_probability:
@@ -83,32 +80,28 @@ _query = st.tuples(st.integers(min_value=0, max_value=2), _node, _node, _node,
                    st.one_of(st.none(), _node))
 
 
-@given(graph=_graph, requester=_node, suspect=_node,
-       colluders=st.sets(_node, max_size=3), responder=_node)
+@given(graph=_graph, requester=_node, suspect=_node, responder=_node)
 @settings(max_examples=300, deadline=None)
 def test_unreachable_exactly_when_the_reference_finds_no_path(
-        graph, requester, suspect, colluders, responder):
-    transport = NetworkPathTransport(lambda: graph, {n: AlwaysConfirms() for n in _NODES},
-                                     colluders=colluders)
-    avoid = ({suspect} | colluders) - {responder}
+        graph, requester, suspect, responder):
+    transport = NetworkPathTransport(lambda: graph, {n: AlwaysConfirms() for n in _NODES})
+    avoid = {suspect} - {responder}
     expected_unreached = path_avoiding(graph, requester, responder, avoid) is None
     assert (transport.verify_link(requester, responder, suspect) is None) == expected_unreached
 
 
 @given(graphs=st.lists(_graph, min_size=3, max_size=3),
-       colluders=st.sets(_node, max_size=2),
        queries=st.lists(_query, min_size=1, max_size=40),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 @settings(max_examples=200, deadline=None)
-def test_lossy_answers_equal_a_fresh_search_per_query(graphs, colluders, queries, seed):
+def test_lossy_answers_equal_a_fresh_search_per_query(graphs, queries, seed):
     """Same answers and the same loss draws, in order, over changing graphs."""
     current = {"graph": graphs[0]}
     responders = {n: AlwaysConfirms() for n in _NODES[:-1]}  # the last never answers
-    cached = NetworkPathTransport(lambda: current["graph"], responders, colluders=colluders,
+    cached = NetworkPathTransport(lambda: current["graph"], responders,
                                   loss_probability=0.3, rng=random.Random(seed))
     reference = PerQueryPathTransport(lambda: current["graph"], responders,
-                                      colluders=colluders, loss_probability=0.3,
-                                      rng=random.Random(seed))
+                                      loss_probability=0.3, rng=random.Random(seed))
     for index, requester, responder, suspect, link_peer in queries:
         # A new mapping object stands for new connectivity (the oracle contract).
         current["graph"] = graphs[index]

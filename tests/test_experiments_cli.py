@@ -170,6 +170,33 @@ def test_cli_run_typo_in_param_fails_fast(tmp_path, capsys):
     assert db.read_bytes() == stored
 
 
+def test_cli_run_rejects_non_finite_and_bad_trust_values_before_a_store_opens(
+        tmp_path, capsys):
+    # Range checks written as comparisons let NaN through, and the trust
+    # parameters used to be checked only once a TrustManager was built,
+    # after the store had opened.
+    db = tmp_path / "bad.sqlite"
+    oracle = ["run", "figure3", "--param", "rounds=3"]
+    cases = [
+        (oracle, "trust_alpha_harmful=nan", "alpha_harmful must be finite, got nan"),
+        (oracle, "initial_trust_min=nan", "initial_trust_min must be finite, got nan"),
+        (oracle, "initial_trust_max=nan", "initial_trust_max must be finite, got nan"),
+        (oracle, "riding_resume=nan", "riding_resume must be finite, got nan"),
+        (oracle, "trust_alpha_beneficial=nan",
+         "alpha_beneficial must be finite, got nan"),
+        (oracle, "trust_alpha_harmful=inf", "alpha_harmful must be finite, got inf"),
+        (oracle, "trust_minimum=-inf", "minimum must be finite, got -inf"),
+        (oracle, "trust_beta=2", "beta must be in [0, 1]"),
+        (["run", "adaptivity", "--axis", "adaptivity=throttling", "--param", "rounds=3"],
+         "riding_threshold=nan", "riding_threshold must be finite, got nan"),
+    ]
+    for argv, flag, message in cases:
+        for extra in ([], ["--db", str(db)]):
+            assert main([*argv, "--param", flag, *extra]) == 2, flag
+            assert message in capsys.readouterr().err, flag
+            assert not db.exists(), flag
+
+
 @pytest.mark.parametrize("flags", [
     ["--max-new-runs", "-1"], ["--workers", "0"], ["--workers", "-2"],
 ], ids=["max-new-runs=-1", "workers=0", "workers=-2"])

@@ -9,6 +9,7 @@ from repro.experiments.backends import scenario_config_from_params
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.engine import get_experiment
 from repro.experiments.rounds import RoundBasedExperiment
+from repro.trust.manager import TrustParameters
 
 
 def _cell_configs(name):
@@ -41,6 +42,31 @@ def test_config_validation():
         ScenarioConfig(liar_fraction=1.5)
     with pytest.raises(ValueError):
         ScenarioConfig(total_nodes=5, liar_count=10)
+
+
+@pytest.mark.parametrize("name", ["initial_trust_min", "initial_trust_max",
+                                  "answer_loss_probability", "gamma",
+                                  "confidence_level", "riding_threshold",
+                                  "riding_resume", "liar_fraction"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_every_float_field_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        ScenarioConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ScenarioConfig().with_overrides(**{name: value})
+
+
+def test_config_validates_its_trust_parameters():
+    # Checked when the configuration is built, not when a TrustManager is.
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match="beta must be in"):
+        ScenarioConfig(trust=TrustParameters(beta=2.0))
+    with pytest.raises(ValueError, match="alpha_harmful must be finite"):
+        ScenarioConfig().with_overrides(
+            trust=replace(ScenarioConfig().trust, alpha_harmful=float("nan")))
+    with pytest.raises(ValueError, match="minimum must be finite"):
+        scenario_config_from_params({"trust_minimum": float("-inf")}, seed=1)
 
 
 def test_inverted_initial_trust_interval_is_rejected():

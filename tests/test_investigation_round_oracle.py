@@ -225,7 +225,6 @@ _EVIDENCES = st.builds(
     kind=st.sampled_from(list(EvidenceKind)),
     value=st.floats(-1.0, 1.0),
     firsthand=st.booleans(),
-    gravity=st.one_of(st.none(), st.floats(0.0, 3.0)),
     imminent=st.booleans(),
 )
 

@@ -35,7 +35,7 @@ from repro.netsim.medium import (
     WirelessMedium,
 )
 from repro.netsim.network import PositionTable
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 from repro.netsim.trace import TraceRecorder
 from tests.reference import PerReceiverMedium
 
@@ -165,16 +165,14 @@ def _bare_run(medium_cls):
 
     traffic = random.Random(5)
     for k in range(150):
-        frame = Frame(source=traffic.choice(ids), destination=BROADCAST_ADDRESS,
-                      payload=k)
+        frame = Frame(source=traffic.choice(ids), payload=k)
         simulator.schedule_at(traffic.uniform(0.0, 3.0), medium.transmit, frame)
     for tick in (1.0, 2.0):
         simulator.schedule_at(tick, drift)
     # The frames of a burst arrive 0.1 ms after it is sent.
     for when, gap_start in ((1.5, 1.5 - 1e-3), (2.5, 2.5 + 5e-5)):
         for source in ids:
-            frame = Frame(source=source, destination=BROADCAST_ADDRESS,
-                          payload=(when, source))
+            frame = Frame(source=source, payload=(when, source))
             simulator.schedule_at(when, medium.transmit, frame)
         simulator.schedule_at(gap_start, setattr, medium, "trace_recorder", None)
         simulator.schedule_at(when + 1e-3, setattr, medium, "trace_recorder", recorder)

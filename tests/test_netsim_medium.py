@@ -8,6 +8,7 @@ import pytest
 
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import (
+    PROPAGATION_DELAY,
     BernoulliLossModel,
     DistanceLossModel,
     PerfectChannel,
@@ -16,7 +17,7 @@ from repro.netsim.medium import (
     distance,
 )
 from repro.netsim.network import PositionTable
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 
 
 class Sink:
@@ -60,7 +61,7 @@ def test_unit_disk_in_range_boundary():
 def test_broadcast_reaches_only_nodes_in_range():
     positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (600, 0)})
     sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+    medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     assert len(sinks["b"].received) == 1
     assert len(sinks["c"].received) == 0
@@ -71,13 +72,13 @@ def test_transmit_from_unknown_source_rejected():
     positions = PositionTable({"a": (0, 0)})
     sim, medium, _ = build_medium(positions)
     with pytest.raises(ValueError):
-        medium.transmit(Frame(source="ghost", destination=BROADCAST_ADDRESS, payload="x"))
+        medium.transmit(Frame(source="ghost", payload="x"))
 
 
 def test_sender_never_receives_its_own_broadcast():
     positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+    medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     assert len(sinks["a"].received) == 0
     assert len(sinks["b"].received) == 1
@@ -86,11 +87,11 @@ def test_sender_never_receives_its_own_broadcast():
 def test_delivery_applies_propagation_delay():
     positions = PositionTable({"a": (0, 0), "b": (50, 0)})
     sim, medium, sinks = build_medium(positions)
-    medium.propagation_delay = 0.01
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+    sim.run(until=0.5)
+    medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     _, received_at = sinks["b"].received[0]
-    assert received_at == pytest.approx(0.01)
+    assert received_at == 0.5 + PROPAGATION_DELAY
 
 
 def test_bernoulli_loss_all_or_nothing():
@@ -98,7 +99,7 @@ def test_bernoulli_loss_all_or_nothing():
     sim, medium, sinks = build_medium(
         positions, loss_model=BernoulliLossModel(1.0, rng=random.Random(0)))
     for _ in range(10):
-        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+        medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     assert len(sinks["b"].received) == 0
     assert medium.stats.frames_lost == 10
@@ -111,12 +112,12 @@ def test_bernoulli_loss_probability_validated():
 
 def test_bernoulli_loss_statistical_behaviour():
     model = BernoulliLossModel(0.3, rng=random.Random(42))
-    losses = sum(model.is_lost(Frame("a", "b", None), (0, 0), (1, 1)) for _ in range(5000))
+    losses = sum(model.is_lost(Frame("a", None), (0, 0), (1, 1)) for _ in range(5000))
     assert 0.25 < losses / 5000 < 0.35
 
 
 def test_distance_loss_increases_with_distance():
-    model = DistanceLossModel(radio_range=100.0, max_loss=0.8, reliable_fraction=0.5)
+    model = DistanceLossModel(radio_range=100.0, max_loss=0.8)
     assert model.loss_probability(40.0) == 0.0
     assert model.loss_probability(60.0) < model.loss_probability(90.0)
     assert model.loss_probability(100.0) == pytest.approx(0.8)
@@ -126,10 +127,10 @@ def test_no_collision_when_transmissions_are_spaced():
     # The medium models no collisions: ``frames_collided`` stays 0.
     positions = PositionTable({"a": (0, 0), "r": (5, 5)})
     sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+    medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     sim.schedule(1.0, lambda: medium.transmit(
-        Frame(source="a", destination=BROADCAST_ADDRESS, payload="y")))
+        Frame(source="a", payload="y")))
     sim.run()
     assert medium.stats.frames_collided == 0
     assert len(sinks["r"].received) == 2
@@ -164,7 +165,7 @@ def test_stats_delivery_and_loss_ratios():
     sim, medium, _ = build_medium(
         positions, loss_model=BernoulliLossModel(0.5, rng=random.Random(7)))
     for _ in range(200):
-        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload="x"))
+        medium.transmit(Frame(source="a", payload="x"))
     sim.run()
     stats = medium.stats
     assert stats.frames_sent == 200
@@ -175,7 +176,7 @@ def test_stats_delivery_and_loss_ratios():
 
 def test_loss_models_default_rngs_are_deterministic():
     """Omitting ``rng`` must not silently break run-to-run determinism."""
-    frame = Frame("a", "b", None)
+    frame = Frame("a", None)
     bernoulli_a, bernoulli_b = BernoulliLossModel(0.5), BernoulliLossModel(0.5)
     first = [bernoulli_a.is_lost(frame, (0, 0), (1, 1)) for _ in range(64)]
     second = [bernoulli_b.is_lost(frame, (0, 0), (1, 1)) for _ in range(64)]
@@ -191,9 +192,9 @@ def test_loss_models_default_rngs_are_deterministic():
 def test_replacing_the_loss_model_takes_effect_at_the_next_frame():
     positions = PositionTable({"a": (0, 0), "b": (200, 0), "c": (100, 0)})
     sim, medium, sinks = build_medium(positions)
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=0))
+    medium.transmit(Frame(source="a", payload=0))
     medium.loss_model = BernoulliLossModel(1.0, rng=random.Random(0))
-    medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=1))
+    medium.transmit(Frame(source="a", payload=1))
     sim.run()
     assert [frame.payload for frame, _ in sinks["b"].received] == [0]
     assert medium.stats.frames_lost == 2
@@ -204,9 +205,9 @@ def test_replacing_the_loss_model_takes_effect_at_the_next_frame():
                                           rng=random.Random(4))
     expected = {"b": 0, "c": 0}
     for k in range(2, 42):
-        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=k))
+        medium.transmit(Frame(source="a", payload=k))
         for receiver in ("b", "c"):  # registration order
-            if not twin.is_lost(Frame("a", receiver, None), positions["a"],
+            if not twin.is_lost(Frame("a", None), positions["a"],
                                 positions[receiver]):
                 expected[receiver] += 1
     sim.run()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.netsim.mobility import (
     GaussMarkovMobility,
+    GRID_SPACING,
     GridPlacement,
     RandomWalkMobility,
     RandomWaypointMobility,
@@ -34,18 +35,14 @@ def test_static_placement_missing_node_raises():
 
 
 def test_grid_placement_spacing_and_shape():
-    placement = GridPlacement(spacing=100.0)
+    placement = GridPlacement()
     positions = placement.place(NODE_IDS)
     assert len(positions) == 9
     assert positions["n0"] == (0.0, 0.0)
-    assert positions["n1"] == (100.0, 0.0)
-    assert positions["n3"] == (0.0, 100.0)
-
-
-def test_grid_placement_explicit_columns():
-    placement = GridPlacement(spacing=10.0, columns=2)
-    positions = placement.place(["a", "b", "c"])
-    assert positions["c"] == (0.0, 10.0)
+    assert positions["n1"] == (GRID_SPACING, 0.0)
+    assert positions["n3"] == (0.0, GRID_SPACING)
+    # Three nodes fill a 2-column grid: the third starts the second row.
+    assert GridPlacement().place(["a", "b", "c"])["c"] == (0.0, GRID_SPACING)
 
 
 def test_uniform_random_placement_within_bounds():
@@ -129,7 +126,6 @@ def test_gauss_markov_motion_is_temporally_correlated():
     the property that distinguishes Gauss-Markov from a random walk."""
     mobility = GaussMarkovMobility(width=10_000.0, height=10_000.0,
                                    mean_speed=5.0, alpha=0.95,
-                                   speed_stddev=0.1, direction_stddev=0.05,
                                    rng=random.Random(6))
     network = Network(simulator=Simulator(), mobility=mobility, seed=6)
     network.add_nodes(["a"])
@@ -150,7 +146,7 @@ def test_gauss_markov_motion_is_temporally_correlated():
 
 def test_rpgm_members_follow_their_reference_point():
     mobility = ReferencePointGroupMobility(width=1000.0, height=1000.0,
-                                           group_count=2, member_radius=80.0,
+                                           member_radius=80.0,
                                            min_speed=5.0, max_speed=10.0,
                                            rng=random.Random(8))
     network = Network(simulator=Simulator(), mobility=mobility, seed=8)
@@ -168,7 +164,7 @@ def test_rpgm_members_follow_their_reference_point():
 
 def test_rpgm_groups_stay_clustered_while_moving():
     mobility = ReferencePointGroupMobility(width=2000.0, height=2000.0,
-                                           group_count=3, member_radius=50.0,
+                                           member_radius=50.0,
                                            min_speed=2.0, max_speed=6.0,
                                            rng=random.Random(12))
     network = Network(simulator=Simulator(), mobility=mobility, seed=12)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.network import Network
-from repro.netsim.packet import BROADCAST_ADDRESS
 from repro.netsim.trace import TraceRecorder
 from tests.conftest import make_network
 
@@ -64,13 +63,6 @@ def test_broadcast_frame_metadata_passed_through():
     network.interfaces["a"].broadcast("payload", tag="probe")
     network.run()
     assert seen == [{"tag": "probe"}]
-
-
-def test_broadcast_frame_is_broadcast_addressed():
-    network = make_network({"a": (0, 0)})
-    frame = network.interfaces["a"].broadcast("x")
-    assert frame.destination == BROADCAST_ADDRESS
-    assert frame.is_broadcast
 
 
 def test_default_network_constructs_with_defaults():

@@ -17,7 +17,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.medium import UnitDiskPropagation, WirelessMedium
 from repro.netsim.mobility import RandomWaypointMobility, UniformRandomPlacement
 from repro.netsim.network import Network, PositionTable
-from repro.netsim.packet import BROADCAST_ADDRESS, Frame
+from repro.netsim.packet import Frame
 from tests.reference import PerReceiverMedium, scan_connectivity, scan_neighbors
 
 
@@ -89,7 +89,7 @@ def test_teleport_invalidates_index():
 def test_mobile_placement_matches_brute_force_over_time():
     mobility = RandomWaypointMobility(width=600.0, height=600.0, min_speed=20.0,
                                       max_speed=60.0, pause_time=0.5,
-                                      update_interval=0.5, rng=random.Random(9))
+                                      rng=random.Random(9))
     network, node_ids = build_network(node_count=20, area=600.0, mobility=mobility)
     for _ in range(6):
         network.run(until=network.now + 2.0)
@@ -111,8 +111,7 @@ def test_broadcast_delivery_identical_with_and_without_index():
             medium.register(node_id, sink)
             sinks[node_id] = sink
         for node_id in node_ids:
-            medium.transmit(Frame(source=node_id, destination=BROADCAST_ADDRESS,
-                                  payload=node_id))
+            medium.transmit(Frame(source=node_id, payload=node_id))
         simulator.run()
         received = {
             nid: [frame.source for frame, _ in sink.received]
@@ -157,7 +156,7 @@ def test_a_medium_without_an_epoch_source_raises():
     with pytest.raises(RuntimeError):  # nothing bound yet
         medium.neighbors_of("a")
     with pytest.raises(RuntimeError):
-        medium.transmit(Frame(source="a", destination=BROADCAST_ADDRESS, payload=None))
+        medium.transmit(Frame(source="a", payload=None))
     with pytest.raises(TypeError):  # a mapping without an epoch
         medium.bind_positions({"a": (0.0, 0.0)})
     medium.bind_positions(PositionTable({"a": (0.0, 0.0)}))
@@ -212,7 +211,7 @@ def test_connectivity_matrix_is_shared_until_the_index_rebuilds():
 
     matrix = medium.connectivity_matrix()
     assert matrix == brute_force_matrix()
-    medium.transmit(Frame(source="n00", destination=BROADCAST_ADDRESS, payload=None))
+    medium.transmit(Frame(source="n00", payload=None))
     network.simulator.run()
     assert medium.connectivity_matrix() is matrix  # nothing moved
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.stats import MediumStatistics, NodeStatistics
-from repro.netsim.trace import TraceEvent, TraceRecorder
+from repro.netsim.trace import MAX_EVENTS, TraceEvent, TraceRecorder
 
 
 def test_trace_records_and_iterates():
@@ -41,11 +41,16 @@ def test_trace_filter_predicate():
 
 
 def test_trace_bounded_drops_oldest():
-    trace = TraceRecorder(max_events=3)
-    for t in range(5):
-        trace.record(float(t), "C", "n", str(t))
-    assert len(trace) == 3
-    assert trace.events[0].description == "2"
+    trace = TraceRecorder()
+    trace.extend([TraceEvent(0.0, "C", "n", "0")] * MAX_EVENTS)
+    assert len(trace) == MAX_EVENTS
+    trace.record(1.0, "C", "n", "1")
+    trace.record(2.0, "C", "n", "2")
+    assert len(trace) == MAX_EVENTS
+    assert [e.description for e in trace.events[-3:]] == ["0", "1", "2"]
+    trace.extend([TraceEvent(3.0, "C", "n", "3")] * 2)
+    assert len(trace) == MAX_EVENTS
+    assert [e.description for e in trace.events[-5:]] == ["0", "1", "2", "3", "3"]
 
 
 def test_trace_subscribers_notified():

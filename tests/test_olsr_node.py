@@ -6,7 +6,7 @@ import pytest
 
 from repro.logs.records import LogCategory
 from repro.olsr.constants import Willingness
-from repro.olsr.node import OlsrConfig, OlsrNode
+from repro.olsr.node import OlsrNode
 from tests.conftest import CHAIN_POSITIONS, STAR_POSITIONS, make_network, make_olsr_network
 
 
@@ -149,11 +149,10 @@ def test_node_restart_recovers_neighborhood(chain_network):
 def test_willingness_never_node_not_selected_as_mpr():
     positions = dict(CHAIN_POSITIONS)
     network = make_network(positions)
-    config_never = OlsrConfig(willingness=Willingness.WILL_NEVER)
     nodes = {}
     for node_id in positions:
-        config = config_never if node_id == "B" else None
-        nodes[node_id] = OlsrNode(node_id, network, config=config, seed=1)
+        willingness = Willingness.WILL_NEVER if node_id == "B" else Willingness.WILL_DEFAULT
+        nodes[node_id] = OlsrNode(node_id, network, willingness=willingness, seed=1)
     for node in nodes.values():
         node.start()
     network.run(until=60.0)

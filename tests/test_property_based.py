@@ -62,11 +62,11 @@ def test_binary_entropy_bounds(p):
 def test_trust_manager_always_within_bounds(initial, values):
     manager = TrustManager("me", TrustParameters())
     manager.set_initial_trust("x", initial)
-    for slot, value in enumerate(values):
+    for value in values:
         kind = EvidenceKind.CORRECT_ANSWER if value >= 0 else EvidenceKind.INCORRECT_ANSWER
         evidences = []
         if value != 0.0:
-            evidences.append(TrustEvidence("me", "x", kind, value=value, timestamp=float(slot)))
+            evidences.append(TrustEvidence("me", "x", kind, value=value))
         manager.update("x", evidences)
         assert 0.0 <= manager.trust_of("x") <= 1.0
 

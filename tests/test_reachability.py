@@ -1,6 +1,6 @@
-"""Every module, function, class and method under ``src/repro`` is reachable.
+"""Every module, function, class, method and option under ``src/repro`` is used.
 
-Both scans parse the sources with :mod:`ast` (nothing is imported).
+The three scans parse the sources with :mod:`ast` (nothing is imported).
 
 The module scan walks out from ``repro.experiments.__main__``, the one entry
 point:
@@ -39,14 +39,37 @@ and comments reach nothing.
 
 A definition nothing reaches is deleted, moved under ``tests/``, or listed in
 :data:`DEFINITION_ALLOWLIST` with the test it serves.
+
+The option scan reuses the definition scan's roots and reached set. An
+option is a defaulted parameter (positional or keyword-only) of a reached
+top-level function or method, or a public field of a reached dataclass with a
+plain default that ``src/`` does not assign after construction
+(``default_factory`` containers, ``init=False`` fields and assigned fields
+are state, not settings). Reached code or a root file sets an option when it
+
+* passes its name as a keyword argument, unless the value is a parameter of
+  the enclosing function that is itself unset (forwarding: ``f(x=x)`` sets
+  nothing until the enclosing ``x`` is set, iterated to a fixed point);
+* calls the function or class by name with enough positional arguments (the
+  same forwarding rule applies to each), or with ``*args``;
+* writes a string constant equal to its name (the ``fixed`` and ``axes`` dict
+  keys, ``--param`` names); an identifier inside a longer string is not one;
+* passes the dataclass to ``fields(...)``: the command line sets every
+  ``ScenarioConfig`` and ``TrustParameters`` field by name that way.
+
+Like the definition scan it matches names, not call targets: a keyword passed
+to one callee sets every option of that name. An option nothing sets becomes
+a constant, with the branches only another value could select deleted, or is
+listed in :data:`OPTION_ALLOWLIST` with the reader or test it serves.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -183,10 +206,19 @@ def _import_time(node: ast.AST) -> List[ast.AST]:
     return evaluated
 
 
-def _scan_definitions() -> Tuple[Dict[str, _Definition], Set[str]]:
-    """(``module:qualified name`` -> definition, the root identifiers)."""
+class _Scan(NamedTuple):
+    definitions: Dict[str, _Definition]
+    roots: Set[str]
+    #: The import-time code of every module and the root files' syntax trees.
+    entry_code: List[ast.AST]
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_definitions() -> _Scan:
+    """Every definition, the root identifiers and the code that runs without a call."""
     definitions: Dict[str, _Definition] = {}
     roots: Set[str] = set()
+    entry_code: List[ast.AST] = []
     for module, (tree, _) in _parse_sources().items():
         _blank_docstrings(tree)
         import_time: List[ast.AST] = []
@@ -214,11 +246,17 @@ def _scan_definitions() -> Tuple[Dict[str, _Definition], Set[str]]:
             else:
                 import_time.append(statement)
         roots.update(_identifiers(import_time))
+        entry_code += import_time
     for directory in ROOT_DIRECTORIES:
         for path in sorted((REPO / directory).rglob("*")):
             if path.suffix in (".py", ".sh"):
-                roots.update(_IDENTIFIER.findall(path.read_text()))
-    return definitions, roots
+                text = path.read_text()
+                roots.update(_IDENTIFIER.findall(text))
+                if path.suffix == ".py":
+                    tree = ast.parse(text, str(path))
+                    _blank_docstrings(tree)
+                    entry_code.append(tree)
+    return _Scan(definitions, roots, entry_code)
 
 
 def _reachable(definitions: Dict[str, _Definition], roots: Set[str]) -> Set[str]:
@@ -249,7 +287,7 @@ def _reachable(definitions: Dict[str, _Definition], roots: Set[str]) -> Set[str]
 
 
 def test_every_definition_is_reachable_from_an_entry_point():
-    definitions, roots = _scan_definitions()
+    definitions, roots, _ = _scan_definitions()
     reached = _reachable(definitions, roots)
     unreached = set(definitions) - reached
     assert unreached == set(DEFINITION_ALLOWLIST), (
@@ -257,6 +295,218 @@ def test_every_definition_is_reachable_from_an_entry_point():
         f"allowlisted but reached: {sorted(set(DEFINITION_ALLOWLIST) - unreached)}")
 
 
+class _Option(NamedTuple):
+    """A defaulted parameter or a defaulted dataclass field."""
+
+    #: The key of the function or dataclass that takes it.
+    owner: str
+    name: str
+    #: The name a call to the owner uses: the function, or the class.
+    callee: str
+    #: Its index among the positional arguments a call passes, if it has one.
+    position: Optional[int]
+
+    @property
+    def key(self) -> str:
+        return f"{self.owner}.{self.name}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef, classes: Dict[str, ast.ClassDef]
+                      ) -> Iterator[Tuple[str, Optional[ast.expr]]]:
+    """(name, default) of each field ``__init__`` takes, in order: the fields
+    of the dataclasses in ``classes`` it derives from come first."""
+    for base in node.bases:
+        base_node = classes.get(getattr(base, "id", ""))
+        if base_node is not None and _is_dataclass(base_node):
+            yield from _dataclass_fields(base_node, classes)
+    for statement in node.body:
+        if not (isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(statement.annotation):
+            continue
+        default = statement.value
+        if (isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field"):
+            settings = {k.arg: k.value for k in default.keywords}
+            init = settings.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            default = settings.get("default")  # a default_factory is state
+        yield statement.target.id, default
+
+
+def _assigned_attributes() -> Set[str]:
+    """Every attribute name ``src/`` stores other than on ``self`` in ``__init__``."""
+    names: Set[str] = set()
+    for tree, _ in _parse_sources().values():
+        constructors = [node for node in ast.walk(tree) if isinstance(node, _FUNCTIONS)
+                        and node.name in ("__init__", "__post_init__")]
+        in_constructor = {id(target) for node in constructors for target in ast.walk(node)
+                          if isinstance(target, ast.Attribute)
+                          and getattr(target.value, "id", None) == "self"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and id(node) not in in_constructor):
+                names.add(node.attr)
+    return names
+
+
+def _options(definitions: Dict[str, _Definition], reached: Set[str]) -> Dict[str, _Option]:
+    """Every option of a reached definition, by key."""
+    options: List[_Option] = []
+    assigned = _assigned_attributes()
+    classes = {d.name: d.node for d in definitions.values()
+               if isinstance(d.node, ast.ClassDef)}
+    for key in sorted(reached):
+        node = definitions[key].node
+        if isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                # A derived dataclass's inherited fields are its base's options.
+                in_order = list(_dataclass_fields(node, classes))
+                first_own = len(in_order) - len(list(_dataclass_fields(node, {})))
+                for position, (name, default) in enumerate(in_order[first_own:], first_own):
+                    if (default is not None and not name.startswith("_")
+                            and name not in assigned):
+                        options.append(_Option(key, name, node.name, position))
+            continue
+        arguments = node.args
+        positional = arguments.posonlyargs + arguments.args
+        is_method = "." in key.split(":")[1]
+        if is_method and not any(getattr(d, "id", None) == "staticmethod"
+                                 for d in node.decorator_list):
+            positional = positional[1:]
+        callee = key.split(":")[1].split(".")[0] if node.name == "__init__" else node.name
+        first_default = len(positional) - len(arguments.defaults)
+        for position, argument in enumerate(positional):
+            if position >= first_default:
+                options.append(_Option(key, argument.arg, callee, position))
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults):
+            if default is not None:
+                options.append(_Option(key, argument.arg, callee, None))
+    return {option.key: option for option in options}
+
+
+class _Setters:
+    """What the entry code does that can set an option, with its conditions.
+
+    A condition is ``None`` (it sets) or the key of an option of the enclosing
+    definition that the value forwards: it sets only if that option is set.
+    """
+
+    def __init__(self) -> None:
+        self.strings: Set[str] = set()
+        self.keywords: Dict[str, List[Optional[str]]] = {}
+        #: Callee name -> one list of argument conditions per call; a starred
+        #: argument sets every position from its own on.
+        self.positional: Dict[str, List[Tuple[List[Optional[str]], bool]]] = {}
+        self.fields_of: Set[str] = set()
+
+    def add(self, code: ast.AST, forwarded: Dict[str, str]) -> None:
+        """Record ``code``, whose names in ``forwarded`` are the enclosing options."""
+
+        def condition(value: ast.expr) -> Optional[str]:
+            return forwarded.get(value.id) if isinstance(value, ast.Name) else None
+
+        # ``__slots__`` names attributes; it sets nothing.
+        slots = {id(constant) for node in ast.walk(code) if isinstance(node, ast.Assign)
+                 and any(getattr(target, "id", None) == "__slots__"
+                         for target in node.targets)
+                 for constant in ast.walk(node.value)}
+        for node in ast.walk(code):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in slots):
+                self.strings.add(node.value)
+            if not isinstance(node, ast.Call):
+                continue
+            for keyword in node.keywords:
+                if keyword.arg:
+                    self.keywords.setdefault(keyword.arg, []).append(condition(keyword.value))
+            callee = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if callee.startswith("__"):
+                continue  # ``super().__init__``: the keywords name what it sets
+            if callee == "fields" and node.args:
+                target = node.args[0]
+                self.fields_of.add(getattr(target, "id", getattr(target, "attr", "")))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            arguments = [condition(a) for a in node.args if not isinstance(a, ast.Starred)]
+            self.positional.setdefault(callee, []).append((arguments, starred))
+
+
+def _unset_options() -> Set[str]:
+    """The keys of the options no entry code sets."""
+    definitions, roots, entry_code = _scan_definitions()
+    reached = _reachable(definitions, roots)
+    options = _options(definitions, reached)
+    by_owner: Dict[str, Dict[str, str]] = {}
+    for option in options.values():
+        by_owner.setdefault(option.owner, {})[option.name] = option.key
+    setters = _Setters()
+    for code in entry_code:
+        setters.add(code, {})
+    for key in reached:
+        node = definitions[key].node
+        if not isinstance(node, ast.ClassDef):
+            setters.add(node, by_owner.get(key, {}))
+    is_set: Set[str] = set()
+
+    def sets(condition: Optional[str]) -> bool:
+        return condition is None or condition in is_set
+
+    def option_is_set(option: _Option) -> bool:
+        if option.name in setters.strings or option.callee in setters.fields_of:
+            return True
+        if any(sets(c) for c in setters.keywords.get(option.name, ())):
+            return True
+        if option.position is None:
+            return False
+        for arguments, starred in setters.positional.get(option.callee, ()):
+            if option.position < len(arguments):
+                if sets(arguments[option.position]):
+                    return True
+            elif starred:
+                return True
+        return False
+
+    changed = True
+    while changed:
+        newly = {key for key, option in options.items()
+                 if key not in is_set and option_is_set(option)}
+        is_set |= newly
+        changed = bool(newly)
+    return set(options) - is_set
+
+
+_ALWAYS_ZERO = (
+    "always 0 (the medium has no collision model and nothing is unroutable); "
+    "perfbench's digest payload reads it (perfbench/workloads.py)")
+
+#: ``module:qualified name.option`` -> why it stays although no entry point
+#: sets it.
+OPTION_ALLOWLIST: Dict[str, str] = {
+    "repro.netsim.stats:MediumStatistics.frames_collided": _ALWAYS_ZERO,
+    "repro.netsim.stats:MediumStatistics.frames_unroutable": _ALWAYS_ZERO,
+    "repro.logs.store:LogStore.__init__.max_records":
+        "ROADMAP item 9 (a long cell in flat memory) plans to build the "
+        "victim's store with it; tests/test_logs_store.py pins the ring it "
+        "turns on",
+}
+
+
+def test_every_option_is_set_by_an_entry_point():
+    unset = _unset_options()
+    assert unset == set(OPTION_ALLOWLIST), (
+        f"unset and not allowlisted: {sorted(unset - set(OPTION_ALLOWLIST))}; "
+        f"allowlisted but set: {sorted(set(OPTION_ALLOWLIST) - unset)}")
+
+
 def test_every_allowlist_entry_states_its_reason():
-    for key, reason in {**ALLOWLIST, **DEFINITION_ALLOWLIST}.items():
+    for key, reason in {**ALLOWLIST, **DEFINITION_ALLOWLIST, **OPTION_ALLOWLIST}.items():
         assert reason.strip(), key

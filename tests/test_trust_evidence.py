@@ -42,11 +42,6 @@ def test_property2_gravity_defaults_per_kind():
     assert spoof.effective_gravity == DEFAULT_GRAVITY[EvidenceKind.LINK_SPOOFING]
 
 
-def test_explicit_gravity_overrides_default():
-    evidence = TrustEvidence("a", "b", EvidenceKind.CORRECT_ANSWER, value=1.0, gravity=3.0)
-    assert evidence.effective_gravity == 3.0
-
-
 def test_property3_imminence_doubles_harmful_weight():
     plain = harmful("a", "b", EvidenceKind.LINK_SPOOFING)
     imminent = harmful("a", "b", EvidenceKind.LINK_SPOOFING, imminent=True)

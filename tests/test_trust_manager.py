@@ -39,10 +39,22 @@ def test_parameters_validation():
         TrustParameters(beta_recovery=2.0).validate()
 
 
+@pytest.mark.parametrize("name", ["alpha_beneficial", "alpha_harmful", "beta",
+                                  "default_trust", "minimum", "maximum",
+                                  "beta_recovery"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_parameters_must_be_finite(name, value):
+    # A comparison with NaN is false, so a range check alone lets it in.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        TrustParameters(**{name: value}).validate()
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrustManager("observer", TrustParameters(**{name: value}))
+
+
 def test_harmful_evidence_decreases_trust():
     manager = make_manager()
     manager.set_initial_trust("liar", 0.7)
-    evidence = harmful("observer", "liar", EvidenceKind.INCORRECT_ANSWER, timestamp=1.0)
+    evidence = harmful("observer", "liar", EvidenceKind.INCORRECT_ANSWER)
     new_value = manager.update("liar", [evidence])
     assert new_value < 0.7
 
@@ -50,7 +62,7 @@ def test_harmful_evidence_decreases_trust():
 def test_beneficial_evidence_increases_trust():
     manager = make_manager()
     manager.set_initial_trust("good", 0.4)
-    evidence = beneficial("observer", "good", EvidenceKind.CORRECT_ANSWER, timestamp=1.0)
+    evidence = beneficial("observer", "good", EvidenceKind.CORRECT_ANSWER)
     new_value = manager.update("good", [evidence])
     assert new_value > 0.4
 

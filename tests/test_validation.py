@@ -158,20 +158,24 @@ def test_differential_reuses_provided_netsim_result():
 def test_compare_metrics_flags_disagreement_and_incomparability():
     oracle = {"final_attacker_trust": 0.05, "investigated": 1.0}
     netsim = {"final_attacker_trust": 0.95, "investigated": 1.0}
-    comparisons = compare_metrics(oracle, netsim,
-                                  tolerances={"final_attacker_trust": 0.6})
-    assert len(comparisons) == 1
-    assert comparisons[0].comparable
-    assert not comparisons[0].within
-    assert comparisons[0].difference == pytest.approx(0.9)
+    comparisons = compare_metrics(oracle, netsim)
+    assert [c.metric for c in comparisons] == sorted(DEFAULT_TOLERANCES)
+    final = next(c for c in comparisons if c.metric == "final_attacker_trust")
+    assert final.tolerance == 0.6
+    assert final.comparable
+    assert not final.within
+    assert final.difference == pytest.approx(0.9)
+    # A metric one side lacks is incomparable, hence not a disagreement.
+    assert all(c.within and not c.comparable
+               for c in comparisons if c.metric != "final_attacker_trust")
 
     # One side never investigated: incomparable, hence not a disagreement.
     silent = {"final_attacker_trust": 0.4, "investigated": 0.0}
-    comparisons = compare_metrics(oracle, silent,
-                                  tolerances={"final_attacker_trust": 0.6})
-    assert not comparisons[0].comparable
-    assert comparisons[0].within
-    assert comparisons[0].difference is None
+    final = next(c for c in compare_metrics(oracle, silent)
+                 if c.metric == "final_attacker_trust")
+    assert not final.comparable
+    assert final.within
+    assert final.difference is None
 
 
 def test_broken_trust_dynamics_cross_the_declared_tolerances():
