@@ -148,13 +148,18 @@ class DetectorNode:
 
     # --------------------------------------------------------------- detection
     def _sole_provider_oracle(self, suspect: str) -> Set[str]:
-        """E3 check: nodes for which ``suspect`` is the only connectivity provider."""
-        isolated: Set[str] = set()
-        for two_hop in self.router.coverage_of(suspect):
-            providers = self.router.providers_of(two_hop)
-            if providers == {suspect}:
-                isolated.add(two_hop)
-        return isolated
+        """E3 check: nodes for which ``suspect`` is the only connectivity provider.
+
+        They are the bits of ``suspect``'s coverage mask that no other
+        neighbour's mask holds.
+        """
+        two_hop_set = self.router.two_hop_set
+        others = 0
+        for neighbor, covered in two_hop_set.coverage.items():
+            if neighbor != suspect:
+                others |= covered
+        return set(two_hop_set.index.addresses(
+            two_hop_set.coverage.get(suspect, 0) & ~others))
 
     def scan_logs(self) -> List[InvestigationTrigger]:
         """Run the local log analysis and return the new investigation triggers."""

@@ -12,7 +12,8 @@ the intrusion-detection experiments run:
   not O(N).  It delivers broadcasts only: there is no unicast path, and
   nodes neither leave nor fail.
 * :mod:`repro.netsim.mobility` — node placement and mobility models.
-* :mod:`repro.netsim.network` — container wiring nodes, medium and engine.
+* :mod:`repro.netsim.network` — container wiring nodes, medium and engine,
+  with the address index whose bits the nodes' neighbourhood masks use.
 * :mod:`repro.netsim.stats` — transmission statistics.
 * :mod:`repro.netsim.trace` — event trace recording.
 

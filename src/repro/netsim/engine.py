@@ -77,9 +77,9 @@ class Simulator:
     ['b', 'a']
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        #: Current simulated time in seconds.
-        self.now = float(start_time)
+    def __init__(self) -> None:
+        #: Current simulated time in seconds; a run starts at 0.
+        self.now = 0.0
         self._queue: list = []
         #: Next sequence number; equals the number of pushes so far.
         self._sequence = 0

@@ -1,7 +1,8 @@
 """Network container: wires the engine, the medium, mobility and the nodes.
 
 A :class:`Network` owns the simulated clock, the node positions (so mobility
-models can move nodes) and the set of attached interfaces.  Protocol nodes
+models can move nodes), the set of attached interfaces and the
+:class:`AddressIndex` its nodes share.  Protocol nodes
 (:class:`repro.olsr.node.OlsrNode`) attach through the small
 :class:`NetworkInterface` adapter, which is the only thing the medium sees.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.netsim.engine import Simulator
 from repro.netsim.medium import WirelessMedium, UnitDiskPropagation, PerfectChannel
@@ -59,6 +60,56 @@ class PositionTable(Dict[str, Position]):
         return super().setdefault(key, default)
 
 
+class AddressIndex:
+    """One bit per address, for one network's neighbourhood masks.
+
+    OLSR keeps a node's 2-hop neighbourhood as one integer mask per 1-hop
+    neighbour, and a HELLO's declared symmetric set as one mask, so that a
+    coverage test is an ``&`` and a coverage count an ``int.bit_count()``.
+    Every node of a :class:`Network` reads and writes its one index.  An
+    address gets the next free bit the first time it is seen, so the index
+    holds that network's node ids and the addresses its HELLOs declare
+    (spoofed and phantom ones included), and nothing of another network.
+
+    Bit order means nothing: :meth:`addresses` returns sorted names, and
+    every tie-break and log record sorts address strings.
+    """
+
+    def __init__(self) -> None:
+        #: address → its bit (a power of two).  Read it; assign through
+        #: :meth:`bit` or :meth:`mask`.
+        self.bits: Dict[str, int] = {}
+        self._names: List[str] = []
+
+    def bit(self, address: str) -> int:
+        """The bit of ``address``, assigned on first sight."""
+        bit = self.bits.get(address)
+        if bit is None:
+            bit = self.bits[address] = 1 << len(self._names)
+            self._names.append(address)
+        return bit
+
+    def mask(self, addresses: Iterable[str]) -> int:
+        """The mask of ``addresses``, assigning bits to unseen ones."""
+        bits = self.bits
+        mask = 0
+        for address in addresses:
+            bit = bits.get(address)
+            mask |= self.bit(address) if bit is None else bit
+        return mask
+
+    def addresses(self, mask: int) -> List[str]:
+        """The addresses of ``mask``'s bits, in sorted order."""
+        names = self._names
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(names[low.bit_length() - 1])
+            mask ^= low
+        found.sort()
+        return found
+
+
 class NetworkInterface:
     """Adapter between a protocol node and the wireless medium.
 
@@ -85,9 +136,9 @@ class NetworkInterface:
         docstring).
         """
 
-    def broadcast(self, payload, size_bytes: int = 64, **metadata) -> Frame:
+    def broadcast(self, payload, size_bytes: int = 64) -> Frame:
         """Broadcast ``payload`` to every node in range; returns the frame."""
-        frame = Frame(self.node_id, payload, size_bytes, metadata=metadata)
+        frame = Frame(self.node_id, payload, size_bytes)
         self._network.medium.transmit(frame)
         return frame
 
@@ -128,6 +179,9 @@ class Network:
         self.mobility = mobility or GridPlacement()
         self.interfaces: Dict[str, NetworkInterface] = {}
         self.nodes: Dict[str, object] = {}
+        #: The bits of every address this network's nodes mask (one index per
+        #: network, shared by its nodes).
+        self.address_index = AddressIndex()
         self._mobility_installed = False
 
     # ------------------------------------------------------------ topology

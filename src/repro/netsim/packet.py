@@ -8,7 +8,7 @@ its source receives it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 
 class Frame:
@@ -22,24 +22,14 @@ class Frame:
         Arbitrary upper-layer content.
     size_bytes:
         Nominal on-air size used by statistics.
-    metadata:
-        Free-form dictionary for attack modules and traces (e.g. replay
-        markers, wormhole tunnel ids).
     """
 
-    __slots__ = ("source", "payload", "size_bytes", "metadata")
+    __slots__ = ("source", "payload", "size_bytes")
 
-    def __init__(
-        self,
-        source: str,
-        payload: Any,
-        size_bytes: int = 64,
-        metadata: Optional[dict] = None,
-    ) -> None:
+    def __init__(self, source: str, payload: Any, size_bytes: int = 64) -> None:
         self.source = source
         self.payload = payload
         self.size_bytes = size_bytes
-        self.metadata = {} if metadata is None else metadata
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame({self.source} {self.size_bytes}B)"

@@ -4,6 +4,13 @@ These follow RFC 3626 sections 4.2–4.3 and 8.4.  Every repository exposes
 ``purge_expired(now)`` so the node can discard stale tuples when processing
 its periodic timers, plus the queries the MPR-selection and routing
 computations need.
+
+The 2-hop set keeps one integer coverage mask per 1-hop neighbour, in the
+bits of the network's :class:`~repro.netsim.network.AddressIndex`: the MPR
+selection and the E3 sole-provider check read the masks, and a HELLO that
+advertises what its sender's last one did costs its receiver one mask
+comparison.  Its queries for the investigation and the routing calculation
+answer with address strings.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.netsim.network import AddressIndex
 from repro.olsr.constants import Willingness
 
 
@@ -147,7 +155,11 @@ class NeighborSet:
 # ------------------------------------------------------------ 2-hop neighbours
 @dataclass
 class TwoHopTuple:
-    """One 2-hop neighbour reachable through ``neighbor_address`` (RFC §4.3.2)."""
+    """One 2-hop neighbour reachable through ``neighbor_address`` (RFC §4.3.2).
+
+    :class:`TwoHopNeighborSet` stores none: it builds them when iterated
+    and for the tuples :meth:`~TwoHopNeighborSet.purge_expired` removes.
+    """
 
     neighbor_address: str
     two_hop_address: str
@@ -155,23 +167,36 @@ class TwoHopTuple:
 
 
 class TwoHopNeighborSet:
-    """Collection of :class:`TwoHopTuple`, indexed by 1-hop neighbour.
+    """One node's 2-hop neighbourhood, one coverage mask per 1-hop neighbour.
 
-    Tuples live in ``neighbour -> {2-hop address -> tuple}``, so the
-    per-neighbour queries (:meth:`reachable_through`,
-    :meth:`remove_for_neighbor`) and :meth:`coverage_map` cost the size of
-    their answer instead of a scan over every tuple.  A neighbour with no
-    tuple left has no entry.
+    For each neighbour whose HELLOs advertise some 2-hop address it keeps
+    three things: :attr:`coverage`, the mask (in the network's
+    :class:`~repro.netsim.network.AddressIndex`) of the addresses its last
+    HELLO advertised; one expiry; and those addresses in the order they
+    were first added, which is the order iteration and
+    :meth:`purge_expired` report them in.  A neighbour with no address left
+    has no entry.  One expiry per neighbour is exact because
+    :meth:`refresh` is the only writer: it gives every advertised address
+    the expiry of the HELLO and withdraws the rest, so all tuples through a
+    neighbour share the expiry of its last HELLO.
 
-    ``version`` counts *structural* changes only — key insertions and
-    removals.  Refreshing an existing tuple's expiry does not change
-    :meth:`coverage_map` or any other key-derived query, so it leaves the
-    version alone; that is what lets the node skip MPR/route recomputations
-    on steady-state HELLO refreshes.
+    ``version`` counts *structural* changes only: one per address a refresh
+    adds or withdraws, one per purge that removed something and one per
+    neighbour removed.  A HELLO that advertises what the last one did
+    writes only the expiry and leaves the version alone; that is what lets
+    the node skip MPR/route recomputations on steady-state HELLO refreshes.
     """
 
-    def __init__(self) -> None:
-        self._by_neighbor: Dict[str, Dict[str, TwoHopTuple]] = {}
+    def __init__(self, index: AddressIndex, local_address: str) -> None:
+        self.index = index
+        #: neighbour → mask of the 2-hop addresses it covers (never 0).
+        #: Read it; write through :meth:`refresh`.
+        self.coverage: Dict[str, int] = {}
+        self._expiry: Dict[str, float] = {}
+        self._order: Dict[str, List[str]] = {}
+        #: Clears the local address's bit: a node is never its own 2-hop
+        #: neighbour.
+        self._not_local = ~index.bit(local_address)
         self.version = 0
         self._sorted_pairs: Optional[Tuple[int, List[Tuple[str, str]]]] = None
 
@@ -187,110 +212,89 @@ class TwoHopNeighborSet:
             return cached[1]
         pairs = sorted(
             (two_hop, neighbor)
-            for neighbor, reached in self._by_neighbor.items()
+            for neighbor, reached in self._order.items()
             for two_hop in reached
         )
         self._sorted_pairs = (self.version, pairs)
         return pairs
 
-    def refresh(self, neighbor_address: str, advertised: Sequence[str],
-                local_address: str, expiry_time: float
-                ) -> Tuple[List[str], List[str]]:
+    def refresh(self, neighbor_address: str, advertised: int, expiry_time: float
+                ) -> Tuple[Sequence[str], Sequence[str]]:
         """Apply one HELLO of ``neighbor_address`` advertising ``advertised``.
 
-        ``advertised`` is the HELLO's symmetric set in sorted order; the
-        receiver's own ``local_address`` in it is skipped.  Known tuples get
-        ``expiry_time`` in place, new ones are inserted, and tuples through
-        ``neighbor_address`` whose address the HELLO no longer advertises
-        are withdrawn.  Returns ``(added, withdrawn)``, each sorted.
-
-        Tuples, their order and ``version`` end up as with one
-        :meth:`upsert` per advertised address followed by one
-        :meth:`remove` per withdrawn one.  The withdrawal walk runs only
-        when the neighbour's tuple count, after the insertions, differs
-        from the number of addresses advertised: otherwise every stored
-        address was advertised.
+        ``advertised`` is the HELLO's symmetric mask; the local address's
+        bit in it is ignored.  Every advertised address gets
+        ``expiry_time``, and addresses through ``neighbor_address`` the
+        HELLO no longer advertises are withdrawn.  Returns ``(added,
+        withdrawn)``, each sorted.  A mask equal to the stored one writes
+        only the expiry.
         """
-        reached = self._by_neighbor.get(neighbor_address)
-        if reached is None:
-            reached = self._by_neighbor[neighbor_address] = {}
-        added: List[str] = []
-        count = 0
-        for address in advertised:
-            if address == local_address:
-                continue
-            count += 1
-            record = reached.get(address)
-            if record is None:
-                reached[address] = TwoHopTuple(neighbor_address, address, expiry_time)
-                added.append(address)
+        advertised &= self._not_local
+        coverage = self.coverage
+        stored = coverage.get(neighbor_address, 0)
+        if advertised == stored:
+            if stored:
+                self._expiry[neighbor_address] = expiry_time
+            return (), ()
+        gained = advertised & ~stored
+        lost = stored & ~advertised
+        added = self.index.addresses(gained) if gained else ()
+        withdrawn = self.index.addresses(lost) if lost else ()
+        if not advertised:
+            del coverage[neighbor_address]
+            del self._expiry[neighbor_address]
+            del self._order[neighbor_address]
+        else:
+            coverage[neighbor_address] = advertised
+            self._expiry[neighbor_address] = expiry_time
+            if not stored:
+                self._order[neighbor_address] = list(added)
             else:
-                record.expiry_time = expiry_time
-        withdrawn: List[str] = []
-        if len(reached) != count:
-            withdrawn = sorted(reached.keys() - set(advertised))
-            for address in withdrawn:
-                del reached[address]
-        if not reached:
-            del self._by_neighbor[neighbor_address]
+                order = self._order[neighbor_address]
+                if withdrawn:
+                    gone = set(withdrawn)
+                    order = self._order[neighbor_address] = [
+                        address for address in order if address not in gone]
+                order += added
         self.version += len(added) + len(withdrawn)
         return added, withdrawn
 
-    def upsert(self, record: TwoHopTuple) -> TwoHopTuple:
-        """Insert or refresh a 2-hop tuple."""
-        reached = self._by_neighbor.get(record.neighbor_address)
-        if reached is None:
-            reached = self._by_neighbor[record.neighbor_address] = {}
-        if record.two_hop_address not in reached:
-            self.version += 1
-        reached[record.two_hop_address] = record
-        return record
-
     def remove_for_neighbor(self, neighbor_address: str) -> None:
         """Drop every tuple whose intermediate is ``neighbor_address``."""
-        if self._by_neighbor.pop(neighbor_address, None):
+        if self.coverage.pop(neighbor_address, None) is not None:
+            del self._expiry[neighbor_address]
+            del self._order[neighbor_address]
             self.version += 1
-
-    def remove(self, neighbor_address: str, two_hop_address: str) -> None:
-        """Drop one (neighbour, 2-hop) tuple if present."""
-        reached = self._by_neighbor.get(neighbor_address)
-        if reached is None or reached.pop(two_hop_address, None) is None:
-            return
-        if not reached:
-            del self._by_neighbor[neighbor_address]
-        self.version += 1
 
     def purge_expired(self, now: float) -> List[TwoHopTuple]:
-        """Drop expired tuples; returns the removed ones."""
+        """Drop the neighbours whose last HELLO lapsed; returns their
+        tuples, neighbour by neighbour, each in first-added order."""
+        lapsed = [neighbor for neighbor, expiry in self._expiry.items() if expiry < now]
+        if not lapsed:
+            return []
         expired: List[TwoHopTuple] = []
-        for neighbor, reached in list(self._by_neighbor.items()):
-            stale = [t for t in reached.values() if t.expiry_time < now]
-            for record in stale:
-                del reached[record.two_hop_address]
-            if not reached:
-                del self._by_neighbor[neighbor]
-            expired.extend(stale)
-        if expired:
-            self.version += 1
+        for neighbor in lapsed:
+            del self.coverage[neighbor]
+            expiry = self._expiry.pop(neighbor)
+            expired += [TwoHopTuple(neighbor, address, expiry)
+                        for address in self._order.pop(neighbor)]
+        self.version += 1
         return expired
 
     def reachable_through(self, neighbor_address: str) -> Set[str]:
         """2-hop addresses reachable through the given 1-hop neighbour."""
-        return set(self._by_neighbor.get(neighbor_address, ()))
-
-    def providers_of(self, two_hop_address: str) -> Set[str]:
-        """1-hop neighbours that provide connectivity to ``two_hop_address``."""
-        return {n for n, reached in self._by_neighbor.items() if two_hop_address in reached}
+        return set(self._order.get(neighbor_address, ()))
 
     def coverage_map(self) -> Dict[str, Set[str]]:
         """Mapping 1-hop neighbour -> set of 2-hop addresses it covers."""
-        return {n: set(reached) for n, reached in self._by_neighbor.items()}
+        return {n: set(reached) for n, reached in self._order.items()}
 
     def __iter__(self):
-        return (t for reached in self._by_neighbor.values() for t in reached.values())
+        return (TwoHopTuple(neighbor, address, self._expiry[neighbor])
+                for neighbor, reached in self._order.items() for address in reached)
 
     def __len__(self) -> int:
-        return sum(len(reached) for reached in self._by_neighbor.values())
+        return sum(map(len, self._order.values()))
 
 
 # ------------------------------------------------------------- MPR selectors

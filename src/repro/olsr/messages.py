@@ -10,8 +10,9 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set
 
+from repro.netsim.network import AddressIndex
 from repro.olsr.constants import (
     DEFAULT_TTL,
     HELLO_BASE_SIZE,
@@ -52,8 +53,9 @@ class DeclaredSets:
     :meth:`HelloMessage.declare` and shared by every receiver and log site."""
 
     symmetric: FrozenSet[str]
-    #: ``symmetric`` in sorted order: the walk of the receivers' 2-hop refresh.
-    symmetric_sorted: Tuple[str, ...]
+    #: ``symmetric`` as a mask of the network's :class:`AddressIndex`: what
+    #: the receivers' 2-hop refresh compares and stores.
+    symmetric_mask: int
     mprs: FrozenSet[str]
     lost: FrozenSet[str]
     addresses: FrozenSet[str]
@@ -133,13 +135,17 @@ class HelloMessage:
         """Every address mentioned in the message."""
         return {adv.neighbor_address for adv in self.links}
 
-    def declare(self) -> DeclaredSets:
+    def declare(self, index: AddressIndex) -> DeclaredSets:
         """Compute the declared sets from ``links`` and keep them in
-        :attr:`declared`: the message is final from here on."""
+        :attr:`declared`: the message is final from here on.
+
+        ``index`` is the network's :class:`AddressIndex`; the symmetric
+        set's addresses get their bits there, spoofed ones included.
+        """
         symmetric = frozenset(self.symmetric_neighbors())
         self.declared = DeclaredSets(
             symmetric=symmetric,
-            symmetric_sorted=tuple(sorted(symmetric)),
+            symmetric_mask=index.mask(symmetric),
             mprs=frozenset(self.mpr_neighbors()),
             lost=frozenset(self.lost_neighbors()),
             addresses=frozenset(self.all_addresses()),

@@ -18,9 +18,11 @@ change that triggered it (see :attr:`OlsrNode.mpr_set`).
 A received HELLO costs each receiver only the work that depends on that
 receiver.  The sender computes the HELLO's declared sets once, after its
 ``hello_mutators`` ran (:meth:`HelloMessage.declare`), and every receiver
-and log site reads them.  Known 2-hop and MPR-selector tuples are refreshed
-in place, and the 2-hop withdrawals are walked only when the neighbour's
-tuple count says some address was withdrawn.
+and log site reads them.  The declared symmetric set is also a mask of the
+network's :class:`~repro.netsim.network.AddressIndex`, and the 2-hop set
+keeps one coverage mask per neighbour, so a HELLO that advertises what the
+sender's last one did costs its receiver one integer comparison and an
+expiry write; known MPR-selector tuples are refreshed in place.
 
 :class:`OlsrNode` is the package's one router.  Besides the protocol state
 it owns the node's attachment to the simulated network (it binds the
@@ -112,10 +114,13 @@ class OlsrNode:
         self.stats = NodeStatistics()
         self.willingness = willingness
 
-        # Information repositories (RFC §4).
+        # Information repositories (RFC §4).  The 2-hop set and the HELLOs
+        # mask addresses in the network's one index.
+        self._index = network.address_index
+        self._own_bit = self._index.bit(node_id)
         self.link_set = LinkSet()
         self.neighbor_set = NeighborSet()
-        self.two_hop_set = TwoHopNeighborSet()
+        self.two_hop_set = TwoHopNeighborSet(self._index, node_id)
         self.mpr_selector_set = MprSelectorSet()
         self.topology_set = TopologySet()
         self.duplicate_set = DuplicateSet(hold_time=DUP_HOLD_TIME)
@@ -224,13 +229,10 @@ class OlsrNode:
         """2-hop addresses reachable through ``neighbor`` according to its HELLOs."""
         return self.two_hop_set.reachable_through(neighbor)
 
-    def providers_of(self, two_hop_address: str) -> Set[str]:
-        """1-hop neighbours claiming to reach ``two_hop_address``."""
-        return self.two_hop_set.providers_of(two_hop_address)
-
     def peer_advertises(self, peer: str, address: str) -> bool:
         """Whether ``peer``'s HELLOs advertise ``address`` as its neighbour."""
-        return address in self.two_hop_set.reachable_through(peer)
+        return bool(self.two_hop_set.coverage.get(peer, 0)
+                    & self._index.bits.get(address, 0))
 
     @property
     def routing_table(self) -> RoutingTable:
@@ -283,7 +285,7 @@ class OlsrNode:
         hello = self.build_hello()
         for mutator in self.hello_mutators:
             hello = mutator(hello, self)
-        declared = hello.declare()
+        declared = hello.declare(self._index)
         message = OlsrMessage(
             originator=self.node_id,
             body=hello,
@@ -381,7 +383,7 @@ class OlsrNode:
             if message_type is _HELLO:
                 declared = body.declared
                 if declared is None:  # handed in without going through emission
-                    declared = body.declare()
+                    declared = body.declare(self._index)
                 if _MESSAGE_RX in recorded:
                     self._log_hello_rx(message, last_hop, declared, now)
                 self.process_hello(message, last_hop, declared, now)
@@ -442,8 +444,9 @@ class OlsrNode:
         from a HELLO received at ``now``.
 
         ``declared`` is the HELLO's :class:`DeclaredSets`, shared by every
-        receiver; only what depends on this node is computed here.  Known
-        2-hop and MPR-selector tuples are refreshed in place.
+        receiver; only what depends on this node is computed here.  The
+        2-hop set compares the declared symmetric mask with the one it
+        stores, and known MPR-selector tuples are refreshed in place.
         """
         if (self._pending_mpr_symmetric is not None
                 and LogCategory.MPR in self.log.recorded):
@@ -496,11 +499,11 @@ class OlsrNode:
             self.log.log(now, LogCategory.NEIGHBOR, "NEIGHBOR_NOT_SYM", neighbor=origin)
 
         # 2-hop neighbour set: only populated through symmetric neighbours.
-        # Both walks are sorted so the TWO_HOP trail does not follow the
-        # hash seed's set order.
+        # Both lists come sorted, so the TWO_HOP trail follows neither the
+        # hash seed nor the index's bit order.
         if now_symmetric:
             added, withdrawn = self.two_hop_set.refresh(
-                origin, declared.symmetric_sorted, node_id, now + hold)
+                origin, declared.symmetric_mask, now + hold)
             for address in added:
                 self.log.log(now, LogCategory.TWO_HOP, "TWO_HOP_ADDED",
                              neighbor=origin, two_hop=address)
@@ -648,12 +651,11 @@ class OlsrNode:
         """Run RFC 3626 §8.3.1 selection; log the change when ``record``."""
         self._pending_mpr_symmetric = None
         willingness = {n.neighbor_address: n.willingness for n in self.neighbor_set}
-        coverage = self.two_hop_set.coverage_map()
         result = select_mprs(
             symmetric_neighbors=symmetric,
-            coverage=coverage,
+            coverage=self.two_hop_set.coverage,
             willingness=willingness,
-            local_address=self.node_id,
+            excluded=self._own_bit | self._index.mask(symmetric),
         )
         new_set = result.mprs
         previous = self._mpr_set
@@ -663,7 +665,7 @@ class OlsrNode:
             now = self.now
             for address in sorted(new_set - previous):
                 self.log.log(now, LogCategory.MPR, "MPR_SELECTED", mpr=address,
-                             covered=result.coverage.get(address, set()))
+                             covered=self._index.addresses(result.coverage[address]))
             for address in sorted(previous - new_set):
                 self.log.log(now, LogCategory.MPR, "MPR_REMOVED", mpr=address)
             self.log.log(now, LogCategory.MPR, "MPR_SET_CHANGED",

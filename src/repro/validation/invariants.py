@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.logs.records import LogCategory
 from repro.netsim.trace import TraceRecorder
+from repro.olsr.constants import Willingness
 from repro.olsr.mpr import mpr_coverage_complete
 from repro.trust.manager import TrustManager
 
@@ -84,11 +85,14 @@ def check_mpr_coverage(scenario) -> List[InvariantViolation]:
     """MPR selection covers the strict 2-hop neighbourhood (RFC 3626 §8.3.1).
 
     The checker re-runs :func:`~repro.olsr.mpr.select_mprs` on each node's
-    *live* information repositories — exactly what the node itself would
-    compute next — and asserts the coverage property of the result: every
-    strict 2-hop address reachable through some willing symmetric neighbour
-    must be covered by the selected MPR set (addresses the selection itself
-    reports as provider-less are exempt; they are legitimately unreachable).
+    *live* information repositories — the same masks the node itself would
+    select on next — and checks the selected set against the address view
+    of the same 2-hop set (``coverage_map``): every strict 2-hop address
+    that some willing symmetric neighbour reaches must be covered by a
+    selected MPR.  Addresses only ``WILL_NEVER`` neighbours reach are
+    exempt; they are legitimately unreachable.  The required set is derived
+    here, not read from the selection's ``uncovered`` mask, so a selection
+    that gave up on a reachable address fails the check.
 
     The node's *stored* ``mpr_set`` is deliberately not compared: links
     expire passively between housekeeping runs, so a snapshot taken inside
@@ -103,27 +107,27 @@ def check_mpr_coverage(scenario) -> List[InvariantViolation]:
     violations: List[InvariantViolation] = []
     for node_id, node in sorted(scenario.nodes.items()):
         olsr = getattr(node, "router", node)
+        two_hop_set = olsr.two_hop_set
         symmetric = olsr.symmetric_neighbors()
         willingness = {n.neighbor_address: n.willingness for n in olsr.neighbor_set}
-        coverage: Dict[str, Set[str]] = olsr.two_hop_set.coverage_map()
         result = select_mprs(
             symmetric_neighbors=symmetric,
-            coverage=coverage,
+            coverage=two_hop_set.coverage,
             willingness=willingness,
-            local_address=node_id,
+            excluded=two_hop_set.index.mask(symmetric | {node_id}),
         )
-        strict_two_hop: Set[str] = set()
+        coverage: Dict[str, Set[str]] = two_hop_set.coverage_map()
+        required: Set[str] = set()
         for neighbor in symmetric:
-            strict_two_hop |= {
-                address for address in coverage.get(neighbor, set())
-                if address not in symmetric and address not in (node_id, neighbor)
-            }
-        required = strict_two_hop - result.uncovered
-        if mpr_coverage_complete(result.mprs, result.coverage, required):
+            if willingness.get(neighbor, Willingness.WILL_DEFAULT) != Willingness.WILL_NEVER:
+                required |= coverage.get(neighbor, set())
+        required -= symmetric
+        required.discard(node_id)
+        if mpr_coverage_complete(result.mprs, coverage, required):
             continue
         covered: Set[str] = set()
         for mpr in result.mprs:
-            covered |= result.coverage.get(mpr, set())
+            covered |= coverage.get(mpr, set())
         missing = sorted(required - covered)
         violations.append(InvariantViolation(
             invariant="mpr-coverage",

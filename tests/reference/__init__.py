@@ -16,8 +16,12 @@
 * :class:`FlatDuplicateSet` — the duplicate set with one
   (originator, sequence number) key tuple per entry and a set of
   retransmitted keys.
-* :func:`select_mprs` — the MPR selection that rebuilds the other MPRs'
-  coverage count for every MPR its redundancy prune considers.
+* :func:`select_mprs` — the MPR selection on Python sets that rebuilds the
+  other MPRs' coverage count for every MPR its redundancy prune considers;
+  :func:`select_by_address` runs the program's mask selection on the same
+  address-set inputs.
+* :class:`PerAddressTwoHopSet` — the 2-hop set with one tuple and one
+  expiry per (neighbour, 2-hop address), refreshed address by address.
 * :mod:`tests.reference.trust` — an investigation round computed evidence
   by evidence: one :class:`repro.trust.evidence.TrustEvidence` per
   responder, one per-subject Eq. 5 update each, and Eqs. 8–10 over
@@ -32,10 +36,12 @@ None is used by the program; they are oracles for its single paths.
 from tests.reference.duplicate import FlatDuplicateSet
 from tests.reference.engine import HeapSimulator
 from tests.reference.medium import PerReceiverMedium, scan_connectivity, scan_neighbors
-from tests.reference.mpr import select_mprs
+from tests.reference.mpr import select_by_address, select_mprs
 from tests.reference.paths import path_avoiding
 from tests.reference.topology import RebuildingTopologySet
+from tests.reference.two_hop import PerAddressTwoHopSet
 
-__all__ = ["FlatDuplicateSet", "HeapSimulator", "PerReceiverMedium",
-           "RebuildingTopologySet", "path_avoiding", "scan_connectivity",
-           "scan_neighbors", "select_mprs"]
+__all__ = ["FlatDuplicateSet", "HeapSimulator", "PerAddressTwoHopSet",
+           "PerReceiverMedium", "RebuildingTopologySet", "path_avoiding",
+           "scan_connectivity", "scan_neighbors", "select_by_address",
+           "select_mprs"]

@@ -52,8 +52,8 @@ class HeapSimulator:
     engine benchmark in ``benchmarks/test_bench_olsr_scale.py``.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[_HeapEvent] = []
         self._sequence = 0
         self._processed = 0

@@ -1,11 +1,58 @@
-"""The MPR selection that recounts coverage per MPR: the selection oracle."""
+"""The MPR selection on address sets that recounts coverage per MPR: the
+selection oracle, and :func:`select_by_address`, which runs the program's
+mask selection on the same inputs."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Set
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
+from repro.netsim.network import AddressIndex
+from repro.olsr import mpr as program
 from repro.olsr.constants import Willingness
-from repro.olsr.mpr import MprComputationResult
+
+
+@dataclass
+class AddressSelection:
+    """A selection's outcome with every mask decoded to an address set."""
+
+    mprs: Set[str] = field(default_factory=set)
+    uncovered: Set[str] = field(default_factory=set)
+    coverage: Dict[str, Set[str]] = field(default_factory=dict)
+
+
+def select_by_address(
+    symmetric_neighbors: Set[str],
+    coverage: Mapping[str, Set[str]],
+    willingness: Optional[Mapping[str, Willingness]] = None,
+    local_address: Optional[str] = None,
+    bit_order: Iterable[str] = (),
+) -> AddressSelection:
+    """:func:`repro.olsr.mpr.select_mprs` on the oracle's inputs.
+
+    It builds an :class:`AddressIndex` from the strings (``bit_order``'s
+    addresses take the low bits, the rest follow in sorted order), masks
+    the coverage and the excluded addresses as ``OlsrNode`` does, and
+    decodes the result's masks into address sets.
+    """
+    index = AddressIndex()
+    index.mask(bit_order)
+    masks = {name: index.mask(sorted(covered)) for name, covered in coverage.items()}
+    excluded = index.mask(sorted(symmetric_neighbors))
+    if local_address is not None:
+        excluded |= index.bit(local_address)
+    result = program.select_mprs(
+        symmetric_neighbors=symmetric_neighbors,
+        coverage=masks,
+        willingness=willingness or {},
+        excluded=excluded,
+    )
+    return AddressSelection(
+        mprs=result.mprs,
+        uncovered=set(index.addresses(result.uncovered)),
+        coverage={name: set(index.addresses(mask))
+                  for name, mask in result.coverage.items()},
+    )
 
 
 def select_mprs(
@@ -13,15 +60,15 @@ def select_mprs(
     coverage: Mapping[str, Set[str]],
     willingness: Optional[Mapping[str, Willingness]] = None,
     local_address: Optional[str] = None,
-) -> MprComputationResult:
+) -> AddressSelection:
     """RFC 3626 §8.3.1 selection, as :func:`repro.olsr.mpr.select_mprs` was
-    before it pruned with one coverage-count map.
+    before it ran on masks and before it pruned with one coverage-count map.
 
-    Its redundancy prune rebuilds the coverage count of the other MPRs for
-    every MPR it considers, and it keeps providers as sets and builds each
-    neighbour's strict coverage address by address.  The program's
-    selection must return the same MPR set, uncovered set, coverage map and
-    isolated 2-hop addresses.
+    It runs on Python sets.  Its redundancy prune rebuilds the coverage
+    count of the other MPRs for every MPR it considers, and it keeps
+    providers as sets and builds each neighbour's strict coverage address
+    by address.  The program's selection must return the same MPR set,
+    uncovered set and coverage map (decoded by :func:`select_by_address`).
 
     Parameters
     ----------
@@ -60,7 +107,7 @@ def select_mprs(
             effective_coverage[neighbor] = covered
         two_hop_set |= covered
 
-    result = MprComputationResult(coverage=effective_coverage)
+    result = AddressSelection(coverage=effective_coverage)
 
     if not two_hop_set:
         # Still honour WILL_ALWAYS neighbours (RFC step 1).
@@ -99,7 +146,7 @@ def _select_greedy(
     effective_coverage: Dict[str, Set[str]],
     two_hop_set: Set[str],
     will: Callable[[str], Willingness],
-    result: MprComputationResult,
+    result: AddressSelection,
 ) -> Set[str]:
     """Steps 1, 3 and 4 of the RFC heuristic."""
     uncovered = set(two_hop_set)
@@ -120,7 +167,6 @@ def _select_greedy(
     for address, provider_set in sorted(providers.items()):
         if len(provider_set) == 1:
             sole = next(iter(provider_set))
-            result.isolated_two_hops[address] = sole
             if address in uncovered:
                 mprs.add(sole)
                 uncovered -= effective_coverage[sole]

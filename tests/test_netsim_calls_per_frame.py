@@ -14,14 +14,24 @@ collision and brute-force paths made 9.80 calls per delivered frame; a
 per-frame helper, clock property or per-receiver event coming back pushes
 the count over the bound.
 
-The same cell also checks two accounting identities: every event the
-engine pushed was popped, skipped as cancelled or is still queued, and
-every sent broadcast reached each other interface as exactly one fate.
+The cell is counted in two interpreters at once, under ``PYTHONHASHSEED``
+0 and 13, and the two counts must be equal: a loop whose work follows set
+iteration order (a short-circuiting generator over a set, say) moves the
+count with the hash seed and fails here.
+
+The same cell also checks two accounting identities in both interpreters:
+every event the engine pushed was popped, skipped as cancelled or is still
+queued, and every sent broadcast reached each other interface as exactly
+one fate.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,11 +51,13 @@ _DENSE_STATIC = {
 _CELL_SEED = 1903018497
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})
 MAX_CALLS_PER_DELIVERED_FRAME = 8.5
+#: The hash seeds of the two interpreters; the bound is checked on the first.
+_HASH_SEEDS = ("0", "13")
 
 
-@pytest.fixture(scope="module")
-def profiled_cell():
-    """The driven cell's scenario and the Python calls made while driving it."""
+def count_cell() -> dict:
+    """Drive the cell under ``sys.setprofile``; its call count and the
+    engine and medium figures the accounting identities read."""
     config = scenario_config_from_params(_DENSE_STATIC, _CELL_SEED)
     scenario = build_netsim_scenario(config, _DENSE_STATIC)
     calls = [0]
@@ -60,12 +72,51 @@ def profiled_cell():
         drive_netsim_scenario(scenario, config, _DENSE_STATIC)
     finally:
         sys.setprofile(previous)
-    return scenario, calls[0]
+    network = scenario.network
+    simulator = network.simulator
+    stats = network.medium.stats
+    return {
+        "calls": calls[0],
+        "counters": network.engine_counters(),
+        "processed_events": simulator.processed_events,
+        "queued_entries": simulator.queued_entries,
+        "interfaces": len(network.interfaces),
+        "frames_sent": stats.frames_sent,
+        "frames_delivered": stats.frames_delivered,
+        "frames_lost": stats.frames_lost,
+        "frames_out_of_range": stats.frames_out_of_range,
+        "frames_unroutable": stats.frames_unroutable,
+        "frames_collided": stats.frames_collided,
+    }
 
 
-def test_a_dense_static_cell_makes_few_calls_per_delivered_frame(profiled_cell):
-    scenario, calls = profiled_cell
-    delivered = scenario.network.medium.stats.frames_delivered
+@pytest.fixture(scope="module")
+def counted_cells():
+    """Hash seed -> :func:`count_cell`'s figures from an interpreter
+    started with that ``PYTHONHASHSEED``; the interpreters run at once."""
+    root = Path(__file__).resolve().parent.parent
+    script = ("import json\n"
+              "from tests.test_netsim_calls_per_frame import count_cell\n"
+              "print(json.dumps(count_cell()))\n")
+    processes = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", script], cwd=root, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])})
+        for seed in _HASH_SEEDS
+    }
+    figures = {}
+    for seed, process in processes.items():
+        stdout, stderr = process.communicate()
+        assert process.returncode == 0, stderr
+        figures[seed] = json.loads(stdout)
+    return figures
+
+
+def test_a_dense_static_cell_makes_few_calls_per_delivered_frame(counted_cells):
+    cell = counted_cells[_HASH_SEEDS[0]]
+    calls, delivered = cell["calls"], cell["frames_delivered"]
     assert delivered > 80_000
     per_frame = calls / delivered
     assert per_frame <= MAX_CALLS_PER_DELIVERED_FRAME, (
@@ -73,21 +124,26 @@ def test_a_dense_static_cell_makes_few_calls_per_delivered_frame(profiled_cell):
         f"{delivered} frames delivered)")
 
 
-def test_every_engine_push_is_popped_skipped_or_queued(profiled_cell):
-    scenario, _ = profiled_cell
-    simulator = scenario.network.simulator
-    counters = scenario.network.engine_counters()
-    assert counters["pops"] == simulator.processed_events > 0
-    assert counters["pushes"] == (counters["pops"] + counters["cancelled_skipped"]
-                                  + simulator.queued_entries)
+def test_the_call_count_does_not_follow_the_hash_seed(counted_cells):
+    first, second = (counted_cells[seed] for seed in _HASH_SEEDS)
+    assert first["frames_delivered"] == second["frames_delivered"]
+    assert first["calls"] == second["calls"], (
+        f"{first['calls']} calls under PYTHONHASHSEED={_HASH_SEEDS[0]}, "
+        f"{second['calls']} under {_HASH_SEEDS[1]}")
 
 
-def test_every_broadcast_reaches_each_other_interface_as_one_fate(profiled_cell):
-    scenario, _ = profiled_cell
-    network = scenario.network
-    stats = network.medium.stats
-    assert stats.frames_sent > 0 and stats.frames_collided == 0
-    # No node arrives or leaves, and OLSR only broadcasts.
-    assert (stats.frames_sent * (len(network.interfaces) - 1)
-            == stats.frames_delivered + stats.frames_lost
-            + stats.frames_out_of_range + stats.frames_unroutable)
+def test_every_engine_push_is_popped_skipped_or_queued(counted_cells):
+    for cell in counted_cells.values():
+        counters = cell["counters"]
+        assert counters["pops"] == cell["processed_events"] > 0
+        assert counters["pushes"] == (counters["pops"] + counters["cancelled_skipped"]
+                                      + cell["queued_entries"])
+
+
+def test_every_broadcast_reaches_each_other_interface_as_one_fate(counted_cells):
+    for cell in counted_cells.values():
+        assert cell["frames_sent"] > 0 and cell["frames_collided"] == 0
+        # No node arrives or leaves, and OLSR only broadcasts.
+        assert (cell["frames_sent"] * (cell["interfaces"] - 1)
+                == cell["frames_delivered"] + cell["frames_lost"]
+                + cell["frames_out_of_range"] + cell["frames_unroutable"])

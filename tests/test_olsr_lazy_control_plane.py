@@ -187,9 +187,9 @@ def test_a_netsim_cell_declares_each_hello_once(monkeypatch):
     builds = []
     declare = HelloMessage.declare
 
-    def counted(hello):
+    def counted(hello, index):
         builds.append(None)
-        return declare(hello)
+        return declare(hello, index)
 
     monkeypatch.setattr(HelloMessage, "declare", counted)
     config = scenario_config_from_params(_CELL, seed=7)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netsim.network import AddressIndex
 from repro.olsr.constants import Willingness
 from repro.olsr.link_state import (
     LinkSet,
@@ -16,6 +17,7 @@ from repro.olsr.link_state import (
     TwoHopNeighborSet,
     TwoHopTuple,
 )
+from tests.reference import PerAddressTwoHopSet
 
 
 # ----------------------------------------------------------------- link set
@@ -76,26 +78,43 @@ def test_neighbor_set_remove():
 
 
 # ----------------------------------------------------------------- 2-hop set
+def new_two_hop_set(bit_order=()) -> TwoHopNeighborSet:
+    """An empty 2-hop set of node "me", on an index whose low bits go to
+    ``bit_order``'s addresses."""
+    index = AddressIndex()
+    index.mask(bit_order)
+    return TwoHopNeighborSet(index, "me")
+
+
+def refresh(two_hop: TwoHopNeighborSet, neighbour: str, advertised, expiry: float):
+    """Apply a HELLO of ``neighbour`` declaring ``advertised`` symmetric."""
+    return two_hop.refresh(neighbour, two_hop.index.mask(advertised), expiry)
+
+
 def build_two_hop_set() -> TwoHopNeighborSet:
-    two_hop = TwoHopNeighborSet()
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=100.0))
-    two_hop.upsert(TwoHopTuple("n1", "y", expiry_time=100.0))
-    two_hop.upsert(TwoHopTuple("n2", "y", expiry_time=100.0))
-    two_hop.upsert(TwoHopTuple("n2", "z", expiry_time=100.0))
+    two_hop = new_two_hop_set()
+    refresh(two_hop, "n1", {"x", "y"}, 100.0)
+    refresh(two_hop, "n2", {"y", "z"}, 100.0)
     return two_hop
 
 
-def two_hop_addresses(two_hop: TwoHopNeighborSet) -> set:
+def two_hop_addresses(two_hop) -> set:
     """Every 2-hop address of ``two_hop``."""
     return {t.two_hop_address for t in two_hop}
+
+
+def providers_of(two_hop: TwoHopNeighborSet, address: str) -> set:
+    """The neighbours whose coverage mask holds ``address``'s bit."""
+    bit = two_hop.index.bits.get(address, 0)
+    return {n for n, covered in two_hop.coverage.items() if covered & bit}
 
 
 def test_two_hop_queries():
     two_hop = build_two_hop_set()
     assert two_hop_addresses(two_hop) == {"x", "y", "z"}
     assert two_hop.reachable_through("n1") == {"x", "y"}
-    assert two_hop.providers_of("y") == {"n1", "n2"}
-    assert two_hop.providers_of("x") == {"n1"}
+    assert providers_of(two_hop, "y") == {"n1", "n2"}
+    assert providers_of(two_hop, "x") == {"n1"}
     assert two_hop.coverage_map() == {"n1": {"x", "y"}, "n2": {"y", "z"}}
 
 
@@ -108,43 +127,43 @@ def test_two_hop_remove_for_neighbor():
 
 def test_two_hop_remove_single_tuple():
     two_hop = build_two_hop_set()
-    two_hop.remove("n2", "y")
-    assert two_hop.providers_of("y") == {"n1"}
+    refresh(two_hop, "n2", {"z"}, 100.0)  # n2 withdraws y
+    assert providers_of(two_hop, "y") == {"n1"}
 
 
 def test_two_hop_purge_expired():
-    two_hop = TwoHopNeighborSet()
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=5.0))
-    two_hop.upsert(TwoHopTuple("n1", "y", expiry_time=50.0))
+    two_hop = new_two_hop_set()
+    refresh(two_hop, "n1", {"x"}, 5.0)
+    refresh(two_hop, "n2", {"y"}, 50.0)
     expired = two_hop.purge_expired(10.0)
     assert len(expired) == 1
     assert two_hop_addresses(two_hop) == {"y"}
 
 
 def test_two_hop_upsert_refreshes_existing():
-    two_hop = TwoHopNeighborSet()
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=5.0))
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=50.0))
+    two_hop = new_two_hop_set()
+    refresh(two_hop, "n1", {"x"}, 5.0)
+    refresh(two_hop, "n1", {"x"}, 50.0)
     assert len(two_hop) == 1
     assert two_hop.purge_expired(10.0) == []
 
 
 def test_two_hop_version_counts_structural_changes_only():
-    two_hop = TwoHopNeighborSet()
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=5.0))
+    two_hop = new_two_hop_set()
+    refresh(two_hop, "n1", {"x"}, 5.0)
     assert two_hop.version == 1
-    two_hop.upsert(TwoHopTuple("n1", "x", expiry_time=50.0))  # a refresh
+    refresh(two_hop, "n1", {"x"}, 50.0)  # a refresh
     assert two_hop.version == 1
-    two_hop.upsert(TwoHopTuple("n1", "y", expiry_time=5.0))
-    two_hop.upsert(TwoHopTuple("n2", "y", expiry_time=50.0))
+    refresh(two_hop, "n3", {"y"}, 5.0)
+    refresh(two_hop, "n2", {"y"}, 50.0)
     assert two_hop.version == 3
-    two_hop.remove("n2", "x")  # absent pair
-    two_hop.remove("n3", "x")  # absent neighbour
+    refresh(two_hop, "n2", {"y", "me"}, 50.0)  # the local address is skipped
+    refresh(two_hop, "n4", {"me"}, 50.0)  # absent neighbour, nothing to add
     assert two_hop.version == 3
-    two_hop.remove("n2", "y")
+    refresh(two_hop, "n2", set(), 50.0)  # n2 withdraws y
     assert two_hop.version == 4
     assert [(t.neighbor_address, t.two_hop_address)
-            for t in two_hop.purge_expired(10.0)] == [("n1", "y")]
+            for t in two_hop.purge_expired(10.0)] == [("n3", "y")]
     assert two_hop.version == 5
     assert two_hop.purge_expired(10.0) == []
     two_hop.remove_for_neighbor("n2")  # no tuple left through n2
@@ -155,22 +174,20 @@ def test_two_hop_version_counts_structural_changes_only():
 
 
 _neighbour = st.sampled_from(["n1", "n2", "n3", "n4"])
-_address = st.sampled_from(["n1", "n2", "x", "y", "z"])
 #: A HELLO's symmetric set as its receiver "me" sees it: it may name "me".
 _advertised = st.sets(st.sampled_from(["me", "n1", "n2", "x", "y", "z"]))
 _operation = st.one_of(
-    st.tuples(st.just("upsert"), _neighbour, _address, st.integers(0, 20)),
-    st.tuples(st.just("remove"), _neighbour, _address),
     st.tuples(st.just("remove_for_neighbor"), _neighbour),
     st.tuples(st.just("purge_expired"), st.integers(0, 20)),
     st.tuples(st.just("refresh"), _neighbour, _advertised, st.integers(0, 20)),
 )
+_NAMES = ["me", "n1", "n2", "n3", "n4", "x", "y", "z"]
 
 
 def _per_address_refresh(two_hop, tuples, neighbour, advertised, expiry):
-    """One HELLO as ``process_hello`` applied it before the in-place refresh:
-    an upsert per advertised address, then a remove per withdrawn one.
-    Returns the TWO_HOP records it logged, in order."""
+    """One HELLO as ``process_hello`` applied it before the 2-hop set kept
+    masks: an upsert per advertised address, then a remove per withdrawn
+    one.  Returns the TWO_HOP records it logged, in order."""
     previous = two_hop.reachable_through(neighbour)
     records = []
     for address in sorted(advertised):
@@ -191,32 +208,23 @@ def _ordered(two_hop):
     return [(t.neighbor_address, t.two_hop_address, t.expiry_time) for t in two_hop]
 
 
-@given(operations=st.lists(_operation, max_size=40))
+@given(operations=st.lists(_operation, max_size=40), bit_order=st.permutations(_NAMES))
 @settings(max_examples=300, deadline=None)
-def test_two_hop_queries_equal_a_brute_force_pass(operations):
-    two_hop = TwoHopNeighborSet()
-    per_address = TwoHopNeighborSet()  # driven by per-address upserts/removes
+def test_two_hop_queries_equal_a_brute_force_pass(operations, bit_order):
+    two_hop = new_two_hop_set(bit_order)
+    index = two_hop.index
+    per_address = PerAddressTwoHopSet()  # driven by per-address upserts/removes
     tuples = {}  # (neighbour, 2-hop address) -> expiry: the brute-force model
     for operation in operations:
         version, keys = two_hop.version, set(tuples)
         kind, *args = operation
-        if kind == "upsert":
-            neighbour, address, expiry = args
-            for target in (two_hop, per_address):
-                target.upsert(TwoHopTuple(neighbour, address, expiry_time=float(expiry)))
-            tuples[(neighbour, address)] = float(expiry)
-        elif kind == "remove":
-            two_hop.remove(*args)
-            per_address.remove(*args)
-            tuples.pop(tuple(args), None)
-        elif kind == "remove_for_neighbor":
+        if kind == "remove_for_neighbor":
             two_hop.remove_for_neighbor(args[0])
             per_address.remove_for_neighbor(args[0])
             tuples = {k: v for k, v in tuples.items() if k[0] != args[0]}
         elif kind == "refresh":
             neighbour, advertised, expiry = args
-            added, withdrawn = two_hop.refresh(neighbour, tuple(sorted(advertised)),
-                                               "me", float(expiry))
+            added, withdrawn = refresh(two_hop, neighbour, advertised, float(expiry))
             records = _per_address_refresh(per_address, tuples, neighbour,
                                            advertised, float(expiry))
             assert ([("TWO_HOP_ADDED", a) for a in added]
@@ -240,9 +248,13 @@ def test_two_hop_queries_equal_a_brute_force_pass(operations):
         for neighbour, address in tuples:
             coverage.setdefault(neighbour, set()).add(address)
         assert two_hop.coverage_map() == coverage
-        for name in ("n1", "n2", "n3", "n4", "x", "y", "z"):
+        assert {n: set(index.addresses(covered))
+                for n, covered in two_hop.coverage.items()} == coverage
+        for name in _NAMES:
             assert two_hop.reachable_through(name) == coverage.get(name, set())
-            assert two_hop.providers_of(name) == {n for n, a in tuples if a == name}
+            providers = {n for n, a in tuples if a == name}
+            assert providers_of(two_hop, name) == providers
+            assert per_address.providers_of(name) == providers
 
 
 # ------------------------------------------------------------- selector set

